@@ -53,6 +53,7 @@ func TestSortAllocRegression(t *testing.T) {
 			env := fj.NewRealEnv()
 			data := env.I64(int64(tc.n))
 			pool := rt.NewPool(0, rt.Random)
+			t.Cleanup(pool.Close)
 			run := func() {
 				copy(data.Raw(), src)
 				fj.RunReal(pool, func(c *fj.Ctx) { tc.kernel(c, data) })

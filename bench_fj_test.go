@@ -160,6 +160,7 @@ func BenchmarkRealMatmulHand(b *testing.B) {
 	a, bb := benchMatrix(benchMatN, 1), benchMatrix(benchMatN, 2)
 	out := make([]float64, benchMatN*benchMatN)
 	pool := rt.NewPool(0, rt.Random)
+	b.Cleanup(pool.Close)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		clear(out)
@@ -173,6 +174,7 @@ func BenchmarkRealMatmulFJ(b *testing.B) {
 	copy(a.Raw(), benchMatrix(benchMatN, 1))
 	copy(bb.Raw(), benchMatrix(benchMatN, 2))
 	pool := rt.NewPool(0, rt.Random)
+	b.Cleanup(pool.Close)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		clear(out.Raw())
@@ -184,6 +186,7 @@ func BenchmarkRealSortHand(b *testing.B) {
 	src := benchKeys(benchSortN, 3)
 	data := make([]int64, benchSortN)
 	pool := rt.NewPool(0, rt.Random)
+	b.Cleanup(pool.Close)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(data, src)
@@ -196,6 +199,7 @@ func BenchmarkRealSortFJ(b *testing.B) {
 	env := fj.NewRealEnv()
 	data := env.I64(benchSortN)
 	pool := rt.NewPool(0, rt.Random)
+	b.Cleanup(pool.Close)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(data.Raw(), src)
@@ -211,6 +215,7 @@ func BenchmarkRealSortSPMSFJ(b *testing.B) {
 	env := fj.NewRealEnv()
 	data := env.I64(benchSortN)
 	pool := rt.NewPool(0, rt.Random)
+	b.Cleanup(pool.Close)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(data.Raw(), src)

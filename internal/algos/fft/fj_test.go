@@ -39,6 +39,7 @@ func TestFJForwardRealMatchesDFT(t *testing.T) {
 				data.Store(i, orig.Load(i))
 			}
 			pool := rt.NewPoolLayout(p, rt.Random, layout)
+			t.Cleanup(pool.Close)
 			fj.RunReal(pool, func(c *fj.Ctx) { FJForward(c, data) })
 			for i := range want {
 				if cmplx.Abs(data.Load(int64(i))-want[i]) > 1e-6*float64(n) {

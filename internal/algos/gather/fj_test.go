@@ -58,6 +58,7 @@ func TestFJGatherReal(t *testing.T) {
 		for _, p := range []int{1, 4} {
 			out := env.I64(n)
 			pool := rt.NewPoolLayout(p, rt.Random, layout)
+			t.Cleanup(pool.Close)
 			fj.RunReal(pool, func(c *fj.Ctx) { FJGather(c, idx, vals, out, -7) })
 			for i := range want {
 				if out.Load(int64(i)) != want[i] {

@@ -44,6 +44,7 @@ func TestFJRankReal(t *testing.T) {
 		for _, layout := range []rt.Layout{rt.LayoutPadded, rt.LayoutCompact} {
 			for _, p := range []int{1, 4} {
 				pool := rt.NewPoolLayout(p, rt.Random, layout)
+				t.Cleanup(pool.Close)
 				fj.RunReal(pool, func(c *fj.Ctx) { FJRank(c, succ, rank) })
 				for i := range want {
 					if rank.Load(int64(i)) != want[i] {

@@ -36,6 +36,7 @@ func TestFJTransposeReal(t *testing.T) {
 		for _, layout := range []rt.Layout{rt.LayoutPadded, rt.LayoutCompact} {
 			for _, p := range []int{1, 4} {
 				pool := rt.NewPoolLayout(p, rt.Random, layout)
+				t.Cleanup(pool.Close)
 				fj.RunReal(pool, func(c *fj.Ctx) { FJTranspose(c, src, dst, r, cols) })
 				checkTransposed(t, src, dst, r, cols, "real")
 			}

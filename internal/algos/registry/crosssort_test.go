@@ -72,6 +72,7 @@ func TestCrossSortPermutationsAgree(t *testing.T) {
 						data := env.I64(nReal)
 						fl.fill(data, nReal)
 						pool := rt.NewPoolLayout(p, rt.Random, layout)
+						t.Cleanup(pool.Close)
 						fj.RunReal(pool, func(c *fj.Ctx) { k.sort(c, data) })
 						outs = append(outs, data.Words())
 					}

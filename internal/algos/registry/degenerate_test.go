@@ -56,6 +56,7 @@ func TestDegenerateInputs(t *testing.T) {
 				// Real lowering on a 2-worker pool.
 				rw := k.Setup(fj.NewRealEnv(), n, seed)
 				pool := rt.NewPoolLayout(2, rt.Random, rt.LayoutPadded)
+				t.Cleanup(pool.Close)
 				fj.RunReal(pool, rw.Root)
 				if !rw.Verify() {
 					t.Errorf("real: verifier failed at n=%d", n)

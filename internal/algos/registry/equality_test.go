@@ -55,6 +55,7 @@ func TestCrossBackendEquality(t *testing.T) {
 					env := fj.NewRealEnv()
 					w := k.Setup(env, n, seed)
 					pool := rt.NewPoolLayout(p, rt.Random, layout)
+					t.Cleanup(pool.Close)
 					fj.RunReal(pool, w.Root)
 					if pool.Executed() <= 1 {
 						t.Errorf("real %s p=%d: no forks at n=%d — the gate is not exercising the parallel path",

@@ -17,6 +17,7 @@ func runInvocable(t *testing.T, k Invocable, in []int64) []int64 {
 	}
 	out := make([]int64, k.OutLen(in))
 	pool := rt.NewPool(2, rt.Random)
+	t.Cleanup(pool.Close)
 	fj.RunReal(pool, func(c *fj.Ctx) { k.Run(c, in, out) })
 	return out
 }

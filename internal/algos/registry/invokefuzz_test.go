@@ -62,6 +62,7 @@ func FuzzInvokeCodec(f *testing.F) {
 	f.Add(uint8(5), []byte{})                           // empty payload
 
 	pool := rt.NewPool(2, rt.Random)
+	f.Cleanup(pool.Close)
 	f.Fuzz(func(t *testing.T, ki uint8, data []byte) {
 		k := kernels[int(ki)%len(kernels)]
 		words := wordsFromBytes(data)

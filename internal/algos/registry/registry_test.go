@@ -102,6 +102,7 @@ func TestRealKernelsVerify(t *testing.T) {
 			n := k.Size(true)
 			work := k.Setup(n, 7)
 			pool := rt.NewPool(2, rt.Random)
+			t.Cleanup(pool.Close)
 			pool.Run(work.Run)
 			if !work.Verify() {
 				t.Errorf("%s: wrong result at n=%d", k.Name, n)

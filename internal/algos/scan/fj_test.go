@@ -38,6 +38,7 @@ func TestFJPrefixRealMatchesSerial(t *testing.T) {
 			for _, p := range []int{1, 4} {
 				out := env.I64(n)
 				pool := rt.NewPoolLayout(p, rt.Random, layout)
+				t.Cleanup(pool.Close)
 				fj.RunReal(pool, func(c *fj.Ctx) { FJPrefix(c, in, out) })
 				for i := range want {
 					if out.Load(int64(i)) != want[i] {
@@ -57,6 +58,7 @@ func TestFJPrefixInPlaceReal(t *testing.T) {
 	fillVals(in, 42)
 	want := prefixRef(in)
 	pool := rt.NewPool(4, rt.Priority)
+	t.Cleanup(pool.Close)
 	fj.RunReal(pool, func(c *fj.Ctx) { FJPrefix(c, in, in) })
 	for i := range want {
 		if in.Load(int64(i)) != want[i] {

@@ -19,6 +19,7 @@ func TestSplitBalancesEqualRange(t *testing.T) {
 		b.Store(i, 5)
 	}
 	pool := rt.NewPoolLayout(1, rt.Random, rt.LayoutPadded)
+	t.Cleanup(pool.Close)
 	fj.RunReal(pool, func(c *fj.Ctx) {
 		for k := int64(0); k <= 16; k++ {
 			want := min(k, int64(8)) // stable: take everything available from a first
@@ -43,6 +44,7 @@ func TestSplitAgreesWithMergeSerial(t *testing.T) {
 	}
 	out := env.I64(15)
 	pool := rt.NewPoolLayout(1, rt.Random, rt.LayoutPadded)
+	t.Cleanup(pool.Close)
 	fj.RunReal(pool, func(c *fj.Ctx) {
 		MergeSerial(c, a, b, out)
 		if !slices.IsSorted(out.Raw()) {
@@ -80,6 +82,7 @@ func TestTieBreakConventionsAgree(t *testing.T) {
 	}
 	env := fj.NewRealEnv()
 	pool := rt.NewPoolLayout(1, rt.Random, rt.LayoutPadded)
+	t.Cleanup(pool.Close)
 	fj.RunReal(pool, func(c *fj.Ctx) {
 		for ci, tc := range cases {
 			a, b := env.I64(int64(len(tc[0]))), env.I64(int64(len(tc[1])))
@@ -121,6 +124,7 @@ func TestMergeKManyRunsStable(t *testing.T) {
 	}
 	out := env.I64(total)
 	pool := rt.NewPoolLayout(1, rt.Random, rt.LayoutPadded)
+	t.Cleanup(pool.Close)
 	fj.RunReal(pool, func(c *fj.Ctx) { MergeK(c, runs, out) })
 	got := out.Raw()
 	for i := 1; i < len(got); i++ {
@@ -144,6 +148,7 @@ func TestBoundsUnits(t *testing.T) {
 		v.Store(int64(i), x)
 	}
 	pool := rt.NewPoolLayout(1, rt.Random, rt.LayoutPadded)
+	t.Cleanup(pool.Close)
 	fj.RunReal(pool, func(c *fj.Ctx) {
 		for _, tc := range []struct{ x, lo, hi int64 }{
 			{0, 0, 0}, {1, 0, 1}, {2, 1, 1}, {3, 1, 4}, {4, 4, 4},
@@ -209,6 +214,7 @@ func TestSortLeafBothBackings(t *testing.T) {
 		v.Store(int64(i), x)
 	}
 	pool := rt.NewPoolLayout(1, rt.Random, rt.LayoutPadded)
+	t.Cleanup(pool.Close)
 	fj.RunReal(pool, func(c *fj.Ctx) { SortLeaf(c, v) })
 	if !slices.IsSorted(v.Raw()) {
 		t.Fatalf("SortLeaf output not sorted: %v", v.Raw())

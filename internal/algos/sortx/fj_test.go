@@ -52,6 +52,7 @@ func TestFJSortRealMatchesSerial(t *testing.T) {
 				fillKeys(data, uint64(n)+uint64(p))
 				want := sortedRef(data)
 				pool := rt.NewPoolLayout(p, rt.Random, layout)
+				t.Cleanup(pool.Close)
 				fj.RunReal(pool, func(c *fj.Ctx) { FJSort(c, data) })
 				for i := range want {
 					if data.Load(int64(i)) != want[i] {
@@ -77,6 +78,7 @@ func TestFJSortDuplicatesReal(t *testing.T) {
 					fillDupKeys(data, dist, uint64(n)+uint64(p))
 					want := sortedRef(data)
 					pool := rt.NewPoolLayout(p, rt.Random, layout)
+					t.Cleanup(pool.Close)
 					fj.RunReal(pool, func(c *fj.Ctx) { FJSort(c, data) })
 					for i := range want {
 						if data.Load(int64(i)) != want[i] {

@@ -67,6 +67,7 @@ func mergeKReal(runs [][]int64, p int) []int64 {
 	views, total := loadRuns(env, runs)
 	out := env.I64(total)
 	pool := rt.NewPoolLayout(p, rt.Random, rt.LayoutPadded)
+	defer pool.Close()
 	fj.RunReal(pool, func(c *fj.Ctx) { FJMergeK(c, views, out) })
 	return dumpView(out)
 }
@@ -90,6 +91,7 @@ func mergeKSerialRef(runs [][]int64) []int64 {
 	views, total := loadRuns(env, runs)
 	out := env.I64(total)
 	pool := rt.NewPoolLayout(1, rt.Random, rt.LayoutPadded)
+	defer pool.Close()
 	fj.RunReal(pool, func(c *fj.Ctx) { sortutil.MergeK(c, views, out) })
 	return dumpView(out)
 }

@@ -60,6 +60,7 @@ func TestFJSortRealMatchesSerial(t *testing.T) {
 					fillDist(data, dist, uint64(n)+uint64(p))
 					want := sortedRef(data)
 					pool := rt.NewPoolLayout(p, rt.Random, layout)
+					t.Cleanup(pool.Close)
 					fj.RunReal(pool, func(c *fj.Ctx) { FJSort(c, data) })
 					checkSorted(t, dist, data, want)
 				}

@@ -42,6 +42,7 @@ func TestFJMulRealMatchesNaive(t *testing.T) {
 		for _, p := range []int{1, 4} {
 			out := env.I64(n * n)
 			pool := rt.NewPoolLayout(p, rt.Random, layout)
+			t.Cleanup(pool.Close)
 			fj.RunReal(pool, func(c *fj.Ctx) { FJMul(c, a, b, out, n) })
 			for i := range want {
 				if out.Load(int64(i)) != want[i] {

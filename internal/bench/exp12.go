@@ -43,6 +43,7 @@ func exp12Cells(p Params) []harness.Cell {
 					Exp: "EXP12", Label: "reduce/" + name, Exclusive: true,
 					Run: func() []harness.Row {
 						pool := rt.NewPool(pr, policy)
+						defer pool.Close()
 						var got int64
 						start := time.Now() //lint:allow determinism wall-clock feeds WallNS and Volatile-row fields, all zeroed by Normalize for -canon
 						pool.Run(func(c *rt.Ctx) {

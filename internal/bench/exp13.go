@@ -62,6 +62,7 @@ func exp13Cells(p Params) []harness.Cell {
 						Run: func() []harness.Row {
 							work := k.Setup(n, seed)
 							pool := rt.NewPoolLayout(pr, rt.Random, layout)
+							defer pool.Close()
 							start := time.Now() //lint:allow determinism wall-clock feeds WallNS and Volatile-row fields, all zeroed by Normalize for -canon
 							pool.Run(work.Run)
 							el := time.Since(start)

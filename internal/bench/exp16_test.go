@@ -8,10 +8,9 @@ import (
 )
 
 // TestEXP16Rows runs the quick grid serially and checks the rows are
-// well-formed: one row per arm per grid coordinate — fixed/rpc at every
-// batch size, adaptive/rpc at every batch > 1, one adaptive/stream arm —
+// well-formed: one rpc and one stream row per (clients, pool) coordinate,
 // every request verified ("ok" in Note), throughput measured, and the
-// batch=1 fixed/rpc baselines carrying gain 1.
+// smallest-clients rpc cell of each pool size carrying scale 1.
 func TestEXP16Rows(t *testing.T) {
 	e, ok := FindExperiment("EXP16")
 	if !ok {
@@ -19,82 +18,47 @@ func TestEXP16Rows(t *testing.T) {
 	}
 	rows := e.Rows(Params{Quick: true, Repeats: 1, Seed: 42}, 1)
 
-	clients, batches, pools, _ := exp16Grid(true)
-	want := len(clients) * len(pools) * len(exp16Arms(batches))
-	if len(rows) != want {
+	clients, pools, _ := exp16Grid(true)
+	if want := len(clients) * len(pools) * 2; len(rows) != want {
 		t.Fatalf("got %d rows, want %d (quick grid)", len(rows), want)
 	}
-	seenAdaptive, seenStream := false, false
+	modes := map[string]int{}
 	for _, r := range rows {
-		batch, cl, flush, mode, ok := exp16Note(r)
+		cl, mode, ok := exp16Note(r)
 		if !ok {
 			t.Errorf("row Note %q does not parse", r.Note)
 			continue
 		}
-		seenAdaptive = seenAdaptive || flush == "adaptive"
-		seenStream = seenStream || mode == "stream"
+		modes[mode]++
 		if !strings.HasSuffix(r.Note, " ok") {
-			t.Errorf("cell batch=%d clients=%d p=%d %s/%s failed verification: Note %q", batch, cl, r.P, flush, mode, r.Note)
+			t.Errorf("cell clients=%d p=%d %s failed verification: Note %q", cl, r.P, mode, r.Note)
 		}
 		if !r.Volatile {
-			t.Errorf("cell batch=%d clients=%d p=%d: wall-clock row must be Volatile", batch, cl, r.P)
+			t.Errorf("cell clients=%d p=%d %s: wall-clock row must be Volatile", cl, r.P, mode)
 		}
 		if r.Aux1 <= 0 || r.WallNS <= 0 {
-			t.Errorf("cell batch=%d clients=%d p=%d: no throughput measured (req/s %.1f, wall %d)", batch, cl, r.P, r.Aux1, r.WallNS)
+			t.Errorf("cell clients=%d p=%d %s: no throughput measured (req/s %.1f, wall %d)", cl, r.P, mode, r.Aux1, r.WallNS)
 		}
 		if r.Aux3 < r.Aux2 {
-			t.Errorf("cell batch=%d clients=%d p=%d: p99 %v below p50 %v", batch, cl, r.P, r.Aux3, r.Aux2)
+			t.Errorf("cell clients=%d p=%d %s: p99 %v below p50 %v", cl, r.P, mode, r.Aux3, r.Aux2)
 		}
-		if exp16Baseline(r) && r.Ratio != 1 {
-			t.Errorf("batch=1 fixed/rpc baseline must carry gain 1, got %v", r.Ratio)
-		}
-		if !exp16Baseline(r) && r.Ratio <= 0 {
-			t.Errorf("cell batch=%d clients=%d p=%d %s/%s: gain not filled", batch, cl, r.P, flush, mode)
-		}
-	}
-	if !seenAdaptive || !seenStream {
-		t.Fatalf("grid missing arms: adaptive=%v stream=%v", seenAdaptive, seenStream)
-	}
-}
-
-// TestEXP16AdaptiveRetiresPathology pins the adaptive deadline's reason to
-// exist on the quick grid's pathological coordinate (batch=8 > clients=4):
-// under the fixed flush the service's p99 sits at flush-window scale, and
-// the adaptive arm at the same coordinate must come in well under it.
-func TestEXP16AdaptiveRetiresPathology(t *testing.T) {
-	e, _ := FindExperiment("EXP16")
-	rows := e.Rows(Params{Quick: true, Repeats: 1, Seed: 7}, 1)
-	var fixedP99, adaptP99 float64
-	for _, r := range rows {
-		batch, cl, flush, mode, ok := exp16Note(r)
-		if !ok || batch <= cl || mode != "rpc" || r.P != 1 {
-			continue
-		}
-		switch flush {
-		case "fixed":
-			fixedP99 = r.Aux3
-		case "adaptive":
-			adaptP99 = r.Aux3
+		if baseline := cl == clients[0] && mode == "rpc"; baseline && r.Ratio != 1 {
+			t.Errorf("cell clients=%d p=%d rpc is the baseline and must carry scale 1, got %v", cl, r.P, r.Ratio)
+		} else if r.Ratio <= 0 {
+			t.Errorf("cell clients=%d p=%d %s: scale not filled", cl, r.P, mode)
 		}
 	}
-	if fixedP99 == 0 || adaptP99 == 0 {
-		t.Fatal("pathological batch > clients arms missing from the quick grid")
-	}
-	if nsFlush := float64(exp16FlushDelay.Nanoseconds()); fixedP99 < nsFlush/2 {
-		t.Errorf("fixed arm p99 %.0fns never hit the pathology (flush %s)", fixedP99, exp16FlushDelay)
-	}
-	if adaptP99 >= fixedP99 {
-		t.Errorf("adaptive p99 %.0fns not below fixed p99 %.0fns at batch > clients", adaptP99, fixedP99)
+	if modes["rpc"] != modes["stream"] || modes["rpc"] == 0 {
+		t.Fatalf("grid modes unbalanced: %v", modes)
 	}
 }
 
 // TestEXP16NoteIdentity pins that the Note coordinates survive Normalize —
-// the canon path depends on batch/clients/flush/mode riding in an identity
-// column.
+// the canon path depends on clients/mode riding in an identity column.
 func TestEXP16NoteIdentity(t *testing.T) {
 	r := harness.Row{
 		Exp: "EXP16", Algo: "sort", N: exp16N, P: 2,
-		Sched: "serve", Note: "batch=4 clients=8 flush=adaptive mode=stream ok",
+		Sched: "serve", Note: "clients=8 mode=stream ok",
 		WallNS: 123, Aux1: 9e5, Aux2: 1, Aux3: 2, Bound: 4, Ratio: 1.5,
 		Volatile: true,
 	}

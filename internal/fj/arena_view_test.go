@@ -36,6 +36,7 @@ func (a span) overlaps(b span) bool { return a.lo < b.hi && b.lo < a.hi }
 // a view the kernel already declared dead.
 func TestArenaNoLiveAliasing(t *testing.T) {
 	pool := rt.NewPool(1, rt.Random)
+	t.Cleanup(pool.Close)
 	RunReal(pool, func(c *Ctx) {
 		rng := rand.New(rand.NewSource(0xA11A5))
 		type live struct {
@@ -79,6 +80,7 @@ func TestArenaNoLiveAliasing(t *testing.T) {
 // reaches the pool, while the original arena view still does.
 func TestFreeNonArenaViewsNoOp(t *testing.T) {
 	pool := rt.NewPool(1, rt.Random)
+	t.Cleanup(pool.Close)
 	RunReal(pool, func(c *Ctx) {
 		sh := c.rc.Scratch()
 		backing := []int64{1, 2, 3, 4, 5, 6, 7, 8} // cap 8 == a class size
@@ -113,6 +115,7 @@ func TestFreeNonArenaViewsNoOp(t *testing.T) {
 // such promise, which is the whole point of having both).
 func TestAllocZeroesRecycledSlab(t *testing.T) {
 	pool := rt.NewPool(1, rt.Random)
+	t.Cleanup(pool.Close)
 	RunReal(pool, func(c *Ctx) {
 		v := c.ScratchI64(128)
 		raw := v.Raw()
@@ -143,6 +146,7 @@ func TestPoisonOnFree(t *testing.T) {
 		t.Skip("poisoning is compiled in only under the race build tag")
 	}
 	pool := rt.NewPool(1, rt.Random)
+	t.Cleanup(pool.Close)
 	RunReal(pool, func(c *Ctx) {
 		vi := c.AllocI64(64)
 		ri := vi.Raw()

@@ -82,6 +82,7 @@ func TestSumRealBackend(t *testing.T) {
 		in, out := env.I64(256), env.I64(1)
 		want := fillSeq(in)
 		pool := rt.NewPoolLayout(4, rt.Random, layout)
+		t.Cleanup(pool.Close)
 		RunReal(pool, sumProgram(in, out))
 		if got := out.Load(0); got != want {
 			t.Errorf("%s: sum = %d, want %d", layout, got, want)
@@ -153,6 +154,7 @@ func TestStaggeredJoinsReal(t *testing.T) {
 	env := NewRealEnv()
 	out := env.I64(3)
 	pool := rt.NewPool(4, rt.Random)
+	t.Cleanup(pool.Close)
 	RunReal(pool, func(c *Ctx) {
 		h0 := c.Fork(func(c *Ctx) { out.Set(c, 0, 1) })
 		h1 := c.Fork(func(c *Ctx) { out.Set(c, 1, 2) })
@@ -255,6 +257,7 @@ func TestGrainSelectsBackend(t *testing.T) {
 	env := NewRealEnv()
 	got := int64(0)
 	pool := rt.NewPool(1, rt.Random)
+	t.Cleanup(pool.Close)
 	RunReal(pool, func(c *Ctx) { got = c.Grain(2, 64) })
 	if got != 64 {
 		t.Errorf("real grain = %d, want 64", got)

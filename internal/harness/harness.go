@@ -130,6 +130,7 @@ func Execute(cells []Cell, parallel int) []Row {
 		}
 		if len(shared) > 0 {
 			pool := rt.NewPool(parallel, rt.Priority)
+			defer pool.Close()
 			pool.Run(func(c *rt.Ctx) {
 				c.For(0, len(shared), 1, func(k int) {
 					i := shared[k]

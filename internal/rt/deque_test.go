@@ -144,6 +144,7 @@ func TestPoolTasksRunExactlyOnce(t *testing.T) {
 	const forks = 5000
 	for _, layout := range []Layout{LayoutPadded, LayoutCompact} {
 		pool := NewPoolLayout(8, Random, layout)
+		t.Cleanup(pool.Close)
 		runs := make([]atomic.Int32, forks)
 		pool.Run(func(c *Ctx) {
 			hs := make([]Handle, forks)

@@ -28,6 +28,7 @@ func cellAddr(c *cells, which int) uintptr {
 func TestPaddedLayoutAlignment(t *testing.T) {
 	const p = 4
 	pool := NewPool(p, Random)
+	t.Cleanup(pool.Close)
 	if pool.Layout() != LayoutPadded {
 		t.Fatalf("NewPool layout = %v, want padded", pool.Layout())
 	}
@@ -56,6 +57,7 @@ func TestPaddedLayoutAlignment(t *testing.T) {
 func TestCompactLayoutPacks(t *testing.T) {
 	const p = 4
 	pool := NewPoolLayout(p, Random, LayoutCompact)
+	t.Cleanup(pool.Close)
 	for i, w := range pool.workers {
 		top := cellAddr(&w.st, cellTop)
 		if cellAddr(&w.st, cellBottom)-top != 8 {
@@ -123,6 +125,7 @@ func TestCompactPoolStillCorrect(t *testing.T) {
 	for _, pol := range []Policy{Random, Priority} {
 		for _, p := range []int{1, 2, 4, 8} {
 			pool := NewPoolLayout(p, pol, LayoutCompact)
+			t.Cleanup(pool.Close)
 			var got int64
 			pool.Run(func(c *Ctx) {
 				got = c.Reduce(0, n, 256, func(i int) int64 { return int64(i) })

@@ -22,15 +22,24 @@
 // ablation arm of EXP13, which demonstrates the paper's false-sharing
 // penalty on real hardware; NewPool always uses LayoutPadded.
 //
+// The workers are long-lived — p cores stealing from each other in steady
+// state, the pool the RWS analysis assumes.  They start on the pool's first
+// Submit and exit in Close; in between any number of roots may be in flight.
+// Submit appends a root to a pool-level injection queue and returns; Run is
+// Submit plus a wait on a channel the root closes.  A worker's main loop
+// looks for work in the order own deque → injected roots → steal, so a worker
+// that runs dry starts a new root before it goes stealing and a small
+// computation is not parked behind a large one that keeps every deque
+// stocked.  A joiner helping inside Ctx.Join never takes a root: its join
+// latency must not become an unrelated root's run time.
+//
 // Nobody busy-waits.  An idle worker (or a joiner whose fork is still in
 // flight) spins briefly, then parks on a condition-variable eventcount: it
 // snapshots the pool's wake sequence, announces itself in an idler count,
-// re-checks every work source, and only then sleeps.  Producers bump the
-// sequence and broadcast after pushing a task or completing one — but only
-// when the idler count is nonzero, so the fork/join fast path costs one
-// atomic load.  Pool.Run parks the caller on a channel closed by the root
-// task instead of spinning, so a pool as wide as the machine no longer
-// competes with its own workers for cores.
+// re-checks every work source — deque, injection queue, every victim — and
+// only then sleeps.  Producers bump the sequence and broadcast after
+// injecting a root, pushing a task or completing one — but only when the
+// idler count is nonzero, so the fork/join fast path costs one atomic load.
 //
 // The simulator in internal/core measures the paper's cache and block-miss
 // quantities; this package demonstrates the same computations running with
@@ -210,22 +219,27 @@ func (a *taskArena) alloc(fn func(*Ctx), depth int32) *task {
 	return t
 }
 
-// Pool is a fixed-size work-stealing pool.
+// Pool is a fixed-size work-stealing pool of long-lived workers.
 //
-// The three pool-wide hot words lead the struct, each padded onto a private
+// The four pool-wide hot words lead the struct, each padded onto a private
 // cache line (the same §4.7 discipline the per-worker state block applies
-// via newState): stop is loaded in every scheduling loop, idlers on every
-// fork/completion fast path, and seq on every park.  Letting them share a
-// line would make each writer invalidate the others' readers — exactly the
-// false-sharing delay hbplint's falseshare analyzer now rejects statically.
+// via newState): stop and queued are loaded in every scheduling loop, idlers
+// on every fork/completion fast path, and seq on every park.  Letting them
+// share a line would make each writer invalidate the others' readers —
+// exactly the false-sharing delay hbplint's falseshare analyzer now rejects
+// statically.
 type Pool struct {
-	stop atomic.Bool
+	stop atomic.Bool // set once, by Close
 	_    [cacheLine - 1]byte
 	// Eventcount for parking: idlers counts workers that announced
 	// idleness; seq is bumped (under mu) on every wake-worthy event.
 	idlers atomic.Int32
 	_      [cacheLine - 4]byte
 	seq    atomic.Uint64
+	_      [cacheLine - 8]byte
+	// queued is len(inject), readable without mu so a worker checks the
+	// injection queue with a single load.
+	queued atomic.Int64
 	_      [cacheLine - 8]byte
 
 	workers []*worker
@@ -235,8 +249,10 @@ type Pool struct {
 
 	state []atomic.Int64 // keeps the worker-state block alive
 
-	mu   sync.Mutex
-	cond *sync.Cond
+	mu      sync.Mutex // guards the eventcount sleep, inject and started
+	cond    *sync.Cond
+	inject  []*task // submitted roots no worker has taken yet, FIFO
+	started bool    // the worker goroutines exist
 }
 
 type worker struct {
@@ -302,8 +318,9 @@ func (p *Pool) StealAttempts() int64 {
 	return p.sum(func(c cells) *atomic.Int64 { return c.attempts })
 }
 
-// Executed reports tasks run to completion (including each Run's root),
-// accumulated across Runs.
+// Executed reports tasks started (forks plus one per root), accumulated
+// over the pool's life.  The count ticks when a task starts, so once every
+// submitted root has completed it is exactly the tasks run to completion.
 func (p *Pool) Executed() int64 { return p.sum(func(c cells) *atomic.Int64 { return c.executed }) }
 
 func (p *Pool) sum(f func(cells) *atomic.Int64) int64 {
@@ -314,7 +331,9 @@ func (p *Pool) sum(f func(cells) *atomic.Int64) int64 {
 	return s
 }
 
-func (p *Pool) stopRequested() bool { return p.stop.Load() }
+// drained is the main loop's quit condition: Close was called and no
+// submitted root is left waiting for a worker.
+func (p *Pool) drained() bool { return p.stop.Load() && p.queued.Load() == 0 }
 
 // wake publishes a work/completion event to parked workers.  The fast path
 // is a single atomic load: the sequence bump and broadcast happen only when
@@ -323,45 +342,91 @@ func (p *Pool) wake() {
 	if p.idlers.Load() == 0 {
 		return
 	}
-	p.wakeAll()
-}
-
-// wakeAll unconditionally bumps the event sequence and wakes every parked
-// worker (used by wake and by Run's shutdown).
-func (p *Pool) wakeAll() {
 	p.mu.Lock()
-	p.seq.Add(1)
-	p.cond.Broadcast()
+	p.wakeLocked()
 	p.mu.Unlock()
 }
 
-// Run executes root to completion on the pool, then shuts the workers down.
-// The calling goroutine parks on a channel the root task closes — it never
-// spins, so running a pool as wide as the machine does not starve workers.
-func (p *Pool) Run(root func(*Ctx)) {
-	rootDone := make(chan struct{})
-	p.stop.Store(false)
-	w0 := p.workers[0]
-	w0.dq.push(w0.arena.alloc(func(c *Ctx) {
-		root(c)
-		close(rootDone)
-	}, 0))
-	for _, w := range p.workers {
-		p.wg.Add(1)
-		go w.loop()
+// wakeLocked bumps the event sequence and wakes every parked worker.  A
+// broadcast, not a signal: joiners park on the same condition and take no
+// roots, so a single wake-up could land on one that cannot use it.
+func (p *Pool) wakeLocked() {
+	p.seq.Add(1)
+	p.cond.Broadcast()
+}
+
+// Submit enqueues root on the pool's injection queue and returns; the first
+// Submit starts the workers.  Any number of roots may be in flight, from any
+// number of goroutines.  A root must join all its forks before returning, so
+// no work outlives it.  Submit on a closed pool is a programming error and
+// panics rather than drop the root.
+func (p *Pool) Submit(root func(*Ctx)) {
+	t := &task{fn: root}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.stop.Load() {
+		panic("rt: Submit on a closed Pool")
 	}
-	// The root fn must join all its forks before returning, so no work
-	// outlives it.
-	<-rootDone
+	if !p.started {
+		p.started = true
+		for _, w := range p.workers {
+			p.wg.Add(1)
+			go w.loop()
+		}
+	}
+	p.inject = append(p.inject, t)
+	p.queued.Add(1)
+	if p.idlers.Load() > 0 {
+		p.wakeLocked()
+	}
+}
+
+// takeRoot pops the oldest injected root, or nil.  The common empty case is
+// one load of queued.
+func (p *Pool) takeRoot() *task {
+	if p.queued.Load() == 0 {
+		return nil
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.inject) == 0 {
+		return nil
+	}
+	t := p.inject[0]
+	p.inject[0] = nil
+	p.inject = p.inject[1:]
+	p.queued.Add(-1)
+	return t
+}
+
+// Run executes root to completion on the pool.  The calling goroutine parks
+// on a channel the root task closes — it never spins, so running a pool as
+// wide as the machine does not starve workers.
+func (p *Pool) Run(root func(*Ctx)) {
+	done := make(chan struct{})
+	p.Submit(func(c *Ctx) {
+		root(c)
+		close(done)
+	})
+	<-done
+}
+
+// Close stops the pool: every root submitted before it still runs to
+// completion, then the workers exit and Close returns.  A pool that never
+// ran has no goroutines to stop.  Close is idempotent.
+func (p *Pool) Close() {
+	p.mu.Lock()
 	p.stop.Store(true)
-	p.wakeAll()
+	p.wakeLocked()
+	p.mu.Unlock()
 	p.wg.Wait()
 }
 
 func (w *worker) loop() {
 	defer w.pool.wg.Done()
+	quit := w.pool.drained
 	for {
-		t := w.next(w.pool.stopRequested)
+		t := w.next(quit, true)
 		if t == nil {
 			return
 		}
@@ -370,10 +435,10 @@ func (w *worker) loop() {
 }
 
 func (w *worker) run(t *task) {
+	w.st.executed.Add(1)
 	t.ctx = Ctx{w: w, depth: int(t.depth)}
 	t.fn(&t.ctx)
 	t.done.Store(1)
-	w.st.executed.Add(1)
 	w.pool.wake()
 }
 
@@ -381,59 +446,61 @@ func (w *worker) run(t *task) {
 // parking on the eventcount.
 const idleSpins = 4
 
+// find makes one pass over the worker's work sources in scheduling order:
+// its own deque, then — in the main loop only (roots) — the injection queue,
+// then a steal: one bounded round under the pool's policy, or with sweep
+// the exhaustive stealAny pass that precedes a park.
+func (w *worker) find(roots, sweep bool) *task {
+	if t := w.dq.pop(); t != nil {
+		return t
+	}
+	if roots {
+		if t := w.pool.takeRoot(); t != nil {
+			return t
+		}
+	}
+	if sweep {
+		return w.pool.stealAny(w)
+	}
+	return w.pool.trySteal(w)
+}
+
 // next returns a runnable task, parking the worker until one appears or
-// quit() reports true (pool shutdown for the main loop, task completion for
+// quit() reports true (pool drained for the main loop, task completion for
 // a joiner).  The park protocol is: snapshot the event sequence, announce
 // idleness, re-check everything, and only then sleep — any event published
 // after the snapshot changes the sequence, so the sleep is never entered on
 // a stale view (the idler announcement and the producers' idler check are
 // ordered by Go's sequentially consistent atomics).
-func (w *worker) next(quit func() bool) *task {
+func (w *worker) next(quit func() bool, roots bool) *task {
 	p := w.pool
 	for {
-		if quit() {
-			return nil
-		}
-		if t := w.dq.pop(); t != nil {
-			return t
-		}
-		if t := p.trySteal(w); t != nil {
-			return t
-		}
-		for s := 0; s < idleSpins; s++ {
-			runtime.Gosched()
+		for s := 0; s <= idleSpins; s++ {
+			if s > 0 {
+				runtime.Gosched()
+			}
 			if quit() {
 				return nil
 			}
-			if t := w.dq.pop(); t != nil {
-				return t
-			}
-			if t := p.trySteal(w); t != nil {
+			if t := w.find(roots, false); t != nil {
 				return t
 			}
 		}
 		seq := p.seq.Load()
 		p.idlers.Add(1)
-		t := (*task)(nil)
+		var t *task
 		if !quit() {
-			if t = w.dq.pop(); t == nil {
-				t = p.stealAny(w)
+			if t = w.find(roots, true); t == nil {
+				p.mu.Lock()
+				for p.seq.Load() == seq && !quit() {
+					p.cond.Wait()
+				}
+				p.mu.Unlock()
 			}
-		}
-		if t != nil {
-			p.idlers.Add(-1)
-			return t
-		}
-		if !quit() {
-			p.mu.Lock()
-			for p.seq.Load() == seq && !quit() {
-				p.cond.Wait()
-			}
-			p.mu.Unlock()
 		}
 		p.idlers.Add(-1)
-		if quit() {
-			return nil
+		if t != nil {
+			return t
 		}
 	}
 }
@@ -531,7 +598,7 @@ func (c *Ctx) Fork(fn func(*Ctx)) Handle {
 // only your own forks keeps the discipline deadlock-free.
 func (c *Ctx) Join(h Handle) {
 	for !h.t.isDone() {
-		t := c.w.next(h.t.isDone)
+		t := c.w.next(h.t.isDone, false)
 		if t == nil {
 			return
 		}

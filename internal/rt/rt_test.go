@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -11,6 +12,7 @@ func TestReduceCorrect(t *testing.T) {
 	for _, p := range []int{1, 2, 4, 8} {
 		for _, pol := range []Policy{Random, Priority} {
 			pool := NewPool(p, pol)
+			t.Cleanup(pool.Close)
 			var got int64
 			pool.Run(func(c *Ctx) {
 				got = c.Reduce(0, n, 512, func(i int) int64 { return int64(i) })
@@ -26,6 +28,7 @@ func TestForCoversAllIndices(t *testing.T) {
 	n := 1 << 14
 	hits := make([]int32, n)
 	pool := NewPool(4, Random)
+	t.Cleanup(pool.Close)
 	pool.Run(func(c *Ctx) {
 		c.For(0, n, 128, func(i int) {
 			atomic.AddInt32(&hits[i], 1)
@@ -40,6 +43,7 @@ func TestForCoversAllIndices(t *testing.T) {
 
 func TestParallelBothRun(t *testing.T) {
 	pool := NewPool(2, Priority)
+	t.Cleanup(pool.Close)
 	var a, b atomic.Bool
 	pool.Run(func(c *Ctx) {
 		c.Parallel(
@@ -54,6 +58,7 @@ func TestParallelBothRun(t *testing.T) {
 
 func TestNestedForks(t *testing.T) {
 	pool := NewPool(4, Random)
+	t.Cleanup(pool.Close)
 	var total atomic.Int64
 	var fib func(c *Ctx, n int) int64
 	fib = func(c *Ctx, n int) int64 {
@@ -75,15 +80,22 @@ func TestNestedForks(t *testing.T) {
 }
 
 func TestStealsHappen(t *testing.T) {
-	// On a single-CPU host a whole Run can finish on the owner worker before
-	// the Go scheduler ever gives a thief its time slice, so any one Run may
-	// legitimately observe zero steals.  Stealing is a property of the pool,
-	// not of one scheduling outcome: drive repeated Runs (the counter
-	// accumulates across them) until a successful steal shows up.
+	// On a single-CPU host a whole Run can finish on the worker that took
+	// the root before the Go scheduler ever gives a woken thief its time
+	// slice, so any one Run may legitimately observe zero steals.  Stealing
+	// is a property of the pool, not of one scheduling outcome: the leaves
+	// yield now and then so a runnable thief gets the CPU, and repeated Runs
+	// (the counter accumulates across them) go on until a steal shows up.
 	pool := NewPool(4, Random)
+	t.Cleanup(pool.Close)
 	for round := 0; round < 200; round++ {
 		pool.Run(func(c *Ctx) {
-			c.Reduce(0, 1<<18, 256, func(i int) int64 { return 1 })
+			c.Reduce(0, 1<<18, 256, func(i int) int64 {
+				if i%(1<<12) == 0 {
+					runtime.Gosched()
+				}
+				return 1
+			})
 		})
 		if pool.Steals() > 0 {
 			return
@@ -94,6 +106,7 @@ func TestStealsHappen(t *testing.T) {
 
 func TestPoolReuse(t *testing.T) {
 	pool := NewPool(3, Priority)
+	t.Cleanup(pool.Close)
 	for round := 0; round < 3; round++ {
 		var got int64
 		pool.Run(func(c *Ctx) {

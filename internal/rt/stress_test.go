@@ -23,6 +23,7 @@ func TestStressManySmallForks(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			for _, p := range []int{2, 4, 8} {
 				pool := NewPool(p, pol)
+				t.Cleanup(pool.Close)
 				var count atomic.Int64
 				pool.Run(func(c *Ctx) {
 					hs := make([]Handle, tasks)
@@ -48,6 +49,7 @@ func TestStressDeepRecursiveForks(t *testing.T) {
 	for name, pol := range policies() {
 		t.Run(name, func(t *testing.T) {
 			pool := NewPool(8, pol)
+			t.Cleanup(pool.Close)
 			var got int64
 			pool.Run(func(c *Ctx) {
 				got = c.Reduce(0, n, 1, func(i int) int64 { return int64(i) })
@@ -67,6 +69,7 @@ func TestStressJoinOrdersWrites(t *testing.T) {
 	for name, pol := range policies() {
 		t.Run(name, func(t *testing.T) {
 			pool := NewPool(4, pol)
+			t.Cleanup(pool.Close)
 			const rounds = 500
 			results := make([]int64, rounds)
 			pool.Run(func(c *Ctx) {
@@ -93,6 +96,7 @@ func TestStressParallelMixedDepths(t *testing.T) {
 	for name, pol := range policies() {
 		t.Run(name, func(t *testing.T) {
 			pool := NewPool(6, pol)
+			t.Cleanup(pool.Close)
 			var count atomic.Int64
 			pool.Run(func(c *Ctx) {
 				c.Parallel(
@@ -142,6 +146,7 @@ func TestStressConcurrentPools(t *testing.T) {
 				pol = Priority
 			}
 			pool := NewPool(3, pol)
+			defer pool.Close()
 			var got int64
 			pool.Run(func(c *Ctx) {
 				got = c.Reduce(0, 20000, 64, func(i int) int64 { return 1 })
@@ -156,12 +161,13 @@ func TestStressConcurrentPools(t *testing.T) {
 	}
 }
 
-// TestStressReuseAcrossPolicyRuns re-runs one pool many times; stop/start
-// transitions are where stale workers would race a new root.
+// TestStressReuseAcrossPolicyRuns re-runs one pool many times; the gap
+// between roots is where a worker parking would race the next Submit.
 func TestStressReuseAcrossPolicyRuns(t *testing.T) {
 	for name, pol := range policies() {
 		t.Run(name, func(t *testing.T) {
 			pool := NewPool(4, pol)
+			t.Cleanup(pool.Close)
 			for round := 0; round < 20; round++ {
 				var count atomic.Int64
 				pool.Run(func(c *Ctx) {
@@ -181,6 +187,7 @@ func TestBackoffDoesNotLoseWakeup(t *testing.T) {
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
 	pool := NewPool(8, Priority)
+	t.Cleanup(pool.Close)
 	var got int64
 	pool.Run(func(c *Ctx) {
 		got = c.Reduce(0, 1<<14, 16, func(i int) int64 { return 1 })

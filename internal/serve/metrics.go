@@ -20,25 +20,29 @@ type counter struct {
 // atomic counters plus a power-of-two latency histogram, so the hot path
 // adds a handful of uncontended atomic increments per request.
 type Metrics struct {
-	accepted  counter // admitted to the queue
+	accepted  counter // admitted: a root was injected into the pool
 	rejected  counter // turned away with backpressure (429)
 	limited   counter // turned away by per-client rate limiting (429)
 	canceled  counter // dropped before scheduling: caller abandoned the request
 	completed counter // responses delivered
 	failed    counter // resolved with a non-cancellation error
-	batches   counter // fork-join invocations run on the pool
-	batched   counter // requests carried by those invocations
-	maxBatch  counter // widest batch so far
+	started   counter // roots whose kernel a worker started
+	queued    counter // gauge: admitted roots no worker has started yet
 
 	latency histogram
 
-	queueDepth func() int          // live queue depth, wired to the batcher
-	rates      func() []ClientRate // per-client limiter counts, wired to the multiLimiter
+	rates func() []ClientRate // per-client limiter counts, wired to the multiLimiter
 }
 
 // Snapshot is the JSON shape /metrics serves.  Latency quantiles come from
 // the power-of-two histogram, so they are upper bounds with at most 2×
 // resolution — honest enough for dashboards, cheap enough for the hot path.
+//
+// Batches, BatchedRequests and MaxBatch date from when requests were
+// coalesced into batches and keep their names because they are the /metrics
+// wire format: every request is now its own root, so Batches and
+// BatchedRequests both count roots started and MaxBatch is 1 once anything
+// ran.  QueueDepth is the count of admitted roots no worker has started.
 type Snapshot struct {
 	Accepted        int64        `json:"accepted"`
 	Rejected        int64        `json:"rejected"`
@@ -64,14 +68,11 @@ type ClientRate struct {
 
 // Snapshot captures the current counter values.
 func (m *Metrics) Snapshot() Snapshot {
-	depth := 0
-	if m.queueDepth != nil {
-		depth = m.queueDepth()
-	}
 	var rates []ClientRate
 	if m.rates != nil {
 		rates = m.rates()
 	}
+	started := m.started.Load()
 	return Snapshot{
 		Accepted:        m.accepted.Load(),
 		Rejected:        m.rejected.Load(),
@@ -79,25 +80,13 @@ func (m *Metrics) Snapshot() Snapshot {
 		Canceled:        m.canceled.Load(),
 		Completed:       m.completed.Load(),
 		Failed:          m.failed.Load(),
-		Batches:         m.batches.Load(),
-		BatchedRequests: m.batched.Load(),
-		MaxBatch:        m.maxBatch.Load(),
-		QueueDepth:      depth,
+		Batches:         started,
+		BatchedRequests: started,
+		MaxBatch:        min(started, 1),
+		QueueDepth:      int(m.queued.Load()),
 		LatencyP50NS:    m.latency.quantile(0.50),
 		LatencyP99NS:    m.latency.quantile(0.99),
 		Clients:         rates,
-	}
-}
-
-// observeBatch records one executed fork-join invocation of the given width.
-func (m *Metrics) observeBatch(width int) {
-	m.batches.Add(1)
-	m.batched.Add(int64(width))
-	for {
-		cur := m.maxBatch.Load()
-		if int64(width) <= cur || m.maxBatch.CompareAndSwap(cur, int64(width)) {
-			return
-		}
 	}
 }
 

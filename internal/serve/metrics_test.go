@@ -30,14 +30,18 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
-// TestObserveBatch pins the batch counters, including the max tracker.
+// TestObserveBatch pins how the Snapshot fields that date from batching
+// read now that every request is its own root: Batches and BatchedRequests
+// both count roots started, MaxBatch is 1 once anything ran.
 func TestObserveBatch(t *testing.T) {
 	var m Metrics
-	m.observeBatch(3)
-	m.observeBatch(8)
-	m.observeBatch(5)
+	if s := m.Snapshot(); s.Batches != 0 || s.BatchedRequests != 0 || s.MaxBatch != 0 {
+		t.Errorf("idle snapshot %+v, want all batch fields 0", s)
+	}
+	m.started.Add(3)
+	m.queued.Add(2)
 	s := m.Snapshot()
-	if s.Batches != 3 || s.BatchedRequests != 16 || s.MaxBatch != 8 {
-		t.Errorf("snapshot %+v, want 3 batches / 16 requests / max 8", s)
+	if s.Batches != 3 || s.BatchedRequests != 3 || s.MaxBatch != 1 || s.QueueDepth != 2 {
+		t.Errorf("snapshot %+v, want 3 batches / 3 requests / max 1 / depth 2", s)
 	}
 }

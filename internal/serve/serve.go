@@ -3,39 +3,34 @@
 // registry's invocable slice — all nine fj kernels) on a single shared
 // internal/rt work-stealing pool.
 //
-// The expensive unit on the real backend is the fork-join invocation
-// itself: every rt.Pool.Run spins the worker set up and back down, which
-// dwarfs the kernel work for small requests.  The service therefore routes
-// every request through a batcher that coalesces small same-kernel requests
-// into one fork-join invocation — the batch root forks one subtask per
-// request, so a batch of k sorts costs one pool invocation instead of k —
-// flushing on batch size or on a deadline, whichever comes first.  The
-// deadline is adaptive by default (FlushAdaptive): the dispatcher tracks an
-// EWMA of same-source inter-arrival gaps and stops waiting once the next
-// request is overdue by that measure, bounded above by FlushDelay — so a
-// batch size above the offered concurrency degrades to the observed gap,
-// not to the full fixed deadline (the EXP16 batch > clients pathology).
-// Batched execution is byte-identical to per-request serial execution: the
-// served kernels are deterministic, each request's subtask touches only
-// that request's input and output slices, and the float kernels' payload
-// codecs are exact bit casts.
+// The request path is admission → submit → complete.  Submit validates the
+// payload, takes a slot in a bounded count of admitted roots no worker has
+// started yet, and injects one root per request into the pool
+// (rt.Pool.Submit).  The pool's workers are long-lived, so a request costs
+// no spin-up and any number run at once: an idle worker starts a new
+// request before it goes stealing, so a small request is not parked behind
+// a large one.  The root releases its slot, checks that the caller is still
+// there, runs the kernel as a fork-join computation and resolves the
+// request's channel the moment it finishes — which is what lets /batch
+// stream responses in completion order (tagged with the request index)
+// instead of holding a window until its slowest member lands.  Concurrent
+// execution is byte-identical to per-request serial execution: the served
+// kernels are deterministic, each root touches only its own request's input
+// and output slices, and the float kernels' payload codecs are exact bit
+// casts.
 //
-// Completion is per request, not per batch: each subtask resolves its
-// request's channel the moment it finishes, so /batch can stream responses
-// as they complete (tagged with the request index) instead of holding the
-// whole batch until its slowest member lands.
-//
-// Admission control is a bounded queue: when it is full the service answers
-// with backpressure (ErrOverloaded, HTTP 429 + Retry-After) instead of
-// queueing without limit, and a caller that abandons its request
-// (context cancellation, client disconnect) is dropped before its kernel is
-// ever scheduled.  Counters and latency quantiles are exposed as JSON on
-// /metrics (see Metrics); the HTTP surface (http.go) also serves /invoke
-// (single JSON request), /batch (JSONL stream), /kernels and /healthz.
+// Admission control is that bounded count: when it is full the service
+// answers with backpressure (ErrOverloaded, HTTP 429 + Retry-After) instead
+// of queueing without limit, and a caller that abandons its request
+// (context cancellation, client disconnect) before a worker starts it is
+// dropped without its kernel ever running.  Counters and latency quantiles
+// are exposed as JSON on /metrics (see Metrics); the HTTP surface (http.go)
+// also serves /invoke (single JSON request), /batch (JSONL stream), /kernels
+// and /healthz.
 //
 // cmd/hbpserve wraps the package as a server binary, cmd/hbpload drives it
 // with closed-loop load, and EXP16 (internal/bench) measures throughput and
-// p50/p99 latency across offered load × batch size × pool size.
+// p50/p99 latency across offered load × pool size × submission mode.
 package serve
 
 import (
@@ -80,9 +75,10 @@ type Request struct {
 	Verify bool    `json:"verify,omitempty"`
 }
 
-// Response is the result of one request.  Batched reports how many
-// requests shared the fork-join invocation this one rode in (1 = it ran
-// alone); Verified is present only when the request asked for verification.
+// Response is the result of one request.  Batched is always 1: every
+// request is its own fork-join root (the field dates from when requests
+// were coalesced and stays because it is the wire format).  Verified is
+// present only when the request asked for verification.
 // Index is the 0-based position of the request this response answers in
 // its submitted /batch (or SubmitBatch) window — the reorder key of the
 // streaming protocol, 0 for single-request Submit/invoke.
@@ -95,47 +91,13 @@ type Response struct {
 	Verified *bool   `json:"verified,omitempty"`
 }
 
-// FlushPolicy selects how a partial batch decides it has waited long
-// enough for more same-kernel arrivals.
-type FlushPolicy int
-
-const (
-	// FlushAdaptive (the default) waits only while the next request is
-	// plausibly coming: a few multiples of the observed inter-arrival gap
-	// EWMA, bounded above by FlushDelay.  With no gap history yet it waits
-	// the full FlushDelay.
-	FlushAdaptive FlushPolicy = iota
-	// FlushFixed always waits out FlushDelay — the pre-adaptive behavior,
-	// kept selectable as EXP16's comparison arm and for tests that need a
-	// deterministic coalescing window.
-	FlushFixed
-)
-
-// String names the policy the way EXP16 rows and hbpserve flags spell it.
-func (p FlushPolicy) String() string {
-	if p == FlushFixed {
-		return "fixed"
-	}
-	return "adaptive"
-}
-
 // Config sizes the service.  The zero value is usable: every field has a
 // serving-grade default.
 type Config struct {
 	// Pool is the worker count of the shared rt.Pool (default GOMAXPROCS).
 	Pool int
-	// BatchSize flushes a batch when this many same-kernel requests have
-	// coalesced (default 8; 1 disables batching).
-	BatchSize int
-	// FlushDelay bounds how long a partial batch waits after assembly
-	// started, so a lone request is never parked behind an unreachable
-	// batch size (default 500µs).  Under FlushAdaptive it is the upper
-	// bound; under FlushFixed it is the whole wait.
-	FlushDelay time.Duration
-	// FlushPolicy picks the partial-batch wait rule (default FlushAdaptive).
-	FlushPolicy FlushPolicy
-	// QueueBound caps the admission queue; a full queue answers
-	// ErrOverloaded (default 256).
+	// QueueBound caps the requests admitted but not yet started by a
+	// worker; beyond it Submit answers ErrOverloaded (default 256).
 	QueueBound int
 	// MaxWords caps a single request's payload (explicit or generated) in
 	// int64 words (default 1<<22, 32 MiB).
@@ -156,12 +118,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Pool <= 0 {
 		c.Pool = 0 // rt.NewPool treats 0 as GOMAXPROCS
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 8
-	}
-	if c.FlushDelay <= 0 {
-		c.FlushDelay = 500 * time.Microsecond
 	}
 	if c.QueueBound <= 0 {
 		c.QueueBound = 256
@@ -185,22 +141,50 @@ func (c Config) withDefaults() Config {
 // Create with New, serve HTTP with Handler, call in-process with Submit,
 // shut down with Close.
 type Service struct {
+	// invoking counts /invoke requests inside their handler and lastLone is
+	// the slot pace last gave one that found no other (Unix ns); see
+	// idleGap in http.go.  They lead the struct so each sits on its own
+	// cache line.
+	invoking counter
+	lastLone counter
+
 	cfg     Config
 	pool    *rt.Pool
 	met     *Metrics
-	b       *batcher
 	limiter *multiLimiter // nil when Config.RatePerSec is 0
 
-	// hookBatch, when set (tests only), observes every batch immediately
-	// before it runs on the pool.
-	hookBatch func(width int)
-	// hookSubtask, when set (tests only), runs inside the pool right after
-	// batch subtask i resolved its request's completion channel — the
-	// deterministic gate the streaming tests hold a batch open with.
-	hookSubtask func(i int)
+	// mu orders admission against Close: no root reaches the pool after
+	// Close has set closed, so the pool can be closed behind it.
+	mu     sync.RWMutex
+	closed bool
+
+	// hookKernel, when set (tests only), runs on the worker that started a
+	// request's root, after the abandoned/closed check and right before the
+	// kernel — where the tests observe what reached a kernel and hold a
+	// worker mid-request.
+	hookKernel func(c *call)
 }
 
-// New starts a service with its dispatcher running.
+// call is one admitted request: the decoded payload, the resolved kernel,
+// and the channel its result comes back on.  done is buffered so a worker
+// never blocks on a caller that has already abandoned the request.
+type call struct {
+	ctx      context.Context
+	kernel   registry.Invocable
+	in       []int64
+	verify   bool
+	enqueued time.Time
+	done     chan result
+}
+
+// result is what a call resolves to: a response or the error that kept the
+// kernel from running (cancellation, shutdown, a kernel failure).
+type result struct {
+	resp Response
+	err  error
+}
+
+// New creates a service; its pool's workers start with the first request.
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	s := &Service{
@@ -208,8 +192,6 @@ func New(cfg Config) *Service {
 		pool: rt.NewPool(cfg.Pool, rt.Random),
 		met:  &Metrics{},
 	}
-	s.b = newBatcher(cfg.BatchSize, cfg.FlushDelay, cfg.FlushPolicy == FlushAdaptive, cfg.QueueBound, s.runBatch, s.dropCall)
-	s.met.queueDepth = s.b.depth
 	if cfg.RatePerSec > 0 {
 		s.limiter = newMultiLimiter(cfg.RatePerSec, cfg.RateBurst, cfg.RateClients)
 		s.met.rates = s.limiter.snapshot
@@ -217,17 +199,48 @@ func New(cfg Config) *Service {
 	return s
 }
 
-// Close stops admission, lets the in-flight batch finish, and resolves
-// queued requests with ErrClosed.
-func (s *Service) Close() { s.b.close() }
+// Close stops admission (new submissions get ErrClosed), lets requests
+// already running finish, resolves admitted requests no worker has started
+// with ErrClosed, and returns once the pool's workers have exited.
+func (s *Service) Close() {
+	s.mu.Lock()
+	s.closed = true
+	s.mu.Unlock()
+	s.pool.Close()
+}
+
+func (s *Service) isClosed() bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.closed
+}
 
 // Metrics returns the service's live counter set.
 func (s *Service) Metrics() *Metrics { return s.met }
 
+// admit takes c's slot among the admitted-but-not-started requests and
+// injects its root into the pool, or reports ErrClosed / ErrOverloaded
+// without blocking.
+func (s *Service) admit(c *call) error {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.closed {
+		return ErrClosed
+	}
+	if s.met.queued.Add(1) > int64(s.cfg.QueueBound) {
+		s.met.queued.Add(-1)
+		s.met.rejected.Add(1)
+		return ErrOverloaded
+	}
+	s.met.accepted.Add(1)
+	s.pool.Submit(func(rc *rt.Ctx) { s.run(rc, c) })
+	return nil
+}
+
 // Submit runs one request through the service: resolve the kernel, decode
-// and validate the payload, ride the batcher, and return the response.  It
-// blocks until the response is ready or ctx is done; an abandoned request
-// is dropped before its kernel is scheduled.
+// and validate the payload, inject the request's root into the pool, and
+// return the response.  It blocks until the response is ready or ctx is
+// done; a request abandoned before a worker starts it never runs its kernel.
 func (s *Service) Submit(ctx context.Context, req Request) (Response, error) {
 	k, ok := registry.FindInvocable(req.Kernel)
 	if !ok {
@@ -260,19 +273,15 @@ func (s *Service) Submit(ctx context.Context, req Request) (Response, error) {
 		enqueued: time.Now(),
 		done:     make(chan result, 1),
 	}
-	if err := s.b.enqueue(c); err != nil {
-		if errors.Is(err, ErrOverloaded) {
-			s.met.rejected.Add(1)
-		}
+	if err := s.admit(c); err != nil {
 		return Response{}, err
 	}
-	s.met.accepted.Add(1)
 	select {
 	case r := <-c.done:
 		return r.resp, r.err
 	case <-ctx.Done():
-		// The dispatcher will observe the cancelled context and drop the
-		// call without scheduling it (or, if the batch already launched,
+		// The root will observe the cancelled context and drop the call
+		// without running its kernel (or, if the kernel already started,
 		// the buffered done channel absorbs the unread result).
 		return Response{}, ctx.Err()
 	}
@@ -287,9 +296,8 @@ type BatchResult struct {
 	Err   error
 }
 
-// SubmitBatch submits reqs concurrently (so they can coalesce into
-// batches) and returns a channel delivering each result the moment its
-// subtask completes — in completion order, not request order, each tagged
+// SubmitBatch submits reqs concurrently and returns a channel delivering
+// each result the moment its root completes — in completion order, not request order, each tagged
 // with its request index.  The channel closes after len(reqs) results.
 // This is the in-process face of the streaming /batch protocol; EXP16's
 // streaming arm and cmd/hbpload's batch mode both consume it.
@@ -312,40 +320,34 @@ func (s *Service) SubmitBatch(ctx context.Context, reqs []Request) <-chan BatchR
 	return out
 }
 
-// runBatch executes one same-kernel batch as a single fork-join invocation
-// on the shared pool: the root forks one subtask per request, each writing
-// its own output slice, so outputs are partitioned by construction and
-// batched execution stays byte-identical to per-request runs.  Each
-// subtask resolves its own request's completion channel as soon as it
-// finishes (finish below) — per-request completion, the property the
-// streaming /batch surface is built on.
-func (s *Service) runBatch(batch []*call) {
-	if s.hookBatch != nil {
-		s.hookBatch(len(batch))
+// run is one request's root task.  It releases the admission slot, drops
+// the call if its caller is gone or the service closed while it waited for
+// a worker, and otherwise runs the kernel as a fork-join computation on the
+// shared pool and resolves the request's channel in place — per-request
+// completion, the property the streaming /batch surface is built on.
+func (s *Service) run(rc *rt.Ctx, c *call) {
+	s.met.queued.Add(-1)
+	if err := c.ctx.Err(); err != nil {
+		s.met.canceled.Add(1)
+		c.done <- result{err: err}
+		return
 	}
-	width := len(batch)
-	// The batch counters tick at schedule time, before the invocation:
-	// responses can now leave mid-run, and a client must never read
-	// /metrics after its response yet before its batch was counted.
-	s.met.observeBatch(width)
-	outs := make([][]int64, width)
-	for i, c := range batch {
-		outs[i] = make([]int64, c.kernel.OutLen(c.in))
+	if s.isClosed() {
+		s.met.failed.Add(1)
+		c.done <- result{err: ErrClosed}
+		return
 	}
-	fj.RunReal(s.pool, func(fc *fj.Ctx) {
-		fc.For(0, int64(width), 1, func(fc *fj.Ctx, i int64) {
-			s.finish(fc, batch[i], outs[i], int(i), width)
-		})
-	})
-}
-
-// finish runs one request's subtask and resolves its completion channel in
-// place, inside the pool invocation.
-func (s *Service) finish(fc *fj.Ctx, c *call, out []int64, i, width int) {
+	if s.hookKernel != nil {
+		s.hookKernel(c)
+	}
+	// Started ticks before the kernel: a client must never read /metrics
+	// after its response yet before its request was counted.
+	s.met.started.Add(1)
+	out := make([]int64, c.kernel.OutLen(c.in))
 	var kerr error
 	func() {
 		// Validation guarantees panic-free kernels; this recover is a
-		// last line of defense for the task's own goroutine so a bug
+		// last line of defense for the root's own goroutine so a bug
 		// fails one request, not the process.  (A panic inside a forked
 		// grandchild still crashes — by design: it is a program bug.)
 		defer func() {
@@ -353,37 +355,24 @@ func (s *Service) finish(fc *fj.Ctx, c *call, out []int64, i, width int) {
 				kerr = fmt.Errorf("%w: %v", ErrKernel, r)
 			}
 		}()
-		c.kernel.Run(fc, c.in, out)
+		fj.RunOn(rc, func(fc *fj.Ctx) { c.kernel.Run(fc, c.in, out) })
 	}()
 	if kerr != nil {
 		s.met.failed.Add(1)
 		c.done <- result{err: kerr}
-	} else {
-		resp := Response{
-			Kernel:  c.kernel.Name,
-			N:       int64(len(out)),
-			Output:  out,
-			Batched: width,
-		}
-		if c.verify {
-			v := c.kernel.Verify(c.in, out)
-			resp.Verified = &v
-		}
-		s.met.completed.Add(1)
-		s.met.latency.observe(time.Since(c.enqueued).Nanoseconds())
-		c.done <- result{resp: resp}
+		return
 	}
-	if s.hookSubtask != nil {
-		s.hookSubtask(i)
+	resp := Response{
+		Kernel:  c.kernel.Name,
+		N:       int64(len(out)),
+		Output:  out,
+		Batched: 1,
 	}
-}
-
-// dropCall resolves a call that never reached the pool.
-func (s *Service) dropCall(c *call, err error) {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		s.met.canceled.Add(1)
-	} else {
-		s.met.failed.Add(1)
+	if c.verify {
+		v := c.kernel.Verify(c.in, out)
+		resp.Verified = &v
 	}
-	c.done <- result{err: err}
+	s.met.completed.Add(1)
+	s.met.latency.observe(time.Since(c.enqueued).Nanoseconds())
+	c.done <- result{resp: resp}
 }

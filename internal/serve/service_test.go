@@ -1,11 +1,13 @@
 package serve
 
-// The service-level test battery: end-to-end HTTP tests asserting batched
-// responses are byte-identical to per-request serial execution, a -race
-// stress run with concurrent clients on one shared pool, cancellation
-// (an abandoned request's kernel is never scheduled and its queue slot is
-// released), and backpressure (overload answers 429, nothing deadlocks,
-// the queue drains).
+// The service-level test battery: end-to-end HTTP tests asserting
+// concurrently served responses are byte-identical to per-request serial
+// execution, a -race stress run with concurrent clients on one shared pool,
+// cancellation (an abandoned request's kernel never runs and its admission
+// slot is released), backpressure (overload answers 429, nothing deadlocks,
+// the admitted requests drain), head-of-line freedom (a small request
+// completes while a large one holds a worker), the lone-caller pace,
+// shutdown, and the body cap.
 
 import (
 	"bytes"
@@ -27,7 +29,7 @@ import (
 )
 
 // serialReference runs one request on a private single-worker pool, outside
-// the service — the per-request serial execution batched responses must
+// the service — the per-request serial execution served responses must
 // match byte for byte.
 func serialReference(t *testing.T, kernel string, in []int64) []int64 {
 	t.Helper()
@@ -40,6 +42,7 @@ func serialReference(t *testing.T, kernel string, in []int64) []int64 {
 	}
 	out := make([]int64, k.OutLen(in))
 	pool := rt.NewPool(1, rt.Random)
+	defer pool.Close()
 	fj.RunReal(pool, func(c *fj.Ctx) { k.Run(c, in, out) })
 	return out
 }
@@ -63,6 +66,53 @@ func postInvoke(t *testing.T, url string, req Request) (Response, *http.Response
 		}
 	}
 	return resp, hr
+}
+
+// kernelGate is a hookKernel for the tests that need to see what reached a
+// kernel or to hold a worker mid-request: it counts every call it is handed
+// and parks the ones hold selects (nth is the 1-based arrival count) until
+// open is called, announcing each on entered first.
+type kernelGate struct {
+	seen    atomic.Int64
+	entered chan struct{}
+	release chan struct{}
+	once    sync.Once
+}
+
+func gateKernels(svc *Service, hold func(c *call, nth int64) bool) *kernelGate {
+	// entered is sized past any test's request count so the hook never
+	// blocks on a test that does not read it.
+	g := &kernelGate{entered: make(chan struct{}, 64), release: make(chan struct{})}
+	svc.hookKernel = func(c *call) {
+		if hold(c, g.seen.Add(1)) {
+			g.entered <- struct{}{}
+			<-g.release
+		}
+	}
+	return g
+}
+
+func (g *kernelGate) open() { g.once.Do(func() { close(g.release) }) }
+
+// awaitEntered waits for the next held call.
+func (g *kernelGate) awaitEntered(t *testing.T) {
+	t.Helper()
+	select {
+	case <-g.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no request reached the kernel gate")
+	}
+}
+
+// awaitSnapshot polls the service's metrics until ok accepts them.
+func awaitSnapshot(t *testing.T, svc *Service, what string, ok func(Snapshot) bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !ok(svc.Metrics().Snapshot()); {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s: %+v", what, svc.Metrics().Snapshot())
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
 }
 
 // genInput builds the i-th seeded payload for a kernel at a test-friendly
@@ -90,16 +140,16 @@ func genInput(t *testing.T, kernel string, i int) []int64 {
 
 // TestBatchedByteIdenticalToSerial is the headline end-to-end gate: for
 // every served kernel — all nine, float codecs included — eight concurrent
-// HTTP requests coalesce into one eight-wide fork-join invocation (batch
-// size 8, long fixed flush: the deterministic coalescing window the width
-// assertion needs), and every response's output is byte-identical to
-// running that request alone on a serial pool.
+// HTTP requests run as eight roots sharing one four-worker pool, and every
+// response's output is byte-identical to running that request alone on a
+// serial pool.  (The name predates one-request-one-root: it is the
+// concurrent == serial gate.)
 func TestBatchedByteIdenticalToSerial(t *testing.T) {
 	const width = 8
 	for _, k := range registry.Invocables() {
 		k := k
 		t.Run(k.Name, func(t *testing.T) {
-			svc := New(Config{Pool: 4, BatchSize: width, FlushDelay: 10 * time.Second, FlushPolicy: FlushFixed, QueueBound: 64})
+			svc := New(Config{Pool: 4, QueueBound: 64})
 			defer svc.Close()
 			ts := httptest.NewServer(svc.Handler())
 			defer ts.Close()
@@ -127,9 +177,6 @@ func TestBatchedByteIdenticalToSerial(t *testing.T) {
 				return
 			}
 			for i := 0; i < width; i++ {
-				if resps[i].Batched != width {
-					t.Errorf("request %d rode a %d-wide batch, want %d", i, resps[i].Batched, width)
-				}
 				if resps[i].Verified == nil || !*resps[i].Verified {
 					t.Errorf("request %d: service-side verification failed", i)
 				}
@@ -139,14 +186,13 @@ func TestBatchedByteIdenticalToSerial(t *testing.T) {
 				}
 				for j := range want {
 					if resps[i].Output[j] != want[j] {
-						t.Fatalf("request %d: output word %d = %d, serial reference = %d (batched execution diverged)",
+						t.Fatalf("request %d: output word %d = %d, serial reference = %d (concurrent execution diverged)",
 							i, j, resps[i].Output[j], want[j])
 					}
 				}
 			}
-			m := svc.Metrics().Snapshot()
-			if m.Batches != 1 || m.BatchedRequests != width {
-				t.Errorf("metrics: %d batches carrying %d requests, want 1 carrying %d", m.Batches, m.BatchedRequests, width)
+			if m := svc.Metrics().Snapshot(); m.Completed != width || m.Batches != width {
+				t.Errorf("metrics: %d roots started, %d completed, want %d of each", m.Batches, m.Completed, width)
 			}
 		})
 	}
@@ -157,7 +203,7 @@ func TestBatchedByteIdenticalToSerial(t *testing.T) {
 // must match its own serial reference — no cross-request bleed under
 // concurrency.
 func TestConcurrentClientsStress(t *testing.T) {
-	svc := New(Config{Pool: 4, BatchSize: 4, FlushDelay: time.Millisecond, QueueBound: 256})
+	svc := New(Config{Pool: 4, QueueBound: 256})
 	defer svc.Close()
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
@@ -195,51 +241,46 @@ func TestConcurrentClientsStress(t *testing.T) {
 }
 
 // TestCancellationNeverSchedules pins the cancellation contract: a request
-// abandoned before its batch flushes is dropped — its kernel never runs on
-// the pool — and its queue slot is freed.
+// abandoned while it waits for a worker is dropped when its root starts —
+// its kernel never runs — and its admission slot is freed.
 func TestCancellationNeverSchedules(t *testing.T) {
-	var widths atomic.Int64
-	svc := New(Config{Pool: 1, BatchSize: 2, FlushDelay: 300 * time.Millisecond, QueueBound: 2})
-	svc.hookBatch = func(w int) { widths.Add(int64(w)) }
+	svc := New(Config{Pool: 1, QueueBound: 2})
 	defer svc.Close()
+	gate := gateKernels(svc, func(_ *call, nth int64) bool { return nth == 1 })
+	defer gate.open()
 
-	ctx, cancel := context.WithCancel(context.Background())
-	errc := make(chan error, 1)
+	// The first request holds the only worker...
+	first := make(chan error, 1)
 	go func() {
-		_, err := svc.Submit(ctx, Request{Kernel: "sort", N: 64, Seed: 1})
-		errc <- err
+		_, err := svc.Submit(context.Background(), Request{Kernel: "sort", N: 64, Seed: 1})
+		first <- err
 	}()
-	// Wait until the request is admitted, then abandon it.
-	deadline := time.Now().Add(5 * time.Second)
-	for svc.Metrics().Snapshot().Accepted == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("request never admitted")
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
+	gate.awaitEntered(t)
+	// ...the victim is admitted behind it, then abandoned.
+	ctx, cancel := context.WithCancel(context.Background())
+	victim := make(chan error, 1)
+	go func() {
+		_, err := svc.Submit(ctx, Request{Kernel: "sort", N: 64, Seed: 2})
+		victim <- err
+	}()
+	awaitSnapshot(t, svc, "the victim's admission", func(m Snapshot) bool { return m.Accepted == 2 })
 	cancel()
-	if err := <-errc; err != context.Canceled {
+	if err := <-victim; err != context.Canceled {
 		t.Fatalf("abandoned Submit returned %v, want context.Canceled", err)
 	}
-
-	// A live request must still get through, and the batch that runs it
-	// must not contain the cancelled one.
-	resp, err := svc.Submit(context.Background(), Request{Kernel: "sort", N: 64, Seed: 2})
-	if err != nil {
-		t.Fatalf("follow-up request failed: %v", err)
+	gate.open()
+	if err := <-first; err != nil {
+		t.Fatalf("the request holding the worker failed: %v", err)
 	}
-	if resp.Batched != 1 {
-		t.Errorf("follow-up rode a %d-wide batch, want 1 (cancelled call must not be scheduled)", resp.Batched)
+	awaitSnapshot(t, svc, "the victim's root to be dropped", func(m Snapshot) bool { return m.Canceled == 1 })
+	if got := gate.seen.Load(); got != 1 {
+		t.Errorf("%d requests reached a kernel, want 1 — the cancelled request was scheduled", got)
 	}
-	if got := widths.Load(); got != 1 {
-		t.Errorf("pool saw %d batched requests, want 1 — the cancelled request was scheduled", got)
-	}
-	m := svc.Metrics().Snapshot()
-	if m.Canceled != 1 {
-		t.Errorf("canceled counter = %d, want 1", m.Canceled)
+	if m := svc.Metrics().Snapshot(); m.QueueDepth != 0 || m.Batches != 1 {
+		t.Errorf("after the drop: queue depth %d, %d roots started, want 0 and 1", m.QueueDepth, m.Batches)
 	}
 
-	// Queue slots released: the full bound is usable again, concurrently.
+	// Slots released: the full bound is usable again, concurrently.
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
@@ -254,14 +295,29 @@ func TestCancellationNeverSchedules(t *testing.T) {
 }
 
 // TestClientDisconnectHTTP is the cancellation contract at the HTTP layer:
-// a client that disconnects mid-wait never gets its kernel scheduled.
+// a client that disconnects while its request waits for a worker never gets
+// its kernel run.
 func TestClientDisconnectHTTP(t *testing.T) {
-	var widths atomic.Int64
-	svc := New(Config{Pool: 1, BatchSize: 8, FlushDelay: 500 * time.Millisecond, QueueBound: 8})
-	svc.hookBatch = func(w int) { widths.Add(int64(w)) }
+	svc := New(Config{Pool: 1, QueueBound: 8})
 	defer svc.Close()
-	ts := httptest.NewServer(svc.Handler())
+	gate := gateKernels(svc, func(_ *call, nth int64) bool { return nth == 1 })
+	defer gate.open()
+	// returned announces every handler return, so the test can wait for the
+	// server to notice the disconnect (it does so asynchronously).
+	returned := make(chan struct{}, 2)
+	handler := svc.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		handler.ServeHTTP(w, r)
+		returned <- struct{}{}
+	}))
 	defer ts.Close()
+
+	first := make(chan int, 1)
+	go func() {
+		_, hr := postInvoke(t, ts.URL, Request{Kernel: "sort", N: 64})
+		first <- hr.StatusCode
+	}()
+	gate.awaitEntered(t)
 
 	body, _ := json.Marshal(Request{Kernel: "sort", N: 64})
 	ctx, cancel := context.WithCancel(context.Background())
@@ -271,71 +327,49 @@ func TestClientDisconnectHTTP(t *testing.T) {
 		_, err := http.DefaultClient.Do(req)
 		errc <- err
 	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for svc.Metrics().Snapshot().Accepted == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("request never admitted")
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
+	awaitSnapshot(t, svc, "the victim's admission", func(m Snapshot) bool { return m.Accepted == 2 })
 	cancel()
 	if err := <-errc; err == nil {
 		t.Fatal("disconnected client got a response")
 	}
-	// The flush deadline passes; the dropped call must not have run.
-	deadline = time.Now().Add(5 * time.Second)
-	for svc.Metrics().Snapshot().Canceled == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("service never dropped the abandoned request")
-		}
-		time.Sleep(time.Millisecond)
+	select {
+	case <-returned: // the victim's handler gave up; the first is still held
+	case <-time.After(10 * time.Second):
+		t.Fatal("the server never noticed the disconnect")
 	}
-	if got := widths.Load(); got != 0 {
-		t.Errorf("pool ran %d requests, want 0", got)
+	gate.open()
+	if status := <-first; status != http.StatusOK {
+		t.Fatalf("the request holding the worker got status %d", status)
+	}
+	awaitSnapshot(t, svc, "the abandoned request to be dropped", func(m Snapshot) bool { return m.Canceled == 1 })
+	if got := gate.seen.Load(); got != 1 {
+		t.Errorf("%d requests reached a kernel, want 1", got)
 	}
 }
 
-// TestBackpressure fills the admission queue behind a deliberately stalled
-// batch: the overflow request must get an immediate 429 with Retry-After,
+// TestBackpressure fills the admission bound behind a deliberately held
+// worker: the overflow request must get an immediate 429 with Retry-After,
 // nothing may deadlock, and opening the gate must drain everything.
 func TestBackpressure(t *testing.T) {
-	gate := make(chan struct{})
-	var gateOnce sync.Once
-	openGate := func() { gateOnce.Do(func() { close(gate) }) }
-
-	svc := New(Config{Pool: 1, BatchSize: 1, FlushDelay: time.Millisecond, QueueBound: 2})
-	entered := make(chan struct{}, 16)
-	svc.hookBatch = func(int) {
-		entered <- struct{}{}
-		<-gate
-	}
+	svc := New(Config{Pool: 1, QueueBound: 2})
 	defer svc.Close()
-	defer openGate()
+	gate := gateKernels(svc, func(*call, int64) bool { return true })
+	defer gate.open()
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 
-	// First request occupies the pool (the hook stalls its batch)...
+	// First request occupies the pool (the gate holds its root)...
 	results := make(chan int, 3)
 	post := func() {
 		_, hr := postInvoke(t, ts.URL, Request{Kernel: "sort", N: 64})
 		results <- hr.StatusCode
 	}
 	go post()
-	select {
-	case <-entered:
-	case <-time.After(5 * time.Second):
-		t.Fatal("first batch never reached the pool")
-	}
-	// ...the next two fill the queue...
+	gate.awaitEntered(t)
+	// ...the next two fill the bound...
 	go post()
 	go post()
-	deadline := time.Now().Add(5 * time.Second)
-	for svc.b.depth() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("queue depth %d, want 2", svc.b.depth())
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
+	awaitSnapshot(t, svc, "two requests waiting for a worker", func(m Snapshot) bool { return m.QueueDepth == 2 })
 	// ...and the overflow request is turned away immediately.
 	_, hr := postInvoke(t, ts.URL, Request{Kernel: "sort", N: 64})
 	if hr.StatusCode != http.StatusTooManyRequests {
@@ -348,18 +382,50 @@ func TestBackpressure(t *testing.T) {
 		t.Error("rejected counter not incremented")
 	}
 
-	// Open the gate: everything queued must drain to 200s.
-	openGate()
+	// Open the gate: everything admitted must drain to 200s.
+	gate.open()
 	for i := 0; i < 3; i++ {
-		// Drain the stalled batches' hook entries so none block.
 		select {
 		case status := <-results:
 			if status != http.StatusOK {
 				t.Errorf("drained request got status %d", status)
 			}
 		case <-time.After(10 * time.Second):
-			t.Fatal("queued requests did not drain — deadlock")
+			t.Fatal("admitted requests did not drain — deadlock")
 		}
+	}
+}
+
+// TestSmallNotBehindLarge is the head-of-line gate: with a large request
+// held mid-root on one of two workers, a small request submitted after it
+// completes on the other.  (With one dispatcher running requests one at a
+// time this could not happen.)
+func TestSmallNotBehindLarge(t *testing.T) {
+	svc := New(Config{Pool: 2})
+	defer svc.Close()
+	gate := gateKernels(svc, func(c *call, _ int64) bool { return len(c.in) > 1024 })
+	defer gate.open()
+
+	large := make(chan error, 1)
+	go func() {
+		_, err := svc.Submit(context.Background(), Request{Kernel: "sort", N: 1 << 16, Seed: 1})
+		large <- err
+	}()
+	gate.awaitEntered(t)
+	for i := 0; i < 20; i++ {
+		resp, err := svc.Submit(context.Background(), Request{Kernel: "scan", N: 256, Seed: uint64(i), Verify: true})
+		if err != nil || resp.Verified == nil || !*resp.Verified {
+			t.Fatalf("small request %d behind the held large one: %v %+v", i, err, resp.Verified)
+		}
+	}
+	select {
+	case err := <-large:
+		t.Fatalf("the large request finished while its root was held: %v", err)
+	default:
+	}
+	gate.open()
+	if err := <-large; err != nil {
+		t.Fatalf("large request failed after release: %v", err)
 	}
 }
 
@@ -367,7 +433,7 @@ func TestBackpressure(t *testing.T) {
 // payloads must come back 400 (never a panic/500), unknown kernels 404, and
 // the service must stay healthy throughout.
 func TestMalformedPayloads400(t *testing.T) {
-	svc := New(Config{Pool: 1, BatchSize: 1})
+	svc := New(Config{Pool: 1})
 	defer svc.Close()
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
@@ -417,7 +483,7 @@ func TestMalformedPayloads400(t *testing.T) {
 // with the index of the request it answers (the client's reorder key),
 // with inline {"index", "error"} lines for per-request failures.
 func TestBatchEndpointJSONL(t *testing.T) {
-	svc := New(Config{Pool: 2, BatchSize: 4, FlushDelay: 2 * time.Millisecond, QueueBound: 64})
+	svc := New(Config{Pool: 2, QueueBound: 64})
 	defer svc.Close()
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
@@ -474,6 +540,25 @@ func TestBatchEndpointJSONL(t *testing.T) {
 	}
 }
 
+// TestLoneCallerPaced pins idleGap: /invoke requests posted back to back by
+// one caller are let through at most one per idleGap.
+func TestLoneCallerPaced(t *testing.T) {
+	svc := New(Config{Pool: 1})
+	defer svc.Close()
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	const n = 30
+	t0 := time.Now()
+	for i := 0; i < n; i++ {
+		if _, hr := postInvoke(t, ts.URL, Request{Kernel: "sort", N: 4}); hr.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: status %d", i, hr.StatusCode)
+		}
+	}
+	if d := time.Since(t0); d < (n-1)*idleGap {
+		t.Fatalf("%d back-to-back requests took %v, under %d × %v", n, d, n-1, idleGap)
+	}
+}
+
 // TestSubmitAfterClose pins the shutdown contract.
 func TestSubmitAfterClose(t *testing.T) {
 	svc := New(Config{Pool: 1})
@@ -482,4 +567,94 @@ func TestSubmitAfterClose(t *testing.T) {
 		t.Fatalf("Submit after Close returned %v, want ErrClosed", err)
 	}
 	svc.Close() // idempotent
+}
+
+// TestCloseResolvesAdmitted pins the rest of the shutdown contract: a
+// request already running when Close is called finishes, one admitted but
+// not yet started resolves with ErrClosed, and Close returns after both.
+func TestCloseResolvesAdmitted(t *testing.T) {
+	svc := New(Config{Pool: 1})
+	gate := gateKernels(svc, func(_ *call, nth int64) bool { return nth == 1 })
+	defer gate.open()
+	submit := func(seed uint64, errc chan<- error) {
+		_, err := svc.Submit(context.Background(), Request{Kernel: "sort", N: 64, Seed: seed})
+		errc <- err
+	}
+	running, waiting := make(chan error, 1), make(chan error, 1)
+	go submit(1, running)
+	gate.awaitEntered(t)
+	go submit(2, waiting)
+	awaitSnapshot(t, svc, "the second request's admission", func(m Snapshot) bool { return m.QueueDepth == 1 })
+	closed := make(chan struct{})
+	go func() {
+		svc.Close()
+		close(closed)
+	}()
+	for !svc.isClosed() {
+		time.Sleep(100 * time.Microsecond)
+	}
+	gate.open()
+	if err := <-running; err != nil {
+		t.Errorf("the running request failed: %v", err)
+	}
+	if err := <-waiting; err != ErrClosed {
+		t.Errorf("the admitted-but-not-started request returned %v, want ErrClosed", err)
+	}
+	<-closed
+	if got := gate.seen.Load(); got != 1 {
+		t.Errorf("%d requests reached a kernel, want 1", got)
+	}
+}
+
+// TestBodyByteCap: request bodies are cut off before decoding once they
+// pass the cap derived from MaxWords, on both endpoints, while the largest
+// payload class the benchmark serves (~650 KB of JSON) fits the default cap.
+func TestBodyByteCap(t *testing.T) {
+	words := func(n int) string {
+		var b strings.Builder
+		for i := 0; i < n; i++ {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			fmt.Fprintf(&b, "%d", -9000000000000000000+int64(i))
+		}
+		return b.String()
+	}
+	small := New(Config{Pool: 1, MaxWords: 64}) // cap: 64·21 + 4096 = 5440 bytes
+	defer small.Close()
+	deflt := New(Config{Pool: 1})
+	defer deflt.Close()
+	legal := `{"kernel":"sort","input":[` + words(31000) + `]}` // ≈ 650 KB
+	cases := []struct {
+		name   string
+		svc    *Service
+		path   string
+		body   string
+		status int
+	}{
+		{"invoke oversize", small, "/invoke", `{"kernel":"sort","input":[` + words(512) + `]}`, http.StatusRequestEntityTooLarge},
+		{"batch oversize", small, "/batch", strings.Repeat(`{"kernel":"sort","input":[`+words(32)+"]}\n", 16), http.StatusRequestEntityTooLarge},
+		{"invoke under the byte cap, over the word cap", small, "/invoke", `{"kernel":"sort","input":[` + strings.Repeat("1,", 200) + `1]}`, http.StatusBadRequest},
+		{"invoke at the cap's scale", small, "/invoke", `{"kernel":"sort","input":[` + words(64) + `]}`, http.StatusOK},
+		{"invoke 650 KB", deflt, "/invoke", legal, http.StatusOK},
+		{"batch 650 KB", deflt, "/batch", legal + "\n", http.StatusOK},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ts := httptest.NewServer(tc.svc.Handler())
+			defer ts.Close()
+			hr, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer hr.Body.Close()
+			out, _ := io.ReadAll(hr.Body)
+			if hr.StatusCode != tc.status {
+				t.Fatalf("status %d, want %d (%d-byte body): %.200s", hr.StatusCode, tc.status, len(tc.body), out)
+			}
+			if tc.status == http.StatusOK && bytes.Contains(out, []byte(`"error"`)) {
+				t.Errorf("accepted body answered with an error line: %.200s", out)
+			}
+		})
+	}
 }

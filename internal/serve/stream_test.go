@@ -1,44 +1,27 @@
 package serve
 
-// Acceptance gates for the streaming /batch protocol and the adaptive
-// flush deadline — the two serving-layer tentpole behaviors.
+// Acceptance gate for the streaming /batch protocol.
 
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // TestBatchStreamsBeforeCompletion proves /batch is genuinely streaming:
-// the first response line reaches the client while the batch's other
-// request has not yet run.  A one-worker pool and a test hook that blocks
-// the first-completing subtask *after* it resolved its completion channel
-// make this deterministic — while the hook holds the pool's only worker,
-// the second subtask cannot start, yet the first response must already be
-// readable off the wire.
+// the first response line reaches the client while the window's other
+// request has not yet run.  A one-worker pool and a gate that holds the
+// second root to start make this deterministic — while the gate holds the
+// pool's only worker the second kernel cannot run, yet the first response
+// must already be readable off the wire.
 func TestBatchStreamsBeforeCompletion(t *testing.T) {
-	svc := New(Config{Pool: 1, BatchSize: 2, FlushDelay: 5 * time.Second, FlushPolicy: FlushFixed, QueueBound: 16})
+	svc := New(Config{Pool: 1, QueueBound: 16})
 	defer svc.Close()
-
-	release := make(chan struct{})
-	var gate sync.Once
-	var entered atomic.Int32 // subtasks that finished (entered the hook)
-	var heldIdx atomic.Int32 // 1 + index of the subtask the gate holds
-	svc.hookSubtask = func(i int) {
-		entered.Add(1)
-		gate.Do(func() {
-			heldIdx.Store(int32(i) + 1)
-			<-release
-		})
-	}
+	gate := gateKernels(svc, func(_ *call, nth int64) bool { return nth == 2 })
+	defer gate.open()
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 
@@ -54,25 +37,23 @@ func TestBatchStreamsBeforeCompletion(t *testing.T) {
 		t.Fatalf("status %d", hr.StatusCode)
 	}
 
-	// First line: must arrive while the gate still holds the batch open.
+	// First line: must arrive while the gate still holds the second root.
 	br := bufio.NewReader(hr.Body)
 	line1, err := br.ReadBytes('\n')
 	if err != nil {
 		t.Fatalf("first stream line: %v", err)
 	}
-	if n := entered.Load(); n != 1 {
-		t.Fatalf("%d subtasks completed before the first line was read, want exactly 1", n)
+	gate.awaitEntered(t)
+	if m := svc.Metrics().Snapshot(); m.Completed != 1 {
+		t.Fatalf("%d requests completed with the second root held, want exactly 1", m.Completed)
 	}
 	var first Response
 	if err := json.Unmarshal(line1, &first); err != nil {
 		t.Fatalf("first line %q: %v", line1, err)
 	}
-	if want := int(heldIdx.Load()) - 1; first.Index != want {
-		t.Fatalf("first line carries index %d, want the held subtask %d", first.Index, want)
-	}
 
-	// Release the batch; the second response follows, then the stream ends.
-	close(release)
+	// Release the held root; the second response follows, then the stream ends.
+	gate.open()
 	line2, err := br.ReadBytes('\n')
 	if err != nil {
 		t.Fatalf("second stream line: %v", err)
@@ -85,89 +66,11 @@ func TestBatchStreamsBeforeCompletion(t *testing.T) {
 		t.Fatalf("stream indexes {%d, %d}, want {0, 1}", first.Index, second.Index)
 	}
 	for _, r := range []Response{first, second} {
-		if r.Kernel != "sort" || r.N != 64 || r.Batched != 2 {
+		if r.Kernel != "sort" || r.N != 64 || r.Batched != 1 {
 			t.Fatalf("bad streamed response: %+v", r)
 		}
 	}
 	if _, err := br.ReadBytes('\n'); err == nil {
 		t.Fatal("stream carried more than two lines")
-	}
-}
-
-// adaptiveFlushMax is the fixed flush bound the adaptive-deadline gate
-// runs under: long enough that burning it whole is unmistakable in the
-// latency distribution.
-const adaptiveFlushMax = 100 * time.Millisecond
-
-// runFlushArm drives one closed-loop arm — two clients, ten sorts each —
-// against a one-worker service and returns the sorted client-observed
-// latencies.
-func runFlushArm(t *testing.T, batch int, policy FlushPolicy) []time.Duration {
-	t.Helper()
-	svc := New(Config{Pool: 1, BatchSize: batch, FlushDelay: adaptiveFlushMax, FlushPolicy: policy, QueueBound: 64})
-	defer svc.Close()
-	const clients, perClient = 2, 10
-	var mu sync.Mutex
-	lat := make([]time.Duration, 0, clients*perClient)
-	var wg sync.WaitGroup
-	for cl := 0; cl < clients; cl++ {
-		wg.Add(1)
-		go func(cl int) {
-			defer wg.Done()
-			for i := 0; i < perClient; i++ {
-				start := time.Now()
-				if _, err := svc.Submit(context.Background(), Request{Kernel: "sort", N: 64, Seed: uint64(100*cl + i)}); err != nil {
-					t.Error(err)
-					return
-				}
-				d := time.Since(start)
-				mu.Lock()
-				lat = append(lat, d)
-				mu.Unlock()
-			}
-		}(cl)
-	}
-	wg.Wait()
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	return lat
-}
-
-// latQuantile reads quantile q off a sorted latency slice.
-func latQuantile(sorted []time.Duration, q float64) time.Duration {
-	return sorted[int(q*float64(len(sorted)-1)+0.5)]
-}
-
-// TestAdaptiveFlushHoldsTailLatency is the EXP16 batch > clients pathology
-// as a gate: with batch size 8 but only 2 closed-loop clients, a fixed
-// flush deadline parks every partial batch for the full window (p50 climbs
-// to deadline scale), while the adaptive deadline notices the arrival gap
-// and keeps the tail at unbatched scale.
-func TestAdaptiveFlushHoldsTailLatency(t *testing.T) {
-	base := runFlushArm(t, 1, FlushFixed) // no batching: the latency floor
-	fixed := runFlushArm(t, 8, FlushFixed)
-	adapt := runFlushArm(t, 8, FlushAdaptive)
-
-	p99base := latQuantile(base, 0.99)
-	p50fixed := latQuantile(fixed, 0.50)
-	p99adapt := latQuantile(adapt, 0.99)
-	t.Logf("p99 base %v, p50 fixed %v, p99 adaptive %v", p99base, p50fixed, p99adapt)
-
-	// The pathology must be real in the fixed arm, or the comparison below
-	// proves nothing.
-	if p50fixed < adaptiveFlushMax/2 {
-		t.Fatalf("fixed-deadline arm p50 %v never hit the pathology (flush bound %v)", p50fixed, adaptiveFlushMax)
-	}
-	// Adaptive must hold the tail at unbatched scale: within a small factor
-	// of the batch=1 arm (floored against scheduler noise), and strictly
-	// better than the fixed arm's *median*.
-	bound := 5 * p99base
-	if floor := 25 * time.Millisecond; bound < floor {
-		bound = floor
-	}
-	if p99adapt > bound {
-		t.Errorf("adaptive p99 %v exceeds %v (5× batch=1 p99 %v, floored)", p99adapt, bound, p99base)
-	}
-	if p99adapt >= p50fixed {
-		t.Errorf("adaptive p99 %v not below fixed p50 %v", p99adapt, p50fixed)
 	}
 }

@@ -39,7 +39,7 @@ if [ "$MODE" != grid ]; then
     go build ./...
     go test ./...
 
-    echo "== gate: go test -race ./internal/rt (lock-free deque + parking) =="
+    echo "== gate: go test -race ./internal/rt (lock-free deque, parking, pool lifecycle) =="
     go test -race ./internal/rt/ ./internal/core/
 
     echo "== gate: -race over the fj frontend + arena + cross-backend equality =="
@@ -54,11 +54,11 @@ if [ "$MODE" != grid ]; then
 
     echo "== gate: -race over the kernel service + fuzz seed corpora =="
     # The serve battery exercises concurrent clients, cancellation,
-    # backpressure, the streaming /batch protocol (first response before the
-    # batch's last request completes) and the adaptive flush deadline's tail
-    # latency gate; fuzz seed corpora run as ordinary test cases here, so
-    # every committed FuzzBatcher and FuzzKWayMerge seed stays green (the
-    # spms corpus drives the k-way merge on the real backend at p=4).
+    # backpressure, the streaming /batch protocol (first response while a
+    # later request is still held) and the small-not-behind-large gate; fuzz
+    # seed corpora run as ordinary test cases here, so every committed
+    # FuzzBatcher and FuzzKWayMerge seed stays green (the spms corpus drives
+    # the k-way merge on the real backend at p=4).
     go test -race -run 'Test|FuzzBatcher|FuzzKWayMerge' ./internal/serve/ ./internal/algos/spms/
 
     echo "== gate: -race over concurrently executing grid cells =="
@@ -130,22 +130,18 @@ if [ "$MODE" != verify ]; then
             exit 1
         }
     done
-    # EXP16 must cover the batching comparison plus the adaptive-deadline
-    # and streaming-submission arms, and verify them all
-    grep -q '^EXP16,sort,.*batch=1 ' "$rows_csv" || {
-        echo "EXP16 missing the batch=1 baseline" >&2
+    # EXP16 must carry its client-count coordinate and both submission
+    # modes, and verify them all
+    grep -q '^EXP16,sort,.*clients=' "$rows_csv" || {
+        echo "EXP16 rows carry no clients= coordinate" >&2
         exit 1
     }
-    grep -q '^EXP16,sort,.*batch=4 ' "$rows_csv" || {
-        echo "EXP16 missing the batched arm" >&2
-        exit 1
-    }
-    grep -q '^EXP16,sort,.*flush=adaptive ' "$rows_csv" || {
-        echo "EXP16 missing the adaptive-deadline arm" >&2
+    grep -q '^EXP16,sort,.*mode=rpc ' "$rows_csv" || {
+        echo "EXP16 missing the rpc mode" >&2
         exit 1
     }
     grep -q '^EXP16,sort,.*mode=stream ' "$rows_csv" || {
-        echo "EXP16 missing the streaming-submission arm" >&2
+        echo "EXP16 missing the streaming-submission mode" >&2
         exit 1
     }
     if grep '^EXP16,' "$rows_csv" | grep -qv ' ok'; then
