@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"container/list"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -15,7 +17,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 	if !did || ev != 2 {
 		t.Fatalf("evicted %d (did=%v), want 2", ev, did)
 	}
-	if ok, _ := s.Lookup(2); ok {
+	if ok, _ := s.Access(2); ok {
 		t.Error("block 2 still resident after eviction")
 	}
 }
@@ -26,7 +28,7 @@ func TestInvalidateKeepsFrame(t *testing.T) {
 	if !s.Invalidate(5) {
 		t.Fatal("Invalidate returned false for resident block")
 	}
-	present, valid := s.Lookup(5)
+	present, valid := s.Access(5)
 	if !present || valid {
 		t.Fatalf("after invalidation: present=%v valid=%v, want true/false", present, valid)
 	}
@@ -69,7 +71,7 @@ func TestLRUSequentialScanEvicts(t *testing.T) {
 	}
 	// Only the last 4 remain.
 	for b := int64(0); b < 6; b++ {
-		if ok, _ := s.Lookup(b); ok {
+		if ok, _ := s.Access(b); ok {
 			t.Errorf("block %d should have been evicted", b)
 		}
 	}
@@ -215,4 +217,123 @@ func TestDirectoryReadsDoNotAllocatePages(t *testing.T) {
 	if _, tr := d.MaxBlockTransfers(); tr != 0 {
 		t.Error("empty directory reports transfers")
 	}
+}
+
+// refSet is the reference model the slab Set is checked against: the
+// map-and-pointer LRU the Set replaced, written the obvious way.
+type refSet struct {
+	capacity int
+	frames   map[int64]*list.Element // of *refFrame; front = MRU
+	lru      list.List
+}
+
+type refFrame struct {
+	block int64
+	valid bool
+}
+
+func (r *refSet) access(b int64) (present, valid bool) {
+	e, ok := r.frames[b]
+	if !ok {
+		return false, false
+	}
+	if !e.Value.(*refFrame).valid {
+		return true, false
+	}
+	r.lru.MoveToFront(e)
+	return true, true
+}
+
+func (r *refSet) insert(b int64) (evicted int64, didEvict bool) {
+	if e, ok := r.frames[b]; ok {
+		e.Value.(*refFrame).valid = true
+		r.lru.MoveToFront(e)
+		return 0, false
+	}
+	if len(r.frames) >= r.capacity {
+		evicted, didEvict = r.lru.Remove(r.lru.Back()).(*refFrame).block, true
+		delete(r.frames, evicted)
+	}
+	r.frames[b] = r.lru.PushFront(&refFrame{block: b, valid: true})
+	return evicted, didEvict
+}
+
+func (r *refSet) invalidate(b int64) bool {
+	e, ok := r.frames[b]
+	if !ok || !e.Value.(*refFrame).valid {
+		return false
+	}
+	e.Value.(*refFrame).valid = false
+	return true
+}
+
+// checkSetMatchesReference replays ops — each byte pair an operation and a
+// block — on a Set and on the reference and compares every result and, after
+// every step, Len and the residency of the block just used.  The low bits of
+// the block byte pick one of 16 blocks in each of four index pages, far
+// enough apart (pages 0, 1, 2 and 40) that the index grows in steps and
+// leaves holes.
+func checkSetMatchesReference(t *testing.T, capBlocks int, ops []byte) {
+	t.Helper()
+	s := NewSet(capBlocks)
+	ref := &refSet{capacity: capBlocks, frames: map[int64]*list.Element{}}
+	pages := [4]int64{0, 1, 2, 40}
+	for i := 0; i+1 < len(ops); i += 2 {
+		b := pages[ops[i+1]>>4&3]*dirPageLen + int64(ops[i+1]&15)
+		if ops[i+1]&0x40 != 0 {
+			b += dirPageLen - 16 // the far edge of the page
+		}
+		switch ops[i] % 4 {
+		case 0, 1: // the access path of Proc.access: classify, fetch on a miss
+			p, v := s.Access(b)
+			wp, wv := ref.access(b)
+			if p != wp || v != wv {
+				t.Fatalf("op %d: Access(%d) = (%v, %v), reference (%v, %v)", i/2, b, p, v, wp, wv)
+			}
+			if v {
+				break
+			}
+			fallthrough
+		case 2:
+			ev, did := s.Insert(b)
+			wev, wdid := ref.insert(b)
+			if ev != wev || did != wdid {
+				t.Fatalf("op %d: Insert(%d) evicted (%d, %v), reference (%d, %v)", i/2, b, ev, did, wev, wdid)
+			}
+			if did && s.ResidentValid(ev) {
+				t.Fatalf("op %d: evicted block %d still resident", i/2, ev)
+			}
+		case 3:
+			if got, want := s.Invalidate(b), ref.invalidate(b); got != want {
+				t.Fatalf("op %d: Invalidate(%d) = %v, reference %v", i/2, b, got, want)
+			}
+		}
+		if s.Len() != len(ref.frames) {
+			t.Fatalf("op %d: Len = %d, reference %d", i/2, s.Len(), len(ref.frames))
+		}
+		e, ok := ref.frames[b]
+		if want := ok && e.Value.(*refFrame).valid; s.ResidentValid(b) != want {
+			t.Fatalf("op %d: ResidentValid(%d) = %v, reference %v", i/2, b, !want, want)
+		}
+	}
+}
+
+func TestSetMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, capBlocks := range []int{1, 2, 64} {
+		for trial := 0; trial < 20; trial++ {
+			ops := make([]byte, 4000)
+			rng.Read(ops)
+			checkSetMatchesReference(t, capBlocks, ops)
+		}
+	}
+}
+
+func FuzzSetMatchesReference(f *testing.F) {
+	f.Add(uint8(0), []byte{2, 1, 3, 1, 0, 1, 2, 2, 0, 1})                // revalidate an invalid frame in place
+	f.Add(uint8(1), []byte{2, 1, 2, 2, 3, 1, 2, 3, 2, 4, 0, 1})          // evict an invalid frame
+	f.Add(uint8(2), []byte{2, 0x0f, 2, 0x4f, 2, 0x1f, 2, 0x3f, 1, 0x0f}) // page edges and the far page
+	f.Fuzz(func(t *testing.T, capSel uint8, ops []byte) {
+		checkSetMatchesReference(t, []int{1, 2, 64}[capSel%3], ops)
+	})
 }

@@ -19,6 +19,8 @@ type Directory struct {
 	pages    []*dirPage
 	nprocs   int
 	setWords int // words per sharer bitset: ⌈nprocs/64⌉
+	// victims is InvalidateOthers's result buffer, reused by every call.
+	victims []int
 	// Transfers is the total number of block movements between caches
 	// (cache-to-cache or memory-to-cache after invalidation).
 	Transfers int64
@@ -41,7 +43,7 @@ type dirPage struct {
 
 // NewDirectory returns a directory for nprocs cores.
 func NewDirectory(nprocs int) *Directory {
-	return &Directory{nprocs: nprocs, setWords: (nprocs + 63) / 64}
+	return &Directory{nprocs: nprocs, setWords: (nprocs + 63) / 64, victims: make([]int, 0, nprocs)}
 }
 
 // page returns the shard holding block b and b's slot within it, allocating
@@ -106,16 +108,27 @@ func (d *Directory) RemoveSharer(b int64, p int) {
 }
 
 // InvalidateOthers removes every sharer of b except keep and returns the
-// list of cores that lost a valid copy.  Called on a write by core keep.
+// list of cores that lost a valid copy, nil if there is none.  Called on a
+// write by core keep.  The list lives in a buffer the directory owns: it is
+// valid until the next call.
 func (d *Directory) InvalidateOthers(b int64, keep int) []int {
 	pg, slot := d.page(b, false)
 	if pg == nil {
 		return nil
 	}
 	s := d.set(pg, slot)
-	victims := s.membersExcept(keep)
-	for _, p := range victims {
-		s.clear(p)
+	victims := d.victims[:0]
+	for w, word := range s {
+		if w == keep>>6 {
+			word &^= 1 << (uint(keep) & 63)
+		}
+		s[w] &^= word
+		for ; word != 0; word &= word - 1 {
+			victims = append(victims, w*64+bits.TrailingZeros64(word))
+		}
+	}
+	if len(victims) == 0 {
+		return nil
 	}
 	return victims
 }
@@ -175,16 +188,6 @@ func (s bitset) members() []int {
 		for word != 0 {
 			out = append(out, w*64+bits.TrailingZeros64(word))
 			word &= word - 1
-		}
-	}
-	return out
-}
-
-func (s bitset) membersExcept(skip int) []int {
-	var out []int
-	for _, p := range s.members() {
-		if p != skip {
-			out = append(out, p)
 		}
 	}
 	return out

@@ -45,9 +45,15 @@ func (d *deque) peekTop() (*rec, bool) {
 	return d.items[d.head], true
 }
 
+// normalize reclaims the stolen prefix once it outgrows the live part, so a
+// proc that keeps pushing while it is stolen from holds O(len) slots, not one
+// per task it ever pushed.  Each compaction moves fewer items than the steals
+// since the last one, so steals stay O(1) amortized.
 func (d *deque) normalize() {
-	if d.len() == 0 {
-		d.items = d.items[:0]
+	if d.head > len(d.items)/2 {
+		n := copy(d.items, d.items[d.head:])
+		clear(d.items[n:])
+		d.items = d.items[:n]
 		d.head = 0
 	}
 }

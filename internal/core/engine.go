@@ -67,6 +67,10 @@ type Engine struct {
 	done   bool
 	rootCP int64
 	nextID int64
+	// free is the list of completed task records awaiting reuse, linked
+	// through rec.parent: the engine keeps as many records as tasks were
+	// ever live at once, not one per task.
+	free *rec
 
 	steals       int64
 	stealsByPrio map[int]int64
@@ -79,8 +83,11 @@ type Engine struct {
 }
 
 type procState struct {
-	id        int
-	p         *machine.Proc
+	id int
+	p  *machine.Proc
+	// ctx is the context every action on this proc runs under, reset by
+	// action: a Ctx is valid only for the call it is passed to.
+	ctx       Ctx
 	cur       *rec
 	dq        deque
 	stack     *execStack
@@ -99,7 +106,7 @@ type rec struct {
 	owner   int // proc that executed the head
 	stolen  bool
 
-	frame     *stackFrame
+	frame     int // handle from execStack.alloc on frameProc's stack; noFrame if none
 	frameProc int
 	localBase mem.Addr
 
@@ -131,7 +138,7 @@ func NewEngine(m *machine.Machine, s Scheduler, opts Options) *Engine {
 	for i, p := range m.Procs {
 		region := mem.Region{Base: m.Space.Alloc(opts.StackWords), Len: opts.StackWords}
 		e.stackRegions = append(e.stackRegions, region)
-		e.ps = append(e.ps, &procState{id: i, p: p, stack: newExecStack(region)})
+		e.ps = append(e.ps, &procState{id: i, p: p, ctx: Ctx{proc: p, eng: e}, stack: newExecStack(region)})
 	}
 	return e
 }
@@ -210,13 +217,13 @@ func (e *Engine) execute(ps *procState, r *rec) {
 		}
 	}
 	ps.p.Op(1) // task-head bookkeeping
-	ctx := Ctx{proc: ps.p, eng: e, rec: r}
+	ctx := ps.action(r)
 
 	if r.node.Seq != nil {
 		if r.node.Fork != nil {
 			panic(fmt.Sprintf("core: node %q has both Fork and Seq", r.node.Label))
 		}
-		child := r.node.Seq(&ctx, 0)
+		child := r.node.Seq(ctx, 0)
 		r.stage = 1
 		stageIn := r.cpIn + ctx.actionCost + 1
 		if child == nil {
@@ -233,7 +240,7 @@ func (e *Engine) execute(ps *procState, r *rec) {
 	if r.node.Fork == nil {
 		panic(fmt.Sprintf("core: node %q has neither Fork nor Seq", r.node.Label))
 	}
-	left, right := r.node.Fork(&ctx)
+	left, right := r.node.Fork(ctx)
 	headOut := r.cpIn + ctx.actionCost + 1
 	switch {
 	case left == nil && right == nil:
@@ -265,9 +272,8 @@ func (e *Engine) execute(ps *procState, r *rec) {
 // started the parent, that is a usurpation (Definition 4.1).
 func (e *Engine) complete(ps *procState, r *rec) {
 	for {
-		if r.frame != nil {
+		if r.frame != noFrame {
 			e.ps[r.frameProc].stack.free(r.frame)
-			r.frame = nil
 		}
 		if h := e.Hooks; h != nil && h.TaskEnd != nil {
 			h.TaskEnd(r.id, ps.id, ps.p.Now)
@@ -285,6 +291,9 @@ func (e *Engine) complete(ps *procState, r *rec) {
 			par.maxSub = r.maxSub
 		}
 		par.pending--
+		// Nothing refers to r any more: its children completed before it,
+		// and its deque slot or proc's cur was cleared when it started.
+		r.parent, e.free = e.free, r
 		if par.pending > 0 {
 			return // sibling outstanding; proc seeks other work next step
 		}
@@ -292,10 +301,10 @@ func (e *Engine) complete(ps *procState, r *rec) {
 		if h := e.Hooks; h != nil && h.ProcTask != nil {
 			h.ProcTask(ps.id, par.id)
 		}
+		ctx := ps.action(par)
+		ps.p.Op(1)
 		if par.node.Seq != nil {
-			ctx := Ctx{proc: ps.p, eng: e, rec: par}
-			ps.p.Op(1)
-			next := par.node.Seq(&ctx, par.stage)
+			next := par.node.Seq(ctx, par.stage)
 			par.stage++
 			callOut := par.cpMax + ctx.actionCost + 1
 			if next != nil {
@@ -311,7 +320,7 @@ func (e *Engine) complete(ps *procState, r *rec) {
 			}
 			ctx.actionCost = 0
 			if par.node.Join != nil {
-				par.node.Join(&ctx)
+				par.node.Join(ctx)
 			}
 			par.cpOut = callOut + ctx.actionCost
 			if ps.id != par.owner {
@@ -321,10 +330,8 @@ func (e *Engine) complete(ps *procState, r *rec) {
 			continue
 		}
 
-		ctx := Ctx{proc: ps.p, eng: e, rec: par}
-		ps.p.Op(1)
 		if par.node.Join != nil {
-			par.node.Join(&ctx)
+			par.node.Join(ctx)
 		}
 		par.cpOut = par.cpMax + ctx.actionCost + 1
 		if ps.id != par.owner {
@@ -337,9 +344,9 @@ func (e *Engine) complete(ps *procState, r *rec) {
 // joinAndComplete handles a sequence node whose stage builder returned nil
 // immediately (no stages).
 func (e *Engine) joinAndComplete(ps *procState, r *rec, cpIn int64) {
-	ctx := Ctx{proc: ps.p, eng: e, rec: r}
+	ctx := ps.action(r)
 	if r.node.Join != nil {
-		r.node.Join(&ctx)
+		r.node.Join(ctx)
 	}
 	r.cpOut = cpIn + ctx.actionCost
 	e.complete(ps, r)
@@ -367,7 +374,20 @@ func (e *Engine) newRec(n *Node, parent *rec, prio int) *rec {
 	if prio > e.maxPrio {
 		e.maxPrio = prio
 	}
-	return &rec{id: e.nextID, node: n, parent: parent, prio: prio, maxSub: prio}
+	r := e.free
+	if r == nil {
+		r = new(rec)
+	} else {
+		e.free = r.parent
+	}
+	*r = rec{id: e.nextID, node: n, parent: parent, prio: prio, maxSub: prio, frame: noFrame}
+	return r
+}
+
+// action returns ps's context, reset for an action of r.
+func (ps *procState) action(r *rec) *Ctx {
+	ps.ctx.rec, ps.ctx.actionCost = r, 0
+	return &ps.ctx
 }
 
 // noteWrite feeds the limited-access audit.

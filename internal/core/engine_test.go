@@ -267,6 +267,57 @@ func TestDequeOrientation(t *testing.T) {
 	}
 }
 
+// TestDequeCompactsWhileNonEmpty: a proc that is stolen from while it keeps
+// pushing never drains, so the stolen prefix must be reclaimed on the way —
+// the slots would otherwise grow by one per task pushed for the whole run.
+// The deque is checked against a plain slice model for order throughout.
+func TestDequeCompactsWhileNonEmpty(t *testing.T) {
+	var d deque
+	var model []*rec
+	check := func(step int, got *rec, ok bool, want *rec) {
+		t.Helper()
+		if !ok || got != want {
+			t.Fatalf("step %d: got task %v (ok=%v), want %v", step, got, ok, want)
+		}
+	}
+	rng := uint64(1)
+	for step := 0; step < 20000; step++ {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		switch op := rng >> 60; {
+		case op < 8 || len(model) < 4: // keep it non-empty: live size hovers, never reaches 0
+			r := &rec{id: int64(step)}
+			d.push(r)
+			model = append(model, r)
+		case op < 14:
+			got, ok := d.stealTop()
+			check(step, got, ok, model[0])
+			model = model[1:]
+		default:
+			got, ok := d.popBottom()
+			check(step, got, ok, model[len(model)-1])
+			model = model[:len(model)-1]
+		}
+		if top, ok := d.peekTop(); !ok || top != model[0] {
+			t.Fatalf("step %d: head is %v, want %v", step, top, model[0])
+		}
+		if d.len() != len(model) {
+			t.Fatalf("step %d: len %d, want %d", step, d.len(), len(model))
+		}
+		if len(d.items) > 2*d.len()+1 {
+			t.Fatalf("step %d: %d slots for %d live tasks", step, len(d.items), d.len())
+		}
+	}
+	if cap(d.items) > 4096 {
+		t.Errorf("backing array grew to %d slots over %d live tasks", cap(d.items), d.len())
+	}
+	// Compaction leaves no stale pointer behind the live part.
+	for _, r := range d.items[len(d.items):cap(d.items)] {
+		if r != nil {
+			t.Fatal("stolen task still pinned by a slot past the end")
+		}
+	}
+}
+
 func TestExecStackOutOfOrderFree(t *testing.T) {
 	m := newTestMachine(1)
 	region := mem.Region{Base: m.Space.Alloc(100), Len: 100}

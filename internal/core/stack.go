@@ -18,7 +18,7 @@ import (
 type execStack struct {
 	region mem.Region
 	top    int64 // offset of first unused word
-	frames []*stackFrame
+	frames []stackFrame
 	// highWater tracks the maximum extent used, for reporting.
 	highWater int64
 }
@@ -32,24 +32,28 @@ func newExecStack(region mem.Region) *execStack {
 	return &execStack{region: region}
 }
 
-// alloc reserves n words and returns the frame and the base address.
-func (s *execStack) alloc(n int64) (*stackFrame, mem.Addr) {
+// noFrame is the frame handle of a task that reserved no stack words.
+const noFrame = -1
+
+// alloc reserves n words and returns the frame's handle — its position in
+// frames, fixed until the frame is reclaimed — and the base address.
+func (s *execStack) alloc(n int64) (int, mem.Addr) {
 	if s.top+n > s.region.Len {
 		panic(fmt.Sprintf("core: execution stack overflow (%d + %d > %d words); raise Options.StackWords",
 			s.top, n, s.region.Len))
 	}
-	f := &stackFrame{off: s.top, len: n}
+	f := stackFrame{off: s.top, len: n}
 	s.frames = append(s.frames, f)
 	s.top += n
 	if s.top > s.highWater {
 		s.highWater = s.top
 	}
-	return f, s.region.Base + f.off
+	return len(s.frames) - 1, s.region.Base + f.off
 }
 
-// free marks f freed and pops any suffix of freed frames.
-func (s *execStack) free(f *stackFrame) {
-	f.freed = true
+// free marks frame f freed and pops any suffix of freed frames.
+func (s *execStack) free(f int) {
+	s.frames[f].freed = true
 	for len(s.frames) > 0 {
 		last := s.frames[len(s.frames)-1]
 		if !last.freed {

@@ -27,8 +27,8 @@
 //
 //   - sim.go converts the direct-style computation into a core.Node tree
 //     executed by the deterministic engine under an internal/sched scheduler
-//     (PWS or RWS), by running each task on a coroutine goroutine that yields
-//     at every Fork and Join.
+//     (PWS or RWS), by running each task as an iter.Pull coroutine that
+//     yields at every Fork and Join.
 //   - real.go schedules the same computation on an rt.Pool under either
 //     memory layout (padded or compact).
 //

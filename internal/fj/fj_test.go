@@ -252,6 +252,65 @@ func TestPanicTearsDownCoroutines(t *testing.T) {
 	}
 }
 
+// awaitGoroutines polls until the goroutine count is back near the baseline:
+// ended coroutines are reaped asynchronously.
+func awaitGoroutines(t *testing.T, before int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before+2 {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("sim coroutines leaked: %d goroutines before, %d after\n%s",
+				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestTornDownTaskEndsDespiteRecover: teardown unwinds a suspended task with
+// a panic, which — unlike the Goexit of the channel lowering — user code can
+// recover.  A task that does still ends: its next Fork or Join raises the
+// sentinel again, its deferred calls run, a deferred call that panics on the
+// way out does not reach the engine's caller, and no coroutine is left.
+func TestTornDownTaskEndsDespiteRecover(t *testing.T) {
+	before := runtime.NumGoroutine()
+	var swallowed, ranOn, deferred int
+	// One core: when the innermost fork panics, the stubborn task is parked in
+	// the Join of that fork and the root in the Join of the stubborn task.
+	m := machine.New(machine.Default(1))
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Fatalf("recovered %v, want boom", r)
+			}
+		}()
+		RunSim(m, sched.NewPWS(), core.Options{}, 8, "stubborn", func(c *Ctx) {
+			c.Parallel(func(*Ctx) {}, func(c *Ctx) {
+				defer func() { deferred++; panic("raised by a deferred call during teardown") }()
+				for i := 0; i < 3; i++ {
+					func() {
+						defer func() {
+							if recover() != nil {
+								swallowed++
+							}
+						}()
+						h := c.Fork(func(*Ctx) { panic("boom") })
+						c.Join(h)
+					}()
+				}
+				ranOn++ // reached only because every sentinel was swallowed
+			})
+		})
+	}()
+	// The Join the task was parked in raises the sentinel, and so does each
+	// later Fork, at once: a stopped coroutine does not switch again.
+	if swallowed != 3 || ranOn != 1 || deferred != 1 {
+		t.Errorf("swallowed %d sentinels, ran on %d times, %d deferred calls; want 3, 1, 1", swallowed, ranOn, deferred)
+	}
+	awaitGoroutines(t, before)
+}
+
 // TestGrainSelectsBackend pins the per-backend cutoff hook.
 func TestGrainSelectsBackend(t *testing.T) {
 	env := NewRealEnv()

@@ -1,24 +1,26 @@
 package fj
 
 import (
-	"runtime"
+	"iter"
 
 	"repro/internal/core"
 	"repro/internal/machine"
 )
 
 // Sim lowering: a direct-style fork-join computation becomes a core.Node
-// tree the deterministic engine can execute, by running each fj task on its
-// own goroutine and converting its Fork/Join calls into tree structure as
-// they happen.
+// tree the deterministic engine can execute, by running each fj task as a
+// coroutine and converting its Fork/Join calls into tree structure as they
+// happen.
 //
-// The engine and the task goroutine form a coroutine pair over two
-// unbuffered channels: the engine side sends the core.Ctx of the action it
-// is charging (resume), the task side runs user code — whose view accesses
-// charge that Ctx — until the next structural event (fork, join, or return)
-// and sends it back (events).  Exactly one side runs at a time, so the
-// lowering inherits the engine's determinism and is race-free by
-// construction.
+// The coroutine is an iter.Pull iterator over the task's structural events.
+// The engine side stores the core.Ctx of the action it is charging in the
+// task and calls next; the task side runs user code — whose view accesses
+// charge that Ctx — until its next Fork or Join, which yields a simEvt, or
+// until it returns, which ends the sequence (next reports false).  next and
+// yield switch directly between the two sides without a trip through the Go
+// scheduler, exactly one side runs at a time, and a panic in user code
+// surfaces from next on the engine side by itself — so the lowering inherits
+// the engine's determinism and is race-free by construction.
 //
 // Tree construction mirrors the engine's own fork semantics.  The code a
 // task runs while it has L unjoined forks open is its level-L *segment*, a
@@ -27,7 +29,7 @@ import (
 //   - Fork yields with the new open count L+1: the segment's current stage
 //     becomes a pair node whose right child is the forked task (pushed to
 //     the deque, stealable) and whose left child is the level-(L+1) segment
-//     — the same goroutine resumed past the Fork call.  This is exactly
+//     — the same coroutine resumed past the Fork call.  This is exactly
 //     rt's orientation: the owner keeps the continuation, thieves take the
 //     fork.
 //   - Join on the innermost open fork yields with the open count after the
@@ -40,136 +42,136 @@ import (
 //     *next stage* of the enclosing segment (a sibling of the still-open
 //     outer forks), it stays concurrent with them, matching the real
 //     backend's schedule.
-//   - Return yields done: the root segment ends.
+//   - Return ends the event sequence: the root segment ends.
 //
 // The LIFO join discipline makes every computation series-parallel, which is
 // what lets a linear event stream rebuild the tree.
+//
+// Teardown.  A panic that unwinds the engine leaves the run's other tasks
+// suspended inside yield, and a suspended coroutine is a goroutine: stop ends
+// each of them.  stop makes the pending yield report false, which the task
+// side turns into a panic with a private sentinel (runtime.Goexit would
+// propagate through stop and end the engine's goroutine) that unwinds the
+// user frames, deferred calls included, and is recovered at the top of the
+// iterator function.  User code that recovers the sentinel itself gets it
+// again from its next Fork or Join: once stopped, yield reports false without
+// switching.
 
-// Event kinds a task goroutine yields.
-const (
-	evFork  = iota // user called Fork; fn carries the body, open the new level
-	evJoin         // user called Join; open is the count after the close
-	evDone         // the task function returned
-	evPanic        // user code panicked; val carries the panic value
-)
-
+// simEvt is a structural event a task yields: a Fork (fn is the forked body,
+// open the count of open forks including it) or a Join (fn nil, open the
+// count after the close).
 type simEvt struct {
-	kind int
 	fn   func(*Ctx)
 	open int
-	val  any
 }
 
-// simTask is the coroutine state of one running fj task.
+// simTask is the coroutine of one running fj task.
 type simTask struct {
-	resume chan *core.Ctx
-	events chan simEvt
-	run    *simRun
+	run   *simRun
+	cc    *core.Ctx // the engine action the task is resumed under
+	next  func() (simEvt, bool)
+	stop  func()
+	yield func(simEvt) bool
 }
 
 // simRun tracks every live coroutine of one fj computation so a panic can
-// tear them all down.  The engine executes one action at a time and all
-// registry mutation happens on the engine goroutine, so no locking is
-// needed: whenever the engine runs, every live task other than the one it
-// is resuming is parked on <-resume.
+// tear them all down.  All of it is touched from one side at a time.
 type simRun struct {
 	live map[*simTask]struct{}
 	dead bool // a panic tore this run down
 }
 
-// teardown unblocks every still-suspended coroutine of the run.  Closing
-// resume makes the parked receive yield nil, which the task side turns into
-// a goroutine exit — without it, sibling coroutines blocked on <-resume
-// would outlive the computation whose panic unwound the engine.
+// tornDown is the panic value that unwinds a suspended task whose run was
+// torn down.
+type tornDown struct{}
+
+// teardown ends every still-suspended coroutine of the run — without it they
+// would outlive the computation whose panic unwound the engine.  The registry
+// is detached first: the tasks unwind user defers inside stop.
 func (run *simRun) teardown() {
 	run.dead = true
-	for st := range run.live {
-		close(st.resume)
-	}
+	live := run.live
 	run.live = map[*simTask]struct{}{}
-}
-
-// resumeWith hands the current engine action context to the task goroutine
-// and blocks until it yields the next structural event.  User panics cross
-// the coroutine boundary, tear down the run's outstanding coroutines, and
-// re-panic on the engine side.
-func (st *simTask) resumeWith(cc *core.Ctx) simEvt {
-	st.resume <- cc
-	evt := <-st.events
-	switch evt.kind {
-	case evDone:
-		delete(st.run.live, st)
-	case evPanic:
-		delete(st.run.live, st) // this goroutine already exited
-		st.run.teardown()
-		panic(evt.val)
+	for st := range live {
+		st.stop()
 	}
-	return evt
 }
 
-// startSimTask launches the coroutine for fn.  The goroutine does nothing
-// until the first resume, so tasks sitting unexecuted in a deque cost no
-// scheduling; a nil resume (run teardown) exits it without yielding.
+// startSimTask creates the coroutine for fn.  It runs nothing until the first
+// resume.
 func startSimTask(run *simRun, fn func(*Ctx)) *simTask {
-	st := &simTask{resume: make(chan *core.Ctx), events: make(chan simEvt), run: run}
+	st := &simTask{run: run}
 	run.live[st] = struct{}{}
-	go func() {
-		sc := <-st.resume
-		if sc == nil {
-			return // torn down before first execution
-		}
-		c := &Ctx{st: st, sc: sc}
+	st.next, st.stop = iter.Pull(func(yield func(simEvt) bool) {
+		st.yield = yield
+		// Once the run is dead the engine is propagating the panic that
+		// killed it: drop the sentinel, and whatever a user defer raised in
+		// its place, so that neither escapes stop.
 		defer func() {
-			if r := recover(); r != nil && !st.run.dead {
-				st.events <- simEvt{kind: evPanic, val: r}
+			if run.dead {
+				recover()
 			}
-			// A panic with run.dead set can only come from user defers
-			// running during the teardown Goexit; the engine is already
-			// propagating the original panic and no longer listening.
 		}()
+		c := &Ctx{st: st, sc: st.cc}
 		fn(c)
 		if c.open != 0 {
 			panic("fj: task returned with unjoined forks")
 		}
-		st.events <- simEvt{kind: evDone}
-	}()
+	})
 	return st
 }
 
-// await parks the coroutine until the engine resumes it.  A nil resume
-// means a sibling's panic tore the run down while this task was suspended;
-// the coroutine exits via Goexit (running defers, immune to user recovers)
-// instead of returning into user code with no engine behind it.
-func (st *simTask) await() *core.Ctx {
-	cc := <-st.resume
-	if cc == nil {
-		runtime.Goexit()
-	}
-	return cc
+// resumeWith runs the task under the engine action cc until its next
+// structural event; ok is false when it returned instead.  A user panic
+// comes out of next: it tears down the run's other coroutines on its way up
+// the engine.
+func (st *simTask) resumeWith(cc *core.Ctx) (evt simEvt, ok bool) {
+	st.cc = cc
+	unwinding := true
+	defer func() {
+		if !ok {
+			delete(st.run.live, st) // returned or panicked: this coroutine is gone
+		}
+		if unwinding {
+			st.run.teardown()
+		}
+	}()
+	evt, ok = st.next()
+	unwinding = false
+	return evt, ok
 }
 
-// forkSim is the sim side of Ctx.Fork: yield the forked body, then block
-// until the engine resumes the continuation (possibly on another simulated
-// core — that core's context replaces sc, so subsequent accesses charge the
-// core actually executing).
+// suspend yields evt and parks the task until the engine resumes it —
+// possibly on another simulated core, whose context replaces sc so that
+// subsequent accesses charge the core actually executing.
+func (c *Ctx) suspend(evt simEvt) {
+	if !c.st.yield(evt) {
+		panic(tornDown{})
+	}
+	c.sc = c.st.cc
+}
+
+// forkSim is the sim side of Ctx.Fork: yield the forked body, resume as the
+// continuation.
 func (c *Ctx) forkSim(fn func(*Ctx)) Handle {
+	if fn == nil {
+		panic("fj: Fork of a nil function") // a simEvt without fn is a Join
+	}
 	c.open++
 	h := Handle{idx: c.open}
-	c.st.events <- simEvt{kind: evFork, fn: fn, open: c.open}
-	c.sc = c.st.await()
+	c.suspend(simEvt{fn: fn, open: c.open})
 	return h
 }
 
 // joinSim is the sim side of Ctx.Join.  It enforces the LIFO discipline the
-// lowering (and the HBP model) requires, yields, and blocks until the
-// joined fork has completed.
+// lowering (and the HBP model) requires, yields, and resumes once the joined
+// fork has completed.
 func (c *Ctx) joinSim(h Handle) {
 	if h.idx != c.open {
 		panic("fj: joins must be LIFO — join the most recent unjoined fork first")
 	}
 	c.open--
-	c.st.events <- simEvt{kind: evJoin, open: c.open}
-	c.sc = c.st.await()
+	c.suspend(simEvt{open: c.open})
 }
 
 // SimNode lowers fn to a core.Node executable by the engine.  size is the
@@ -215,17 +217,16 @@ func segmentNode(st *simTask, level int) *core.Node {
 // root.  Joins of deeper regions that already closed are satisfied inline.
 func nextRegion(st *simTask, cc *core.Ctx, level int) *core.Node {
 	for {
-		switch evt := st.resumeWith(cc); evt.kind {
-		case evDone:
+		evt, ok := st.resumeWith(cc)
+		switch {
+		case !ok:
 			return nil // root only: deeper segments are guarded by the open check
-		case evJoin:
-			if evt.open < level {
-				return nil // this segment's fork level closed
-			}
-			continue // a deeper region that already completed; Join is free
-		case evFork:
+		case evt.fn != nil:
 			return pairNode(st, evt.fn, evt.open)
+		case evt.open < level:
+			return nil // this segment's fork level closed
 		}
+		// A Join of a deeper region, which already completed: it is free.
 	}
 }
 

@@ -216,15 +216,14 @@ func (p *Proc) StealDelay(n int64) {
 func (p *Proc) access(addr mem.Addr, write bool) AccessKind {
 	m := p.machine
 	b := m.Space.Block(addr)
-	present, valid := p.cache.Lookup(b)
+	present, valid := p.cache.Access(b) // a hit is already at the MRU position
 
 	var kind AccessKind
 	switch {
 	case present && valid:
 		if write {
 			// Need exclusivity: invalidate other sharers if any.
-			victims := m.Dir.InvalidateOthers(b, p.ID)
-			if len(victims) > 0 {
+			if victims := m.Dir.InvalidateOthers(b, p.ID); victims != nil {
 				kind = UpgradeMiss
 				p.invalidate(victims, b)
 			} else {
@@ -241,13 +240,11 @@ func (p *Proc) access(addr mem.Addr, write bool) AccessKind {
 
 	switch kind {
 	case Hit:
-		p.cache.Touch(b)
 		p.Now++
 		p.Stats.Hits++
 	case UpgradeMiss:
 		// The copy is valid here; acquiring exclusivity serializes on the
 		// block like a transfer (ownership moves to this core).
-		p.cache.Touch(b)
 		complete := m.Dir.AcquireTransfer(b, p.Now, m.Cfg.MissLatency)
 		p.Stats.BlockWait += complete - p.Now - m.Cfg.MissLatency
 		p.Now = complete

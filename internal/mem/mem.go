@@ -19,6 +19,7 @@ package mem
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Addr is a word address in the simulated shared memory.
@@ -35,9 +36,10 @@ const segSize = 1 << segBits
 //
 // The zero value is not ready for use; call NewSpace.
 type Space struct {
-	segs   [][]int64
-	used   Addr // high-water mark of allocated words
-	blockB int  // words per block (B)
+	segs       [][]int64
+	used       Addr // high-water mark of allocated words
+	blockB     int  // words per block (B)
+	blockShift uint // log2 B
 }
 
 // NewSpace returns an empty address space with the given block size B
@@ -46,14 +48,14 @@ func NewSpace(blockWords int) *Space {
 	if blockWords <= 0 || blockWords&(blockWords-1) != 0 {
 		panic(fmt.Sprintf("mem: block size must be a positive power of two, got %d", blockWords))
 	}
-	return &Space{blockB: blockWords}
+	return &Space{blockB: blockWords, blockShift: uint(bits.TrailingZeros(uint(blockWords)))}
 }
 
 // BlockWords returns B, the number of words per block.
 func (s *Space) BlockWords() int { return s.blockB }
 
 // Block returns the block index containing addr.
-func (s *Space) Block(addr Addr) int64 { return addr / int64(s.blockB) }
+func (s *Space) Block(addr Addr) int64 { return addr >> s.blockShift }
 
 // Size returns the number of words allocated so far.
 func (s *Space) Size() Addr { return s.used }

@@ -52,6 +52,11 @@ if [ "$MODE" != grid ]; then
     go test -race -run 'Test|FuzzInvokeCodec' ./internal/fj/ ./internal/arena/ ./internal/algos/registry/
     go test -race -run 'TestSortAllocRegression' .
 
+    echo "== gate: -race over the simulated caches, coherence protocol and schedulers =="
+    # FuzzSetMatchesReference's seeds replay the slab LRU against the
+    # map-and-list reference model as ordinary test cases.
+    go test -race -run 'Test|FuzzSetMatchesReference' ./internal/cache/ ./internal/machine/ ./internal/sched/
+
     echo "== gate: -race over the kernel service + fuzz seed corpora =="
     # The serve battery exercises concurrent clients, cancellation,
     # backpressure, the streaming /batch protocol (first response while a
