@@ -13,8 +13,15 @@ package repro
 // together a small, size-stable residue per sort.  The ceilings below sit
 // ~2× above the measured residue and ~10× below the pre-arena counts
 // (spms at 2^17 was ~1195 allocs / 1.88 MB per op before slab reuse).
+// TestInvokeAllocRegression, at the end, pins the service's HTTP edge the
+// same way.
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"net/http"
 	"runtime"
 	"testing"
 
@@ -23,6 +30,7 @@ import (
 	"repro/internal/arena"
 	"repro/internal/fj"
 	"repro/internal/rt"
+	"repro/internal/serve"
 )
 
 type allocCase struct {
@@ -83,6 +91,86 @@ func TestSortAllocRegression(t *testing.T) {
 			runtime.ReadMemStats(&m1)
 			if bytes := (m1.TotalAlloc - m0.TotalAlloc) / rounds; bytes > tc.maxBytes {
 				t.Errorf("steady-state bytes/op = %d, want <= %d", bytes, tc.maxBytes)
+			}
+		})
+	}
+}
+
+// discardWriter is an http.ResponseWriter that keeps nothing, so the pins
+// below count the service's allocations and not a recorder's.
+type discardWriter struct{ h http.Header }
+
+func (d *discardWriter) Header() http.Header         { return d.h }
+func (d *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (d *discardWriter) WriteHeader(int)             {}
+
+// TestInvokeAllocRegression pins what one explicit-payload `sort` /invoke
+// allocates through Service.Handler(), warmed.  With the word-array codec of
+// internal/serve/wire.go a large request costs its two word slabs (input and
+// output, 8 bytes a word) and little else: the body and the encoded response
+// live in recycled buffers.  Under encoding/json the 65536-word request was
+// 6.0 MB and 136 objects, the 256-word one 13.4 KB and 32 objects.
+//
+// Objects are pinned against Submit on the same payload rather than as an
+// absolute: the kernel's own count follows the input (spms fork closures,
+// see sortAllocCases) — 72 of this request's 78 objects are Submit's.
+func TestInvokeAllocRegression(t *testing.T) {
+	if arena.Poisoning {
+		t.Skip("allocation pins are for the non-instrumented build")
+	}
+	cases := []struct {
+		n          int
+		maxBytes   uint64 // per request, whole path
+		maxObjects uint64 // per request, whole path
+		maxOverSub uint64 // objects the HTTP edge may add to Submit's
+	}{
+		{256, 8 << 10, 20, 12},                    // parent: 13.4 KB, 32 objects
+		{65536, 125 * 8 * 2 * 65536 / 100, 0, 12}, // ≤ 1.25 × 8 × (words in + words out)
+	}
+	for _, tc := range cases {
+		t.Run(fmt.Sprintf("sort/%d", tc.n), func(t *testing.T) {
+			svc := serve.New(serve.Config{})
+			t.Cleanup(svc.Close)
+			h := svc.Handler()
+			in := benchKeys(tc.n, 7)
+			body, err := json.Marshal(serve.Request{Kernel: "sort", Input: in})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const rounds = 10
+			measure := func(run func(i int)) (bytes, objects uint64) {
+				var m0, m1 runtime.MemStats
+				runtime.ReadMemStats(&m0)
+				for i := 0; i < rounds; i++ {
+					run(i)
+				}
+				runtime.ReadMemStats(&m1)
+				return (m1.TotalAlloc - m0.TotalAlloc) / rounds, (m1.Mallocs - m0.Mallocs) / rounds
+			}
+			w := &discardWriter{h: http.Header{}}
+			overHTTP := func() (uint64, uint64) {
+				reqs := make([]*http.Request, rounds) // built outside the measured region
+				for i := range reqs {
+					reqs[i], _ = http.NewRequest("POST", "/invoke", bytes.NewReader(body))
+				}
+				return measure(func(i int) { h.ServeHTTP(w, reqs[i]) })
+			}
+			overHTTP() // warm the pool's arenas and the service's buffer list
+			overHTTP()
+			gotBytes, gotObjects := overHTTP()
+			_, subObjects := measure(func(int) {
+				if _, err := svc.Submit(context.Background(), serve.Request{Kernel: "sort", Input: in}); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if gotBytes > tc.maxBytes {
+				t.Errorf("bytes/request = %d, want <= %d", gotBytes, tc.maxBytes)
+			}
+			if tc.maxObjects > 0 && gotObjects > tc.maxObjects {
+				t.Errorf("objects/request = %d, want <= %d", gotObjects, tc.maxObjects)
+			}
+			if gotObjects > subObjects+tc.maxOverSub {
+				t.Errorf("objects/request = %d over HTTP, %d through Submit: the edge adds more than %d", gotObjects, subObjects, tc.maxOverSub)
 			}
 		})
 	}

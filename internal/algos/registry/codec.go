@@ -15,6 +15,7 @@ package registry
 import (
 	"fmt"
 	"math"
+	"unsafe"
 
 	"repro/internal/fj"
 )
@@ -35,6 +36,21 @@ type Codec struct {
 	RoundTrip func(w []int64) []int64
 }
 
+// viewWords reinterprets wire words in place as the elements they bit-encode
+// (T is float64, one word each, or complex128, re then im: Go lays a
+// complex128 out as exactly that pair).  Because the codecs are bit casts the
+// view IS the decoded payload, so the float kernels run on the request's own
+// words and write their output words directly; the copying functions below
+// stay as the reference RoundTrip compares against.  len(w) must be a
+// multiple of the element's word count.
+func viewWords[T float64 | complex128](w []int64) []T {
+	if len(w) == 0 {
+		return nil
+	}
+	var zero T
+	return unsafe.Slice((*T)(unsafe.Pointer(&w[0])), len(w)/int(unsafe.Sizeof(zero)/8))
+}
+
 var (
 	codecI64 = &Codec{Kind: "i64", WordsPerElem: 1,
 		RoundTrip: func(w []int64) []int64 { return append([]int64(nil), w...) }}
@@ -53,16 +69,11 @@ func f64FromWords(w []int64) []float64 {
 	return out
 }
 
-// f64IntoWords encodes v into dst (len(dst) == len(v)).
-func f64IntoWords(dst []int64, v []float64) {
-	for i, x := range v {
-		dst[i] = int64(math.Float64bits(x))
-	}
-}
-
 func f64ToWords(v []float64) []int64 {
 	out := make([]int64, len(v))
-	f64IntoWords(out, v)
+	for i, x := range v {
+		out[i] = int64(math.Float64bits(x))
+	}
 	return out
 }
 
@@ -78,17 +89,12 @@ func c128FromWords(w []int64) []complex128 {
 	return out
 }
 
-// c128IntoWords encodes v into dst (len(dst) == 2·len(v)).
-func c128IntoWords(dst []int64, v []complex128) {
-	for i, x := range v {
-		dst[2*i] = int64(math.Float64bits(real(x)))
-		dst[2*i+1] = int64(math.Float64bits(imag(x)))
-	}
-}
-
 func c128ToWords(v []complex128) []int64 {
 	out := make([]int64, 2*len(v))
-	c128IntoWords(out, v)
+	for i, x := range v {
+		out[2*i] = int64(math.Float64bits(real(x)))
+		out[2*i+1] = int64(math.Float64bits(imag(x)))
+	}
 	return out
 }
 
@@ -287,9 +293,9 @@ func i64Invocable(name, desc, payload string, sh shape,
 }
 
 // f64Invocable derives an Invocable through the F64 codec: wire words are
-// IEEE-754 bit patterns, decoded once into native float64 memory at the
-// service boundary (the kernel then runs zero-copy on fj.WrapF64 wraps of
-// it) and bit-cast back on the way out.
+// IEEE-754 bit patterns, which the kernel reads and writes in place through
+// viewWords.  run must not write in and must define every element of out
+// (out arrives with whatever its last use left in it).
 func f64Invocable(name, desc, payload string, sh shape,
 	run func(c *fj.Ctx, in, out []float64),
 	gen func(n int64, seed uint64) ([]int64, error),
@@ -298,17 +304,14 @@ func f64Invocable(name, desc, payload string, sh shape,
 		Name: name, Desc: desc, Payload: payload, Codec: codecF64,
 		Validate: sh.check, OutLen: sh.outWords, InWords: sh.inWords,
 		Run: func(c *fj.Ctx, in, out []int64) {
-			tin := f64FromWords(in)
-			tout := make([]float64, len(out))
-			run(c, tin, tout)
-			f64IntoWords(out, tout)
+			run(c, viewWords[float64](in), viewWords[float64](out))
 		},
 		Gen: gen, Verify: verify,
 	}
 }
 
 // c128Invocable derives an Invocable through the C128 codec: two wire
-// words per element (re bits, then im bits).
+// words per element (re bits, then im bits), viewed in place like F64.
 func c128Invocable(name, desc, payload string, sh shape,
 	run func(c *fj.Ctx, in, out []complex128),
 	gen func(n int64, seed uint64) ([]int64, error),
@@ -317,10 +320,7 @@ func c128Invocable(name, desc, payload string, sh shape,
 		Name: name, Desc: desc, Payload: payload, Codec: codecC128,
 		Validate: sh.check, OutLen: sh.outWords, InWords: sh.inWords,
 		Run: func(c *fj.Ctx, in, out []int64) {
-			tin := c128FromWords(in)
-			tout := make([]complex128, len(out)/2)
-			run(c, tin, tout)
-			c128IntoWords(out, tout)
+			run(c, viewWords[complex128](in), viewWords[complex128](out))
 		},
 		Gen: gen, Verify: verify,
 	}

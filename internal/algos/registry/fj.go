@@ -390,7 +390,15 @@ func fillPermList(succ fj.I64, n int64, seed uint64) int64 {
 	return order[0]
 }
 
-// probeProductF recomputes fjProbes entries of out = a·b directly.
+// nonFinite reports whether x is NaN or ±Inf; nonFiniteC whether either part
+// of z is.
+func nonFinite(x float64) bool     { return math.IsNaN(x) || math.IsInf(x, 0) }
+func nonFiniteC(z complex128) bool { return nonFinite(real(z)) || nonFinite(imag(z)) }
+
+// probeProductF recomputes fjProbes entries of out = a·b directly.  An entry
+// passes when it is within tolerance of the recomputed value — written so a
+// NaN fails — or when both are non-finite: on NaN/Inf inputs the order of
+// summation decides which non-finite value comes out.
 func probeProductF(a, b, out fj.F64, n int64, seed uint64) bool {
 	if n == 0 {
 		return true
@@ -402,7 +410,8 @@ func probeProductF(a, b, out fj.F64, n int64, seed uint64) bool {
 		for k := int64(0); k < n; k++ {
 			s += a.Load(i*n+k) * b.Load(k*n+j)
 		}
-		if math.Abs(out.Load(i*n+j)-s) > 1e-6*float64(n) {
+		got := out.Load(i*n + j)
+		if !(math.Abs(got-s) <= 1e-6*float64(n)) && !(nonFinite(got) && nonFinite(s)) {
 			return false
 		}
 	}
@@ -428,7 +437,8 @@ func probeProductI(a, b, out fj.I64, n int64, seed uint64) bool {
 	return true
 }
 
-// probeDFT recomputes fjProbes frequency bins of the DFT directly.
+// probeDFT recomputes fjProbes frequency bins of the DFT directly, with
+// probeProductF's acceptance rule.
 func probeDFT(in []complex128, out fj.C128, seed uint64) bool {
 	n := int64(len(in))
 	if n == 0 {
@@ -442,7 +452,8 @@ func probeDFT(in []complex128, out fj.C128, seed uint64) bool {
 			ang := -2 * math.Pi * float64(k) * float64(j) / float64(n)
 			s += in[j] * complex(math.Cos(ang), math.Sin(ang))
 		}
-		if cmplx.Abs(out.Load(k)-s) > 1e-6*float64(n) {
+		got := out.Load(k)
+		if !(cmplx.Abs(got-s) <= 1e-6*float64(n)) && !(nonFiniteC(got) && nonFiniteC(s)) {
 			return false
 		}
 	}

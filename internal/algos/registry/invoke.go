@@ -274,7 +274,8 @@ var invocables = []Invocable{
 			nn := n * n
 			a := fj.WrapMatF64(in[:nn], n, n)
 			b := fj.WrapMatF64(in[nn:], n, n)
-			o := fj.WrapMatF64(out, n, n) // fresh (zeroed) — FJMul accumulates
+			o := fj.WrapMatF64(out, n, n)
+			clear(out) // FJMul accumulates (C += A·B) and out may be reused
 			matmul.FJMul(c, a.F64, b.F64, o.F64, o.Rows)
 		},
 		func(n int64, seed uint64) ([]int64, error) {

@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/fj"
@@ -175,4 +176,74 @@ func equalWords(a, b []int64) bool {
 		}
 	}
 	return true
+}
+
+// TestInvocableReusedBuffers pins the contract the zero-copy float adapters
+// rely on: Run defines every word of out whatever out held before (matmul
+// accumulates, so its adapter must clear it) and never writes in.  Every
+// kernel runs twice into the same out — the second time over its own first
+// result — and must verify both times with in bit-identical afterwards.
+func TestInvocableReusedBuffers(t *testing.T) {
+	pool := rt.NewPool(2, rt.Random)
+	t.Cleanup(pool.Close)
+	for _, k := range Invocables() {
+		n := int64(64)
+		if k.Name == "strassen" || k.Name == "matmul" {
+			n = 16
+		}
+		in, err := k.Gen(n, 5)
+		if err != nil {
+			t.Fatalf("%s: Gen: %v", k.Name, err)
+		}
+		orig := append([]int64(nil), in...)
+		out := make([]int64, k.OutLen(in))
+		for i := range out {
+			out[i] = int64(math.Float64bits(1e9)) // garbage a kernel must not build on
+		}
+		for round := 1; round <= 2; round++ {
+			fj.RunReal(pool, func(c *fj.Ctx) { k.Run(c, in, out) })
+			if !k.Verify(in, out) {
+				t.Errorf("%s: run %d into the same out fails verification", k.Name, round)
+			}
+			if !equalWords(in, orig) {
+				t.Fatalf("%s: run %d wrote its input", k.Name, round)
+			}
+		}
+	}
+}
+
+// TestFloatVerifiersRejectNaN: an all-NaN or a doubled output of the
+// tolerance-checked kernels must fail Verify on finite input (|out−want| >
+// tol is false for NaN, so the comparison has to be written the other way).
+func TestFloatVerifiersRejectNaN(t *testing.T) {
+	for _, name := range []string{"matmul", "fft"} {
+		k, _ := FindInvocable(name)
+		in, err := k.Gen(16, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := runInvocable(t, k, in)
+		if !k.Verify(in, out) {
+			t.Fatalf("%s: correct output fails verification", name)
+		}
+		nan := make([]int64, len(out))
+		doubled := make([]int64, len(out))
+		for i, w := range out {
+			nan[i] = int64(math.Float64bits(math.NaN()))
+			doubled[i] = int64(math.Float64bits(2 * math.Float64frombits(uint64(w))))
+		}
+		if k.Verify(in, nan) {
+			t.Errorf("%s: an all-NaN output verifies", name)
+		}
+		if k.Verify(in, doubled) {
+			t.Errorf("%s: a doubled output verifies", name)
+		}
+		// Non-finite input has no finite answer: it must still verify
+		// without panicking, and the kernel's own output must pass.
+		in[0] = int64(math.Float64bits(math.Inf(1)))
+		in[1] = int64(math.Float64bits(math.NaN()))
+		if out := runInvocable(t, k, in); !k.Verify(in, out) {
+			t.Errorf("%s: the kernel's output on NaN/Inf input fails verification", name)
+		}
+	}
 }

@@ -33,14 +33,43 @@ import (
 // dropped — its kernel never ran (see the check at the top of Service.run)
 // and there is nobody left to answer.
 //
+// Requests and responses of /invoke and /batch go through the codec of
+// wire.go and nothing else; errors, /metrics and /kernels are small and cold
+// and stay on encoding/json.  A request is
+//
+//	{"kernel": string, "input": [int64, ...], "n": int64, "seed": uint64, "verify": bool}
+//
+// with every member optional, in any order, white space anywhere JSON allows
+// it.  What is accepted is what json.Unmarshal into Request accepts: names
+// match case-folded, the last duplicate of a name wins, unknown members are
+// skipped but must be valid JSON, null leaves a scalar unset, and "input":[]
+// is an explicit empty payload where an absent or null "input" asks for the
+// seeded size-n one.  Numbers are JSON integers in their field's range: a
+// fraction, an exponent, a leading zero, a '+' or an out-of-range value is
+// 400, in "input" as in "n" and "seed".  Two things are stricter than the
+// json.Decoder this replaced: /invoke refuses anything but white space
+// after its one request object (the Decoder stopped reading there and
+// answered 200), and a null element of "input" is refused where
+// encoding/json kept whatever stood at that index.  /batch reads requests
+// back to back, separated by any white space or none.  A response is
+// byte for byte what json.Marshal of Response gives, plus a newline, and
+// /invoke sends it with a Content-Length.
+//
 // Request bodies are capped before decoding (maxBodyBytes, derived from
-// Config.MaxWords), so the word cap bounds memory and not just what runs.
+// Config.MaxWords), so the word cap bounds memory and not just what runs:
+// the body is read whole, once, into a buffer sized from Content-Length, and
+// its words are allocated once at their exact count.  Body and response
+// buffers are recycled through the service's bufList, which holds at most
+// maxFreeBufs buffers of at most maxFreeBufBytes each (32 MiB in all) for
+// the life of the service; a Request's Input and a Response's Output are
+// never part of one.
 //
 // With Config.RatePerSec set, /invoke and /batch are rate limited per
 // client (X-Client-ID header, falling back to the remote host) ahead of
 // admission: a client over its token bucket gets 429 with a Retry-After
 // derived from when the bucket next accrues what the request needs.  A
-// /batch request is charged one token per JSONL line.  Per-client counts
+// /batch request is charged one token per JSONL line, after the whole body
+// has been decoded, and is admitted or refused whole.  Per-client counts
 // appear on /metrics as "clients".
 //
 // A lone /invoke caller is paced: a request that finds no other /invoke in
@@ -170,6 +199,37 @@ func (s *Service) pace() {
 	s.lastLone.Store(slot)
 }
 
+// readBody reads a request body whole into a buffer from s.bufs, through
+// http.MaxBytesReader (so a body over the byte cap is cut off and answered
+// 413) and sized from Content-Length so that an honest client costs one
+// read-to-EOF and no regrowth.  The caller gives the buffer back, on errors
+// too.
+func (s *Service) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	limit := s.maxBodyBytes()
+	size := r.ContentLength
+	if size < 0 || size > limit {
+		size = 4 << 10 // undeclared, or a declared size the cap will refuse anyway
+	}
+	src := http.MaxBytesReader(w, r.Body, limit)
+	buf := s.bufs.get(int(size) + 1) // the spare byte lets the last Read see EOF
+	for {
+		if len(buf) == cap(buf) {
+			grown := s.bufs.get(2 * cap(buf))
+			grown = append(grown, buf...)
+			s.bufs.put(buf)
+			buf = grown
+		}
+		n, err := src.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+}
+
 func (s *Service) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	if !s.admitClient(w, r, 1) {
 		return
@@ -178,9 +238,13 @@ func (s *Service) handleInvoke(w http.ResponseWriter, r *http.Request) {
 		s.pace()
 	}
 	defer s.invoking.Add(-1)
+	body, err := s.readBody(w, r)
 	var req Request
-	body := http.MaxBytesReader(w, r.Body, s.maxBodyBytes())
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	if err == nil {
+		err = decodeOnly(body, &req)
+	}
+	s.bufs.put(body) // req holds no reference into it
+	if err != nil {
 		writeDecodeError(w, "bad JSON", err)
 		return
 	}
@@ -189,7 +253,11 @@ func (s *Service) handleInvoke(w http.ResponseWriter, r *http.Request) {
 		s.writeSubmitError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	out := appendResponse(s.bufs.get(responseBytes(resp.Kernel, len(resp.Output))), &resp)
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(out)))
+	w.Write(out) // a failed write means the client left; there is nobody to tell
+	s.bufs.put(out)
 }
 
 // batchError is the inline error line of the streaming /batch protocol:
@@ -207,34 +275,44 @@ type batchError struct {
 // is written; each line is flushed as it is sent, so a client sees early
 // completions while later requests are still running.
 func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBodyBytes()))
+	body, err := s.readBody(w, r)
 	var reqs []Request
-	for {
+	for i := skipSpace(body, 0); err == nil && i < len(body); i = skipSpace(body, i) {
 		var q Request
-		if err := dec.Decode(&q); err == io.EOF {
-			break
-		} else if err != nil {
-			writeDecodeError(w, "bad JSONL at request "+strconv.Itoa(len(reqs)+1), err)
-			return
+		var n int
+		if n, err = decodeRequest(body[i:], &q); err == nil {
+			reqs = append(reqs, q)
+			i += n
 		}
-		reqs = append(reqs, q)
+	}
+	s.bufs.put(body) // the decoded requests hold no reference into it
+	if err != nil {
+		writeDecodeError(w, "bad JSONL at request "+strconv.Itoa(len(reqs)+1), err)
+		return
 	}
 	if !s.admitClient(w, r, len(reqs)) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/jsonl")
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
+	errs := json.NewEncoder(w)
+	var line []byte // one buffer for every response line of the stream
 	for res := range s.SubmitBatch(r.Context(), reqs) {
 		if res.Err != nil {
-			enc.Encode(batchError{Index: res.Index, Error: res.Err.Error()})
+			errs.Encode(batchError{Index: res.Index, Error: res.Err.Error()})
 		} else {
-			enc.Encode(res.Resp)
+			if need := responseBytes(res.Resp.Kernel, len(res.Resp.Output)); cap(line) < need {
+				s.bufs.put(line)
+				line = s.bufs.get(need)
+			}
+			line = appendResponse(line[:0], &res.Resp)
+			w.Write(line)
 		}
 		if flusher != nil {
 			flusher.Flush()
 		}
 	}
+	s.bufs.put(line)
 }
 
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {

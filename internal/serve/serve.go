@@ -26,7 +26,8 @@
 // dropped without its kernel ever running.  Counters and latency quantiles
 // are exposed as JSON on /metrics (see Metrics); the HTTP surface (http.go)
 // also serves /invoke (single JSON request), /batch (JSONL stream), /kernels
-// and /healthz.
+// and /healthz.  Requests and responses cross the wire through the one-pass
+// word-array codec of wire.go, not encoding/json.
 //
 // cmd/hbpserve wraps the package as a server binary, cmd/hbpload drives it
 // with closed-loop load, and EXP16 (internal/bench) measures throughput and
@@ -152,6 +153,7 @@ type Service struct {
 	pool    *rt.Pool
 	met     *Metrics
 	limiter *multiLimiter // nil when Config.RatePerSec is 0
+	bufs    bufList       // recycled request-body and response buffers (wire.go)
 
 	// mu orders admission against Close: no root reaches the pool after
 	// Close has set closed, so the pool can be closed behind it.

@@ -454,6 +454,23 @@ func TestMalformedPayloads400(t *testing.T) {
 		{"negative n", `{"kernel":"sort","n":-5}`, http.StatusBadRequest},
 		{"oversized n", `{"kernel":"sort","n":99999999999}`, http.StatusBadRequest},
 		{"bad json", `{"kernel":`, http.StatusBadRequest},
+		// The edge is strict where the old Decoder was not, or where a
+		// hand-rolled scanner could drift (TestDecodeRequestGrammar has the
+		// full table; these go over the wire).
+		{"trailing junk", `{"kernel":"sort","input":[2,1]} trailing junk`, http.StatusBadRequest},
+		{"second request", `{"kernel":"sort","n":4}{"kernel":"sort","n":4}`, http.StatusBadRequest},
+		{"float word", `{"kernel":"sort","input":[1,2.5]}`, http.StatusBadRequest},
+		{"exponent word", `{"kernel":"sort","input":[1e3]}`, http.StatusBadRequest},
+		{"leading-zero word", `{"kernel":"sort","input":[007]}`, http.StatusBadRequest},
+		{"plus-signed word", `{"kernel":"sort","input":[+7]}`, http.StatusBadRequest},
+		{"word out of range", `{"kernel":"sort","input":[9223372036854775808]}`, http.StatusBadRequest},
+		{"null word", `{"kernel":"sort","input":[1,null]}`, http.StatusBadRequest},
+		{"float n", `{"kernel":"sort","n":4.0}`, http.StatusBadRequest},
+		{"n out of range", `{"kernel":"sort","n":9223372036854775808}`, http.StatusBadRequest},
+		{"negative seed", `{"kernel":"sort","n":4,"seed":-1}`, http.StatusBadRequest},
+		{"seed out of range", `{"kernel":"sort","n":4,"seed":18446744073709551616}`, http.StatusBadRequest},
+		{"invalid unknown member", `{"kernel":"sort","n":4,"note":[1,]}`, http.StatusBadRequest},
+		{"empty body", ``, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
