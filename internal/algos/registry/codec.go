@@ -8,14 +8,13 @@ package registry
 // (Float64bits round-trips every payload, NaNs included), so decode→encode
 // is byte-identity, which FuzzInvokeCodec pins for every kernel.  A shape
 // adds the kernel's geometry on top: word count, structural constraints,
-// and the input→output size map.  A new kernel therefore picks a codec,
-// picks (or writes) a shape, and supplies a run adapter — it never grows
-// another hand-written payload path.
+// and the input→output size map.  A new kernel therefore picks (or writes)
+// a shape and supplies a run adapter, whose element type picks the codec —
+// it never grows another hand-written payload path.
 
 import (
 	"fmt"
 	"math"
-	"unsafe"
 
 	"repro/internal/fj"
 )
@@ -36,21 +35,6 @@ type Codec struct {
 	RoundTrip func(w []int64) []int64
 }
 
-// viewWords reinterprets wire words in place as the elements they bit-encode
-// (T is float64, one word each, or complex128, re then im: Go lays a
-// complex128 out as exactly that pair).  Because the codecs are bit casts the
-// view IS the decoded payload, so the float kernels run on the request's own
-// words and write their output words directly; the copying functions below
-// stay as the reference RoundTrip compares against.  len(w) must be a
-// multiple of the element's word count.
-func viewWords[T float64 | complex128](w []int64) []T {
-	if len(w) == 0 {
-		return nil
-	}
-	var zero T
-	return unsafe.Slice((*T)(unsafe.Pointer(&w[0])), len(w)/int(unsafe.Sizeof(zero)/8))
-}
-
 var (
 	codecI64 = &Codec{Kind: "i64", WordsPerElem: 1,
 		RoundTrip: func(w []int64) []int64 { return append([]int64(nil), w...) }}
@@ -60,7 +44,21 @@ var (
 		RoundTrip: func(w []int64) []int64 { return c128ToWords(c128FromWords(w)) }}
 )
 
-// f64FromWords decodes IEEE-754 bit words into a fresh native slice.
+// codecOf returns the codec of element type T.
+func codecOf[T fj.Elem]() *Codec {
+	switch any(*new(T)).(type) {
+	case int64:
+		return codecI64
+	case float64:
+		return codecF64
+	}
+	return codecC128
+}
+
+// f64FromWords decodes IEEE-754 bit words into a fresh native slice.  The
+// kernels never call these four: they run on the wire words in place
+// (fj.WrapWords).  The copying conversions are the reference RoundTrip holds
+// that bit cast to.
 func f64FromWords(w []int64) []float64 {
 	out := make([]float64, len(w))
 	for i, x := range w {
@@ -98,20 +96,42 @@ func c128ToWords(v []complex128) []int64 {
 	return out
 }
 
-// shape describes one kernel's wire geometry.  The three fields become the
+// shape describes one kernel's wire geometry.  segs is how many equal
+// input segments the payload splits into — the operands of a binary kernel,
+// which each get their own view — and size accepts the request sizes n the
+// kernel's generator can build.  The other three fields become the
 // Invocable's Validate, OutLen and InWords verbatim: check accepts a
 // payload only if Run is panic-free on it, outWords derives the output
 // word count of an accepted payload, and inWords maps request size n to
 // payload words (saturating, so callers can cap before allocating).
 type shape struct {
+	segs     int
+	size     func(n int64) error
 	check    func(w []int64) error
 	outWords func(w []int64) int64
 	inWords  func(n int64) int64
 }
 
+// anySize accepts every nonnegative request size; pow2 is the check for
+// kernels whose recursion halves the named dimension.
+func anySize(n int64) error {
+	if n < 0 {
+		return fmt.Errorf("n = %d is negative", n)
+	}
+	return nil
+}
+
+func pow2(what string, n int64) error {
+	if n < 0 || n&(n-1) != 0 {
+		return fmt.Errorf("%s %d is not a power of two", what, n)
+	}
+	return nil
+}
+
 // flatShape accepts any word count; output is input-sized.  The geometry
 // of the flat-vector kernels (sort, sortx, scan).
 var flatShape = shape{
+	segs: 1, size: anySize,
 	check:    func([]int64) error { return nil },
 	outWords: func(w []int64) int64 { return int64(len(w)) },
 	inWords:  func(n int64) int64 { return n },
@@ -120,6 +140,7 @@ var flatShape = shape{
 // pairShape is gather's 2n geometry: n indices then n values, every index
 // below n (negative indices select the sentinel).
 var pairShape = shape{
+	segs: 2, size: anySize,
 	check: func(w []int64) error {
 		if len(w)%2 != 0 {
 			return fmt.Errorf("payload has %d words, want 2·n (indices then values)", len(w))
@@ -139,6 +160,7 @@ var pairShape = shape{
 // matPairShape is the 2n² geometry of the matrix products (strassen,
 // matmul): row-major A then B, n a power of two (both recursions halve).
 var matPairShape = shape{
+	segs: 2, size: func(n int64) error { return pow2("matrix dimension", n) },
 	check: func(w []int64) error {
 		_, err := matPairDim(int64(len(w)))
 		return err
@@ -150,6 +172,7 @@ var matPairShape = shape{
 // squareShape is transpose's n² geometry: one row-major square matrix of
 // any side.
 var squareShape = shape{
+	segs: 1, size: anySize,
 	check: func(w []int64) error {
 		_, err := squareDim(int64(len(w)), false)
 		return err
@@ -161,15 +184,12 @@ var squareShape = shape{
 // fftShape is 2n words of interleaved complex samples, n zero or a power
 // of two (the decimation recursion halves).
 var fftShape = shape{
+	segs: 1, size: func(n int64) error { return pow2("transform length", n) },
 	check: func(w []int64) error {
 		if len(w)%2 != 0 {
 			return fmt.Errorf("payload has %d words, want 2·n (re/im interleaved)", len(w))
 		}
-		n := int64(len(w) / 2)
-		if n&(n-1) != 0 {
-			return fmt.Errorf("transform length %d is not a power of two", n)
-		}
-		return nil
+		return pow2("transform length", int64(len(w)/2))
 	},
 	outWords: func(w []int64) int64 { return int64(len(w)) },
 	inWords:  func(n int64) int64 { return satMul(2, n) },
@@ -182,6 +202,7 @@ var fftShape = shape{
 // rounds regardless) but leave the ranks meaningless, so they are a shape
 // error, not a kernel bug.
 var listShape = shape{
+	segs: 1, size: anySize,
 	check:    validList,
 	outWords: func(w []int64) int64 { return int64(len(w)) },
 	inWords:  func(n int64) int64 { return n },
@@ -241,9 +262,9 @@ func listHead(w []int64) int64 {
 	return -1
 }
 
-// squareDim decodes the side of an n²-word square payload; pow2 demands a
-// power-of-two side on top.
-func squareDim(words int64, pow2 bool) (int64, error) {
+// squareDim decodes the side of an n²-word square payload; wantPow2 demands
+// a power-of-two side on top.
+func squareDim(words int64, wantPow2 bool) (int64, error) {
 	n := int64(0)
 	for n*n < words {
 		n++
@@ -251,8 +272,8 @@ func squareDim(words int64, pow2 bool) (int64, error) {
 	if n*n != words {
 		return 0, fmt.Errorf("payload of %d words is not a square matrix", words)
 	}
-	if pow2 && n&(n-1) != 0 {
-		return 0, fmt.Errorf("matrix dimension %d is not a power of two", n)
+	if wantPow2 {
+		return n, pow2("matrix dimension", n)
 	}
 	return n, nil
 }
@@ -274,54 +295,4 @@ func satMul(a, b int64) int64 {
 		return 1<<63 - 1
 	}
 	return a * b
-}
-
-// i64Invocable derives an Invocable through the I64 codec: the wire words
-// ARE the elements, so input and output wrap zero-copy via fj.WrapI64.
-func i64Invocable(name, desc, payload string, sh shape,
-	run func(c *fj.Ctx, in, out fj.I64),
-	gen func(n int64, seed uint64) ([]int64, error),
-	verify func(in, out []int64) bool) Invocable {
-	return Invocable{
-		Name: name, Desc: desc, Payload: payload, Codec: codecI64,
-		Validate: sh.check, OutLen: sh.outWords, InWords: sh.inWords,
-		Run: func(c *fj.Ctx, in, out []int64) {
-			run(c, fj.WrapI64(in), fj.WrapI64(out))
-		},
-		Gen: gen, Verify: verify,
-	}
-}
-
-// f64Invocable derives an Invocable through the F64 codec: wire words are
-// IEEE-754 bit patterns, which the kernel reads and writes in place through
-// viewWords.  run must not write in and must define every element of out
-// (out arrives with whatever its last use left in it).
-func f64Invocable(name, desc, payload string, sh shape,
-	run func(c *fj.Ctx, in, out []float64),
-	gen func(n int64, seed uint64) ([]int64, error),
-	verify func(in, out []int64) bool) Invocable {
-	return Invocable{
-		Name: name, Desc: desc, Payload: payload, Codec: codecF64,
-		Validate: sh.check, OutLen: sh.outWords, InWords: sh.inWords,
-		Run: func(c *fj.Ctx, in, out []int64) {
-			run(c, viewWords[float64](in), viewWords[float64](out))
-		},
-		Gen: gen, Verify: verify,
-	}
-}
-
-// c128Invocable derives an Invocable through the C128 codec: two wire
-// words per element (re bits, then im bits), viewed in place like F64.
-func c128Invocable(name, desc, payload string, sh shape,
-	run func(c *fj.Ctx, in, out []complex128),
-	gen func(n int64, seed uint64) ([]int64, error),
-	verify func(in, out []int64) bool) Invocable {
-	return Invocable{
-		Name: name, Desc: desc, Payload: payload, Codec: codecC128,
-		Validate: sh.check, OutLen: sh.outWords, InWords: sh.inWords,
-		Run: func(c *fj.Ctx, in, out []int64) {
-			run(c, viewWords[complex128](in), viewWords[complex128](out))
-		},
-		Gen: gen, Verify: verify,
-	}
 }

@@ -33,10 +33,13 @@ var degenerateSizes = map[string][]int64{
 // they happened to work, this keeps it that way), and the sizes straddling
 // the real leaf grain must keep the two lowerings byte-identical right
 // where the real backend switches between serial leaf and forked recursion.
+// Each size also goes through the kernel's served face — generate, validate,
+// Run into a fresh output, verify — which must agree word for word: the
+// n ∈ {0, 1} rows are the served kernels' degenerates.
 func TestDegenerateInputs(t *testing.T) {
 	const seed = 21
-	for _, k := range FJKernels() {
-		k := k
+	for _, e := range fjCatalog {
+		k, inv := e.fj, e.inv
 		t.Run(k.Name, func(t *testing.T) {
 			sizes, ok := degenerateSizes[k.Name]
 			if !ok {
@@ -64,6 +67,20 @@ func TestDegenerateInputs(t *testing.T) {
 				if got := rw.Output(); !wordsEqual(ref, got) {
 					t.Errorf("n=%d: real output differs from sim (%d vs %d words)",
 						n, len(got), len(ref))
+				}
+
+				// The served face on the same pool.
+				in, err := inv.Gen(n, seed)
+				if err != nil {
+					t.Fatalf("served as %s: Gen(%d): %v", inv.Name, n, err)
+				}
+				if err := inv.Validate(in); err != nil {
+					t.Fatalf("served as %s: generated payload rejected at n=%d: %v", inv.Name, n, err)
+				}
+				out := make([]int64, inv.OutLen(in))
+				fj.RunReal(pool, func(c *fj.Ctx) { inv.Run(c, in, out) })
+				if !inv.Verify(in, out) || !wordsEqual(ref, out) {
+					t.Errorf("served as %s: output at n=%d fails verification or differs from sim", inv.Name, n)
 				}
 			}
 		})

@@ -149,23 +149,6 @@ func TestInvocableGen(t *testing.T) {
 	}
 }
 
-// TestInvocableDegenerates runs every served kernel at n = 0 and n = 1
-// through the generator path.
-func TestInvocableDegenerates(t *testing.T) {
-	for _, k := range Invocables() {
-		for _, n := range []int64{0, 1} {
-			in, err := k.Gen(n, 3)
-			if err != nil {
-				t.Fatalf("%s: Gen(%d): %v", k.Name, n, err)
-			}
-			out := runInvocable(t, k, in)
-			if !k.Verify(in, out) {
-				t.Fatalf("%s: n=%d degenerate fails verification", k.Name, n)
-			}
-		}
-	}
-}
-
 func equalWords(a, b []int64) bool {
 	if len(a) != len(b) {
 		return false

@@ -13,26 +13,33 @@
 //     hand-shaped core.Node trees with the exact structural parameters
 //     (locals on the execution stack, up-tree layouts, gapping) the bound
 //     lemmas analyze.  Sim backend only.
-//   - fj-unified kernels (fj.go): one fork-join source per kernel, written
-//     against internal/fj and registered under BOTH backends — the sim
-//     lowering builds a core.Node tree for the simulated multicore, the
-//     real lowering schedules the identical source on internal/rt.  The
-//     cross-backend equality gate holds the two lowerings to byte-identical
-//     outputs.
+//   - fj-unified kernels (catalog.go): one fork-join source per kernel,
+//     written against internal/fj, and one table entry describing it —
+//     names, payload geometry, sizes, one seeded generator, one run adapter
+//     on fj views, one verifier.  Three faces are derived from each entry,
+//     once, at package init: an FJKernel whose Setup places the generated
+//     payload in a sim or a real fj.Env (registered under BOTH backends:
+//     the sim lowering builds a core.Node tree for the simulated
+//     multicore, the real lowering schedules the identical source on
+//     internal/rt); the SimKernel the simulator-side drivers sweep; and the
+//     Invocable (invoke.go) the kernel service calls by name on
+//     caller-supplied payloads.  The cross-backend equality gate holds the
+//     two lowerings to byte-identical outputs.
 //
 // All returns the union sorted by (name, backend), so listings and -canon
-// diffs are byte-stable.  Input generation is seeded (FillRand,
+// diffs are byte-stable; the union and every derived face are built once,
+// so a lookup allocates nothing.  Input generation is seeded (FillRand,
 // RandPermList, an LCG) so repeats are distinct yet reproducible; seed 0
 // reproduces the historical fixed inputs of the earliest experiments.
 package registry
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/mem"
-	"repro/internal/rt"
 )
 
 // Backend tags where a kernel runs.
@@ -66,62 +73,49 @@ type SimKernel struct {
 	Build func(m *machine.Machine, n int64, seed uint64) *core.Node
 }
 
-// RealWork is one prepared real-hardware kernel invocation: inputs are
-// built (and the result verified) outside the timed pool run.
-type RealWork struct {
-	Run    func(c *rt.Ctx)
-	Verify func() bool
-}
-
-// RealKernel is a real-hardware kernel on the internal/rt runtime.
-type RealKernel struct {
-	Name string
-	Desc string // one-line description for listings
-	// Size picks the problem size (quick vs full sweeps).
-	Size func(quick bool) int
-	// Setup builds seeded inputs and returns the timed work unit.
-	Setup func(n int, seed uint64) RealWork
-}
-
-// Kernel is one registry entry: a (name, backend) key plus the
-// backend-specific descriptor for that lowering.  FJ is non-nil on both
-// entries of an fj-unified kernel (the marker listings print), nil on the
+// Kernel is one registry entry: a (name, backend) key plus what that
+// lowering runs.  FJ is non-nil on both entries of an fj-unified kernel (the
+// marker listings print, and the real entry's whole descriptor), nil on the
 // hand-built Table-1 sim kernels.
 type Kernel struct {
 	Name    string
 	Backend Backend
 	Desc    string
-	Sim     *SimKernel  // non-nil iff Backend == Sim
-	Real    *RealKernel // non-nil iff Backend == Real
-	FJ      *FJKernel   // non-nil iff the entry is lowered from a unified fj source
+	Sim     *SimKernel // non-nil iff Backend == Sim
+	FJ      *FJKernel  // non-nil iff the entry is lowered from a unified fj source
+}
+
+// The catalog's read-only views, built once from simCatalog and fjCatalog.
+var (
+	all        []Kernel    // sorted by (name, backend)
+	invocables []Invocable // sorted by name
+)
+
+func init() {
+	for i := range simCatalog {
+		k := &simCatalog[i]
+		all = append(all, Kernel{Name: k.Name, Backend: Sim, Desc: k.Desc, Sim: k})
+	}
+	for _, e := range fjCatalog {
+		all = append(all,
+			Kernel{Name: e.fj.Name, Backend: Sim, Desc: e.fj.Desc, Sim: &e.sim, FJ: &e.fj},
+			Kernel{Name: e.fj.Name, Backend: Real, Desc: e.fj.Desc, FJ: &e.fj})
+		invocables = append(invocables, e.inv)
+	}
+	slices.SortFunc(all, func(a, b Kernel) int {
+		return cmp.Or(cmp.Compare(a.Name, b.Name), cmp.Compare(a.Backend, b.Backend))
+	})
+	slices.SortFunc(invocables, func(a, b Invocable) int { return cmp.Compare(a.Name, b.Name) })
 }
 
 // All returns every registered kernel — the Table-1 sim catalog plus both
 // lowerings of every fj-unified kernel — sorted by (name, backend) so the
 // listing order is deterministic and -canon comparisons stay byte-stable.
-func All() []Kernel {
-	var out []Kernel
-	for i := range simCatalog {
-		k := &simCatalog[i]
-		out = append(out, Kernel{Name: k.Name, Backend: Sim, Desc: k.Desc, Sim: k})
-	}
-	for i := range fjCatalog {
-		f := &fjCatalog[i]
-		out = append(out, Kernel{Name: f.Name, Backend: Sim, Desc: f.Desc, Sim: f.simKernel(), FJ: f})
-		out = append(out, Kernel{Name: f.Name, Backend: Real, Desc: f.Desc, Real: f.realKernel(), FJ: f})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
-		}
-		return out[i].Backend < out[j].Backend
-	})
-	return out
-}
+func All() []Kernel { return slices.Clone(all) }
 
 // Find returns the kernel registered under (name, backend).
 func Find(name string, b Backend) (Kernel, bool) {
-	for _, k := range All() {
+	for _, k := range all {
 		if k.Name == name && k.Backend == b {
 			return k, true
 		}
@@ -132,20 +126,16 @@ func Find(name string, b Backend) (Kernel, bool) {
 // SimKernels returns the hand-built Table-1 catalog in paper order (the
 // sweep set of the sim experiments and the analytical model; the fj sim
 // lowerings are additional sim entries reachable via All and Find).
-func SimKernels() []SimKernel { return append([]SimKernel(nil), simCatalog...) }
+func SimKernels() []SimKernel { return slices.Clone(simCatalog) }
 
-// RealKernels returns the real-hardware kernel suite in catalog order:
-// the real lowering of every fj-unified kernel.
-func RealKernels() []RealKernel {
-	out := make([]RealKernel, 0, len(fjCatalog))
-	for i := range fjCatalog {
-		out = append(out, *fjCatalog[i].realKernel())
+// FJKernels returns the fj-unified catalog in order.
+func FJKernels() []FJKernel {
+	out := make([]FJKernel, len(fjCatalog))
+	for i, e := range fjCatalog {
+		out[i] = e.fj
 	}
 	return out
 }
-
-// FJKernels returns the fj-unified catalog in order.
-func FJKernels() []FJKernel { return append([]FJKernel(nil), fjCatalog...) }
 
 // LCG is a tiny deterministic generator for reproducible inputs.
 type LCG uint64
@@ -164,26 +154,9 @@ func FillRand(a mem.Array, seed uint64, mod int64) {
 	}
 }
 
-// RandPermList builds the successor array of a random n-node linked list
-// (the list-ranking input): a uniformly seeded permutation chained head to
-// tail, with -1 terminating the last node.
+// RandPermList allocates the list-ranking input of permList in sp.
 func RandPermList(sp *mem.Space, n int64, seed uint64) mem.Array {
-	g := LCG(seed)
-	order := make([]int64, n)
-	for i := range order {
-		order[i] = int64(i)
-	}
-	for i := n - 1; i > 0; i-- {
-		j := g.Next() % (i + 1)
-		order[i], order[j] = order[j], order[i]
-	}
 	succ := mem.NewArray(sp, n)
-	for k := int64(0); k < n; k++ {
-		if k == n-1 {
-			succ.Set(order[k], -1)
-		} else {
-			succ.Set(order[k], order[k+1])
-		}
-	}
+	succ.CopyIn(permList(n, seed))
 	return succ
 }

@@ -3,6 +3,7 @@ package registry
 import (
 	"testing"
 
+	"repro/internal/fj"
 	"repro/internal/rt"
 )
 
@@ -19,11 +20,11 @@ func TestRegistryKeys(t *testing.T) {
 		}
 		switch k.Backend {
 		case Sim:
-			if k.Sim == nil || k.Real != nil {
+			if k.Sim == nil {
 				t.Errorf("%s: sim entry malformed", key)
 			}
 		case Real:
-			if k.Real == nil || k.Sim != nil {
+			if k.FJ == nil || k.Sim != nil {
 				t.Errorf("%s: real entry malformed", key)
 			}
 		default:
@@ -32,9 +33,6 @@ func TestRegistryKeys(t *testing.T) {
 	}
 	if len(SimKernels()) != 13 {
 		t.Errorf("sim catalog has %d kernels, want 13 (Table 1)", len(SimKernels()))
-	}
-	if len(RealKernels()) != 9 {
-		t.Errorf("real catalog has %d kernels, want 9", len(RealKernels()))
 	}
 	if len(FJKernels()) != 9 {
 		t.Errorf("fj catalog has %d kernels, want 9", len(FJKernels()))
@@ -66,7 +64,7 @@ func TestFind(t *testing.T) {
 	if k, ok := Find("FFT", Sim); !ok || k.Sim == nil {
 		t.Error("FFT/sim not found")
 	}
-	if k, ok := Find("fft", Real); !ok || k.Real == nil {
+	if k, ok := Find("fft", Real); !ok || k.FJ == nil {
 		t.Error("fft/real not found")
 	}
 	if _, ok := Find("FFT", Real); ok {
@@ -93,20 +91,39 @@ func TestSimCatalogShape(t *testing.T) {
 	}
 }
 
-// TestRealKernelsVerify runs every real kernel once at quick size on a
-// 2-worker pool and checks its own verifier passes.
+// TestRealKernelsVerify runs the real lowering of every fj kernel once at
+// quick size on a 2-worker pool and checks its own verifier passes.
 func TestRealKernelsVerify(t *testing.T) {
-	for _, k := range RealKernels() {
-		k := k
+	for _, k := range FJKernels() {
 		t.Run(k.Name, func(t *testing.T) {
 			n := k.Size(true)
-			work := k.Setup(n, 7)
+			work := k.Setup(fj.NewRealEnv(), int64(n), 7)
 			pool := rt.NewPool(2, rt.Random)
 			t.Cleanup(pool.Close)
-			pool.Run(work.Run)
+			fj.RunReal(pool, work.Root)
 			if !work.Verify() {
 				t.Errorf("%s: wrong result at n=%d", k.Name, n)
 			}
 		})
+	}
+}
+
+// TestLookupsAllocateNothing pins that the catalog's derived views are built
+// once: a lookup on the request path (FindInvocable, per /invoke) or in an
+// experiment loop (Find, per modelled kernel) must not rebuild them.
+func TestLookupsAllocateNothing(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() {
+		if _, ok := FindInvocable("transpose"); !ok {
+			t.Fatal("transpose not invocable")
+		}
+	}); n != 0 {
+		t.Errorf("FindInvocable allocates %v objects per lookup, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, ok := Find("transpose", Real); !ok {
+			t.Fatal("transpose/real not found")
+		}
+	}); n != 0 {
+		t.Errorf("Find allocates %v objects per lookup, want 0", n)
 	}
 }

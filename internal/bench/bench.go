@@ -195,7 +195,7 @@ func Experiments() []Experiment {
 		{"EXP13", "False-sharing layout sweep: padded vs compact runtime state", real, exp13Cells, exp13Finish, exp13Render},
 		{"EXP14", "Analytical model check: fitted bounds per kernel × sched × (n,p,B)", sim, exp14Cells, exp14Finish, exp14Render},
 		{"EXP15", "Sort critical path: spms c·lg n·lglg n vs sortx c·lg³ n", sim, exp15Cells, exp15Finish, exp15Render},
-		{"EXP16", "Kernel service: throughput and tail latency vs batch size", real, exp16Cells, exp16Finish, exp16Render},
+		{"EXP16", "Kernel service: throughput and tail latency vs offered load × pool size × submission mode", real, exp16Cells, exp16Finish, exp16Render},
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/algos/registry"
+	"repro/internal/fj"
 	"repro/internal/harness"
 	"repro/internal/rt"
 )
@@ -18,7 +19,9 @@ import (
 // paper's §4.7 discipline applied to the scheduler itself) or compact (all
 // workers' deque indices, counters and task frames packed so independent
 // writes share lines).  The sweep picks the catalog up from
-// registry.RealKernels, so kernels ported to fj join it automatically.
+// registry.FJKernels, so kernels ported to fj join it automatically, and
+// each cell runs what the service runs: the kernel's one run adapter on its
+// one generated payload, checked by its one verifier.
 // On a multi-core
 // machine the compact arm pays coherence traffic for every push, steal and
 // completion — the block-miss penalty the paper's lemmas bound,
@@ -52,7 +55,7 @@ func exp13Cells(p Params) []harness.Cell {
 	layouts := []rt.Layout{rt.LayoutPadded, rt.LayoutCompact}
 	var cells []harness.Cell
 	p.eachRepeat(func(rep int, seed uint64) {
-		for _, k := range registry.RealKernels() {
+		for _, k := range registry.FJKernels() {
 			for _, layout := range layouts {
 				for _, pr := range procs {
 					k, layout, pr := k, layout, pr
@@ -60,11 +63,11 @@ func exp13Cells(p Params) []harness.Cell {
 					cells = append(cells, harness.Cell{
 						Exp: "EXP13", Label: k.Name + "/" + layout.String(), Exclusive: true,
 						Run: func() []harness.Row {
-							work := k.Setup(n, seed)
+							work := k.Setup(fj.NewRealEnv(), int64(n), seed)
 							pool := rt.NewPoolLayout(pr, rt.Random, layout)
 							defer pool.Close()
 							start := time.Now() //lint:allow determinism wall-clock feeds WallNS and Volatile-row fields, all zeroed by Normalize for -canon
-							pool.Run(work.Run)
+							fj.RunReal(pool, work.Root)
 							el := time.Since(start)
 							return []harness.Row{{
 								Exp: "EXP13", Algo: k.Name, N: int64(n), P: pr,

@@ -18,9 +18,10 @@
 // parallelism — Fork/Join with a LIFO join discipline, Parallel, and a
 // binary-splitting parallel For — plus per-backend leaf cutoffs (Grain) so
 // that real execution keeps tight inner loops while the simulator still
-// observes a deep recursion.  Data lives in the typed views of view.go
-// (I64, F64, C128), allocated either up front through an Env or mid-run
-// through Ctx.AllocI64 and friends (per-core block-aligned allocations on the
+// observes a deep recursion.  Data lives in the typed views of view.go —
+// one generic View[T] over int64, float64 and complex128, named I64, F64 and
+// C128 — allocated either up front through an Env or mid-run through
+// Ctx.AllocI64 and friends (per-core block-aligned allocations on the
 // simulator, per-worker arena slabs on real hardware).
 //
 // Lowerings:

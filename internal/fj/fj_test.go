@@ -360,3 +360,58 @@ func TestViewWordsAgree(t *testing.T) {
 		}
 	}
 }
+
+// sliceBounds checks, for one element type, that Slice accepts and rejects
+// the same ranges on both backends — and, for the ranges it accepts, that the
+// sub-view is that window of its parent.  A real view is checked twice: as an
+// Env allocation, and as an arena slab, whose spare capacity a plain slice
+// expression would silently reach into.
+func sliceBounds[T Elem](t *testing.T, one T) {
+	t.Helper()
+	const n = 8
+	panics := func(v View[T], lo, hi int64) (p bool) {
+		defer func() { p = recover() != nil }()
+		v.Slice(lo, hi)
+		return false
+	}
+	check := func(backend string, v View[T]) {
+		for lo := int64(-1); lo <= n+1; lo++ {
+			for hi := int64(-1); hi <= n+1; hi++ {
+				want := lo < 0 || hi < lo || hi > n
+				if got := panics(v, lo, hi); got != want {
+					t.Errorf("%s %T: Slice(%d, %d) of %d elements: panicked = %v, want %v", backend, one, lo, hi, n, got, want)
+				}
+				if want {
+					continue
+				}
+				sub := v.Slice(lo, hi)
+				if sub.Len() != hi-lo {
+					t.Errorf("%s %T: Slice(%d, %d).Len() = %d", backend, one, lo, hi, sub.Len())
+				}
+				if lo < hi {
+					sub.Store(0, one)
+					if v.Load(lo) != one {
+						t.Errorf("%s %T: Slice(%d, %d) does not alias its parent", backend, one, lo, hi)
+					}
+					var zero T
+					sub.Store(0, zero)
+				}
+			}
+		}
+	}
+	check("sim", NewView[T](NewSimEnv(machine.New(machine.Default(1))), n))
+	check("real", NewView[T](NewRealEnv(), n))
+	pool := rt.NewPool(1, rt.Random)
+	t.Cleanup(pool.Close)
+	RunReal(pool, func(c *Ctx) {
+		v := scratch[T](c, n)
+		check("arena", v)
+		free(c, v)
+	})
+}
+
+func TestSliceBoundsAgreeAcrossBackends(t *testing.T) {
+	sliceBounds(t, int64(7))
+	sliceBounds(t, 2.5)
+	sliceBounds(t, complex(1.5, -2))
+}

@@ -1,12 +1,60 @@
 package fj
 
 import (
-	"fmt"
-	"math"
+	"unsafe"
 
+	"repro/internal/arena"
 	"repro/internal/machine"
 	"repro/internal/mem"
 )
+
+// Elem is the set of element types a view can hold.  Each is a whole number
+// of 8-byte memory words — one for int64 and float64 (stored as its IEEE-754
+// bits), two for complex128 (real part, then imaginary) — and that word
+// image is the only thing the two backends share: simulated memory holds
+// words, native memory holds the elements, and every conversion between
+// them is a bit cast.
+type Elem interface {
+	int64 | float64 | complex128
+}
+
+// View is a backend-neutral view of n elements of type T.  Get and Set go
+// through a Ctx and are charged on the simulator, one word access per word
+// of the element in ascending address order (so a complex128 Get charges
+// two reads — exactly the footprint the Table-1 FFT analysis assumes);
+// Load, Store, Words and CopyFrom bypass the charge model for setup,
+// verification and result extraction.
+type View[T Elem] struct {
+	s  []T       // real backing (nil under the simulator)
+	a  mem.Array // sim backing: the elements' words, element i first at word i·words[T]
+	ar bool      // s is an original arena allocation, returnable via free
+}
+
+// I64, F64 and C128 name the three instantiations kernel sources are
+// written against.
+type (
+	I64  = View[int64]
+	F64  = View[float64]
+	C128 = View[complex128]
+)
+
+// words is the number of memory words one T occupies.
+func words[T Elem]() int64 {
+	var x T
+	return int64(unsafe.Sizeof(x) / 8)
+}
+
+// wordsOf reinterprets the memory of s as the words it consists of (and
+// elemsOf the reverse): Go lays a float64 out as its IEEE-754 bits and a
+// complex128 as the pair (real, imag), which is the word image Elem
+// describes, so neither direction copies or converts anything.
+func wordsOf[T Elem](s []T) []int64 {
+	return unsafe.Slice((*int64)(unsafe.Pointer(unsafe.SliceData(s))), int64(len(s))*words[T]())
+}
+
+func elemsOf[T Elem](w []int64) []T {
+	return unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(w))), int64(len(w))/words[T]())
+}
 
 // Env allocates the typed views a kernel's inputs and outputs live in.  A
 // sim Env draws block-aligned arrays from the simulated machine's address
@@ -28,380 +76,220 @@ func (e *Env) Real() bool { return e.m == nil }
 // Machine returns the simulated machine (nil for a real Env).
 func (e *Env) Machine() *machine.Machine { return e.m }
 
-// I64 allocates an n-element int64 view.
-func (e *Env) I64(n int64) I64 {
+// NewView allocates a zeroed n-element view in e.
+func NewView[T Elem](e *Env, n int64) View[T] {
 	if e.m != nil {
-		return I64{a: mem.NewArray(e.m.Space, n)}
+		return View[T]{a: mem.NewArray(e.m.Space, n*words[T]())}
 	}
-	return I64{s: make([]int64, n)}
+	return View[T]{s: make([]T, n)}
 }
+
+// I64 allocates an n-element int64 view.
+func (e *Env) I64(n int64) I64 { return NewView[int64](e, n) }
 
 // F64 allocates an n-element float64 view.
-func (e *Env) F64(n int64) F64 {
-	if e.m != nil {
-		return F64{a: mem.NewArray(e.m.Space, n)}
-	}
-	return F64{s: make([]float64, n)}
-}
+func (e *Env) F64(n int64) F64 { return NewView[float64](e, n) }
 
 // C128 allocates an n-element complex128 view.
-func (e *Env) C128(n int64) C128 {
-	if e.m != nil {
-		return C128{a: mem.NewCArray(e.m.Space, n)}
+func (e *Env) C128(n int64) C128 { return NewView[complex128](e, n) }
+
+// ViewOf returns a view in e holding the elements whose word image is w
+// (len(w) a multiple of the element's word count).  A real Env wraps w
+// itself, like WrapWords; a sim Env stores the words, uncharged, into a
+// fresh block-aligned array.
+func ViewOf[T Elem](e *Env, w []int64) View[T] {
+	if e.m == nil {
+		return WrapWords[T](w)
 	}
-	return C128{s: make([]complex128, n)}
+	a := mem.NewArray(e.m.Space, int64(len(w)))
+	a.CopyIn(w)
+	return View[T]{a: a}
 }
 
-// WrapI64 wraps an existing native slice as a real-backend view without
-// copying — the entry point for callers (the kernel service) whose payloads
-// already live in Go memory.  The view shares s, so the caller sees every
-// write the kernel makes.  Wrapped views are real-backend only: they charge
-// nothing and cannot be used under the simulator.
-func WrapI64(s []int64) I64 { return I64{s: s} }
-
-// WrapF64 wraps an existing native float64 slice as a real-backend view
-// without copying (see WrapI64) — the serving layer's zero-copy path for
-// float-element kernels: the payload codec decodes IEEE-754 bit words into a
-// native slice once, and the kernel then runs directly on it.
-func WrapF64(s []float64) F64 { return F64{s: s} }
-
-// WrapC128 wraps an existing native complex128 slice as a real-backend view
-// without copying (see WrapI64).
-func WrapC128(s []complex128) C128 { return C128{s: s} }
-
-// MatF64 is a shape-carrying F64 view: the same flat row-major storage plus
-// the matrix geometry the flat view cannot express.  Kernel call sites that
-// take a matrix payload carve it with WrapMatF64 so the dimension travels
-// with the data instead of being re-derived (or mis-derived) at each layer.
-type MatF64 struct {
-	F64
-	Rows, Cols int64
-}
-
-// WrapMatF64 wraps native row-major storage as a rows×cols matrix view;
-// it panics unless len(s) == rows·cols.  Real-backend only, like WrapF64.
-func WrapMatF64(s []float64, rows, cols int64) MatF64 {
-	if int64(len(s)) != rows*cols {
-		panic(fmt.Sprintf("fj: WrapMatF64 storage has %d elements, want %d×%d", len(s), rows, cols))
+// wrap wraps an existing native slice as a real-backend view without
+// copying — the entry point for callers whose data already lives in Go
+// memory.  The view shares s, so the caller sees every write the kernel
+// makes.  Wrapped views are real-backend only: they charge nothing and
+// cannot be used under the simulator.
+func wrap[T Elem](s []T) View[T] {
+	if s == nil {
+		s = []T{} // a nil backing would read as a sim view
 	}
-	return MatF64{F64: F64{s: s}, Rows: rows, Cols: cols}
+	return View[T]{s: s}
 }
 
-// AllocI64 allocates an n-element zeroed int64 view mid-computation: a
+// WrapWords wraps the elements whose word image is w, in place: the serving
+// layer's zero-copy path.  A request's payload arrives as wire words, which
+// are that image, so the kernel runs on the request's own memory and writes
+// its output words directly.  len(w) must be a multiple of the element's
+// word count.
+func WrapWords[T Elem](w []int64) View[T] { return wrap(elemsOf[T](w)) }
+
+// WrapI64, WrapF64 and WrapC128 are wrap at the three element types.
+func WrapI64(s []int64) I64        { return wrap(s) }
+func WrapF64(s []float64) F64      { return wrap(s) }
+func WrapC128(s []complex128) C128 { return wrap(s) }
+
+// pool picks the shard's slab pool for T.
+func pool[T Elem](sh *arena.Shard) *arena.Pool[T] {
+	if p, ok := any(&sh.I64).(*arena.Pool[T]); ok {
+		return p
+	}
+	if p, ok := any(&sh.F64).(*arena.Pool[T]); ok {
+		return p
+	}
+	return any(&sh.C128).(*arena.Pool[T])
+}
+
+// scratch allocates an n-element view mid-computation whose contents are
+// unspecified — for scratch the caller fully writes before reading: a
 // charged, block-aligned allocation from the executing core's arena on the
 // simulator (the paper's allocation property: per-core allocations never
 // share a block), a recycled cache-line-aligned slab from the executing
-// worker's arena shard on real hardware.  Pair real allocations with
-// FreeI64 when the view is dead so the kernel's whole recursion reuses one
+// worker's arena shard on real hardware.  Pair real allocations with free
+// when the view is dead so the kernel's whole recursion reuses one
 // footprint; an unfreed view is merely garbage-collected like any slice.
-func (c *Ctx) AllocI64(n int64) I64 {
+func scratch[T Elem](c *Ctx, n int64) View[T] {
 	if c.sc != nil {
-		return I64{a: c.sc.AllocArray(n)}
+		return View[T]{a: c.sc.AllocArray(n * words[T]())}
 	}
-	s := c.rc.Scratch().I64.Get(n)
-	clear(s)
-	return I64{s: s, ar: true}
+	return View[T]{s: pool[T](c.rc.Scratch()).Get(n), ar: true}
 }
 
-// ScratchI64 allocates like AllocI64 but skips zeroing the slab on the real
-// backend — for scratch the caller fully writes before reading.  Identical
-// to AllocI64 under the simulator (same charge profile).
-func (c *Ctx) ScratchI64(n int64) I64 {
-	if c.sc != nil {
-		return I64{a: c.sc.AllocArray(n)}
-	}
-	return I64{s: c.rc.Scratch().I64.Get(n), ar: true}
+// alloc allocates like scratch and zeroes the view (the simulator's memory
+// is born zeroed, so the two have the same charge profile there).
+func alloc[T Elem](c *Ctx, n int64) View[T] {
+	v := scratch[T](c, n)
+	clear(v.s)
+	return v
 }
 
-// FreeI64 releases a view obtained from AllocI64/ScratchI64 back to the
-// executing worker's arena; the caller must not touch the view (or any
-// sub-view of it) afterwards, and must not free a view twice.  Views that
-// did not come from an arena Alloc — Env allocations, WrapI64 wrappings,
-// sub-views made by Slice — are silently left alone, so a Free can never
-// recycle memory the arena does not own.  No-op under the simulator.
-func (c *Ctx) FreeI64(v I64) {
+// free releases a view obtained from alloc/scratch back to the executing
+// worker's arena; the caller must not touch the view (or any sub-view of
+// it) afterwards, and must not free a view twice.  Views that did not come
+// from an arena allocation — Env allocations, Wrap* wrappings, sub-views
+// made by Slice — are silently left alone, so a free can never recycle
+// memory the arena does not own.  No-op under the simulator.
+func free[T Elem](c *Ctx, v View[T]) {
 	if !v.ar {
 		return
 	}
-	c.rc.Scratch().I64.Put(v.s)
+	pool[T](c.rc.Scratch()).Put(v.s)
 }
 
-// AllocF64 allocates an n-element zeroed float64 view mid-computation.
-func (c *Ctx) AllocF64(n int64) F64 {
-	if c.sc != nil {
-		return F64{a: c.sc.AllocArray(n)}
-	}
-	s := c.rc.Scratch().F64.Get(n)
-	clear(s)
-	return F64{s: s, ar: true}
-}
-
-// ScratchF64 is AllocF64 without the real-backend zeroing.
-func (c *Ctx) ScratchF64(n int64) F64 {
-	if c.sc != nil {
-		return F64{a: c.sc.AllocArray(n)}
-	}
-	return F64{s: c.rc.Scratch().F64.Get(n), ar: true}
-}
-
-// FreeF64 releases a view obtained from AllocF64/ScratchF64 (see FreeI64).
-func (c *Ctx) FreeF64(v F64) {
-	if !v.ar {
-		return
-	}
-	c.rc.Scratch().F64.Put(v.s)
-}
-
-// AllocC128 allocates an n-element zeroed complex128 view mid-computation.
-func (c *Ctx) AllocC128(n int64) C128 {
-	if c.sc != nil {
-		return C128{a: mem.CArray{Space: c.sc.Space(), Base: c.sc.Alloc(2 * n), N: n}}
-	}
-	s := c.rc.Scratch().C128.Get(n)
-	clear(s)
-	return C128{s: s, ar: true}
-}
-
-// ScratchC128 is AllocC128 without the real-backend zeroing.
-func (c *Ctx) ScratchC128(n int64) C128 {
-	if c.sc != nil {
-		return C128{a: mem.CArray{Space: c.sc.Space(), Base: c.sc.Alloc(2 * n), N: n}}
-	}
-	return C128{s: c.rc.Scratch().C128.Get(n), ar: true}
-}
-
-// FreeC128 releases a view obtained from AllocC128/ScratchC128 (see
-// FreeI64).
-func (c *Ctx) FreeC128(v C128) {
-	if !v.ar {
-		return
-	}
-	c.rc.Scratch().C128.Put(v.s)
-}
-
-// I64 is a backend-neutral view of n int64 elements.  Get and Set go through
-// a Ctx and are charged on the simulator; Load, Store and Words bypass the
-// charge model for setup, verification and result extraction.
-type I64 struct {
-	s  []int64   // real backing (nil under the simulator)
-	a  mem.Array // sim backing
-	ar bool      // s is an original arena allocation, returnable via FreeI64
-}
+// The methods kernel sources call: alloc (zeroed), scratch (unspecified
+// contents) and free at the three element types.
+func (c *Ctx) AllocI64(n int64) I64     { return alloc[int64](c, n) }
+func (c *Ctx) ScratchI64(n int64) I64   { return scratch[int64](c, n) }
+func (c *Ctx) FreeI64(v I64)            { free(c, v) }
+func (c *Ctx) AllocF64(n int64) F64     { return alloc[float64](c, n) }
+func (c *Ctx) ScratchF64(n int64) F64   { return scratch[float64](c, n) }
+func (c *Ctx) FreeF64(v F64)            { free(c, v) }
+func (c *Ctx) AllocC128(n int64) C128   { return alloc[complex128](c, n) }
+func (c *Ctx) ScratchC128(n int64) C128 { return scratch[complex128](c, n) }
+func (c *Ctx) FreeC128(v C128)          { free(c, v) }
 
 // Len returns the number of elements.
-func (v I64) Len() int64 {
+func (v View[T]) Len() int64 {
 	if v.s != nil {
 		return int64(len(v.s))
 	}
-	return v.a.Len()
+	return v.a.N / words[T]()
 }
 
-// Slice returns the sub-view [lo, hi).
-func (v I64) Slice(lo, hi int64) I64 {
+// Slice returns the sub-view [lo, hi).  An out-of-range slice panics on
+// both backends alike: a sim slice never silently aliases the adjacent
+// simulated allocation, and a real one never reaches into the spare
+// capacity of an arena slab (hence the capped slice expression).
+func (v View[T]) Slice(lo, hi int64) View[T] {
 	if v.s != nil {
-		return I64{s: v.s[lo:hi]}
+		return View[T]{s: v.s[lo:hi:len(v.s)]}
 	}
-	return I64{a: v.a.Slice(lo, hi)}
+	w := words[T]()
+	return View[T]{a: v.a.Slice(lo*w, hi*w)}
 }
 
-// Get reads element i (charged on the simulator).
-func (v I64) Get(c *Ctx, i int64) int64 {
+// Get reads element i (charged on the simulator).  Get and Set keep the
+// simulator's side in a function of its own so that the native side is small
+// enough to inline into a kernel's loop.
+func (v View[T]) Get(c *Ctx, i int64) T {
 	if v.s != nil {
 		return v.s[i]
 	}
-	return c.sc.R(v.a.Addr(i))
+	return v.simGet(c, i)
+}
+
+func (v View[T]) simGet(c *Ctx, i int64) T {
+	var x T
+	xw := wordsOf(unsafe.Slice(&x, 1))
+	for k := range xw {
+		xw[k] = c.sc.R(v.a.Addr(i*words[T]() + int64(k)))
+	}
+	return x
 }
 
 // Set writes element i (charged on the simulator).
-func (v I64) Set(c *Ctx, i int64, x int64) {
+func (v View[T]) Set(c *Ctx, i int64, x T) {
 	if v.s != nil {
 		v.s[i] = x
 		return
 	}
-	c.sc.W(v.a.Addr(i), x)
+	v.simSet(c, i, x)
+}
+
+func (v View[T]) simSet(c *Ctx, i int64, x T) {
+	for k, w := range wordsOf(unsafe.Slice(&x, 1)) {
+		c.sc.W(v.a.Addr(i*words[T]()+int64(k)), w)
+	}
 }
 
 // Raw returns the native backing slice on the real backend and nil under the
 // simulator — the leaf-cutoff escape hatch: a leaf that got a non-nil Raw may
 // run its inner loop directly on the slice, and must fall back to charged
 // Get/Set otherwise.
-func (v I64) Raw() []int64 { return v.s }
+func (v View[T]) Raw() []T { return v.s }
 
 // Load reads element i without charging the simulation.
-func (v I64) Load(i int64) int64 {
+func (v View[T]) Load(i int64) T {
 	if v.s != nil {
 		return v.s[i]
 	}
-	return v.a.Get(i)
+	var x T
+	xw := wordsOf(unsafe.Slice(&x, 1))
+	for k := range xw {
+		xw[k] = v.a.Get(i*words[T]() + int64(k))
+	}
+	return x
 }
 
 // Store writes element i without charging the simulation.
-func (v I64) Store(i int64, x int64) {
+func (v View[T]) Store(i int64, x T) {
 	if v.s != nil {
 		v.s[i] = x
 		return
 	}
-	v.a.Set(i, x)
+	for k, w := range wordsOf(unsafe.Slice(&x, 1)) {
+		v.a.Set(i*words[T]()+int64(k), w)
+	}
 }
 
-// Words dumps the view as raw memory words, the canonical form the
-// cross-backend equality gate compares byte for byte.
-func (v I64) Words() []int64 {
+// Words dumps the view's word image, the canonical form the cross-backend
+// equality gate compares byte for byte — bit patterns, so equality of
+// floating-point outputs is exact, not an epsilon test.
+func (v View[T]) Words() []int64 {
 	if v.s != nil {
-		return append([]int64(nil), v.s...)
+		return append([]int64(nil), wordsOf(v.s)...)
 	}
 	return v.a.CopyOut()
 }
 
-// F64 is a backend-neutral view of n float64 elements (one word each on the
-// simulator, stored as IEEE-754 bits).
-type F64 struct {
-	s  []float64
-	a  mem.Array
-	ar bool // s is an original arena allocation, returnable via FreeF64
-}
-
-// Len returns the number of elements.
-func (v F64) Len() int64 {
+// CopyFrom copies src's elements into v (of the same length) without
+// charging the simulation: setup, like Store, for kernels that transform
+// in place and are handed a separate input.
+func (v View[T]) CopyFrom(src View[T]) {
 	if v.s != nil {
-		return int64(len(v.s))
-	}
-	return v.a.Len()
-}
-
-// Slice returns the sub-view [lo, hi).
-func (v F64) Slice(lo, hi int64) F64 {
-	if v.s != nil {
-		return F64{s: v.s[lo:hi]}
-	}
-	return F64{a: v.a.Slice(lo, hi)}
-}
-
-// Get reads element i (charged on the simulator).
-func (v F64) Get(c *Ctx, i int64) float64 {
-	if v.s != nil {
-		return v.s[i]
-	}
-	return c.sc.RF(v.a.Addr(i))
-}
-
-// Set writes element i (charged on the simulator).
-func (v F64) Set(c *Ctx, i int64, x float64) {
-	if v.s != nil {
-		v.s[i] = x
+		copy(v.s, src.s)
 		return
 	}
-	c.sc.WF(v.a.Addr(i), x)
-}
-
-// Raw returns the native backing slice on the real backend, nil on sim.
-func (v F64) Raw() []float64 { return v.s }
-
-// Load reads element i without charging the simulation.
-func (v F64) Load(i int64) float64 {
-	if v.s != nil {
-		return v.s[i]
-	}
-	return v.a.GetF(i)
-}
-
-// Store writes element i without charging the simulation.
-func (v F64) Store(i int64, x float64) {
-	if v.s != nil {
-		v.s[i] = x
-		return
-	}
-	v.a.SetF(i, x)
-}
-
-// Words dumps the view as raw memory words (IEEE-754 bit patterns), so
-// cross-backend equality is exact bit equality, not an epsilon test.
-func (v F64) Words() []int64 {
-	out := make([]int64, v.Len())
-	for i := range out {
-		out[i] = int64(math.Float64bits(v.Load(int64(i))))
-	}
-	return out
-}
-
-// C128 is a backend-neutral view of n complex128 elements; element i
-// occupies simulated words 2i (real part) and 2i+1 (imaginary part), so one
-// Get or Set charges two word accesses — exactly the footprint the Table-1
-// FFT analysis assumes.
-type C128 struct {
-	s  []complex128
-	a  mem.CArray
-	ar bool // s is an original arena allocation, returnable via FreeC128
-}
-
-// Len returns the number of complex elements.
-func (v C128) Len() int64 {
-	if v.s != nil {
-		return int64(len(v.s))
-	}
-	return v.a.Len()
-}
-
-// Slice returns the sub-view [lo, hi).
-func (v C128) Slice(lo, hi int64) C128 {
-	if v.s != nil {
-		return C128{s: v.s[lo:hi]}
-	}
-	// Validate like mem.Array.Slice does: an out-of-range sim slice must
-	// panic exactly where the native slice expression would, not silently
-	// alias the adjacent simulated allocation.
-	if lo < 0 || hi < lo || hi > v.a.N {
-		panic(fmt.Sprintf("fj: C128 slice [%d,%d) out of range [0,%d)", lo, hi, v.a.N))
-	}
-	return C128{a: mem.CArray{Space: v.a.Space, Base: v.a.Base + 2*lo, N: hi - lo}}
-}
-
-// Get reads element i (two charged word reads on the simulator).
-func (v C128) Get(c *Ctx, i int64) complex128 {
-	if v.s != nil {
-		return v.s[i]
-	}
-	return complex(c.sc.RF(v.a.ReAddr(i)), c.sc.RF(v.a.ImAddr(i)))
-}
-
-// Set writes element i (two charged word writes on the simulator).
-func (v C128) Set(c *Ctx, i int64, x complex128) {
-	if v.s != nil {
-		v.s[i] = x
-		return
-	}
-	c.sc.WF(v.a.ReAddr(i), real(x))
-	c.sc.WF(v.a.ImAddr(i), imag(x))
-}
-
-// Raw returns the native backing slice on the real backend, nil on sim.
-func (v C128) Raw() []complex128 { return v.s }
-
-// Load reads element i without charging the simulation.
-func (v C128) Load(i int64) complex128 {
-	if v.s != nil {
-		return v.s[i]
-	}
-	return v.a.Get(i)
-}
-
-// Store writes element i without charging the simulation.
-func (v C128) Store(i int64, x complex128) {
-	if v.s != nil {
-		v.s[i] = x
-		return
-	}
-	v.a.Set(i, x)
-}
-
-// Words dumps the view as raw memory words: 2i holds the real part's bits,
-// 2i+1 the imaginary part's.
-func (v C128) Words() []int64 {
-	out := make([]int64, 2*v.Len())
-	for i := int64(0); i < v.Len(); i++ {
-		x := v.Load(i)
-		out[2*i] = int64(math.Float64bits(real(x)))
-		out[2*i+1] = int64(math.Float64bits(imag(x)))
-	}
-	return out
+	v.a.CopyIn(src.a.CopyOut())
 }

@@ -30,10 +30,10 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
-// TestObserveBatch pins how the Snapshot fields that date from batching
+// TestSnapshotCountsRoots pins how the Snapshot fields that date from batching
 // read now that every request is its own root: Batches and BatchedRequests
 // both count roots started, MaxBatch is 1 once anything ran.
-func TestObserveBatch(t *testing.T) {
+func TestSnapshotCountsRoots(t *testing.T) {
 	var m Metrics
 	if s := m.Snapshot(); s.Batches != 0 || s.BatchedRequests != 0 || s.MaxBatch != 0 {
 		t.Errorf("idle snapshot %+v, want all batch fields 0", s)

@@ -1,13 +1,11 @@
 package serve
 
-// FuzzBatcher drives the service with fuzzed request sizes, arrival
+// FuzzService drives the service with fuzzed request sizes, arrival
 // orders/jitter, kernel interleavings and pool sizes, pinning the two
 // invariants every serving path depends on: every accepted request resolves
 // to exactly one response, and each response contains exactly that
 // request's output — concurrent roots share workers and arenas but no
-// words, so there is no cross-request bleed.  (The name is historical: it
-// was written against the batcher the service no longer has, and is kept so
-// the ids of the committed seeds stay stable.)
+// words, so there is no cross-request bleed.
 
 import (
 	"context"
@@ -57,7 +55,7 @@ func fuzzExpect(kernel string, in []int64) []int64 {
 	return out
 }
 
-func FuzzBatcher(f *testing.F) {
+func FuzzService(f *testing.F) {
 	// Seed corpus: request counts around the pool sizes, kernel
 	// alternation, empty payloads, a single request, and jittered arrivals.
 	// The two trailing arguments together pick the pool size, 1 to 4.

@@ -138,13 +138,12 @@ func genInput(t *testing.T, kernel string, i int) []int64 {
 	return in
 }
 
-// TestBatchedByteIdenticalToSerial is the headline end-to-end gate: for
+// TestConcurrentByteIdenticalToSerial is the headline end-to-end gate: for
 // every served kernel — all nine, float codecs included — eight concurrent
 // HTTP requests run as eight roots sharing one four-worker pool, and every
 // response's output is byte-identical to running that request alone on a
-// serial pool.  (The name predates one-request-one-root: it is the
-// concurrent == serial gate.)
-func TestBatchedByteIdenticalToSerial(t *testing.T) {
+// serial pool.
+func TestConcurrentByteIdenticalToSerial(t *testing.T) {
 	const width = 8
 	for _, k := range registry.Invocables() {
 		k := k

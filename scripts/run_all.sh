@@ -62,11 +62,11 @@ if [ "$MODE" != grid ]; then
     # backpressure, the streaming /batch protocol (first response while a
     # later request is still held), the small-not-behind-large gate and the
     # recycled wire buffers under concurrent /invoke + /batch; fuzz seed
-    # corpora run as ordinary test cases here, so every committed FuzzBatcher,
+    # corpora run as ordinary test cases here, so every committed FuzzService,
     # FuzzDecodeRequest (the wire codec against encoding/json), FuzzWireWords
     # and FuzzKWayMerge seed stays green (the spms corpus drives the k-way
     # merge on the real backend at p=4).
-    go test -race -run 'Test|FuzzBatcher|FuzzDecodeRequest|FuzzWireWords|FuzzKWayMerge' ./internal/serve/ ./internal/algos/spms/
+    go test -race -run 'Test|FuzzService|FuzzDecodeRequest|FuzzWireWords|FuzzKWayMerge' ./internal/serve/ ./internal/algos/spms/
 
     echo "== gate: -race over concurrently executing grid cells =="
     # A golden subset at -parallel 8 is the only place experiment cells run
