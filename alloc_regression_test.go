@@ -13,8 +13,8 @@ package repro
 // together a small, size-stable residue per sort.  The ceilings below sit
 // ~2× above the measured residue and ~10× below the pre-arena counts
 // (spms at 2^17 was ~1195 allocs / 1.88 MB per op before slab reuse).
-// TestInvokeAllocRegression, at the end, pins the service's HTTP edge the
-// same way.
+// TestKernelAllocRegression pins every catalog kernel the same way, and
+// TestInvokeAllocRegression, at the end, the service's HTTP edge.
 
 import (
 	"bytes"
@@ -25,6 +25,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/algos/registry"
 	"repro/internal/algos/sortx"
 	"repro/internal/algos/spms"
 	"repro/internal/arena"
@@ -91,6 +92,49 @@ func TestSortAllocRegression(t *testing.T) {
 			runtime.ReadMemStats(&m1)
 			if bytes := (m1.TotalAlloc - m0.TotalAlloc) / rounds; bytes > tc.maxBytes {
 				t.Errorf("steady-state bytes/op = %d, want <= %d", bytes, tc.maxBytes)
+			}
+		})
+	}
+}
+
+// TestKernelAllocRegression pins what one fj.RunReal of each served kernel,
+// at the size of its quick sweep, allocates on a warmed, reused pool.  What
+// is left once scratch comes from the arena and fork frames from the
+// workers' pools is one closure per Fork/Parallel/For call site executed —
+// so the count follows the number of forking recursion nodes, not the input
+// size: tens for the flat parallel maps, a few hundred for the recursions.
+// Before the fft got its table-driven real path it allocated closures at
+// every recursion node down to single elements: 131 081 objects a run at the
+// benchmark's n = 2¹⁶.
+func TestKernelAllocRegression(t *testing.T) {
+	budget := map[string]float64{
+		"scan": 64, "gather": 64, "listrank": 64,
+		"matmul": 600, "strassen": 600, "transpose": 600,
+		"fft": 1000,
+		// The sorts at 2¹⁶ keys; TestSortAllocRegression explains their counts.
+		"spms": 256, "sortx": 448,
+	}
+	pool := rt.NewPool(0, rt.Random)
+	t.Cleanup(pool.Close)
+	for _, k := range registry.FJKernels() {
+		t.Run(k.Name, func(t *testing.T) {
+			max, ok := budget[k.Name]
+			if !ok {
+				t.Fatal("no allocation budget for this kernel")
+			}
+			work := k.Setup(fj.NewRealEnv(), int64(k.Size(true)), 7)
+			run := func() { fj.RunReal(pool, work.Root) }
+			for i := 0; i < 3; i++ {
+				run()
+			}
+			if !work.Verify() {
+				t.Fatal("warmed run does not verify")
+			}
+			if arena.Poisoning {
+				t.Skip("allocation pins are for the non-instrumented build")
+			}
+			if allocs := testing.AllocsPerRun(5, run); allocs > max {
+				t.Errorf("steady-state allocs/run = %v, want <= %v", allocs, max)
 			}
 		})
 	}

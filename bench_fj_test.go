@@ -1,7 +1,7 @@
 package repro
 
-// Go benchmarks of the fj real lowering — matmul and both sort kernels at one
-// size each, on a reused pool — for measuring while working on a kernel
+// Go benchmarks of the fj real lowering — matmul, strassen, fft, gather,
+// listrank and both sort kernels at one size each, on a reused pool — for measuring while working on a kernel
 // (-benchmem shows the arena discipline in allocs/op).  The benchmark smoke
 // gate of scripts/run_all.sh runs each for one iteration.  The repository's
 // performance record is benchmark/ (kernels_direct against stock Go), not
@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/algos/matmul"
+	"repro/internal/algos/registry"
 	"repro/internal/algos/sortx"
 	"repro/internal/algos/spms"
 	"repro/internal/fj"
@@ -90,3 +91,29 @@ func BenchmarkRealSortSPMSFJ(b *testing.B) {
 		fj.RunReal(pool, func(c *fj.Ctx) { spms.FJSort(c, data) })
 	}
 }
+
+// benchKernel times the named catalog kernel's real lowering at size n on
+// the catalog's own seeded payload (what kernels_direct and the service run).
+func benchKernel(b *testing.B, name string, n int64) {
+	for _, k := range registry.FJKernels() {
+		if k.Name != name {
+			continue
+		}
+		work := k.Setup(fj.NewRealEnv(), n, 3)
+		pool := rt.NewPool(0, rt.Random)
+		b.Cleanup(pool.Close)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			fj.RunReal(pool, work.Root)
+		}
+		return
+	}
+	b.Fatalf("no fj kernel %q", name)
+}
+
+// The four kernels whose real leaves run on native slices, at the sizes the
+// repository's benchmark uses.
+func BenchmarkRealStrassenFJ(b *testing.B) { benchKernel(b, "strassen", 256) }
+func BenchmarkRealFFTFJ(b *testing.B)      { benchKernel(b, "fft", 1<<16) }
+func BenchmarkRealGatherFJ(b *testing.B)   { benchKernel(b, "gather", 1<<20) }
+func BenchmarkRealListrankFJ(b *testing.B) { benchKernel(b, "listrank", 1<<15) }

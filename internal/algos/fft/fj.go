@@ -4,24 +4,54 @@ package fft
 // complex128 written once against internal/fj.  The two half-size transforms
 // recurse as parallel tasks into disjoint halves of the destination (limited
 // access: each slot is written once per level) and the butterfly combine is
-// a parallel loop.  Twiddles are computed on the fly.
+// a parallel loop.  Under the simulator the recursion goes down to single
+// elements and every butterfly computes its twiddle where it uses it; on
+// real hardware the recursion stops at an iterative leaf and twiddles come
+// from a table (the second half of this file).
 //
 // Cross-backend bit-identity: the recursion tree and the butterfly formulas
 // are identical at every node regardless of where parallelism stops — the
 // leaf cutoff only decides whether the two halves run as parallel tasks or
 // as serial calls — so the sim and real lowerings produce byte-identical
-// spectra even though their grains differ.
+// spectra even though their grains differ.  The real lowering keeps that
+// argument whole, in two steps.
+//
+// The table holds the formula's values.  A transform of size m multiplies
+// butterfly k by complex(cos(a_m·k), sin(a_m·k)), a_m = −2π/m in float64.
+// The root's table is tw[j] = complex(cos(a_n·j), sin(a_n·j)), and level m
+// reads tw[k·n/m].  n/m is a power of two, so a_n = a_m·(m/n) exactly
+// (dividing a float64 by a power of two only changes its exponent), and
+// a_n·(k·n/m) is the float64 nearest the same real number a_m·k is nearest:
+// the two angles are the same float64, and cos and sin of one argument give
+// one result (k = 0 included: the angle is −0 and the twiddle 1−0i on both
+// sides).
+//
+// The leaf performs the recursion's butterflies.  Unrolled to single
+// elements, the recursion puts src[sOff + stride·rev(j)] (rev reversing the
+// log₂ m bits of j) at dst[dOff+j] and then, for s = 2, 4, …, m, combines
+// each aligned s-block of dst with the size-s butterflies.  The leaf does
+// exactly that: the bit-reversed load, then one pass per s.  Every butterfly
+// has the operands and the twiddle it has in the recursion and butterflies
+// of one pass touch disjoint slots, so the spectra agree bit for bit at any
+// leaf size.
 
 import (
 	"math"
+	"math/bits"
+	"sync/atomic"
 
 	"repro/internal/fj"
 )
 
-// Per-backend transform sizes at or below which recursion runs serially.
+// Per-backend transform sizes at or below which recursion runs serially (on
+// real hardware: as the iterative leaf), and the leaf lengths of the
+// parallel copy and butterfly loops above them.
 const (
 	FJFFTGrainSim  = 8
 	FJFFTGrainReal = 256
+
+	copyGrainSim, copyGrainReal           = 16, 2048
+	butterflyGrainSim, butterflyGrainReal = 16, 512
 )
 
 // FJForward computes the in-place forward DFT of data.  data's length must
@@ -35,15 +65,20 @@ func FJForward(c *fj.Ctx, data fj.C128) {
 		return
 	}
 	src := c.ScratchC128(n) // the copy loop writes all n slots first
-	c.For(0, n, c.Grain(16, 2048), func(c *fj.Ctx, i int64) {
-		src.Set(c, i, data.Get(c, i))
-	})
-	fjRec(c, data, 0, src, 0, 1, n)
+	if data.Raw() != nil {
+		forwardReal(c, data.Raw(), src.Raw(), c.Grain(FJFFTGrainSim, FJFFTGrainReal))
+	} else {
+		c.For(0, n, c.Grain(copyGrainSim, copyGrainReal), func(c *fj.Ctx, i int64) {
+			src.Set(c, i, data.Get(c, i))
+		})
+		fjRec(c, data, 0, src, 0, 1, n)
+	}
 	c.FreeC128(src)
 }
 
 // fjRec writes into dst[dOff : dOff+n) the DFT of the n elements
-// src[sOff], src[sOff+stride], src[sOff+2·stride], …
+// src[sOff], src[sOff+stride], src[sOff+2·stride], … — the charged form; on
+// real hardware realFFT.rec takes its place.
 func fjRec(c *fj.Ctx, dst fj.C128, dOff int64, src fj.C128, sOff, stride, n int64) {
 	if n == 1 {
 		dst.Set(c, dOff, src.Get(c, sOff))
@@ -69,10 +104,122 @@ func fjRec(c *fj.Ctx, dst fj.C128, dOff int64, src fj.C128, sOff, stride, n int6
 		c.Op(1)
 	}
 	if parallel {
-		c.For(0, h, c.Grain(16, 512), body)
+		c.For(0, h, c.Grain(butterflyGrainSim, butterflyGrainReal), body)
 	} else {
 		for k := int64(0); k < h; k++ {
 			body(c, k)
+		}
+	}
+}
+
+// --- the real lowering ------------------------------------------------------
+
+// twiddleCacheMaxLog bounds the memory the process retains for twiddle
+// tables.  A table of a root size n ≤ 2^twiddleCacheMaxLog is built by the
+// first transform of that size, published once and kept: n/2 complex128, so
+// all twenty together hold 16·(2²⁰−1) bytes, under 16 MiB, however many
+// transforms run.  A larger root — the service's default payload cap,
+// serve.Config.MaxWords = 2²² words, admits n = 2²¹ — builds its table in
+// arena scratch and frees it with the call.  Nothing is built until a
+// transform asks.
+const twiddleCacheMaxLog = 20
+
+// twiddleCache[lg] is the published table of root size 2^lg, immutable once
+// stored.  Racing first transforms each build the table and one store wins;
+// the tables hold the same bits, so the losers just use their own.
+var twiddleCache [twiddleCacheMaxLog + 1]atomic.Pointer[[]complex128]
+
+// twiddles returns tw[j] = complex(cos(a·j), sin(a·j)), a = −2π/n, for
+// j < n/2 — everything a size-n transform and its sub-transforms index —
+// and, when the table is per-call scratch, the view to free after use (the
+// zero view otherwise, which FreeC128 ignores).
+func twiddles(c *fj.Ctx, n int64) ([]complex128, fj.C128) {
+	lg := bits.TrailingZeros64(uint64(n))
+	if lg > twiddleCacheMaxLog {
+		v := c.ScratchC128(n / 2)
+		fillTwiddles(c, v.Raw(), n)
+		return v.Raw(), v
+	}
+	if p := twiddleCache[lg].Load(); p != nil {
+		return *p, fj.C128{}
+	}
+	tw := make([]complex128, n/2)
+	fillTwiddles(c, tw, n)
+	twiddleCache[lg].CompareAndSwap(nil, &tw)
+	return tw, fj.C128{}
+}
+
+func fillTwiddles(c *fj.Ctx, tw []complex128, n int64) {
+	ang := -2 * math.Pi / float64(n)
+	c.ForRange(0, int64(len(tw)), c.Grain(copyGrainSim, copyGrainReal), func(_ *fj.Ctx, lo, hi int64) {
+		for j := lo; j < hi; j++ {
+			tw[j] = complex(math.Cos(ang*float64(j)), math.Sin(ang*float64(j)))
+		}
+	})
+}
+
+// realFFT is one real transform: dst receives the DFT of src, tw is the
+// size-n root's twiddle table, and transforms of at most leaf elements run
+// serially.
+type realFFT struct {
+	dst, src, tw []complex128
+	n, leaf      int64
+}
+
+// forwardReal is FJForward on native slices: data → src in parallel, then
+// the recursion back into data.
+func forwardReal(c *fj.Ctx, data, src []complex128, leaf int64) {
+	n := int64(len(data))
+	c.ForRange(0, n, c.Grain(copyGrainSim, copyGrainReal), func(_ *fj.Ctx, lo, hi int64) {
+		copy(src[lo:hi], data[lo:hi])
+	})
+	tw, scratch := twiddles(c, n)
+	r := &realFFT{dst: data, src: src, tw: tw, n: n, leaf: leaf}
+	r.rec(c, 0, 0, 1, n)
+	c.FreeC128(scratch)
+}
+
+// rec is fjRec on native slices: the same two half-size tasks, then the
+// size-m butterflies as a parallel loop over table twiddles.
+func (r *realFFT) rec(c *fj.Ctx, dOff, sOff, stride, m int64) {
+	if m <= r.leaf {
+		r.leafDFT(dOff, sOff, stride, m)
+		return
+	}
+	h := m / 2
+	right := c.Fork(func(c *fj.Ctx) { r.rec(c, dOff+h, sOff+stride, 2*stride, h) })
+	r.rec(c, dOff, sOff, 2*stride, h)
+	c.Join(right)
+	c.ForRange(0, h, c.Grain(butterflyGrainSim, butterflyGrainReal), func(_ *fj.Ctx, lo, hi int64) {
+		r.butterflies(dOff, m, 1, lo, hi)
+	})
+}
+
+// leafDFT is the serial transform of m elements: the bit-reversed load, then
+// one pass of butterflies per block size.
+func (r *realFFT) leafDFT(dOff, sOff, stride, m int64) {
+	d := r.dst[dOff : dOff+m]
+	shift := 64 - uint(bits.TrailingZeros64(uint64(m)))
+	for j := range d {
+		d[j] = r.src[sOff+stride*int64(bits.Reverse64(uint64(j))>>shift)]
+	}
+	for s := int64(2); s <= m; s *= 2 {
+		r.butterflies(dOff, s, m/s, 0, s/2)
+	}
+}
+
+// butterflies combines slots k and k+s/2, lo ≤ k < hi, in each of the count
+// consecutive size-s blocks that start at dst[off].
+func (r *realFFT) butterflies(off, s, count, lo, hi int64) {
+	h, step := s/2, r.n/s
+	for ; count > 0; count, off = count-1, off+s {
+		even, odd := r.dst[off+lo:off+hi], r.dst[off+h+lo:off+h+hi]
+		odd = odd[:len(even)]
+		for i := range even {
+			t := r.tw[(lo+int64(i))*step] * odd[i]
+			e := even[i]
+			even[i] = e + t
+			odd[i] = e - t
 		}
 	}
 }

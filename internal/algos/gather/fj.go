@@ -18,15 +18,29 @@ const (
 )
 
 // FJGather computes out[i] = vals[idx[i]] for 0 ≤ i < idx.Len(), writing
-// sentinel where idx[i] < 0.
+// sentinel where idx[i] < 0.  A real leaf runs the map on the native slices;
+// a simulated one makes the same reads and writes through charged accesses.
 func FJGather(c *fj.Ctx, idx, vals, out fj.I64, sentinel int64) {
 	grain := c.Grain(FJGatherGrainSim, FJGatherGrainReal)
-	c.For(0, idx.Len(), grain, func(c *fj.Ctx, i int64) {
-		k := idx.Get(c, i)
-		v := sentinel
-		if k >= 0 {
-			v = vals.Get(c, k)
+	c.ForRange(0, idx.Len(), grain, func(c *fj.Ctx, lo, hi int64) {
+		if ix := idx.Raw(); ix != nil {
+			vs, os := vals.Raw(), out.Raw()[lo:hi]
+			for i, k := range ix[lo:hi] {
+				v := sentinel
+				if k >= 0 {
+					v = vs[k]
+				}
+				os[i] = v
+			}
+			return
 		}
-		out.Set(c, i, v)
+		for i := lo; i < hi; i++ {
+			k := idx.Get(c, i)
+			v := sentinel
+			if k >= 0 {
+				v = vals.Get(c, k)
+			}
+			out.Set(c, i, v)
+		}
 	})
 }

@@ -29,26 +29,55 @@ func FJRank(c *fj.Ctx, succ, rank fj.I64) {
 	nxt := c.ScratchI64(n)   // the init map below writes every slot
 	rank2 := c.ScratchI64(n) // each round fully writes the next generation
 	nxt2 := c.ScratchI64(n)
-	c.For(0, n, grain, func(c *fj.Ctx, i int64) {
-		s := succ.Get(c, i)
-		nxt.Set(c, i, s)
-		if s >= 0 {
-			rank.Set(c, i, 1)
-		} else {
-			rank.Set(c, i, 0)
+	c.ForRange(0, n, grain, func(c *fj.Ctx, lo, hi int64) {
+		if ss := succ.Raw(); ss != nil {
+			ns, rs := nxt.Raw()[lo:hi], rank.Raw()[lo:hi]
+			for i, s := range ss[lo:hi] {
+				ns[i] = s
+				if s >= 0 {
+					rs[i] = 1
+				} else {
+					rs[i] = 0
+				}
+			}
+			return
+		}
+		for i := lo; i < hi; i++ {
+			s := succ.Get(c, i)
+			nxt.Set(c, i, s)
+			if s >= 0 {
+				rank.Set(c, i, 1)
+			} else {
+				rank.Set(c, i, 0)
+			}
 		}
 	})
 	curR, curS, nextR, nextS := rank, nxt, rank2, nxt2
 	rounds := 0
 	for span := int64(1); span < n; span *= 2 {
-		c.For(0, n, grain, func(c *fj.Ctx, i int64) {
-			r, s := curR.Get(c, i), curS.Get(c, i)
-			if s >= 0 {
-				r += curR.Get(c, s)
-				s = curS.Get(c, s)
+		c.ForRange(0, n, grain, func(c *fj.Ctx, lo, hi int64) {
+			if cr := curR.Raw(); cr != nil {
+				cs, nr, ns := curS.Raw(), nextR.Raw()[lo:hi], nextS.Raw()[lo:hi]
+				for i, s := range cs[lo:hi] {
+					r := cr[lo+int64(i)]
+					if s >= 0 {
+						r += cr[s]
+						s = cs[s]
+					}
+					nr[i] = r
+					ns[i] = s
+				}
+				return
 			}
-			nextR.Set(c, i, r)
-			nextS.Set(c, i, s)
+			for i := lo; i < hi; i++ {
+				r, s := curR.Get(c, i), curS.Get(c, i)
+				if s >= 0 {
+					r += curR.Get(c, s)
+					s = curS.Get(c, s)
+				}
+				nextR.Set(c, i, r)
+				nextS.Set(c, i, s)
+			}
 		})
 		curR, curS, nextR, nextS = nextR, nextS, curR, curS
 		rounds++
@@ -56,8 +85,14 @@ func FJRank(c *fj.Ctx, succ, rank fj.I64) {
 	// The ping-pong leaves the final generation in rank itself after an even
 	// number of rounds; after an odd number it sits in the scratch buffer.
 	if rounds%2 == 1 {
-		c.For(0, n, grain, func(c *fj.Ctx, i int64) {
-			rank.Set(c, i, curR.Get(c, i))
+		c.ForRange(0, n, grain, func(c *fj.Ctx, lo, hi int64) {
+			if cr := curR.Raw(); cr != nil {
+				copy(rank.Raw()[lo:hi], cr[lo:hi])
+				return
+			}
+			for i := lo; i < hi; i++ {
+				rank.Set(c, i, curR.Get(c, i))
+			}
 		})
 	}
 	c.FreeI64(nxt)

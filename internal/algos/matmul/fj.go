@@ -10,13 +10,15 @@ package matmul
 // into out[i,j] individually, and the k-halves execute in ascending order at
 // every recursion level, so for each output element the floating-point
 // summation order is k = 0…n−1 regardless of the leaf cutoff — the sim and
-// real lowerings (whose grains differ) produce byte-identical results.
+// real lowerings (whose grains differ) produce byte-identical results.  The
+// real leaf is the 2×2 micro-kernel of leaf.go, which fuses two of those
+// additions per store without reordering them (the argument is there).
 
 import "repro/internal/fj"
 
 // Grains are the per-backend leaf side lengths: the simulator keeps the
-// recursion deep enough to observe, the real leaf is the register-blocked
-// triple loop of the hand-written kernel this source replaced.
+// recursion deep enough to observe, the real leaf is one call of the
+// register-blocked micro-kernel (MulLeaf).
 const (
 	GrainSim  = 4
 	GrainReal = 32
@@ -61,22 +63,13 @@ func fjMul(c *fj.Ctx, a, b, out fj.F64, ai, aj, bi, bj, oi, oj, m, n int64) {
 }
 
 // fjMulLeaf is the serial base case.  On the real backend it runs the
-// register-blocked triple loop on the native slices; under the simulator it
-// performs the identical accumulation through charged accesses.  Both add
-// products one at a time in (k-major per output element) ascending order.
+// register-blocked micro-kernel of leaf.go on the native slices; under the
+// simulator it performs the identical accumulation through charged accesses.
+// Both add products one at a time in (k-major per output element) ascending
+// order.
 func fjMulLeaf(c *fj.Ctx, a, b, out fj.F64, ai, aj, bi, bj, oi, oj, m, n int64) {
 	if as := a.Raw(); as != nil {
-		bs, os := b.Raw(), out.Raw()
-		for i := int64(0); i < m; i++ {
-			orow := os[(oi+i)*n+oj : (oi+i)*n+oj+m]
-			for k := int64(0); k < m; k++ {
-				av := as[(ai+i)*n+aj+k]
-				brow := bs[(bi+k)*n+bj : (bi+k)*n+bj+m]
-				for j, bv := range brow {
-					orow[j] += av * bv
-				}
-			}
-		}
+		MulLeaf(as[ai*n+aj:], b.Raw()[bi*n+bj:], out.Raw()[oi*n+oj:], n, n, n, m, false)
 		return
 	}
 	for i := int64(0); i < m; i++ {

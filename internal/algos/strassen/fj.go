@@ -4,14 +4,20 @@ package strassen
 // internal/fj.  As in the simulated Table-1 kernel, the seven recursive
 // products land in fresh subarrays (limited access) and run as parallel
 // tasks; quadrant extraction, the T/U operand sums and the final combine are
-// serial O(n²) passes dominated by the O(n^2.81) recursive work.
+// serial O(n²) passes dominated by the O(n^2.81) recursive work.  On real
+// hardware each of those passes is a loop (or row copies) over the native
+// slices and the base case is matmul's micro-kernel; under the simulator the
+// same reads and writes go through charged accesses.
 //
 // Elements are int64: Strassen's bracketing differs with the leaf cutoff,
 // and the sim and real grains differ, so exact integer arithmetic is what
 // makes the two lowerings byte-identical (the float kernel of this family is
 // matmul's Depth-n-MM, whose summation order is cutoff-invariant).
 
-import "repro/internal/fj"
+import (
+	"repro/internal/algos/matmul"
+	"repro/internal/fj"
+)
 
 // Per-backend leaf side lengths: below them the product is the classical
 // triple loop.  The real grain is 32 (not the 64 of the deleted
@@ -28,14 +34,20 @@ func FJMul(c *fj.Ctx, a, b, out fj.I64, n int64) {
 	if n&(n-1) != 0 {
 		panic("strassen: FJMul requires a power-of-two side")
 	}
-	p := fjMulRec(c, a, b, n)
+	if out.Raw() != nil {
+		fjMulRec(c, a, b, n, out) // the top level writes its quadrants into out
+		return
+	}
+	p := fjMulRec(c, a, b, n, fj.I64{})
 	copyAll(c, p, out)
 	c.FreeI64(p)
 }
 
-func fjMulRec(c *fj.Ctx, a, b fj.I64, n int64) fj.I64 {
+// fjMulRec returns a·b: in dst when that is a native view (the real top
+// level), in fresh scratch when it is the zero view.
+func fjMulRec(c *fj.Ctx, a, b fj.I64, n int64, dst fj.I64) fj.I64 {
 	if n <= c.Grain(FJGrainSim, FJGrainReal) {
-		return fjMulClassical(c, a, b, n)
+		return fjMulClassical(c, a, b, n, dst)
 	}
 	h := n / 2
 	a11, a12, a21, a22 := fjQuadrants(c, a, n)
@@ -63,9 +75,9 @@ func fjMulRec(c *fj.Ctx, a, b fj.I64, n int64) fj.I64 {
 	var hs [6]fj.Handle
 	for i := 1; i < 7; i++ {
 		i := i
-		hs[i-1] = c.Fork(func(c *fj.Ctx) { p[i] = fjMulRec(c, ops[i][0], ops[i][1], h) })
+		hs[i-1] = c.Fork(func(c *fj.Ctx) { p[i] = fjMulRec(c, ops[i][0], ops[i][1], h, fj.I64{}) })
 	}
-	p[0] = fjMulRec(c, ops[0][0], ops[0][1], h)
+	p[0] = fjMulRec(c, ops[0][0], ops[0][1], h, fj.I64{})
 	for i := 5; i >= 0; i-- { // LIFO joins, as the fj discipline requires
 		c.Join(hs[i])
 	}
@@ -74,7 +86,10 @@ func fjMulRec(c *fj.Ctx, a, b fj.I64, n int64) fj.I64 {
 		c.FreeI64(v)
 	}
 
-	out := c.ScratchI64(n * n) // the four writeQuads cover every element
+	out := dst
+	if out.Raw() == nil {
+		out = c.ScratchI64(n * n) // the four writeQuads cover every element
+	}
 	q := fjCombine4(c, p[0], p[3], p[4], p[6])
 	writeQuad(c, out, n, 0, 0, q) // c11 = p0+p3−p4+p6
 	c.FreeI64(q)
@@ -99,6 +114,17 @@ func fjQuadrants(c *fj.Ctx, m fj.I64, n int64) (q11, q12, q21, q22 fj.I64) {
 	h := n / 2
 	q11, q12 = c.ScratchI64(h*h), c.ScratchI64(h*h) // fully written below
 	q21, q22 = c.ScratchI64(h*h), c.ScratchI64(h*h)
+	if ms := m.Raw(); ms != nil {
+		r11, r12, r21, r22 := q11.Raw(), q12.Raw(), q21.Raw(), q22.Raw()
+		for i := int64(0); i < h; i++ {
+			top, bot := ms[i*n:(i+1)*n], ms[(i+h)*n:(i+h+1)*n]
+			copy(r11[i*h:(i+1)*h], top[:h])
+			copy(r12[i*h:(i+1)*h], top[h:])
+			copy(r21[i*h:(i+1)*h], bot[:h])
+			copy(r22[i*h:(i+1)*h], bot[h:])
+		}
+		return
+	}
 	for i := int64(0); i < h; i++ {
 		for j := int64(0); j < h; j++ {
 			q11.Set(c, i*h+j, m.Get(c, i*n+j))
@@ -112,6 +138,13 @@ func fjQuadrants(c *fj.Ctx, m fj.I64, n int64) (q11, q12, q21, q22 fj.I64) {
 
 func writeQuad(c *fj.Ctx, out fj.I64, n, ri, ci int64, q fj.I64) {
 	h := n / 2
+	if os := out.Raw(); os != nil {
+		qs := q.Raw()
+		for i := int64(0); i < h; i++ {
+			copy(os[(ri+i)*n+ci:(ri+i)*n+ci+h], qs[i*h:(i+1)*h])
+		}
+		return
+	}
 	for i := int64(0); i < h; i++ {
 		for j := int64(0); j < h; j++ {
 			out.Set(c, (ri+i)*n+ci+j, q.Get(c, i*h+j))
@@ -121,6 +154,13 @@ func writeQuad(c *fj.Ctx, out fj.I64, n, ri, ci int64, q fj.I64) {
 
 func fjAdd(c *fj.Ctx, a, b fj.I64) fj.I64 {
 	out := c.ScratchI64(a.Len())
+	if as := a.Raw(); as != nil {
+		bs, os := b.Raw()[:len(as)], out.Raw()[:len(as)]
+		for i, x := range as {
+			os[i] = x + bs[i]
+		}
+		return out
+	}
 	for i := int64(0); i < a.Len(); i++ {
 		out.Set(c, i, a.Get(c, i)+b.Get(c, i))
 	}
@@ -129,6 +169,13 @@ func fjAdd(c *fj.Ctx, a, b fj.I64) fj.I64 {
 
 func fjSub(c *fj.Ctx, a, b fj.I64) fj.I64 {
 	out := c.ScratchI64(a.Len())
+	if as := a.Raw(); as != nil {
+		bs, os := b.Raw()[:len(as)], out.Raw()[:len(as)]
+		for i, x := range as {
+			os[i] = x - bs[i]
+		}
+		return out
+	}
 	for i := int64(0); i < a.Len(); i++ {
 		out.Set(c, i, a.Get(c, i)-b.Get(c, i))
 	}
@@ -138,37 +185,41 @@ func fjSub(c *fj.Ctx, a, b fj.I64) fj.I64 {
 // fjCombine4 returns w+x−y+z elementwise.
 func fjCombine4(c *fj.Ctx, w, x, y, z fj.I64) fj.I64 {
 	out := c.ScratchI64(w.Len())
+	if ws := w.Raw(); ws != nil {
+		xs, ys, zs, os := x.Raw()[:len(ws)], y.Raw()[:len(ws)], z.Raw()[:len(ws)], out.Raw()[:len(ws)]
+		for i, v := range ws {
+			os[i] = v + xs[i] - ys[i] + zs[i]
+		}
+		return out
+	}
 	for i := int64(0); i < w.Len(); i++ {
 		out.Set(c, i, w.Get(c, i)+x.Get(c, i)-y.Get(c, i)+z.Get(c, i))
 	}
 	return out
 }
 
+// copyAll is the simulated top level's final pass (the real one writes its
+// quadrants into the destination directly).
 func copyAll(c *fj.Ctx, src, dst fj.I64) {
 	for i := int64(0); i < src.Len(); i++ {
 		dst.Set(c, i, src.Get(c, i))
 	}
 }
 
-// fjMulClassical is the serial base case: the triple loop on native slices
-// on the real backend, the identical loop through charged accesses under
-// the simulator.
-func fjMulClassical(c *fj.Ctx, a, b fj.I64, n int64) fj.I64 {
-	out := c.AllocI64(n * n) // Alloc, not Scratch: the triple loop += into it
+// fjMulClassical is the serial base case: matmul's micro-kernel on native
+// slices on the real backend — storing, not adding, each element's first
+// product, so the result needs no zeroing pass — and the plain triple loop
+// through charged accesses under the simulator.
+func fjMulClassical(c *fj.Ctx, a, b fj.I64, n int64, dst fj.I64) fj.I64 {
 	if as := a.Raw(); as != nil {
-		bs, os := b.Raw(), out.Raw()
-		for i := int64(0); i < n; i++ {
-			orow := os[i*n : (i+1)*n]
-			for k := int64(0); k < n; k++ {
-				av := as[i*n+k]
-				brow := bs[k*n : (k+1)*n]
-				for j, bv := range brow {
-					orow[j] += av * bv
-				}
-			}
+		out := dst
+		if out.Raw() == nil {
+			out = c.ScratchI64(n * n)
 		}
+		matmul.MulLeaf(as, b.Raw(), out.Raw(), n, n, n, n, true)
 		return out
 	}
+	out := c.AllocI64(n * n) // Alloc, not Scratch: the triple loop += into it
 	for i := int64(0); i < n; i++ {
 		for k := int64(0); k < n; k++ {
 			av := a.Get(c, i*n+k)

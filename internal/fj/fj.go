@@ -15,10 +15,11 @@
 // are no-ops under the simulator, whose charge profile they leave untouched.
 //
 // A computation is a function func(*Ctx).  Ctx offers structured fork-join
-// parallelism — Fork/Join with a LIFO join discipline, Parallel, and a
-// binary-splitting parallel For — plus per-backend leaf cutoffs (Grain) so
-// that real execution keeps tight inner loops while the simulator still
-// observes a deep recursion.  Data lives in the typed views of view.go —
+// parallelism — Fork/Join with a LIFO join discipline, Parallel, and the
+// binary-splitting parallel loops For (a body per index) and ForRange (a
+// body per leaf range) — plus per-backend leaf cutoffs (Grain) so that real
+// execution keeps tight inner loops while the simulator still observes a
+// deep recursion.  Data lives in the typed views of view.go —
 // one generic View[T] over int64, float64 and complex128, named I64, F64 and
 // C128 — allocated either up front through an Env or mid-run through
 // Ctx.AllocI64 and friends (per-core block-aligned allocations on the
@@ -40,6 +41,29 @@
 // violations.  Kernels that want bit-identical outputs across backends must
 // keep their floating-point reduction order independent of the leaf cutoff
 // (see internal/algos/matmul for the pattern).
+//
+// The leaf idiom.  What the paper's analysis and the simulator's counters
+// are about is the task tree and which task touches which word; how a
+// serial leaf indexes its memory is not part of either.  So a leaf is
+// written as ForRange (or the base case of a recursion) over
+//
+//	if raw := v.Raw(); raw != nil {
+//		// real: a tight loop (or copy) over the native slices
+//	} else {
+//		// sim: the same loop through charged v.Get / v.Set
+//	}
+//
+// Raw is nil exactly under the simulator, so the first branch runs at the
+// speed of plain Go and the second charges every access.  The two branches
+// must perform the same arithmetic on the same operands in the same order:
+// the simulated run is the model of the real one only if both compute the
+// same thing, and the cross-backend gate (TestCrossBackendEquality) compares
+// their outputs byte for byte — a reassociated float sum, a fused
+// multiply-add or a skipped ±0 in one branch fails it.  Restructuring that
+// keeps each element's operation sequence (blocking, unrolling, a table of
+// values the other branch computes in place) is free; anything else has to
+// be argued and pinned by a bit-identity test, as internal/algos/fft and
+// internal/algos/matmul do.
 package fj
 
 import (
@@ -134,14 +158,14 @@ func (c *Ctx) Parallel(a, b func(*Ctx)) {
 // serially in ascending order on the calling task.  The sim lowering splits
 // binarily (the balanced tree the depth measurements model); the real
 // lowering descends the left spine forking right halves from pooled frames
-// (forReal in scratch.go) — same leaves, same disjoint writes, no per-split
+// (splitReal in scratch.go) — same leaves, same disjoint writes, no per-split
 // allocation.
 func (c *Ctx) For(lo, hi, grain int64, body func(c *Ctx, i int64)) {
 	if grain < 1 {
 		grain = 1
 	}
 	if c.rc != nil {
-		c.forReal(lo, hi, grain, body)
+		c.splitReal(lo, hi, grain, body, nil)
 		return
 	}
 	if hi-lo <= grain {
@@ -154,5 +178,35 @@ func (c *Ctx) For(lo, hi, grain int64, body func(c *Ctx, i int64)) {
 	c.Parallel(
 		func(c *Ctx) { c.For(lo, mid, grain, body) },
 		func(c *Ctx) { c.For(mid, hi, grain, body) },
+	)
+}
+
+// ForRange is For with a range-bodied leaf: the same splitting of [lo, hi)
+// down to grain on both backends, but each leaf calls body(c, lo, hi) once
+// with its whole sub-range instead of once per index, so a real leaf pays
+// one indirect call per grain and can run a tight loop over native slices.
+// A body that loops "for i := lo; i < hi; i++" over charged Get/Set performs
+// exactly the access sequence the equivalent For would, under the identical
+// task tree — the simulator cannot tell the two apart.  An empty range calls
+// nothing.
+func (c *Ctx) ForRange(lo, hi, grain int64, body func(c *Ctx, lo, hi int64)) {
+	if hi <= lo {
+		return
+	}
+	if grain < 1 {
+		grain = 1
+	}
+	if c.rc != nil {
+		c.splitReal(lo, hi, grain, nil, body)
+		return
+	}
+	if hi-lo <= grain {
+		body(c, lo, hi)
+		return
+	}
+	mid := lo + (hi-lo)/2
+	c.Parallel(
+		func(c *Ctx) { c.ForRange(lo, mid, grain, body) },
+		func(c *Ctx) { c.ForRange(mid, hi, grain, body) },
 	)
 }

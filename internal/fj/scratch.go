@@ -38,14 +38,16 @@ func (c *Ctx) local() *wlocal {
 	return l
 }
 
-// frame is one pooled fork: either a plain task body (fn) or a For range
-// (lo/hi/grain/body).  invoke is the rt-shaped entry bound to this frame
-// once at construction, and ctx is the fj context the executing worker
-// fills in — both live here precisely so the fork path allocates nothing.
+// frame is one pooled fork: either a plain task body (fn) or a For/ForRange
+// range (lo/hi/grain with the per-index body or the per-range rbody).
+// invoke is the rt-shaped entry bound to this frame once at construction,
+// and ctx is the fj context the executing worker fills in — both live here
+// precisely so the fork path allocates nothing.
 type frame struct {
 	fn            func(*Ctx)
 	lo, hi, grain int64
 	body          func(*Ctx, int64)
+	rbody         func(*Ctx, int64, int64)
 	ctx           Ctx
 	invoke        func(*rt.Ctx)
 	next          *frame // free-list link, owner-only
@@ -57,7 +59,7 @@ func (fr *frame) run(rc *rt.Ctx) {
 		fr.fn(&fr.ctx)
 		return
 	}
-	fr.ctx.forReal(fr.lo, fr.hi, fr.grain, fr.body)
+	fr.ctx.splitReal(fr.lo, fr.hi, fr.grain, fr.body, fr.rbody)
 }
 
 // frame pops a free frame from the worker's pool (or builds one, binding
@@ -78,31 +80,36 @@ func (c *Ctx) frame() *frame {
 // release returns a joined frame to the executing worker's pool, dropping
 // the body references so the pool retains no caller state.
 func (c *Ctx) release(fr *frame) {
-	fr.fn, fr.body = nil, nil
+	fr.fn, fr.body, fr.rbody = nil, nil, nil
 	l := c.local()
 	fr.next = l.frames
 	l.frames = fr
 }
 
-// forReal is the real lowering of For: descend the left half iteratively,
-// forking each right half as one pooled frame, run the leftmost leaf
-// serially, then join in LIFO order.  The task set and every write are
-// identical to the sim lowering's binary split; only the shape of the spawn
-// bookkeeping differs (and it allocates nothing).  64 handles suffice: the
-// range halves at every step.
-func (c *Ctx) forReal(lo, hi, grain int64, body func(*Ctx, int64)) {
+// splitReal is the real lowering of For (body) and ForRange (rbody; exactly
+// one of the two is set): descend the left half iteratively, forking each
+// right half as one pooled frame, run the leftmost leaf serially — rbody
+// once over the whole leaf, or body once per index — then join in LIFO
+// order.  The task set and every write are identical to the sim lowering's
+// binary split; only the shape of the spawn bookkeeping differs (and it
+// allocates nothing).  64 handles suffice: the range halves at every step.
+func (c *Ctx) splitReal(lo, hi, grain int64, body func(*Ctx, int64), rbody func(*Ctx, int64, int64)) {
 	var hs [64]Handle
 	nh := 0
 	for hi-lo > grain {
 		mid := lo + (hi-lo)/2
 		fr := c.frame()
-		fr.lo, fr.hi, fr.grain, fr.body = mid, hi, grain, body
+		fr.lo, fr.hi, fr.grain, fr.body, fr.rbody = mid, hi, grain, body, rbody
 		hs[nh] = Handle{rh: c.rc.Fork(fr.invoke), fr: fr}
 		nh++
 		hi = mid
 	}
-	for i := lo; i < hi; i++ {
-		body(c, i)
+	if rbody != nil {
+		rbody(c, lo, hi)
+	} else {
+		for i := lo; i < hi; i++ {
+			body(c, i)
+		}
 	}
 	for nh > 0 {
 		nh--

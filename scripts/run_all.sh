@@ -50,7 +50,7 @@ if [ "$MODE" != grid ]; then
     # committed seed corpus (every kernel's payload codec round-trip) runs as
     # ordinary test cases under the detector.
     go test -race -run 'Test|FuzzInvokeCodec' ./internal/fj/ ./internal/arena/ ./internal/algos/registry/
-    go test -race -run 'TestSortAllocRegression' .
+    go test -race -run 'TestSortAllocRegression|TestKernelAllocRegression' .
 
     echo "== gate: -race over the simulated caches, coherence protocol and schedulers =="
     # FuzzSetMatchesReference's seeds replay the slab LRU against the
