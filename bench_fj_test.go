@@ -1,11 +1,12 @@
 package repro
 
-// Go benchmarks of the fj real lowering — matmul, strassen, fft, gather,
-// listrank and both sort kernels at one size each, on a reused pool — for measuring while working on a kernel
-// (-benchmem shows the arena discipline in allocs/op).  The benchmark smoke
-// gate of scripts/run_all.sh runs each for one iteration.  The repository's
+// Go benchmarks of the fj real lowering — all nine kernels at one size each,
+// on a reused pool — for measuring while working on a kernel (-benchmem
+// shows the arena discipline in allocs/op).  The benchmark smoke gate of
+// scripts/run_all.sh runs each for one iteration.  The repository's
 // performance record is benchmark/ (kernels_direct against stock Go), not
-// these.
+// these: a loop that reruns one kernel keeps its data in cache and its
+// branches learned, which kernels_direct's interleaving does not.
 
 import (
 	"testing"
@@ -111,9 +112,10 @@ func benchKernel(b *testing.B, name string, n int64) {
 	b.Fatalf("no fj kernel %q", name)
 }
 
-// The four kernels whose real leaves run on native slices, at the sizes the
-// repository's benchmark uses.
-func BenchmarkRealStrassenFJ(b *testing.B) { benchKernel(b, "strassen", 256) }
-func BenchmarkRealFFTFJ(b *testing.B)      { benchKernel(b, "fft", 1<<16) }
-func BenchmarkRealGatherFJ(b *testing.B)   { benchKernel(b, "gather", 1<<20) }
-func BenchmarkRealListrankFJ(b *testing.B) { benchKernel(b, "listrank", 1<<15) }
+// The other six kernels, at the sizes the repository's benchmark uses.
+func BenchmarkRealStrassenFJ(b *testing.B)  { benchKernel(b, "strassen", 256) }
+func BenchmarkRealFFTFJ(b *testing.B)       { benchKernel(b, "fft", 1<<16) }
+func BenchmarkRealGatherFJ(b *testing.B)    { benchKernel(b, "gather", 1<<20) }
+func BenchmarkRealListrankFJ(b *testing.B)  { benchKernel(b, "listrank", 1<<15) }
+func BenchmarkRealScanFJ(b *testing.B)      { benchKernel(b, "scan", 1<<21) }
+func BenchmarkRealTransposeFJ(b *testing.B) { benchKernel(b, "transpose", 1024) }

@@ -18,10 +18,13 @@ import "repro/internal/fj"
 
 // Grains are the per-backend leaf side lengths: the simulator keeps the
 // recursion deep enough to observe, the real leaf is one call of the
-// register-blocked micro-kernel (MulLeaf).
+// register-blocked micro-kernel (MulLeaf).  The real grain comes from a
+// sweep of {32, 64} on the repository's benchmark (kernels_direct, side
+// 256: p1/pn 5.4/2.8 ms at 32, 4.6/2.4 at 64, which still leaves 64 leaf
+// products); the table is in CHANGES.md, PR 23.
 const (
 	GrainSim  = 4
-	GrainReal = 32
+	GrainReal = 64
 )
 
 // FJMul computes out += a·b for n×n row-major matrices held in fj views.

@@ -12,21 +12,22 @@ import (
 
 // degenerateSizes is the boundary sweep per fj kernel: empty and
 // single-element inputs, the real-backend leaf grain (the largest size that
-// must NOT fork on hardware), and the first size past it.  Kernels with a
-// power-of-two shape constraint substitute grain and 2·grain for the
-// grain±1 pair.  Like eqSizes, every fj kernel must have an entry — a new
-// kernel without a boundary sweep fails the test, not silently skips it.
-var degenerateSizes = map[string][]int64{
-	"matmul":    {0, 1, 32, 64},     // power-of-two side; real grain 32
-	"strassen":  {0, 1, 32, 64},     // power-of-two side; real grain 32
-	"sortx":     {0, 1, 2048, 2049}, // real sort grain 2048
-	"spms":      {0, 1, 2048, 2049}, // real sort grain 2048
-	"scan":      {0, 1, 4096, 4097}, // real block grain 4096
-	"fft":       {0, 1, 256, 512},   // power-of-two length; real leaf 256
-	"transpose": {0, 1, 32, 33},     // real leaf area 1024 = 32²
-	"gather":    {0, 1, 2048, 2049}, // real map grain 2048
-	"listrank":  {0, 1, 2048, 2049}, // real map grain 2048
-}
+// must NOT fork on hardware, from realLeaf), and the first size past it.
+// Kernels with a power-of-two shape constraint substitute grain and 2·grain
+// for the grain±1 pair.  Like eqSizes, every fj kernel must have an entry —
+// a new kernel without a boundary sweep fails the test, not silently skips
+// it.
+var degenerateSizes = func() map[string][]int64 {
+	m := make(map[string][]int64, len(realLeaf))
+	for name, l := range realLeaf {
+		past := l.n + 1
+		if l.pow2 {
+			past = 2 * l.n
+		}
+		m[name] = []int64{0, 1, l.n, past}
+	}
+	return m
+}()
 
 // TestDegenerateInputs pins the boundary behavior of every fj kernel on
 // both backends: n = 0 and n = 1 must run (nothing covered them before —

@@ -1,8 +1,18 @@
 package registry
 
 import (
+	"math"
 	"testing"
 
+	"repro/internal/algos/fft"
+	"repro/internal/algos/gather"
+	"repro/internal/algos/listrank"
+	"repro/internal/algos/mat"
+	"repro/internal/algos/matmul"
+	"repro/internal/algos/scan"
+	"repro/internal/algos/sortx"
+	"repro/internal/algos/spms"
+	"repro/internal/algos/strassen"
 	"repro/internal/core"
 	"repro/internal/fj"
 	"repro/internal/machine"
@@ -10,22 +20,37 @@ import (
 	"repro/internal/sched"
 )
 
-// eqSizes picks the gate size per kernel: above the kernel's *real* leaf
+// realLeaf gives, per fj kernel, the largest size parameter its real
+// lowering still runs as one serial leaf — read off the kernel's exported
+// grain constant, so a re-tuned grain moves the gates below with it — and
+// whether the size parameter must be a power of two.
+var realLeaf = map[string]struct {
+	n    int64
+	pow2 bool
+}{
+	"matmul":    {matmul.GrainReal, true},
+	"strassen":  {strassen.FJGrainReal, true},
+	"sortx":     {sortx.FJSortGrainReal, false},
+	"spms":      {spms.FJSortGrainReal, false},
+	"scan":      {scan.FJPrefixGrainReal, false},
+	"fft":       {fft.FJFFTGrainReal, true},
+	"transpose": {int64(math.Sqrt(mat.FJTGrainReal)), false}, // the grain is a leaf area
+	"gather":    {gather.FJGatherGrainReal, false},
+	"listrank":  {listrank.FJRankGrainReal, false},
+}
+
+// eqSizes picks the gate size per kernel: twice the kernel's *real* leaf
 // grain, so the real lowering actually forks (TestCrossBackendEquality
 // asserts it does) while a simulated run at the same size stays affordable.
 // The registry's SimSizes are below these on purpose — they size hbptrace
 // defaults, not this gate.
-var eqSizes = map[string]int64{
-	"matmul":    64,      // real grain 32
-	"strassen":  64,      // real grain 32
-	"sortx":     1 << 12, // real sort grain 2048
-	"spms":      1 << 12, // real sort grain 2048
-	"scan":      1 << 13, // real block grain 4096
-	"fft":       512,     // real leaf 256
-	"transpose": 64,      // real leaf area 1024 = 32²
-	"gather":    1 << 12, // real map grain 2048
-	"listrank":  1 << 12, // real map grain 2048
-}
+var eqSizes = func() map[string]int64 {
+	m := make(map[string]int64, len(realLeaf))
+	for name, l := range realLeaf {
+		m[name] = 2 * l.n
+	}
+	return m
+}()
 
 // TestCrossBackendEquality is the single-source gate of the fj refactor:
 // every fj-unified kernel runs on seeded inputs through BOTH lowerings —

@@ -2,7 +2,10 @@
 // (internal/algos/sortx, internal/algos/spms) share: the output-rank dual
 // binary search their merge partitions cut with, the value-rank bounds the
 // k-way sample partition cuts with, the stable serial two-way and k-way
-// merges, and the leaf sort.  The two kernels must agree on one
+// merges, and the leaf sort.  RawMerge2 is the one native merge loop of the
+// real backend — MergeSerial's raw branch and spms's serial fold are both
+// calls to it — while the charged Get/Set loops of MergeSerial and MergeK
+// are what the simulator runs.  The two kernels must agree on one
 // tie-breaking convention (ties take from the earliest run) for their
 // splits and serial merges to compose; keeping a single copy here is what
 // guarantees they cannot drift — the duplicate-handling bug the positional
@@ -81,67 +84,77 @@ func SortLeaf(c *fj.Ctx, v fj.I64) {
 
 // radixSortI64 sorts s ascending with a least-significant-digit byte radix,
 // using tmp (len(tmp) ≥ len(s)) as the ping-pong scratch.  Keys are mapped
-// to unsigned order by flipping the sign bit.  All eight histograms are
-// built in one pass, and a digit position where every key shares one byte
-// value is skipped (its stable scatter would be the identity), so
-// small-range keys pay only for the digits that discriminate.
+// to unsigned order by flipping the sign bit.  One OR-of-XOR pass against
+// s[0] finds the bits in which any two keys differ, and only the bytes that
+// hold such a bit get a histogram and a scatter (a stable scatter on a byte
+// all keys share is the identity): 30-bit keys pay for four digits, counts
+// included, and all-equal keys for none.  Each digit counts into its own
+// 1 KB table in a loop of its own — measured faster than one pass filling
+// every live digit's table through a two-level index (CHANGES.md, PR 23).
 func radixSortI64(s, tmp []int64) {
-	var counts [8][256]int32
-	for _, x := range s {
-		u := uint64(x) ^ (1 << 63)
-		for b := 0; b < 8; b++ {
-			counts[b][(u>>(8*b))&0xFF]++
-		}
+	if len(s) < 2 {
+		return
 	}
-	n := int32(len(s))
+	var diff uint64
+	for _, x := range s {
+		diff |= uint64(x ^ s[0])
+	}
 	src, dst := s, tmp[:len(s)]
-	for b := 0; b < 8; b++ {
-		c := &counts[b]
-		skip := false
-		for _, v := range c {
-			if v == n {
-				skip = true
-				break
-			}
-		}
-		if skip {
+	for sh := 0; sh < 64; sh += 8 {
+		if diff>>sh&0xFF == 0 {
 			continue
+		}
+		var c [256]int32
+		for _, x := range src {
+			c[uint8((uint64(x)^(1<<63))>>sh)]++
 		}
 		var sum int32
 		for i := range c {
 			c[i], sum = sum, sum+c[i]
 		}
-		sh := 8 * b
 		for _, x := range src {
-			d := (uint64(x) ^ (1 << 63)) >> sh & 0xFF
+			d := uint8((uint64(x) ^ (1 << 63)) >> sh)
 			dst[c[d]] = x
 			c[d]++
 		}
 		src, dst = dst, src
 	}
-	if len(s) > 0 && &src[0] != &s[0] {
+	if &src[0] != &s[0] {
 		copy(s, src)
 	}
+}
+
+// RawMerge2 is the one native serial merge of the real backend: it merges
+// sorted a and b into out (len(out) = len(a)+len(b), out overlapping
+// neither) stably, ties taken from a.  The select and the cursor step are
+// written so the compiler emits conditional moves, not a branch on the
+// comparison — on random keys that branch mispredicts every other element —
+// and each inner stretch runs min(len(a)−i, len(b)−j) steps, in which
+// neither run can drain, so it carries no exhaustion test.
+func RawMerge2(a, b, out []int64) {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		o := out[i+j : i+j+min(len(a)-i, len(b)-j)]
+		for s := range o {
+			x, y := a[i], b[j]
+			v, t := y, 0
+			if x <= y {
+				v, t = x, 1
+			}
+			o[s] = v
+			i += t
+			j += 1 - t
+		}
+	}
+	copy(out[i+j:], a[i:])
+	copy(out[len(a)+j:], b[j:])
 }
 
 // MergeSerial merges sorted runs a and b into out serially and stably
 // (ties take from a first).
 func MergeSerial(c *fj.Ctx, a, b, out fj.I64) {
 	if as := a.Raw(); as != nil {
-		bs, os := b.Raw(), out.Raw()
-		i, j, k := 0, 0, 0
-		for i < len(as) && j < len(bs) {
-			if as[i] <= bs[j] {
-				os[k] = as[i]
-				i++
-			} else {
-				os[k] = bs[j]
-				j++
-			}
-			k++
-		}
-		copy(os[k:], as[i:])
-		copy(os[k+len(as)-i:], bs[j:])
+		RawMerge2(as, b.Raw(), out.Raw())
 		return
 	}
 	var i, j, k int64

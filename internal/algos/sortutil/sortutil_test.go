@@ -1,6 +1,7 @@
 package sortutil
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -170,7 +171,10 @@ func TestBoundsUnits(t *testing.T) {
 // the shapes that stress its machinery: random signed keys (every digit
 // live), a narrow range (most digit passes skipped), all-equal keys (every
 // pass skipped, output untouched in place), extreme values (the sign-bit
-// flip), and lengths straddling the pdqsort/radix switch.
+// flip), lengths straddling the pdqsort/radix switch, and the digit
+// selection itself — keys that differ in exactly one bit (each of the 64,
+// so each byte is the lone discriminating digit eight times over, and bit
+// 63 is the sign-bit-only case), and in the top byte only.
 func TestRadixSortI64(t *testing.T) {
 	gen := func(n int, f func(i uint64) int64) []int64 {
 		s := make([]int64, n)
@@ -196,6 +200,13 @@ func TestRadixSortI64(t *testing.T) {
 		"reversed":  gen(2048, func(i uint64) int64 { return 2048 - int64(i) }),
 		"negatives": gen(512, func(i uint64) int64 { return -int64(i * i) }),
 	}
+	const base = 0x0123456789ABCDEF // every byte nonzero, so a skipped digit is not a zero digit
+	for bit := 0; bit < 64; bit++ {
+		cases[fmt.Sprintf("onebit%02d", bit)] = gen(300, func(i uint64) int64 {
+			return base ^ int64(i*2654435761>>13&1)<<bit
+		})
+	}
+	cases["topbyte"] = gen(1000, func(i uint64) int64 { return base&(1<<56-1) | int64(i*2654435761>>7)<<56 })
 	for name, in := range cases {
 		got := slices.Clone(in)
 		want := slices.Clone(in)

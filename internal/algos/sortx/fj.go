@@ -15,10 +15,14 @@ import (
 )
 
 // Per-backend leaf cutoffs: run length at or below which a leaf sorts
-// serially, and combined length at or below which merges are serial.
+// serially, and combined length at or below which merges are serial.  The
+// real sort grain comes from a sweep of {2048, 4096, 8192} on the
+// repository's benchmark (kernels_direct, 2¹⁷ keys: p1/pn 3.6/2.0 ms,
+// 3.1/1.7, 2.8/1.55; 16 leaf sorts at 8192 — every level of binary merging
+// the radix leaf absorbs is a pass saved; CHANGES.md, PR 23).
 const (
 	FJSortGrainSim   = 16
-	FJSortGrainReal  = 2048
+	FJSortGrainReal  = 8192
 	FJMergeGrainSim  = 32
 	FJMergeGrainReal = 4096
 )
@@ -45,8 +49,12 @@ func fjSortRec(c *fj.Ctx, src, buf fj.I64, toBuf bool) {
 	if n <= c.Grain(FJSortGrainSim, FJSortGrainReal) {
 		sortutil.SortLeaf(c, src)
 		if toBuf {
-			for i := int64(0); i < n; i++ {
-				buf.Set(c, i, src.Get(c, i))
+			if ss := src.Raw(); ss != nil {
+				copy(buf.Raw(), ss)
+			} else {
+				for i := int64(0); i < n; i++ {
+					buf.Set(c, i, src.Get(c, i))
+				}
 			}
 		}
 		return

@@ -41,6 +41,8 @@
 package spms
 
 import (
+	"math/bits"
+
 	"repro/internal/algos/sortutil"
 	"repro/internal/fj"
 )
@@ -48,10 +50,13 @@ import (
 // Per-backend leaf cutoffs: run length at or below which a recursive sort
 // leaf runs serially, and combined length at or below which merges are
 // serial.  Simulator grains stay small so the model observes the recursion;
-// real grains amortize scheduling over tight loops.
+// real grains amortize scheduling over tight loops.  The real sort grain
+// comes from a sweep of {2048, 4096, 8192} on the repository's benchmark
+// (kernels_direct, 2¹⁷ keys: p1/pn 4.3/2.5 ms, 3.6/2.1, 3.85/2.25; 32 leaf
+// sorts at 4096; CHANGES.md, PR 23).
 const (
 	FJSortGrainSim   = 16
-	FJSortGrainReal  = 2048
+	FJSortGrainReal  = 4096
 	FJMergeGrainSim  = 24
 	FJMergeGrainReal = 4096
 )
@@ -204,9 +209,10 @@ func FJMergeK(c *fj.Ctx, runs []fj.I64, out fj.I64) {
 	if 4*k > m {
 		// Runs average under four elements — a sample would be most of the
 		// input itself, so the sample machinery cannot pay off.  Small
-		// shapes take the serial heap pass (2m charged depth beats the
-		// tree's per-level partition phases there); bigger ones fall back
-		// to the pairwise merge tree, which is always exact.
+		// shapes take the serial pass (under the simulator the heap's 2m
+		// charged depth beats the tree's per-level partition phases there);
+		// bigger ones fall back to the pairwise merge tree, which is always
+		// exact.
 		if m <= c.Grain(serialKMaxSim, FJMergeGrainReal) {
 			serialMergeK(c, runs, out)
 			return
@@ -333,174 +339,66 @@ func FJMergeK(c *fj.Ctx, runs []fj.I64, out fj.I64) {
 	c.FreeI64(cutm)
 }
 
-// serialFoldMaxK is the run count at or below which the serial merge keeps
-// the sortutil heap pass on the real backend; wider shapes fold pairwise.
-const serialFoldMaxK = 16
-
-// serialMergeK merges the runs into out serially.  The simulator always
-// takes the sortutil heap pass (its charge profile — one Get and one Set
-// per element — is the convention every depth measurement builds on).  The
-// real backend takes it only while the heap stays narrow: at large k the
-// heap costs log k branchy comparisons per element, and a pairwise fold
-// over the native slices — log k passes of tight streaming two-way merges —
-// is severalfold faster in wall-clock for the same comparison count.  Both
-// orders emit the identical word sequence (ties fold earliest-run-first,
-// matching the heap's convention), so the lowerings stay byte-identical.
+// serialMergeK merges the runs into out serially.  The simulator takes the
+// sortutil heap pass (its charge profile — one Get and one Set per element —
+// is the convention every depth measurement builds on); the real backend
+// folds the native slices pairwise.  Both emit the identical word sequence
+// (the fold merges neighbours, ties from the earlier run, which is the
+// heap's earliest-run-first convention), so the lowerings stay
+// byte-identical.
 func serialMergeK(c *fj.Ctx, runs []fj.I64, out fj.I64) {
-	if os := out.Raw(); os != nil && len(runs) > serialFoldMaxK {
-		kk := int64(len(runs))
-		cbuf := c.AllocRuns(kk)
-		nbuf := c.AllocRuns((kk + 3) / 4)
-		bufv := c.ScratchI64(int64(len(os))) // every level fully rewrites it
-		cur := cbuf[:0]
-		for _, r := range runs {
-			if r.Len() > 0 {
-				cur = append(cur, r)
-			}
-		}
-		// Ping-pong parity: aim the final 4-way pass at os so no closing
-		// copy is needed (out never overlaps the runs — every caller merges
-		// from one ping-pong array into the other).
-		passes := 0
-		for w := len(cur); w > 1; w = (w + 3) / 4 {
-			passes++
-		}
-		buf, other := bufv.Raw(), os
-		if passes%2 == 1 {
-			buf, other = os, bufv.Raw()
-		}
-		next := nbuf[:0]
-		for len(cur) > 1 {
-			next = next[:0]
-			pos := 0
-			for i := 0; i < len(cur); i += 4 {
-				j := min(i+4, len(cur))
-				n := 0
-				for _, r := range cur[i:j] {
-					n += int(r.Len())
-				}
-				dst := buf[pos : pos+n]
-				switch j - i {
-				case 1:
-					copy(dst, cur[i].Raw())
-				case 2:
-					rawMerge2(cur[i].Raw(), cur[i+1].Raw(), dst)
-				case 3:
-					rawMerge3(cur[i].Raw(), cur[i+1].Raw(), cur[i+2].Raw(), dst)
-				default:
-					rawMerge4(cur[i].Raw(), cur[i+1].Raw(), cur[i+2].Raw(), cur[i+3].Raw(), dst)
-				}
-				next = append(next, fj.WrapI64(dst))
-				pos += n
-			}
-			cur, next = next, cur[:0]
-			buf, other = other, buf
-		}
-		if len(cur) == 1 && &cur[0].Raw()[0] != &os[0] {
-			copy(os, cur[0].Raw())
-		}
-		c.FreeRuns(cbuf)
-		c.FreeRuns(nbuf)
-		c.FreeI64(bufv)
-		return
-	}
-	sortutil.MergeK(c, runs, out)
-}
-
-// rawMerge4 is the native four-way serial merge; ties emit from the
-// earliest-numbered run first, the k-way generalization of rawMerge2's
-// "ties take from a".  The hot loop runs while all four runs are nonempty
-// (strict < comparisons give the earlier run its tie priority); when one
-// drains, the tail degrades to the three-way merge.  Versus folding
-// pairwise, each element crosses memory once per 4-way pass instead of
-// twice — on the 1-CPU box the merge fold is traffic-bound, not
-// comparison-bound, so halving the passes is the win.
-func rawMerge4(s0, s1, s2, s3, out []int64) {
-	k := 0
-	for len(s0) > 0 && len(s1) > 0 && len(s2) > 0 && len(s3) > 0 {
-		v, src := s0[0], 0
-		if s1[0] < v {
-			v, src = s1[0], 1
-		}
-		if s2[0] < v {
-			v, src = s2[0], 2
-		}
-		if s3[0] < v {
-			v, src = s3[0], 3
-		}
-		out[k] = v
-		k++
-		switch src {
-		case 0:
-			s0 = s0[1:]
-		case 1:
-			s1 = s1[1:]
-		case 2:
-			s2 = s2[1:]
-		case 3:
-			s3 = s3[1:]
-		}
-	}
+	os := out.Raw()
 	switch {
-	case len(s0) == 0:
-		rawMerge3(s1, s2, s3, out[k:])
-	case len(s1) == 0:
-		rawMerge3(s0, s2, s3, out[k:])
-	case len(s2) == 0:
-		rawMerge3(s0, s1, s3, out[k:])
+	case len(os) == 0:
+		sortutil.MergeK(c, runs, out)
+	case len(runs) == 2:
+		sortutil.RawMerge2(runs[0].Raw(), runs[1].Raw(), os)
 	default:
-		rawMerge3(s0, s1, s2, out[k:])
+		serialFold(c, runs, os)
 	}
 }
 
-// rawMerge3 is the native three-way serial merge (ties earliest-run-first);
-// the tail after one run drains is rawMerge2.
-func rawMerge3(s0, s1, s2, out []int64) {
-	k := 0
-	for len(s0) > 0 && len(s1) > 0 && len(s2) > 0 {
-		v, src := s0[0], 0
-		if s1[0] < v {
-			v, src = s1[0], 1
-		}
-		if s2[0] < v {
-			v, src = s2[0], 2
-		}
-		out[k] = v
-		k++
-		switch src {
-		case 0:
-			s0 = s0[1:]
-		case 1:
-			s1 = s1[1:]
-		case 2:
-			s2 = s2[1:]
-		}
+// serialFold merges k ≥ 2 native runs (empty ones allowed) into os with
+// ⌈log₂ k⌉ passes of sortutil.RawMerge2 over neighbouring runs, ping-ponging
+// between os and one scratch buffer; an odd run out rides the same call with
+// an empty partner, a plain copy.  What was measured (8192 30-bit keys in k
+// equal runs, cache-warm, fresh keys every call): fold 36 µs at k = 3, 43 at
+// 4, 86 at 16, 110 at 32; the heap pass 138, 179, 317, 395 — so the real
+// backend keeps no heap path at any k.  Nor a wider merge to save passes: a
+// pass of RawMerge2 costs ~3 ns per element because nothing in it branches
+// on a key comparison, and a four-way select written with branches measured
+// 13 — two passes beat one.
+func serialFold(c *fj.Ctx, runs []fj.I64, os []int64) {
+	k := int64(len(runs))
+	cbuf, nbuf := c.AllocRuns(k), c.AllocRuns((k+1)/2)
+	bufv := c.ScratchI64(int64(len(os))) // every pass fully rewrites its target
+	// Ping-pong parity: aim the last pass at os so no closing copy is needed
+	// (os never overlaps the runs — every caller merges from one ping-pong
+	// array into the other).
+	into, other := os, bufv.Raw()
+	if bits.Len(uint(k-1))%2 == 0 {
+		into, other = other, into
 	}
-	switch {
-	case len(s0) == 0:
-		rawMerge2(s1, s2, out[k:])
-	case len(s1) == 0:
-		rawMerge2(s0, s2, out[k:])
-	default:
-		rawMerge2(s0, s1, out[k:])
-	}
-}
-
-// rawMerge2 is the native two-way serial merge (ties take from a first).
-func rawMerge2(a, b, out []int64) {
-	i, j, k := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] <= b[j] {
-			out[k] = a[i]
-			i++
-		} else {
-			out[k] = b[j]
-			j++
+	cur, next := append(cbuf[:0], runs...), nbuf[:0]
+	for len(cur) > 1 {
+		next = next[:0]
+		pos := 0
+		for i := 0; i < len(cur); i += 2 {
+			a, b := cur[i].Raw(), []int64(nil)
+			if i+1 < len(cur) {
+				b = cur[i+1].Raw()
+			}
+			dst := into[pos : pos+len(a)+len(b)]
+			sortutil.RawMerge2(a, b, dst)
+			next = append(next, fj.WrapI64(dst))
+			pos += len(dst)
 		}
-		k++
+		cur, next = next, cur
+		into, other = other, into
 	}
-	copy(out[k:], a[i:])
-	copy(out[k+len(a)-i:], b[j:])
+	c.FreeRuns(cbuf)
+	c.FreeRuns(nbuf)
+	c.FreeI64(bufv)
 }
 
 // fjSum reduces v[lo:hi) with a halving tree: O(log) critical path, so row

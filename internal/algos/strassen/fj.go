@@ -20,12 +20,14 @@ import (
 )
 
 // Per-backend leaf side lengths: below them the product is the classical
-// triple loop.  The real grain is 32 (not the 64 of the deleted
-// hand-written kernel) so the cross-backend equality gate can afford a
-// simulated run at a size that still forks on real hardware.
+// triple loop.  The real grain comes from a sweep of {32, 64} on the
+// repository's benchmark (kernels_direct, side 256: p1/pn 7.2/4.4 ms at 32,
+// 6.4/3.8 at 64, 49 leaf products; CHANGES.md, PR 23).  The cross-backend
+// equality gate simulates a side of twice the grain, 128, in about half a
+// second.
 const (
 	FJGrainSim  = 4
-	FJGrainReal = 32
+	FJGrainReal = 64
 )
 
 // FJMul computes out = a·b for n×n row-major int64 matrices (n a power of

@@ -74,7 +74,7 @@ if [ "$MODE" != grid ]; then
     go test -race -run 'TestGoldenRowsIdenticalAcrossParallelism/(EXP05|EXP07|EXP12|EXP13|EXP14|EXP15|EXP16)' ./internal/bench/
 
     echo "== gate: benchmark smoke (every benchmark runs one iteration) =="
-    go test -run '^$' -bench . -benchtime 1x . >/dev/null
+    go test -run '^$' -bench . -benchtime 1x . ./internal/algos/sortutil/ >/dev/null
 
     echo "== gate: hbplint (falseshare/atomicmix/fjdiscipline/lifoorder/determinism/grainaudit) =="
     go run ./cmd/hbplint -stats ./...
