@@ -1,6 +1,6 @@
 // Package repro's root benchmarks regenerate every evaluation artifact of
 // the paper: one benchmark per experiment (see EXPERIMENTS.md for the
-// experiment index), plus micro-benchmarks for the substrates.  Run with
+// experiment index; EXP12 is retired), plus micro-benchmarks for the substrates.  Run with
 //
 //	go test -bench=. -benchmem
 //
@@ -54,9 +54,10 @@ func BenchmarkEXP08Padding(b *testing.B)        { runExperiment(b, "EXP08") }
 func BenchmarkEXP09Runtime(b *testing.B)        { runExperiment(b, "EXP09") }
 func BenchmarkEXP10ListRank(b *testing.B)       { runExperiment(b, "EXP10") }
 func BenchmarkEXP11CC(b *testing.B)             { runExperiment(b, "EXP11") }
-func BenchmarkEXP12Goroutine(b *testing.B)      { runExperiment(b, "EXP12") }
 func BenchmarkEXP13LayoutSweep(b *testing.B)    { runExperiment(b, "EXP13") }
 func BenchmarkEXP14ModelCheck(b *testing.B)     { runExperiment(b, "EXP14") }
+func BenchmarkEXP15SortDepth(b *testing.B)      { runExperiment(b, "EXP15") }
+func BenchmarkEXP16Service(b *testing.B)        { runExperiment(b, "EXP16") }
 
 // --- Substrate micro-benchmarks --------------------------------------------
 

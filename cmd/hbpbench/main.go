@@ -40,7 +40,7 @@ func main() {
 		expID    = flag.String("exp", "", "run a single experiment (e.g. EXP01); empty = all")
 		list     = flag.Bool("list", false, "list experiments and exit")
 		quick    = flag.Bool("quick", false, "smaller sweeps for a fast pass")
-		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "grid cells run concurrently on this many workers (1 = serial)")
+		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "grid cells run concurrently on this many goroutines (1 = serial)")
 		repeats  = flag.Int("repeats", 1, "seeded repeats per grid cell (mean/std in the summary)")
 		seed     = flag.Uint64("seed", 0, "base input seed; repeat r uses seed+r")
 		jsonOut  = flag.Bool("json", false, "emit rows as JSON lines on stdout instead of text tables")

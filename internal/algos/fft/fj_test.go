@@ -40,7 +40,7 @@ func TestFJForwardRealMatchesDFT(t *testing.T) {
 			for i := int64(0); i < n; i++ {
 				data.Store(i, orig.Load(i))
 			}
-			pool := rt.NewPoolLayout(p, rt.Random, layout)
+			pool := rt.NewPoolLayout(p, layout)
 			t.Cleanup(pool.Close)
 			fj.RunReal(pool, func(c *fj.Ctx) { FJForward(c, data) })
 			for i := range want {

@@ -57,7 +57,7 @@ func TestFJGatherReal(t *testing.T) {
 	for _, layout := range []rt.Layout{rt.LayoutPadded, rt.LayoutCompact} {
 		for _, p := range []int{1, 4} {
 			out := env.I64(n)
-			pool := rt.NewPoolLayout(p, rt.Random, layout)
+			pool := rt.NewPoolLayout(p, layout)
 			t.Cleanup(pool.Close)
 			fj.RunReal(pool, func(c *fj.Ctx) { FJGather(c, idx, vals, out, -7) })
 			for i := range want {

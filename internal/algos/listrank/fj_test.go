@@ -43,7 +43,7 @@ func TestFJRankReal(t *testing.T) {
 		want := fillChain(succ, uint64(n))
 		for _, layout := range []rt.Layout{rt.LayoutPadded, rt.LayoutCompact} {
 			for _, p := range []int{1, 4} {
-				pool := rt.NewPoolLayout(p, rt.Random, layout)
+				pool := rt.NewPoolLayout(p, layout)
 				t.Cleanup(pool.Close)
 				fj.RunReal(pool, func(c *fj.Ctx) { FJRank(c, succ, rank) })
 				for i := range want {

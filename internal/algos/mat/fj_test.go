@@ -35,7 +35,7 @@ func TestFJTransposeReal(t *testing.T) {
 		fillSeqF(src)
 		for _, layout := range []rt.Layout{rt.LayoutPadded, rt.LayoutCompact} {
 			for _, p := range []int{1, 4} {
-				pool := rt.NewPoolLayout(p, rt.Random, layout)
+				pool := rt.NewPoolLayout(p, layout)
 				t.Cleanup(pool.Close)
 				fj.RunReal(pool, func(c *fj.Ctx) { FJTranspose(c, src, dst, r, cols) })
 				checkTransposed(t, src, dst, r, cols, "real")

@@ -42,7 +42,7 @@ func TestFJMulRealMatchesNaive(t *testing.T) {
 	for _, layout := range []rt.Layout{rt.LayoutPadded, rt.LayoutCompact} {
 		for _, p := range []int{1, 4} {
 			out := env.F64(n * n)
-			pool := rt.NewPoolLayout(p, rt.Random, layout)
+			pool := rt.NewPoolLayout(p, layout)
 			t.Cleanup(pool.Close)
 			fj.RunReal(pool, func(c *fj.Ctx) { FJMul(c, a, b, out, n) })
 			for i := range want {

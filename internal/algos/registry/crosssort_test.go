@@ -71,7 +71,7 @@ func TestCrossSortPermutationsAgree(t *testing.T) {
 						env := fj.NewRealEnv()
 						data := env.I64(nReal)
 						fl.fill(data, nReal)
-						pool := rt.NewPoolLayout(p, rt.Random, layout)
+						pool := rt.NewPoolLayout(p, layout)
 						t.Cleanup(pool.Close)
 						fj.RunReal(pool, func(c *fj.Ctx) { k.sort(c, data) })
 						outs = append(outs, data.Words())

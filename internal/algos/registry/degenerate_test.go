@@ -59,7 +59,7 @@ func TestDegenerateInputs(t *testing.T) {
 
 				// Real lowering on a 2-worker pool.
 				rw := k.Setup(fj.NewRealEnv(), n, seed)
-				pool := rt.NewPoolLayout(2, rt.Random, rt.LayoutPadded)
+				pool := rt.NewPoolLayout(2, rt.LayoutPadded)
 				t.Cleanup(pool.Close)
 				fj.RunReal(pool, rw.Root)
 				if !rw.Verify() {

@@ -79,7 +79,7 @@ func TestCrossBackendEquality(t *testing.T) {
 				for _, p := range []int{1, 2, 4} {
 					env := fj.NewRealEnv()
 					w := k.Setup(env, n, seed)
-					pool := rt.NewPoolLayout(p, rt.Random, layout)
+					pool := rt.NewPoolLayout(p, layout)
 					t.Cleanup(pool.Close)
 					fj.RunReal(pool, w.Root)
 					if pool.Executed() <= 1 {

@@ -37,7 +37,7 @@ func TestFJPrefixRealMatchesSerial(t *testing.T) {
 		for _, layout := range []rt.Layout{rt.LayoutPadded, rt.LayoutCompact} {
 			for _, p := range []int{1, 4} {
 				out := env.I64(n)
-				pool := rt.NewPoolLayout(p, rt.Random, layout)
+				pool := rt.NewPoolLayout(p, layout)
 				t.Cleanup(pool.Close)
 				fj.RunReal(pool, func(c *fj.Ctx) { FJPrefix(c, in, out) })
 				for i := range want {
@@ -57,7 +57,7 @@ func TestFJPrefixInPlaceReal(t *testing.T) {
 	in := env.I64(n)
 	fillVals(in, 42)
 	want := prefixRef(in)
-	pool := rt.NewPool(4, rt.Priority)
+	pool := rt.NewPool(4, rt.Random)
 	t.Cleanup(pool.Close)
 	fj.RunReal(pool, func(c *fj.Ctx) { FJPrefix(c, in, in) })
 	for i := range want {

@@ -19,7 +19,7 @@ func TestSplitBalancesEqualRange(t *testing.T) {
 		a.Store(i, 5)
 		b.Store(i, 5)
 	}
-	pool := rt.NewPoolLayout(1, rt.Random, rt.LayoutPadded)
+	pool := rt.NewPoolLayout(1, rt.LayoutPadded)
 	t.Cleanup(pool.Close)
 	fj.RunReal(pool, func(c *fj.Ctx) {
 		for k := int64(0); k <= 16; k++ {
@@ -44,7 +44,7 @@ func TestSplitAgreesWithMergeSerial(t *testing.T) {
 		b.Store(int64(i), x)
 	}
 	out := env.I64(15)
-	pool := rt.NewPoolLayout(1, rt.Random, rt.LayoutPadded)
+	pool := rt.NewPoolLayout(1, rt.LayoutPadded)
 	t.Cleanup(pool.Close)
 	fj.RunReal(pool, func(c *fj.Ctx) {
 		MergeSerial(c, a, b, out)
@@ -82,7 +82,7 @@ func TestTieBreakConventionsAgree(t *testing.T) {
 		{{0, 0, 1, 1, 2, 2}, {0, 1, 1, 2}},
 	}
 	env := fj.NewRealEnv()
-	pool := rt.NewPoolLayout(1, rt.Random, rt.LayoutPadded)
+	pool := rt.NewPoolLayout(1, rt.LayoutPadded)
 	t.Cleanup(pool.Close)
 	fj.RunReal(pool, func(c *fj.Ctx) {
 		for ci, tc := range cases {
@@ -124,7 +124,7 @@ func TestMergeKManyRunsStable(t *testing.T) {
 		total += int64(len(vals))
 	}
 	out := env.I64(total)
-	pool := rt.NewPoolLayout(1, rt.Random, rt.LayoutPadded)
+	pool := rt.NewPoolLayout(1, rt.LayoutPadded)
 	t.Cleanup(pool.Close)
 	fj.RunReal(pool, func(c *fj.Ctx) { MergeK(c, runs, out) })
 	got := out.Raw()
@@ -148,7 +148,7 @@ func TestBoundsUnits(t *testing.T) {
 	for i, x := range []int64{1, 3, 3, 3, 5, 5, 8, 9} {
 		v.Store(int64(i), x)
 	}
-	pool := rt.NewPoolLayout(1, rt.Random, rt.LayoutPadded)
+	pool := rt.NewPoolLayout(1, rt.LayoutPadded)
 	t.Cleanup(pool.Close)
 	fj.RunReal(pool, func(c *fj.Ctx) {
 		for _, tc := range []struct{ x, lo, hi int64 }{
@@ -224,7 +224,7 @@ func TestSortLeafBothBackings(t *testing.T) {
 	for i, x := range []int64{5, 1, 4, 1, 5, 9, 2, 6, 5} {
 		v.Store(int64(i), x)
 	}
-	pool := rt.NewPoolLayout(1, rt.Random, rt.LayoutPadded)
+	pool := rt.NewPoolLayout(1, rt.LayoutPadded)
 	t.Cleanup(pool.Close)
 	fj.RunReal(pool, func(c *fj.Ctx) { SortLeaf(c, v) })
 	if !slices.IsSorted(v.Raw()) {

@@ -51,7 +51,7 @@ func TestFJSortRealMatchesSerial(t *testing.T) {
 				data := env.I64(n)
 				fillKeys(data, uint64(n)+uint64(p))
 				want := sortedRef(data)
-				pool := rt.NewPoolLayout(p, rt.Random, layout)
+				pool := rt.NewPoolLayout(p, layout)
 				t.Cleanup(pool.Close)
 				fj.RunReal(pool, func(c *fj.Ctx) { FJSort(c, data) })
 				for i := range want {
@@ -77,7 +77,7 @@ func TestFJSortDuplicatesReal(t *testing.T) {
 					data := env.I64(n)
 					fillDupKeys(data, dist, uint64(n)+uint64(p))
 					want := sortedRef(data)
-					pool := rt.NewPoolLayout(p, rt.Random, layout)
+					pool := rt.NewPoolLayout(p, layout)
 					t.Cleanup(pool.Close)
 					fj.RunReal(pool, func(c *fj.Ctx) { FJSort(c, data) })
 					for i := range want {

@@ -60,7 +60,7 @@ func TestFJSortRealMatchesSerial(t *testing.T) {
 					data := env.I64(n)
 					fillDist(data, dist, uint64(n)+uint64(p))
 					want := sortedRef(data)
-					pool := rt.NewPoolLayout(p, rt.Random, layout)
+					pool := rt.NewPoolLayout(p, layout)
 					t.Cleanup(pool.Close)
 					fj.RunReal(pool, func(c *fj.Ctx) { FJSort(c, data) })
 					checkSorted(t, dist, data, want)
@@ -122,7 +122,7 @@ func TestIsqrt(t *testing.T) {
 // with every third run empty in one variant, on spread and on
 // duplicate-flooded keys.
 func TestSerialFoldMatchesHeap(t *testing.T) {
-	pool := rt.NewPoolLayout(1, rt.Random, rt.LayoutPadded)
+	pool := rt.NewPoolLayout(1, rt.LayoutPadded)
 	t.Cleanup(pool.Close)
 	for _, k := range []int{3, 4, 5, 16, 17, 64, 65} {
 		for _, mod := range []int64{2, 1 << 30} {

@@ -40,8 +40,8 @@ func TestFindAlgo(t *testing.T) {
 
 func TestExperimentsRegistered(t *testing.T) {
 	exps := Experiments()
-	if len(exps) != 16 {
-		t.Fatalf("%d experiments registered, want 16", len(exps))
+	if len(exps) != 15 {
+		t.Fatalf("%d experiments registered, want 15 (EXP01–EXP16, EXP12 retired)", len(exps))
 	}
 	for _, e := range exps {
 		if e.Backend != "sim" && e.Backend != "real" {

@@ -21,14 +21,14 @@ import (
 // writes share lines).  The sweep picks the catalog up from
 // registry.FJKernels, so kernels ported to fj join it automatically, and
 // each cell runs what the service runs: the kernel's one run adapter on its
-// one generated payload, checked by its one verifier.
-// On a multi-core
+// one generated payload, checked by its one verifier.  On a multi-core
 // machine the compact arm pays coherence traffic for every push, steal and
 // completion — the block-miss penalty the paper's lemmas bound,
 // demonstrated on silicon rather than in the simulator.  Cells are
-// Exclusive and rows Volatile, as in EXP12; every row carries
-// runtime.NumCPU() in Aux3 because on a single-core runner (the CI box)
-// neither speedups nor the layout gap can show.
+// Exclusive (run alone, after the concurrent batch) and rows Volatile
+// (wall clock, zeroed by -canon); every row carries runtime.NumCPU() in
+// Aux3 because on a single-core runner (the CI box) neither speedups nor
+// the layout gap can show.
 //
 // Finish fills Aux1 = speedup over the same kernel/layout at p=1 and
 // Aux2 = wall(compact)/wall(padded) for the matching cell — the
@@ -64,7 +64,7 @@ func exp13Cells(p Params) []harness.Cell {
 						Exp: "EXP13", Label: k.Name + "/" + layout.String(), Exclusive: true,
 						Run: func() []harness.Row {
 							work := k.Setup(fj.NewRealEnv(), int64(n), seed)
-							pool := rt.NewPoolLayout(pr, rt.Random, layout)
+							pool := rt.NewPoolLayout(pr, layout)
 							defer pool.Close()
 							start := time.Now() //lint:allow determinism wall-clock feeds WallNS and Volatile-row fields, all zeroed by Normalize for -canon
 							fj.RunReal(pool, work.Root)

@@ -26,11 +26,7 @@ func TestModelledKernelsResolve(t *testing.T) {
 }
 
 func TestEXP14WithinEnvelope(t *testing.T) {
-	e, ok := bench.FindExperiment("EXP14")
-	if !ok {
-		t.Fatal("EXP14 not registered")
-	}
-	rows := e.Rows(bench.Params{Quick: true}, 1)
+	rows := serialRows(t, "EXP14", true)
 	if len(rows) == 0 {
 		t.Fatal("EXP14 produced no rows")
 	}

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/bench"
 	"repro/internal/harness"
 )
 
@@ -21,11 +20,7 @@ const exp15GateEps = 1e-9
 
 func exp15Rows(t *testing.T) []harness.Row {
 	t.Helper()
-	e, ok := bench.FindExperiment("EXP15")
-	if !ok {
-		t.Fatal("EXP15 not registered")
-	}
-	rows := e.Rows(bench.Params{Quick: testing.Short()}, 1)
+	rows := serialRows(t, "EXP15", testing.Short())
 	if len(rows) == 0 {
 		t.Fatal("EXP15 produced no rows")
 	}

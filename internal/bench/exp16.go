@@ -29,7 +29,7 @@ import (
 //     and drain responses in completion order.
 //
 // Cells are Exclusive (wall-clock must not share the machine with the
-// concurrent harness batch) and rows Volatile, as in EXP12/EXP13.  The
+// concurrent harness batch) and rows Volatile, as in EXP13.  The
 // configuration that is not row identity — client count, submission mode —
 // is encoded in Note together with the verification status, because Note
 // survives harness.Normalize; the measurements live in volatile-zeroed

@@ -1,19 +1,51 @@
 package bench_test
 
 // Golden determinism tests: every experiment's quick-mode row set must be
-// byte-identical whether the grid runs serially or on an 8-worker pool.
+// byte-identical whether the grid runs serially or on 8 goroutines.
 // Rows are normalized first (wall-clock fields zeroed everywhere, all
-// measurements zeroed on Volatile rows — EXP12's wall-clock cells), which
-// is exactly what `hbpbench -canon` emits for cross-PR diffing.
+// measurements zeroed on Volatile rows — EXP13's and EXP16's wall-clock
+// cells), which is exactly what `hbpbench -canon` emits for cross-PR diffing.
 
 import (
 	"bytes"
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/harness"
 )
+
+type rowsKey struct {
+	id    string
+	quick bool
+}
+
+// rowsMemo computes each experiment's seed-0 rows at -parallel 1 at most
+// once per test binary, quick and full separately.
+var rowsMemo = func() map[rowsKey]func() []harness.Row {
+	m := map[rowsKey]func() []harness.Row{}
+	for _, e := range bench.Experiments() {
+		for _, quick := range []bool{true, false} {
+			m[rowsKey{e.ID, quick}] = sync.OnceValue(func() []harness.Row {
+				return e.Rows(bench.Params{Quick: quick}, 1)
+			})
+		}
+	}
+	return m
+}()
+
+// serialRows returns experiment id's seed-0 rows at -parallel 1, computed
+// once and shared by every test that asserts on them (golden, digest,
+// envelopes): callers must not modify them.
+func serialRows(t *testing.T, id string, quick bool) []harness.Row {
+	t.Helper()
+	rows, ok := rowsMemo[rowsKey{id, quick}]
+	if !ok {
+		t.Fatalf("%s not registered", id)
+	}
+	return rows()
+}
 
 // goldenJSONL renders normalized rows to canonical bytes.
 func goldenJSONL(t *testing.T, rows []harness.Row) []byte {
@@ -30,15 +62,15 @@ func TestGoldenRowsIdenticalAcrossParallelism(t *testing.T) {
 	for _, e := range bench.Experiments() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			serialRows := e.Rows(params, 1)
-			parallelRows := e.Rows(params, 8)
-			if len(serialRows) == 0 {
+			rows1 := serialRows(t, e.ID, true)
+			rows8 := e.Rows(params, 8)
+			if len(rows1) == 0 {
 				t.Fatalf("%s: no rows", e.ID)
 			}
 			// Row identity every emitter keys on: each experiment tags its
 			// own rows, every row names an algorithm, and a single-repeat
 			// run stays at repeat 0 / seed 0.
-			for i, r := range parallelRows {
+			for i, r := range rows8 {
 				if r.Exp != e.ID {
 					t.Errorf("row %d tagged %q", i, r.Exp)
 				}
@@ -49,8 +81,8 @@ func TestGoldenRowsIdenticalAcrossParallelism(t *testing.T) {
 					t.Errorf("row %d has repeat %d seed %d, want 0/0", i, r.Repeat, r.Seed)
 				}
 			}
-			serial := goldenJSONL(t, serialRows)
-			parallel := goldenJSONL(t, parallelRows)
+			serial := goldenJSONL(t, rows1)
+			parallel := goldenJSONL(t, rows8)
 			if !bytes.Equal(serial, parallel) {
 				t.Errorf("normalized rows differ between -parallel 1 and -parallel 8\nserial:\n%s\nparallel:\n%s",
 					firstDiff(serial, parallel), firstDiff(parallel, serial))

@@ -143,10 +143,8 @@ func (c *Ctx) Join(h Handle) {
 }
 
 // Parallel runs a and b as parallel subtasks and returns when both finish:
-// b is forked, a runs inline on the calling context (the same shape on both
-// backends — and on real hardware a fork's advertised steal depth is
-// unchanged, so the Priority victim rule sees the same stealable work a
-// hand-written rt kernel would expose).
+// b is forked, a runs inline on the calling context — the same shape on both
+// backends.
 func (c *Ctx) Parallel(a, b func(*Ctx)) {
 	h := c.Fork(b)
 	a(c)

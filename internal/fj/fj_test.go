@@ -81,7 +81,7 @@ func TestSumRealBackend(t *testing.T) {
 		env := NewRealEnv()
 		in, out := env.I64(256), env.I64(1)
 		want := fillSeq(in)
-		pool := rt.NewPoolLayout(4, rt.Random, layout)
+		pool := rt.NewPoolLayout(4, layout)
 		t.Cleanup(pool.Close)
 		RunReal(pool, sumProgram(in, out))
 		if got := out.Load(0); got != want {

@@ -64,7 +64,7 @@ func TestForRangeMatchesFor(t *testing.T) {
 			for _, p := range []int{1, 2, 4} {
 				t.Run(fmt.Sprintf("real/%d-%d/g%d/%v/p%d", lo, hi, grain, layout, p), func(t *testing.T) {
 					visits := make([]int32, n)
-					pool := rt.NewPoolLayout(p, rt.Random, layout)
+					pool := rt.NewPoolLayout(p, layout)
 					defer pool.Close()
 					RunReal(pool, func(c *Ctx) {
 						c.ForRange(lo, hi, grain, func(_ *Ctx, lo, hi int64) {

@@ -24,7 +24,7 @@ func sampleRows() []Row {
 			Note: "comma, quote\" and\nnewline — ünïcode",
 		},
 		{
-			Exp: "EXP12", Algo: "reduce", P: 4, Sched: "priority",
+			Exp: "EXP13", Algo: "scan", P: 4, Sched: "rt",
 			Steals: -1, WallNS: 987654321, Volatile: true, Aux1: 3.9999999999,
 		},
 	}

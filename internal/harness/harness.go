@@ -2,17 +2,21 @@
 //
 // An experiment is a list of Cells; each Cell is an independent unit of
 // simulated work that yields typed Row records.  Execute runs the cells of a
-// grid concurrently on the repo's own work-stealing goroutine pool
-// (internal/rt) — the harness dogfoods the runtime the paper analyzes — and
-// flattens the per-cell rows back in cell order, so the emitted row set is
-// identical whatever the parallelism.
+// grid concurrently on a fixed number of plain goroutines and flattens the
+// per-cell rows back in cell order, so the emitted row set is identical
+// whatever the parallelism.  Cells are coarse (milliseconds to seconds),
+// independent and never fork, so each goroutine simply claims the next cell
+// index; work stealing would have nothing to balance.
 //
 // Rows are machine-readable (JSON lines and CSV, see emit.go) and aggregate
 // across repeats (agg.go); EXPERIMENTS.md documents the schema and how every
 // experiment maps to a paper artifact.
 package harness
 
-import "repro/internal/rt"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Spec describes one simulated machine/scheduler configuration.  It is the
 // unit the grid sweeps over and the identity stamped on every Row.
@@ -99,8 +103,9 @@ func (g Grid) Specs() []Spec {
 
 // Cell is one independent unit of grid work.  Run must be safe to call
 // concurrently with other cells' Run functions (each cell builds its own
-// simulated machine).  Exclusive cells measure wall-clock parallelism
-// themselves (EXP12) and are run one at a time, after the concurrent batch.
+// simulated machine).  Exclusive cells measure wall clock on real hardware
+// themselves (EXP13, EXP16) and are run one at a time, after the concurrent
+// batch.
 type Cell struct {
 	Exp       string
 	Label     string
@@ -109,10 +114,10 @@ type Cell struct {
 }
 
 // Execute runs every cell and returns the concatenated rows in cell order.
-// With parallel > 1 the non-exclusive cells run concurrently on an
-// internal/rt work-stealing pool of that many workers; exclusive cells then
-// run serially.  Row order — and, for deterministic cells, row content — is
-// independent of parallelism.
+// With parallel > 1 the non-exclusive cells run on min(parallel, count)
+// goroutines, each taking the next cell from a shared counter; exclusive
+// cells then run serially.  Row order — and, for deterministic cells, row
+// content — is independent of parallelism.
 func Execute(cells []Cell, parallel int) []Row {
 	out := make([][]Row, len(cells))
 	if parallel <= 1 {
@@ -128,16 +133,23 @@ func Execute(cells []Cell, parallel int) []Row {
 				shared = append(shared, i)
 			}
 		}
-		if len(shared) > 0 {
-			pool := rt.NewPool(parallel, rt.Priority)
-			defer pool.Close()
-			pool.Run(func(c *rt.Ctx) {
-				c.For(0, len(shared), 1, func(k int) {
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for range min(parallel, len(shared)) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					k := int(next.Add(1)) - 1
+					if k >= len(shared) {
+						return
+					}
 					i := shared[k]
 					out[i] = cells[i].Run()
-				})
-			})
+				}
+			}()
 		}
+		wg.Wait()
 		for _, i := range exclusive {
 			out[i] = cells[i].Run()
 		}

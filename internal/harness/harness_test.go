@@ -3,7 +3,10 @@ package harness
 import (
 	"fmt"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestGridSpecsCrossProduct(t *testing.T) {
@@ -83,6 +86,58 @@ func TestExecuteParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// trackedCells makes n cells that hold a slot in inFlight for a moment and
+// hand the count they saw (themselves included) to seen.
+func trackedCells(n int, exclusive func(i int) bool, inFlight *atomic.Int64, seen func(i int, running int64)) []Cell {
+	cells := make([]Cell, n)
+	for i := range cells {
+		cells[i] = Cell{Exp: "EXPTEST", Exclusive: exclusive(i), Run: func() []Row {
+			seen(i, inFlight.Add(1))
+			time.Sleep(200 * time.Microsecond)
+			seen(i, inFlight.Load())
+			inFlight.Add(-1)
+			return []Row{{Exp: "EXPTEST", Algo: "tracked", N: int64(i)}}
+		}}
+	}
+	return cells
+}
+
+func TestExecuteBoundsConcurrency(t *testing.T) {
+	for _, par := range []int{2, 8} {
+		var inFlight atomic.Int64
+		var mu sync.Mutex
+		var peak int64
+		cells := trackedCells(40, func(int) bool { return false }, &inFlight, func(_ int, running int64) {
+			mu.Lock()
+			peak = max(peak, running)
+			mu.Unlock()
+		})
+		Execute(cells, par)
+		if peak > int64(par) || peak < 1 {
+			t.Errorf("parallel=%d: peak %d cells in flight", par, peak)
+		}
+	}
+}
+
+func TestExecuteExclusiveRunsAlone(t *testing.T) {
+	exclusive := func(i int) bool { return i%5 == 2 }
+	var inFlight atomic.Int64
+	var ran atomic.Int32
+	cells := trackedCells(30, exclusive, &inFlight, func(i int, running int64) {
+		if !exclusive(i) {
+			return
+		}
+		ran.Add(1)
+		if running != 1 {
+			t.Errorf("exclusive cell %d ran beside %d other cells", i, running-1)
+		}
+	})
+	Execute(cells, 8)
+	if ran.Load() != 2*6 {
+		t.Errorf("exclusive cells checked %d times, want 12", ran.Load())
+	}
+}
+
 func TestExecuteEmpty(t *testing.T) {
 	if rows := Execute(nil, 8); len(rows) != 0 {
 		t.Errorf("empty cell list produced %d rows", len(rows))
@@ -92,7 +147,7 @@ func TestExecuteEmpty(t *testing.T) {
 func TestNormalizeZeroesVolatile(t *testing.T) {
 	rows := []Row{
 		{Exp: "EXP01", Makespan: 5, WallNS: 123, Ratio: 1.5},
-		{Exp: "EXP12", Makespan: 5, WallNS: 123, Steals: 9, Aux1: 3.2, Volatile: true},
+		{Exp: "EXP13", Makespan: 5, WallNS: 123, Steals: 9, Aux1: 3.2, Volatile: true},
 	}
 	norm := Normalize(rows)
 	if rows[0].WallNS != 123 {

@@ -13,7 +13,7 @@ import (
 //
 // Aux1..Aux3 carry per-experiment extras (EXPERIMENTS.md documents the
 // meaning for each EXP id).  Volatile marks rows whose measurements depend on
-// wall-clock scheduling (EXP12); Normalize zeroes those plus WallNS so row
+// wall-clock scheduling (EXP13, EXP16); Normalize zeroes those plus WallNS so row
 // sets can be compared byte-for-byte across runs and parallelism levels.
 type Row struct {
 	Exp    string

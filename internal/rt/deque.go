@@ -116,20 +116,3 @@ func (d *deque) steal() (*task, bool) {
 	}
 	return t, false
 }
-
-// headDepth peeks at the depth of the task a thief would steal next, or -1
-// when the deque looks empty.  Purely a heuristic for the Priority policy:
-// the head may be taken by someone else before the caller acts on it.
-func (d *deque) headDepth() int {
-	tp := d.top.Load()
-	b := d.bottom.Load()
-	if tp >= b {
-		return -1
-	}
-	r := d.ring.Load()
-	t := r.slot[tp&r.mask].Load()
-	if t == nil {
-		return -1
-	}
-	return int(t.depth)
-}

@@ -20,6 +20,17 @@ func newTestDeque() *deque {
 	return d
 }
 
+// numberedTasks returns n task frames and the index of each, so a test can
+// tell which task a pop or steal returned.
+func numberedTasks(n int) ([]task, map[*task]int) {
+	ts := make([]task, n)
+	id := make(map[*task]int, n)
+	for i := range ts {
+		id[&ts[i]] = i
+	}
+	return ts, id
+}
+
 // TestDequeExactlyOnce floods one owner against several thieves and asserts
 // every pushed task is taken exactly once, whether by pop or steal.
 func TestDequeExactlyOnce(t *testing.T) {
@@ -28,6 +39,7 @@ func TestDequeExactlyOnce(t *testing.T) {
 		total   = 20000
 	)
 	d := newTestDeque()
+	ts, id := numberedTasks(total)
 	taken := make([]atomic.Int32, total)
 	var pushed atomic.Int64
 	var ownerDone atomic.Bool
@@ -36,8 +48,8 @@ func TestDequeExactlyOnce(t *testing.T) {
 		if tk == nil {
 			return
 		}
-		if n := taken[tk.depth].Add(1); n != 1 {
-			t.Errorf("task %d taken %d times", tk.depth, n)
+		if n := taken[id[tk]].Add(1); n != 1 {
+			t.Errorf("task %d taken %d times", id[tk], n)
 		}
 	}
 
@@ -61,15 +73,12 @@ func TestDequeExactlyOnce(t *testing.T) {
 	}
 
 	// Owner: interleave bursts of pushes with bursts of pops so the bottom
-	// end keeps reversing direction while thieves hammer the top.  Depth
-	// doubles as the task id.
+	// end keeps reversing direction while thieves hammer the top.
 	rng := rand.New(rand.NewSource(1))
-	next := int32(0)
 	for int(pushed.Load()) < total {
 		burst := 1 + rng.Intn(64)
 		for i := 0; i < burst && int(pushed.Load()) < total; i++ {
-			d.push(&task{depth: next})
-			next++
+			d.push(&ts[pushed.Load()])
 			pushed.Add(1)
 		}
 		for i := rng.Intn(burst + 1); i > 0; i-- {
@@ -103,16 +112,17 @@ func TestDequeExactlyOnce(t *testing.T) {
 func TestDequeGrowPreservesOrderAndContent(t *testing.T) {
 	d := newTestDeque()
 	const n = dequeInitSize * 8
-	for i := int32(0); i < n; i++ {
-		d.push(&task{depth: i})
+	ts, id := numberedTasks(n)
+	for i := range ts {
+		d.push(&ts[i])
 	}
-	for i := int32(0); i < n; i++ {
+	for i := range ts {
 		tk, _ := d.steal()
 		if tk == nil {
 			t.Fatalf("steal %d: empty", i)
 		}
-		if tk.depth != i {
-			t.Fatalf("steal %d: got task %d (FIFO order broken)", i, tk.depth)
+		if id[tk] != i {
+			t.Fatalf("steal %d: got task %d (FIFO order broken)", i, id[tk])
 		}
 	}
 	if tk, _ := d.steal(); tk != nil {
@@ -123,12 +133,13 @@ func TestDequeGrowPreservesOrderAndContent(t *testing.T) {
 // TestDequeLIFOPop checks the owner end is a stack.
 func TestDequeLIFOPop(t *testing.T) {
 	d := newTestDeque()
-	for i := int32(0); i < 100; i++ {
-		d.push(&task{depth: i})
+	ts, id := numberedTasks(100)
+	for i := range ts {
+		d.push(&ts[i])
 	}
-	for i := int32(99); i >= 0; i-- {
+	for i := len(ts) - 1; i >= 0; i-- {
 		tk := d.pop()
-		if tk == nil || tk.depth != i {
+		if tk == nil || id[tk] != i {
 			t.Fatalf("pop: got %v, want task %d", tk, i)
 		}
 	}
@@ -143,7 +154,7 @@ func TestDequeLIFOPop(t *testing.T) {
 func TestPoolTasksRunExactlyOnce(t *testing.T) {
 	const forks = 5000
 	for _, layout := range []Layout{LayoutPadded, LayoutCompact} {
-		pool := NewPoolLayout(8, Random, layout)
+		pool := NewPoolLayout(8, layout)
 		t.Cleanup(pool.Close)
 		runs := make([]atomic.Int32, forks)
 		pool.Run(func(c *Ctx) {

@@ -56,7 +56,7 @@ func TestPaddedLayoutAlignment(t *testing.T) {
 
 func TestCompactLayoutPacks(t *testing.T) {
 	const p = 4
-	pool := NewPoolLayout(p, Random, LayoutCompact)
+	pool := NewPoolLayout(p, LayoutCompact)
 	t.Cleanup(pool.Close)
 	for i, w := range pool.workers {
 		top := cellAddr(&w.st, cellTop)
@@ -103,36 +103,34 @@ func TestTaskFramePadding(t *testing.T) {
 	}
 	var ar taskArena
 	ar.padded = true
-	t0 := ar.alloc(nil, 0)
-	t1 := ar.alloc(nil, 0)
+	t0 := ar.alloc(nil)
+	t1 := ar.alloc(nil)
 	if d := uintptr(unsafe.Pointer(t1)) - uintptr(unsafe.Pointer(t0)); d != unsafe.Sizeof(paddedTask{}) {
 		t.Errorf("padded arena stride %d, want %d", d, unsafe.Sizeof(paddedTask{}))
 	}
 	var ac taskArena
-	c0 := ac.alloc(nil, 0)
-	c1 := ac.alloc(nil, 0)
+	c0 := ac.alloc(nil)
+	c1 := ac.alloc(nil)
 	if d := uintptr(unsafe.Pointer(c1)) - uintptr(unsafe.Pointer(c0)); d != unsafe.Sizeof(task{}) {
 		t.Errorf("compact arena stride %d, want %d", d, unsafe.Sizeof(task{}))
 	}
 }
 
 // TestCompactPoolStillCorrect re-runs the correctness workload under the
-// compact layout and both policies — the ablation arm must differ only in
-// speed, never in results.
+// compact layout — the ablation arm must differ only in speed, never in
+// results.
 func TestCompactPoolStillCorrect(t *testing.T) {
 	n := 1 << 15
 	want := int64(n) * int64(n-1) / 2
-	for _, pol := range []Policy{Random, Priority} {
-		for _, p := range []int{1, 2, 4, 8} {
-			pool := NewPoolLayout(p, pol, LayoutCompact)
-			t.Cleanup(pool.Close)
-			var got int64
-			pool.Run(func(c *Ctx) {
-				got = c.Reduce(0, n, 256, func(i int) int64 { return int64(i) })
-			})
-			if got != want {
-				t.Errorf("compact p=%d policy=%d: sum = %d, want %d", p, pol, got, want)
-			}
+	for _, p := range []int{1, 2, 4, 8} {
+		pool := NewPoolLayout(p, LayoutCompact)
+		t.Cleanup(pool.Close)
+		var got int64
+		pool.Run(func(c *Ctx) {
+			got = forkSum(c, 0, n, 256, func(i int) int64 { return int64(i) })
+		})
+		if got != want {
+			t.Errorf("compact p=%d: sum = %d, want %d", p, got, want)
 		}
 	}
 }

@@ -28,7 +28,7 @@ func TestConcurrentRootsExactlyOnce(t *testing.T) {
 			for r := 0; r < perSubmitter; r++ {
 				base := (g*perSubmitter + r) * leaves
 				root := func(c *Ctx) {
-					c.For(0, leaves, 1, func(i int) { hits[base+i].Add(1) })
+					forkSum(c, 0, leaves, 1, func(i int) int64 { hits[base+i].Add(1); return 0 })
 				}
 				if r%2 == 0 {
 					pool.Run(root)
@@ -49,7 +49,7 @@ func TestConcurrentRootsExactlyOnce(t *testing.T) {
 			t.Fatalf("leaf %d ran %d times", i, got)
 		}
 	}
-	// A 64-leaf grain-1 For forks 63 times; plus the root itself.
+	// A 64-leaf grain-1 forkSum forks 63 times; plus the root itself.
 	if got, want := pool.Executed(), int64(submitters*perSubmitter*leaves); got != want {
 		t.Errorf("Executed() = %d, want %d", got, want)
 	}
@@ -94,7 +94,7 @@ func TestSmallRootOvertakesLongRoot(t *testing.T) {
 		close(running)
 		var sink atomic.Int64
 		for deadline := time.Now().Add(20 * time.Second); time.Now().Before(deadline); {
-			c.For(0, 512, 1, func(i int) { sink.Add(int64(i)) })
+			forkSum(c, 0, 512, 1, func(i int) int64 { sink.Add(int64(i)); return 0 })
 			if smallDone.Load() {
 				overtaken.Store(true)
 				return
@@ -131,9 +131,9 @@ func TestCloseJoinsWorkers(t *testing.T) {
 	}
 	idle.Close()
 	for i := 0; i < 100; i++ {
-		pool := NewPool(4, Priority)
+		pool := NewPool(4, Random)
 		var sum int64
-		pool.Run(func(c *Ctx) { sum = c.Reduce(0, 1000, 16, func(int) int64 { return 1 }) })
+		pool.Run(func(c *Ctx) { sum = forkSum(c, 0, 1000, 16, func(int) int64 { return 1 }) })
 		if sum != 1000 {
 			t.Fatalf("round %d: sum %d", i, sum)
 		}
@@ -152,7 +152,7 @@ func TestCloseRunsSubmittedRoots(t *testing.T) {
 	var ran atomic.Int64
 	for i := 0; i < roots; i++ {
 		pool.Submit(func(c *Ctx) {
-			c.For(0, 8, 1, func(int) { ran.Add(1) })
+			forkSum(c, 0, 8, 1, func(int) int64 { ran.Add(1); return 0 })
 		})
 	}
 	pool.Close()

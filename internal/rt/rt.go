@@ -5,10 +5,10 @@
 // Each worker owns a Chase–Lev lock-free deque (deque.go): the owner pushes
 // and pops at the bottom with plain atomic stores, thieves CAS the top — the
 // steal orientation of Section 2, with no mutex anywhere on the task path.
-// The victim rule is pluggable: Random (RWS) resamples uniformly among the
-// other p−1 workers, Priority (the PWS-flavoured rule) scans all deque heads
-// and steals the shallowest advertised task, retrying remaining victims if
-// the chosen one is emptied concurrently.
+// A thief picks victims uniformly among the other p−1 workers: the
+// randomized work stealer whose steal and block-delay bounds arxiv
+// 1103.4142 proves.  The paper's priority scheduler (PWS) lives in the
+// simulator (internal/sched), where its steal counts are measured.
 //
 // All hot mutable per-worker state — the deque's top and bottom indices and
 // the sharded steal/attempt/executed counters — lives in one pool-owned
@@ -43,7 +43,9 @@
 //
 // The simulator in internal/core measures the paper's cache and block-miss
 // quantities; this package demonstrates the same computations running with
-// genuine parallelism and feeds the wall-clock experiments (EXP12, EXP13).
+// genuine parallelism and feeds the wall-clock experiments (EXP13, EXP16).
+// Its surface is what internal/fj lowers onto — Submit/Run/Close and
+// Ctx.Fork/Join/Scratch; parallel loops and reductions are fj's.
 package rt
 
 import (
@@ -56,16 +58,13 @@ import (
 	"repro/internal/arena"
 )
 
-// Policy selects the victim rule for steals.
+// Policy names the victim rule for steals.  Random is the only one; the
+// type survives so NewPool keeps the signature the benchmark programs under
+// benchmark/ call it with.
 type Policy int
 
-const (
-	// Random picks victims uniformly at random among the other workers (RWS).
-	Random Policy = iota
-	// Priority scans all deques and steals the task with the smallest
-	// depth (largest size), the PWS-flavoured rule.
-	Priority
-)
+// Random picks victims uniformly at random among the other workers (RWS).
+const Random Policy = 0
 
 // Layout selects how the pool lays out hot per-worker state and task frames.
 type Layout int
@@ -143,18 +142,17 @@ func newState(p int, layout Layout) ([]atomic.Int64, []cells) {
 	return buf, cs
 }
 
-// task is one forked frame: the body, its fork depth, the done flag the
-// joiner and thieves synchronize on, and the Ctx the executing worker hands
-// the body.  Embedding the Ctx in the frame keeps the execution path
-// allocation-free: &t.ctx escapes into fn, but the frame is slab memory
-// already, so no per-task heap object is created.  Only the executor writes
+// task is one forked frame: the body, the done flag the joiner and thieves
+// synchronize on, and the Ctx the executing worker hands the body.
+// Embedding the Ctx in the frame keeps the execution path allocation-free:
+// &t.ctx escapes into fn, but the frame is slab memory already, so no
+// per-task heap object is created.  Only the executor writes
 // ctx, and the joiner reads the frame only after the done acquire, so the
 // sharing is as ordered as done itself.
 type task struct {
-	fn    func(*Ctx)
-	depth int32
-	done  atomic.Uint32
-	ctx   Ctx
+	fn   func(*Ctx)
+	done atomic.Uint32
+	ctx  Ctx
 }
 
 func (t *task) isDone() bool { return t.done.Load() != 0 }
@@ -164,13 +162,9 @@ func (t *task) isDone() bool { return t.done.Load() != 0 }
 // creating a type cycle task → Ctx → worker → arena → paddedTask → task.
 // TestTaskFramePadding asserts the two sizes agree.
 type taskFootprint struct {
-	fn    func()
-	depth int32
-	done  atomic.Uint32
-	ctx   struct {
-		w     uintptr
-		depth int
-	}
+	fn   func()
+	done atomic.Uint32
+	ctx  struct{ w uintptr }
 }
 
 // taskSize is the unpadded task frame footprint.
@@ -201,7 +195,7 @@ type taskArena struct {
 	used   int
 }
 
-func (a *taskArena) alloc(fn func(*Ctx), depth int32) *task {
+func (a *taskArena) alloc(fn func(*Ctx)) *task {
 	var t *task
 	if a.padded {
 		if a.used >= len(a.slabP) {
@@ -215,7 +209,7 @@ func (a *taskArena) alloc(fn func(*Ctx), depth int32) *task {
 		t = &a.slabC[a.used]
 	}
 	a.used++
-	t.fn, t.depth = fn, depth
+	t.fn = fn
 	return t
 }
 
@@ -243,7 +237,6 @@ type Pool struct {
 	_      [cacheLine - 8]byte
 
 	workers []*worker
-	policy  Policy
 	layout  Layout
 	wg      sync.WaitGroup
 
@@ -260,34 +253,31 @@ type worker struct {
 	pool    *Pool
 	st      cells
 	dq      deque
-	rng     *rand.Rand   // owner-only: victim sampling for the Random policy
+	rng     *rand.Rand   // owner-only: victim sampling
 	arena   taskArena    // owner-only: task frames this worker forks
 	scratch *arena.Shard // owner-only: scratch slabs for kernel allocations
 }
 
 // Ctx is passed to every task body; it identifies the executing worker.
-type Ctx struct {
-	w     *worker
-	depth int
-}
+type Ctx struct{ w *worker }
 
 // Handle joins a forked task.
 type Handle struct{ t *task }
 
 // NewPool creates a pool of p workers with the padded (false-sharing-aware)
-// layout.  Pass 0 for GOMAXPROCS.
+// layout.  Pass 0 for GOMAXPROCS.  policy is always Random (see Policy).
 func NewPool(p int, policy Policy) *Pool {
-	return NewPoolLayout(p, policy, LayoutPadded)
+	return NewPoolLayout(p, LayoutPadded)
 }
 
 // NewPoolLayout creates a pool with an explicit state/task layout.  Use
 // LayoutCompact only to measure the false-sharing penalty it exists to
 // demonstrate.
-func NewPoolLayout(p int, policy Policy, layout Layout) *Pool {
+func NewPoolLayout(p int, layout Layout) *Pool {
 	if p <= 0 {
 		p = runtime.GOMAXPROCS(0)
 	}
-	pool := &Pool{policy: policy, layout: layout}
+	pool := &Pool{layout: layout}
 	pool.cond = sync.NewCond(&pool.mu)
 	var blocks []cells
 	pool.state, blocks = newState(p, layout)
@@ -436,7 +426,7 @@ func (w *worker) loop() {
 
 func (w *worker) run(t *task) {
 	w.st.executed.Add(1)
-	t.ctx = Ctx{w: w, depth: int(t.depth)}
+	t.ctx = Ctx{w: w}
 	t.fn(&t.ctx)
 	t.done.Store(1)
 	w.pool.wake()
@@ -448,7 +438,7 @@ const idleSpins = 4
 
 // find makes one pass over the worker's work sources in scheduling order:
 // its own deque, then — in the main loop only (roots) — the injection queue,
-// then a steal: one bounded round under the pool's policy, or with sweep
+// then a steal: one bounded round of random probes, or with sweep
 // the exhaustive stealAny pass that precedes a park.
 func (w *worker) find(roots, sweep bool) *task {
 	if t := w.dq.pop(); t != nil {
@@ -530,47 +520,20 @@ func (p *Pool) stealAny(thief *worker) *task {
 	return nil
 }
 
-// trySteal attempts one bounded round of stealing under the pool's policy.
+// trySteal makes one bounded round of random probes.  Victims are sampled
+// among the other n−1 workers so no probe is wasted on the thief itself (at
+// p=2 self-sampling voided half the attempts).
 func (p *Pool) trySteal(thief *worker) *task {
 	n := len(p.workers)
 	if n == 1 {
 		return nil
 	}
-	switch p.policy {
-	case Priority:
-		// Scan every head for the shallowest advertised task and try to
-		// take it.  If the chosen victim was emptied (or won) concurrently,
-		// rescan and try the remaining victims rather than giving up — the
-		// old mutex runtime returned nil here and forced an idle round.
-		for round := 0; round < n; round++ {
-			best, bestDepth := -1, int(^uint(0)>>1)
-			for i, v := range p.workers {
-				if v == thief {
-					continue
-				}
-				if d := v.dq.headDepth(); d >= 0 && d < bestDepth {
-					best, bestDepth = i, d
-				}
-			}
-			if best < 0 {
-				return nil
-			}
-			thief.st.attempts.Add(1)
-			if t, _ := p.workers[best].dq.steal(); t != nil {
-				thief.st.steals.Add(1)
-				return t
-			}
-		}
-	default:
-		// Sample among the other n−1 workers so no probe is wasted on the
-		// thief itself (at p=2 self-sampling voided half the attempts).
-		for tries := 0; tries < n; tries++ {
-			v := p.workers[(thief.id+1+thief.rng.Intn(n-1))%n]
-			thief.st.attempts.Add(1)
-			if t, _ := v.dq.steal(); t != nil {
-				thief.st.steals.Add(1)
-				return t
-			}
+	for tries := 0; tries < n; tries++ {
+		v := p.workers[(thief.id+1+thief.rng.Intn(n-1))%n]
+		thief.st.attempts.Add(1)
+		if t, _ := v.dq.steal(); t != nil {
+			thief.st.steals.Add(1)
+			return t
 		}
 	}
 	return nil
@@ -586,7 +549,7 @@ func (c *Ctx) Scratch() *arena.Shard { return c.w.scratch }
 
 // Fork pushes fn as a stealable task and returns its join handle.
 func (c *Ctx) Fork(fn func(*Ctx)) Handle {
-	t := c.w.arena.alloc(fn, int32(c.depth+1))
+	t := c.w.arena.alloc(fn)
 	c.w.dq.push(t)
 	c.w.pool.wake()
 	return Handle{t: t}
@@ -604,43 +567,4 @@ func (c *Ctx) Join(h Handle) {
 		}
 		c.w.run(t)
 	}
-}
-
-// Parallel runs a and b as parallel subtasks and returns when both finish.
-func (c *Ctx) Parallel(a, b func(*Ctx)) {
-	h := c.Fork(b)
-	a(&Ctx{w: c.w, depth: c.depth + 1})
-	c.Join(h)
-}
-
-// For runs body(i) for lo ≤ i < hi with binary splitting down to grain.
-func (c *Ctx) For(lo, hi, grain int, body func(i int)) {
-	if hi-lo <= grain {
-		for i := lo; i < hi; i++ {
-			body(i)
-		}
-		return
-	}
-	mid := lo + (hi-lo)/2
-	c.Parallel(
-		func(c *Ctx) { c.For(lo, mid, grain, body) },
-		func(c *Ctx) { c.For(mid, hi, grain, body) },
-	)
-}
-
-// Reduce computes the sum of f(i) over [lo, hi) with binary splitting.
-func (c *Ctx) Reduce(lo, hi, grain int, f func(i int) int64) int64 {
-	if hi-lo <= grain {
-		var s int64
-		for i := lo; i < hi; i++ {
-			s += f(i)
-		}
-		return s
-	}
-	mid := lo + (hi-lo)/2
-	var right int64
-	h := c.Fork(func(c *Ctx) { right = c.Reduce(mid, hi, grain, f) })
-	left := (&Ctx{w: c.w, depth: c.depth + 1}).Reduce(lo, mid, grain, f)
-	c.Join(h)
-	return left + right
 }

@@ -6,20 +6,36 @@ import (
 	"testing"
 )
 
+// forkSum sums f(i) over [lo, hi) by binary Fork/Join down to grain: the
+// divide-and-conquer shape fj's lowering gives every kernel.
+func forkSum(c *Ctx, lo, hi, grain int, f func(i int) int64) int64 {
+	if hi-lo <= grain {
+		var s int64
+		for i := lo; i < hi; i++ {
+			s += f(i)
+		}
+		return s
+	}
+	mid := lo + (hi-lo)/2
+	var right int64
+	h := c.Fork(func(c *Ctx) { right = forkSum(c, mid, hi, grain, f) })
+	left := forkSum(c, lo, mid, grain, f)
+	c.Join(h)
+	return left + right
+}
+
 func TestReduceCorrect(t *testing.T) {
 	n := 1 << 16
 	want := int64(n) * int64(n-1) / 2
 	for _, p := range []int{1, 2, 4, 8} {
-		for _, pol := range []Policy{Random, Priority} {
-			pool := NewPool(p, pol)
-			t.Cleanup(pool.Close)
-			var got int64
-			pool.Run(func(c *Ctx) {
-				got = c.Reduce(0, n, 512, func(i int) int64 { return int64(i) })
-			})
-			if got != want {
-				t.Errorf("p=%d policy=%d: sum = %d, want %d", p, pol, got, want)
-			}
+		pool := NewPool(p, Random)
+		t.Cleanup(pool.Close)
+		var got int64
+		pool.Run(func(c *Ctx) {
+			got = forkSum(c, 0, n, 512, func(i int) int64 { return int64(i) })
+		})
+		if got != want {
+			t.Errorf("p=%d: sum = %d, want %d", p, got, want)
 		}
 	}
 }
@@ -30,8 +46,9 @@ func TestForCoversAllIndices(t *testing.T) {
 	pool := NewPool(4, Random)
 	t.Cleanup(pool.Close)
 	pool.Run(func(c *Ctx) {
-		c.For(0, n, 128, func(i int) {
+		forkSum(c, 0, n, 128, func(i int) int64 {
 			atomic.AddInt32(&hits[i], 1)
+			return 0
 		})
 	})
 	for i, h := range hits {
@@ -42,17 +59,16 @@ func TestForCoversAllIndices(t *testing.T) {
 }
 
 func TestParallelBothRun(t *testing.T) {
-	pool := NewPool(2, Priority)
+	pool := NewPool(2, Random)
 	t.Cleanup(pool.Close)
 	var a, b atomic.Bool
 	pool.Run(func(c *Ctx) {
-		c.Parallel(
-			func(c *Ctx) { a.Store(true) },
-			func(c *Ctx) { b.Store(true) },
-		)
+		h := c.Fork(func(*Ctx) { b.Store(true) })
+		a.Store(true)
+		c.Join(h)
 	})
 	if !a.Load() || !b.Load() {
-		t.Error("Parallel did not run both branches")
+		t.Error("Fork/Join did not run both branches")
 	}
 }
 
@@ -68,7 +84,7 @@ func TestNestedForks(t *testing.T) {
 		}
 		var r int64
 		h := c.Fork(func(c *Ctx) { r = fib(c, n-2) })
-		l := fib(&Ctx{w: c.w, depth: c.depth + 1}, n-1)
+		l := fib(c, n-1)
 		c.Join(h)
 		return l + r
 	}
@@ -90,7 +106,7 @@ func TestStealsHappen(t *testing.T) {
 	t.Cleanup(pool.Close)
 	for round := 0; round < 200; round++ {
 		pool.Run(func(c *Ctx) {
-			c.Reduce(0, 1<<18, 256, func(i int) int64 {
+			forkSum(c, 0, 1<<18, 256, func(i int) int64 {
 				if i%(1<<12) == 0 {
 					runtime.Gosched()
 				}
@@ -105,12 +121,12 @@ func TestStealsHappen(t *testing.T) {
 }
 
 func TestPoolReuse(t *testing.T) {
-	pool := NewPool(3, Priority)
+	pool := NewPool(3, Random)
 	t.Cleanup(pool.Close)
 	for round := 0; round < 3; round++ {
 		var got int64
 		pool.Run(func(c *Ctx) {
-			got = c.Reduce(0, 1000, 64, func(i int) int64 { return 2 })
+			got = forkSum(c, 0, 1000, 64, func(i int) int64 { return 2 })
 		})
 		if got != 2000 {
 			t.Fatalf("round %d: got %d", round, got)

@@ -71,7 +71,7 @@ if [ "$MODE" != grid ]; then
     echo "== gate: -race over concurrently executing grid cells =="
     # A golden subset at -parallel 8 is the only place experiment cells run
     # concurrently; race-check it without paying for the full suite under -race.
-    go test -race -run 'TestGoldenRowsIdenticalAcrossParallelism/(EXP05|EXP07|EXP12|EXP13|EXP14|EXP15|EXP16)' ./internal/bench/
+    go test -race -run 'TestGoldenRowsIdenticalAcrossParallelism/(EXP05|EXP07|EXP13|EXP14|EXP15|EXP16)' ./internal/bench/
 
     echo "== gate: benchmark smoke (every benchmark runs one iteration) =="
     go test -run '^$' -bench . -benchtime 1x . ./internal/algos/sortutil/ >/dev/null
@@ -124,7 +124,7 @@ if [ "$MODE" != verify ]; then
         exit 1
     }
     # every experiment must have produced rows
-    for e in EXP01 EXP02 EXP03 EXP04 EXP05 EXP06 EXP07 EXP08 EXP09 EXP10 EXP11 EXP12 EXP13 EXP14 EXP15 EXP16; do
+    for e in EXP01 EXP02 EXP03 EXP04 EXP05 EXP06 EXP07 EXP08 EXP09 EXP10 EXP11 EXP13 EXP14 EXP15 EXP16; do
         grep -q "^$e," "$rows_csv" || {
             echo "no rows for $e" >&2
             exit 1
