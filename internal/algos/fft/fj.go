@@ -44,14 +44,13 @@ import (
 )
 
 // Per-backend transform sizes at or below which recursion runs serially (on
-// real hardware: as the iterative leaf), and the leaf lengths of the
-// parallel copy and butterfly loops above them.
+// real hardware: as the iterative leaf), and the simulator's leaf lengths of
+// the parallel copy and butterfly loops above them.
 const (
 	FJFFTGrainSim  = 8
 	FJFFTGrainReal = 256
 
-	copyGrainSim, copyGrainReal           = 16, 2048
-	butterflyGrainSim, butterflyGrainReal = 16, 512
+	copyGrainSim, butterflyGrainSim = 16, 16
 )
 
 // FJForward computes the in-place forward DFT of data.  data's length must
@@ -68,7 +67,7 @@ func FJForward(c *fj.Ctx, data fj.C128) {
 	if data.Raw() != nil {
 		forwardReal(c, data.Raw(), src.Raw(), c.Grain(FJFFTGrainSim, FJFFTGrainReal))
 	} else {
-		c.For(0, n, c.Grain(copyGrainSim, copyGrainReal), func(c *fj.Ctx, i int64) {
+		c.For(0, n, copyGrainSim, func(c *fj.Ctx, i int64) {
 			src.Set(c, i, data.Get(c, i))
 		})
 		fjRec(c, data, 0, src, 0, 1, n)
@@ -104,7 +103,7 @@ func fjRec(c *fj.Ctx, dst fj.C128, dOff int64, src fj.C128, sOff, stride, n int6
 		c.Op(1)
 	}
 	if parallel {
-		c.For(0, h, c.Grain(butterflyGrainSim, butterflyGrainReal), body)
+		c.For(0, h, butterflyGrainSim, body)
 	} else {
 		for k := int64(0); k < h; k++ {
 			body(c, k)
@@ -151,7 +150,7 @@ func twiddles(c *fj.Ctx, n int64) ([]complex128, fj.C128) {
 
 func fillTwiddles(c *fj.Ctx, tw []complex128, n int64) {
 	ang := -2 * math.Pi / float64(n)
-	c.ForRange(0, int64(len(tw)), c.Grain(copyGrainSim, copyGrainReal), func(_ *fj.Ctx, lo, hi int64) {
+	c.ForRange(0, int64(len(tw)), copyGrainSim, func(_ *fj.Ctx, lo, hi int64) {
 		for j := lo; j < hi; j++ {
 			tw[j] = complex(math.Cos(ang*float64(j)), math.Sin(ang*float64(j)))
 		}
@@ -170,7 +169,7 @@ type realFFT struct {
 // the recursion back into data.
 func forwardReal(c *fj.Ctx, data, src []complex128, leaf int64) {
 	n := int64(len(data))
-	c.ForRange(0, n, c.Grain(copyGrainSim, copyGrainReal), func(_ *fj.Ctx, lo, hi int64) {
+	c.ForRange(0, n, copyGrainSim, func(_ *fj.Ctx, lo, hi int64) {
 		copy(src[lo:hi], data[lo:hi])
 	})
 	tw, scratch := twiddles(c, n)
@@ -190,7 +189,7 @@ func (r *realFFT) rec(c *fj.Ctx, dOff, sOff, stride, m int64) {
 	right := c.Fork(func(c *fj.Ctx) { r.rec(c, dOff+h, sOff+stride, 2*stride, h) })
 	r.rec(c, dOff, sOff, 2*stride, h)
 	c.Join(right)
-	c.ForRange(0, h, c.Grain(butterflyGrainSim, butterflyGrainReal), func(_ *fj.Ctx, lo, hi int64) {
+	c.ForRange(0, h, butterflyGrainSim, func(_ *fj.Ctx, lo, hi int64) {
 		r.butterflies(dOff, m, 1, lo, hi)
 	})
 }

@@ -11,18 +11,15 @@ package gather
 
 import "repro/internal/fj"
 
-// Per-backend leaf lengths of the parallel map.
-const (
-	FJGatherGrainSim  = 32
-	FJGatherGrainReal = 2048
-)
+// FJGatherGrainSim is the simulator's leaf length of the parallel map;
+// hardware splits the map on demand (fj.Ctx.For).
+const FJGatherGrainSim = 32
 
 // FJGather computes out[i] = vals[idx[i]] for 0 ≤ i < idx.Len(), writing
 // sentinel where idx[i] < 0.  A real leaf runs the map on the native slices;
 // a simulated one makes the same reads and writes through charged accesses.
 func FJGather(c *fj.Ctx, idx, vals, out fj.I64, sentinel int64) {
-	grain := c.Grain(FJGatherGrainSim, FJGatherGrainReal)
-	c.ForRange(0, idx.Len(), grain, func(c *fj.Ctx, lo, hi int64) {
+	c.ForRange(0, idx.Len(), FJGatherGrainSim, func(c *fj.Ctx, lo, hi int64) {
 		if ix := idx.Raw(); ix != nil {
 			vs, os := vals.Raw(), out.Raw()[lo:hi]
 			for i, k := range ix[lo:hi] {

@@ -11,11 +11,9 @@ package listrank
 
 import "repro/internal/fj"
 
-// Per-backend leaf lengths of each round's parallel map.
-const (
-	FJRankGrainSim  = 32
-	FJRankGrainReal = 2048
-)
+// FJRankGrainSim is the simulator's leaf length of each round's parallel
+// map; hardware splits the maps on demand (fj.Ctx.For).
+const FJRankGrainSim = 32
 
 // FJRank ranks the linked list given by succ: succ[i] is the index of i's
 // successor, or −1 for the tail.  rank[i] receives the number of links from
@@ -25,11 +23,10 @@ func FJRank(c *fj.Ctx, succ, rank fj.I64) {
 	if rank.Len() != n {
 		panic("listrank: FJRank length mismatch")
 	}
-	grain := c.Grain(FJRankGrainSim, FJRankGrainReal)
 	nxt := c.ScratchI64(n)   // the init map below writes every slot
 	rank2 := c.ScratchI64(n) // each round fully writes the next generation
 	nxt2 := c.ScratchI64(n)
-	c.ForRange(0, n, grain, func(c *fj.Ctx, lo, hi int64) {
+	c.ForRange(0, n, FJRankGrainSim, func(c *fj.Ctx, lo, hi int64) {
 		if ss := succ.Raw(); ss != nil {
 			ns, rs := nxt.Raw()[lo:hi], rank.Raw()[lo:hi]
 			for i, s := range ss[lo:hi] {
@@ -55,7 +52,7 @@ func FJRank(c *fj.Ctx, succ, rank fj.I64) {
 	curR, curS, nextR, nextS := rank, nxt, rank2, nxt2
 	rounds := 0
 	for span := int64(1); span < n; span *= 2 {
-		c.ForRange(0, n, grain, func(c *fj.Ctx, lo, hi int64) {
+		c.ForRange(0, n, FJRankGrainSim, func(c *fj.Ctx, lo, hi int64) {
 			if cr := curR.Raw(); cr != nil {
 				cs, nr, ns := curS.Raw(), nextR.Raw()[lo:hi], nextS.Raw()[lo:hi]
 				for i, s := range cs[lo:hi] {
@@ -85,7 +82,7 @@ func FJRank(c *fj.Ctx, succ, rank fj.I64) {
 	// The ping-pong leaves the final generation in rank itself after an even
 	// number of rounds; after an odd number it sits in the scratch buffer.
 	if rounds%2 == 1 {
-		c.ForRange(0, n, grain, func(c *fj.Ctx, lo, hi int64) {
+		c.ForRange(0, n, FJRankGrainSim, func(c *fj.Ctx, lo, hi int64) {
 			if cr := curR.Raw(); cr != nil {
 				copy(rank.Raw()[lo:hi], cr[lo:hi])
 				return

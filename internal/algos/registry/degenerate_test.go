@@ -14,17 +14,21 @@ import (
 // single-element inputs, the real-backend leaf grain (the largest size that
 // must NOT fork on hardware, from realLeaf), and the first size past it.
 // Kernels with a power-of-two shape constraint substitute grain and 2·grain
-// for the grain±1 pair.  Like eqSizes, every fj kernel must have an entry —
-// a new kernel without a boundary sweep fails the test, not silently skips
-// it.
+// for the grain±1 pair.  The loop-only kernels have no leaf to straddle:
+// they sweep 2, the first size that forks, and their loopSize.  Like
+// eqSizes, every fj kernel must have an entry — a new kernel without a
+// boundary sweep fails the test, not silently skips it.
 var degenerateSizes = func() map[string][]int64 {
-	m := make(map[string][]int64, len(realLeaf))
+	m := make(map[string][]int64, len(realLeaf)+len(loopSize))
 	for name, l := range realLeaf {
 		past := l.n + 1
 		if l.pow2 {
 			past = 2 * l.n
 		}
 		m[name] = []int64{0, 1, l.n, past}
+	}
+	for name, n := range loopSize {
+		m[name] = []int64{0, 1, 2, n}
 	}
 	return m
 }()

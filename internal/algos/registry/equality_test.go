@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/algos/fft"
-	"repro/internal/algos/gather"
-	"repro/internal/algos/listrank"
 	"repro/internal/algos/mat"
 	"repro/internal/algos/matmul"
 	"repro/internal/algos/scan"
@@ -20,10 +18,14 @@ import (
 	"repro/internal/sched"
 )
 
-// realLeaf gives, per fj kernel, the largest size parameter its real
-// lowering still runs as one serial leaf — read off the kernel's exported
-// grain constant, so a re-tuned grain moves the gates below with it — and
-// whether the size parameter must be a power of two.
+// realLeaf gives, per recursive fj kernel, the largest size parameter its
+// real lowering still runs as one serial leaf — read off the kernel's
+// exported grain constant, so a re-tuned grain moves the gates below with
+// it — and whether the size parameter must be a power of two.  gather and
+// listrank are not here: they are parallel loops with no real leaf, which
+// fork at every n ≥ 2 (fj.Ctx.For splits on demand, and at p = 1 the empty
+// deque makes the first split certain), so the gates give them fixed sizes
+// (loopSize).
 var realLeaf = map[string]struct {
 	n    int64
 	pow2 bool
@@ -35,19 +37,23 @@ var realLeaf = map[string]struct {
 	"scan":      {scan.FJPrefixGrainReal, false},
 	"fft":       {fft.FJFFTGrainReal, true},
 	"transpose": {int64(math.Sqrt(mat.FJTGrainReal)), false}, // the grain is a leaf area
-	"gather":    {gather.FJGatherGrainReal, false},
-	"listrank":  {listrank.FJRankGrainReal, false},
 }
+
+// loopSize is the gate size of the loop-only kernels (see realLeaf).
+var loopSize = map[string]int64{"gather": 4096, "listrank": 4096}
 
 // eqSizes picks the gate size per kernel: twice the kernel's *real* leaf
 // grain, so the real lowering actually forks (TestCrossBackendEquality
-// asserts it does) while a simulated run at the same size stays affordable.
-// The registry's SimSizes are below these on purpose — they size hbptrace
-// defaults, not this gate.
+// asserts it does) while a simulated run at the same size stays affordable;
+// loopSize for the loop-only kernels.  The registry's SimSizes are below
+// these on purpose — they size hbptrace defaults, not this gate.
 var eqSizes = func() map[string]int64 {
-	m := make(map[string]int64, len(realLeaf))
+	m := make(map[string]int64, len(realLeaf)+len(loopSize))
 	for name, l := range realLeaf {
 		m[name] = 2 * l.n
+	}
+	for name, n := range loopSize {
+		m[name] = n
 	}
 	return m
 }()

@@ -10,7 +10,7 @@ package scan
 
 import "repro/internal/fj"
 
-// Per-backend block lengths.
+// Per-backend block lengths: each block is one serial sum and one rescan.
 const (
 	FJPrefixGrainSim  = 64
 	FJPrefixGrainReal = 4096

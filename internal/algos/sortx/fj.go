@@ -14,8 +14,9 @@ import (
 	"repro/internal/fj"
 )
 
-// Per-backend leaf cutoffs: run length at or below which a leaf sorts
-// serially, and combined length at or below which merges are serial.  The
+// Per-backend leaf cutoffs: run length at or below which a run goes to the
+// serial sort leaf (sortutil.SortLeaf, radix on hardware), and combined
+// length at or below which merges are serial (sortutil.MergeSerial).  The
 // real sort grain comes from a sweep of {2048, 4096, 8192} on the
 // repository's benchmark (kernels_direct, 2¹⁷ keys: p1/pn 3.6/2.0 ms,
 // 3.1/1.7, 2.8/1.55; 16 leaf sorts at 8192 — every level of binary merging

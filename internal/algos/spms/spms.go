@@ -47,9 +47,9 @@ import (
 	"repro/internal/fj"
 )
 
-// Per-backend leaf cutoffs: run length at or below which a recursive sort
-// leaf runs serially, and combined length at or below which merges are
-// serial.  Simulator grains stay small so the model observes the recursion;
+// Per-backend leaf cutoffs: run length at or below which a run goes to the
+// serial sort leaf (sortutil.SortLeaf, radix on hardware), and combined
+// length at or below which merges are serial (serialMergeK, MergeSerial).  Simulator grains stay small so the model observes the recursion;
 // real grains amortize scheduling over tight loops.  The real sort grain
 // comes from a sweep of {2048, 4096, 8192} on the repository's benchmark
 // (kernels_direct, 2¹⁷ keys: p1/pn 4.3/2.5 ms, 3.6/2.1, 3.85/2.25; 32 leaf
@@ -152,12 +152,6 @@ func isqrt(n int64) int64 {
 	}
 	return x
 }
-
-// cutGrainReal is the real-backend leaf size for the flat partition loops
-// (splitter gathering, cut searches, bucket slicing): enough serial binary
-// searches per task to amortize scheduling, while the simulator keeps grain
-// 1 so the partition phase stays a single O(log m)-depth parallel step.
-const cutGrainReal = 64
 
 // serialKMaxSim is the simulator size cap for merging many tiny runs with
 // one serial k-way heap pass instead of the pairwise tree.  The serial merge
@@ -269,7 +263,7 @@ func FJMergeK(c *fj.Ctx, runs []fj.I64, out fj.I64) {
 	sval := c.ScratchI64(nsp) // the cut loop below fills all nsp slots first
 	snum := c.ScratchI64(nsp) // G: 1-based rank of the splitter in its group
 	sden := c.ScratchI64(nsp) // g: number of splitters sharing the value
-	c.For(0, nsp, c.Grain(1, cutGrainReal), func(c *fj.Ctx, j int64) {
+	c.For(0, nsp, 1, func(c *fj.Ctx, j int64) {
 		v := sorted.Get(c, j)
 		gl := sortutil.LowerBound(c, sorted, v) // first splitter of the group
 		jhi := sortutil.UpperBound(c, sorted, v) - 1
@@ -287,7 +281,7 @@ func FJMergeK(c *fj.Ctx, runs []fj.I64, out fj.I64) {
 	// at or before splitter j: everything below the splitter value, plus a
 	// positional G/(g+1) share of the run's own equal-value range.
 	cutm := c.ScratchI64(nsp * k) // every slot written by this loop
-	c.For(0, nsp*k, c.Grain(1, cutGrainReal), func(c *fj.Ctx, t int64) {
+	c.For(0, nsp*k, 1, func(c *fj.Ctx, t int64) {
 		j, s := t/k, t%k
 		v := sval.Get(c, j)
 		lb := sortutil.LowerBound(c, runs[s], v)
@@ -310,7 +304,7 @@ func FJMergeK(c *fj.Ctx, runs []fj.I64, out fj.I64) {
 	// progress.
 	c.For(0, nsp+1, 1, func(c *fj.Ctx, j int64) {
 		bruns := c.AllocRuns(k)
-		c.For(0, k, c.Grain(1, cutGrainReal), func(c *fj.Ctx, s int64) {
+		c.For(0, k, 1, func(c *fj.Ctx, s int64) {
 			lo := int64(0)
 			if j > 0 {
 				lo = cutm.Get(c, (j-1)*k+s)
@@ -515,7 +509,7 @@ func fjCopy(c *fj.Ctx, src, dst fj.I64) {
 		return
 	}
 	n := src.Len()
-	c.For(0, n, c.Grain(32, 1<<60), func(c *fj.Ctx, i int64) {
+	c.For(0, n, 32, func(c *fj.Ctx, i int64) {
 		dst.Set(c, i, src.Get(c, i))
 	})
 }

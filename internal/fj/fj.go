@@ -16,12 +16,12 @@
 //
 // A computation is a function func(*Ctx).  Ctx offers structured fork-join
 // parallelism — Fork/Join with a LIFO join discipline, Parallel, and the
-// binary-splitting parallel loops For (a body per index) and ForRange (a
-// body per leaf range) — plus per-backend leaf cutoffs (Grain) so that real
-// execution keeps tight inner loops while the simulator still observes a
-// deep recursion.  Data lives in the typed views of view.go —
-// one generic View[T] over int64, float64 and complex128, named I64, F64 and
-// C128 — allocated either up front through an Env or mid-run through
+// parallel loops For and ForRange, whose grain is the simulator's leaf
+// (hardware splits them on demand) — plus per-backend recursion cutoffs
+// (Grain) so that real execution keeps tight serial leaves while the
+// simulator still observes a deep recursion.  Data lives in the typed views
+// of view.go — one generic View[T] over int64, float64 and complex128 (I64,
+// F64, C128) — allocated up front through an Env or mid-run through
 // Ctx.AllocI64 and friends (per-core block-aligned allocations on the
 // simulator, per-worker arena slabs on real hardware).
 //
@@ -88,10 +88,10 @@ type Ctx struct {
 // on the simulated multicore (false).
 func (c *Ctx) Real() bool { return c.rc != nil }
 
-// Grain returns the backend-appropriate leaf cutoff: sim under the
+// Grain returns the backend-appropriate recursion cutoff: sim under the
 // simulator, real on hardware.  Simulator grains stay small so the model
-// observes the full recursion; real grains stay large enough to amortize
-// scheduling over tight serial loops.
+// observes the full recursion; a real grain picks a serial leaf algorithm.
+// Parallel loops take no real grain (see For).
 func (c *Ctx) Grain(sim, real int64) int64 {
 	if c.Real() {
 		return real
@@ -151,20 +151,19 @@ func (c *Ctx) Parallel(a, b func(*Ctx)) {
 	c.Join(h)
 }
 
-// For runs body(c, i) for lo ≤ i < hi with parallel splitting down to grain
-// (typically c.Grain(sim, real)); at or below the grain the indices run
-// serially in ascending order on the calling task.  The sim lowering splits
-// binarily (the balanced tree the depth measurements model); the real
-// lowering descends the left spine forking right halves from pooled frames
-// (splitReal in scratch.go) — same leaves, same disjoint writes, no per-split
-// allocation.
+// For runs body(c, i) for lo ≤ i < hi in parallel, each leaf's indices in
+// ascending order on one task.  grain is the simulator's leaf: the sim
+// lowering splits binarily down to it (the balanced tree the depth
+// measurements model).  Hardware splits on demand (splitReal in
+// scratch.go), forking a right half only when the worker's deque is empty —
+// the same disjoint writes from fewer tasks, no per-split allocation.
 func (c *Ctx) For(lo, hi, grain int64, body func(c *Ctx, i int64)) {
+	if c.rc != nil {
+		c.splitReal(lo, hi, body, nil)
+		return
+	}
 	if grain < 1 {
 		grain = 1
-	}
-	if c.rc != nil {
-		c.splitReal(lo, hi, grain, body, nil)
-		return
 	}
 	if hi-lo <= grain {
 		for i := lo; i < hi; i++ {
@@ -180,23 +179,22 @@ func (c *Ctx) For(lo, hi, grain int64, body func(c *Ctx, i int64)) {
 }
 
 // ForRange is For with a range-bodied leaf: the same splitting of [lo, hi)
-// down to grain on both backends, but each leaf calls body(c, lo, hi) once
-// with its whole sub-range instead of once per index, so a real leaf pays
-// one indirect call per grain and can run a tight loop over native slices.
-// A body that loops "for i := lo; i < hi; i++" over charged Get/Set performs
-// exactly the access sequence the equivalent For would, under the identical
-// task tree — the simulator cannot tell the two apart.  An empty range calls
-// nothing.
+// on both backends, but each leaf calls body(c, lo, hi) once with its whole
+// sub-range instead of once per index, so a real chunk pays one indirect
+// call and can run a tight loop over native slices.  A body that loops
+// "for i := lo; i < hi; i++" over charged Get/Set performs exactly the
+// access sequence the equivalent For would, under the identical task tree —
+// the simulator cannot tell the two apart.  An empty range calls nothing.
 func (c *Ctx) ForRange(lo, hi, grain int64, body func(c *Ctx, lo, hi int64)) {
+	if c.rc != nil {
+		c.splitReal(lo, hi, nil, body)
+		return
+	}
 	if hi <= lo {
 		return
 	}
 	if grain < 1 {
 		grain = 1
-	}
-	if c.rc != nil {
-		c.splitReal(lo, hi, grain, nil, body)
-		return
 	}
 	if hi-lo <= grain {
 		body(c, lo, hi)

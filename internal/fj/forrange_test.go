@@ -2,6 +2,7 @@ package fj
 
 import (
 	"fmt"
+	"math/bits"
 	"reflect"
 	"testing"
 
@@ -12,25 +13,28 @@ import (
 )
 
 // forRangeCases are (lo, hi, grain) triples around every boundary of the
-// split: empty, one index, exactly one leaf, one over, uneven halves.
+// sim split: empty, one index, exactly one leaf, one over, uneven halves —
+// and one range long enough for the real lowering's chunks to grow and its
+// right halves to be stolen while they do.
 func forRangeCases() [][3]int64 {
 	const g = 8
 	return [][3]int64{
 		{5, 5, g}, {5, 6, g}, {5, 5 + g, g}, {5, 5 + g + 1, g},
 		{0, 100, g}, {3, 259, 1}, {0, 64, 0}, {7, 200, 13}, {9, 4, g},
+		{0, 1 << 16, g},
 	}
 }
 
 // TestForRangeMatchesFor holds ForRange to For.  On the simulator the same
 // map written both ways — For's per-index body, and ForRange's range body
 // looping over it — must be indistinguishable: equal engine statistics and
-// equal words.  On rt every index of the range is visited exactly once and
-// nothing outside it (the plain increments are disjoint across leaves, so a
-// double visit is also a -race report).
+// equal words.  On rt, written either way, every index of the range is
+// visited exactly once and nothing outside it (the plain increments are
+// disjoint across chunks, so a double visit is also a -race report).
 func TestForRangeMatchesFor(t *testing.T) {
-	const n = 300
 	for _, tc := range forRangeCases() {
 		lo, hi, grain := tc[0], tc[1], tc[2]
+		n := max(300, hi)
 		t.Run(fmt.Sprintf("sim/%d-%d/g%d", lo, hi, grain), func(t *testing.T) {
 			run := func(ranged bool) (core.Result, []int64) {
 				m := machine.New(machine.Default(4))
@@ -62,31 +66,74 @@ func TestForRangeMatchesFor(t *testing.T) {
 		})
 		for _, layout := range []rt.Layout{rt.LayoutPadded, rt.LayoutCompact} {
 			for _, p := range []int{1, 2, 4} {
-				t.Run(fmt.Sprintf("real/%d-%d/g%d/%v/p%d", lo, hi, grain, layout, p), func(t *testing.T) {
-					visits := make([]int32, n)
-					pool := rt.NewPoolLayout(p, layout)
-					defer pool.Close()
-					RunReal(pool, func(c *Ctx) {
-						c.ForRange(lo, hi, grain, func(_ *Ctx, lo, hi int64) {
-							if hi <= lo {
-								t.Errorf("leaf called with the empty range [%d, %d)", lo, hi)
-							}
-							for i := lo; i < hi; i++ {
-								visits[i]++
-							}
-						})
-					})
-					for i, v := range visits {
-						want := int32(0)
-						if int64(i) >= lo && int64(i) < hi {
-							want = 1
-						}
-						if v != want {
-							t.Fatalf("index %d visited %d times, want %d", i, v, want)
-						}
+				for _, ranged := range []bool{false, true} {
+					arm := "For"
+					if ranged {
+						arm = "ForRange"
 					}
-				})
+					t.Run(fmt.Sprintf("real/%d-%d/g%d/%v/p%d/%s", lo, hi, grain, layout, p, arm), func(t *testing.T) {
+						visits := make([]int32, n)
+						pool := rt.NewPoolLayout(p, layout)
+						defer pool.Close()
+						RunReal(pool, func(c *Ctx) {
+							if !ranged {
+								c.For(lo, hi, grain, func(_ *Ctx, i int64) { visits[i]++ })
+								return
+							}
+							c.ForRange(lo, hi, grain, func(_ *Ctx, lo, hi int64) {
+								if hi <= lo {
+									t.Errorf("leaf called with the empty range [%d, %d)", lo, hi)
+								}
+								for i := lo; i < hi; i++ {
+									visits[i]++
+								}
+							})
+						})
+						for i, v := range visits {
+							want := int32(0)
+							if int64(i) >= lo && int64(i) < hi {
+								want = 1
+							}
+							if v != want {
+								t.Fatalf("index %d visited %d times, want %d", i, v, want)
+							}
+						}
+					})
+				}
 			}
 		}
 	}
+}
+
+// TestForRangeForksLogN pins the real lowering's lazy splitting on one
+// worker, where it is deterministic: nobody steals, so a range forks its
+// right half only when it starts on an empty deque — once at the root and
+// once in each right half the worker later pops back at Join.  A range of
+// n = 2¹⁶ indices therefore forks about log₂ n tasks, where splitting down
+// to a fixed grain of 1 would fork n−1.  Each of those log₂ n ranges runs
+// in O(log n) chunks (the chunk doubles, capped at a quarter of what
+// remains), so the body runs O(log² n) times, not once per index.
+func TestForRangeForksLogN(t *testing.T) {
+	const n = 1 << 16
+	lg := int64(bits.Len64(n) - 1)
+	pool := rt.NewPool(1, rt.Random)
+	defer pool.Close()
+	var calls, covered int64
+	RunReal(pool, func(c *Ctx) {
+		c.ForRange(0, n, 1, func(_ *Ctx, lo, hi int64) {
+			calls++
+			covered += hi - lo
+		})
+	})
+	forks := pool.Executed() - 1 // the root is a task too
+	if covered != n {
+		t.Fatalf("chunks cover %d indices, want %d", covered, n)
+	}
+	if forks < 1 || forks > 2*lg {
+		t.Errorf("forked %d tasks over %d indices on one worker, want 1..%d (2·log₂ n)", forks, n, 2*lg)
+	}
+	if calls > 2*lg*lg {
+		t.Errorf("body called %d times over %d indices on one worker, want at most %d (2·log₂² n)", calls, n, 2*lg*lg)
+	}
+	t.Logf("n=%d: %d forks, %d body calls", n, forks, calls)
 }

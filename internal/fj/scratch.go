@@ -39,18 +39,18 @@ func (c *Ctx) local() *wlocal {
 }
 
 // frame is one pooled fork: either a plain task body (fn) or a For/ForRange
-// range (lo/hi/grain with the per-index body or the per-range rbody).
+// range (lo/hi with the per-index body or the per-range rbody).
 // invoke is the rt-shaped entry bound to this frame once at construction,
 // and ctx is the fj context the executing worker fills in — both live here
 // precisely so the fork path allocates nothing.
 type frame struct {
-	fn            func(*Ctx)
-	lo, hi, grain int64
-	body          func(*Ctx, int64)
-	rbody         func(*Ctx, int64, int64)
-	ctx           Ctx
-	invoke        func(*rt.Ctx)
-	next          *frame // free-list link, owner-only
+	fn     func(*Ctx)
+	lo, hi int64
+	body   func(*Ctx, int64)
+	rbody  func(*Ctx, int64, int64)
+	ctx    Ctx
+	invoke func(*rt.Ctx)
+	next   *frame // free-list link, owner-only
 }
 
 func (fr *frame) run(rc *rt.Ctx) {
@@ -59,7 +59,7 @@ func (fr *frame) run(rc *rt.Ctx) {
 		fr.fn(&fr.ctx)
 		return
 	}
-	fr.ctx.splitReal(fr.lo, fr.hi, fr.grain, fr.body, fr.rbody)
+	fr.ctx.splitReal(fr.lo, fr.hi, fr.body, fr.rbody)
 }
 
 // frame pops a free frame from the worker's pool (or builds one, binding
@@ -87,33 +87,40 @@ func (c *Ctx) release(fr *frame) {
 }
 
 // splitReal is the real lowering of For (body) and ForRange (rbody; exactly
-// one of the two is set): descend the left half iteratively, forking each
-// right half as one pooled frame, run the leftmost leaf serially — rbody
-// once over the whole leaf, or body once per index — then join in LIFO
-// order.  The task set and every write are identical to the sim lowering's
-// binary split; only the shape of the spawn bookkeeping differs (and it
-// allocates nothing).  64 handles suffice: the range halves at every step.
-func (c *Ctx) splitReal(lo, hi, grain int64, body func(*Ctx, int64), rbody func(*Ctx, int64, int64)) {
+// one is set): lazy binary splitting (Tzannes et al., PPoPP 2010), with no
+// machine parameter.  The range runs from the left in chunks: first one
+// index, then twice the last chunk if that one did not split, capped at a
+// quarter of what remains.  Before each chunk, if the worker's deque is
+// empty, the right half of what remains is forked as one pooled frame (a
+// contiguous range sharing at most two boundary blocks with its siblings).
+// The forks join in LIFO order; each halves the range, so 64 handles do.
+func (c *Ctx) splitReal(lo, hi int64, body func(*Ctx, int64), rbody func(*Ctx, int64, int64)) {
 	var hs [64]Handle
 	nh := 0
-	for hi-lo > grain {
-		mid := lo + (hi-lo)/2
-		fr := c.frame()
-		fr.lo, fr.hi, fr.grain, fr.body, fr.rbody = mid, hi, grain, body, rbody
-		hs[nh] = Handle{rh: c.rc.Fork(fr.invoke), fr: fr}
-		nh++
-		hi = mid
-	}
-	if rbody != nil {
-		rbody(c, lo, hi)
-	} else {
-		for i := lo; i < hi; i++ {
-			body(c, i)
+	for chunk := int64(1); lo < hi; {
+		split := hi-lo > 1 && c.rc.DequeEmpty()
+		if split {
+			fr := c.frame()
+			fr.lo, fr.hi, fr.body, fr.rbody = lo+(hi-lo)/2, hi, body, rbody
+			hs[nh] = Handle{rh: c.rc.Fork(fr.invoke), fr: fr}
+			nh++
+			hi = fr.lo
+		}
+		chunk = min(chunk, max(1, (hi-lo)/4))
+		if rbody != nil {
+			rbody(c, lo, lo+chunk)
+		} else {
+			for i := lo; i < lo+chunk; i++ {
+				body(c, i)
+			}
+		}
+		lo += chunk
+		if !split {
+			chunk *= 2
 		}
 	}
-	for nh > 0 {
-		nh--
-		c.Join(hs[nh])
+	for i := nh - 1; i >= 0; i-- {
+		c.Join(hs[i])
 	}
 }
 

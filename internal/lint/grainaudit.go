@@ -29,11 +29,13 @@ var DefaultGrainAuditSizes = map[string]int64{
 
 // GrainAudit returns the grain-literal analyzer: inside the fj kernel
 // packages it resolves the simulated-backend argument of every
-// <ctx>.Grain(sim, real) call to its constant value and flags any cutoff at
-// or above the package's smallest registry sweep size.  A sim grain that
-// large makes the kernel run serially at the sweep's low end, so the EXP14
-// constant fits and the EXP15 depth envelope would be fitted to a recursion
-// that never forks — the measurements stay green while measuring nothing.
+// <ctx>.Grain(sim, real) call, and the grain (third) argument of every
+// <ctx>.For/ForRange call — which only the simulator reads — to its constant
+// value and flags any cutoff at or above the package's smallest registry
+// sweep size.  A sim grain that large makes the kernel run serially at the
+// sweep's low end, so the EXP14 constant fits and the EXP15 depth envelope
+// would be fitted to a recursion that never forks — the measurements stay
+// green while measuring nothing.
 // Non-constant sim arguments are out of scope (none exist today; the grains
 // are deliberately package-level constants so the audit can be static).
 func GrainAudit(minFit map[string]int64) *Analyzer {
@@ -55,18 +57,28 @@ func runGrainAudit(p *Package, minFit map[string]int64) []Finding {
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
-			if !ok || len(call.Args) < 1 {
+			if !ok {
 				return true
 			}
 			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok || sel.Sel.Name != "Grain" {
+			if !ok {
+				return true
+			}
+			arg := -1
+			switch sel.Sel.Name {
+			case "Grain":
+				arg = 0
+			case "For", "ForRange":
+				arg = 2
+			}
+			if arg < 0 || len(call.Args) <= arg {
 				return true
 			}
 			tv, ok := p.Info.Types[sel.X]
 			if !ok || !isCtxType(tv.Type) {
 				return true
 			}
-			atv, ok := p.Info.Types[call.Args[0]]
+			atv, ok := p.Info.Types[call.Args[arg]]
 			if !ok || atv.Value == nil {
 				return true
 			}
@@ -75,7 +87,7 @@ func runGrainAudit(p *Package, minFit map[string]int64) []Finding {
 				return true
 			}
 			out = append(out, Finding{
-				Pos:      p.Fset.Position(call.Args[0].Pos()),
+				Pos:      p.Fset.Position(call.Args[arg].Pos()),
 				Analyzer: "grainaudit",
 				Message: fmt.Sprintf("sim grain %d is at or above %d, the smallest size the registry sweep feeds %s: the sim lowering would run the sweep's low end serially and the EXP14/EXP15 fits would measure a recursion that never forks",
 					sim, limit, seg),

@@ -1,6 +1,7 @@
 // Package grainaudit is golden-test input for the grainaudit analyzer: sim
 // grain cutoffs at, above, and below the smallest sweep size the golden test
-// configures for this package (512), plus the shapes that must stay silent —
+// configures for this package (512), on Grain calls and on the sim grain
+// of the parallel loops, plus the shapes that must stay silent —
 // non-constant sim arguments, Grain methods on non-context receivers, and
 // calls outside any audited package are covered by the real-repo self-run.
 package grainaudit
@@ -42,4 +43,12 @@ func (notCtx) Grain(sim, real int64) int64 { return sim }
 func otherGrain(n int64) bool {
 	var v notCtx
 	return n <= v.Grain(4096, grainReal) // fine: not a fork-join context
+}
+
+func loopFine(c *fj.Ctx, n int64) {
+	c.For(0, n, grainSimOK, func(*fj.Ctx, int64) {}) // fine: 64 < 512
+}
+
+func loopAbove(c *fj.Ctx, n int64) {
+	c.ForRange(0, n, grainSimBig, func(*fj.Ctx, int64, int64) {}) // want "sim grain 4096 is at or above 512"
 }

@@ -100,6 +100,9 @@ func (d *deque) pop() *task {
 	return t
 }
 
+// empty reports whether the deque holds no task.  Owner only.
+func (d *deque) empty() bool { return d.top.Load() >= d.bottom.Load() }
+
 // steal removes and returns the top task, or nil.  Any thread.  The
 // second return reports whether the failure was a lost CAS race (the
 // victim may still hold work worth retrying) rather than emptiness.

@@ -45,7 +45,7 @@
 // quantities; this package demonstrates the same computations running with
 // genuine parallelism and feeds the wall-clock experiments (EXP13, EXP16).
 // Its surface is what internal/fj lowers onto — Submit/Run/Close and
-// Ctx.Fork/Join/Scratch; parallel loops and reductions are fj's.
+// Ctx.Fork/Join/Scratch/DequeEmpty; parallel loops and reductions are fj's.
 package rt
 
 import (
@@ -546,6 +546,10 @@ func (p *Pool) trySteal(thief *worker) *task {
 // migrate — a task may release to its executing worker a slab another worker
 // allocated — because a slab has exactly one owner at a time.
 func (c *Ctx) Scratch() *arena.Shard { return c.w.scratch }
+
+// DequeEmpty reports whether the executing worker's deque is empty, so a
+// new fork would be work for a thief: fj's loop splitting polls it.
+func (c *Ctx) DequeEmpty() bool { return c.w.dq.empty() }
 
 // Fork pushes fn as a stealable task and returns its join handle.
 func (c *Ctx) Fork(fn func(*Ctx)) Handle {

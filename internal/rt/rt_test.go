@@ -133,3 +133,24 @@ func TestPoolReuse(t *testing.T) {
 		}
 	}
 }
+
+// TestDequeEmptyTracksOwnForks pins the signal fj's loop splitting polls on
+// one worker, where no thief interferes: a root starts on an empty deque,
+// a fork fills it, and joining that fork (the owner pops it back) empties it.
+func TestDequeEmptyTracksOwnForks(t *testing.T) {
+	pool := NewPool(1, Random)
+	t.Cleanup(pool.Close)
+	pool.Run(func(c *Ctx) {
+		if !c.DequeEmpty() {
+			t.Error("a root starts on a non-empty deque")
+		}
+		h := c.Fork(func(*Ctx) {})
+		if c.DequeEmpty() {
+			t.Error("deque empty right after a fork")
+		}
+		c.Join(h)
+		if !c.DequeEmpty() {
+			t.Error("deque not empty after joining the only fork")
+		}
+	})
+}

@@ -51,6 +51,9 @@ if [ "$MODE" != grid ]; then
     # ordinary test cases under the detector.
     go test -race -run 'Test|FuzzInvokeCodec' ./internal/fj/ ./internal/arena/ ./internal/algos/registry/
     go test -race -run 'TestSortAllocRegression|TestKernelAllocRegression' .
+    # The real For/ForRange split on demand, so where a loop splits depends on
+    # timing: one schedule is not enough, run the loop gates five times.
+    go test -race -count=5 -run 'TestForRange' ./internal/fj/
 
     echo "== gate: -race over the simulated caches, coherence protocol and schedulers =="
     # FuzzSetMatchesReference's seeds replay the slab LRU against the
