@@ -67,11 +67,11 @@ func TestForRangeMatchesFor(t *testing.T) {
 		for _, layout := range []rt.Layout{rt.LayoutPadded, rt.LayoutCompact} {
 			for _, p := range []int{1, 2, 4} {
 				for _, ranged := range []bool{false, true} {
-					arm := "For"
+					arm := "realFor"
 					if ranged {
-						arm = "ForRange"
+						arm = "real"
 					}
-					t.Run(fmt.Sprintf("real/%d-%d/g%d/%v/p%d/%s", lo, hi, grain, layout, p, arm), func(t *testing.T) {
+					t.Run(fmt.Sprintf("%s/%d-%d/g%d/%v/p%d", arm, lo, hi, grain, layout, p), func(t *testing.T) {
 						visits := make([]int32, n)
 						pool := rt.NewPoolLayout(p, layout)
 						defer pool.Close()
