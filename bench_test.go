@@ -17,6 +17,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/harness"
 	"repro/internal/machine"
 	"repro/internal/mem"
 	"repro/internal/sched"
@@ -58,6 +59,37 @@ func BenchmarkEXP13LayoutSweep(b *testing.B)    { runExperiment(b, "EXP13") }
 func BenchmarkEXP14ModelCheck(b *testing.B)     { runExperiment(b, "EXP14") }
 func BenchmarkEXP15SortDepth(b *testing.B)      { runExperiment(b, "EXP15") }
 func BenchmarkEXP16Service(b *testing.B)        { runExperiment(b, "EXP16") }
+
+// BenchmarkEXP14SampledCells runs the EXP14 cells the benchmark's sim_grid
+// workload times — the first cell under each label: every kernel serial and
+// under both schedulers at its smallest size — and reports host nanoseconds
+// per simulated unit operation.  It is the entry point for profiling the
+// simulator on the cells that set sim_grid's ops_per_s:
+//
+//	go test -run '^$' -bench EXP14SampledCells -cpuprofile cpu.out .
+func BenchmarkEXP14SampledCells(b *testing.B) {
+	exp, ok := bench.FindExperiment("EXP14")
+	if !ok {
+		b.Fatal("EXP14 not registered")
+	}
+	var cells []harness.Cell
+	seen := map[string]bool{}
+	for _, c := range exp.Cells(bench.Params{}) {
+		if !seen[c.Label] {
+			seen[c.Label] = true
+			cells = append(cells, c)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var ops int64
+	for i := 0; i < b.N; i++ {
+		for _, c := range cells {
+			ops += c.Run()[0].Work
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ops), "ns/simop")
+}
 
 // --- Substrate micro-benchmarks --------------------------------------------
 

@@ -61,7 +61,7 @@ func (c *Ctx) Op(n int64) {
 // on the execution stack of the core that started the task, so accesses from
 // a usurping core cross caches — the effect Section 3.3 analyzes.
 func (c *Ctx) Local(i int) mem.Addr {
-	n := c.rec.node.Locals
+	n := int(c.rec.node.Locals)
 	if i < 0 || i >= n {
 		panic(fmt.Sprintf("core: local %d out of range (node %q declares %d locals)",
 			i, c.rec.node.Label, n))

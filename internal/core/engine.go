@@ -106,6 +106,9 @@ type rec struct {
 	owner   int // proc that executed the head
 	stolen  bool
 
+	// lo, hi is the sub-range [lo, hi) a range node's task covers.
+	lo, hi int64
+
 	frame     int // handle from execStack.alloc on frameProc's stack; noFrame if none
 	frameProc int
 	localBase mem.Addr
@@ -210,7 +213,7 @@ func (e *Engine) execute(ps *procState, r *rec) {
 			if r.parent != nil {
 				pid = r.parent.id
 			}
-			h.TaskStart(r.id, pid, r.prio, r.node.Size, ps.id, ps.p.Now, r.stolen)
+			h.TaskStart(r.id, pid, r.prio, r.size(), ps.id, ps.p.Now, r.stolen)
 		}
 		if h.ProcTask != nil {
 			h.ProcTask(ps.id, r.id)
@@ -220,8 +223,8 @@ func (e *Engine) execute(ps *procState, r *rec) {
 	ctx := ps.action(r)
 
 	if r.node.Seq != nil {
-		if r.node.Fork != nil {
-			panic(fmt.Sprintf("core: node %q has both Fork and Seq", r.node.Label))
+		if r.node.Fork != nil || r.node.Range != nil {
+			panic(fmt.Sprintf("core: node %q has Seq and Fork or Range", r.node.Label))
 		}
 		child := r.node.Seq(ctx, 0)
 		r.stage = 1
@@ -237,33 +240,51 @@ func (e *Engine) execute(ps *procState, r *rec) {
 		return
 	}
 
-	if r.node.Fork == nil {
-		panic(fmt.Sprintf("core: node %q has neither Fork nor Seq", r.node.Label))
+	// The right child's record is made before the left's, so it has the
+	// smaller task id.
+	var left, right *rec
+	if rg := r.node.Range; rg != nil {
+		if r.node.Fork != nil || r.node.Join != nil {
+			panic(fmt.Sprintf("core: range node %q has Fork or Join", r.node.Label))
+		}
+		if n := r.hi - r.lo; n == 1 {
+			rg.Body(ctx, r.lo)
+		} else {
+			mid := r.lo + n/2
+			right = e.subRange(r, mid, r.hi)
+			left = e.subRange(r, r.lo, mid)
+		}
+	} else {
+		if r.node.Fork == nil {
+			panic(fmt.Sprintf("core: node %q has neither Fork, Seq nor Range", r.node.Label))
+		}
+		l, rn := r.node.Fork(ctx)
+		if rn != nil {
+			right = e.newRec(rn, r, r.prio+1)
+		}
+		if l != nil {
+			left = e.newRec(l, r, r.prio+1)
+		}
 	}
-	left, right := r.node.Fork(ctx)
 	headOut := r.cpIn + ctx.actionCost + 1
 	switch {
 	case left == nil && right == nil:
 		r.cpOut = headOut
 		e.complete(ps, r)
 	case left != nil && right != nil:
-		rr := e.newRec(right, r, r.prio+1)
-		rr.cpIn = headOut
-		lr := e.newRec(left, r, r.prio+1)
-		lr.cpIn = headOut
+		right.cpIn, left.cpIn = headOut, headOut
 		r.pending = 2
-		ps.dq.push(rr)
+		ps.dq.push(right)
 		e.sched.Pushed(e, ps.id)
-		ps.cur = lr
+		ps.cur = left
 	default:
 		only := left
 		if only == nil {
 			only = right
 		}
-		cr := e.newRec(only, r, r.prio+1)
-		cr.cpIn = headOut
+		only.cpIn = headOut
 		r.pending = 1
-		ps.cur = cr
+		ps.cur = only
 	}
 }
 
@@ -353,9 +374,9 @@ func (e *Engine) joinAndComplete(ps *procState, r *rec, cpIn int64) {
 }
 
 func (e *Engine) pushFrame(ps *procState, r *rec) {
-	words := int64(r.node.Locals + r.node.Pad)
+	words := int64(r.node.Locals) + int64(r.node.Pad)
 	if e.opts.Padded {
-		words += int64(PadFor(r.node.Size))
+		words += int64(PadFor(r.size()))
 	}
 	if words == 0 {
 		r.localBase = -1
@@ -380,8 +401,33 @@ func (e *Engine) newRec(n *Node, parent *rec, prio int) *rec {
 	} else {
 		e.free = r.parent
 	}
-	*r = rec{id: e.nextID, node: n, parent: parent, prio: prio, maxSub: prio, frame: noFrame}
+	// Field by field: assigning a rec literal copies the whole record and
+	// pays a write barrier per pointer, a measurable share of a run.
+	r.id, r.node, r.parent, r.prio = e.nextID, n, parent, prio
+	r.pending, r.stage, r.owner, r.stolen = 0, 0, 0, false
+	if n.Range != nil {
+		r.lo, r.hi = n.Range.Lo, n.Range.Hi
+	}
+	r.frame, r.frameProc, r.localBase = noFrame, 0, 0
+	r.maxSub = prio
+	r.cpIn, r.cpMax, r.cpOut = 0, 0, 0
 	return r
+}
+
+// subRange returns the record of the child of range task r covering
+// [lo, hi).
+func (e *Engine) subRange(r *rec, lo, hi int64) *rec {
+	c := e.newRec(r.node, r, r.prio+1)
+	c.lo, c.hi = lo, hi
+	return c
+}
+
+// size returns the task size |τ| of r: its sub-range's for a range node.
+func (r *rec) size() int64 {
+	if rg := r.node.Range; rg != nil {
+		return (r.hi - r.lo) * rg.Per
+	}
+	return r.node.Size
 }
 
 // action returns ps's context, reset for an action of r.

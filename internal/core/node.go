@@ -11,7 +11,9 @@
 // (Join) — exactly Definition 3.2.  Sequencing for Type-i HBP computations
 // (Definition 3.4) is expressed by Seq nodes whose stages are built lazily;
 // the core that completes a stage starts the next one, so usurpation
-// (Definition 4.1) arises naturally and is counted.
+// (Definition 4.1) arises naturally and is counted.  The BP loops over an
+// index range (MapRange) are one Node each, split by the engine as it runs
+// them, so a simulated loop allocates per range, not per index.
 package core
 
 // Node describes one task of an HBP computation.  A Node is either
@@ -19,26 +21,48 @@ package core
 //   - a fork/leaf node: Fork performs the task head and returns two children
 //     (both nil for a leaf, whose entire O(1) computation happens in Fork);
 //     Join, if non-nil, performs the up-pass work after both children have
-//     completed; or
+//     completed;
 //   - a sequence node (Seq non-nil, Fork nil): Seq(c, i) performs the O(1)
 //     head work of stage i and returns the root task of that stage, or nil
 //     when there are no more stages; stages run strictly in succession and
-//     Join, if non-nil, runs after the final stage.
+//     Join, if non-nil, runs after the final stage; or
+//   - a range node (Range non-nil, Fork, Join and Seq nil): the BP
+//     computation over an index range that MapRange builds, which the engine
+//     splits itself (see Range).
 //
 // Size is the task size |τ| — the number of words the task (subtree)
 // accesses — which drives the balance condition and the size-based priority
 // analysis.  Locals declares the O(1) local variables of the task, allocated
 // on the executing core's simulated execution stack; Pad adds the padding
 // array of a padded BP computation (Definition 3.3, typically √|τ|).
+//
+// A Node is 64 bytes, one allocation size class; the Range pointer is paid
+// for by Locals and Pad being int32 (both are small constants).
 type Node struct {
 	Size   int64
-	Locals int
-	Pad    int
+	Locals int32
+	Pad    int32
 	Label  string
 
-	Fork func(c *Ctx) (left, right *Node)
-	Join func(c *Ctx)
-	Seq  func(c *Ctx, stage int) *Node
+	Fork  func(c *Ctx) (left, right *Node)
+	Join  func(c *Ctx)
+	Seq   func(c *Ctx, stage int) *Node
+	Range *Range
+}
+
+// Range is a BP computation over the indices [Lo, Hi): a balanced binary
+// down-pass splitting the range in half, with Body(c, i) run as the leaf of
+// index i and no up-pass work.  Per is the task-size contribution of one
+// index, so the task covering [lo, hi) has size (hi−lo)·Per.
+//
+// The engine splits a range node itself: a task covering [lo, hi) forks
+// [lo, mid) and [mid, hi) as sub-range tasks of the same Node, so the tree is
+// never built — no Node or closure is allocated per internal node or leaf —
+// while task ids, priorities, sizes and the simulated costs are exactly those
+// of the explicit tree.
+type Range struct {
+	Lo, Hi, Per int64
+	Body        func(c *Ctx, i int64)
 }
 
 // Leaf returns a leaf node of the given size running fn as its O(1) body.
@@ -105,25 +129,16 @@ func Stages(size int64, stages ...func(c *Ctx) *Node) *Node {
 	}
 }
 
-// MapRange builds a BP computation over indices [lo, hi): a balanced binary
-// down-pass splitting the range in half, with body(c, i) run at leaf i.
-// sizePer is the task-size contribution of one index (words accessed per
-// element).  There is no up-pass data flow; internal joins are empty.
+// MapRange returns the BP computation over indices [lo, hi) as one range
+// node (see Range): body(c, i) runs at leaf i, and sizePer is the task-size
+// contribution of one index (words accessed per element).  An empty range is
+// a unit leaf that does nothing.
 func MapRange(lo, hi int64, sizePer int64, body func(c *Ctx, i int64)) *Node {
 	n := hi - lo
 	if n <= 0 {
 		return Leaf(1, func(c *Ctx) {})
 	}
-	if n == 1 {
-		return Leaf(sizePer, func(c *Ctx) { body(c, lo) })
-	}
-	mid := lo + n/2
-	return &Node{
-		Size: n * sizePer,
-		Fork: func(c *Ctx) (*Node, *Node) {
-			return MapRange(lo, mid, sizePer, body), MapRange(mid, hi, sizePer, body)
-		},
-	}
+	return &Node{Size: n * sizePer, Range: &Range{Lo: lo, Hi: hi, Per: sizePer, Body: body}}
 }
 
 // UpTreeIndex returns the in-order up-tree output slot for the node covering

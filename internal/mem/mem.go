@@ -14,6 +14,11 @@
 // through machine.Proc so that cache and coherence behaviour is simulated;
 // the raw Load/Store entry points here exist for test setup, result
 // extraction, and the serial reference implementations.
+//
+// The address space is backed by 32 KiB pages materialised on first store,
+// so a simulated run pays for the memory it touches, not for the regions it
+// reserves (execution stacks are reserved whole and mostly never written);
+// segBits says why pages are that size.
 package mem
 
 import (
@@ -25,10 +30,14 @@ import (
 // Addr is a word address in the simulated shared memory.
 type Addr = int64
 
-// segBits determines the segment size (1<<segBits words per segment).  The
-// address space grows by whole segments so that previously returned addresses
-// stay valid without copying.
-const segBits = 18
+// segBits determines the segment (page) size: 1<<segBits words per segment.
+// The address space grows by whole segments so that previously returned
+// addresses stay valid without copying.  4096 words is 32 KiB, the largest
+// size Go serves from its small-object caches.  Every region a run touches —
+// the input, each proc's stack, each dynamic allocation — materialises at
+// least one segment, so a larger one makes each a large-object allocation
+// with its zeroing, which dominates a small simulated run.
+const segBits = 12
 
 const segSize = 1 << segBits
 

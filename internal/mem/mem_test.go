@@ -73,6 +73,42 @@ func TestUntouchedMemoryReadsZero(t *testing.T) {
 	if got := sp.Load(base + (1 << 19)); got != 0 {
 		t.Errorf("untouched word = %d, want 0", got)
 	}
+	if n := pages(sp); n != 0 {
+		t.Errorf("reserving and loading materialised %d pages, want 0", n)
+	}
+}
+
+// pages counts the materialised pages of sp.
+func pages(sp *Space) int {
+	n := 0
+	for _, seg := range sp.segs {
+		if seg != nil {
+			n++
+		}
+	}
+	return n
+}
+
+func TestPageBoundaryStoreLoad(t *testing.T) {
+	sp := NewSpace(16)
+	a, b := sp.Alloc(4096), sp.Alloc(2*4096)
+	if b != a+4096 {
+		t.Fatalf("second allocation at %d, want %d", b, a+4096)
+	}
+	// a's last word and b's first lie on either side of a 32 KiB page
+	// boundary; b's second page is never stored to.
+	stored := map[Addr]int64{a + 4095: -1, b: -2, b + 1: -3}
+	for w, v := range stored {
+		sp.Store(w, v)
+	}
+	for _, w := range []Addr{a + 4094, a + 4095, b, b + 1, b + 2, b + 2*4096 - 1} {
+		if got := sp.Load(w); got != stored[w] {
+			t.Errorf("Load(%d) = %d, want %d", w, got, stored[w])
+		}
+	}
+	if n := pages(sp); n != 2 {
+		t.Errorf("%d pages materialised, want 2", n)
+	}
 }
 
 func TestFloatRoundTrip(t *testing.T) {

@@ -2,7 +2,8 @@
 # run_all.sh — reproducible quick pass over the whole evaluation:
 #   1) verification half: gofmt/vet/build/test gate + race/docs gates
 #   2) grid half: quick experiment grid -> runs/<stamp>/{csv,logs} archive,
-#      CSV sanity, -canon determinism, and the EXP14 envelope grep
+#      CSV sanity, -canon determinism, the full EXP14 grid digests against
+#      benchmark/golden, and the EXP14 envelope grep
 #
 # Usage: bash scripts/run_all.sh [--verify-only|--grid-only] [outdir]
 #   (default: both halves; default outdir: runs)
@@ -165,6 +166,18 @@ if [ "$MODE" != verify ]; then
         go run ./cmd/hbpbench -quick -exp "$e" -parallel 1 -canon -json >"$dir/logs/$e.p1.jsonl"
         go run ./cmd/hbpbench -quick -exp "$e" -parallel 8 -canon -json >"$dir/logs/$e.p8.jsonl"
         cmp "$dir/logs/$e.p1.jsonl" "$dir/logs/$e.p8.jsonl"
+    done
+
+    echo "== golden: full EXP14 grid digests match benchmark/golden (seeds 0, 7) =="
+    # TestSimStatsDigestUnchanged pins only the quick grids; the full grid is
+    # what the benchmark's sim_grid workload runs and checks against these.
+    for s in 0 7; do
+        got=$(go run ./cmd/hbpbench -exp EXP14 -seed "$s" -canon -json | sha256sum | cut -d' ' -f1)
+        want=$(cat "benchmark/golden/exp14-seed$s.sha256")
+        [ "$got" = "$want" ] || {
+            echo "EXP14 seed $s: digest $got, want $want (benchmark/golden)" >&2
+            exit 1
+        }
     done
 
     echo "== model check: no EXP14/EXP15 row outside its envelope =="

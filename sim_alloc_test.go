@@ -4,13 +4,18 @@ package repro
 // alloc_regression_test.go for the sim side: a simulated access costs index
 // operations and no heap allocation, and a simulated task costs the engine
 // none — what is left per task is the algorithm building its core.Node and
-// closures.  testing.AllocsPerRun makes a change that brings per-access or
-// per-task heap traffic back fail here instead of showing up as a slower
-// experiment grid.
+// closures, and a MapRange loop builds neither per index.  Simulated memory
+// is materialised in 32 KiB pages on first store, so a small cell allocates
+// well under a megabyte; a byte budget on one cell pins that.
+// testing.AllocsPerRun and runtime.MemStats make a change that brings
+// per-access, per-task or per-region heap traffic back fail here instead of
+// showing up as a slower experiment grid.
 
 import (
+	"runtime"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/machine"
@@ -71,5 +76,28 @@ func TestEngineRunAllocBudget(t *testing.T) {
 	})
 	if got > 32000 {
 		t.Errorf("%v allocations per engine run, want <= 32000", got)
+	}
+}
+
+// TestSimCellBytesBudget pins the bytes one small simulated cell allocates:
+// Depth-n-MM at n = 16 on the default machine at p = 2 (B = 16), under 1 MiB.  It allocated ~2.9 MiB when memory came in 2 MiB segments
+// and MapRange built a Node and a closure per index; with 32 KiB lazy pages
+// and engine-split ranges it is ~0.7 MiB.
+func TestSimCellBytesBudget(t *testing.T) {
+	a, ok := bench.FindAlgo("Depth-n-MM")
+	if !ok {
+		t.Fatal("Depth-n-MM not in the catalog")
+	}
+	spec := bench.DefaultSpec(2)
+	bench.Run(a, 16, spec) // warm-up: package-level state, code paths
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	bench.Run(a, 16, spec)
+	runtime.ReadMemStats(&after)
+	const budget = 1 << 20
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("one Depth-n-MM cell allocated %d KiB", got>>10)
+	if got > budget {
+		t.Errorf("one Depth-n-MM cell allocated %d KiB, want <= %d KiB", got>>10, budget>>10)
 	}
 }
