@@ -9,14 +9,17 @@
 package repro
 
 import (
+	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sync"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/fj"
 	"repro/internal/harness"
 	"repro/internal/machine"
 	"repro/internal/mem"
@@ -89,6 +92,38 @@ func BenchmarkEXP14SampledCells(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ops), "ns/simop")
+}
+
+// BenchmarkFJSimFork times the fj sim lowering alone: a 1023-fork Parallel
+// tree whose tasks do no work, at p = 1, 2 and 8 under PWS, reported per
+// simulated fork (ns/fork, allocs/fork).  It is the entry point for
+// profiling what a fork costs the simulator beyond its Node-tree twin:
+//
+//	go test -run '^$' -bench FJSimFork -cpuprofile cpu.out .
+func BenchmarkFJSimFork(b *testing.B) {
+	const depth = 10
+	const forks = 1<<depth - 1
+	tree := func(*fj.Ctx) {}
+	for range depth {
+		sub := tree
+		tree = func(c *fj.Ctx) { c.Parallel(sub, sub) }
+	}
+	for _, p := range []int{1, 2, 8} {
+		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
+			m := machine.New(machine.Default(p))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				fj.RunSim(m, sched.NewPWS(), core.Options{}, 1, "tree", tree)
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			n := float64(b.N) * forks
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/fork")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/fork")
+		})
+	}
 }
 
 // --- Substrate micro-benchmarks --------------------------------------------

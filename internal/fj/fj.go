@@ -29,8 +29,10 @@
 //
 //   - sim.go converts the direct-style computation into a core.Node tree
 //     executed by the deterministic engine under an internal/sched scheduler
-//     (PWS or RWS), by running each task as an iter.Pull coroutine that
-//     yields at every Fork and Join.
+//     (PWS or RWS), by running each task on a coroutine that yields at
+//     every Fork and Join.  A run keeps its coroutines in a pool: each one
+//     runs task after task on the stack it has grown, and owns the Nodes
+//     that describe its task to the engine.
 //   - real.go schedules the same computation on an rt.Pool under either
 //     memory layout (padded or compact).
 //

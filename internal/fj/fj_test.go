@@ -272,21 +272,18 @@ func awaitGoroutines(t *testing.T, before int) {
 // a panic, which — unlike the Goexit of the channel lowering — user code can
 // recover.  A task that does still ends: its next Fork or Join raises the
 // sentinel again, its deferred calls run, a deferred call that panics on the
-// way out does not reach the engine's caller, and no coroutine is left.
+// way out does not reach the engine's caller, and no coroutine is left.  It
+// holds on a fresh coroutine and, after a warm-up tree, on a recycled one
+// with others parked in the free list.
 func TestTornDownTaskEndsDespiteRecover(t *testing.T) {
 	before := runtime.NumGoroutine()
-	var swallowed, ranOn, deferred int
-	// One core: when the innermost fork panics, the stubborn task is parked in
-	// the Join of that fork and the root in the Join of the stubborn task.
-	m := machine.New(machine.Default(1))
-	func() {
-		defer func() {
-			if r := recover(); r != "boom" {
-				t.Fatalf("recovered %v, want boom", r)
-			}
-		}()
-		RunSim(m, sched.NewPWS(), core.Options{}, 8, "stubborn", func(c *Ctx) {
+	for _, warm := range []bool{false, true} {
+		var swallowed, ranOn, deferred int
+		seen := map[*simTask]bool{}
+		reused := false
+		stubborn := func(c *Ctx) {
 			c.Parallel(func(*Ctx) {}, func(c *Ctx) {
+				reused = seen[c.st]
 				defer func() { deferred++; panic("raised by a deferred call during teardown") }()
 				for i := 0; i < 3; i++ {
 					func() {
@@ -301,12 +298,29 @@ func TestTornDownTaskEndsDespiteRecover(t *testing.T) {
 				}
 				ranOn++ // reached only because every sentinel was swallowed
 			})
-		})
-	}()
-	// The Join the task was parked in raises the sentinel, and so does each
-	// later Fork, at once: a stopped coroutine does not switch again.
-	if swallowed != 3 || ranOn != 1 || deferred != 1 {
-		t.Errorf("swallowed %d sentinels, ran on %d times, %d deferred calls; want 3, 1, 1", swallowed, ranOn, deferred)
+		}
+		if warm {
+			stubborn = warmUp(seen, stubborn)
+		}
+		// One core: when the innermost fork panics, the stubborn task is parked
+		// in the Join of that fork and the root in the Join of the stubborn task.
+		m := machine.New(machine.Default(1))
+		func() {
+			defer func() {
+				if r := recover(); r != "boom" {
+					t.Fatalf("recovered %v, want boom", r)
+				}
+			}()
+			RunSim(m, sched.NewPWS(), core.Options{}, 8, "stubborn", stubborn)
+		}()
+		// The Join the task was parked in raises the sentinel, and so does each
+		// later Fork, at once: a stopped coroutine does not switch again.
+		if swallowed != 3 || ranOn != 1 || deferred != 1 {
+			t.Errorf("warm %v: swallowed %d sentinels, ran on %d times, %d deferred calls; want 3, 1, 1", warm, swallowed, ranOn, deferred)
+		}
+		if reused != warm {
+			t.Errorf("warm %v: the stubborn task ran on a recycled coroutine: %v", warm, reused)
+		}
 	}
 	awaitGoroutines(t, before)
 }

@@ -190,6 +190,22 @@ func buildOK(f *ast.File) bool {
 	return true
 }
 
+// testVariant returns the loader an external test package of path is
+// typechecked with: files — the package with its in-package test files,
+// which is how an export_test.go file reaches the external tests — stand in
+// for path, and every module package is typechecked afresh against them, as
+// the go tool rebuilds the packages a test imports.
+func (l *Loader) testVariant(path string, files []*ast.File) (*Loader, error) {
+	v := *l
+	v.cache, v.loading = map[string]*types.Package{}, map[string]bool{}
+	pkg, _, err := v.check(path, files)
+	if err != nil {
+		return nil, err
+	}
+	v.cache[path] = pkg
+	return &v, nil
+}
+
 // check typechecks one file set as the package at path.
 func (l *Loader) check(path string, files []*ast.File) (*types.Package, *types.Info, error) {
 	info := &types.Info{
@@ -210,7 +226,8 @@ func (l *Loader) check(path string, files []*ast.File) (*types.Package, *types.I
 // LoadDir loads the package in dir for analysis under the given import
 // path, test files included: the in-package test files are typechecked
 // together with the package sources, and an external _test package, if
-// present, becomes a second Package with "_test" appended to its path.
+// present, becomes a second Package with "_test" appended to its path,
+// typechecked against the first (see testVariant).
 func (l *Loader) LoadDir(dir, path string) ([]*Package, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
@@ -221,6 +238,7 @@ func (l *Loader) LoadDir(dir, path string) ([]*Package, error) {
 		return nil, err
 	}
 	var pkgs []*Package
+	ext := l
 	if len(nonTest) > 0 {
 		files := append(append([]*ast.File{}, nonTest...), inTest...)
 		pkg, info, err := l.check(path, files)
@@ -228,9 +246,14 @@ func (l *Loader) LoadDir(dir, path string) ([]*Package, error) {
 			return nil, err
 		}
 		pkgs = append(pkgs, &Package{Path: path, Dir: abs, Fset: l.fset, Files: files, Pkg: pkg, Info: info, Sizes: l.sizes})
+		if len(inTest) > 0 && len(extTest) > 0 {
+			if ext, err = l.testVariant(path, files); err != nil {
+				return nil, err
+			}
+		}
 	}
 	if len(extTest) > 0 {
-		pkg, info, err := l.check(path+"_test", extTest)
+		pkg, info, err := ext.check(path+"_test", extTest)
 		if err != nil {
 			return nil, err
 		}

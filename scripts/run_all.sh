@@ -55,6 +55,9 @@ if [ "$MODE" != grid ]; then
     # The real For/ForRange split on demand, so where a loop splits depends on
     # timing: one schedule is not enough, run the loop gates five times.
     go test -race -count=5 -run 'TestForRange' ./internal/fj/
+    # The sim lowering hands tasks from coroutine to coroutine and parks them
+    # between tasks; its reuse and teardown gates run under the detector too.
+    go test -race -count=5 -run 'TestPanicTearsDown|TestTornDown|TestSimCoroutine' ./internal/fj/
 
     echo "== gate: -race over the simulated caches, coherence protocol and schedulers =="
     # FuzzSetMatchesReference's seeds replay the slab LRU against the
