@@ -66,32 +66,59 @@ func BenchmarkEXP16Service(b *testing.B)        { runExperiment(b, "EXP16") }
 // BenchmarkEXP14SampledCells runs the EXP14 cells the benchmark's sim_grid
 // workload times — the first cell under each label: every kernel serial and
 // under both schedulers at its smallest size — and reports host nanoseconds
-// per simulated unit operation.  It is the entry point for profiling the
-// simulator on the cells that set sim_grid's ops_per_s:
+// per simulated unit operation.  An EXP14 expansion records the first run of
+// each (kernel, n, seed, B, M) key and replays it for every later cell of
+// the key, so the two paths have a sub-benchmark each, the entry points for
+// profiling them:
 //
-//	go test -run '^$' -bench EXP14SampledCells -cpuprofile cpu.out .
+//	go test -run '^$' -bench 'EXP14SampledCells/record' -cpuprofile cpu.out .
+//	go test -run '^$' -bench 'EXP14SampledCells/replay' -cpuprofile cpu.out .
+//
+// /record runs every cell in an expansion of its own, so every run records
+// (a live run plus the recording); /replay runs the cells of one expansion
+// that has run them once, so every run replays.
 func BenchmarkEXP14SampledCells(b *testing.B) {
 	exp, ok := bench.FindExperiment("EXP14")
 	if !ok {
 		b.Fatal("EXP14 not registered")
 	}
-	var cells []harness.Cell
-	seen := map[string]bool{}
-	for _, c := range exp.Cells(bench.Params{}) {
-		if !seen[c.Label] {
-			seen[c.Label] = true
-			cells = append(cells, c)
+	sampled := func() []harness.Cell {
+		var cells []harness.Cell
+		seen := map[string]bool{}
+		for _, c := range exp.Cells(bench.Params{}) {
+			if !seen[c.Label] {
+				seen[c.Label] = true
+				cells = append(cells, c)
+			}
 		}
+		return cells
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var ops int64
-	for i := 0; i < b.N; i++ {
+	// run times b.N passes over the cells cell(0..n-1) returns.
+	run := func(b *testing.B, n int, cell func(i int) harness.Cell) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		var ops int64
+		for range b.N {
+			for i := range n {
+				ops += cell(i).Run()[0].Work
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ops), "ns/simop")
+	}
+	b.Run("record", func(b *testing.B) {
+		run(b, len(sampled()), func(i int) harness.Cell {
+			b.StopTimer()
+			defer b.StartTimer()
+			return sampled()[i]
+		})
+	})
+	b.Run("replay", func(b *testing.B) {
+		cells := sampled()
 		for _, c := range cells {
-			ops += c.Run()[0].Work
+			c.Run()
 		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ops), "ns/simop")
+		run(b, len(cells), func(i int) harness.Cell { return cells[i] })
+	})
 }
 
 // BenchmarkFJSimFork times the fj sim lowering alone: a 1023-fork Parallel

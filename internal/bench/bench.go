@@ -59,10 +59,19 @@ type Algo = registry.SimKernel
 // Run executes the algorithm at size n under the spec on a fresh machine,
 // seeding the inputs from spec.Seed.
 func Run(a Algo, n int64, spec Spec) core.Result {
-	m := machine.New(machine.Config{P: spec.P, M: spec.M, B: spec.B, MissLatency: spec.MissLatency})
+	m := newMachine(spec)
 	root := a.Build(m, n, spec.Seed)
-	eng := core.NewEngine(m, scheduler(spec), core.Options{Padded: spec.Padded})
-	return eng.Run(root)
+	return newEngine(m, spec).Run(root)
+}
+
+// newMachine builds the spec's fresh machine.
+func newMachine(spec Spec) *machine.Machine {
+	return machine.New(machine.Config{P: spec.P, M: spec.M, B: spec.B, MissLatency: spec.MissLatency})
+}
+
+// newEngine builds the spec's engine over m.
+func newEngine(m *machine.Machine, spec Spec) *core.Engine {
+	return core.NewEngine(m, scheduler(spec), core.Options{Padded: spec.Padded})
 }
 
 // rowFrom flattens a simulator result into the harness row schema.
@@ -95,8 +104,13 @@ func rowFrom(exp string, algo string, n int64, spec Spec, res core.Result, wall 
 
 // measure runs one (algo, n, spec) cell and returns its row.
 func measure(exp string, a Algo, n int64, spec Spec) harness.Row {
+	return timed(exp, a, n, spec, Run)
+}
+
+// timed runs one (algo, n, spec) cell with run and returns its row.
+func timed(exp string, a Algo, n int64, spec Spec, run func(Algo, int64, Spec) core.Result) harness.Row {
 	start := time.Now() //lint:allow determinism wall-clock feeds only WallNS, which Normalize zeroes for -canon
-	res := Run(a, n, spec)
+	res := run(a, n, spec)
 	return rowFrom(exp, a.Name, n, spec, res, time.Since(start))
 }
 

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 
+	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/model"
 )
@@ -29,6 +31,11 @@ import (
 // value.  Rows are deterministic (no wall-clock measurement), so `-canon`
 // output is byte-identical across -parallel levels; the envelope assertion
 // itself lives in exp14_test.go.
+//
+// A kernel's access stream is a function of (kernel, n, seed, B, M) alone,
+// so of the cells that share those — the serial one and every scheduler ×
+// p — only the first runs the kernel: it records the run, and the others
+// replay the recording (see tapes).
 
 // exp14Grid returns the sweep dimensions.
 func exp14Grid(quick bool) (procs, blocks []int, scheds []string) {
@@ -57,6 +64,7 @@ func exp14Spec(p, B int, sched string, rep int, seed uint64) Spec {
 
 func exp14Cells(p Params) []harness.Cell {
 	procs, blocks, scheds := exp14Grid(p.Quick)
+	tapes := &tapes{m: map[tapeKey]*core.Tape{}}
 	var cells []harness.Cell
 	p.eachRepeat(func(rep int, seed uint64) {
 		for _, name := range model.Names() {
@@ -75,7 +83,7 @@ func exp14Cells(p Params) []harness.Cell {
 					cells = append(cells, harness.Cell{
 						Exp: "EXP14", Label: a.Name + "/serial",
 						Run: func() []harness.Row {
-							r := measure("EXP14", a, n, spec)
+							r := timed("EXP14", a, n, spec, tapes.run)
 							r.Note = string(model.SeqQ)
 							return []harness.Row{r}
 						},
@@ -87,7 +95,7 @@ func exp14Cells(p Params) []harness.Cell {
 							cells = append(cells, harness.Cell{
 								Exp: "EXP14", Label: a.Name + "/" + sched,
 								Run: func() []harness.Row {
-									r := measure("EXP14", a, n, spec)
+									r := timed("EXP14", a, n, spec, tapes.run)
 									excess, transfers := r, r
 									excess.Note = string(model.StealExcess)
 									transfers.Note = string(model.BlockDelay)
@@ -101,6 +109,53 @@ func exp14Cells(p Params) []harness.Cell {
 		}
 	})
 	return cells
+}
+
+// tapes holds the recordings of one EXP14 expansion, one per key: the
+// first cell of a key runs live and records, every later one replays the
+// recording.  Cells may run concurrently (harness.Execute): a cell that
+// finds its key still being recorded runs live, as does every cell of a key
+// whose recording was refused.  Outputs are never read, so a replay, which
+// moves no values, serves any cell.
+type tapes struct {
+	mu sync.Mutex
+	m  map[tapeKey]*core.Tape // nil: being recorded, or refused
+}
+
+// tapeKey is what a kernel's run depends on besides the schedule.
+type tapeKey struct {
+	algo string
+	n    int64
+	seed uint64
+	b, m int
+}
+
+// run is Run, recording the key's first run and replaying it after.
+func (ts *tapes) run(a Algo, n int64, spec Spec) core.Result {
+	k := tapeKey{a.Name, n, spec.Seed, spec.B, spec.M}
+	ts.mu.Lock()
+	t, seen := ts.m[k]
+	if !seen {
+		ts.m[k] = nil
+	}
+	ts.mu.Unlock()
+	switch {
+	case t != nil:
+		m := newMachine(spec)
+		m.Space.Alloc(t.Inputs())
+		return newEngine(m, spec).Replay(t)
+	case seen:
+		return Run(a, n, spec)
+	}
+	m := newMachine(spec)
+	root := a.Build(m, n, spec.Seed)
+	res, t, err := newEngine(m, spec).Record(root)
+	if err == nil {
+		ts.mu.Lock()
+		ts.m[k] = t
+		ts.mu.Unlock()
+	}
+	return res
 }
 
 // exp14SerialKey identifies the serial baseline a parallel row subtracts.

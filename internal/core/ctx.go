@@ -10,8 +10,7 @@ import (
 // Ctx is the interface a task body uses to interact with the simulated
 // machine: read and write shared memory (driving the cache and coherence
 // simulation), access the task's local variables on the execution stack,
-// allocate heap space from the executing core's arena, and charge pure
-// computation time.
+// allocate heap space, and charge pure computation time.
 //
 // A Ctx is only valid for the duration of the closure invocation it is
 // passed to; task bodies must not retain it.
@@ -19,6 +18,7 @@ type Ctx struct {
 	proc *machine.Proc
 	eng  *Engine
 	rec  *rec
+	rc   *recorder // the engine's recorder while Record runs; nil otherwise
 	// actionCost counts unit operations (compute + accesses) performed in
 	// the current action, for the critical-path clock.
 	actionCost int64
@@ -27,12 +27,18 @@ type Ctx struct {
 // R reads the word at addr through the simulated cache.
 func (c *Ctx) R(addr mem.Addr) int64 {
 	c.actionCost++
+	if c.rc != nil {
+		c.rc.access(c.rec, addr, false)
+	}
 	return c.proc.Read(addr)
 }
 
 // W writes the word at addr through the simulated cache.
 func (c *Ctx) W(addr mem.Addr, v int64) {
 	c.actionCost++
+	if c.rc != nil {
+		c.rc.access(c.rec, addr, true)
+	}
 	c.eng.noteWrite(addr)
 	c.proc.Write(addr, v)
 }
@@ -40,12 +46,18 @@ func (c *Ctx) W(addr mem.Addr, v int64) {
 // RF reads a float64 payload through the simulated cache.
 func (c *Ctx) RF(addr mem.Addr) float64 {
 	c.actionCost++
+	if c.rc != nil {
+		c.rc.access(c.rec, addr, false)
+	}
 	return c.proc.ReadF(addr)
 }
 
 // WF writes a float64 payload through the simulated cache.
 func (c *Ctx) WF(addr mem.Addr, v float64) {
 	c.actionCost++
+	if c.rc != nil {
+		c.rc.access(c.rec, addr, true)
+	}
 	c.eng.noteWrite(addr)
 	c.proc.WriteF(addr, v)
 }
@@ -53,7 +65,20 @@ func (c *Ctx) WF(addr mem.Addr, v float64) {
 // Op charges n units of pure computation (no memory traffic).
 func (c *Ctx) Op(n int64) {
 	c.actionCost += n
+	if c.rc != nil {
+		c.rc.op(n)
+	}
 	c.proc.Op(n)
+}
+
+// touch is the access a replayed R, W, RF or WF makes: the same charge,
+// without moving a word.
+func (c *Ctx) touch(addr mem.Addr, write bool) {
+	c.actionCost++
+	if write {
+		c.eng.noteWrite(addr)
+	}
+	c.proc.Touch(addr, write)
 }
 
 // Local returns the address of local variable i of the current task.  The
@@ -69,25 +94,39 @@ func (c *Ctx) Local(i int) mem.Addr {
 	return c.rec.localBase + int64(i)
 }
 
-// Alloc reserves n block-aligned words from the executing core's arena.
-// Per the paper's allocation property, per-core allocations never share a
-// block with another core's allocation.
+// Alloc reserves n block-aligned words.  Every allocation of a run, on
+// whichever core, comes from the machine's one bump allocator in the
+// engine's action order; being block-aligned, no two allocations share a
+// block, which is the paper's allocation property.
 func (c *Ctx) Alloc(n int64) mem.Addr {
 	c.Op(1)
 	return c.eng.m.Space.Alloc(n)
 }
 
-// AllocArray reserves an n-word typed array from the executing core's arena.
+// AllocArray reserves an n-word typed array, as Alloc does.
 func (c *Ctx) AllocArray(n int64) mem.Array {
 	c.Op(1)
 	return mem.NewArray(c.eng.m.Space, n)
 }
 
-// Proc returns the id of the executing core.
-func (c *Ctx) Proc() int { return c.proc.ID }
+// Proc returns the id of the executing core.  A computation that asks
+// depends on its schedule, so it cannot be recorded: a recording that sees
+// the call is dropped.
+func (c *Ctx) Proc() int {
+	if c.rc != nil {
+		c.rc.refuse(errScheduleDependent)
+	}
+	return c.proc.ID
+}
 
-// Now returns the executing core's local clock.
-func (c *Ctx) Now() int64 { return c.proc.Now }
+// Now returns the executing core's local clock.  Like Proc, it drops a
+// recording.
+func (c *Ctx) Now() int64 {
+	if c.rc != nil {
+		c.rc.refuse(errScheduleDependent)
+	}
+	return c.proc.Now
+}
 
 // Space returns the shared address space (for address arithmetic only;
 // accesses must go through R/W to be simulated).

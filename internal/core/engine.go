@@ -80,6 +80,14 @@ type Engine struct {
 
 	stackRegions []mem.Region
 	writeCounts  map[mem.Addr]int32
+
+	// inputs is the size of the space when the engine was built — the
+	// words the computation's builder allocated — and heapStart its size
+	// once the execution stacks are reserved: what actions allocate lies
+	// above it.
+	inputs, heapStart mem.Addr
+	// rc records the run while Record runs it; nil otherwise.
+	rc *recorder
 }
 
 type procState struct {
@@ -105,6 +113,7 @@ type rec struct {
 	stage   int
 	owner   int // proc that executed the head
 	stolen  bool
+	tid     int32 // the task's index in the tape a recording builds
 
 	// lo, hi is the sub-range [lo, hi) a range node's task covers.
 	lo, hi int64
@@ -134,6 +143,7 @@ func NewEngine(m *machine.Machine, s Scheduler, opts Options) *Engine {
 		sched:        s,
 		opts:         opts,
 		stealsByPrio: make(map[int]int64),
+		inputs:       m.Space.Size(),
 	}
 	if opts.AuditWrites {
 		e.writeCounts = make(map[mem.Addr]int32)
@@ -143,6 +153,7 @@ func NewEngine(m *machine.Machine, s Scheduler, opts Options) *Engine {
 		e.stackRegions = append(e.stackRegions, region)
 		e.ps = append(e.ps, &procState{id: i, p: p, ctx: Ctx{proc: p, eng: e}, stack: newExecStack(region)})
 	}
+	e.heapStart = m.Space.Size()
 	return e
 }
 
@@ -157,6 +168,7 @@ func (e *Engine) Run(root *Node) Result {
 		panic("core: engine has no procs")
 	}
 	r := e.newRec(root, nil, 0)
+	e.rc.staged(nil, r)
 	e.ps[0].cur = r
 	for !e.done {
 		ps := e.pickProc()
@@ -226,7 +238,7 @@ func (e *Engine) execute(ps *procState, r *rec) {
 		if r.node.Fork != nil || r.node.Range != nil {
 			panic(fmt.Sprintf("core: node %q has Seq and Fork or Range", r.node.Label))
 		}
-		child := r.node.Seq(ctx, 0)
+		child := e.seq(ctx, r, 0)
 		r.stage = 1
 		stageIn := r.cpIn + ctx.actionCost + 1
 		if child == nil {
@@ -234,6 +246,7 @@ func (e *Engine) execute(ps *procState, r *rec) {
 			return
 		}
 		cr := e.newRec(child, r, r.prio+1)
+		e.rc.staged(r, cr)
 		cr.cpIn = stageIn
 		r.pending = 1
 		ps.cur = cr
@@ -248,7 +261,7 @@ func (e *Engine) execute(ps *procState, r *rec) {
 			panic(fmt.Sprintf("core: range node %q has Fork or Join", r.node.Label))
 		}
 		if n := r.hi - r.lo; n == 1 {
-			rg.Body(ctx, r.lo)
+			e.body(ctx, r, rg)
 		} else {
 			mid := r.lo + n/2
 			right = e.subRange(r, mid, r.hi)
@@ -258,13 +271,14 @@ func (e *Engine) execute(ps *procState, r *rec) {
 		if r.node.Fork == nil {
 			panic(fmt.Sprintf("core: node %q has neither Fork, Seq nor Range", r.node.Label))
 		}
-		l, rn := r.node.Fork(ctx)
+		l, rn := e.fork(ctx, r)
 		if rn != nil {
 			right = e.newRec(rn, r, r.prio+1)
 		}
 		if l != nil {
 			left = e.newRec(l, r, r.prio+1)
 		}
+		e.rc.forked(r, left, right)
 	}
 	headOut := r.cpIn + ctx.actionCost + 1
 	switch {
@@ -325,7 +339,7 @@ func (e *Engine) complete(ps *procState, r *rec) {
 		ctx := ps.action(par)
 		ps.p.Op(1)
 		if par.node.Seq != nil {
-			next := par.node.Seq(ctx, par.stage)
+			next := e.seq(ctx, par, par.stage)
 			par.stage++
 			callOut := par.cpMax + ctx.actionCost + 1
 			if next != nil {
@@ -334,15 +348,14 @@ func (e *Engine) complete(ps *procState, r *rec) {
 					par.owner = ps.id // subsequent stages belong to the usurper
 				}
 				cr := e.newRec(next, par, par.maxSub+1)
+				e.rc.staged(par, cr)
 				cr.cpIn = callOut
 				par.pending = 1
 				ps.cur = cr
 				return
 			}
 			ctx.actionCost = 0
-			if par.node.Join != nil {
-				par.node.Join(ctx)
-			}
+			e.join(ctx, par)
 			par.cpOut = callOut + ctx.actionCost
 			if ps.id != par.owner {
 				e.usurpations++
@@ -351,9 +364,7 @@ func (e *Engine) complete(ps *procState, r *rec) {
 			continue
 		}
 
-		if par.node.Join != nil {
-			par.node.Join(ctx)
-		}
+		e.join(ctx, par)
 		par.cpOut = par.cpMax + ctx.actionCost + 1
 		if ps.id != par.owner {
 			e.usurpations++
@@ -366,18 +377,56 @@ func (e *Engine) complete(ps *procState, r *rec) {
 // immediately (no stages).
 func (e *Engine) joinAndComplete(ps *procState, r *rec, cpIn int64) {
 	ctx := ps.action(r)
-	if r.node.Join != nil {
-		r.node.Join(ctx)
-	}
+	e.join(ctx, r)
 	r.cpOut = cpIn + ctx.actionCost
 	e.complete(ps, r)
 }
 
-func (e *Engine) pushFrame(ps *procState, r *rec) {
+// The user's code runs in actions: the engine calls a node's Fork, Seq,
+// Join and range body only through these, so that a recording sees every
+// call as one action.
+
+func (e *Engine) fork(ctx *Ctx, r *rec) (left, right *Node) {
+	e.rc.begin(r, actHead)
+	left, right = r.node.Fork(ctx)
+	e.rc.end()
+	return left, right
+}
+
+func (e *Engine) seq(ctx *Ctx, r *rec, stage int) *Node {
+	e.rc.begin(r, actStage)
+	next := r.node.Seq(ctx, stage)
+	e.rc.end()
+	return next
+}
+
+func (e *Engine) join(ctx *Ctx, r *rec) {
+	if r.node.Join == nil {
+		return
+	}
+	e.rc.begin(r, actJoin)
+	r.node.Join(ctx)
+	e.rc.end()
+}
+
+func (e *Engine) body(ctx *Ctx, r *rec, rg *Range) {
+	e.rc.begin(r, actLeaf)
+	rg.Body(ctx, r.lo)
+	e.rc.end()
+}
+
+// frameWords is the size of r's stack frame: its locals, its node's pad
+// and, padded, the pad of Definition 3.3.
+func (e *Engine) frameWords(r *rec) int64 {
 	words := int64(r.node.Locals) + int64(r.node.Pad)
 	if e.opts.Padded {
 		words += int64(PadFor(r.size()))
 	}
+	return words
+}
+
+func (e *Engine) pushFrame(ps *procState, r *rec) {
+	words := e.frameWords(r)
 	if words == 0 {
 		r.localBase = -1
 		return
@@ -418,7 +467,7 @@ func (e *Engine) newRec(n *Node, parent *rec, prio int) *rec {
 // [lo, hi).
 func (e *Engine) subRange(r *rec, lo, hi int64) *rec {
 	c := e.newRec(r.node, r, r.prio+1)
-	c.lo, c.hi = lo, hi
+	c.lo, c.hi, c.tid = lo, hi, r.tid
 	return c
 }
 

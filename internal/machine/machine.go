@@ -300,6 +300,11 @@ func (p *Proc) Write(addr mem.Addr, v int64) {
 	p.machine.Space.Store(addr, v)
 }
 
+// Touch performs the simulated access a Read (write false) or a Write of
+// addr makes — cache, coherence, clock and counters — without moving the
+// word: a replayed access has no value to carry.
+func (p *Proc) Touch(addr mem.Addr, write bool) { p.access(addr, write) }
+
 // ReadF and WriteF move float64 payloads with simulated accesses.
 func (p *Proc) ReadF(addr mem.Addr) float64 {
 	p.access(addr, false)

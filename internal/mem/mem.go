@@ -4,10 +4,14 @@
 // The paper's machine organizes data in blocks of B words; the initial input
 // of size n occupies n/B blocks of main memory.  Space requested by a core is
 // allocated in block-sized units, and allocations to different cores are
-// disjoint (Section 2.2, "system property").  This package implements exactly
-// that: a single flat address space of int64 words, carved into regions by a
-// block-aligned allocator, with one private arena per simulated processor so
-// that per-proc allocations never share a block.
+// disjoint (Section 2.2, "system property").  This package implements that
+// with a single flat address space of int64 words and one block-aligned bump
+// allocator shared by every simulated processor: each allocation starts and
+// ends on a block boundary, so no two allocations share a block, whichever
+// cores made them.  A run's allocations are therefore laid out in the order
+// the engine makes them — inputs first, then the execution stacks, then
+// what the tasks allocate, action by action — which is what lets a recorded
+// run name a heap word by its allocation and offset.
 //
 // Addresses are plain int64 word indices.  Values are int64 words; float64
 // payloads are stored via math.Float64bits.  All reads and writes normally go
@@ -93,16 +97,6 @@ func (s *Space) Alloc(n int64) Addr {
 	return base
 }
 
-// AllocUnaligned reserves n words at the current high-water mark without
-// rounding to a block boundary.  Used only by the execution-stack model,
-// where block sharing between adjacent frames is the phenomenon under study.
-func (s *Space) AllocUnaligned(n int64) Addr {
-	base := s.used
-	s.used = base + n
-	s.grow(s.used)
-	return base
-}
-
 // Load reads the word at addr without any cache simulation.  Untouched
 // memory reads as zero.
 func (s *Space) Load(addr Addr) int64 {
@@ -125,22 +119,6 @@ func (s *Space) Store(addr Addr, v int64) {
 // LoadF and StoreF move float64 payloads through the word at addr.
 func (s *Space) LoadF(addr Addr) float64     { return math.Float64frombits(uint64(s.Load(addr))) }
 func (s *Space) StoreF(addr Addr, v float64) { s.Store(addr, int64(math.Float64bits(v))) }
-
-// Arena is a block-aligned sub-allocator drawing from a Space.  Each
-// simulated processor owns one Arena for its dynamic allocations so that no
-// two processors' allocations share a block.
-type Arena struct {
-	sp *Space
-}
-
-// NewArena returns an arena over sp.
-func NewArena(sp *Space) *Arena { return &Arena{sp: sp} }
-
-// Alloc reserves n block-aligned words.
-func (a *Arena) Alloc(n int64) Addr { return a.sp.Alloc(n) }
-
-// Space returns the underlying address space.
-func (a *Arena) Space() *Space { return a.sp }
 
 // Region describes a contiguous allocated range [Base, Base+Len).
 type Region struct {

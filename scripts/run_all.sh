@@ -78,7 +78,14 @@ if [ "$MODE" != grid ]; then
     echo "== gate: -race over concurrently executing grid cells =="
     # A golden subset at -parallel 8 is the only place experiment cells run
     # concurrently; race-check it without paying for the full suite under -race.
-    go test -race -run 'TestGoldenRowsIdenticalAcrossParallelism/(EXP05|EXP07|EXP13|EXP14|EXP15|EXP16)' ./internal/bench/
+    go test -race -run 'TestGoldenRowsIdenticalAcrossParallelism/(EXP05|EXP07|EXP13|EXP15|EXP16)' ./internal/bench/
+
+    echo "== gate: -race over record once, replay the grid (replay == live, concurrent claims on one key) =="
+    # EXP14's cells share one recording per key: the golden EXP14 subset at
+    # -parallel 8 claims, records and replays keys concurrently, and the
+    # replay gate replays every EXP14 kernel under another (p, scheduler,
+    # padding) than it was recorded under.
+    go test -race -run 'TestEXP14ReplayMatchesLive|TestGoldenRowsIdenticalAcrossParallelism/EXP14' ./internal/bench/
 
     echo "== gate: benchmark smoke (every benchmark runs one iteration) =="
     go test -run '^$' -bench . -benchtime 1x . ./internal/algos/sortutil/ >/dev/null
