@@ -382,9 +382,13 @@ func (p *Pool) takeRoot() *task {
 	if len(p.inject) == 0 {
 		return nil
 	}
+	// Shift down rather than reslice past the head: a reslice gives up the
+	// head's slot for good, so a queue that keeps emptying reallocated its
+	// array on every Submit.  The queue is short (admission bounds it).
 	t := p.inject[0]
-	p.inject[0] = nil
-	p.inject = p.inject[1:]
+	n := copy(p.inject, p.inject[1:])
+	p.inject[n] = nil
+	p.inject = p.inject[:n]
 	p.queued.Add(-1)
 	return t
 }

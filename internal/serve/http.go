@@ -29,13 +29,16 @@ import (
 //
 // Error mapping: unknown kernel 404, malformed payload 400, a body over the
 // byte cap 413, backpressure 429 with a Retry-After header, shutdown 503,
-// kernel failure 500.  A request whose client disconnected is simply
-// dropped — its kernel never ran (see the check at the top of Service.run)
-// and there is nobody left to answer.
+// kernel failure or a panic in a codec block 500.  A request whose client
+// disconnected is simply dropped — its kernel never ran (see the check at
+// the top of Service.run) and there is nobody left to answer.
 //
 // Requests and responses of /invoke and /batch go through the codec of
 // wire.go and nothing else; errors, /metrics and /kernels are small and cold
-// and stay on encoding/json.  A request is
+// and stay on encoding/json.  The codec runs on the handler goroutine,
+// except that the words of an "input" or "output" longer than one block
+// (codecBlock, 16 KiB) are coded as an fj loop on the service's pool while
+// the handler waits.  A request is
 //
 //	{"kernel": string, "input": [int64, ...], "n": int64, "seed": uint64, "verify": bool}
 //
@@ -110,12 +113,15 @@ const retryAfter = "1"
 func (s *Service) maxBodyBytes() int64 { return 21*s.cfg.MaxWords + 4<<10 }
 
 // writeDecodeError answers a body that failed to decode: 413 when it ran
-// into the byte cap, 400 otherwise.
+// into the byte cap, 500 when the codec panicked, 400 otherwise.
 func writeDecodeError(w http.ResponseWriter, what string, err error) {
 	status := http.StatusBadRequest
 	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
+	switch {
+	case errors.As(err, &tooBig):
 		status = http.StatusRequestEntityTooLarge
+	case errors.Is(err, errCodecPanic):
+		status = http.StatusInternalServerError
 	}
 	writeJSON(w, status, httpError{Error: what + ": " + err.Error()})
 }
@@ -241,7 +247,7 @@ func (s *Service) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	body, err := s.readBody(w, r)
 	var req Request
 	if err == nil {
-		err = decodeOnly(body, &req)
+		err = decodeOnly(body, &req, s)
 	}
 	s.bufs.put(body) // req holds no reference into it
 	if err != nil {
@@ -253,7 +259,12 @@ func (s *Service) handleInvoke(w http.ResponseWriter, r *http.Request) {
 		s.writeSubmitError(w, err)
 		return
 	}
-	out := appendResponse(s.bufs.get(responseBytes(resp.Kernel, len(resp.Output))), &resp)
+	out, err := encodeResponse(s.bufs.get(responseBytes(resp.Kernel, len(resp.Output))), &resp, s)
+	if err != nil {
+		s.bufs.put(out)
+		writeJSON(w, http.StatusInternalServerError, httpError{Error: err.Error()})
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(len(out)))
 	w.Write(out) // a failed write means the client left; there is nobody to tell
@@ -280,7 +291,7 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for i := skipSpace(body, 0); err == nil && i < len(body); i = skipSpace(body, i) {
 		var q Request
 		var n int
-		if n, err = decodeRequest(body[i:], &q); err == nil {
+		if n, err = decodeRequest(body[i:], &q, s); err == nil {
 			reqs = append(reqs, q)
 			i += n
 		}
@@ -298,14 +309,16 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 	errs := json.NewEncoder(w)
 	var line []byte // one buffer for every response line of the stream
 	for res := range s.SubmitBatch(r.Context(), reqs) {
-		if res.Err != nil {
-			errs.Encode(batchError{Index: res.Index, Error: res.Err.Error()})
-		} else {
+		if res.Err == nil {
 			if need := responseBytes(res.Resp.Kernel, len(res.Resp.Output)); cap(line) < need {
 				s.bufs.put(line)
 				line = s.bufs.get(need)
 			}
-			line = appendResponse(line[:0], &res.Resp)
+			line, res.Err = encodeResponse(line[:0], &res.Resp, s)
+		}
+		if res.Err != nil {
+			errs.Encode(batchError{Index: res.Index, Error: res.Err.Error()})
+		} else {
 			w.Write(line)
 		}
 		if flusher != nil {

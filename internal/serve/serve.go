@@ -26,8 +26,12 @@
 // dropped without its kernel ever running.  Counters and latency quantiles
 // are exposed as JSON on /metrics (see Metrics); the HTTP surface (http.go)
 // also serves /invoke (single JSON request), /batch (JSONL stream), /kernels
-// and /healthz.  Requests and responses cross the wire through the one-pass
-// word-array codec of wire.go, not encoding/json.
+// and /healthz.  Requests and responses cross the wire through the
+// word-array codec of wire.go, not encoding/json, and the pool codes more
+// than kernels: the words of a payload over one codec block are parsed and
+// formatted as a blocked fj loop on it, outside admission, so a heavy
+// request's decode and encode take whichever worker is idle.  A small
+// payload is coded on its handler goroutine and never reaches the pool.
 //
 // cmd/hbpserve wraps the package as a server binary, cmd/hbpload drives it
 // with closed-loop load, and EXP16 (internal/bench) measures throughput and
@@ -154,9 +158,11 @@ type Service struct {
 	met     *Metrics
 	limiter *multiLimiter // nil when Config.RatePerSec is 0
 	bufs    bufList       // recycled request-body and response buffers (wire.go)
+	passes  passList      // recycled codec passes (wire.go)
 
-	// mu orders admission against Close: no root reaches the pool after
-	// Close has set closed, so the pool can be closed behind it.
+	// mu orders admission against Close: no root, a kernel's or a codec
+	// pass's, reaches the pool after Close has set closed, so the pool can
+	// be closed behind it.
 	mu     sync.RWMutex
 	closed bool
 
@@ -165,6 +171,10 @@ type Service struct {
 	// kernel — where the tests observe what reached a kernel and hold a
 	// worker mid-request.
 	hookKernel func(c *call)
+	// hookBlock, when set (tests only), runs before each block of a codec
+	// pass the service codes (Service.code, wire.go), on whichever
+	// goroutine codes the block.
+	hookBlock func()
 }
 
 // call is one admitted request: the decoded payload, the resolved kernel,

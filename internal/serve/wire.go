@@ -1,14 +1,26 @@
 package serve
 
-// The request/response codec of /invoke and /batch: one pass over the body,
-// no reflection.  A request is a JSON object whose one large member is
-// "input", an array of int64 words; a response is the same with "output".
-// encoding/json walks such a body three times (validate, decode through
-// reflection, regrow the slice by doubling) and was 80% of a 65536-word
-// request's service time.  decodeRequest scans the envelope by hand, counts
-// the separators of "input" so the words are allocated once at their exact
-// size, and parses digits straight into them; appendResponse is
-// strconv.AppendInt into a caller-supplied buffer.
+// The request/response codec of /invoke and /batch, with no reflection.  A
+// request is a JSON object whose one large member is "input", an array of
+// int64 words; a response is the same with "output".  encoding/json walks
+// such a body three times (validate, decode through reflection, regrow the
+// slice by doubling) and was 80% of a 65536-word request's service time.
+// decodeRequest scans the envelope by hand, counts the separators of
+// "input" so the words are allocated once at their exact size, and parses
+// digits straight into them; encodeResponse formats words straight into a
+// caller-supplied buffer from a table of digit pairs.
+//
+// The word arrays are coded as a blocked scan (wirePass): a serial pass
+// cuts the array into blocks of about codecBlock bytes and gives each the
+// offset of its first word (decode: its comma count, prefixed) or of its
+// output region (encode: its worst case, 21 bytes a word), then the blocks
+// parse or format into disjoint ranges, and an encode closes its regions
+// up in order.  A Service runs a payload of several blocks as an fj loop on
+// its own pool, whose lazy splitting lends the request an idle worker and
+// takes none from running kernels; a payload of one block — every small
+// request — is coded inline on the handler goroutine by the same block
+// function.  The result is the serial one: a decode fails with the first
+// failing block's error, which is the error a serial parse stops at.
 //
 // The grammar accepted is what json.Unmarshal into a Request accepts (pinned
 // by FuzzDecodeRequest with encoding/json as the oracle): keys match
@@ -26,8 +38,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"strconv"
 	"sync"
+
+	"repro/internal/fj"
+	"repro/internal/rt"
 )
 
 // errNullWord refuses `"input":[…,null,…]`.
@@ -63,8 +80,9 @@ func hasLit(b []byte, i int, lit string) bool {
 // space allowed) into *req and returns how many bytes it took.  What follows
 // the value is the caller's business: /batch reads the next request there,
 // /invoke (decodeOnly) allows white space only.  req.Input is freshly allocated and req.Kernel
-// copied: nothing in *req aliases body.
-func decodeRequest(body []byte, req *Request) (int, error) {
+// copied: nothing in *req aliases body.  s codes the words of "input" (see
+// Service.code; nil codes them inline).
+func decodeRequest(body []byte, req *Request, s *Service) (int, error) {
 	*req = Request{}
 	i := skipSpace(body, 0)
 	if hasLit(body, i, "null") {
@@ -98,7 +116,7 @@ func decodeRequest(body []byte, req *Request) (int, error) {
 			return 0, syntaxErr(body, i, "':' after a member name")
 		}
 		i = skipSpace(body, i+1)
-		if i, err = decodeMember(body, i, key, req); err != nil {
+		if i, err = decodeMember(body, i, key, req, s); err != nil {
 			return 0, err
 		}
 		i = skipSpace(body, i)
@@ -118,8 +136,8 @@ var errTrailing = errors.New("unexpected data after the request object")
 
 // decodeOnly is decodeRequest for a body that must hold one request and
 // nothing else: /invoke's.
-func decodeOnly(body []byte, req *Request) error {
-	n, err := decodeRequest(body, req)
+func decodeOnly(body []byte, req *Request, s *Service) error {
+	n, err := decodeRequest(body, req, s)
 	if err == nil && skipSpace(body, n) != len(body) {
 		err = errTrailing
 	}
@@ -138,7 +156,7 @@ var (
 // names (folded like encoding/json: bytes.EqualFold), or validates and skips
 // it when key names none.  A value of the wrong JSON type for its field is an
 // error, as is a number that is not an integer in the field's range.
-func decodeMember(b []byte, i int, key []byte, req *Request) (int, error) {
+func decodeMember(b []byte, i int, key []byte, req *Request, s *Service) (int, error) {
 	if hasLit(b, i, "null") {
 		// "No change" for a scalar, a valid value to skip for an unknown
 		// member, and for "input" what absent is.
@@ -153,7 +171,7 @@ func decodeMember(b []byte, i int, key []byte, req *Request) (int, error) {
 		if i >= len(b) || b[i] != '[' {
 			return 0, syntaxErr(b, i, `an array of integers for "input"`)
 		}
-		req.Input, i, err = parseWords(b, i+1)
+		req.Input, i, err = parseWords(b, i+1, s)
 		return i, err
 	case bytes.EqualFold(key, keyKernel):
 		if i >= len(b) || b[i] != '"' {
@@ -217,7 +235,11 @@ var comma = []byte{','}
 // but integers, so the separators up to there give the element count and the
 // words are allocated once.  An explicit empty array is an empty, non-nil
 // slice (nil means "generate the payload").
-func parseWords(b []byte, i int) ([]int64, int, error) {
+//
+// Blocks start just past a comma, at least codecBlock bytes apart, so each
+// holds whole words and its comma count is its word count (plus one for the
+// last); s runs parseBlock on each.
+func parseWords(b []byte, i int, s *Service) ([]int64, int, error) {
 	i = skipSpace(b, i)
 	if i < len(b) && b[i] == ']' {
 		return []int64{}, i + 1, nil
@@ -227,14 +249,45 @@ func parseWords(b []byte, i int) ([]int64, int, error) {
 		return nil, 0, syntaxErr(b, len(b), `']' to close "input"`)
 	}
 	end += i
-	n := bytes.Count(b[i:end], comma) + 1
+	p := s.getPass()
+	defer s.putPass(p)
+	n := 1
+	for at := i; ; {
+		next := end
+		if at+codecBlock < end {
+			if c := bytes.IndexByte(b[at+codecBlock:end], ','); c >= 0 {
+				next = at + codecBlock + c + 1
+			}
+		}
+		p.blocks = append(p.blocks, wireBlock{word: n - 1, at: at})
+		n += bytes.Count(b[at:next], comma)
+		if next == end {
+			break
+		}
+		at = next
+	}
 	// n integers and their separators take at least 2n−1 bytes; more
 	// separators than that is junk, found before it sizes an allocation.
 	if n > (end-i+1)/2 {
 		return nil, 0, fmt.Errorf(`malformed "input": %d separators in %d bytes`, n-1, end-i)
 	}
-	words := make([]int64, n)
-	for k := range words {
+	p.decode, p.buf, p.end, p.words = true, b, end, make([]int64, n)
+	s.code(p)
+	for _, blk := range p.blocks {
+		if blk.err != nil {
+			return nil, 0, blk.err
+		}
+	}
+	return p.words, end + 1, nil
+}
+
+// parseBlock parses words[lo:hi] from b[i]; end is the offset of the ']'
+// that closes the array.  It is the serial parse of those words: started
+// just past the comma that ends word lo−1 (or at the first word), it
+// consumes the same bytes and fails with the same error.
+func parseBlock(b []byte, i, end int, words []int64, lo, hi int) error {
+	n := len(words)
+	for k := lo; k < hi; k++ {
 		for i < end && isSpace(b[i]) {
 			i++
 		}
@@ -252,11 +305,11 @@ func parseWords(b []byte, i int) ([]int64, int, error) {
 		// wrap a uint64, so u is exact whenever the length check passes.
 		switch digits := i - start; {
 		case digits == 0 && hasLit(b, i, "null"):
-			return nil, 0, errNullWord
+			return errNullWord
 		case digits == 0 || digits > 1 && b[start] == '0':
-			return nil, 0, syntaxErr(b, i, `an integer in "input"`)
+			return syntaxErr(b, i, `an integer in "input"`)
 		case digits > 19 || u > math.MaxInt64+1 || u == math.MaxInt64+1 && !neg:
-			return nil, 0, fmt.Errorf(`"input"[%d] at offset %d is outside the int64 range`, k, start)
+			return fmt.Errorf(`"input"[%d] at offset %d is outside the int64 range`, k, start)
 		}
 		if neg {
 			u = -u
@@ -269,14 +322,14 @@ func parseWords(b []byte, i int) ([]int64, int, error) {
 			break
 		}
 		if b[i] != ',' { // i < end: a separator is still to come
-			return nil, 0, syntaxErr(b, i, `',' between the integers of "input"`)
+			return syntaxErr(b, i, `',' between the integers of "input"`)
 		}
 		i++
 	}
-	if i != end {
-		return nil, 0, syntaxErr(b, i, `',' or ']' in "input"`)
+	if hi == n && i != end {
+		return syntaxErr(b, i, `',' or ']' in "input"`)
 	}
-	return words, end + 1, nil
+	return nil
 }
 
 // scanString validates the JSON string whose opening quote is b[i] and
@@ -420,10 +473,19 @@ func skipNumber(b []byte, i int) (int, error) {
 	return i, nil
 }
 
-// appendResponse appends r as one line of JSON, byte for byte what
-// json.Marshal(r) followed by '\n' gives (TestAppendResponseMatchesStdlib):
-// a member added to Response has to be added here.
+// appendResponse is encodeResponse with every block coded inline.  With
+// no Service there is no recover, so there is no error to return.
 func appendResponse(dst []byte, r *Response) []byte {
+	dst, _ = encodeResponse(dst, r, nil)
+	return dst
+}
+
+// encodeResponse appends r as one line of JSON, byte for byte what
+// json.Marshal(r) followed by '\n' gives (TestAppendResponseMatchesStdlib):
+// a member added to Response has to be added here.  s codes the words of
+// "output" (see Service.code); the error is a panic it recovered from a
+// block.
+func encodeResponse(dst []byte, r *Response, s *Service) ([]byte, error) {
 	dst = append(dst, `{"kernel":`...)
 	dst = appendString(dst, r.Kernel)
 	dst = append(dst, `,"n":`...)
@@ -435,11 +497,9 @@ func appendResponse(dst []byte, r *Response) []byte {
 		dst = append(dst, "null"...)
 	} else {
 		dst = append(dst, '[')
-		for i, w := range r.Output {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = strconv.AppendInt(dst, w, 10)
+		var err error
+		if dst, err = appendWords(dst, r.Output, s); err != nil {
+			return dst, err
 		}
 		dst = append(dst, ']')
 	}
@@ -449,7 +509,285 @@ func appendResponse(dst []byte, r *Response) []byte {
 		dst = append(dst, `,"verified":`...)
 		dst = strconv.AppendBool(dst, *r.Verified)
 	}
-	return append(dst, '}', '\n')
+	return append(dst, '}', '\n'), nil
+}
+
+// maxWordBytes is the longest a word and its separator print:
+// ",-9223372036854775808".
+const maxWordBytes = 21
+
+// appendWords appends words, comma-separated.  Each block of codecBlock/8
+// words formats into a region of its worst case at maxWordBytes × its first
+// word, and the regions are closed up in order: one copy of the output,
+// where a length pass would read every word twice.
+func appendWords(dst []byte, words []int64, s *Service) ([]byte, error) {
+	base := len(dst)
+	dst = slices.Grow(dst, maxWordBytes*len(words))
+	p := s.getPass()
+	defer s.putPass(p)
+	per := max(1, codecBlock/8)
+	for w := 0; w < len(words); w += per {
+		p.blocks = append(p.blocks, wireBlock{word: w, at: base + maxWordBytes*w})
+	}
+	p.buf, p.words = dst[:cap(dst)], words
+	s.code(p)
+	end := base
+	for _, blk := range p.blocks {
+		if blk.err != nil {
+			return dst, blk.err
+		}
+		if blk.at != end {
+			copy(p.buf[end:], p.buf[blk.at:blk.at+blk.size])
+		}
+		end += blk.size
+	}
+	return p.buf[:end], nil
+}
+
+// formatBlock writes words[lo:hi] at buf[i:], each after a comma but the
+// array's first, and returns how many bytes it wrote.
+func formatBlock(buf []byte, i int, words []int64, lo, hi int) int {
+	start := i
+	for k := lo; k < hi; k++ {
+		if k > 0 {
+			buf[i] = ','
+			i++
+		}
+		i = putInt(buf, i, words[k])
+	}
+	return i - start
+}
+
+// digitPairs holds "00" through "99", so a word formats two digits per
+// division.
+const digitPairs = "0001020304050607080910111213141516171819" +
+	"2021222324252627282930313233343536373839" +
+	"4041424344454647484950515253545556575859" +
+	"6061626364656667686970717273747576777879" +
+	"8081828384858687888990919293949596979899"
+
+// pow10 holds 10^0 through 10^19, the thresholds of decimalLen.
+var pow10 = [20]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
+
+// decimalLen is the number of decimal digits of u: log10 estimated from the
+// bit length (1233/4096 ≈ log10 2), then corrected by one comparison.
+func decimalLen(u uint64) int {
+	v := u | 1 // 0 prints one digit; no threshold separates v from u
+	t := bits.Len64(v) * 1233 >> 12
+	if v < pow10[t] {
+		return t
+	}
+	return t + 1
+}
+
+// putInt writes w in decimal at buf[i:], as strconv.FormatInt does, and
+// returns the offset just past it.  The digits go straight to their places,
+// last first, without strconv's staging buffer and copy: eight at a time
+// while more than eight remain (put8), then two at a time.
+func putInt(buf []byte, i int, w int64) int {
+	u := uint64(w)
+	if w < 0 {
+		buf[i] = '-'
+		i++
+		u = -u
+	}
+	end := i + decimalLen(u)
+	j := end
+	for u >= 1e8 {
+		q := u / 1e8
+		put8(buf[j-8:j], u-1e8*q)
+		j -= 8
+		u = q
+	}
+	for u >= 100 {
+		q := u / 100
+		r := 2 * (u - 100*q)
+		j -= 2
+		buf[j], buf[j+1] = digitPairs[r], digitPairs[r+1]
+		u = q
+	}
+	if u >= 10 {
+		buf[j-2], buf[j-1] = digitPairs[2*u], digitPairs[2*u+1]
+	} else {
+		buf[j-1] = byte('0' + u)
+	}
+	return end
+}
+
+// put8 writes r < 10^8 as exactly eight digits.  Its four pairs come from
+// two independent divisions, not a chain of four.
+func put8(b []byte, r uint64) {
+	hi, lo := r/1e4, r%1e4
+	h1, h2 := 2*(hi/100), 2*(hi%100)
+	l1, l2 := 2*(lo/100), 2*(lo%100)
+	_ = b[7]
+	b[0], b[1], b[2], b[3] = digitPairs[h1], digitPairs[h1+1], digitPairs[h2], digitPairs[h2+1]
+	b[4], b[5], b[6], b[7] = digitPairs[l1], digitPairs[l1+1], digitPairs[l2], digitPairs[l2+1]
+}
+
+// codecBlock sizes the codec's blocks: a decode block is at least
+// codecBlock bytes of "input", an encode block codecBlock/8 words of
+// "output" (as many bytes of int64).  A block amortizes its bookkeeping —
+// an offset, a recover, and when the pool splits the loop a steal and the
+// cache lines it shares with its neighbours — over thousands of words, and
+// a 256-word request (≈ 2.5 KB) stays one block, coded inline.  A variable
+// only so that tests can make small payloads cross blocks.
+var codecBlock = 16 << 10
+
+// wirePass is one blocked pass of the codec over a word array: the parse
+// of "input" (decode) or the formatting of "output".  Block b holds words
+// [blocks[b].word, blocks[b+1].word), the last block up to len(words), and
+// its bytes start at blocks[b].at of buf.  A service recycles its passes
+// (passList) with root, loop and leaf bound once, so a pass run on the pool
+// allocates only its rt task and its fj.Ctx.
+type wirePass struct {
+	decode bool
+	buf    []byte // decode: the request body; encode: the response buffer, to its capacity
+	end    int    // decode: offset of the ']' that closes "input"
+	words  []int64
+	blocks []wireBlock
+
+	hook func()        // Service.hookBlock
+	done chan struct{} // root's completion
+	root func(*rt.Ctx)
+	loop func(*fj.Ctx)
+	leaf func(*fj.Ctx, int64, int64)
+}
+
+// wireBlock is one block of a wirePass.  Each is written by the one task
+// that codes the block.
+type wireBlock struct {
+	word int   // the block's first word
+	at   int   // decode: offset of its first byte; encode: offset of its region
+	size int   // encode: bytes written at at
+	err  error // decode: the block's error; either: a panic Service.code recovered
+}
+
+func newPass() *wirePass {
+	p := &wirePass{done: make(chan struct{}, 1)}
+	p.leaf = func(_ *fj.Ctx, lo, hi int64) {
+		for b := lo; b < hi; b++ {
+			p.safeBlock(int(b))
+		}
+	}
+	p.loop = func(c *fj.Ctx) { c.ForRange(0, int64(len(p.blocks)), 1, p.leaf) }
+	p.root = func(rc *rt.Ctx) {
+		fj.RunOn(rc, p.loop)
+		p.done <- struct{}{}
+	}
+	return p
+}
+
+// maxFreePasses bounds passList: passes are small, but one coding a large
+// payload keeps its block slice.
+const maxFreePasses = 16
+
+// passList is a mutex-guarded free list of passes; the zero value is ready.
+// It is not a sync.Pool for bufList's reason: the GC empties those, and a
+// heavy request allocates ~1 MB of words, so with a sync.Pool most passes
+// were new, six objects each (the pass, its channel, three closures and
+// its block slice), over TestInvokeAllocRegression's pin.
+type passList struct {
+	mu   sync.Mutex
+	free []*wirePass
+}
+
+// getPass returns an empty pass: s's, or a new one when s is nil.
+func (s *Service) getPass() *wirePass {
+	if s == nil {
+		return newPass()
+	}
+	l := &s.passes
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if n := len(l.free); n > 0 {
+		p := l.free[n-1]
+		l.free[n-1] = nil
+		l.free = l.free[:n-1]
+		return p
+	}
+	return newPass()
+}
+
+// putPass clears p of the request's memory and offers it to s for reuse.
+func (s *Service) putPass(p *wirePass) {
+	if s == nil {
+		return
+	}
+	clear(p.blocks)
+	p.decode, p.buf, p.end, p.words, p.blocks, p.hook = false, nil, 0, nil, p.blocks[:0], nil
+	l := &s.passes
+	l.mu.Lock()
+	if len(l.free) < maxFreePasses {
+		l.free = append(l.free, p)
+	}
+	l.mu.Unlock()
+}
+
+// block codes block b.
+func (p *wirePass) block(b int) {
+	blk := &p.blocks[b]
+	hi := len(p.words)
+	if b+1 < len(p.blocks) {
+		hi = p.blocks[b+1].word
+	}
+	if p.decode {
+		blk.err = parseBlock(p.buf, blk.at, p.end, p.words, blk.word, hi)
+	} else {
+		blk.size = formatBlock(p.buf, blk.at, p.words, blk.word, hi)
+	}
+}
+
+// errCodecPanic marks a panic recovered from a codec block: a bug, which
+// fails its request with 500 instead of the process.
+var errCodecPanic = errors.New("serve: codec failure")
+
+// safeBlock is block under a recover.  On a pool worker nothing else would
+// catch a panic (net/http's recover covers only the handler goroutine), so
+// a block keeps its own, inline too, and a panic fails just its request.
+func (p *wirePass) safeBlock(b int) {
+	defer func() {
+		if r := recover(); r != nil {
+			p.blocks[b].err = fmt.Errorf("%w: %v", errCodecPanic, r)
+		}
+	}()
+	if p.hook != nil {
+		p.hook()
+	}
+	p.block(b)
+}
+
+// code runs the blocks of p.  A payload of several blocks runs as an fj
+// loop on the service's pool, whose lazy splitting forks blocks only to an
+// idle worker; one block, or a service already closed, is coded inline on
+// the calling goroutine.  A nil s codes every block inline, in order and
+// with no recover: the package's tests compare that with the pool's run.
+func (s *Service) code(p *wirePass) {
+	if s == nil {
+		for b := range p.blocks {
+			p.block(b)
+		}
+		return
+	}
+	p.hook = s.hookBlock
+	if len(p.blocks) > 1 {
+		// Under mu, like admit: no root reaches the pool after Close.  Not
+		// held while waiting — a worker's run takes it too.
+		s.mu.RLock()
+		open := !s.closed
+		if open {
+			s.pool.Submit(p.root)
+		}
+		s.mu.RUnlock()
+		if open {
+			<-p.done
+			return
+		}
+	}
+	for b := range p.blocks {
+		p.safeBlock(b)
+	}
 }
 
 // appendString appends s as a JSON string.  Catalog kernel names are plain
@@ -467,9 +805,9 @@ func appendString(dst []byte, s string) []byte {
 }
 
 // responseBytes bounds the encoding of a response carrying words output
-// words: a word is at most 20 characters and a separator, the envelope under
-// 128 bytes plus the kernel name.
-func responseBytes(kernel string, words int) int { return 21*words + len(kernel) + 128 }
+// words: a word is at most maxWordBytes, the envelope under 128 bytes plus
+// the kernel name.  encodeResponse formats into exactly that worst case.
+func responseBytes(kernel string, words int) int { return maxWordBytes*words + len(kernel) + 128 }
 
 // Buffer recycling.  A request body and an encoded response are each one
 // large, short-lived []byte — 650 KB and 700 KB for a 65536-word sort — and
@@ -514,8 +852,11 @@ func (l *bufList) get(n int) []byte {
 	return b[:0]
 }
 
-// put offers b for reuse; it is dropped when the list is full or b is over
-// maxFreeBufBytes.
+// put offers b for reuse; it is dropped when it is over maxFreeBufBytes, or
+// when the list is full of buffers at least as large.  A full list trades
+// its smallest buffer for a larger one: otherwise, once a burst of small
+// requests has filled it, every large response buffer is dropped and
+// reallocated until the process ends.
 func (l *bufList) put(b []byte) {
 	if cap(b) == 0 || cap(b) > maxFreeBufBytes {
 		return
@@ -523,6 +864,16 @@ func (l *bufList) put(b []byte) {
 	l.mu.Lock()
 	if len(l.free) < maxFreeBufs {
 		l.free = append(l.free, b)
+	} else {
+		least := 0
+		for i, f := range l.free {
+			if cap(f) < cap(l.free[least]) {
+				least = i
+			}
+		}
+		if cap(l.free[least]) < cap(b) {
+			l.free[least] = b
+		}
 	}
 	l.mu.Unlock()
 }

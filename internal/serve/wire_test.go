@@ -26,7 +26,7 @@ import (
 // decodeWhole is /invoke's view of a body: one request, then white space.
 func decodeWhole(body []byte) (Request, error) {
 	var req Request
-	err := decodeOnly(body, &req)
+	err := decodeOnly(body, &req, nil)
 	return req, err
 }
 
@@ -212,8 +212,12 @@ func TestDecodeRequestDepth(t *testing.T) {
 // the same bodies accepted and refused (with /invoke's rule that nothing but
 // white space follows the request, which is json.Unmarshal's too), and an
 // equal Request from every accepted one.  The one listed exception is a null
-// element of "input", which the wire codec refuses.
+// element of "input", which the wire codec refuses.  Every input is then
+// decoded again in blocks of each fuzzBlocks size, inline and on a pool,
+// and must give the same request and error text.
 func FuzzDecodeRequest(f *testing.F) {
+	svc := New(Config{Pool: 2})
+	f.Cleanup(svc.Close)
 	for _, k := range registry.Invocables() {
 		body, _ := json.Marshal(Request{Kernel: k.Name, Input: seedPayload(f, k), Verify: true})
 		f.Add(body)
@@ -237,6 +241,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
+		checkBlockedDecode(t, svc, body, fuzzBlocks)
 		got, err := decodeWhole(body)
 		if errors.Is(err, errNullWord) {
 			if !bytes.Contains(body, []byte("null")) {
@@ -297,8 +302,11 @@ func TestAppendResponseMatchesStdlib(t *testing.T) {
 // cannot import this package) onto the wire: for every payload a kernel's
 // Validate accepts — the same (kernel, bytes) corpus, NaN bit patterns
 // included — words → JSON request text → words and words → JSON response
-// text → words are both identity.
+// text → words are both identity, and so are they in blocks of each
+// fuzzBlocks size, inline and on a pool.
 func FuzzWireWords(f *testing.F) {
+	svc := New(Config{Pool: 2})
+	f.Cleanup(svc.Close)
 	kernels := registry.Invocables()
 	toBytes := func(w []int64) []byte {
 		b := make([]byte, 8*len(w))
@@ -342,6 +350,8 @@ func FuzzWireWords(f *testing.F) {
 		if len(resp.Output) != len(words) || len(words) > 0 && !reflect.DeepEqual(resp.Output, words) {
 			t.Fatalf("%s: words changed on the way out", k.Name)
 		}
+		checkBlockedDecode(t, svc, body, fuzzBlocks)
+		checkBlockedEncode(t, svc, &Response{Kernel: k.Name, Output: words}, fuzzBlocks)
 	})
 }
 
@@ -379,8 +389,12 @@ func TestBufListBounds(t *testing.T) {
 // service's free list (run under -race in CI).  Every request's words are
 // stamped with its own id, sizes vary so buffers are reused for shorter and
 // longer bodies, and every response must carry exactly its request's words,
-// sorted — nothing left in a recycled buffer by another request.
+// sorted — nothing left in a recycled buffer by another request.  Blocks
+// are lowered to 256 bytes, so every payload of 40 words or more is coded
+// in blocks on the pool while other requests recycle the buffers.
 func TestRecycledBuffersNoBleed(t *testing.T) {
+	defer func(old int) { codecBlock = old }(codecBlock)
+	codecBlock = 256
 	svc := New(Config{Pool: 2, QueueBound: 256})
 	defer svc.Close()
 	ts := httptest.NewServer(svc.Handler())

@@ -75,6 +75,14 @@ if [ "$MODE" != grid ]; then
     # merge on the real backend at p=4).
     go test -race -run 'Test|FuzzService|FuzzDecodeRequest|FuzzWireWords|FuzzKWayMerge' ./internal/serve/ ./internal/algos/spms/
 
+    echo "== gate: -race over the blocked wire codec on the service pool, three schedules =="
+    # Payloads over one codec block are parsed and formatted as an fj loop on
+    # the service's pool, split on demand, so where blocks land depends on
+    # timing: blocked == unblocked (every block size, inline and pooled), a
+    # block's panic failing only its request, small requests never reaching
+    # the pool, and recycled buffers under concurrent blocked codecs.
+    go test -race -count=3 -run 'TestBlockedCodecMatchesUnblocked|TestCodecPanicFailsItsRequest|TestSmallRequestsCodeInline|TestRecycledBuffersNoBleed|FuzzDecodeRequest|FuzzWireWords' ./internal/serve/
+
     echo "== gate: -race over concurrently executing grid cells =="
     # A golden subset at -parallel 8 is the only place experiment cells run
     # concurrently; race-check it without paying for the full suite under -race.
@@ -88,7 +96,7 @@ if [ "$MODE" != grid ]; then
     go test -race -run 'TestEXP14ReplayMatchesLive|TestGoldenRowsIdenticalAcrossParallelism/EXP14' ./internal/bench/
 
     echo "== gate: benchmark smoke (every benchmark runs one iteration) =="
-    go test -run '^$' -bench . -benchtime 1x . ./internal/algos/sortutil/ >/dev/null
+    go test -run '^$' -bench . -benchtime 1x . ./internal/algos/sortutil/ ./internal/serve/ >/dev/null
 
     echo "== gate: hbplint (falseshare/atomicmix/fjdiscipline/lifoorder/determinism/grainaudit) =="
     go run ./cmd/hbplint -stats ./...
