@@ -100,9 +100,10 @@ func TestSortAllocRegression(t *testing.T) {
 // TestKernelAllocRegression pins what one fj.RunReal of each served kernel,
 // at the size of its quick sweep, allocates on a warmed, reused pool.  What
 // is left once scratch comes from the arena and fork frames from the
-// workers' pools is one closure per Fork/Parallel/For call site executed —
-// so the count follows the number of forking recursion nodes, not the input
-// size: tens for the flat parallel maps, a few hundred for the recursions.
+// workers' pools is one closure per Fork/Parallel/ForRange call site
+// executed — so the count follows the number of forking recursion nodes, not
+// the input size: tens for the flat parallel maps, a few hundred for the
+// recursions.
 // Before the fft got its table-driven real path it allocated closures at
 // every recursion node down to single elements: 131 081 objects a run at the
 // benchmark's n = 2¹⁶.

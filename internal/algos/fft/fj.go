@@ -67,8 +67,10 @@ func FJForward(c *fj.Ctx, data fj.C128) {
 	if data.Raw() != nil {
 		forwardReal(c, data.Raw(), src.Raw(), c.Grain(FJFFTGrainSim, FJFFTGrainReal))
 	} else {
-		c.For(0, n, copyGrainSim, func(c *fj.Ctx, i int64) {
-			src.Set(c, i, data.Get(c, i))
+		c.ForRange(0, n, copyGrainSim, func(c *fj.Ctx, lo, hi int64) {
+			for i := lo; i < hi; i++ {
+				src.Set(c, i, data.Get(c, i))
+			}
 		})
 		fjRec(c, data, 0, src, 0, 1, n)
 	}
@@ -94,20 +96,20 @@ func fjRec(c *fj.Ctx, dst fj.C128, dOff int64, src fj.C128, sOff, stride, n int6
 		right(c)
 	}
 	ang := -2 * math.Pi / float64(n)
-	body := func(c *fj.Ctx, k int64) {
-		w := complex(math.Cos(ang*float64(k)), math.Sin(ang*float64(k)))
-		t := w * dst.Get(c, dOff+h+k)
-		e := dst.Get(c, dOff+k)
-		dst.Set(c, dOff+k, e+t)
-		dst.Set(c, dOff+h+k, e-t)
-		c.Op(1)
+	butterflies := func(c *fj.Ctx, lo, hi int64) {
+		for k := lo; k < hi; k++ {
+			w := complex(math.Cos(ang*float64(k)), math.Sin(ang*float64(k)))
+			t := w * dst.Get(c, dOff+h+k)
+			e := dst.Get(c, dOff+k)
+			dst.Set(c, dOff+k, e+t)
+			dst.Set(c, dOff+h+k, e-t)
+			c.Op(1)
+		}
 	}
 	if parallel {
-		c.For(0, h, butterflyGrainSim, body)
+		c.ForRange(0, h, butterflyGrainSim, butterflies)
 	} else {
-		for k := int64(0); k < h; k++ {
-			body(c, k)
-		}
+		butterflies(c, 0, h)
 	}
 }
 

@@ -12,7 +12,7 @@ package gather
 import "repro/internal/fj"
 
 // FJGatherGrainSim is the simulator's leaf length of the parallel map;
-// hardware splits the map on demand (fj.Ctx.For).
+// hardware splits the map on demand (fj.Ctx.ForRange).
 const FJGatherGrainSim = 32
 
 // FJGather computes out[i] = vals[idx[i]] for 0 ≤ i < idx.Len(), writing

@@ -12,7 +12,7 @@ package listrank
 import "repro/internal/fj"
 
 // FJRankGrainSim is the simulator's leaf length of each round's parallel
-// map; hardware splits the maps on demand (fj.Ctx.For).
+// map; hardware splits the maps on demand (fj.Ctx.ForRange).
 const FJRankGrainSim = 32
 
 // FJRank ranks the linked list given by succ: succ[i] is the index of i's

@@ -104,10 +104,8 @@ func (v View) Quad(q int) View {
 
 // Get and Set access elements directly (no cache simulation), for test setup
 // and verification.
-func (v View) Get(sp *mem.Space, i, j int64) int64       { return sp.Load(v.Addr(i, j)) }
-func (v View) Set(sp *mem.Space, i, j int64, x int64)    { sp.Store(v.Addr(i, j), x) }
-func (v View) GetF(sp *mem.Space, i, j int64) float64    { return sp.LoadF(v.Addr(i, j)) }
-func (v View) SetF(sp *mem.Space, i, j int64, x float64) { sp.StoreF(v.Addr(i, j), x) }
+func (v View) Get(sp *mem.Space, i, j int64) int64    { return sp.Load(v.Addr(i, j)) }
+func (v View) Set(sp *mem.Space, i, j int64, x int64) { sp.Store(v.Addr(i, j), x) }
 
 // Morton interleaves the bits of i (odd positions) and j (even positions),
 // yielding the BI index with quadrant order TL, TR, BL, BR.

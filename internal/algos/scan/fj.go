@@ -30,19 +30,21 @@ func FJPrefix(c *fj.Ctx, in, out fj.I64) {
 		return
 	}
 	sums := c.ScratchI64(nb) // the up-sweep writes every block slot first
-	c.For(0, nb, 1, func(c *fj.Ctx, bi int64) {
-		lo, hi := bi*grain, min((bi+1)*grain, n)
-		var s int64
-		if is := in.Raw(); is != nil {
-			for _, v := range is[lo:hi] {
-				s += v
+	c.ForRange(0, nb, 1, func(c *fj.Ctx, blo, bhi int64) {
+		for bi := blo; bi < bhi; bi++ {
+			lo, hi := bi*grain, min((bi+1)*grain, n)
+			var s int64
+			if is := in.Raw(); is != nil {
+				for _, v := range is[lo:hi] {
+					s += v
+				}
+			} else {
+				for i := lo; i < hi; i++ {
+					s += in.Get(c, i)
+				}
 			}
-		} else {
-			for i := lo; i < hi; i++ {
-				s += in.Get(c, i)
-			}
+			sums.Set(c, bi, s)
 		}
-		sums.Set(c, bi, s)
 	})
 	var acc int64
 	for bi := int64(0); bi < nb; bi++ {
@@ -50,9 +52,11 @@ func FJPrefix(c *fj.Ctx, in, out fj.I64) {
 		sums.Set(c, bi, acc)
 		acc += s
 	}
-	c.For(0, nb, 1, func(c *fj.Ctx, bi int64) {
-		lo, hi := bi*grain, min((bi+1)*grain, n)
-		fjPrefixSerial(c, in.Slice(lo, hi), out.Slice(lo, hi), sums.Get(c, bi))
+	c.ForRange(0, nb, 1, func(c *fj.Ctx, blo, bhi int64) {
+		for bi := blo; bi < bhi; bi++ {
+			lo, hi := bi*grain, min((bi+1)*grain, n)
+			fjPrefixSerial(c, in.Slice(lo, hi), out.Slice(lo, hi), sums.Get(c, bi))
+		}
 	})
 	c.FreeI64(sums)
 }

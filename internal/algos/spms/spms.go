@@ -100,9 +100,11 @@ func fjSortRec(c *fj.Ctx, src, buf fj.I64, toBuf bool) {
 		}
 	}
 	runLen := (n + k - 1) / k
-	c.For(0, k, 1, func(c *fj.Ctx, r int64) {
-		lo, hi := runBounds(n, runLen, r, r+1)
-		fjSortRec(c, src.Slice(lo, hi), buf.Slice(lo, hi), !toBuf)
+	c.ForRange(0, k, 1, func(c *fj.Ctx, rlo, rhi int64) {
+		for r := rlo; r < rhi; r++ {
+			lo, hi := runBounds(n, runLen, r, r+1)
+			fjSortRec(c, src.Slice(lo, hi), buf.Slice(lo, hi), !toBuf)
+		}
 	})
 	from, into := buf, src
 	if toBuf {
@@ -263,16 +265,18 @@ func FJMergeK(c *fj.Ctx, runs []fj.I64, out fj.I64) {
 	sval := c.ScratchI64(nsp) // the cut loop below fills all nsp slots first
 	snum := c.ScratchI64(nsp) // G: 1-based rank of the splitter in its group
 	sden := c.ScratchI64(nsp) // g: number of splitters sharing the value
-	c.For(0, nsp, 1, func(c *fj.Ctx, j int64) {
-		v := sorted.Get(c, j)
-		gl := sortutil.LowerBound(c, sorted, v) // first splitter of the group
-		jhi := sortutil.UpperBound(c, sorted, v) - 1
-		if jhi > nsp-1 {
-			jhi = nsp - 1 // the last sample element is not a splitter
+	c.ForRange(0, nsp, 1, func(c *fj.Ctx, lo, hi int64) {
+		for j := lo; j < hi; j++ {
+			v := sorted.Get(c, j)
+			gl := sortutil.LowerBound(c, sorted, v) // first splitter of the group
+			jhi := sortutil.UpperBound(c, sorted, v) - 1
+			if jhi > nsp-1 {
+				jhi = nsp - 1 // the last sample element is not a splitter
+			}
+			sval.Set(c, j, v)
+			snum.Set(c, j, j-gl+1)
+			sden.Set(c, j, jhi-gl+1)
 		}
-		sval.Set(c, j, v)
-		snum.Set(c, j, j-gl+1)
-		sden.Set(c, j, jhi-gl+1)
 	})
 	c.FreeI64(sorted)
 
@@ -281,13 +285,15 @@ func FJMergeK(c *fj.Ctx, runs []fj.I64, out fj.I64) {
 	// at or before splitter j: everything below the splitter value, plus a
 	// positional G/(g+1) share of the run's own equal-value range.
 	cutm := c.ScratchI64(nsp * k) // every slot written by this loop
-	c.For(0, nsp*k, 1, func(c *fj.Ctx, t int64) {
-		j, s := t/k, t%k
-		v := sval.Get(c, j)
-		lb := sortutil.LowerBound(c, runs[s], v)
-		ub := sortutil.UpperBound(c, runs[s], v)
-		g := sden.Get(c, j)
-		cutm.Set(c, t, lb+(ub-lb)*snum.Get(c, j)/(g+1))
+	c.ForRange(0, nsp*k, 1, func(c *fj.Ctx, lo, hi int64) {
+		for t := lo; t < hi; t++ {
+			j, s := t/k, t%k
+			v := sval.Get(c, j)
+			lb := sortutil.LowerBound(c, runs[s], v)
+			ub := sortutil.UpperBound(c, runs[s], v)
+			g := sden.Get(c, j)
+			cutm.Set(c, t, lb+(ub-lb)*snum.Get(c, j)/(g+1))
+		}
 	})
 	c.FreeI64(sval)
 	c.FreeI64(snum)
@@ -302,33 +308,37 @@ func FJMergeK(c *fj.Ctx, runs []fj.I64, out fj.I64) {
 	// (pathological value concentration the sample could not see) falls
 	// back to the pairwise tree, which needs no further sampling to make
 	// progress.
-	c.For(0, nsp+1, 1, func(c *fj.Ctx, j int64) {
-		bruns := c.AllocRuns(k)
-		c.For(0, k, 1, func(c *fj.Ctx, s int64) {
-			lo := int64(0)
+	c.ForRange(0, nsp+1, 1, func(c *fj.Ctx, jlo, jhi int64) {
+		for j := jlo; j < jhi; j++ {
+			bruns := c.AllocRuns(k)
+			c.ForRange(0, k, 1, func(c *fj.Ctx, slo, shi int64) {
+				for s := slo; s < shi; s++ {
+					lo := int64(0)
+					if j > 0 {
+						lo = cutm.Get(c, (j-1)*k+s)
+					}
+					hi := runs[s].Len()
+					if j < nsp {
+						hi = cutm.Get(c, j*k+s)
+					}
+					bruns[s] = runs[s].Slice(lo, hi)
+				}
+			})
+			olo := int64(0)
 			if j > 0 {
-				lo = cutm.Get(c, (j-1)*k+s)
+				olo = fjSum(c, cutm, (j-1)*k, j*k)
 			}
-			hi := runs[s].Len()
+			ohi := m
 			if j < nsp {
-				hi = cutm.Get(c, j*k+s)
+				ohi = fjSum(c, cutm, j*k, (j+1)*k)
 			}
-			bruns[s] = runs[s].Slice(lo, hi)
-		})
-		olo := int64(0)
-		if j > 0 {
-			olo = fjSum(c, cutm, (j-1)*k, j*k)
+			if 2*(ohi-olo) > m {
+				fjMergeTree(c, bruns, out.Slice(olo, ohi))
+			} else {
+				FJMergeK(c, bruns, out.Slice(olo, ohi))
+			}
+			c.FreeRuns(bruns)
 		}
-		ohi := m
-		if j < nsp {
-			ohi = fjSum(c, cutm, j*k, (j+1)*k)
-		}
-		if 2*(ohi-olo) > m {
-			fjMergeTree(c, bruns, out.Slice(olo, ohi))
-		} else {
-			FJMergeK(c, bruns, out.Slice(olo, ohi))
-		}
-		c.FreeRuns(bruns)
 	})
 	c.FreeI64(cutm)
 }
@@ -486,15 +496,19 @@ func fjMerge2(c *fj.Ctx, a, b, out fj.I64) {
 	bi.Set(c, 0, 0)
 	ai.Set(c, nb, a.Len())
 	bi.Set(c, nb, b.Len())
-	c.For(1, nb, 1, func(c *fj.Ctx, j int64) {
-		i := sortutil.Split(c, a, b, j*t)
-		ai.Set(c, j, i)
-		bi.Set(c, j, j*t-i)
+	c.ForRange(1, nb, 1, func(c *fj.Ctx, lo, hi int64) {
+		for j := lo; j < hi; j++ {
+			i := sortutil.Split(c, a, b, j*t)
+			ai.Set(c, j, i)
+			bi.Set(c, j, j*t-i)
+		}
 	})
-	c.For(0, nb, 1, func(c *fj.Ctx, j int64) {
-		alo, ahi := ai.Get(c, j), ai.Get(c, j+1)
-		blo, bhi := bi.Get(c, j), bi.Get(c, j+1)
-		fjMerge2(c, a.Slice(alo, ahi), b.Slice(blo, bhi), out.Slice(alo+blo, ahi+bhi))
+	c.ForRange(0, nb, 1, func(c *fj.Ctx, lo, hi int64) {
+		for j := lo; j < hi; j++ {
+			alo, ahi := ai.Get(c, j), ai.Get(c, j+1)
+			blo, bhi := bi.Get(c, j), bi.Get(c, j+1)
+			fjMerge2(c, a.Slice(alo, ahi), b.Slice(blo, bhi), out.Slice(alo+blo, ahi+bhi))
+		}
 	})
 	c.FreeI64(ai)
 	c.FreeI64(bi)
@@ -509,7 +523,9 @@ func fjCopy(c *fj.Ctx, src, dst fj.I64) {
 		return
 	}
 	n := src.Len()
-	c.For(0, n, 32, func(c *fj.Ctx, i int64) {
-		dst.Set(c, i, src.Get(c, i))
+	c.ForRange(0, n, 32, func(c *fj.Ctx, lo, hi int64) {
+		for i := lo; i < hi; i++ {
+			dst.Set(c, i, src.Get(c, i))
+		}
 	})
 }

@@ -1,10 +1,15 @@
 package bench
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/algos/registry"
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/model"
@@ -107,11 +112,15 @@ func TestEXP14ReplayMatchesLive(t *testing.T) {
 
 // TestObliviousKernelsRecordOneTape is the oblivious-trace oracle: a kernel
 // whose task tree and access stream do not depend on its input records
-// byte-equal tapes at seeds 0 and 7, while spms, which compares keys,
-// does not.
+// byte-equal tapes at seeds 0 and 7 — the Table-1 kernels below and the fj
+// scan, fft, transpose, matmul and strassen — while the fj kernels whose
+// accesses follow their input (gather and listrank chase indices, sortx and
+// spms compare keys) do not.
 func TestObliviousKernelsRecordOneTape(t *testing.T) {
 	oblivious := []string{"Scan(M-Sum)", "Scan(PS)", "MT (BI)", "RM to BI", "Direct BI-RM",
-		"BI-RM (gap RM)", "Strassen (BI)", "Depth-n-MM", "FFT"}
+		"BI-RM (gap RM)", "Strassen (BI)", "Depth-n-MM", "FFT",
+		"scan", "fft", "transpose", "matmul", "strassen"}
+	dataDependent := []string{"gather", "listrank", "sortx", "spms"}
 	record := func(a Algo, seed uint64) [32]byte {
 		spec := exp14Spec(1, 16, "pws", 0, seed)
 		m := newMachine(spec)
@@ -122,13 +131,13 @@ func TestObliviousKernelsRecordOneTape(t *testing.T) {
 		}
 		return tape.Sum()
 	}
-	for _, name := range append(oblivious, "spms") {
+	for i, name := range append(oblivious, dataDependent...) {
 		a, ok := FindAlgo(name)
 		if !ok {
 			t.Fatalf("kernel %q not in the sim catalog", name)
 		}
 		same := record(a, 0) == record(a, 7)
-		if want := name != "spms"; same != want {
+		if want := i < len(oblivious); same != want {
 			t.Errorf("%s: tapes at seeds 0 and 7 equal = %v, want %v", name, same, want)
 		}
 	}
@@ -155,5 +164,42 @@ func TestTapesRunRefusedKeysLive(t *testing.T) {
 		if tape != nil {
 			t.Errorf("key %+v keeps a tape of a refused recording", k)
 		}
+	}
+}
+
+// TestFJSimDigestUnchanged is the cross-commit gate for the fj sim
+// lowerings, whose rows EXP01 and EXP14 do not carry (they run the
+// hand-built Table-1 twins): each of the nine fj kernels at its smallest sim
+// size, at p ∈ {1, 4} under PWS and RWS, hashes its core.Result and its
+// TaskStart/TaskEnd stream, and the lot must hash to
+// testdata/fj-sim-quick.sha256.  Re-record the file only when a simulated
+// statistic of an fj kernel is meant to move.
+func TestFJSimDigestUnchanged(t *testing.T) {
+	h := sha256.New()
+	for _, k := range registry.All() {
+		if k.FJ == nil || k.Backend != registry.Sim {
+			continue
+		}
+		for _, p := range []int{1, 4} {
+			for _, s := range []string{"pws", "rws"} {
+				spec := exp14Spec(p, 16, s, 0, 0)
+				m := newMachine(spec)
+				root := k.Sim.Build(m, k.Sim.Sizes[0], 0)
+				var run hookedRun
+				run.res = hooked(m, spec, &run).Run(root)
+				fmt.Fprintf(h, "%s n=%d p=%d %s: %+v events=%d/%x\n",
+					k.Name, k.Sim.Sizes[0], p, s, run.res, run.n, run.events)
+			}
+		}
+	}
+	got := hex.EncodeToString(h.Sum(nil))
+	const file = "testdata/fj-sim-quick.sha256"
+	want, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatalf("no recorded digest (%v); this commit's is %s", err, got)
+	}
+	if got != strings.TrimSpace(string(want)) {
+		t.Errorf("fj sim runs hash to %s, %s records %s: a simulated statistic moved",
+			got, file, strings.TrimSpace(string(want)))
 	}
 }

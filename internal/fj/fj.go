@@ -16,14 +16,14 @@
 //
 // A computation is a function func(*Ctx).  Ctx offers structured fork-join
 // parallelism — Fork/Join with a LIFO join discipline, Parallel, and the
-// parallel loops For and ForRange, whose grain is the simulator's leaf
-// (hardware splits them on demand) — plus per-backend recursion cutoffs
-// (Grain) so that real execution keeps tight serial leaves while the
-// simulator still observes a deep recursion.  Data lives in the typed views
-// of view.go — one generic View[T] over int64, float64 and complex128 (I64,
-// F64, C128) — allocated up front through an Env or mid-run through
-// Ctx.AllocI64 and friends (per-core block-aligned allocations on the
-// simulator, per-worker arena slabs on real hardware).
+// parallel loop ForRange, whose grain is the simulator's leaf (hardware
+// splits it on demand) — plus per-backend recursion cutoffs (Grain) so that
+// real execution keeps tight serial leaves while the simulator still
+// observes a deep recursion.  Data lives in the typed views of view.go —
+// one generic View[T] over int64, float64 and complex128 (I64, F64, C128) —
+// allocated up front through an Env or mid-run through Ctx.AllocI64 and
+// friends (per-core block-aligned allocations on the simulator, per-worker
+// arena slabs on real hardware).
 //
 // Lowerings:
 //
@@ -38,8 +38,8 @@
 //
 // Portability contract: a forked function must use only the Ctx it receives
 // (never a captured outer Ctx), and joins must be LIFO — each Join targets
-// the most recently forked, not-yet-joined task.  Parallel and For obey the
-// discipline by construction; the sim lowering enforces it and panics on
+// the most recently forked, not-yet-joined task.  Parallel and ForRange obey
+// the discipline by construction; the sim lowering enforces it and panics on
 // violations.  Kernels that want bit-identical outputs across backends must
 // keep their floating-point reduction order independent of the leaf cutoff
 // (see internal/algos/matmul for the pattern).
@@ -93,7 +93,7 @@ func (c *Ctx) Real() bool { return c.rc != nil }
 // Grain returns the backend-appropriate recursion cutoff: sim under the
 // simulator, real on hardware.  Simulator grains stay small so the model
 // observes the full recursion; a real grain picks a serial leaf algorithm.
-// Parallel loops take no real grain (see For).
+// Parallel loops take no real grain (see ForRange).
 func (c *Ctx) Grain(sim, real int64) int64 {
 	if c.Real() {
 		return real
@@ -153,43 +153,20 @@ func (c *Ctx) Parallel(a, b func(*Ctx)) {
 	c.Join(h)
 }
 
-// For runs body(c, i) for lo ≤ i < hi in parallel, each leaf's indices in
-// ascending order on one task.  grain is the simulator's leaf: the sim
+// ForRange runs body(c, lo', hi') over disjoint sub-ranges that cover
+// [lo, hi) in parallel: the one parallel loop, the balanced-parallel tree
+// of the paper's HBP computations.  grain is the simulator's leaf: the sim
 // lowering splits binarily down to it (the balanced tree the depth
-// measurements model).  Hardware splits on demand (splitReal in
-// scratch.go), forking a right half only when the worker's deque is empty —
-// the same disjoint writes from fewer tasks, no per-split allocation.
-func (c *Ctx) For(lo, hi, grain int64, body func(c *Ctx, i int64)) {
-	if c.rc != nil {
-		c.splitReal(lo, hi, body, nil)
-		return
-	}
-	if grain < 1 {
-		grain = 1
-	}
-	if hi-lo <= grain {
-		for i := lo; i < hi; i++ {
-			body(c, i)
-		}
-		return
-	}
-	mid := lo + (hi-lo)/2
-	c.Parallel(
-		func(c *Ctx) { c.For(lo, mid, grain, body) },
-		func(c *Ctx) { c.For(mid, hi, grain, body) },
-	)
-}
-
-// ForRange is For with a range-bodied leaf: the same splitting of [lo, hi)
-// on both backends, but each leaf calls body(c, lo, hi) once with its whole
-// sub-range instead of once per index, so a real chunk pays one indirect
-// call and can run a tight loop over native slices.  A body that loops
-// "for i := lo; i < hi; i++" over charged Get/Set performs exactly the
-// access sequence the equivalent For would, under the identical task tree —
-// the simulator cannot tell the two apart.  An empty range calls nothing.
+// measurements model) and calls body once per leaf.  Hardware splits on
+// demand (splitReal in scratch.go), forking a right half only when the
+// worker's deque is empty — the same disjoint writes from fewer tasks, no
+// per-split allocation — and a real chunk pays one indirect call, so it can
+// run a tight loop over native slices.  A body that loops
+// "for i := lo; i < hi; i++" sees its indices in ascending order on one
+// task.  An empty range calls nothing.
 func (c *Ctx) ForRange(lo, hi, grain int64, body func(c *Ctx, lo, hi int64)) {
 	if c.rc != nil {
-		c.splitReal(lo, hi, nil, body)
+		c.splitReal(lo, hi, body)
 		return
 	}
 	if hi <= lo {

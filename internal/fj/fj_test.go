@@ -12,14 +12,16 @@ import (
 )
 
 // sumProgram is a small fork-join program touching every frontend feature:
-// nested Parallel, explicit Fork/Join, a parallel For, mid-run allocation,
-// and per-backend grains.
+// nested Parallel, explicit Fork/Join, a parallel ForRange, mid-run
+// allocation, and per-backend grains.
 func sumProgram(in, out I64) func(*Ctx) {
 	n := in.Len()
 	return func(c *Ctx) {
 		tmp := c.AllocI64(n)
-		c.For(0, n, c.Grain(4, 64), func(c *Ctx, i int64) {
-			tmp.Set(c, i, 2*in.Get(c, i))
+		c.ForRange(0, n, c.Grain(4, 64), func(c *Ctx, lo, hi int64) {
+			for i := lo; i < hi; i++ {
+				tmp.Set(c, i, 2*in.Get(c, i))
+			}
 		})
 		var a, b int64
 		h := c.Fork(func(c *Ctx) { b = sumRange(c, tmp, n/2, n) })

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -25,12 +26,35 @@ func forRangeCases() [][3]int64 {
 	}
 }
 
-// TestForRangeMatchesFor holds ForRange to For.  On the simulator the same
-// map written both ways — For's per-index body, and ForRange's range body
-// looping over it — must be indistinguishable: equal engine statistics and
-// equal words.  On rt, written either way, every index of the range is
-// visited exactly once and nothing outside it (the plain increments are
-// disjoint across chunks, so a double visit is also a -race report).
+// forRef is the per-index parallel loop fj offered before ForRange became
+// its only one, kept as the reference ForRange is held to: binary splitting
+// of [lo, hi) down to grain, then body(c, i) for each index of a leaf in
+// ascending order on one task.
+func forRef(c *Ctx, lo, hi, grain int64, body func(c *Ctx, i int64)) {
+	if grain < 1 {
+		grain = 1
+	}
+	if hi-lo <= grain {
+		for i := lo; i < hi; i++ {
+			body(c, i)
+		}
+		return
+	}
+	mid := lo + (hi-lo)/2
+	c.Parallel(
+		func(c *Ctx) { forRef(c, lo, mid, grain, body) },
+		func(c *Ctx) { forRef(c, mid, hi, grain, body) },
+	)
+}
+
+// TestForRangeMatchesFor holds ForRange to forRef, the per-index loop the
+// kernels were written with.  On the simulator the same map written both
+// ways — forRef's per-index body, and ForRange's range body looping over it
+// — must be indistinguishable: equal engine statistics and equal words.  On
+// rt every index of the range is visited exactly once and nothing outside
+// it, by ForRange's chunks (real) and by forRef's leaves, a fork per split
+// on the pooled frames ForRange shares (realFor); the plain increments are
+// disjoint across tasks, so a double visit is also a -race report.
 func TestForRangeMatchesFor(t *testing.T) {
 	for _, tc := range forRangeCases() {
 		lo, hi, grain := tc[0], tc[1], tc[2]
@@ -44,7 +68,7 @@ func TestForRangeMatchesFor(t *testing.T) {
 				elem := func(c *Ctx, i int64) { out.Set(c, i, 3*in.Get(c, i)+1) }
 				res := RunSim(m, sched.NewPWS(), core.Options{}, n, "map", func(c *Ctx) {
 					if !ranged {
-						c.For(lo, hi, grain, elem)
+						forRef(c, lo, hi, grain, elem)
 						return
 					}
 					c.ForRange(lo, hi, grain, func(c *Ctx, lo, hi int64) {
@@ -58,7 +82,7 @@ func TestForRangeMatchesFor(t *testing.T) {
 			wantRes, wantWords := run(false)
 			gotRes, gotWords := run(true)
 			if !reflect.DeepEqual(gotRes, wantRes) {
-				t.Errorf("engine statistics differ:\nForRange %+v\nFor      %+v", gotRes, wantRes)
+				t.Errorf("engine statistics differ:\nForRange %+v\nforRef   %+v", gotRes, wantRes)
 			}
 			if !reflect.DeepEqual(gotWords, wantWords) {
 				t.Error("output words differ")
@@ -77,7 +101,7 @@ func TestForRangeMatchesFor(t *testing.T) {
 						defer pool.Close()
 						RunReal(pool, func(c *Ctx) {
 							if !ranged {
-								c.For(lo, hi, grain, func(_ *Ctx, i int64) { visits[i]++ })
+								forRef(c, lo, hi, grain, func(_ *Ctx, i int64) { visits[i]++ })
 								return
 							}
 							c.ForRange(lo, hi, grain, func(_ *Ctx, lo, hi int64) {
@@ -136,4 +160,35 @@ func TestForRangeForksLogN(t *testing.T) {
 		t.Errorf("body called %d times over %d indices on one worker, want at most %d (2·log₂² n)", calls, n, 2*lg*lg)
 	}
 	t.Logf("n=%d: %d forks, %d body calls", n, forks, calls)
+}
+
+// TestForRangeForksPerSteal bounds the lazy splitting on several workers,
+// where split points follow the schedule.  A range forks only while its
+// worker's deque is empty, which the root and each steal bring about (a
+// thief starts on an empty deque, and its victim may be left with one), and
+// each such start forks along one halving chain of at most log₂ n ranges.
+// So with S steals, forks stay within 2·(S+1)·⌈log₂ n⌉.
+func TestForRangeForksPerSteal(t *testing.T) {
+	for _, p := range []int{2, 4} {
+		for _, lg := range []int64{10, 16, 20} {
+			n := int64(1) << lg
+			t.Run(fmt.Sprintf("p%d/n=2^%d", p, lg), func(t *testing.T) {
+				pool := rt.NewPool(p, rt.Random)
+				defer pool.Close()
+				var covered atomic.Int64
+				RunReal(pool, func(c *Ctx) {
+					c.ForRange(0, n, 1, func(_ *Ctx, lo, hi int64) { covered.Add(hi - lo) })
+				})
+				forks, steals := pool.Executed()-1, pool.Steals() // the root is a task too
+				if covered.Load() != n {
+					t.Fatalf("chunks cover %d indices, want %d", covered.Load(), n)
+				}
+				if bound := 2 * (steals + 1) * lg; forks > bound {
+					t.Errorf("forked %d tasks with %d steals over %d indices, want at most %d (2·(S+1)·log₂ n)",
+						forks, steals, n, bound)
+				}
+				t.Logf("%d forks, %d steals", forks, steals)
+			})
+		}
+	}
 }

@@ -3,8 +3,8 @@ package fj
 import "repro/internal/rt"
 
 // Real lowering: on hardware an fj computation is just the rt runtime with a
-// thin adapter — Fork and Join delegate to rt.Ctx (Parallel and For are fj's
-// own, built on them), view accesses index native slices.  Per-task
+// thin adapter — Fork and Join delegate to rt.Ctx (Parallel and ForRange are
+// fj's own, built on them), view accesses index native slices.  Per-task
 // bookkeeping (the adapter closure and the Ctx it hands the body) lives in
 // pooled per-worker frames (scratch.go), so only the root of each Run
 // allocates; the root bench_fj_test.go times each real lowering.

@@ -10,7 +10,7 @@ import (
 //
 //   - fork frames: the closure that adapts an fj task body to the rt task
 //     signature, plus the small Ctx it hands the body.  Binding them once
-//     per frame and recycling frames after Join makes Fork/Parallel/For
+//     per frame and recycling frames after Join makes Fork/Parallel/ForRange
 //     allocation-free in the steady state — previously every fork heap-
 //     allocated a wrapper closure and a Ctx.
 //   - view spans ([]I64 run lists): the sort kernels build and discard run
@@ -38,16 +38,15 @@ func (c *Ctx) local() *wlocal {
 	return l
 }
 
-// frame is one pooled fork: either a plain task body (fn) or a For/ForRange
-// range (lo/hi with the per-index body or the per-range rbody).
+// frame is one pooled fork: either a plain task body (fn) or a ForRange
+// range (lo/hi with its body).
 // invoke is the rt-shaped entry bound to this frame once at construction,
 // and ctx is the fj context the executing worker fills in — both live here
 // precisely so the fork path allocates nothing.
 type frame struct {
 	fn     func(*Ctx)
 	lo, hi int64
-	body   func(*Ctx, int64)
-	rbody  func(*Ctx, int64, int64)
+	body   func(*Ctx, int64, int64)
 	ctx    Ctx
 	invoke func(*rt.Ctx)
 	next   *frame // free-list link, owner-only
@@ -59,7 +58,7 @@ func (fr *frame) run(rc *rt.Ctx) {
 		fr.fn(&fr.ctx)
 		return
 	}
-	fr.ctx.splitReal(fr.lo, fr.hi, fr.body, fr.rbody)
+	fr.ctx.splitReal(fr.lo, fr.hi, fr.body)
 }
 
 // frame pops a free frame from the worker's pool (or builds one, binding
@@ -80,40 +79,34 @@ func (c *Ctx) frame() *frame {
 // release returns a joined frame to the executing worker's pool, dropping
 // the body references so the pool retains no caller state.
 func (c *Ctx) release(fr *frame) {
-	fr.fn, fr.body, fr.rbody = nil, nil, nil
+	fr.fn, fr.body = nil, nil
 	l := c.local()
 	fr.next = l.frames
 	l.frames = fr
 }
 
-// splitReal is the real lowering of For (body) and ForRange (rbody; exactly
-// one is set): lazy binary splitting (Tzannes et al., PPoPP 2010), with no
-// machine parameter.  The range runs from the left in chunks: first one
-// index, then twice the last chunk if that one did not split, capped at a
-// quarter of what remains.  Before each chunk, if the worker's deque is
-// empty, the right half of what remains is forked as one pooled frame (a
-// contiguous range sharing at most two boundary blocks with its siblings).
-// The forks join in LIFO order; each halves the range, so 64 handles do.
-func (c *Ctx) splitReal(lo, hi int64, body func(*Ctx, int64), rbody func(*Ctx, int64, int64)) {
+// splitReal is the real lowering of ForRange: lazy binary splitting
+// (Tzannes et al., PPoPP 2010), with no machine parameter.  The range runs
+// from the left in chunks: first one index, then twice the last chunk if
+// that one did not split, capped at a quarter of what remains.  Before each
+// chunk, if the worker's deque is empty, the right half of what remains is
+// forked as one pooled frame (a contiguous range sharing at most two
+// boundary blocks with its siblings).  The forks join in LIFO order; each
+// halves the range, so 64 handles do.
+func (c *Ctx) splitReal(lo, hi int64, body func(*Ctx, int64, int64)) {
 	var hs [64]Handle
 	nh := 0
 	for chunk := int64(1); lo < hi; {
 		split := hi-lo > 1 && c.rc.DequeEmpty()
 		if split {
 			fr := c.frame()
-			fr.lo, fr.hi, fr.body, fr.rbody = lo+(hi-lo)/2, hi, body, rbody
+			fr.lo, fr.hi, fr.body = lo+(hi-lo)/2, hi, body
 			hs[nh] = Handle{rh: c.rc.Fork(fr.invoke), fr: fr}
 			nh++
 			hi = fr.lo
 		}
 		chunk = min(chunk, max(1, (hi-lo)/4))
-		if rbody != nil {
-			rbody(c, lo, lo+chunk)
-		} else {
-			for i := lo; i < lo+chunk; i++ {
-				body(c, i)
-			}
-		}
+		body(c, lo, lo+chunk)
 		lo += chunk
 		if !split {
 			chunk *= 2

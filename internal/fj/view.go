@@ -177,13 +177,12 @@ func free[T Elem](c *Ctx, v View[T]) {
 	pool[T](c.rc.Scratch()).Put(v.s)
 }
 
-// The methods kernel sources call: alloc (zeroed), scratch (unspecified
-// contents) and free at the three element types.
+// The methods kernel sources call: alloc (zeroed) and free at the three
+// element types, scratch (unspecified contents) at the two kernels use.
 func (c *Ctx) AllocI64(n int64) I64     { return alloc[int64](c, n) }
 func (c *Ctx) ScratchI64(n int64) I64   { return scratch[int64](c, n) }
 func (c *Ctx) FreeI64(v I64)            { free(c, v) }
 func (c *Ctx) AllocF64(n int64) F64     { return alloc[float64](c, n) }
-func (c *Ctx) ScratchF64(n int64) F64   { return scratch[float64](c, n) }
 func (c *Ctx) FreeF64(v F64)            { free(c, v) }
 func (c *Ctx) AllocC128(n int64) C128   { return alloc[complex128](c, n) }
 func (c *Ctx) ScratchC128(n int64) C128 { return scratch[complex128](c, n) }

@@ -30,7 +30,7 @@ var DefaultGrainAuditSizes = map[string]int64{
 // GrainAudit returns the grain-literal analyzer: inside the fj kernel
 // packages it resolves the simulated-backend argument of every
 // <ctx>.Grain(sim, real) call, and the grain (third) argument of every
-// <ctx>.For/ForRange call — which only the simulator reads — to its constant
+// <ctx>.ForRange call — which only the simulator reads — to its constant
 // value and flags any cutoff at or above the package's smallest registry
 // sweep size.  A sim grain that large makes the kernel run serially at the
 // sweep's low end, so the EXP14 constant fits and the EXP15 depth envelope
@@ -68,7 +68,7 @@ func runGrainAudit(p *Package, minFit map[string]int64) []Finding {
 			switch sel.Sel.Name {
 			case "Grain":
 				arg = 0
-			case "For", "ForRange":
+			case "ForRange":
 				arg = 2
 			}
 			if arg < 0 || len(call.Args) <= arg {

@@ -25,7 +25,7 @@
 //     math/rand functions, and map-range iteration feeding Row output.
 //   - grainaudit resolves the simulated-backend argument of every
 //     ctx.Grain(sim, real) call, and the grain argument of every
-//     ctx.For/ForRange call, in the fj kernel packages to its constant
+//     ctx.ForRange call, in the fj kernel packages to its constant
 //     value and flags cutoffs at or above the smallest size the registry's
 //     sim sweep feeds that kernel — a grain that large serializes the
 //     sweep's low end, so the EXP14/EXP15 fits would measure a recursion

@@ -46,7 +46,7 @@ func otherGrain(n int64) bool {
 }
 
 func loopFine(c *fj.Ctx, n int64) {
-	c.For(0, n, grainSimOK, func(*fj.Ctx, int64) {}) // fine: 64 < 512
+	c.ForRange(0, n, grainSimOK, func(*fj.Ctx, int64, int64) {}) // fine: 64 < 512
 }
 
 func loopAbove(c *fj.Ctx, n int64) {

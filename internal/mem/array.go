@@ -40,10 +40,8 @@ func (a Array) Region() Region { return Region{Base: a.Base, Len: a.N} }
 
 // Get and Set access elements directly (no cache simulation); for test setup
 // and result extraction only.
-func (a Array) Get(i int64) int64       { return a.Space.Load(a.Addr(i)) }
-func (a Array) Set(i int64, v int64)    { a.Space.Store(a.Addr(i), v) }
-func (a Array) GetF(i int64) float64    { return a.Space.LoadF(a.Addr(i)) }
-func (a Array) SetF(i int64, v float64) { a.Space.StoreF(a.Addr(i), v) }
+func (a Array) Get(i int64) int64    { return a.Space.Load(a.Addr(i)) }
+func (a Array) Set(i int64, v int64) { a.Space.Store(a.Addr(i), v) }
 
 // Fill sets every element to v (directly, no cache simulation).
 func (a Array) Fill(v int64) {

@@ -52,8 +52,9 @@ if [ "$MODE" != grid ]; then
     # ordinary test cases under the detector.
     go test -race -run 'Test|FuzzInvokeCodec' ./internal/fj/ ./internal/arena/ ./internal/algos/registry/
     go test -race -run 'TestSortAllocRegression|TestKernelAllocRegression' .
-    # The real For/ForRange split on demand, so where a loop splits depends on
-    # timing: one schedule is not enough, run the loop gates five times.
+    # The real ForRange splits on demand, so where a loop splits depends on
+    # timing: one schedule is not enough, run the loop gates (exactly-once
+    # visits, forks per steal) five times.
     go test -race -count=5 -run 'TestForRange' ./internal/fj/
     # The sim lowering hands tasks from coroutine to coroutine and parks them
     # between tasks; its reuse and teardown gates run under the detector too.
