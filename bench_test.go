@@ -123,8 +123,9 @@ func BenchmarkEXP14SampledCells(b *testing.B) {
 
 // BenchmarkFJSimFork times the fj sim lowering alone: a 1023-fork Parallel
 // tree whose tasks do no work, at p = 1, 2 and 8 under PWS, reported per
-// simulated fork (ns/fork, allocs/fork).  It is the entry point for
-// profiling what a fork costs the simulator beyond its Node-tree twin:
+// simulated fork (ns/fork, allocs/fork) — the serial recording and its
+// replay together.  It is the entry point for profiling what a fork costs
+// the simulator beyond its Node-tree twin:
 //
 //	go test -run '^$' -bench FJSimFork -cpuprofile cpu.out .
 func BenchmarkFJSimFork(b *testing.B) {

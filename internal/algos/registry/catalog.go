@@ -170,7 +170,7 @@ func define[T fj.Elem](k kernel, run func(c *fj.Ctx, in []fj.View[T], out fj.Vie
 		Sizes:      k.simSizes,
 		InputWords: k.rootWords,
 		Build: func(m *machine.Machine, n int64, seed uint64) *core.Node {
-			return fj.SimNode(k.rootWords(n), k.name, e.fj.Setup(fj.NewSimEnv(m), n, seed).Root)
+			return fj.SimNode(m, k.rootWords(n), k.name, e.fj.Setup(fj.NewSimEnv(m), n, seed).Root)
 		},
 	}
 	return e

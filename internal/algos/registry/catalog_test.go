@@ -45,7 +45,7 @@ func TestCatalogOneSource(t *testing.T) {
 				if !equalWords(sw.Input(), want) || !equalWords(rw.Input(), want) {
 					t.Fatalf("%s n=%d seed=%d: sim, real and served inputs differ", k.Name, n, seed)
 				}
-				core.NewEngine(m, sched.NewPWS(), core.Options{}).Run(fj.SimNode(k.InputWords(n), k.Name, sw.Root))
+				fj.RunSim(m, sched.NewPWS(), core.Options{}, k.InputWords(n), k.Name, sw.Root)
 				fj.RunReal(pool, rw.Root)
 				if !inv.Verify(want, sw.Output()) || !inv.Verify(want, rw.Output()) {
 					t.Errorf("%s n=%d seed=%d: the served verifier rejects a lowering's output", k.Name, n, seed)

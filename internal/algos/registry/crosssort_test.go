@@ -88,8 +88,7 @@ func TestCrossSortPermutationsAgree(t *testing.T) {
 				env := fj.NewSimEnv(m)
 				data := env.I64(nSim)
 				fl.fill(data, nSim)
-				eng := core.NewEngine(m, sched.NewPWS(), core.Options{})
-				eng.Run(fj.SimNode(nSim, k.name, func(c *fj.Ctx) { k.sort(c, data) }))
+				fj.RunSim(m, sched.NewPWS(), core.Options{}, nSim, k.name, func(c *fj.Ctx) { k.sort(c, data) })
 				outs = append(outs, data.Words())
 			}
 			if !wordsEqual(outs[0], outs[1]) {

@@ -54,8 +54,7 @@ func TestDegenerateInputs(t *testing.T) {
 				// Sim lowering on a 2-core machine under PWS.
 				m := machine.New(machine.Default(2))
 				sw := k.Setup(fj.NewSimEnv(m), n, seed)
-				eng := core.NewEngine(m, sched.NewPWS(), core.Options{})
-				eng.Run(fj.SimNode(max(1, k.InputWords(n)), k.Name, sw.Root))
+				fj.RunSim(m, sched.NewPWS(), core.Options{}, max(1, k.InputWords(n)), k.Name, sw.Root)
 				if !sw.Verify() {
 					t.Errorf("sim: verifier failed at n=%d", n)
 				}

@@ -113,8 +113,7 @@ func runSimOnce(t *testing.T, k FJKernel, n int64, seed uint64, schedName string
 	}
 	m := machine.New(machine.Default(4))
 	w := k.Setup(fj.NewSimEnv(m), n, seed)
-	eng := core.NewEngine(m, s, core.Options{})
-	eng.Run(fj.SimNode(k.InputWords(n), k.Name, w.Root))
+	fj.RunSim(m, s, core.Options{}, k.InputWords(n), k.Name, w.Root)
 	if !w.Verify() {
 		t.Errorf("sim %s: verifier failed at n=%d", schedName, n)
 	}

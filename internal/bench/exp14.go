@@ -112,11 +112,14 @@ func exp14Cells(p Params) []harness.Cell {
 }
 
 // tapes holds the recordings of one EXP14 expansion, one per key: the
-// first cell of a key runs live and records, every later one replays the
-// recording.  Cells may run concurrently (harness.Execute): a cell that
-// finds its key still being recorded runs live, as does every cell of a key
-// whose recording was refused.  Outputs are never read, so a replay, which
-// moves no values, serves any cell.
+// first cell of a key runs what the kernel builds and records it, every
+// later one replays the recording.  An fj kernel builds a replay (of the
+// tape its sim lowering writes running the source serially), which records
+// like a live run.  Cells may run concurrently (harness.Execute): a cell
+// that finds its key still being recorded runs what the kernel builds
+// without recording it, as does every cell of a key whose recording was
+// refused.  Outputs are never read, so a replay, which moves no values,
+// serves any cell.
 type tapes struct {
 	mu sync.Mutex
 	m  map[tapeKey]*core.Tape // nil: being recorded, or refused

@@ -72,9 +72,12 @@ func (c *Ctx) Op(n int64) {
 }
 
 // touch is the access a replayed R, W, RF or WF makes: the same charge,
-// without moving a word.
+// without moving a word.  A recording of a replay records it as the access.
 func (c *Ctx) touch(addr mem.Addr, write bool) {
 	c.actionCost++
+	if c.rc != nil {
+		c.rc.access(c.rec, addr, write)
+	}
 	if write {
 		c.eng.noteWrite(addr)
 	}

@@ -19,7 +19,9 @@ import (
 // Tape; Replay runs the tape on another engine — any core count,
 // scheduler or padding — whose actions re-issue the recorded streams, so
 // every count comes out as a live run's would, without the kernel code,
-// its closures and coroutines, or the values it moved.
+// its closures, or the values it moved.  A Writer records a computation with
+// no engine at all, for a frontend that can run it as plain serial code
+// (internal/fj does).
 //
 // Addresses on a tape are symbolic, because the engine lays memory out as
 // it goes: the execution stacks it reserves grow with p, and every
@@ -138,7 +140,8 @@ func (t *Tape) Sum() [sha256.Size]byte {
 // engine must be fresh, built on the machine the computation's builder
 // allocated its inputs in.
 func (e *Engine) Record(root *Node) (Result, *Tape, error) {
-	rc := &recorder{e: e, buf: make([]byte, 0, pageSize), recent: [4]int32{-1, -1, -1, -1}}
+	rc := newRecorder(e.m.Space, e.inputs, e.heapStart)
+	rc.e = e
 	e.rc = rc
 	for _, ps := range e.ps {
 		ps.ctx.rc = rc
@@ -151,33 +154,130 @@ func (e *Engine) Record(root *Node) (Result, *Tape, error) {
 	for _, ps := range e.ps {
 		ps.ctx.rc = nil
 	}
-	pages := append(rc.pages, append([]byte(nil), rc.buf...)) // the last page without its spare room
-	return res, &Tape{b: e.m.Cfg.B, inputs: e.inputs, allocs: len(rc.allocs),
-		pages: pages, leaves: rc.leaves, shapes: rc.shapes}, nil
+	return res, rc.tape(), nil
 }
 
 // Replay runs t on the engine, which must be fresh and built on a machine
 // with t's block size that has allocated t.Inputs() words and nothing else,
 // and returns the result a live run of the recorded computation on this
 // engine would.
-func (e *Engine) Replay(t *Tape) Result {
-	if e.inputs != t.inputs || e.m.Cfg.B != t.b {
-		panic(fmt.Sprintf("core: replay of a tape of %d input words at B=%d on an engine over %d words at B=%d",
-			t.inputs, t.b, e.inputs, e.m.Cfg.B))
-	}
-	pl := &player{t: t, space: e.m.Space, bases: make([]mem.Addr, t.allocs)}
+func (e *Engine) Replay(t *Tape) Result { return e.Run(t.Root()) }
+
+// Root returns the root of a replay of t, for an engine to run as Replay
+// does: one whose machine does not fit t panics at the root's first
+// action.  The node runs once.
+func (t *Tape) Root() *Node {
+	pl := &player{t: t, bases: make([]mem.Addr, t.allocs)}
 	root, _ := pl.node(0)
-	return e.Run(&root.Node)
+	return &root.Node
+}
+
+// --- Writing a tape without an engine -------------------------------------
+
+// Writer records a fork-join computation run as serial code, with no
+// engine: it writes the tape Engine.Record writes of the same computation
+// lowered to Nodes.  There, every task of the computation is an fj·task
+// sequence; a Fork ends the task's running stage with an fj·fork pair whose
+// head does nothing, and whose children are an fj·seg sequence — the
+// forking task's continuation, the code up to the matching Join — and the
+// forked task; and the code after a Join runs as the next stage of the
+// sequence the Join returns to.  A Writer records that tree in the order
+// serial code meets it: the forked task first, then the continuation.
+//
+// Accesses and allocations go straight to the space, uncached.  No budget
+// caps a writer's tape, as nothing can fall back to a live run.
+type Writer struct {
+	rc *recorder
+	// segs are the sequences whose stages are open or still to come, the
+	// running one last.
+	segs []int32
+}
+
+// The shapes of the tasks a Writer writes besides its root.
+var (
+	pairShape = shape{kind: kindFork, label: "fj·fork"}
+	segShape  = shape{kind: kindSeq, label: "fj·seg"}
+	taskShape = shape{kind: kindSeq, label: "fj·task"}
+)
+
+// NewWriter starts the tape of a computation over what space has
+// allocated: its root task, a sequence of the given size and label, runs
+// first.
+func NewWriter(space *mem.Space, size int64, label string) *Writer {
+	w := &Writer{rc: newRecorder(space, space.Size(), space.Size())}
+	w.segs = append(w.segs, w.rc.record(shape{kind: kindSeq, label: label}, size))
+	w.rc.openAt(w.segs[0], actStage)
+	return w
+}
+
+// Fork ends the running stage with a fork and starts the forked task.
+func (w *Writer) Fork() {
+	rc := w.rc
+	rc.close()
+	rc.buf[len(rc.buf)-1] = 1 // the stage root follows
+	pair := rc.record(pairShape, 1)
+	rc.openAt(pair, actHead)
+	rc.close()
+	rc.children(pair, 3)
+	w.segs = append(w.segs, rc.record(segShape, 1), rc.record(taskShape, 1))
+	rc.openAt(w.segs[len(w.segs)-1], actStage)
+}
+
+// Join ends the running sequence — a forked task that returned, or a
+// continuation at its Join — and starts the next stage of the sequence it
+// returns to.  The root's Join ends the computation.
+func (w *Writer) Join() {
+	w.rc.close()
+	w.segs = w.segs[:len(w.segs)-1]
+	if n := len(w.segs); n > 0 {
+		w.rc.openAt(w.segs[n-1], actStage)
+	}
+}
+
+// Tape returns the tape of the computation, whose root has joined.
+func (w *Writer) Tape() *Tape {
+	if len(w.segs) != 0 {
+		panic("core: tape of a computation still running")
+	}
+	return w.rc.tape()
+}
+
+// R reads the word at addr.
+func (w *Writer) R(addr mem.Addr) int64 {
+	w.rc.access(nil, addr, false)
+	return w.rc.space.Load(addr)
+}
+
+// W writes the word at addr.
+func (w *Writer) W(addr mem.Addr, v int64) {
+	w.rc.access(nil, addr, true)
+	w.rc.space.Store(addr, v)
+}
+
+// Op charges n units of pure computation.
+func (w *Writer) Op(n int64) { w.rc.op(n) }
+
+// AllocArray reserves an n-word array, as Ctx.AllocArray does.
+func (w *Writer) AllocArray(n int64) mem.Array {
+	w.Op(1)
+	return mem.NewArray(w.rc.space, n)
 }
 
 // --- Recording -------------------------------------------------------------
 
-// recorder writes a tape while the engine runs a computation live.  The
-// engine reports each task it creates from a node (staged, forked) and
-// brackets every action (begin, end); the Ctx reports the accesses and
-// charges in between.  A nil recorder ignores all of it.
+// recorder writes a tape while the engine runs a computation live, or a
+// Writer runs one serially.  The engine reports each task it creates from a
+// node (staged, forked) and brackets every action (begin, end); the Ctx
+// reports the accesses and charges in between.  A nil recorder ignores all
+// of it.
 type recorder struct {
-	e      *Engine
+	e     *Engine // the engine running the computation; nil under a Writer
+	space *mem.Space
+	// inputs and heapStart are the space's size when the computation
+	// started and once the execution stacks were reserved: the words below
+	// inputs are the builder's, those from heapStart on the actions'.
+	inputs, heapStart mem.Addr
+
 	pages  [][]byte // the full pages
 	buf    []byte   // the page being written
 	leaves []uint32
@@ -200,6 +300,18 @@ type recorder struct {
 	in, heap int64
 
 	recent [4]int32 // the allocations allocOf found last, most recent first (-1: none)
+}
+
+func newRecorder(space *mem.Space, inputs, heapStart mem.Addr) *recorder {
+	return &recorder{space: space, inputs: inputs, heapStart: heapStart,
+		buf: make([]byte, 0, pageSize), recent: [4]int32{-1, -1, -1, -1}}
+}
+
+// tape returns what the recorder wrote as a Tape.
+func (rc *recorder) tape() *Tape {
+	pages := append(rc.pages, append([]byte(nil), rc.buf...)) // the last page without its spare room
+	return &Tape{b: rc.space.BlockWords(), inputs: rc.inputs, allocs: len(rc.allocs),
+		pages: pages, leaves: rc.leaves, shapes: rc.shapes}
 }
 
 func (rc *recorder) begin(r *rec, kind int) {
@@ -235,9 +347,7 @@ func (rc *recorder) forked(par, left, right *rec) {
 		if kids == 0 {
 			return
 		}
-		rc.buf[len(rc.buf)-1] = kids
-		rc.tail[par.tid] = rc.pos()
-		rc.buf = append(rc.buf, 0, 0, 0, 0)
+		rc.children(par.tid, kids)
 		if left != nil {
 			rc.task(left)
 		}
@@ -247,15 +357,32 @@ func (rc *recorder) forked(par, left, right *rec) {
 	}
 }
 
+// children says the head just closed is followed by the children the bits
+// of kids name, and leaves room for the position of task tid's join.
+func (rc *recorder) children(tid int32, kids byte) {
+	rc.buf[len(rc.buf)-1] = kids
+	rc.tail[tid] = rc.pos()
+	rc.buf = append(rc.buf, 0, 0, 0, 0)
+}
+
 func (rc *recorder) open(r *rec, kind int) {
-	here := rc.pos()
 	if kind == actLeaf {
-		rc.leaves[rc.tail[r.tid]+uint32(r.lo-r.node.Range.Lo)] = here
-	} else {
-		rc.patch(rc.tail[r.tid], here)
+		rc.leaves[rc.tail[r.tid]+uint32(r.lo-r.node.Range.Lo)] = rc.pos()
+		rc.act(r.tid, kind)
+		return
 	}
-	rc.kind, rc.tid = kind, r.tid
-	rc.wm = rc.e.m.Space.Size()
+	rc.openAt(r.tid, kind)
+}
+
+// openAt opens an action of task tid other than a range leaf.
+func (rc *recorder) openAt(tid int32, kind int) {
+	rc.patch(rc.tail[tid], rc.pos())
+	rc.act(tid, kind)
+}
+
+func (rc *recorder) act(tid int32, kind int) {
+	rc.kind, rc.tid = kind, tid
+	rc.wm = rc.space.Size()
 	rc.alloc = -1
 	rc.in, rc.heap = 0, 0
 }
@@ -268,7 +395,7 @@ const closeRoom = 3*binary.MaxVarintLen64 + 6 + 2*maxRecord
 func (rc *recorder) close() {
 	rc.reserve(closeRoom)
 	rc.flush()
-	if grown := rc.e.m.Space.Size() - rc.wm; grown > 0 {
+	if grown := rc.space.Size() - rc.wm; grown > 0 {
 		if rc.alloc < 0 {
 			rc.newAlloc()
 		}
@@ -283,7 +410,7 @@ func (rc *recorder) close() {
 		rc.tail[rc.tid] = rc.pos()
 		rc.buf = append(rc.buf, 0, 0, 0, 0, 0) // no stage root, unless staged says so
 	}
-	if rc.held() > tapeBudget {
+	if rc.e != nil && rc.held() > tapeBudget {
 		rc.refuse(errOverBudget)
 	}
 }
@@ -305,8 +432,12 @@ func (rc *recorder) held() int64 {
 		4*int64(len(rc.leaves)+len(rc.tail)) + 8*int64(len(rc.allocs))
 }
 
-// refuse drops the recording; the run goes on live.
+// refuse drops the recording; the run goes on live.  A Writer's run cannot,
+// so it panics.
 func (rc *recorder) refuse(err error) {
+	if rc.e == nil {
+		panic(err)
+	}
 	rc.err = err
 	rc.e.rc = nil
 	for _, ps := range rc.e.ps {
@@ -326,28 +457,35 @@ const maxRecord = 6*binary.MaxVarintLen64 + 4
 func (rc *recorder) task(r *rec) {
 	n := r.node
 	sh := shape{kind: kindFork, locals: n.Locals, pad: n.Pad, label: n.Label}
-	switch {
-	case n.Seq != nil:
+	if n.Seq != nil {
 		sh.kind = kindSeq
-	case n.Range != nil:
-		sh.kind = kindRange
 	}
-	rc.put(uint64(rc.shape(sh)))
-	rc.put(uint64(n.Size))
-	r.tid = int32(len(rc.tail))
-	if sh.kind == kindRange {
-		first := len(rc.leaves)
-		rg := n.Range
-		rc.put(uint64(rg.Lo))
-		rc.put(uint64(rg.Hi - rg.Lo))
-		rc.put(uint64(rg.Per))
-		rc.put(uint64(first))
-		rc.leaves = append(rc.leaves, make([]uint32, rg.Hi-rg.Lo)...)
-		rc.tail = append(rc.tail, uint32(first))
+	rg := n.Range
+	if rg == nil {
+		r.tid = rc.record(sh, n.Size)
 		return
 	}
+	sh.kind = kindRange
+	first := len(rc.leaves)
+	rc.put(uint64(rc.shape(sh)))
+	rc.put(uint64(n.Size))
+	rc.put(uint64(rg.Lo))
+	rc.put(uint64(rg.Hi - rg.Lo))
+	rc.put(uint64(rg.Per))
+	rc.put(uint64(first))
+	rc.leaves = append(rc.leaves, make([]uint32, rg.Hi-rg.Lo)...)
+	r.tid = int32(len(rc.tail))
+	rc.tail = append(rc.tail, uint32(first))
+}
+
+// record writes the record of a fork or sequence task and returns the
+// task's index.
+func (rc *recorder) record(sh shape, size int64) int32 {
+	rc.put(uint64(rc.shape(sh)))
+	rc.put(uint64(size))
 	rc.tail = append(rc.tail, rc.pos())
 	rc.buf = append(rc.buf, 0, 0, 0, 0)
+	return int32(len(rc.tail) - 1)
 }
 
 // shape returns the index of a task shape.  A computation's nodes come in
@@ -412,12 +550,12 @@ func (rc *recorder) access(r *rec, addr mem.Addr, write bool) {
 	if write {
 		w = 1
 	}
-	switch e := rc.e; {
-	case addr < e.inputs:
+	switch {
+	case addr < rc.inputs:
 		rc.put(zig(addr-rc.in)<<3 | opInput | w)
 		rc.in = addr
-	case addr < e.heapStart:
-		d, off, ok := e.stackWord(r, addr)
+	case addr < rc.heapStart:
+		d, off, ok := rc.e.stackWord(r, addr)
 		if !ok {
 			rc.refuse(errStackWord)
 			return
@@ -498,9 +636,21 @@ func unzig(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 // per task.
 type player struct {
 	t     *Tape
-	space *mem.Space
+	eng   *Engine    // the engine running the replay, from its first action on
 	bases []mem.Addr // where each allocation landed in this run
 	free  *playNode
+}
+
+// bind ties the replay to the engine running its first action.
+func (pl *player) bind(e *Engine) {
+	if pl.eng != nil {
+		panic("core: a replay's root ran on a second engine")
+	}
+	if t := pl.t; e.inputs != t.inputs || e.m.Cfg.B != t.b {
+		panic(fmt.Sprintf("core: replay of a tape of %d input words at B=%d on an engine over %d words at B=%d",
+			t.inputs, t.b, e.inputs, e.m.Cfg.B))
+	}
+	pl.eng = e
 }
 
 // playNode is the node of one task being replayed, and where on the tape
@@ -619,6 +769,9 @@ func (pn *playNode) doLeaf(c *Ctx, i int64) {
 // play re-issues the stream at pos under c and returns the position after
 // it.
 func (pl *player) play(c *Ctx, pos int) int {
+	if c.eng != pl.eng {
+		pl.bind(c.eng)
+	}
 	pg := pos >> pageBits
 	buf, i := pl.t.page(pos)
 	var in, heap int64
@@ -640,7 +793,7 @@ func (pl *player) play(c *Ctx, pos int) int {
 		case opAlloc:
 			var k uint64
 			k, i = uvarint(buf, i)
-			pl.bases[k] = pl.space.Alloc(int64(v))
+			pl.bases[k] = c.eng.m.Space.Alloc(int64(v))
 		case opInput, opInput | 1:
 			in += unzig(v)
 			c.touch(in, code&1 != 0)

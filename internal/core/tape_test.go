@@ -3,6 +3,7 @@ package core_test
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -98,23 +99,27 @@ func tapeMachine(p int) *machine.Machine {
 	return machine.New(machine.Config{P: p, M: 256, B: 8, MissLatency: 4})
 }
 
-// TestReplayMatchesLive records the computation under every (p, scheduler,
-// padding) and replays each recording under every other: a replay must
-// show exactly what a live run under its configuration shows.
-func TestReplayMatchesLive(t *testing.T) {
-	type config struct {
-		p      int
-		sched  string
-		padded bool
-	}
-	var configs []config
+// tapeConfig is one (p, scheduler, padding) a computation runs under.
+type tapeConfig struct {
+	p      int
+	sched  string
+	padded bool
+}
+
+func tapeConfigs() []tapeConfig {
+	var configs []tapeConfig
 	for _, p := range []int{1, 2, 8} {
 		for _, s := range []string{"pws", "rws"} {
 			for _, padded := range []bool{false, true} {
-				configs = append(configs, config{p, s, padded})
+				configs = append(configs, tapeConfig{p, s, padded})
 			}
 		}
 	}
+	return configs
+}
+
+// recordLive records the computation under every configuration.
+func recordLive(t *testing.T, configs []tapeConfig) ([]tapeRun, []*core.Tape) {
 	live := make([]tapeRun, len(configs))
 	tapes := make([]*core.Tape, len(configs))
 	for i, c := range configs {
@@ -127,6 +132,15 @@ func TestReplayMatchesLive(t *testing.T) {
 			t.Fatalf("%+v: %v", c, err)
 		}
 	}
+	return live, tapes
+}
+
+// TestReplayMatchesLive records the computation under every (p, scheduler,
+// padding) and replays each recording under every other: a replay must
+// show exactly what a live run under its configuration shows.
+func TestReplayMatchesLive(t *testing.T) {
+	configs := tapeConfigs()
+	live, tapes := recordLive(t, configs)
 	for i, rc := range configs {
 		for j, c := range configs {
 			t.Run(fmt.Sprintf("%+v/%+v", rc, c), func(t *testing.T) {
@@ -141,6 +155,38 @@ func TestReplayMatchesLive(t *testing.T) {
 					t.Errorf("task events differ")
 				}
 			})
+		}
+	}
+}
+
+// TestRecordOfReplayReplays records a replay of the computation under every
+// configuration — a recording may be handed a replay's root, as EXP14 is
+// for a kernel whose node is one — and replays that recording under every
+// configuration: each must show exactly what a live run does.
+func TestRecordOfReplayReplays(t *testing.T) {
+	configs := tapeConfigs()
+	live, tapes := recordLive(t, configs)
+	for i, rc := range configs {
+		var rec tapeRun
+		m := tapeMachine(rc.p)
+		m.Space.Alloc(tapes[0].Inputs())
+		var tape *core.Tape
+		var err error
+		rec.res, tape, err = tapeEngine(m, rc.sched, rc.padded, &rec).Record(tapes[0].Root())
+		if err != nil {
+			t.Fatalf("%+v: %v", rc, err)
+		}
+		if !reflect.DeepEqual(rec, live[i]) {
+			t.Errorf("%+v: the recorded replay differs from a live run:\n got %s\nwant %s", rc, rec.res, live[i].res)
+		}
+		for j, c := range configs {
+			var got tapeRun
+			m := tapeMachine(c.p)
+			m.Space.Alloc(tape.Inputs())
+			got.res = tapeEngine(m, c.sched, c.padded, &got).Replay(tape)
+			if !reflect.DeepEqual(got, live[j]) {
+				t.Errorf("%+v/%+v: a replay of the recorded replay differs from a live run:\n got %s\nwant %s", rc, c, got.res, live[j].res)
+			}
 		}
 	}
 }
@@ -211,4 +257,82 @@ func tapeSum(in mem.Array, lo, hi int64) *core.Node {
 		c.W(c.Local(0), lo)
 		return tapeSum(in, lo, mid), tapeSum(in, mid, hi)
 	}}
+}
+
+// TestWriterMatchesLowering writes a small fork-join computation with a
+// Writer — a fork whose task allocates, a continuation, and a stage after
+// the join — and replays the tape under every configuration: each must show
+// what a live run of the Node tree the Writer describes shows.
+func TestWriterMatchesLowering(t *testing.T) {
+	inputs := func(m *machine.Machine) mem.Array { return mem.NewArray(m.Space, 8) }
+	lowered := func(m *machine.Machine) *core.Node {
+		in := inputs(m)
+		task := &core.Node{Size: 1, Label: "fj·task", Seq: func(c *core.Ctx, stage int) *core.Node {
+			if stage == 0 {
+				a := c.AllocArray(8)
+				c.W(a.Addr(3), c.R(in.Addr(2)))
+			}
+			return nil
+		}}
+		seg := &core.Node{Size: 1, Label: "fj·seg", Seq: func(c *core.Ctx, stage int) *core.Node {
+			if stage == 0 {
+				c.W(in.Addr(5), 1)
+				c.Op(3)
+			}
+			return nil
+		}}
+		pair := &core.Node{Size: 1, Label: "fj·fork", Fork: func(*core.Ctx) (*core.Node, *core.Node) { return seg, task }}
+		return &core.Node{Size: 8, Label: "root", Seq: func(c *core.Ctx, stage int) *core.Node {
+			if stage == 0 {
+				c.W(in.Addr(0), 7)
+				return pair
+			}
+			c.R(in.Addr(5))
+			return nil
+		}}
+	}
+	m := tapeMachine(1)
+	in := inputs(m)
+	w := core.NewWriter(m.Space, 8, "root")
+	w.W(in.Addr(0), 7)
+	w.Fork()
+	a := w.AllocArray(8)
+	w.W(a.Addr(3), w.R(in.Addr(2)))
+	w.Join()
+	w.W(in.Addr(5), 1)
+	w.Op(3)
+	w.Join()
+	w.R(in.Addr(5))
+	w.Join()
+	tape := w.Tape()
+	for _, c := range tapeConfigs() {
+		var want, got tapeRun
+		m := tapeMachine(c.p)
+		want.res = tapeEngine(m, c.sched, c.padded, &want).Run(lowered(m))
+		m = tapeMachine(c.p)
+		m.Space.Alloc(tape.Inputs())
+		got.res = tapeEngine(m, c.sched, c.padded, &got).Replay(tape)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%+v: the written tape's replay differs from a live run:\n got %s\nwant %s", c, got.res, want.res)
+		}
+	}
+}
+
+// TestReplayRootRefusesOtherInputs: a replay's root, run on an engine whose
+// machine holds more words than the tape's inputs, panics.
+func TestReplayRootRefusesOtherInputs(t *testing.T) {
+	m := tapeMachine(2)
+	_, tape, err := tapeEngine(m, "pws", false, &tapeRun{}).Record(tapeComputation(m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := tape.Root()
+	m = tapeMachine(2)
+	m.Space.Alloc(tape.Inputs() + 1)
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "replay of a tape") {
+			t.Errorf("recovered %q, want the replay's refusal", msg)
+		}
+	}()
+	core.NewEngine(m, sched.NewPWS(), core.Options{}).Run(root)
 }

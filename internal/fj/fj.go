@@ -27,12 +27,10 @@
 //
 // Lowerings:
 //
-//   - sim.go converts the direct-style computation into a core.Node tree
-//     executed by the deterministic engine under an internal/sched scheduler
-//     (PWS or RWS), by running each task on a coroutine that yields at
-//     every Fork and Join.  A run keeps its coroutines in a pool: each one
-//     runs task after task on the stack it has grown, and owns the Nodes
-//     that describe its task to the engine.
+//   - sim.go runs the direct-style computation once as serial code, which
+//     records its task tree and every task's accesses on a core.Tape, and
+//     has the deterministic engine replay the tape under an internal/sched
+//     scheduler (PWS or RWS).
 //   - real.go schedules the same computation on an rt.Pool under either
 //     memory layout (padded or compact).
 //
@@ -68,22 +66,18 @@
 // internal/algos/matmul do.
 package fj
 
-import (
-	"repro/internal/core"
-	"repro/internal/rt"
-)
+import "repro/internal/rt"
 
 // Ctx is the execution context handed to every fj task.  Exactly one backend
-// is active: rc on real hardware, st/sc under the simulator.
+// is active: rc on real hardware, sim under the simulator.
 type Ctx struct {
 	// Real backend: the rt worker context.
 	rc *rt.Ctx
 
-	// Sim backend: the coroutine this task runs on and the core context the
-	// engine charged the current action to (refreshed at every resume).
-	st   *simTask
-	sc   *core.Ctx
-	open int // unjoined forks, for the LIFO discipline check
+	// Sim backend: the recording the task runs in, and the task's unjoined
+	// forks, for the LIFO discipline check.
+	sim  *simRun
+	open int
 }
 
 // Real reports whether the computation is running on real hardware (true) or
@@ -104,8 +98,8 @@ func (c *Ctx) Grain(sim, real int64) int64 {
 // Op charges n units of pure computation to the simulated core's clock; on
 // real hardware it is a no-op (the work is the work).
 func (c *Ctx) Op(n int64) {
-	if c.sc != nil {
-		c.sc.Op(n)
+	if c.sim != nil {
+		c.sim.w.Op(n)
 	}
 }
 
@@ -132,7 +126,8 @@ func (c *Ctx) Fork(fn func(*Ctx)) Handle {
 }
 
 // Join waits for a forked task to complete, helping with other work
-// meanwhile (real) or closing the parallel region in the engine (sim).
+// meanwhile (real), or closes the fork's continuation in the recording of
+// the run, whose forked task has already completed (sim).
 func (c *Ctx) Join(h Handle) {
 	if c.rc != nil {
 		c.rc.Join(h.rh)

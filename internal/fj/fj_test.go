@@ -93,7 +93,7 @@ func TestSumRealBackend(t *testing.T) {
 }
 
 // TestSimDeterministic re-runs the same program and requires identical
-// engine metrics: the coroutine lowering must not perturb the engine's
+// engine metrics: the sim lowering must not perturb the engine's
 // deterministic schedule.
 func TestSimDeterministic(t *testing.T) {
 	run := func() core.Result {
@@ -213,11 +213,9 @@ func TestUserPanicPropagates(t *testing.T) {
 	})
 }
 
-// TestPanicTearsDownCoroutines is the goroutine-leak regression for the sim
-// lowering: a panic unwinding the engine must also unwind every suspended
-// sibling coroutine.  It strands coroutines in both reachable states —
-// never started (a forked task the engine hadn't scheduled yet) and parked
-// mid-fork/join — and asserts the goroutine count returns to baseline.
+// TestPanicTearsDownCoroutines: a panicking run raises its task's panic and
+// leaves no goroutine behind — the sim lowering starts none.  The panic
+// leaves a task with a forked sibling done and the root waiting to join it.
 func TestPanicTearsDownCoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 8; i++ {
@@ -239,30 +237,18 @@ func TestPanicTearsDownCoroutines(t *testing.T) {
 			})
 		}()
 	}
-	// Torn-down goroutines exit asynchronously; poll with a deadline.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		runtime.GC()
-		if g := runtime.NumGoroutine(); g <= before+2 {
-			return
-		} else if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			t.Fatalf("sim coroutines leaked: %d goroutines before, %d after\n%s",
-				before, g, buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	awaitGoroutines(t, before)
 }
 
-// awaitGoroutines polls until the goroutine count is back near the baseline:
-// ended coroutines are reaped asynchronously.
+// awaitGoroutines polls until the goroutine count is back near the
+// baseline, for goroutines that end asynchronously.
 func awaitGoroutines(t *testing.T, before int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before+2 {
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<16)
-			t.Fatalf("sim coroutines leaked: %d goroutines before, %d after\n%s",
+			t.Fatalf("goroutines leaked: %d before, %d after\n%s",
 				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
 		}
 		runtime.GC()
@@ -270,61 +256,57 @@ func awaitGoroutines(t *testing.T, before int) {
 	}
 }
 
-// TestTornDownTaskEndsDespiteRecover: teardown unwinds a suspended task with
-// a panic, which — unlike the Goexit of the channel lowering — user code can
-// recover.  A task that does still ends: its next Fork or Join raises the
-// sentinel again, its deferred calls run, a deferred call that panics on the
-// way out does not reach the engine's caller, and no coroutine is left.  It
-// holds on a fresh coroutine and, after a warm-up tree, on a recycled one
-// with others parked in the free list.
+// TestTornDownTaskEndsDespiteRecover: the first panic of a task is the
+// run's, even when its parent recovers it.  The parent's next Fork raises
+// it again, and so does each later one; the parent's deferred calls run,
+// one that panics on the way out does not replace the run's panic, and the
+// run raises "boom".
 func TestTornDownTaskEndsDespiteRecover(t *testing.T) {
-	before := runtime.NumGoroutine()
-	for _, warm := range []bool{false, true} {
-		var swallowed, ranOn, deferred int
-		seen := map[*simTask]bool{}
-		reused := false
-		stubborn := func(c *Ctx) {
-			c.Parallel(func(*Ctx) {}, func(c *Ctx) {
-				reused = seen[c.st]
-				defer func() { deferred++; panic("raised by a deferred call during teardown") }()
-				for i := 0; i < 3; i++ {
-					func() {
-						defer func() {
-							if recover() != nil {
-								swallowed++
-							}
-						}()
-						h := c.Fork(func(*Ctx) { panic("boom") })
-						c.Join(h)
+	var swallowed, ranOn, deferred int
+	stubborn := func(c *Ctx) {
+		c.Parallel(func(*Ctx) {}, func(c *Ctx) {
+			defer func() { deferred++; panic("raised by a deferred call during teardown") }()
+			for i := 0; i < 3; i++ {
+				func() {
+					defer func() {
+						if recover() != nil {
+							swallowed++
+						}
 					}()
-				}
-				ranOn++ // reached only because every sentinel was swallowed
-			})
-		}
-		if warm {
-			stubborn = warmUp(seen, stubborn)
-		}
-		// One core: when the innermost fork panics, the stubborn task is parked
-		// in the Join of that fork and the root in the Join of the stubborn task.
-		m := machine.New(machine.Default(1))
-		func() {
-			defer func() {
-				if r := recover(); r != "boom" {
-					t.Fatalf("recovered %v, want boom", r)
-				}
-			}()
-			RunSim(m, sched.NewPWS(), core.Options{}, 8, "stubborn", stubborn)
-		}()
-		// The Join the task was parked in raises the sentinel, and so does each
-		// later Fork, at once: a stopped coroutine does not switch again.
-		if swallowed != 3 || ranOn != 1 || deferred != 1 {
-			t.Errorf("warm %v: swallowed %d sentinels, ran on %d times, %d deferred calls; want 3, 1, 1", warm, swallowed, ranOn, deferred)
-		}
-		if reused != warm {
-			t.Errorf("warm %v: the stubborn task ran on a recycled coroutine: %v", warm, reused)
-		}
+					h := c.Fork(func(*Ctx) { panic("boom") })
+					c.Join(h)
+				}()
+			}
+			ranOn++ // reached only because every panic was swallowed
+		})
 	}
-	awaitGoroutines(t, before)
+	m := machine.New(machine.Default(1))
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Fatalf("recovered %v, want boom", r)
+			}
+		}()
+		RunSim(m, sched.NewPWS(), core.Options{}, 8, "stubborn", stubborn)
+	}()
+	if swallowed != 3 || ranOn != 1 || deferred != 1 {
+		t.Errorf("swallowed %d panics, ran on %d times, %d deferred calls; want 3, 1, 1", swallowed, ranOn, deferred)
+	}
+}
+
+// TestRecoveredPanicStillRaised: a parent that recovers its child's panic
+// and returns normally does not save the run, which raises the panic.
+func TestRecoveredPanicStillRaised(t *testing.T) {
+	defer func() {
+		if r := recover(); r != "boom" {
+			t.Errorf("recovered %v, want boom", r)
+		}
+	}()
+	RunSim(machine.New(machine.Default(2)), sched.NewPWS(), core.Options{}, 1, "recovered", func(c *Ctx) {
+		defer func() { recover() }()
+		h := c.Fork(func(*Ctx) { panic("boom") })
+		c.Join(h)
+	})
 }
 
 // TestGrainSelectsBackend pins the per-backend cutoff hook.

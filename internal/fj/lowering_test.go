@@ -1,9 +1,12 @@
 package fj_test
 
 import (
+	"bufio"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
-	"reflect"
-	"slices"
+	"os"
 	"testing"
 
 	"repro/internal/algos/registry"
@@ -13,8 +16,8 @@ import (
 	"repro/internal/sched"
 )
 
-// loweringSizes gives each fj kernel the two sizes the lowering-equivalence
-// gate runs: one off every power of two where the kernel accepts any size.
+// loweringSizes gives each fj kernel the two sizes the lowering fixture
+// runs: one off every power of two where the kernel accepts any size.
 var loweringSizes = map[string][2]int64{
 	"matmul":    {8, 16},
 	"strassen":  {8, 16},
@@ -27,88 +30,163 @@ var loweringSizes = map[string][2]int64{
 	"listrank":  {200, 257},
 }
 
-// taskEvent is one TaskStart (end false) or TaskEnd (end true) of a run.
-type taskEvent struct {
-	end        bool
-	id, parent int64
-	prio, proc int
-	size, now  int64
-	stolen     bool
+// loweringProgram is one program of the lowering fixture: build places its
+// inputs in a simulated Env and returns its root and its output words.
+type loweringProgram struct {
+	name, label string
+	size        int64
+	build       func(env *fj.Env) (root func(*fj.Ctx), out func() []int64)
 }
 
-// loweredRun is everything observable of one simulated run: the result, the
-// task event stream and the output words.
-type loweredRun struct {
-	res    core.Result
-	events []taskEvent
-	out    []int64
+// loweringPrograms are the fixture's 20 programs: the nine fj kernels at
+// both their sizes, seed 7, plus two shapes the kernels do not reach.
+func loweringPrograms(t *testing.T) []loweringProgram {
+	var ps []loweringProgram
+	for _, k := range registry.FJKernels() {
+		sizes, ok := loweringSizes[k.Name]
+		if !ok {
+			t.Fatalf("no lowering-fixture sizes for %q — add them to loweringSizes", k.Name)
+		}
+		for _, n := range sizes {
+			ps = append(ps, loweringProgram{
+				name: fmt.Sprintf("%s/n%d", k.Name, n), label: k.Name, size: k.InputWords(n),
+				build: func(env *fj.Env) (func(*fj.Ctx), func() []int64) {
+					w := k.Setup(env, n, 7)
+					return w.Root, w.Output
+				},
+			})
+		}
+	}
+	return append(ps,
+		loweringProgram{name: "staggered", label: "staggered", size: 64, build: staggeredProgram},
+		loweringProgram{name: "tree7", label: "tree7", size: 128, build: treeProgram},
+	)
 }
 
-func runLowered(simNode func(int64, string, func(*fj.Ctx)) *core.Node, k registry.FJKernel, n int64, p int, schedName string, padded bool) loweredRun {
+// staggeredProgram forks twice, joins the inner fork, works, joins the outer
+// one, then forks a child that allocates scratch and fills it in a ForRange.
+func staggeredProgram(env *fj.Env) (func(*fj.Ctx), func() []int64) {
+	in, out := env.I64(64), env.I64(64)
+	for i := range int64(64) {
+		in.Store(i, 3*i%11)
+	}
+	return func(c *fj.Ctx) {
+		h0 := c.Fork(func(c *fj.Ctx) {
+			for i := int64(0); i < 32; i++ {
+				out.Set(c, i, 2*in.Get(c, i))
+			}
+		})
+		h1 := c.Fork(func(c *fj.Ctx) {
+			c.Op(5)
+			out.Set(c, 40, in.Get(c, 40)+1)
+		})
+		c.Join(h1)
+		for i := int64(48); i < 64; i++ {
+			out.Set(c, i, in.Get(c, i)+out.Get(c, 40))
+		}
+		c.Join(h0)
+		h2 := c.Fork(func(c *fj.Ctx) {
+			s := c.AllocI64(32)
+			c.ForRange(0, 32, 4, func(c *fj.Ctx, lo, hi int64) {
+				for i := lo; i < hi; i++ {
+					s.Set(c, i, out.Get(c, i)+i)
+				}
+			})
+			var sum int64
+			for i := int64(0); i < 32; i++ {
+				sum += s.Get(c, i)
+			}
+			out.Set(c, 33, sum)
+		})
+		c.Join(h2)
+	}, out.Words
+}
+
+// treeProgram is a depth-7 nested Parallel tree that allocates at every
+// node.
+func treeProgram(env *fj.Env) (func(*fj.Ctx), func() []int64) {
+	const depth = 7
+	out := env.I64(1 << depth)
+	var tree func(c *fj.Ctx, d int, lo int64)
+	tree = func(c *fj.Ctx, d int, lo int64) {
+		s := c.AllocI64(2)
+		s.Set(c, 0, lo+int64(d))
+		if d == 0 {
+			out.Set(c, lo, s.Get(c, 0))
+			return
+		}
+		half := int64(1) << (d - 1)
+		c.Parallel(func(c *fj.Ctx) { tree(c, d-1, lo) }, func(c *fj.Ctx) { tree(c, d-1, lo+half) })
+		out.Set(c, lo, out.Get(c, lo)+s.Get(c, 0))
+	}
+	return func(c *fj.Ctx) { tree(c, depth, 0) }, out.Words
+}
+
+// loweredSum runs prog under the given configuration and hashes everything
+// observable of the run: its core.Result, its TaskStart/TaskEnd stream and
+// its output words.
+func loweredSum(prog loweringProgram, p int, schedName string, padded bool) string {
 	var s core.Scheduler = sched.NewPWS()
 	if schedName == "rws" {
 		s = sched.NewRWS(12345)
 	}
 	m := machine.New(machine.Default(p))
-	w := k.Setup(fj.NewSimEnv(m), n, 7)
-	var run loweredRun
+	root, out := prog.build(fj.NewSimEnv(m))
+	node := fj.SimNode(m, prog.size, prog.label, root)
+	h := sha256.New()
 	eng := core.NewEngine(m, s, core.Options{Padded: padded})
 	eng.Hooks = &core.Hooks{
 		TaskStart: func(id, parent int64, prio int, size int64, proc int, now int64, stolen bool) {
-			run.events = append(run.events, taskEvent{id: id, parent: parent, prio: prio, size: size, proc: proc, now: now, stolen: stolen})
+			fmt.Fprintln(h, "start", id, parent, prio, size, proc, now, stolen)
 		},
 		TaskEnd: func(id int64, proc int, now int64) {
-			run.events = append(run.events, taskEvent{end: true, id: id, proc: proc, now: now})
+			fmt.Fprintln(h, "end", id, proc, now)
 		},
 	}
-	run.res = eng.Run(simNode(k.InputWords(n), k.Name, w.Root))
-	run.out = w.Output()
-	return run
+	fmt.Fprintf(h, "%#v\n", eng.Run(node)) // %#v: every field, not Result.String
+	binary.Write(h, binary.LittleEndian, out())
+	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestSimLoweringMatchesReference holds the pooled sim lowering to the
-// per-task one it replaced (simref_test.go): every fj kernel, at two sizes,
-// under PWS and RWS, at p = 1, 2 and 8, with padded and unpadded stacks,
-// must give an identical core.Result, an identical TaskStart/TaskEnd stream
-// and identical output words.
-func TestSimLoweringMatchesReference(t *testing.T) {
-	for _, k := range registry.FJKernels() {
-		sizes, ok := loweringSizes[k.Name]
-		if !ok {
-			t.Fatalf("no lowering-gate sizes for %q — add them to loweringSizes", k.Name)
-		}
-		for _, n := range sizes {
-			for _, p := range []int{1, 2, 8} {
-				for _, schedName := range []string{"pws", "rws"} {
-					for _, padded := range []bool{false, true} {
-						name := fmt.Sprintf("%s/n%d/p%d/%s/padded=%v", k.Name, n, p, schedName, padded)
-						want := runLowered(fj.RefSimNode, k, n, p, schedName, padded)
-						got := runLowered(fj.SimNode, k, n, p, schedName, padded)
-						if !reflect.DeepEqual(got.res, want.res) {
-							t.Errorf("%s: result\n got %+v\nwant %+v", name, got.res, want.res)
-						}
-						if i := firstDiff(got.events, want.events); i >= 0 {
-							t.Errorf("%s: task events differ first at %d of %d/%d", name, i, len(got.events), len(want.events))
-						}
-						if !slices.Equal(got.out, want.out) {
-							t.Errorf("%s: output words differ", name)
-						}
-					}
+// loweringLines is one fixture line per run: the run's hash and its name.
+func loweringLines(t *testing.T) []string {
+	var lines []string
+	for _, prog := range loweringPrograms(t) {
+		for _, p := range []int{1, 2, 8} {
+			for _, schedName := range []string{"pws", "rws"} {
+				for _, padded := range []bool{false, true} {
+					name := fmt.Sprintf("%s/p%d/%s/padded=%v", prog.name, p, schedName, padded)
+					lines = append(lines, loweredSum(prog, p, schedName, padded)+" "+name)
 				}
 			}
 		}
 	}
+	return lines
 }
 
-// firstDiff is the index of the first event where a and b differ, or −1.
-func firstDiff(a, b []taskEvent) int {
-	for i := range min(len(a), len(b)) {
-		if a[i] != b[i] {
-			return i
+// TestSimLoweringMatchesReference holds the sim lowering to the coroutine
+// lowering it replaced, whose runs testdata/sim-lowering.sha256 records: 20
+// programs, under PWS and RWS, at p = 1, 2 and 8, with padded and unpadded
+// stacks, must give an identical core.Result, an identical TaskStart/TaskEnd
+// stream and identical output words.  Never re-record the file to make a
+// change pass.
+func TestSimLoweringMatchesReference(t *testing.T) {
+	f, err := os.Open("testdata/sim-lowering.sha256")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var want []string
+	for sc := bufio.NewScanner(f); sc.Scan(); {
+		want = append(want, sc.Text())
+	}
+	got := loweringLines(t)
+	if len(got) != len(want) {
+		t.Fatalf("%d runs, the fixture holds %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Errorf("run %d differs from the fixture:\n got %s\nwant %s", i, got[i], want[i])
 		}
 	}
-	if len(a) != len(b) {
-		return min(len(a), len(b))
-	}
-	return -1
 }

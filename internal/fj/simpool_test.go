@@ -11,9 +11,10 @@ import (
 	"repro/internal/sched"
 )
 
-// Pins of the pooled sim lowering: what a simulated fork allocates, how many
-// coroutines a run starts, and that a run's coroutines end — after a normal
-// return, and after a panic when tasks already ran on recycled coroutines.
+// Pins of the sim lowering's recording run: what a simulated fork
+// allocates, how many task contexts a run keeps, that a run starts no
+// goroutine, how it ends on a panic, and what a second run on the same
+// machine finds.
 
 // treeDepth is the depth of forkTree: 2^treeDepth − 1 = 1023 forks.
 const treeDepth = 10
@@ -30,10 +31,10 @@ func forkTree(depth int) func(*Ctx) {
 	return fn
 }
 
-// TestSimCoroutineAllocsPerFork caps a simulated fork at 3 allocations.  A
-// fork cost 23 when every task started its own coroutine and built a Ctx
-// and three Nodes; pooled coroutines own those, so what is left is the
-// first use of each coroutine and its levels and the engine's own set-up.
+// TestSimCoroutineAllocsPerFork caps a simulated fork — recording it and
+// replaying it — at 3 allocations.  The recording reuses its task contexts
+// and writes the tape in 256 KiB pages; the replay pools its nodes and the
+// engine its task records.
 func TestSimCoroutineAllocsPerFork(t *testing.T) {
 	const forks = 1<<treeDepth - 1
 	tree := forkTree(treeDepth)
@@ -49,29 +50,22 @@ func TestSimCoroutineAllocsPerFork(t *testing.T) {
 	}
 }
 
-// TestSimCoroutinePoolBounded: a coroutine is busy while its task is
-// queued, running or waiting in a Join, so a run needs at most about two
-// per level of the task tree per core — not one per task.  The pool must
-// start no more than 2·depth·p, whatever the scheduler (1023-fork trees
-// read 11, 20 and 62 at p = 1, 2, 8 under PWS).
+// TestSimCoroutinePoolBounded: a recording runs one task at a time, and a
+// task's context returns to the run when the task does, so a run keeps one
+// context per level of its task tree — not one per task.
 func TestSimCoroutinePoolBounded(t *testing.T) {
-	tree := forkTree(treeDepth)
-	for _, p := range []int{1, 2, 8} {
-		for _, s := range []core.Scheduler{sched.NewPWS(), sched.NewRWS(3)} {
-			var started int
-			RunSim(machine.New(machine.Default(p)), s, core.Options{}, 1, "tree", func(c *Ctx) {
-				tree(c)
-				started = len(c.st.run.live)
-			})
-			if started > 2*treeDepth*p {
-				t.Errorf("p = %d, %T: %d coroutines started, want <= %d", p, s, started, 2*treeDepth*p)
-			}
-		}
+	var kept int
+	RunSim(machine.New(machine.Default(2)), sched.NewPWS(), core.Options{}, 1, "tree", func(c *Ctx) {
+		forkTree(treeDepth)(c)
+		kept = len(c.sim.free)
+	})
+	if kept != treeDepth {
+		t.Errorf("the run kept %d task contexts, want %d", kept, treeDepth)
 	}
 }
 
-// TestSimCoroutinesEndAfterNormalReturn: a run that returns normally stops
-// every coroutine it parked; none outlives it.
+// TestSimCoroutinesEndAfterNormalReturn: a run that returns normally leaves
+// no goroutine behind.
 func TestSimCoroutinesEndAfterNormalReturn(t *testing.T) {
 	before := runtime.NumGoroutine()
 	tree := forkTree(treeDepth)
@@ -83,13 +77,12 @@ func TestSimCoroutinesEndAfterNormalReturn(t *testing.T) {
 	awaitGoroutines(t, before)
 }
 
-// warmUp runs a Parallel tree before body and records every coroutine its
-// tasks ran on, so that body's tasks run on recycled coroutines while others
-// sit parked in the free list.
-func warmUp(seen map[*simTask]bool, body func(*Ctx)) func(*Ctx) {
+// warmUp runs a Parallel tree before body and records every context its
+// tasks ran under, so that body's tasks run under recycled ones.
+func warmUp(seen map[*Ctx]bool, body func(*Ctx)) func(*Ctx) {
 	var tree func(c *Ctx, depth int)
 	tree = func(c *Ctx, depth int) {
-		seen[c.st] = true
+		seen[c] = true
 		if depth > 0 {
 			c.Parallel(func(c *Ctx) { tree(c, depth-1) }, func(c *Ctx) { tree(c, depth-1) })
 		}
@@ -100,15 +93,14 @@ func warmUp(seen map[*simTask]bool, body func(*Ctx)) func(*Ctx) {
 	}
 }
 
-// TestSimCoroutineReusedPanicTearsDown: a task that panics on a recycled
-// coroutine, with other coroutines parked, still gets "boom" to the caller
-// and leaves no goroutine behind — TestPanicTearsDownCoroutines with the
-// pool warmed up.
+// TestSimCoroutineReusedPanicTearsDown: a task that panics under a recycled
+// context still gets "boom" to the caller and leaves no goroutine behind —
+// TestPanicTearsDownCoroutines with the run warmed up.
 func TestSimCoroutineReusedPanicTearsDown(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for _, p := range []int{1, 4} {
-		seen := map[*simTask]bool{}
-		var reused, parked bool
+		seen := map[*Ctx]bool{}
+		var reused bool
 		func() {
 			defer func() {
 				if r := recover(); r != "boom" {
@@ -121,25 +113,24 @@ func TestSimCoroutineReusedPanicTearsDown(t *testing.T) {
 					c.Join(h)
 				})
 				hB := c.Fork(func(c *Ctx) {
-					reused, parked = seen[c.st], c.st.run.free != nil
+					reused = seen[c]
 					panic("boom")
 				})
 				c.Join(hB)
 				c.Join(hA)
 			}))
 		}()
-		if !reused || !parked {
-			t.Errorf("p = %d: panicking task on a recycled coroutine %v, with coroutines parked %v; want both", p, reused, parked)
+		if !reused {
+			t.Errorf("p = %d: the panicking task did not run under a recycled context", p)
 		}
 	}
 	awaitGoroutines(t, before)
 }
 
-// TestSimCoroutineReusedUnjoinedPanics: the unjoined-forks check runs for
-// every task body a coroutine runs, not only its first.
+// TestSimCoroutineReusedUnjoinedPanics: the unjoined-forks check runs for a
+// nested task under a recycled context, not only for the root.
 func TestSimCoroutineReusedUnjoinedPanics(t *testing.T) {
-	before := runtime.NumGoroutine()
-	seen := map[*simTask]bool{}
+	seen := map[*Ctx]bool{}
 	var reused bool
 	func() {
 		defer func() {
@@ -149,27 +140,57 @@ func TestSimCoroutineReusedUnjoinedPanics(t *testing.T) {
 		}()
 		RunSim(machine.New(machine.Default(2)), sched.NewPWS(), core.Options{}, 8, "bad", warmUp(seen, func(c *Ctx) {
 			h := c.Fork(func(c *Ctx) {
-				reused = seen[c.st]
-				c.Fork(func(*Ctx) {}) //lint:allow fjdiscipline deliberate violation: asserts a recycled coroutine still panics on an unjoined fork
+				reused = seen[c]
+				c.Fork(func(*Ctx) {}) //lint:allow fjdiscipline deliberate violation: asserts a nested task still panics on an unjoined fork
 			})
 			c.Join(h)
 		}))
 	}()
 	if !reused {
-		t.Error("the unjoined fork did not run on a recycled coroutine")
+		t.Error("the unjoined fork did not run under a recycled context")
 	}
-	awaitGoroutines(t, before)
 }
 
-// TestSimCoroutineNodeReruns: SimNode's node runs again after its run
-// closed, with the same result.
+// TestSimCoroutineNodeReruns: one program, lowered on two fresh machines,
+// gives equal results.
 func TestSimCoroutineNodeReruns(t *testing.T) {
-	node := SimNode(1, "tree", forkTree(6))
 	run := func() core.Result {
-		return core.NewEngine(machine.New(machine.Default(4)), sched.NewPWS(), core.Options{}).Run(node)
+		m := machine.New(machine.Default(4))
+		node := SimNode(m, 1, "tree", forkTree(6))
+		return core.NewEngine(m, sched.NewPWS(), core.Options{}).Run(node)
 	}
 	a, b := run(), run()
 	if a.Work == 0 || !reflect.DeepEqual(a, b) {
-		t.Errorf("re-run of one SimNode differs:\n%+v\n%+v", a, b)
+		t.Errorf("two lowerings of one program differ:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestSimRerunReadsZeroedScratch: a second recording on the same machine
+// finds the scratch AllocI64 hands it zeroed, though the first one filled
+// scratch at the same addresses.
+func TestSimRerunReadsZeroedScratch(t *testing.T) {
+	const n = 64
+	m := machine.New(machine.Default(2))
+	out := NewSimEnv(m).I64(2)
+	var bases [2]int64
+	prog := func(run int) func(*Ctx) {
+		return func(c *Ctx) {
+			s := c.AllocI64(n)
+			bases[run] = s.a.Base
+			var sum int64
+			for i := range int64(n) {
+				sum += s.Get(c, i)
+				s.Set(c, i, i+1)
+			}
+			out.Set(c, int64(run), sum)
+		}
+	}
+	SimNode(m, n, "scratch", prog(0))
+	RunSim(m, sched.NewPWS(), core.Options{}, n, "scratch", prog(1))
+	if bases[1] != bases[0] {
+		t.Fatalf("the second run's scratch is at %d, the first's at %d", bases[1], bases[0])
+	}
+	if got := out.Words(); got[0] != 0 || got[1] != 0 {
+		t.Errorf("scratch read as %v before it was written, want zeros", got)
 	}
 }

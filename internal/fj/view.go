@@ -150,8 +150,8 @@ func pool[T Elem](sh *arena.Shard) *arena.Pool[T] {
 // when the view is dead so the kernel's whole recursion reuses one
 // footprint; an unfreed view is merely garbage-collected like any slice.
 func scratch[T Elem](c *Ctx, n int64) View[T] {
-	if c.sc != nil {
-		return View[T]{a: c.sc.AllocArray(n * words[T]())}
+	if c.sim != nil {
+		return View[T]{a: c.sim.w.AllocArray(n * words[T]())}
 	}
 	return View[T]{s: pool[T](c.rc.Scratch()).Get(n), ar: true}
 }
@@ -222,7 +222,7 @@ func (v View[T]) simGet(c *Ctx, i int64) T {
 	var x T
 	xw := wordsOf(unsafe.Slice(&x, 1))
 	for k := range xw {
-		xw[k] = c.sc.R(v.a.Addr(i*words[T]() + int64(k)))
+		xw[k] = c.sim.w.R(v.a.Addr(i*words[T]() + int64(k)))
 	}
 	return x
 }
@@ -238,7 +238,7 @@ func (v View[T]) Set(c *Ctx, i int64, x T) {
 
 func (v View[T]) simSet(c *Ctx, i int64, x T) {
 	for k, w := range wordsOf(unsafe.Slice(&x, 1)) {
-		c.sc.W(v.a.Addr(i*words[T]()+int64(k)), w)
+		c.sim.w.W(v.a.Addr(i*words[T]()+int64(k)), w)
 	}
 }
 

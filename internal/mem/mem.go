@@ -97,6 +97,25 @@ func (s *Space) Alloc(n int64) Addr {
 	return base
 }
 
+// Release frees every word at or above mark, a size the space had, for the
+// next Alloc: what they held is zeroed, so memory is born zeroed however
+// often it is reused.
+func (s *Space) Release(mark Addr) {
+	if mark < 0 || mark > s.used {
+		panic(fmt.Sprintf("mem: release to %d of a space of %d words", mark, s.used))
+	}
+	seg := int(mark >> segBits)
+	if off := mark & (segSize - 1); off != 0 {
+		if p := s.segs[seg]; p != nil {
+			clear(p[off:])
+		}
+		seg++
+	}
+	clear(s.segs[seg:])
+	s.segs = s.segs[:seg]
+	s.used = mark
+}
+
 // Load reads the word at addr without any cache simulation.  Untouched
 // memory reads as zero.
 func (s *Space) Load(addr Addr) int64 {

@@ -111,6 +111,37 @@ func TestPageBoundaryStoreLoad(t *testing.T) {
 	}
 }
 
+// TestReleaseZeroes releases a space into the middle of a page and of a
+// later page: what is below the mark stays, and what the next allocations
+// get reads zero, on the page the mark splits and on the pages after.
+func TestReleaseZeroes(t *testing.T) {
+	sp := NewSpace(8)
+	keep := sp.Alloc(100)
+	mark := sp.Size()
+	scratch := sp.Alloc(3 * segSize)
+	for a := keep; a < scratch+3*segSize; a++ {
+		sp.Store(a, a+1)
+	}
+	sp.Release(mark)
+	if sp.Size() != mark {
+		t.Fatalf("size %d after release, want %d", sp.Size(), mark)
+	}
+	for a := keep; a < mark; a++ {
+		if sp.Load(a) != a+1 {
+			t.Fatalf("word %d below the mark lost its value", a)
+		}
+	}
+	again := sp.Alloc(3 * segSize)
+	if again != scratch {
+		t.Fatalf("reallocated at %d, want %d", again, scratch)
+	}
+	for a := again; a < again+3*segSize; a++ {
+		if v := sp.Load(a); v != 0 {
+			t.Fatalf("released word %d reads %d, want 0", a, v)
+		}
+	}
+}
+
 func TestFloatRoundTrip(t *testing.T) {
 	sp := NewSpace(16)
 	a := sp.Alloc(4)

@@ -56,8 +56,8 @@ if [ "$MODE" != grid ]; then
     # timing: one schedule is not enough, run the loop gates (exactly-once
     # visits, forks per steal) five times.
     go test -race -count=5 -run 'TestForRange' ./internal/fj/
-    # The sim lowering hands tasks from coroutine to coroutine and parks them
-    # between tasks; its reuse and teardown gates run under the detector too.
+    # The sim lowering records a run serially, reusing its task contexts;
+    # its reuse, panic and rerun gates run under the detector too.
     go test -race -count=5 -run 'TestPanicTearsDown|TestTornDown|TestSimCoroutine' ./internal/fj/
 
     echo "== gate: -race over the simulated caches, coherence protocol and schedulers =="
