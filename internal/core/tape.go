@@ -81,10 +81,12 @@ const (
 // Tape is one recorded run of a computation: its task tree and every
 // action's stream.  It is immutable, so any number of replays may share it.
 //
-// The tape is written as the run goes, in pages of pageSize bytes that are
-// never copied, with 4-byte little-endian positions (page<<pageBits |
-// offset) patched in where a later action continues a task.  Only a stream
-// runs on from one page to the next; everything else lies in one page.
+// The tape is written as the run goes, in pages that are never copied, with
+// 4-byte little-endian positions (page<<pageBits | offset) patched in where
+// a later action continues a task.  The first page is firstPage bytes and
+// each next one twice the last, up to pageSize, so a small tape holds little
+// and a large one is nearly all pages of pageSize.  Only a stream runs on
+// from one page to the next; everything else lies in one page.
 // A task's record is a header — its shape (kind, Locals, Pad, Label) and
 // Size — and then
 //
@@ -279,6 +281,7 @@ type recorder struct {
 	inputs, heapStart mem.Addr
 
 	pages  [][]byte // the full pages
+	full   int64    // their bytes
 	buf    []byte   // the page being written
 	leaves []uint32
 	// tail is, per task, where the position of its next segment goes (a
@@ -304,7 +307,7 @@ type recorder struct {
 
 func newRecorder(space *mem.Space, inputs, heapStart mem.Addr) *recorder {
 	return &recorder{space: space, inputs: inputs, heapStart: heapStart,
-		buf: make([]byte, 0, pageSize), recent: [4]int32{-1, -1, -1, -1}}
+		buf: make([]byte, 0, firstPage), recent: [4]int32{-1, -1, -1, -1}}
 }
 
 // tape returns what the recorder wrote as a Tape.
@@ -428,7 +431,7 @@ func (rc *recorder) patch(at, v uint32) {
 
 // held is the bytes the recording holds.
 func (rc *recorder) held() int64 {
-	return int64(len(rc.pages))*pageSize + int64(len(rc.buf)) +
+	return rc.full + int64(len(rc.buf)) +
 		4*int64(len(rc.leaves)+len(rc.tail)) + 8*int64(len(rc.allocs))
 }
 
@@ -529,17 +532,19 @@ func (rc *recorder) put(v uint64) {
 // reserves what it may write, so put need not, and a page always has a byte
 // left for the entry that says so.
 func (rc *recorder) reserve(n int) {
-	if len(rc.buf)+n+1 > pageSize {
+	if len(rc.buf)+n+1 > cap(rc.buf) {
 		rc.pages = append(rc.pages, append(rc.buf, 1<<3|opCompute))
-		rc.buf = make([]byte, 0, pageSize)
+		rc.full += int64(len(rc.buf)) + 1
+		rc.buf = make([]byte, 0, min(2*cap(rc.buf), pageSize))
 	}
 }
 
-// Tape pages are 256 KiB: a tape grows without copying, and a small one
-// wastes little of its last page, which Record trims.
+// Tape pages are at most 256 KiB, from a first page of 4 KiB: a tape grows
+// without copying, and wastes little of its last page, which Record trims.
 const (
-	pageBits = 18
-	pageSize = 1 << pageBits
+	pageBits  = 18
+	pageSize  = 1 << pageBits
+	firstPage = 4 << 10
 )
 
 // access records an access to addr by an action of r.

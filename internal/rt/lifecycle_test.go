@@ -13,7 +13,8 @@ import (
 
 // TestConcurrentRootsExactlyOnce drives one pool from several goroutines at
 // once, alternating Run and Submit, every root forking a 64-leaf tree: each
-// leaf of each root runs exactly once and Executed() accounts for every task.
+// leaf of each root runs exactly once, Executed() accounts for every task
+// and Roots() for every root.
 func TestConcurrentRootsExactlyOnce(t *testing.T) {
 	const submitters, perSubmitter, leaves = 8, 40, 64
 	pool := NewPool(4, Random)
@@ -52,6 +53,9 @@ func TestConcurrentRootsExactlyOnce(t *testing.T) {
 	// A 64-leaf grain-1 forkSum forks 63 times; plus the root itself.
 	if got, want := pool.Executed(), int64(submitters*perSubmitter*leaves); got != want {
 		t.Errorf("Executed() = %d, want %d", got, want)
+	}
+	if got, want := pool.Roots(), int64(submitters*perSubmitter); got != want {
+		t.Errorf("Roots() = %d, want %d", got, want)
 	}
 }
 

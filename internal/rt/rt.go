@@ -242,10 +242,11 @@ type Pool struct {
 
 	state []atomic.Int64 // keeps the worker-state block alive
 
-	mu      sync.Mutex // guards the eventcount sleep, inject and started
+	mu      sync.Mutex // guards the eventcount sleep, inject, started and roots
 	cond    *sync.Cond
 	inject  []*task // submitted roots no worker has taken yet, FIFO
 	started bool    // the worker goroutines exist
+	roots   int64   // roots submitted over the pool's life
 }
 
 type worker struct {
@@ -313,6 +314,13 @@ func (p *Pool) StealAttempts() int64 {
 // submitted root has completed it is exactly the tasks run to completion.
 func (p *Pool) Executed() int64 { return p.sum(func(c cells) *atomic.Int64 { return c.executed }) }
 
+// Roots reports the roots submitted (by Submit or Run) over the pool's life.
+func (p *Pool) Roots() int64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.roots
+}
+
 func (p *Pool) sum(f func(cells) *atomic.Int64) int64 {
 	var s int64
 	for _, w := range p.workers {
@@ -365,6 +373,7 @@ func (p *Pool) Submit(root func(*Ctx)) {
 		}
 	}
 	p.inject = append(p.inject, t)
+	p.roots++
 	p.queued.Add(1)
 	if p.idlers.Load() > 0 {
 		p.wakeLocked()

@@ -27,18 +27,18 @@ import (
 //	               [{"name": ..., "desc": ..., "payload": ...}, ...]
 //	GET  /healthz  "ok"
 //
-// Error mapping: unknown kernel 404, malformed payload 400, a body over the
-// byte cap 413, backpressure 429 with a Retry-After header, shutdown 503,
-// kernel failure or a panic in a codec block 500.  A request whose client
+// Error mapping (writeError): unknown kernel 404, malformed payload 400, a
+// body over the byte cap or a /batch of more than Config.QueueBound requests
+// 413, backpressure 429 with a Retry-After header, shutdown 503, kernel
+// failure or a panic in a codec block 500.  A request whose client
 // disconnected is simply dropped — its kernel never ran (see the check at
 // the top of Service.run) and there is nobody left to answer.
 //
 // Requests and responses of /invoke and /batch go through the codec of
 // wire.go and nothing else; errors, /metrics and /kernels are small and cold
-// and stay on encoding/json.  The codec runs on the handler goroutine,
-// except that the words of an "input" or "output" longer than one block
-// (codecBlock, 16 KiB) are coded as an fj loop on the service's pool while
-// the handler waits.  A request is
+// and stay on encoding/json.  The handler only scans a request's envelope;
+// its root parses the words and encodes the response (Service.serve).  A
+// request is
 //
 //	{"kernel": string, "input": [int64, ...], "n": int64, "seed": uint64, "verify": bool}
 //
@@ -49,23 +49,19 @@ import (
 // is an explicit empty payload where an absent or null "input" asks for the
 // seeded size-n one.  Numbers are JSON integers in their field's range: a
 // fraction, an exponent, a leading zero, a '+' or an out-of-range value is
-// 400, in "input" as in "n" and "seed".  Two things are stricter than the
-// json.Decoder this replaced: /invoke refuses anything but white space
-// after its one request object (the Decoder stopped reading there and
-// answered 200), and a null element of "input" is refused where
-// encoding/json kept whatever stood at that index.  /batch reads requests
-// back to back, separated by any white space or none.  A response is
-// byte for byte what json.Marshal of Response gives, plus a newline, and
-// /invoke sends it with a Content-Length.
+// 400, in "input" as in "n" and "seed", and so is a null element of
+// "input".  /invoke refuses anything but white space after its one request
+// object; /batch reads requests back to back, separated by any white space
+// or none.  A response is byte for byte what json.Marshal of Response
+// gives, plus a newline, and /invoke sends it with a Content-Length.
 //
 // Request bodies are capped before decoding (maxBodyBytes, derived from
 // Config.MaxWords), so the word cap bounds memory and not just what runs:
 // the body is read whole, once, into a buffer sized from Content-Length, and
-// its words are allocated once at their exact count.  Body and response
-// buffers are recycled through the service's bufList, which holds at most
-// maxFreeBufs buffers of at most maxFreeBufBytes each (32 MiB in all) for
-// the life of the service; a Request's Input and a Response's Output are
-// never part of one.
+// its words are counted, checked against the cap and only then allocated.
+// Bodies, word slabs and encoded responses are recycled through the
+// service's free lists (freeList, wire.go); a Request's Input and a
+// Response's Output handed to an in-process caller are never part of one.
 //
 // With Config.RatePerSec set, /invoke and /batch are rate limited per
 // client (X-Client-ID header, falling back to the remote host) ahead of
@@ -112,42 +108,40 @@ const retryAfter = "1"
 // cap for its whole JSONL body, which it buffers before admitting any line.
 func (s *Service) maxBodyBytes() int64 { return 21*s.cfg.MaxWords + 4<<10 }
 
-// writeDecodeError answers a body that failed to decode: 413 when it ran
-// into the byte cap, 500 when the codec panicked, 400 otherwise.
-func writeDecodeError(w http.ResponseWriter, what string, err error) {
-	status := http.StatusBadRequest
+// A body that fails to decode is answered with its first error, prefixed by
+// errBadJSON (/invoke) or errBadJSONL and the request's position (/batch).
+// errBatchTooLong: a /batch body holds more than Config.QueueBound requests.
+var (
+	errBadJSON      = errors.New("bad JSON")
+	errBadJSONL     = errors.New("bad JSONL")
+	errBatchTooLong = errors.New("serve: more requests than the admission bound")
+)
+
+// writeError answers err with its status: a body over the byte cap or a
+// /batch over the admission bound 413, a kernel or codec failure 500, a
+// malformed body or payload 400, an unknown kernel 404, backpressure 429,
+// shutdown 503.  A client that has gone (a context error) gets nothing.
+func writeError(w http.ResponseWriter, err error) {
+	var status int
 	var tooBig *http.MaxBytesError
 	switch {
-	case errors.As(err, &tooBig):
+	case errors.As(err, &tooBig), errors.Is(err, errBatchTooLong):
 		status = http.StatusRequestEntityTooLarge
-	case errors.Is(err, errCodecPanic):
+	case errors.Is(err, ErrKernel), errors.Is(err, errCodecPanic):
 		status = http.StatusInternalServerError
-	}
-	writeJSON(w, status, httpError{Error: what + ": " + err.Error()})
-}
-
-// writeSubmitError maps a Submit error onto its HTTP status.  It reports
-// whether anything was written (a vanished client gets nothing).
-func (s *Service) writeSubmitError(w http.ResponseWriter, err error) bool {
-	var status int
-	switch {
+	case errors.Is(err, errBadJSON), errors.Is(err, errBadJSONL), errors.Is(err, ErrBadRequest):
+		status = http.StatusBadRequest
 	case errors.Is(err, ErrUnknownKernel):
 		status = http.StatusNotFound
-	case errors.Is(err, ErrBadRequest):
-		status = http.StatusBadRequest
 	case errors.Is(err, ErrOverloaded):
 		w.Header().Set("Retry-After", retryAfter)
 		status = http.StatusTooManyRequests
 	case errors.Is(err, ErrClosed):
 		status = http.StatusServiceUnavailable
-	case errors.Is(err, ErrKernel):
-		status = http.StatusInternalServerError
 	default:
-		// Context cancellation: the client is gone; nothing to say.
-		return false
+		return
 	}
 	writeJSON(w, status, httpError{Error: err.Error()})
-	return true
 }
 
 // admitClient charges n request tokens to the calling client.  On a denial
@@ -236,6 +230,8 @@ func (s *Service) readBody(w http.ResponseWriter, r *http.Request) ([]byte, erro
 	}
 }
 
+// handleInvoke reads and scans one request, admits its root, and writes
+// what the root encoded.  The body is the root's once it is admitted.
 func (s *Service) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	if !s.admitClient(w, r, 1) {
 		return
@@ -245,30 +241,35 @@ func (s *Service) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.invoking.Add(-1)
 	body, err := s.readBody(w, r)
-	var req Request
+	c := &call{ctx: r.Context(), body: body, encode: true, sink: make(chan BatchResult, 1)}
 	if err == nil {
-		err = decodeOnly(body, &req, s)
+		err = scanOnly(body, &c.req, &c.pass)
 	}
-	s.bufs.put(body) // req holds no reference into it
 	if err != nil {
-		writeDecodeError(w, "bad JSON", err)
+		err = fmt.Errorf("%w: %w", errBadJSON, err)
+	} else if err = s.submit(c); err != nil {
+		// The words, still in the body, stand before what refused them.
+		if werr := c.pass.check(); werr != nil {
+			err = fmt.Errorf("%w: %w", errBadJSON, werr)
+		}
+	}
+	if err != nil {
+		s.bufs.put(body)
+		writeError(w, err)
 		return
 	}
-	resp, err := s.Submit(r.Context(), req)
-	if err != nil {
-		s.writeSubmitError(w, err)
-		return
+	select {
+	case res := <-c.sink:
+		if res.Err != nil {
+			writeError(w, res.Err)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Length", strconv.Itoa(len(res.line)))
+		w.Write(res.line) // a failed write means the client left; there is nobody to tell
+		s.bufs.put(res.line)
+	case <-r.Context().Done(): // the root recycles what it owns; its response is left to the GC
 	}
-	out, err := encodeResponse(s.bufs.get(responseBytes(resp.Kernel, len(resp.Output))), &resp, s)
-	if err != nil {
-		s.bufs.put(out)
-		writeJSON(w, http.StatusInternalServerError, httpError{Error: err.Error()})
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(out)))
-	w.Write(out) // a failed write means the client left; there is nobody to tell
-	s.bufs.put(out)
 }
 
 // batchError is the inline error line of the streaming /batch protocol:
@@ -278,54 +279,60 @@ type batchError struct {
 	Error string `json:"error"`
 }
 
-// handleBatch reads a JSONL stream of requests, submits them all
-// concurrently, and streams each response back the moment its request
-// completes — completion order, not
-// request order, every line tagged with the request index (batchError for
-// per-request failures).  The stream itself stays 200 once the first byte
-// is written; each line is flushed as it is sent, so a client sees early
-// completions while later requests are still running.
+// handleBatch reads a JSONL stream of requests, submits one root for each,
+// and streams each response back the moment its root completes, tagged with
+// the request index (batchError for per-request failures).  Every line is
+// checked, words included, before any is admitted: a malformed line, or more
+// lines than the admission bound, fails the window.  The roots parse the
+// words again, out of the body, which goes back to the free list once every
+// root has answered, if all succeeded.  Once the first byte is written the
+// stream stays 200; each line is flushed as it is sent.
 func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 	body, err := s.readBody(w, r)
-	var reqs []Request
+	var calls []*call
 	for i := skipSpace(body, 0); err == nil && i < len(body); i = skipSpace(body, i) {
-		var q Request
+		if len(calls) == s.cfg.QueueBound {
+			err = errBatchTooLong
+			break
+		}
+		c := &call{ctx: r.Context(), index: len(calls), encode: true}
 		var n int
-		if n, err = decodeRequest(body[i:], &q, s); err == nil {
-			reqs = append(reqs, q)
-			i += n
+		n, err = scanRequest(body[i:], &c.req, &c.pass)
+		if err = c.pass.first(err); err == nil {
+			if err = c.pass.check(); err == nil {
+				calls = append(calls, c)
+				i += n
+			}
 		}
 	}
-	s.bufs.put(body) // the decoded requests hold no reference into it
 	if err != nil {
-		writeDecodeError(w, "bad JSONL at request "+strconv.Itoa(len(reqs)+1), err)
+		s.bufs.put(body)
+		writeError(w, fmt.Errorf("%w at request %d: %w", errBadJSONL, len(calls)+1, err))
 		return
 	}
-	if !s.admitClient(w, r, len(reqs)) {
+	if !s.admitClient(w, r, len(calls)) {
+		s.bufs.put(body)
 		return
 	}
 	w.Header().Set("Content-Type", "application/jsonl")
 	flusher, _ := w.(http.Flusher)
 	errs := json.NewEncoder(w)
-	var line []byte // one buffer for every response line of the stream
-	for res := range s.SubmitBatch(r.Context(), reqs) {
-		if res.Err == nil {
-			if need := responseBytes(res.Resp.Kernel, len(res.Resp.Output)); cap(line) < need {
-				s.bufs.put(line)
-				line = s.bufs.get(need)
-			}
-			line, res.Err = encodeResponse(line[:0], &res.Resp, s)
-		}
+	recycle := true
+	for res := range s.submitAll(calls) {
 		if res.Err != nil {
+			recycle = false
 			errs.Encode(batchError{Index: res.Index, Error: res.Err.Error()})
 		} else {
-			w.Write(line)
+			w.Write(res.line)
+			s.bufs.put(res.line)
 		}
 		if flusher != nil {
 			flusher.Flush()
 		}
 	}
-	s.bufs.put(line)
+	if recycle { // every root has answered: none reads the body any more
+		s.bufs.put(body)
+	}
 }
 
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {

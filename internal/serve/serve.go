@@ -3,35 +3,41 @@
 // registry's invocable slice — all nine fj kernels) on a single shared
 // internal/rt work-stealing pool.
 //
-// The request path is admission → submit → complete.  Submit validates the
-// payload, takes a slot in a bounded count of admitted roots no worker has
-// started yet, and injects one root per request into the pool
-// (rt.Pool.Submit).  The pool's workers are long-lived, so a request costs
-// no spin-up and any number run at once: an idle worker starts a new
-// request before it goes stealing, so a small request is not parked behind
-// a large one.  The root releases its slot, checks that the caller is still
-// there, runs the kernel as a fork-join computation and resolves the
-// request's channel the moment it finishes — which is what lets /batch
-// stream responses in completion order (tagged with the request index)
-// instead of holding a window until its slowest member lands.  Concurrent
-// execution is byte-identical to per-request serial execution: the served
-// kernels are deterministic, each root touches only its own request's input
-// and output slices, and the float kernels' payload codecs are exact bit
-// casts.
+// A request is one root on that pool running one fork-join program
+// (Service.serve): parse the words of "input" (an fj loop over codec
+// blocks), validate them or generate the seeded input, run the kernel, and
+// encode the response into a recycled buffer (a loop over blocks).  The
+// handler goroutine only reads the body, scans its envelope — and counts
+// the words of "input", so the word cap refuses a request before anything
+// is allocated for it — admits the root, waits, and writes what the root
+// encoded; in-process Submit and SubmitBatch run the program without the
+// codec stages.  Admission takes a slot in a bounded count of admitted
+// roots no worker has started yet and injects the root (rt.Pool.Submit).
+// The pool's workers are long-lived, so a request costs no spin-up and any
+// number run at once: an idle worker starts a new request before it goes
+// stealing, so a small request is not parked behind a large one.  The root
+// releases its slot, checks that the caller is still there, runs the
+// program and resolves the request the moment it finishes — which is what
+// lets /batch stream responses in completion order (tagged with the request
+// index).  Concurrent execution is byte-identical to per-request serial
+// execution: the served kernels are deterministic, each root touches only
+// its own request's slices, and the float codecs are exact bit casts.
+//
+// A request's buffers have one owner at a time: the handler until the root
+// is admitted, then the root, which gives the body and its word slabs back
+// to the service's free lists (wire.go) when it completes; only the encoded
+// response returns to the handler, which recycles it once written.  (The
+// roots of a /batch window only read the body; the handler recycles it
+// once all have answered.)  A root that fails gives nothing back: a panic
+// it recovered may have left a forked task still writing.
 //
 // Admission control is that bounded count: when it is full the service
 // answers with backpressure (ErrOverloaded, HTTP 429 + Retry-After) instead
 // of queueing without limit, and a caller that abandons its request
 // (context cancellation, client disconnect) before a worker starts it is
-// dropped without its kernel ever running.  Counters and latency quantiles
-// are exposed as JSON on /metrics (see Metrics); the HTTP surface (http.go)
-// also serves /invoke (single JSON request), /batch (JSONL stream), /kernels
-// and /healthz.  Requests and responses cross the wire through the
-// word-array codec of wire.go, not encoding/json, and the pool codes more
-// than kernels: the words of a payload over one codec block are parsed and
-// formatted as a blocked fj loop on it, outside admission, so a heavy
-// request's decode and encode take whichever worker is idle.  A small
-// payload is coded on its handler goroutine and never reaches the pool.
+// dropped without its program ever running.  Counters and latency
+// quantiles are exposed as JSON on /metrics (see Metrics); the HTTP surface
+// (http.go) serves /invoke, /batch (JSONL stream), /kernels and /healthz.
 //
 // cmd/hbpserve wraps the package as a server binary, cmd/hbpload drives it
 // with closed-loop load, and EXP16 (internal/bench) measures throughput and
@@ -44,6 +50,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/algos/registry"
@@ -102,7 +109,8 @@ type Config struct {
 	// Pool is the worker count of the shared rt.Pool (default GOMAXPROCS).
 	Pool int
 	// QueueBound caps the requests admitted but not yet started by a
-	// worker; beyond it Submit answers ErrOverloaded (default 256).
+	// worker; beyond it Submit answers ErrOverloaded (default 256).  It
+	// also caps the requests of one /batch body (413 beyond).
 	QueueBound int
 	// MaxWords caps a single request's payload (explicit or generated) in
 	// int64 words (default 1<<22, 32 MiB).
@@ -156,44 +164,47 @@ type Service struct {
 	cfg     Config
 	pool    *rt.Pool
 	met     *Metrics
-	limiter *multiLimiter // nil when Config.RatePerSec is 0
-	bufs    bufList       // recycled request-body and response buffers (wire.go)
-	passes  passList      // recycled codec passes (wire.go)
+	limiter *multiLimiter   // nil when Config.RatePerSec is 0
+	bufs    freeList[byte]  // recycled request bodies and encoded responses (wire.go)
+	words   freeList[int64] // recycled word slabs: parsed or generated inputs, encoded outputs
 
-	// mu orders admission against Close: no root, a kernel's or a codec
-	// pass's, reaches the pool after Close has set closed, so the pool can
-	// be closed behind it.
+	// mu orders admission against Close: no root reaches the pool after
+	// Close has set closed, so the pool can be closed behind it.
 	mu     sync.RWMutex
 	closed bool
 
-	// hookKernel, when set (tests only), runs on the worker that started a
-	// request's root, after the abandoned/closed check and right before the
-	// kernel — where the tests observe what reached a kernel and hold a
-	// worker mid-request.
+	// Tests only: hookKernel runs in a root right before its kernel (the
+	// tests see what reached a kernel and hold a worker mid-request there),
+	// hookBlock before each codec block, on whichever goroutine codes it.
 	hookKernel func(c *call)
-	// hookBlock, when set (tests only), runs before each block of a codec
-	// pass the service codes (Service.code, wire.go), on whichever
-	// goroutine codes the block.
-	hookBlock func()
+	hookBlock  func()
 }
 
-// call is one admitted request: the decoded payload, the resolved kernel,
-// and the channel its result comes back on.  done is buffered so a worker
-// never blocks on a caller that has already abandoned the request.
+// call is one request on its way through the service.  sink receives its
+// result; in a window, left counts the results still owed, and whoever
+// delivers the last closes sink.
 type call struct {
 	ctx      context.Context
-	kernel   registry.Invocable
-	in       []int64
-	verify   bool
-	enqueued time.Time
-	done     chan result
+	req      Request            // Input: the caller's words (HTTP: nil, the root parses pass)
+	kernel   registry.Invocable // set by prepare
+	body     []byte             // /invoke: the body, the root's once admitted (/batch: the handler keeps it)
+	pass     wirePass           // the words of "input" in body (pass.decode: not parsed yet), then the encode
+	owned    bool               // in goes back to s.words: parsed, or generated for an encoded answer
+	encode   bool               // HTTP: answer with an encoded line, recycling the output slab
+	in       []int64            // the payload the kernel runs on, once parsed or generated
+	index    int
+	enqueued time.Time // admitted: what the latency histogram measures from
+	sink     chan BatchResult
+	left     *atomic.Int64
 }
 
-// result is what a call resolves to: a response or the error that kept the
-// kernel from running (cancellation, shutdown, a kernel failure).
-type result struct {
-	resp Response
-	err  error
+// finish delivers c's result; sink has room for it, caller or none.
+func (c *call) finish(r BatchResult) {
+	r.Index, r.Resp.Index = c.index, c.index
+	c.sink <- r
+	if c.left != nil && c.left.Add(-1) == 0 {
+		close(c.sink)
+	}
 }
 
 // New creates a service; its pool's workers start with the first request.
@@ -230,10 +241,37 @@ func (s *Service) isClosed() bool {
 // Metrics returns the service's live counter set.
 func (s *Service) Metrics() *Metrics { return s.met }
 
-// admit takes c's slot among the admitted-but-not-started requests and
-// injects its root into the pool, or reports ErrClosed / ErrOverloaded
-// without blocking.
-func (s *Service) admit(c *call) error {
+// prepare resolves c's kernel and refuses a payload over the word cap
+// before anything is allocated for it (for the matrix kernels n words of
+// request generate 2n²).
+func (s *Service) prepare(c *call) error {
+	k, ok := registry.FindInvocable(c.req.Kernel)
+	if !ok {
+		return fmt.Errorf("%w: %q", ErrUnknownKernel, c.req.Kernel)
+	}
+	c.kernel = k
+	words := int64(len(c.req.Input))
+	switch {
+	case c.pass.decode:
+		words = int64(c.pass.n)
+	case c.req.Input == nil:
+		if w := k.InWords(c.req.N); w > s.cfg.MaxWords {
+			return fmt.Errorf("%w: n = %d needs %d payload words, over the %d-word cap", ErrBadRequest, c.req.N, w, s.cfg.MaxWords)
+		}
+	}
+	if words > s.cfg.MaxWords {
+		return fmt.Errorf("%w: payload of %d words exceeds the %d-word cap", ErrBadRequest, words, s.cfg.MaxWords)
+	}
+	return nil
+}
+
+// submit prepares c, takes its slot among the admitted-but-not-started
+// requests and injects its root, or reports why not without blocking.  Once
+// it returns nil, the root owns c.
+func (s *Service) submit(c *call) error {
+	if err := s.prepare(c); err != nil {
+		return err
+	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
@@ -245,56 +283,27 @@ func (s *Service) admit(c *call) error {
 		return ErrOverloaded
 	}
 	s.met.accepted.Add(1)
+	c.enqueued = time.Now()
 	s.pool.Submit(func(rc *rt.Ctx) { s.run(rc, c) })
 	return nil
 }
 
-// Submit runs one request through the service: resolve the kernel, decode
-// and validate the payload, inject the request's root into the pool, and
-// return the response.  It blocks until the response is ready or ctx is
-// done; a request abandoned before a worker starts it never runs its kernel.
+// Submit runs one request through the service: resolve the kernel, inject
+// the request's root into the pool, and return the response.  It blocks
+// until the response is ready or ctx is done; a request abandoned before a
+// worker starts it never runs its kernel.
 func (s *Service) Submit(ctx context.Context, req Request) (Response, error) {
-	k, ok := registry.FindInvocable(req.Kernel)
-	if !ok {
-		return Response{}, fmt.Errorf("%w: %q", ErrUnknownKernel, req.Kernel)
-	}
-	in := req.Input
-	if in == nil {
-		// Size the generated payload before allocating anything: for the
-		// matrix kernels n words of request expand to 2n² words of payload.
-		if k.InWords(req.N) > s.cfg.MaxWords {
-			return Response{}, fmt.Errorf("%w: n = %d needs %d payload words, over the %d-word cap", ErrBadRequest, req.N, k.InWords(req.N), s.cfg.MaxWords)
-		}
-		var err error
-		in, err = k.Gen(req.N, req.Seed)
-		if err != nil {
-			return Response{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
-		}
-	}
-	if int64(len(in)) > s.cfg.MaxWords {
-		return Response{}, fmt.Errorf("%w: payload of %d words exceeds the %d-word cap", ErrBadRequest, len(in), s.cfg.MaxWords)
-	}
-	if err := k.Validate(in); err != nil {
-		return Response{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	c := &call{
-		ctx:      ctx,
-		kernel:   k,
-		in:       in,
-		verify:   req.Verify,
-		enqueued: time.Now(),
-		done:     make(chan result, 1),
-	}
-	if err := s.admit(c); err != nil {
+	c := &call{ctx: ctx, req: req, sink: make(chan BatchResult, 1)}
+	if err := s.submit(c); err != nil {
 		return Response{}, err
 	}
 	select {
-	case r := <-c.done:
-		return r.resp, r.err
+	case r := <-c.sink:
+		return r.Resp, r.Err
 	case <-ctx.Done():
 		// The root will observe the cancelled context and drop the call
 		// without running its kernel (or, if the kernel already started,
-		// the buffered done channel absorbs the unread result).
+		// the buffered sink absorbs the unread result).
 		return Response{}, ctx.Err()
 	}
 }
@@ -306,48 +315,92 @@ type BatchResult struct {
 	Index int
 	Resp  Response
 	Err   error
+	line  []byte // HTTP: the encoded response, in place of Resp
 }
 
-// SubmitBatch submits reqs concurrently and returns a channel delivering
-// each result the moment its root completes — in completion order, not request order, each tagged
-// with its request index.  The channel closes after len(reqs) results.
-// This is the in-process face of the streaming /batch protocol; EXP16's
-// streaming arm and cmd/hbpload's batch mode both consume it.
+// SubmitBatch submits reqs and returns a channel delivering each result the
+// moment its root completes — in completion order, not request order, each
+// tagged with its request index.  The channel closes after len(reqs)
+// results.  This is the in-process face of the streaming /batch protocol;
+// EXP16's streaming arm and cmd/hbpload's batch mode both consume it.
 func (s *Service) SubmitBatch(ctx context.Context, reqs []Request) <-chan BatchResult {
-	out := make(chan BatchResult, len(reqs))
-	var wg sync.WaitGroup
+	calls := make([]*call, len(reqs))
 	for i := range reqs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, err := s.Submit(ctx, reqs[i])
-			resp.Index = i
-			out <- BatchResult{Index: i, Resp: resp, Err: err}
-		}(i)
+		calls[i] = &call{ctx: ctx, req: reqs[i], index: i}
 	}
-	go func() {
-		wg.Wait()
-		close(out)
-	}()
-	return out
+	return s.submitAll(calls)
+}
+
+// submitAll submits a window of calls and returns the channel their results
+// arrive on; no goroutine is started, the roots deliver their own.
+func (s *Service) submitAll(calls []*call) chan BatchResult {
+	sink := make(chan BatchResult, len(calls))
+	left := new(atomic.Int64)
+	left.Store(int64(len(calls)) + 1) // one held here, so no root closes sink under the loop
+	for _, c := range calls {
+		c.sink, c.left = sink, left
+		if err := s.submit(c); err != nil {
+			c.finish(BatchResult{Err: err})
+		}
+	}
+	if left.Add(-1) == 0 {
+		close(sink)
+	}
+	return sink
 }
 
 // run is one request's root task.  It releases the admission slot, drops
 // the call if its caller is gone or the service closed while it waited for
-// a worker, and otherwise runs the kernel as a fork-join computation on the
-// shared pool and resolves the request's channel in place — per-request
-// completion, the property the streaming /batch surface is built on.
+// a worker, and otherwise runs its program, and resolves it in place.
 func (s *Service) run(rc *rt.Ctx, c *call) {
 	s.met.queued.Add(-1)
-	if err := c.ctx.Err(); err != nil {
+	var res BatchResult
+	switch {
+	case c.ctx.Err() != nil:
 		s.met.canceled.Add(1)
-		c.done <- result{err: err}
-		return
-	}
-	if s.isClosed() {
+		res.Err = c.ctx.Err()
+	case s.isClosed():
 		s.met.failed.Add(1)
-		c.done <- result{err: ErrClosed}
-		return
+		res.Err = ErrClosed
+	default:
+		fj.RunOn(rc, func(fc *fj.Ctx) { res = s.serve(fc, c) })
+	}
+	c.finish(res)
+}
+
+// serve is the program of one request, a fork-join computation on its
+// root: parse, validate or generate, the kernel, verify, encode.  On
+// success it gives back the slabs the request owned.  Its recover is the
+// last line of defense (validation guarantees panic-free kernels): a panic
+// on the root's goroutine fails one request.  A panic in a task a thief
+// runs still ends the process until rt contains forked panics (ROADMAP item
+// 5(a)); a codec block has its own recover (safeBlock).
+func (s *Service) serve(fc *fj.Ctx, c *call) (res BatchResult) {
+	defer func() {
+		if r := recover(); r != nil {
+			res = BatchResult{Err: fmt.Errorf("%w: %v", ErrKernel, r)}
+		}
+		if res.Err != nil {
+			s.met.failed.Add(1)
+		}
+	}()
+	k := c.kernel
+	c.in, c.pass.hook = c.req.Input, s.hookBlock
+	var err error
+	if c.pass.decode {
+		c.in, c.owned = s.words.get(c.pass.n)[:c.pass.n], true
+		if err = c.pass.parse(c.in, fc); err != nil {
+			return BatchResult{Err: fmt.Errorf("%w: %w", errBadJSON, err)}
+		}
+	} else if c.in == nil {
+		c.in, err = k.Gen(c.req.N, c.req.Seed)
+		c.owned = c.encode // only the codec path takes slabs from s.words
+	}
+	if err == nil {
+		err = k.Validate(c.in)
+	}
+	if err != nil {
+		return BatchResult{Err: fmt.Errorf("%w: %v", ErrBadRequest, err)}
 	}
 	if s.hookKernel != nil {
 		s.hookKernel(c)
@@ -355,36 +408,32 @@ func (s *Service) run(rc *rt.Ctx, c *call) {
 	// Started ticks before the kernel: a client must never read /metrics
 	// after its response yet before its request was counted.
 	s.met.started.Add(1)
-	out := make([]int64, c.kernel.OutLen(c.in))
-	var kerr error
-	func() {
-		// Validation guarantees panic-free kernels; this recover is a
-		// last line of defense for the root's own goroutine so a bug
-		// fails one request, not the process.  (A panic inside a forked
-		// grandchild still crashes — by design: it is a program bug.)
-		defer func() {
-			if r := recover(); r != nil {
-				kerr = fmt.Errorf("%w: %v", ErrKernel, r)
-			}
-		}()
-		fj.RunOn(rc, func(fc *fj.Ctx) { c.kernel.Run(fc, c.in, out) })
-	}()
-	if kerr != nil {
-		s.met.failed.Add(1)
-		c.done <- result{err: kerr}
-		return
+	n := k.OutLen(c.in)
+	var out []int64
+	if c.encode {
+		out = s.words.get(int(n))[:n] // uncleared: a kernel defines every word of its output
+	} else {
+		out = make([]int64, n) // the caller's to keep
 	}
-	resp := Response{
-		Kernel:  c.kernel.Name,
-		N:       int64(len(out)),
-		Output:  out,
-		Batched: 1,
-	}
-	if c.verify {
-		v := c.kernel.Verify(c.in, out)
+	k.Run(fc, c.in, out)
+	resp := Response{Kernel: k.Name, N: n, Index: c.index, Output: out, Batched: 1}
+	if c.req.Verify {
+		v := k.Verify(c.in, out)
 		resp.Verified = &v
+	}
+	if c.encode {
+		if res.line, err = c.pass.encode(s.bufs.get(responseBytes(k.Name, len(out))), &resp, fc); err != nil {
+			return BatchResult{Err: err}
+		}
+		s.words.put(out)
+		s.bufs.put(c.body)
+	} else {
+		res.Resp = resp
+	}
+	if c.owned {
+		s.words.put(c.in)
 	}
 	s.met.completed.Add(1)
 	s.met.latency.observe(time.Since(c.enqueued).Nanoseconds())
-	c.done <- result{resp: resp}
+	return res
 }

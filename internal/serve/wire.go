@@ -5,32 +5,30 @@ package serve
 // int64 words; a response is the same with "output".  encoding/json walks
 // such a body three times (validate, decode through reflection, regrow the
 // slice by doubling) and was 80% of a 65536-word request's service time.
-// decodeRequest scans the envelope by hand, counts the separators of
-// "input" so the words are allocated once at their exact size, and parses
-// digits straight into them; encodeResponse formats words straight into a
-// caller-supplied buffer from a table of digit pairs.
+// scanRequest scans the envelope by hand and counts the separators of
+// "input", so the words are allocated once at their exact size, after the
+// word cap is checked; parse puts digits straight into them; encode formats
+// words into a caller-supplied buffer from a table of digit pairs.
 //
 // The word arrays are coded as a blocked scan (wirePass): a serial pass
 // cuts the array into blocks of about codecBlock bytes and gives each the
 // offset of its first word (decode: its comma count, prefixed) or of its
 // output region (encode: its worst case, 21 bytes a word), then the blocks
 // parse or format into disjoint ranges, and an encode closes its regions
-// up in order.  A Service runs a payload of several blocks as an fj loop on
-// its own pool, whose lazy splitting lends the request an idle worker and
-// takes none from running kernels; a payload of one block — every small
-// request — is coded inline on the handler goroutine by the same block
-// function.  The result is the serial one: a decode fails with the first
-// failing block's error, which is the error a serial parse stops at.
+// up in order.  The handler only scans; the request's root parses and
+// encodes (Service.serve), a payload of several blocks as an fj loop whose
+// lazy splitting lends the request an idle worker and takes none from
+// running kernels, one block — every small request — inline.  (The handler
+// checks a /batch line's words without storing them, so that a malformed
+// line fails the whole window before any is admitted.)  A decode fails with
+// the first failing block's error, which is the error a serial parse stops
+// at.
 //
-// The grammar accepted is what json.Unmarshal into a Request accepts (pinned
-// by FuzzDecodeRequest with encoding/json as the oracle): keys match
-// case-folded, the last duplicate wins, unknown members are skipped but must
-// be valid JSON, null leaves a scalar as it was and makes "input" absent,
-// "input":[] is an explicit empty payload.  The one narrowing: a null
-// *element* of "input" is refused (errNullWord) where encoding/json keeps
-// whatever an earlier duplicate left at that index.  Strings that need
-// unquoting (escapes, non-ASCII) take encoding/json's own string decoder —
-// they are short and cold.
+// The grammar is the one http.go documents: what json.Unmarshal into a
+// Request accepts, pinned by FuzzDecodeRequest with encoding/json as the
+// oracle, except that a null element of "input" is refused (errNullWord).
+// Strings that need unquoting (escapes, non-ASCII) take encoding/json's own
+// string decoder — they are short and cold.
 
 import (
 	"bytes"
@@ -42,9 +40,9 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+	"unsafe"
 
 	"repro/internal/fj"
-	"repro/internal/rt"
 )
 
 // errNullWord refuses `"input":[…,null,…]`.
@@ -76,14 +74,15 @@ func hasLit(b []byte, i int, lit string) bool {
 	return len(b)-i >= len(lit) && string(b[i:i+len(lit)]) == lit
 }
 
-// decodeRequest decodes the JSON value at the start of body (leading white
-// space allowed) into *req and returns how many bytes it took.  What follows
-// the value is the caller's business: /batch reads the next request there,
-// /invoke (decodeOnly) allows white space only.  req.Input is freshly allocated and req.Kernel
-// copied: nothing in *req aliases body.  s codes the words of "input" (see
-// Service.code; nil codes them inline).
-func decodeRequest(body []byte, req *Request, s *Service) (int, error) {
-	*req = Request{}
+// scanRequest decodes the JSON value at the start of body (leading white
+// space allowed) into *req, except that it locates the words of "input" in
+// *in (!in.decode: absent or null) to be parsed later, and returns how many
+// bytes it took.  What follows is the caller's business: /batch reads the
+// next request there, /invoke allows white space only.  Nothing in *req
+// aliases body.  The caller passes the error through in.first: a located
+// word that fails comes before a later error in the envelope.
+func scanRequest(body []byte, req *Request, in *wirePass) (int, error) {
+	*req, in.decode, in.blocks = Request{}, false, in.blocks[:0]
 	i := skipSpace(body, 0)
 	if hasLit(body, i, "null") {
 		return i + 4, nil
@@ -116,7 +115,7 @@ func decodeRequest(body []byte, req *Request, s *Service) (int, error) {
 			return 0, syntaxErr(body, i, "':' after a member name")
 		}
 		i = skipSpace(body, i+1)
-		if i, err = decodeMember(body, i, key, req, s); err != nil {
+		if i, err = decodeMember(body, i, key, req, in); err != nil {
 			return 0, err
 		}
 		i = skipSpace(body, i)
@@ -134,14 +133,14 @@ func decodeRequest(body []byte, req *Request, s *Service) (int, error) {
 // request.
 var errTrailing = errors.New("unexpected data after the request object")
 
-// decodeOnly is decodeRequest for a body that must hold one request and
-// nothing else: /invoke's.
-func decodeOnly(body []byte, req *Request, s *Service) error {
-	n, err := decodeRequest(body, req, s)
+// scanOnly is scanRequest for a body that must hold one request and nothing
+// else: /invoke's.
+func scanOnly(body []byte, req *Request, in *wirePass) error {
+	n, err := scanRequest(body, req, in)
 	if err == nil && skipSpace(body, n) != len(body) {
 		err = errTrailing
 	}
-	return err
+	return in.first(err)
 }
 
 var (
@@ -156,13 +155,18 @@ var (
 // names (folded like encoding/json: bytes.EqualFold), or validates and skips
 // it when key names none.  A value of the wrong JSON type for its field is an
 // error, as is a number that is not an integer in the field's range.
-func decodeMember(b []byte, i int, key []byte, req *Request, s *Service) (int, error) {
+func decodeMember(b []byte, i int, key []byte, req *Request, in *wirePass) (int, error) {
+	if bytes.EqualFold(key, keyInput) {
+		// The last "input" wins, but an earlier one's words are checked
+		// first: their error stands earlier in the body.
+		if err := in.check(); err != nil {
+			return 0, err
+		}
+		in.decode, in.blocks = false, in.blocks[:0]
+	}
 	if hasLit(b, i, "null") {
 		// "No change" for a scalar, a valid value to skip for an unknown
 		// member, and for "input" what absent is.
-		if bytes.EqualFold(key, keyInput) {
-			req.Input = nil
-		}
 		return i + 4, nil
 	}
 	var err error
@@ -171,8 +175,7 @@ func decodeMember(b []byte, i int, key []byte, req *Request, s *Service) (int, e
 		if i >= len(b) || b[i] != '[' {
 			return 0, syntaxErr(b, i, `an array of integers for "input"`)
 		}
-		req.Input, i, err = parseWords(b, i+1, s)
-		return i, err
+		return in.locate(b, i+1)
 	case bytes.EqualFold(key, keyKernel):
 		if i >= len(b) || b[i] != '"' {
 			return 0, syntaxErr(b, i, `a string for "kernel"`)
@@ -230,27 +233,23 @@ func scanInteger(b []byte, i int) int {
 
 var comma = []byte{','}
 
-// parseWords parses the elements of "input" from b[i], just past the '['.
-// The array can only be valid if it runs to the next ']' and holds nothing
-// but integers, so the separators up to there give the element count and the
-// words are allocated once.  An explicit empty array is an empty, non-nil
-// slice (nil means "generate the payload").
-//
-// Blocks start just past a comma, at least codecBlock bytes apart, so each
-// holds whole words and its comma count is its word count (plus one for the
-// last); s runs parseBlock on each.
-func parseWords(b []byte, i int, s *Service) ([]int64, int, error) {
+// locate finds the words of "input" in b from b[i], just past the '[', for
+// parse.  The array can only be valid if it runs to the next ']' and holds
+// nothing but integers, so the separators up to there count the words (n;
+// an explicit empty array is 0).  Blocks start just past a comma, at least
+// codecBlock bytes apart, so each holds whole words and its comma count is
+// its word count (plus one for the last).
+func (p *wirePass) locate(b []byte, i int) (int, error) {
 	i = skipSpace(b, i)
 	if i < len(b) && b[i] == ']' {
-		return []int64{}, i + 1, nil
+		p.decode, p.n = true, 0
+		return i + 1, nil
 	}
 	end := bytes.IndexByte(b[i:], ']')
 	if end < 0 {
-		return nil, 0, syntaxErr(b, len(b), `']' to close "input"`)
+		return 0, syntaxErr(b, len(b), `']' to close "input"`)
 	}
 	end += i
-	p := s.getPass()
-	defer s.putPass(p)
 	n := 1
 	for at := i; ; {
 		next := end
@@ -269,24 +268,19 @@ func parseWords(b []byte, i int, s *Service) ([]int64, int, error) {
 	// n integers and their separators take at least 2n−1 bytes; more
 	// separators than that is junk, found before it sizes an allocation.
 	if n > (end-i+1)/2 {
-		return nil, 0, fmt.Errorf(`malformed "input": %d separators in %d bytes`, n-1, end-i)
+		p.blocks = p.blocks[:0]
+		return 0, fmt.Errorf(`malformed "input": %d separators in %d bytes`, n-1, end-i)
 	}
-	p.decode, p.buf, p.end, p.words = true, b, end, make([]int64, n)
-	s.code(p)
-	for _, blk := range p.blocks {
-		if blk.err != nil {
-			return nil, 0, blk.err
-		}
-	}
-	return p.words, end + 1, nil
+	p.decode, p.buf, p.end, p.n = true, b, end, n
+	return end + 1, nil
 }
 
-// parseBlock parses words[lo:hi] from b[i]; end is the offset of the ']'
-// that closes the array.  It is the serial parse of those words: started
-// just past the comma that ends word lo−1 (or at the first word), it
-// consumes the same bytes and fails with the same error.
-func parseBlock(b []byte, i, end int, words []int64, lo, hi int) error {
-	n := len(words)
+// parseBlock parses words[lo:hi] of the n words of an array from b[i]; end
+// is the offset of the ']' that closes the array.  It is the serial parse of
+// those words: started just past the comma that ends word lo−1 (or at the
+// first word), it consumes the same bytes and fails with the same error.  A
+// nil words checks the words without storing them.
+func parseBlock(b []byte, i, end int, words []int64, n, lo, hi int) error {
 	for k := lo; k < hi; k++ {
 		for i < end && isSpace(b[i]) {
 			i++
@@ -314,7 +308,9 @@ func parseBlock(b []byte, i, end int, words []int64, lo, hi int) error {
 		if neg {
 			u = -u
 		}
-		words[k] = int64(u)
+		if words != nil {
+			words[k] = int64(u)
+		}
 		for i < end && isSpace(b[i]) {
 			i++
 		}
@@ -473,19 +469,11 @@ func skipNumber(b []byte, i int) (int, error) {
 	return i, nil
 }
 
-// appendResponse is encodeResponse with every block coded inline.  With
-// no Service there is no recover, so there is no error to return.
-func appendResponse(dst []byte, r *Response) []byte {
-	dst, _ = encodeResponse(dst, r, nil)
-	return dst
-}
-
-// encodeResponse appends r as one line of JSON, byte for byte what
-// json.Marshal(r) followed by '\n' gives (TestAppendResponseMatchesStdlib):
-// a member added to Response has to be added here.  s codes the words of
-// "output" (see Service.code); the error is a panic it recovered from a
-// block.
-func encodeResponse(dst []byte, r *Response, s *Service) ([]byte, error) {
+// encode appends r as one line of JSON, byte for byte what json.Marshal(r)
+// followed by '\n' gives (TestAppendResponseMatchesStdlib): a member added
+// to Response has to be added here.  p's blocks code the words of "output"
+// (see run); the error is a panic recovered from one.
+func (p *wirePass) encode(dst []byte, r *Response, fc *fj.Ctx) ([]byte, error) {
 	dst = append(dst, `{"kernel":`...)
 	dst = appendString(dst, r.Kernel)
 	dst = append(dst, `,"n":`...)
@@ -498,7 +486,7 @@ func encodeResponse(dst []byte, r *Response, s *Service) ([]byte, error) {
 	} else {
 		dst = append(dst, '[')
 		var err error
-		if dst, err = appendWords(dst, r.Output, s); err != nil {
+		if dst, err = p.appendWords(dst, r.Output, fc); err != nil {
 			return dst, err
 		}
 		dst = append(dst, ']')
@@ -520,17 +508,15 @@ const maxWordBytes = 21
 // words formats into a region of its worst case at maxWordBytes × its first
 // word, and the regions are closed up in order: one copy of the output,
 // where a length pass would read every word twice.
-func appendWords(dst []byte, words []int64, s *Service) ([]byte, error) {
+func (p *wirePass) appendWords(dst []byte, words []int64, fc *fj.Ctx) ([]byte, error) {
 	base := len(dst)
 	dst = slices.Grow(dst, maxWordBytes*len(words))
-	p := s.getPass()
-	defer s.putPass(p)
+	p.decode, p.buf, p.n, p.words, p.blocks = false, dst[:cap(dst)], len(words), words, p.blocks[:0]
 	per := max(1, codecBlock/8)
 	for w := 0; w < len(words); w += per {
 		p.blocks = append(p.blocks, wireBlock{word: w, at: base + maxWordBytes*w})
 	}
-	p.buf, p.words = dst[:cap(dst)], words
-	s.code(p)
+	p.run(fc)
 	end := base
 	for _, blk := range p.blocks {
 		if blk.err != nil {
@@ -628,124 +614,105 @@ func put8(b []byte, r uint64) {
 
 // codecBlock sizes the codec's blocks: a decode block is at least
 // codecBlock bytes of "input", an encode block codecBlock/8 words of
-// "output" (as many bytes of int64).  A block amortizes its bookkeeping —
-// an offset, a recover, and when the pool splits the loop a steal and the
-// cache lines it shares with its neighbours — over thousands of words, and
-// a 256-word request (≈ 2.5 KB) stays one block, coded inline.  A variable
-// only so that tests can make small payloads cross blocks.
+// "output".  A block amortizes its bookkeeping (an offset, a recover, and
+// when the loop splits a steal and the cache lines it shares) over
+// thousands of words; a 256-word request (≈ 2.5 KB) stays one block.  A
+// variable so that tests can make small payloads cross blocks.
 var codecBlock = 16 << 10
 
 // wirePass is one blocked pass of the codec over a word array: the parse
 // of "input" (decode) or the formatting of "output".  Block b holds words
-// [blocks[b].word, blocks[b+1].word), the last block up to len(words), and
-// its bytes start at blocks[b].at of buf.  A service recycles its passes
-// (passList) with root, loop and leaf bound once, so a pass run on the pool
-// allocates only its rt task and its fj.Ctx.
+// [blocks[b].word, blocks[b+1].word), the last block up to the array's end,
+// and its bytes start at blocks[b].at of buf.  A call's pass is located by
+// the handler's scan, then parsed and reused for the encode by its root.
 type wirePass struct {
-	decode bool
-	buf    []byte // decode: the request body; encode: the response buffer, to its capacity
+	decode bool   // a parse; in a call, one not yet run on the located words
+	buf    []byte // decode: the body; encode: the response buffer, to its capacity
 	end    int    // decode: offset of the ']' that closes "input"
+	n      int    // the word count
 	words  []int64
 	blocks []wireBlock
-
-	hook func()        // Service.hookBlock
-	done chan struct{} // root's completion
-	root func(*rt.Ctx)
-	loop func(*fj.Ctx)
-	leaf func(*fj.Ctx, int64, int64)
+	hook   func() // Service.hookBlock
 }
 
-// wireBlock is one block of a wirePass.  Each is written by the one task
-// that codes the block.
+// wireBlock is one block of a wirePass, written by the task that codes it.
 type wireBlock struct {
 	word int   // the block's first word
 	at   int   // decode: offset of its first byte; encode: offset of its region
 	size int   // encode: bytes written at at
-	err  error // decode: the block's error; either: a panic Service.code recovered
+	err  error // decode: the block's error; either: a panic safeBlock recovered
 }
 
-func newPass() *wirePass {
-	p := &wirePass{done: make(chan struct{}, 1)}
-	p.leaf = func(_ *fj.Ctx, lo, hi int64) {
+// parse parses the located words into words (n, or nil to only check them)
+// and returns the first failing block's error: a serial parse's error.
+func (p *wirePass) parse(words []int64, fc *fj.Ctx) error {
+	p.words = words
+	p.run(fc)
+	for _, blk := range p.blocks {
+		if blk.err != nil {
+			return blk.err
+		}
+	}
+	return nil
+}
+
+// check is parse without storing the words, on the calling goroutine; nil
+// when no words are located.
+func (p *wirePass) check() error {
+	if !p.decode {
+		return nil
+	}
+	return p.parse(nil, nil)
+}
+
+// first returns the error of the located words if they have one, else err:
+// err was found after them in the body, so theirs comes first.
+func (p *wirePass) first(err error) error {
+	if err != nil {
+		if werr := p.check(); werr != nil {
+			return werr
+		}
+	}
+	return err
+}
+
+// run codes the blocks of p, each under its own recover: inline and in order
+// on a nil fc or with one block (every small payload), else as an fj loop on
+// fc, whose lazy splitting forks blocks only to an idle worker.
+func (p *wirePass) run(fc *fj.Ctx) {
+	if fc == nil || len(p.blocks) <= 1 {
+		for b := range p.blocks {
+			p.safeBlock(b)
+		}
+		return
+	}
+	fc.ForRange(0, int64(len(p.blocks)), 1, func(_ *fj.Ctx, lo, hi int64) {
 		for b := lo; b < hi; b++ {
 			p.safeBlock(int(b))
 		}
-	}
-	p.loop = func(c *fj.Ctx) { c.ForRange(0, int64(len(p.blocks)), 1, p.leaf) }
-	p.root = func(rc *rt.Ctx) {
-		fj.RunOn(rc, p.loop)
-		p.done <- struct{}{}
-	}
-	return p
-}
-
-// maxFreePasses bounds passList: passes are small, but one coding a large
-// payload keeps its block slice.
-const maxFreePasses = 16
-
-// passList is a mutex-guarded free list of passes; the zero value is ready.
-// It is not a sync.Pool for bufList's reason: the GC empties those, and a
-// heavy request allocates ~1 MB of words, so with a sync.Pool most passes
-// were new, six objects each (the pass, its channel, three closures and
-// its block slice), over TestInvokeAllocRegression's pin.
-type passList struct {
-	mu   sync.Mutex
-	free []*wirePass
-}
-
-// getPass returns an empty pass: s's, or a new one when s is nil.
-func (s *Service) getPass() *wirePass {
-	if s == nil {
-		return newPass()
-	}
-	l := &s.passes
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if n := len(l.free); n > 0 {
-		p := l.free[n-1]
-		l.free[n-1] = nil
-		l.free = l.free[:n-1]
-		return p
-	}
-	return newPass()
-}
-
-// putPass clears p of the request's memory and offers it to s for reuse.
-func (s *Service) putPass(p *wirePass) {
-	if s == nil {
-		return
-	}
-	clear(p.blocks)
-	p.decode, p.buf, p.end, p.words, p.blocks, p.hook = false, nil, 0, nil, p.blocks[:0], nil
-	l := &s.passes
-	l.mu.Lock()
-	if len(l.free) < maxFreePasses {
-		l.free = append(l.free, p)
-	}
-	l.mu.Unlock()
+	})
 }
 
 // block codes block b.
 func (p *wirePass) block(b int) {
 	blk := &p.blocks[b]
-	hi := len(p.words)
+	hi := p.n
 	if b+1 < len(p.blocks) {
 		hi = p.blocks[b+1].word
 	}
 	if p.decode {
-		blk.err = parseBlock(p.buf, blk.at, p.end, p.words, blk.word, hi)
+		blk.err = parseBlock(p.buf, blk.at, p.end, p.words, p.n, blk.word, hi)
 	} else {
 		blk.size = formatBlock(p.buf, blk.at, p.words, blk.word, hi)
 	}
 }
 
-// errCodecPanic marks a panic recovered from a codec block: a bug, which
-// fails its request with 500 instead of the process.
+// errCodecPanic marks a panic recovered from a codec block: a bug (500).
 var errCodecPanic = errors.New("serve: codec failure")
 
-// safeBlock is block under a recover.  On a pool worker nothing else would
-// catch a panic (net/http's recover covers only the handler goroutine), so
-// a block keeps its own, inline too, and a panic fails just its request.
+// safeBlock is block under a recover: a thief coding a block has no other
+// until rt contains forked panics (ROADMAP item 5(a)), and a panic must fail
+// just its request.
 func (p *wirePass) safeBlock(b int) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -756,38 +723,6 @@ func (p *wirePass) safeBlock(b int) {
 		p.hook()
 	}
 	p.block(b)
-}
-
-// code runs the blocks of p.  A payload of several blocks runs as an fj
-// loop on the service's pool, whose lazy splitting forks blocks only to an
-// idle worker; one block, or a service already closed, is coded inline on
-// the calling goroutine.  A nil s codes every block inline, in order and
-// with no recover: the package's tests compare that with the pool's run.
-func (s *Service) code(p *wirePass) {
-	if s == nil {
-		for b := range p.blocks {
-			p.block(b)
-		}
-		return
-	}
-	p.hook = s.hookBlock
-	if len(p.blocks) > 1 {
-		// Under mu, like admit: no root reaches the pool after Close.  Not
-		// held while waiting — a worker's run takes it too.
-		s.mu.RLock()
-		open := !s.closed
-		if open {
-			s.pool.Submit(p.root)
-		}
-		s.mu.RUnlock()
-		if open {
-			<-p.done
-			return
-		}
-	}
-	for b := range p.blocks {
-		p.safeBlock(b)
-	}
 }
 
 // appendString appends s as a JSON string.  Catalog kernel names are plain
@@ -806,32 +741,34 @@ func appendString(dst []byte, s string) []byte {
 
 // responseBytes bounds the encoding of a response carrying words output
 // words: a word is at most maxWordBytes, the envelope under 128 bytes plus
-// the kernel name.  encodeResponse formats into exactly that worst case.
+// the kernel name.  encode formats into exactly that worst case.
 func responseBytes(kernel string, words int) int { return maxWordBytes*words + len(kernel) + 128 }
 
-// Buffer recycling.  A request body and an encoded response are each one
-// large, short-lived []byte — 650 KB and 700 KB for a 65536-word sort — and
-// at the benchmark's mixed load that was ~70 MB/s of garbage.  bufList keeps
-// a few for reuse.  It is not a sync.Pool because the GC empties those, and
-// at that allocation rate it runs several times a second, so the pool was
-// empty more often than not (heavy request 6.6 ms with sync.Pool, 5.4 ms
-// with this).  What it may hold is bounded by the two constants: at most
+// Recycling.  A 65536-word sort's body and response are 650 KB and 700 KB
+// of bytes, and its input and output 512 KB of words each: short-lived
+// garbage that a freeList keeps a few of for reuse.  Not a sync.Pool: the GC
+// empties those, at that allocation rate several times a second (heavy
+// request 6.6 ms with sync.Pool, 5.4 ms with this).  One list holds at most
 // maxFreeBufs × maxFreeBufBytes = 32 MiB for the life of the service.
 const (
 	maxFreeBufs     = 8
 	maxFreeBufBytes = 4 << 20 // larger buffers are left to the GC
 )
 
-// bufList is a mutex-guarded free list of byte buffers; the zero value is
-// ready.  A buffer handed to put must not be referenced afterwards.
-type bufList struct {
+// freeList is a mutex-guarded free list of slices; the zero value is ready.
+// A slice handed to put must not be referenced afterwards.
+type freeList[T any] struct {
 	mu   sync.Mutex
-	free [][]byte
+	free [][]T
 }
 
-// get returns an empty buffer of capacity at least n: the smallest free one
-// that fits, so small requests do not sit on the large buffers, or a new one.
-func (l *bufList) get(n int) []byte {
+// get returns an empty slice of capacity at least n: the smallest free one
+// that fits, so small requests do not sit on the large ones, or a new one.
+// What a reused slice held is still there, past its length.
+func (l *freeList[T]) get(n int) []T {
+	if n == 0 {
+		return make([]T, 0) // no slab for an empty payload
+	}
 	l.mu.Lock()
 	best := -1
 	for i, b := range l.free {
@@ -841,7 +778,7 @@ func (l *bufList) get(n int) []byte {
 	}
 	if best < 0 {
 		l.mu.Unlock()
-		return make([]byte, 0, n)
+		return make([]T, 0, n)
 	}
 	b := l.free[best]
 	last := len(l.free) - 1
@@ -853,12 +790,13 @@ func (l *bufList) get(n int) []byte {
 }
 
 // put offers b for reuse; it is dropped when it is over maxFreeBufBytes, or
-// when the list is full of buffers at least as large.  A full list trades
-// its smallest buffer for a larger one: otherwise, once a burst of small
-// requests has filled it, every large response buffer is dropped and
-// reallocated until the process ends.
-func (l *bufList) put(b []byte) {
-	if cap(b) == 0 || cap(b) > maxFreeBufBytes {
+// when the list is full of slices at least as large.  A full list trades
+// its smallest slice for a larger one: otherwise, once a burst of small
+// requests has filled it, every large buffer is dropped and reallocated
+// until the process ends.
+func (l *freeList[T]) put(b []T) {
+	var elem T
+	if cap(b) == 0 || uintptr(cap(b))*unsafe.Sizeof(elem) > maxFreeBufBytes {
 		return
 	}
 	l.mu.Lock()

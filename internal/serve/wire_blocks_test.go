@@ -4,7 +4,8 @@ package serve
 // every payload crosses block boundaries, the blocked decode returns the
 // words and the error text of the one-block decode, inline and on a pool;
 // the blocked encode is json.Marshal's bytes; a panic in a block fails only
-// its request; and a small request never reaches the pool for its codec.
+// its request; a request is one root, its codec included, and a small one
+// codes inline in it; and a /batch body is capped at the admission bound.
 
 import (
 	"bytes"
@@ -17,10 +18,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/algos/registry"
 )
@@ -154,7 +157,7 @@ func TestBlockedCodecMatchesUnblocked(t *testing.T) {
 // TestBufListFullKeepsLarger: a list filled with small buffers still takes
 // a large one, in place of its smallest, and refuses one no larger.
 func TestBufListFullKeepsLarger(t *testing.T) {
-	var l bufList
+	var l freeList[byte]
 	for i := 0; i < maxFreeBufs; i++ {
 		l.put(make([]byte, 0, 1<<10+i))
 	}
@@ -248,10 +251,10 @@ func TestCodecPanicFailsItsRequest(t *testing.T) {
 	invoke("after the /batch panic", http.StatusOK)
 }
 
-// TestSmallRequestsCodeInline: a request of one block never puts its codec
-// on the pool — a 256-word /invoke and every line of an 8-line /batch grow
-// the pool's executed-task count by exactly their kernel roots (a 256-word
-// sort does not fork) — while a large one does.
+// TestSmallRequestsCodeInline: a request of one block codes it inline in
+// its root — a 256-word /invoke and every line of an 8-line /batch grow the
+// pool's executed-task count by exactly their roots (a 256-word sort does
+// not fork) — while a large one's root forks its codec blocks.
 func TestSmallRequestsCodeInline(t *testing.T) {
 	svc := New(Config{Pool: 2})
 	defer svc.Close()
@@ -276,7 +279,7 @@ func TestSmallRequestsCodeInline(t *testing.T) {
 	invoke(small)() // start the workers
 	for i := 0; i < 3; i++ {
 		if got := grows(invoke(small)); got != 1 {
-			t.Fatalf("a 256-word /invoke ran %d pool tasks, want 1 (its kernel root)", got)
+			t.Fatalf("a 256-word /invoke ran %d pool tasks, want 1 (its root)", got)
 		}
 	}
 	var body bytes.Buffer
@@ -295,14 +298,103 @@ func TestSmallRequestsCodeInline(t *testing.T) {
 		}
 	})
 	if got != 8 {
-		t.Fatalf("an 8-line /batch ran %d pool tasks, want 8 (its kernel roots)", got)
+		t.Fatalf("an 8-line /batch ran %d pool tasks, want 8 (its roots)", got)
 	}
 	large := make([]int64, 1<<14)
 	for i := range large {
 		large[i] = int64(len(large) - i)
 	}
-	if got := grows(invoke(large)); got < 3 {
-		t.Fatalf("a %d-word /invoke ran %d pool tasks, want its kernel's and a decode and an encode root", len(large), got)
+	roots := svc.pool.Roots()
+	if got := grows(invoke(large)); got < 3 || svc.pool.Roots() != roots+1 {
+		t.Fatalf("a %d-word /invoke ran %d pool tasks from %d roots, want one root forking its kernel and codec blocks",
+			len(large), got, svc.pool.Roots()-roots)
+	}
+}
+
+// TestOneRootPerRequest: a request reaches the pool as exactly one admitted
+// root, its codec included.  With blocks lowered so that every payload
+// spans many, a multi-block /invoke and each line of a /batch grow the
+// pool's root count and the admitted count by one, while their words are
+// coded block by block.
+func TestOneRootPerRequest(t *testing.T) {
+	defer func(old int) { codecBlock = old }(codecBlock)
+	codecBlock = 256
+	svc := New(Config{Pool: 2})
+	defer svc.Close()
+	var blocks atomic.Int64
+	svc.hookBlock = func() { blocks.Add(1) }
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	in := make([]int64, 4096) // ≈ 20 KB of body, 128 encode blocks
+	for i := range in {
+		in[i] = int64(len(in) - i)
+	}
+	grows := func(run func()) (roots, admitted, coded int64) {
+		r, a, b := svc.pool.Roots(), svc.Metrics().Snapshot().Accepted, blocks.Load()
+		run()
+		return svc.pool.Roots() - r, svc.Metrics().Snapshot().Accepted - a, blocks.Load() - b
+	}
+	roots, admitted, coded := grows(func() {
+		resp, hr := postInvoke(t, ts.URL, Request{Kernel: "sort", Input: in})
+		if hr.StatusCode != http.StatusOK || len(resp.Output) != len(in) || resp.Output[0] != 1 {
+			t.Fatalf("/invoke: status %d, wrong output", hr.StatusCode)
+		}
+	})
+	if roots != 1 || admitted != 1 || coded < 100 {
+		t.Fatalf("a multi-block /invoke took %d roots, %d admissions, %d codec blocks; want 1, 1, ≥ 100", roots, admitted, coded)
+	}
+	const lines = 5
+	var body bytes.Buffer
+	for i := 0; i < lines; i++ {
+		body.Write(mustJSON(Request{Kernel: "sort", Input: in[i:]}))
+		body.WriteByte('\n')
+	}
+	roots, admitted, coded = grows(func() {
+		hr, err := http.Post(ts.URL+"/batch", "application/jsonl", &body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer hr.Body.Close()
+		if text, _ := io.ReadAll(hr.Body); bytes.Count(text, []byte(`"output"`)) != lines {
+			t.Fatalf("/batch answered %.300q", text)
+		}
+	})
+	if roots != lines || admitted != lines || coded < 100*lines {
+		t.Fatalf("a %d-line /batch took %d roots, %d admissions, %d codec blocks; want %d, %d, ≥ %d",
+			lines, roots, admitted, coded, lines, lines, 100*lines)
+	}
+}
+
+// TestBatchCappedAtQueueBound: a /batch body of more requests than the
+// admission bound is refused with 413 before any is admitted — values may
+// abut, so a small body holds many — with nothing submitted and no
+// goroutine left behind, while a body of exactly the bound is served.
+func TestBatchCappedAtQueueBound(t *testing.T) {
+	const bound = 4
+	svc := New(Config{Pool: 1, QueueBound: bound})
+	defer svc.Close()
+	h := svc.Handler()
+	post := func(body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/batch", strings.NewReader(body)))
+		return rec
+	}
+	base := runtime.NumGoroutine()
+	if rec := post(strings.Repeat("{}", bound+1)); rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("%d abutting {} with QueueBound %d: status %d, want 413: %s", bound+1, bound, rec.Code, rec.Body)
+	}
+	if roots, m := svc.pool.Roots(), svc.Metrics().Snapshot(); roots != 0 || m.Accepted != 0 {
+		t.Fatalf("the refused window submitted %d roots, admitted %d", roots, m.Accepted)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the refused window, %d before", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	rec := post(strings.Repeat(`{"kernel":"sort","n":4}`, bound))
+	if rec.Code != http.StatusOK || bytes.Count(rec.Body.Bytes(), []byte(`"output"`)) != bound || svc.pool.Roots() != bound {
+		t.Fatalf("a window of exactly the bound: status %d, %d roots: %s", rec.Code, svc.pool.Roots(), rec.Body)
 	}
 }
 

@@ -21,6 +21,7 @@ import (
 	"testing"
 
 	"repro/internal/algos/registry"
+	"repro/internal/fj"
 )
 
 // decodeWhole is /invoke's view of a body: one request, then white space.
@@ -28,6 +29,46 @@ func decodeWhole(body []byte) (Request, error) {
 	var req Request
 	err := decodeOnly(body, &req, nil)
 	return req, err
+}
+
+// decodeOnly is the whole decode of an /invoke body: the handler's scan,
+// then the parse of the words a root does, here on a root of s's pool, or
+// inline with a nil s.  Input is nil when the decode fails.
+func decodeOnly(body []byte, req *Request, s *Service) error {
+	var p wirePass
+	err := scanOnly(body, req, &p)
+	if err == nil && p.decode {
+		req.Input = make([]int64, p.n)
+		onPool(s, func(fc *fj.Ctx) { err = p.parse(req.Input, fc) })
+	}
+	if err != nil {
+		req.Input = nil
+	}
+	return err
+}
+
+// encodeResponse is a root's encode of r after dst, on a root of s's pool,
+// or inline with a nil s.
+func encodeResponse(dst []byte, r *Response, s *Service) (out []byte, err error) {
+	var p wirePass
+	onPool(s, func(fc *fj.Ctx) { out, err = p.encode(dst, r, fc) })
+	return out, err
+}
+
+// appendResponse is encodeResponse inline.
+func appendResponse(dst []byte, r *Response) []byte {
+	dst, _ = encodeResponse(dst, r, nil)
+	return dst
+}
+
+// onPool runs fn on a root of s's pool, or inline with a nil Ctx when s is
+// nil.
+func onPool(s *Service, fn func(*fj.Ctx)) {
+	if s == nil {
+		fn(nil)
+		return
+	}
+	fj.RunReal(s.pool, fn)
 }
 
 // seedPayload is the small seeded payload of kernel k that the fuzz corpora
@@ -358,7 +399,7 @@ func FuzzWireWords(f *testing.F) {
 // TestBufListBounds: the free list hands back what fits, keeps at most
 // maxFreeBufs buffers and none over maxFreeBufBytes.
 func TestBufListBounds(t *testing.T) {
-	var l bufList
+	var l freeList[byte]
 	for i := 0; i < 2*maxFreeBufs; i++ {
 		l.put(make([]byte, 10, 1<<10))
 	}
@@ -386,12 +427,14 @@ func TestBufListBounds(t *testing.T) {
 }
 
 // TestRecycledBuffersNoBleed drives /invoke and /batch concurrently over one
-// service's free list (run under -race in CI).  Every request's words are
-// stamped with its own id, sizes vary so buffers are reused for shorter and
-// longer bodies, and every response must carry exactly its request's words,
-// sorted — nothing left in a recycled buffer by another request.  Blocks
-// are lowered to 256 bytes, so every payload of 40 words or more is coded
-// in blocks on the pool while other requests recycle the buffers.
+// service's free lists (run under -race in CI), for all nine kernels at
+// sizes that vary per kernel, so a body, a response buffer or a word slab
+// one request used is reused by another kernel at a shorter or longer size
+// — an output slab uncleared — and every response must pass its kernel's
+// Verify (exact for the sorts, scan, gather, transpose and listrank).  It
+// is what licenses giving kernels uncleared output slabs.  Blocks are
+// lowered to 256 bytes, so every payload of 40 words or more is coded in
+// blocks while other requests recycle the buffers.
 func TestRecycledBuffersNoBleed(t *testing.T) {
 	defer func(old int) { codecBlock = old }(codecBlock)
 	codecBlock = 256
@@ -400,25 +443,33 @@ func TestRecycledBuffersNoBleed(t *testing.T) {
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 
-	payload := func(id, n int) []int64 { // descending, so sorted ≠ as sent
-		in := make([]int64, n)
-		for j := range in {
-			in[j] = int64(id)<<20 + int64(n-j)
-		}
-		return in
+	kernels := registry.Invocables()
+	sizes := map[string][]int64{ // n per kernel, interleaved large and small
+		"matmul": {8, 1, 16, 2, 4}, "strassen": {16, 2, 8, 1, 4},
+		"fft": {256, 1, 64, 4, 128}, "transpose": {40, 1, 24, 3, 5},
 	}
-	check := func(id, n int, resp Response) error {
-		if len(resp.Output) != n {
-			return fmt.Errorf("request %d: %d output words, want %d", id, len(resp.Output), n)
+	type job struct {
+		k  registry.Invocable
+		in []int64
+	}
+	jobOf := func(i int) job {
+		k := kernels[i%len(kernels)]
+		ns, ok := sizes[k.Name]
+		if !ok {
+			ns = []int64{0, 1, 7, 300, 5000, 40, 20000, 2}
 		}
-		for j, w := range resp.Output {
-			if w != int64(id)<<20+int64(j+1) {
-				return fmt.Errorf("request %d: output[%d] = %d (request %d's?), want %d", id, j, w, w>>20, int64(id)<<20+int64(j+1))
-			}
+		in, err := k.Gen(ns[i/len(kernels)%len(ns)], uint64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return job{k, in}
+	}
+	check := func(j job, resp Response) error {
+		if resp.Kernel != j.k.Name || int64(len(resp.Output)) != j.k.OutLen(j.in) || !j.k.Verify(j.in, resp.Output) {
+			return fmt.Errorf("%s on %d words: wrong response (%d output words)", j.k.Name, len(j.in), len(resp.Output))
 		}
 		return nil
 	}
-	sizes := []int{0, 1, 7, 300, 5000, 40, 20000, 2}
 	const clients, rounds, window = 6, 12, 4
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
@@ -428,21 +479,22 @@ func TestRecycledBuffersNoBleed(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				id := (c*rounds + r) * window
 				if c%2 == 0 {
-					n := sizes[(c+r)%len(sizes)]
-					resp, hr := postInvoke(t, ts.URL, Request{Kernel: "sort", Input: payload(id, n)})
+					j := jobOf(id)
+					resp, hr := postInvoke(t, ts.URL, Request{Kernel: j.k.Name, Input: j.in})
 					if hr.StatusCode != http.StatusOK {
-						t.Errorf("request %d: status %d", id, hr.StatusCode)
-					} else if err := check(id, n, resp); err != nil {
+						t.Errorf("%s: status %d", j.k.Name, hr.StatusCode)
+					} else if err := check(j, resp); err != nil {
 						t.Error(err)
 					}
 					continue
 				}
 				var body bytes.Buffer
-				ns := make([]int, window)
-				for i := range ns {
-					ns[i] = sizes[(c+r+i)%len(sizes)]
-					// "input":[] spelled out: omitempty would drop it.
-					fmt.Fprintf(&body, `{"kernel":"sort","input":%s}`+"\n", mustJSON(payload(id+i, ns[i])))
+				jobs := make([]job, window)
+				for i := range jobs {
+					jobs[i] = jobOf(id + i)
+					// "input":[] spelled out: omitempty would drop it
+					// (/invoke sends an empty payload as a generated n = 0).
+					fmt.Fprintf(&body, `{"kernel":%q,"input":%s}`+"\n", jobs[i].k.Name, mustJSON(jobs[i].in))
 				}
 				hr, err := http.Post(ts.URL+"/batch", "application/jsonl", &body)
 				if err != nil {
@@ -451,7 +503,7 @@ func TestRecycledBuffersNoBleed(t *testing.T) {
 				}
 				dec := json.NewDecoder(hr.Body)
 				seen := 0
-				for {
+				for ; ; seen++ {
 					var resp Response
 					if err := dec.Decode(&resp); err == io.EOF {
 						break
@@ -459,10 +511,9 @@ func TestRecycledBuffersNoBleed(t *testing.T) {
 						t.Errorf("window %d: %v", id, err)
 						break
 					}
-					seen++
 					if resp.Index < 0 || resp.Index >= window {
 						t.Errorf("window %d: index %d", id, resp.Index)
-					} else if err := check(id+resp.Index, ns[resp.Index], resp); err != nil {
+					} else if err := check(jobs[resp.Index], resp); err != nil {
 						t.Error(err)
 					}
 				}

@@ -80,9 +80,10 @@ if [ "$MODE" != grid ]; then
     # Payloads over one codec block are parsed and formatted as an fj loop on
     # the service's pool, split on demand, so where blocks land depends on
     # timing: blocked == unblocked (every block size, inline and pooled), a
-    # block's panic failing only its request, small requests never reaching
-    # the pool, and recycled buffers under concurrent blocked codecs.
-    go test -race -count=3 -run 'TestBlockedCodecMatchesUnblocked|TestCodecPanicFailsItsRequest|TestSmallRequestsCodeInline|TestRecycledBuffersNoBleed|FuzzDecodeRequest|FuzzWireWords' ./internal/serve/
+    # block's panic failing only its request, small requests coding inline in
+    # their root, one root per request, the /batch admission bound, and
+    # recycled buffers and word slabs under all nine kernels.
+    go test -race -count=3 -run 'TestBlockedCodecMatchesUnblocked|TestCodecPanicFailsItsRequest|TestSmallRequestsCodeInline|TestRecycledBuffersNoBleed|TestOneRootPerRequest|TestBatchCappedAtQueueBound|FuzzDecodeRequest|FuzzWireWords' ./internal/serve/
 
     echo "== gate: -race over concurrently executing grid cells =="
     # A golden subset at -parallel 8 is the only place experiment cells run
