@@ -17,31 +17,41 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/algos/registry"
+	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/harness"
 	"repro/internal/machine"
-	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "hbptrace: %v\n", err)
+		os.Exit(2)
+	}
+}
+
+// run parses args as the command line and writes the dump to w.
+func run(args []string, w io.Writer) error {
+	def := machine.Default(8)
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
 	var (
-		algoName = flag.String("algo", "Scan(M-Sum)", "catalog algorithm name (see -algos)")
-		listOnly = flag.Bool("algos", false, "list algorithms and exit")
-		n        = flag.Int64("n", 0, "problem size (0 = the algorithm's default)")
-		p        = flag.Int("p", 8, "number of simulated cores")
-		mWords   = flag.Int("M", 1024, "private cache size in words")
-		bWords   = flag.Int("B", 16, "block size in words")
-		lat      = flag.Int64("b", 8, "cache-miss latency")
-		schedStr = flag.String("sched", "pws", "scheduler: pws or rws")
-		padded   = flag.Bool("padded", false, "use padded execution stacks (§4.7)")
-		seed     = flag.Uint64("seed", 0, "input seed (0 = the historical fixed inputs)")
-		doTrace  = flag.Bool("trace", false, "measure f(r)/L(r) (slow; use small n)")
+		algoName = fs.String("algo", "Scan(M-Sum)", "catalog algorithm name (see -algos)")
+		listOnly = fs.Bool("algos", false, "list algorithms and exit")
+		n        = fs.Int64("n", 0, "problem size (0 = the algorithm's default)")
+		p        = fs.Int("p", def.P, "number of simulated cores")
+		mWords   = fs.Int("M", def.M, "private cache size in words")
+		bWords   = fs.Int("B", def.B, "block size in words")
+		lat      = fs.Int64("b", def.MissLatency, "cache-miss latency")
+		schedStr = fs.String("sched", "pws", "scheduler: pws or rws")
+		padded   = fs.Bool("padded", false, "use padded execution stacks (§4.7)")
+		seed     = fs.Uint64("seed", 0, "input seed (0 = the historical fixed inputs)")
+		doTrace  = fs.Bool("trace", false, "measure f(r)/L(r) (slow; use small n)")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
 	if *listOnly {
 		// registry.All is sorted by (name, backend), so this listing is
@@ -54,18 +64,17 @@ func main() {
 			switch k.Backend {
 			case registry.Sim:
 				a := k.Sim
-				fmt.Printf("%-16s %-5s %s type %-2s f=%-3s L=%-4s sizes %-22s %s\n",
+				fmt.Fprintf(w, "%-16s %-5s %s type %-2s f=%-3s L=%-4s sizes %-22s %s\n",
 					a.Name, k.Backend, tag, a.Typ, a.F, a.L, fmt.Sprintf("%v", a.Sizes), k.Desc)
 			case registry.Real:
-				fmt.Printf("%-16s %-5s %s %s\n", k.Name, k.Backend, tag, k.Desc)
+				fmt.Fprintf(w, "%-16s %-5s %s %s\n", k.Name, k.Backend, tag, k.Desc)
 			}
 		}
-		return
+		return nil
 	}
 	kernel, ok := registry.Find(*algoName, registry.Sim)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "hbptrace: no sim kernel %q in the registry (try -algos)\n", *algoName)
-		os.Exit(2)
+		return fmt.Errorf("no sim kernel %q in the registry (try -algos)", *algoName)
 	}
 	algo := *kernel.Sim
 	size := *n
@@ -73,44 +82,35 @@ func main() {
 		size = algo.Sizes[0]
 	}
 
-	spec := harness.Spec{P: *p, M: *mWords, B: *bWords, MissLatency: *lat, Sched: *schedStr, Padded: *padded, Seed: *seed}
-	m := machine.New(machine.Config{P: spec.P, M: spec.M, B: spec.B, MissLatency: spec.MissLatency})
-	root := algo.Build(m, size, spec.Seed)
-	eng := core.NewEngine(m, specScheduler(spec), core.Options{Padded: spec.Padded})
-
+	spec := bench.Spec{P: *p, M: *mWords, B: *bWords, MissLatency: *lat, Sched: *schedStr, Padded: *padded, Seed: *seed}
+	var res core.Result
 	var tr *trace.Tracer
 	if *doTrace {
-		tr = &trace.Tracer{SampleMinSize: 2}
-		trace.Attach(eng, tr)
+		res, tr = bench.Traced(algo, size, spec)
+	} else {
+		res = bench.Run(algo, size, spec)
 	}
-	res := eng.Run(root)
 
-	fmt.Printf("%s n=%d\n%s", algo.Name, size, res.String())
-	fmt.Println("per-proc:")
+	fmt.Fprintf(w, "%s n=%d\n%s", algo.Name, size, res.String())
+	fmt.Fprintln(w, "per-proc:")
 	for i, ps := range res.PerProc {
-		fmt.Printf("  proc %2d: ops=%d rd=%d wr=%d hit=%d cold=%d block=%d upg=%d idle=%d steal=%d\n",
+		fmt.Fprintf(w, "  proc %2d: ops=%d rd=%d wr=%d hit=%d cold=%d block=%d upg=%d idle=%d steal=%d\n",
 			i, ps.Ops, ps.Reads, ps.Writes, ps.Hits, ps.ColdMisses,
 			ps.BlockMisses, ps.UpgradeMisses, ps.IdleTime, ps.StealTime)
 	}
-	fmt.Println("steals by priority:")
-	fmt.Print(res.PrioHistogram())
+	fmt.Fprintln(w, "steals by priority:")
+	fmt.Fprint(w, res.PrioHistogram())
 
 	if tr != nil {
-		fmt.Println("f(r) excess by task size (worst case):")
+		fmt.Fprintln(w, "f(r) excess by task size (worst case):")
 		for _, pt := range tr.FMeasure(int64(spec.B)) {
-			fmt.Printf("  size %8d: blocks=%d excess=%d\n", pt.Size, pt.Blocks, pt.Excess)
+			fmt.Fprintf(w, "  size %8d: blocks=%d excess=%d\n", pt.Size, pt.Blocks, pt.Excess)
 		}
-		fmt.Println("L(r) shared blocks by stolen-task size (worst case):")
+		fmt.Fprintln(w, "L(r) shared blocks by stolen-task size (worst case):")
 		for _, pt := range tr.LMeasure() {
-			fmt.Printf("  size %8d: shared=%d\n", pt.Size, pt.Shared)
+			fmt.Fprintf(w, "  size %8d: shared=%d\n", pt.Size, pt.Shared)
 		}
-		fmt.Printf("balance ratio (same-priority size spread): %.2f\n", tr.BalanceRatio(4))
+		fmt.Fprintf(w, "balance ratio (same-priority size spread): %.2f\n", tr.BalanceRatio(4))
 	}
-}
-
-func specScheduler(s harness.Spec) core.Scheduler {
-	if s.Sched == "rws" {
-		return sched.NewRWS(12345)
-	}
-	return sched.NewPWS()
+	return nil
 }

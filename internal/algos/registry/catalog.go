@@ -127,7 +127,7 @@ func define[T fj.Elem](k kernel, run func(c *fj.Ctx, in []fj.View[T], out fj.Vie
 	}
 	e := &entry{}
 	e.inv = Invocable{
-		Name: cmp.Or(k.served, k.name), Desc: k.desc, Payload: k.payload, Codec: codecOf[T](),
+		Name: cmp.Or(k.served, k.name), Desc: k.desc, Payload: k.payload,
 		Validate: sh.check, OutLen: sh.outWords, InWords: sh.inWords,
 		Run: func(c *fj.Ctx, in, out []int64) {
 			run(c, views(hostEnv, in), fj.ViewOf[T](hostEnv, out))
@@ -148,7 +148,7 @@ func define[T fj.Elem](k kernel, run func(c *fj.Ctx, in []fj.View[T], out fj.Vie
 				panic(fmt.Sprintf("registry: %s at n=%d: %v", k.name, n, err))
 			}
 			in := views(env, payload)
-			out := fj.NewView[T](env, sh.outWords(payload)/codecOf[T]().WordsPerElem)
+			out := fj.NewView[T](env, sh.outWords(payload)/wordsPer[T]())
 			input := func() []int64 {
 				var w []int64
 				for _, v := range in {

@@ -1,99 +1,28 @@
 package registry
 
-// The codec layer behind the invocable catalog.  Every invocable speaks one
-// wire encoding — a flat []int64 word vector, the same canonical form the
-// cross-backend equality gate compares — but kernels compute on the typed
-// views of internal/fj (I64, F64, C128).  A Codec is the bridge for one
-// element type: an exact bit cast between wire words and native memory
-// (Float64bits round-trips every payload, NaNs included), so decode→encode
-// is byte-identity, which FuzzInvokeCodec pins for every kernel.  A shape
-// adds the kernel's geometry on top: word count, structural constraints,
-// and the input→output size map.  A new kernel therefore picks (or writes)
-// a shape and supplies a run adapter, whose element type picks the codec —
-// it never grows another hand-written payload path.
+// The payload geometry behind the invocable catalog.  Every invocable speaks
+// one wire encoding — a flat []int64 word vector, the same canonical form the
+// cross-backend equality gate compares — and kernels compute on the typed
+// views of internal/fj (I64, F64, C128) wrapped over those words in place
+// (fj.WrapWords: an exact bit cast, so NaN payloads survive).  A shape adds
+// the kernel's geometry: word count, structural constraints, and the
+// input→output size map.  A new kernel therefore picks (or writes) a shape
+// and supplies a run adapter, whose element type picks the view — it never
+// grows another hand-written payload path.
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/fj"
 )
 
-// Codec converts between the wire word encoding and one fj element type.
-// There are exactly three, keyed off the view types of internal/fj; each
-// Invocable carries the one its payload decodes through.
-type Codec struct {
-	// Kind names the fj view type the codec decodes into: "i64", "f64"
-	// (IEEE-754 bit words), or "c128" (interleaved re/im bit-word pairs).
-	Kind string
-	// WordsPerElem is the wire width of one element.
-	WordsPerElem int64
-	// RoundTrip decodes words into the native element type and re-encodes
-	// them into a fresh vector.  All three codecs are exact bit casts, so
-	// the result is byte-identical to w; len(w) must be a multiple of
-	// WordsPerElem.
-	RoundTrip func(w []int64) []int64
-}
-
-var (
-	codecI64 = &Codec{Kind: "i64", WordsPerElem: 1,
-		RoundTrip: func(w []int64) []int64 { return append([]int64(nil), w...) }}
-	codecF64 = &Codec{Kind: "f64", WordsPerElem: 1,
-		RoundTrip: func(w []int64) []int64 { return f64ToWords(f64FromWords(w)) }}
-	codecC128 = &Codec{Kind: "c128", WordsPerElem: 2,
-		RoundTrip: func(w []int64) []int64 { return c128ToWords(c128FromWords(w)) }}
-)
-
-// codecOf returns the codec of element type T.
-func codecOf[T fj.Elem]() *Codec {
-	switch any(*new(T)).(type) {
-	case int64:
-		return codecI64
-	case float64:
-		return codecF64
+// wordsPer is the wire width of one element of type T: one word, or two
+// for a complex128's (re, im) bit words.
+func wordsPer[T fj.Elem]() int64 {
+	if _, ok := any(*new(T)).(complex128); ok {
+		return 2
 	}
-	return codecC128
-}
-
-// f64FromWords decodes IEEE-754 bit words into a fresh native slice.  The
-// kernels never call these four: they run on the wire words in place
-// (fj.WrapWords).  The copying conversions are the reference RoundTrip holds
-// that bit cast to.
-func f64FromWords(w []int64) []float64 {
-	out := make([]float64, len(w))
-	for i, x := range w {
-		out[i] = math.Float64frombits(uint64(x))
-	}
-	return out
-}
-
-func f64ToWords(v []float64) []int64 {
-	out := make([]int64, len(v))
-	for i, x := range v {
-		out[i] = int64(math.Float64bits(x))
-	}
-	return out
-}
-
-// c128FromWords decodes interleaved (re bits, im bits) word pairs; len(w)
-// must be even.
-func c128FromWords(w []int64) []complex128 {
-	out := make([]complex128, len(w)/2)
-	for i := range out {
-		out[i] = complex(
-			math.Float64frombits(uint64(w[2*i])),
-			math.Float64frombits(uint64(w[2*i+1])))
-	}
-	return out
-}
-
-func c128ToWords(v []complex128) []int64 {
-	out := make([]int64, 2*len(v))
-	for i, x := range v {
-		out[2*i] = int64(math.Float64bits(real(x)))
-		out[2*i+1] = int64(math.Float64bits(imag(x)))
-	}
-	return out
+	return 1
 }
 
 // shape describes one kernel's wire geometry.  segs is how many equal

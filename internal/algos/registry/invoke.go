@@ -32,9 +32,6 @@ type Invocable struct {
 	Desc string
 	// Payload documents the wire encoding (surfaced on /kernels).
 	Payload string
-	// Codec is the element codec the payload decodes through (codec.go);
-	// Codec.RoundTrip is the byte-identity contract FuzzInvokeCodec pins.
-	Codec *Codec
 	// Validate checks the payload's shape (length, encoded-dimension and
 	// index-range constraints).  A nil error guarantees Run will not panic
 	// on this input; n = 0 and n = 1 degenerates are valid for every kernel.

@@ -230,3 +230,12 @@ func TestFloatVerifiersRejectNaN(t *testing.T) {
 		}
 	}
 }
+
+// f64ToWords encodes float64s as the IEEE-754 bit words of the wire.
+func f64ToWords(v []float64) []int64 {
+	out := make([]int64, len(v))
+	for i, x := range v {
+		out[i] = int64(math.Float64bits(x))
+	}
+	return out
+}

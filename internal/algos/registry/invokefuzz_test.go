@@ -27,14 +27,12 @@ func wordsToBytes(w []int64) []byte {
 	return data
 }
 
-// FuzzInvokeCodec drives every invocable kernel's payload codec with
+// FuzzInvokeCodec drives every invocable kernel's payload handling with
 // arbitrary bytes.  Malformed payloads must come back as Validate errors —
-// never panics — and accepted payloads must round-trip through the
-// kernel's codec byte-identically (decode→encode→decode: all three codecs
-// are exact bit casts, so even NaN bit patterns survive) and then run to
-// an output Verify accepts wherever the kernel's semantics are exact
-// (every i64 kernel, and transpose, whose verifier compares raw words).
-// The float-epsilon kernels (matmul, fft) still must run and verify
+// never panics — and accepted payloads, run on the wire words in place,
+// must yield an output Verify accepts wherever the kernel's semantics are
+// exact (every kernel but the float-epsilon matmul and fft; transpose's
+// verifier compares raw words).  matmul and fft still must run and verify
 // panic-free on arbitrary payloads, which include NaN and Inf.
 //
 // The per-kernel seed corpus below is wired into the CI race gate: the
@@ -72,16 +70,9 @@ func FuzzInvokeCodec(f *testing.F) {
 		if err := k.Validate(words); err != nil {
 			return // malformed → error, and it arrived without a panic
 		}
-		enc := k.Codec.RoundTrip(words)
-		if !equalWords(enc, words) {
-			t.Fatalf("%s: codec round-trip changed the payload", k.Name)
-		}
-		if enc2 := k.Codec.RoundTrip(enc); !equalWords(enc2, enc) {
-			t.Fatalf("%s: codec re-encode is not a fixed point", k.Name)
-		}
 		out := make([]int64, k.OutLen(words))
 		fj.RunReal(pool, func(c *fj.Ctx) { k.Run(c, words, out) })
-		exact := k.Codec.Kind == "i64" || k.Name == "transpose"
+		exact := k.Name != "matmul" && k.Name != "fft"
 		if ok := k.Verify(words, out); exact && !ok {
 			t.Fatalf("%s: exact kernel failed verification on a valid payload", k.Name)
 		}

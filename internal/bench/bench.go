@@ -7,6 +7,11 @@
 // EXPERIMENTS.md for the row schema and the experiment-to-paper mapping.
 // The experiments are invoked from the root bench_test.go benchmarks and
 // from cmd/hbpbench.
+//
+// Each simulator decision has one home: a Spec's machine, engine and
+// scheduler are built by Run (Traced attaches the f(r)/L(r) tracer, for
+// EXP01 and cmd/hbptrace), the default machine is machine.Default, and
+// every lemma bound a row is checked against comes from internal/model.
 package bench
 
 import (
@@ -18,20 +23,19 @@ import (
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/machine"
-	"repro/internal/mem"
 	"repro/internal/sched"
+	"repro/internal/trace"
 )
 
 // Spec describes one run; it is the harness grid spec, re-exported so the
 // catalog and the commands speak one type.
 type Spec = harness.Spec
 
-// DefaultSpec is the tall-cache machine used unless a sweep overrides it
-// (harness.DefaultGrid: M = 1024 words, B = 16 words so M = B²·4, b = 8).
+// DefaultSpec is the tall-cache machine of machine.Default (M = 1024 words,
+// B = 16 words so M = B²·4, b = 8) under PWS, which a sweep starts from.
 func DefaultSpec(p int) Spec {
-	s := harness.DefaultGrid().Specs()[0]
-	s.P = p
-	return s
+	c := machine.Default(p)
+	return Spec{P: c.P, M: c.M, B: c.B, MissLatency: c.MissLatency, Sched: "pws"}
 }
 
 func scheduler(s Spec) core.Scheduler {
@@ -62,6 +66,17 @@ func Run(a Algo, n int64, spec Spec) core.Result {
 	m := newMachine(spec)
 	root := a.Build(m, n, spec.Seed)
 	return newEngine(m, spec).Run(root)
+}
+
+// Traced is Run with the f(r)/L(r) tracer attached to the run; it returns
+// the tracer with the result.
+func Traced(a Algo, n int64, spec Spec) (core.Result, *trace.Tracer) {
+	m := newMachine(spec)
+	root := a.Build(m, n, spec.Seed)
+	eng := newEngine(m, spec)
+	tr := new(trace.Tracer)
+	trace.Attach(eng, tr)
+	return eng.Run(root), tr
 }
 
 // newMachine builds the spec's fresh machine.
@@ -112,12 +127,6 @@ func timed(exp string, a Algo, n int64, spec Spec, run func(Algo, int64, Spec) c
 	start := time.Now() //lint:allow determinism wall-clock feeds only WallNS, which Normalize zeroes for -canon
 	res := run(a, n, spec)
 	return rowFrom(exp, a.Name, n, spec, res, time.Since(start))
-}
-
-// randPermList builds the seeded list-ranking input via the registry's
-// generator (kept as a local name for the experiment drivers).
-func randPermList(sp *mem.Space, n int64, seed uint64) mem.Array {
-	return registry.RandPermList(sp, n, seed)
 }
 
 // Catalog returns every Table-1 algorithm, sized for simulator-scale runs.

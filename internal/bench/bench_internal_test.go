@@ -3,6 +3,8 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/machine"
 )
 
 func TestCatalogIntegrity(t *testing.T) {
@@ -116,11 +118,67 @@ func TestRunSmallestScan(t *testing.T) {
 	}
 }
 
-func TestLemma41FormulaPositive(t *testing.T) {
-	spec := DefaultSpec(8)
-	for _, name := range []string{"Strassen (BI)", "FFT", "Depth-n-MM"} {
-		if f := lemma41Formula(name, 64, 8, spec); f <= 0 {
-			t.Errorf("%s formula = %f", name, f)
+// TestDefaultSpecIsMachineDefault pins the spec every sweep starts from:
+// machine.Default's tall cache under PWS, at any p.
+func TestDefaultSpecIsMachineDefault(t *testing.T) {
+	for _, p := range []int{1, 8} {
+		want := Spec{P: p, M: 1024, B: 16, MissLatency: 8, Sched: "pws"}
+		if got := DefaultSpec(p); got != want {
+			t.Errorf("DefaultSpec(%d) = %+v, want %+v", p, got, want)
+		}
+		c := machine.Default(p)
+		if s := DefaultSpec(p); s.M != c.M || s.B != c.B || s.MissLatency != c.MissLatency {
+			t.Errorf("DefaultSpec(%d) = %+v, machine.Default = %+v", p, s, c)
+		}
+	}
+}
+
+// TestSweepOrder pins the row order of the two drivers that sweep a
+// machine parameter under repeats — the swept parameter outer, the repeat
+// innermost, repeat r seeded Seed+r — so a -repeats run does not reorder.
+func TestSweepOrder(t *testing.T) {
+	type id struct {
+		algo   string
+		p      int
+		padded bool
+		rep    int
+		seed   uint64
+	}
+	cases := []struct {
+		exp  string
+		want func(yield func(id))
+	}{
+		{"EXP02", func(yield func(id)) {
+			for _, a := range []string{"Scan(M-Sum)", "Scan(PS)", "MT (BI)"} {
+				for _, p := range []int{1, 2, 8} {
+					for r := range 2 {
+						yield(id{a, p, false, r, 100 + uint64(r)})
+					}
+				}
+			}
+		}},
+		{"EXP08", func(yield func(id)) {
+			for _, a := range []string{"Scan(M-Sum)", "Scan(PS)", "FFT"} {
+				for _, padded := range []bool{false, true} {
+					for r := range 2 {
+						yield(id{a, 8, padded, r, 100 + uint64(r)})
+					}
+				}
+			}
+		}},
+	}
+	for _, c := range cases {
+		e, _ := FindExperiment(c.exp)
+		rows := e.Rows(Params{Quick: true, Repeats: 2, Seed: 100}, 1)
+		var want []id
+		c.want(func(x id) { want = append(want, x) })
+		if len(rows) != len(want) {
+			t.Fatalf("%s: %d rows, want %d", c.exp, len(rows), len(want))
+		}
+		for i, r := range rows {
+			if got := (id{r.Algo, r.P, r.Padded, r.Repeat, r.Seed}); got != want[i] {
+				t.Errorf("%s row %d is %+v, want %+v", c.exp, i, got, want[i])
+			}
 		}
 	}
 }

@@ -6,10 +6,7 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/harness"
-	"repro/internal/machine"
-	"repro/internal/trace"
 )
 
 // EXP01 regenerates Table 1: for every algorithm it measures W(n), T∞(n)
@@ -21,13 +18,11 @@ func exp01Cells(p Params) []harness.Cell {
 	var cells []harness.Cell
 	p.eachRepeat(func(rep int, seed uint64) {
 		for _, a := range Catalog() {
-			a := a
 			sizes := a.Sizes
 			if p.Quick {
 				sizes = sizes[:2]
 			}
 			for _, n := range sizes {
-				n := n
 				spec := stamp(DefaultSpec(1), rep, seed)
 				cells = append(cells, harness.Cell{
 					Exp: "EXP01", Label: a.Name,
@@ -40,7 +35,6 @@ func exp01Cells(p Params) []harness.Cell {
 			}
 		}
 		for _, a := range Catalog() {
-			a := a
 			n := a.Sizes[0]
 			if a.Name == "CC" || a.Name == "LR" {
 				if p.Quick {
@@ -66,12 +60,7 @@ func exp01Cells(p Params) []harness.Cell {
 // tracedRow runs one algorithm with the f(r)/L(r) tracer attached.
 func tracedRow(a Algo, n int64, spec Spec) harness.Row {
 	start := time.Now() //lint:allow determinism wall-clock feeds only WallNS, which Normalize zeroes for -canon
-	m := machine.New(machine.Config{P: spec.P, M: spec.M, B: spec.B, MissLatency: spec.MissLatency})
-	root := a.Build(m, n, spec.Seed)
-	eng := core.NewEngine(m, scheduler(spec), core.Options{})
-	tr := &trace.Tracer{SampleMinSize: 2}
-	trace.Attach(eng, tr)
-	res := eng.Run(root)
+	res, tr := Traced(a, n, spec)
 	row := rowFrom("EXP01", a.Name, n, spec, res, time.Since(start))
 	row.Note = "traced"
 	maxL := int64(0)

@@ -2,52 +2,71 @@ package bench
 
 import (
 	"io"
-	"math"
 
 	"repro/internal/harness"
+	"repro/internal/model"
 )
+
+// measureCell is the cell of one (algo, n, spec) run: measure's row.
+func measureCell(exp string, a Algo, n int64, spec Spec) harness.Cell {
+	return harness.Cell{
+		Exp: exp, Label: a.Name,
+		Run: func() []harness.Row { return []harness.Row{measure(exp, a, n, spec)} },
+	}
+}
+
+// modelOf returns the analytical model of row r's algorithm and the point
+// r's machine evaluates it at.  Every bound a driver checks comes from it.
+func modelOf(r harness.Row) (model.Model, model.Params) {
+	m, _ := model.For(r.Algo)
+	return m, model.Params{N: r.N, P: r.P, M: r.M, B: r.B}
+}
+
+// excessFinish is the finish pass of the steal-excess lemmas: every p > 1
+// row gets Bound = the model's StealExcess and Ratio = the cache-miss
+// excess over its serial base per Bound, and aux picks Aux1 from the base's
+// misses and the excess.
+func excessFinish(aux func(base, excess float64) float64) func([]harness.Row) []harness.Row {
+	return func(rows []harness.Row) []harness.Row {
+		for i, r := range rows {
+			base, ok := baseFor(rows, r)
+			if !ok || r.P == 1 {
+				continue
+			}
+			excess := float64(r.CacheMisses - base.CacheMisses)
+			m, at := modelOf(r)
+			rows[i].Aux1 = aux(float64(base.CacheMisses), excess)
+			rows[i].Bound = m.Predict(model.StealExcess, at)
+			rows[i].Ratio = excess / rows[i].Bound
+		}
+		return rows
+	}
+}
 
 // EXP02 checks Lemma 4.4: for BP computations with f(r)=O(√r) and a tall
 // cache, the PWS cache-miss excess over the serial execution is O(p·M/B).
 // We sweep p at fixed n ≥ Mp; the finish pass sets Aux1 = serial Q,
-// Bound = p·M/B and Ratio = excess/bound, which the lemma predicts stays
-// bounded by a constant.
+// Bound = p·M/B (the model's steal excess) and Ratio = excess/bound, which
+// the lemma predicts stays bounded by a constant.
 func exp02Cells(p Params) []harness.Cell {
 	procs := []int{1, 2, 4, 8, 16}
 	if p.Quick {
 		procs = []int{1, 2, 8}
 	}
-	grid := harness.Grid{Ps: procs, Repeats: p.reps(), Seed: p.Seed}
 	var cells []harness.Cell
 	for _, name := range []string{"Scan(M-Sum)", "Scan(PS)", "MT (BI)"} {
 		a, _ := FindAlgo(name)
 		n := a.Sizes[len(a.Sizes)-1]
-		for _, spec := range grid.Specs() {
-			a, n, spec := a, n, spec
-			cells = append(cells, harness.Cell{
-				Exp: "EXP02", Label: a.Name,
-				Run: func() []harness.Row {
-					return []harness.Row{measure("EXP02", a, n, spec)}
-				},
+		for _, pr := range procs {
+			p.eachRepeat(func(rep int, seed uint64) {
+				cells = append(cells, measureCell("EXP02", a, n, stamp(DefaultSpec(pr), rep, seed)))
 			})
 		}
 	}
 	return cells
 }
 
-func exp02Finish(rows []harness.Row) []harness.Row {
-	for i, r := range rows {
-		base, ok := baseFor(rows, r)
-		if !ok || r.P == 1 {
-			continue
-		}
-		excess := float64(r.CacheMisses - base.CacheMisses)
-		rows[i].Aux1 = float64(base.CacheMisses)
-		rows[i].Bound = float64(r.P) * float64(r.M) / float64(r.B)
-		rows[i].Ratio = excess / rows[i].Bound
-	}
-	return rows
-}
+var exp02Finish = excessFinish(func(base, _ float64) float64 { return base })
 
 func exp02Render(w io.Writer, rows []harness.Row) {
 	header(w, "EXP02 — Lemma 4.4: BP cache-miss excess ≤ c·p·M/B")
@@ -66,7 +85,8 @@ func exp02Render(w io.Writer, rows []harness.Row) {
 // (i) Strassen (c=1, s(m)=m/4): excess O(p·(M/B)·s*(n²,M));
 // (ii) FFT (c=2, s(n)=√n): excess O(p·(M/B)·log n/log M);
 // (iii) Depth-n-MM (c=2, s(m)=m/4): excess O(p·√n²·M/B · shape).
-// Finish sets Aux1 = excess, Bound = the lemma formula, Ratio = Aux1/Bound.
+// Finish sets Aux1 = excess, Bound = the model's steal excess (the lemma
+// formula), Ratio = Aux1/Bound.
 func exp03Cells(p Params) []harness.Cell {
 	procs := []int{1, 2, 4, 8}
 	if p.Quick {
@@ -81,32 +101,14 @@ func exp03Cells(p Params) []harness.Cell {
 				n = a.Sizes[1]
 			}
 			for _, pr := range procs {
-				a, n, spec := a, n, stamp(DefaultSpec(pr), rep, seed)
-				cells = append(cells, harness.Cell{
-					Exp: "EXP03", Label: a.Name,
-					Run: func() []harness.Row {
-						return []harness.Row{measure("EXP03", a, n, spec)}
-					},
-				})
+				cells = append(cells, measureCell("EXP03", a, n, stamp(DefaultSpec(pr), rep, seed)))
 			}
 		}
 	})
 	return cells
 }
 
-func exp03Finish(rows []harness.Row) []harness.Row {
-	for i, r := range rows {
-		base, ok := baseFor(rows, r)
-		if !ok || r.P == 1 {
-			continue
-		}
-		spec := Spec{P: r.P, M: r.M, B: r.B}
-		rows[i].Aux1 = float64(r.CacheMisses - base.CacheMisses)
-		rows[i].Bound = lemma41Formula(r.Algo, r.N, r.P, spec)
-		rows[i].Ratio = rows[i].Aux1 / rows[i].Bound
-	}
-	return rows
-}
+var exp03Finish = excessFinish(func(_, excess float64) float64 { return excess })
 
 func exp03Render(w io.Writer, rows []harness.Row) {
 	header(w, "EXP03 — Lemma 4.1: Type-2 HBP cache-miss excess")
@@ -121,46 +123,12 @@ func exp03Render(w io.Writer, rows []harness.Row) {
 	t.Flush()
 }
 
-func lemma41Formula(name string, n int64, p int, spec Spec) float64 {
-	mb := float64(spec.M) / float64(spec.B)
-	pf := float64(p)
-	nf := float64(n)
-	switch name {
-	case "Strassen (BI)":
-		// s*(n², M): iterations of m/4 from n² down to M.
-		s := 1.0
-		for m := nf * nf; m > float64(spec.M); m /= 4 {
-			s++
-		}
-		return pf * mb * s
-	case "FFT":
-		return pf * mb * math.Log2(nf) / math.Log2(float64(spec.M))
-	default:
-		// Depth-n-MM on an n² input: Lemma 4.1(iii) with f(r)=O(1) gives
-		// O(p·√(n²)·M/B) = O(p·n·M/B).
-		return pf * nf * mb
-	}
-}
-
 // EXP04 checks the block-miss (false-sharing) bounds: Lemma 4.8 gives
 // O(p·B·log B) for a BP down-pass with L(r)=O(1); Lemma 4.2 gives
 // O(pB·log n·lglg B) for FFT and O(pB√n) for Depth-n-MM.  We sweep p and B;
-// each row carries Bound = the formula value and Ratio = blockMisses/Bound.
+// each row carries Bound = the model's false-sharing term and Ratio =
+// blockMisses/Bound.
 func exp04Cells(p Params) []harness.Cell {
-	forms := map[string]func(n int64, p, B int) float64{
-		"Scan(M-Sum)": func(n int64, p, B int) float64 {
-			return float64(p) * float64(B) * math.Log2(float64(B))
-		},
-		"MT (BI)": func(n int64, p, B int) float64 {
-			return float64(p) * float64(B) * math.Log2(float64(B))
-		},
-		"FFT": func(n int64, p, B int) float64 {
-			return float64(p) * float64(B) * math.Log2(float64(n)) * math.Log2(math.Log2(float64(B))+2)
-		},
-		"Depth-n-MM": func(n int64, p, B int) float64 {
-			return float64(p) * float64(B) * float64(n) // √(n²) = n
-		},
-	}
 	procs := []int{2, 4, 8, 16}
 	blocks := []int{8, 16, 32}
 	if p.Quick {
@@ -170,13 +138,14 @@ func exp04Cells(p Params) []harness.Cell {
 	var cells []harness.Cell
 	// note distinguishes the two sweep sections; without it the p-sweep's
 	// (p=8, B=16) cell and the B-sweep's B=16 cell would share a row key.
-	add := func(a Algo, n int64, spec Spec, note string, form func(int64, int, int) float64) {
+	add := func(a Algo, n int64, spec Spec, note string) {
 		cells = append(cells, harness.Cell{
 			Exp: "EXP04", Label: a.Name,
 			Run: func() []harness.Row {
 				r := measure("EXP04", a, n, spec)
 				r.Note = note
-				r.Bound = form(n, spec.P, spec.B)
+				m, at := modelOf(r)
+				r.Bound = m.FalseSharing(at)
 				r.Ratio = float64(r.BlockMisses+r.UpgradeMisses) / r.Bound
 				return []harness.Row{r}
 			},
@@ -185,16 +154,15 @@ func exp04Cells(p Params) []harness.Cell {
 	p.eachRepeat(func(rep int, seed uint64) {
 		for _, name := range []string{"Scan(M-Sum)", "MT (BI)", "FFT", "Depth-n-MM"} {
 			a, _ := FindAlgo(name)
-			form := forms[name]
 			n := a.Sizes[1]
 			for _, pr := range procs {
-				add(a, n, stamp(DefaultSpec(pr), rep, seed), "psweep", form)
+				add(a, n, stamp(DefaultSpec(pr), rep, seed), "psweep")
 			}
 			for _, B := range blocks {
 				spec := stamp(DefaultSpec(8), rep, seed)
 				spec.B = B
 				spec.M = 64 * B // keep M/B fixed while B sweeps
-				add(a, n, spec, "bsweep", form)
+				add(a, n, spec, "bsweep")
 			}
 		}
 	})

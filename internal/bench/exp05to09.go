@@ -18,10 +18,9 @@ func exp05Cells(p Params) []harness.Cell {
 	var cells []harness.Cell
 	p.eachRepeat(func(rep int, seed uint64) {
 		for _, a := range Catalog() {
-			a := a
 			n := a.Sizes[0]
 			for _, pr := range procs {
-				pr, spec := pr, stamp(DefaultSpec(pr), rep, seed)
+				spec := stamp(DefaultSpec(pr), rep, seed)
 				cells = append(cells, harness.Cell{
 					Exp: "EXP05", Label: a.Name,
 					Run: func() []harness.Row {
@@ -72,7 +71,6 @@ func exp06Cells(p Params) []harness.Cell {
 					scheds = []string{"pws"} // the serial baseline
 				}
 				for _, s := range scheds {
-					a, n := a, n
 					spec := stamp(DefaultSpec(pr), rep, seed)
 					spec.Sched = s
 					cells = append(cells, harness.Cell{
@@ -128,7 +126,7 @@ func exp07Cells(p Params) []harness.Cell {
 	var cells []harness.Cell
 	p.eachRepeat(func(rep int, seed uint64) {
 		for _, n := range sizes {
-			n, spec := n, stamp(DefaultSpec(8), rep, seed)
+			spec := stamp(DefaultSpec(8), rep, seed)
 			cells = append(cells, harness.Cell{
 				Exp: "EXP07", Label: "BI-RM",
 				Run: func() []harness.Row {
@@ -161,7 +159,6 @@ func exp07Render(w io.Writer, rows []harness.Row) {
 // between stack frames so frames of different tasks rarely share a block,
 // cutting the block-wait component of steals to O(b log p).
 func exp08Cells(p Params) []harness.Cell {
-	grid := harness.Grid{Ps: []int{8}, Padded: []bool{false, true}, Repeats: p.reps(), Seed: p.Seed}
 	var cells []harness.Cell
 	for _, name := range []string{"Scan(M-Sum)", "Scan(PS)", "FFT"} {
 		a, _ := FindAlgo(name)
@@ -169,13 +166,11 @@ func exp08Cells(p Params) []harness.Cell {
 		if p.Quick {
 			n = a.Sizes[0]
 		}
-		for _, spec := range grid.Specs() {
-			a, n, spec := a, n, spec
-			cells = append(cells, harness.Cell{
-				Exp: "EXP08", Label: a.Name,
-				Run: func() []harness.Row {
-					return []harness.Row{measure("EXP08", a, n, spec)}
-				},
+		for _, padded := range []bool{false, true} {
+			p.eachRepeat(func(rep int, seed uint64) {
+				spec := stamp(DefaultSpec(8), rep, seed)
+				spec.Padded = padded
+				cells = append(cells, measureCell("EXP08", a, n, spec))
 			})
 		}
 	}
@@ -210,7 +205,6 @@ func exp09Cells(p Params) []harness.Cell {
 			a, _ := FindAlgo(name)
 			n := a.Sizes[1]
 			for _, pr := range procs {
-				a, n, pr := a, n, pr
 				spec := stamp(DefaultSpec(pr), rep, seed)
 				cells = append(cells, harness.Cell{
 					Exp: "EXP09", Label: a.Name,

@@ -3,13 +3,14 @@ package bench
 import (
 	"io"
 	"math"
-	"time"
 
 	"repro/internal/algos/listrank"
+	"repro/internal/algos/registry"
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/machine"
 	"repro/internal/mem"
+	"repro/internal/model"
 )
 
 // EXP10 checks Theorem 4.1 / Lemmas 4.13–4.15: LR's serial cache complexity
@@ -22,35 +23,35 @@ func exp10Cells(p Params) []harness.Cell {
 	if p.Quick {
 		sizes = []int64{256, 512}
 	}
+	lr, _ := FindAlgo("LR")
+	// LR's serial cache complexity is the sort bound, spms's SeqQ.
+	sortQ, _ := model.For("spms")
 	var cells []harness.Cell
 	p.eachRepeat(func(rep int, seed uint64) {
 		for _, n := range sizes {
-			n, spec := n, stamp(DefaultSpec(1), rep, seed)
+			spec := stamp(DefaultSpec(1), rep, seed)
 			cells = append(cells, harness.Cell{
 				Exp: "EXP10", Label: "LR/serial",
 				Run: func() []harness.Row {
-					r := runLRRow(n, spec, false)
+					r := measure("EXP10", lr, n, spec)
 					r.Note = "serial"
-					r.Bound = float64(n) / float64(spec.B) *
-						math.Log2(float64(n)) / math.Log2(float64(spec.M))
+					r.Bound = sortQ.Predict(model.SeqQ, model.Params{N: n, P: 1, M: spec.M, B: spec.B})
 					r.Ratio = float64(r.CacheMisses) / r.Bound
 					return []harness.Row{r}
 				},
 			})
 		}
 		for _, n := range sizes {
-			for _, nogap := range []bool{false, true} {
-				n, nogap := n, nogap
+			for _, arm := range []struct {
+				note string
+				a    Algo
+			}{{"gapped", lr}, {"nogap", lrNoGap}} {
 				spec := stamp(DefaultSpec(8), rep, seed)
 				cells = append(cells, harness.Cell{
 					Exp: "EXP10", Label: "LR/ablation",
 					Run: func() []harness.Row {
-						r := runLRRow(n, spec, nogap)
-						if nogap {
-							r.Note = "nogap"
-						} else {
-							r.Note = "gapped"
-						}
+						r := measure("EXP10", arm.a, n, spec)
+						r.Note = arm.note
 						return []harness.Row{r}
 					},
 				})
@@ -60,17 +61,12 @@ func exp10Cells(p Params) []harness.Cell {
 	return cells
 }
 
-// runLRRow measures one list-ranking run (LR needs its own builder because
-// the gapping cutoff is an option, not a catalog entry).
-func runLRRow(n int64, spec Spec, nogap bool) harness.Row {
-	start := time.Now() //lint:allow determinism wall-clock feeds only WallNS, which Normalize zeroes for -canon
-	m := machine.New(machine.Config{P: spec.P, M: spec.M, B: spec.B, MissLatency: spec.MissLatency})
-	succ := randPermList(m.Space, n, spec.Seed+14)
-	rank := mem.NewArray(m.Space, n)
-	root := listrank.Rank(succ, rank, listrank.Options{NoGap: nogap})
-	res := core.NewEngine(m, scheduler(spec), core.Options{}).Run(root)
-	return rowFrom("EXP10", "LR", n, spec, res, time.Since(start))
-}
+// lrNoGap is the catalog's LR with the gapping cutoff off, EXP10's ablation
+// arm.
+var lrNoGap = Algo{Name: "LR", Build: func(m *machine.Machine, n int64, seed uint64) *core.Node {
+	succ := registry.RandPermList(m.Space, n, seed+14)
+	return listrank.Rank(succ, mem.NewArray(m.Space, n), listrank.Options{NoGap: true})
+}}
 
 func exp10Render(w io.Writer, rows []harness.Row) {
 	header(w, "EXP10 — Theorem 4.1: list ranking")
@@ -104,16 +100,16 @@ func exp11Cells(p Params) []harness.Cell {
 		sizes = []int64{64, 128}
 	}
 	var cells []harness.Cell
+	cc, _ := FindAlgo("CC")
+	lr, _ := FindAlgo("LR")
 	p.eachRepeat(func(rep int, seed uint64) {
 		for _, n := range sizes {
-			n, spec := n, stamp(DefaultSpec(1), rep, seed)
+			spec := stamp(DefaultSpec(1), rep, seed)
 			cells = append(cells, harness.Cell{
 				Exp: "EXP11", Label: "CC-vs-LR",
 				Run: func() []harness.Row {
-					cc, _ := FindAlgo("CC")
 					rcc := measure("EXP11", cc, n, spec)
-					rlr := runLRRow(n, spec, false)
-					rlr.Exp = "EXP11"
+					rlr := measure("EXP11", lr, n, spec)
 					lg := math.Log2(float64(n))
 					wr := float64(rcc.Work) / float64(rlr.Work)
 					qr := float64(rcc.CacheMisses) / float64(rlr.CacheMisses)

@@ -79,7 +79,7 @@ func exp14Cells(p Params) []harness.Cell {
 				for _, n := range exp14Sizes(a, p.Quick) {
 					// Serial baseline: one run per (kernel, n, B), the seqQ
 					// check and the base the parallel excesses subtract.
-					a, n, spec := a, n, exp14Spec(1, B, "pws", rep, seed)
+					spec := exp14Spec(1, B, "pws", rep, seed)
 					cells = append(cells, harness.Cell{
 						Exp: "EXP14", Label: a.Name + "/serial",
 						Run: func() []harness.Row {
@@ -90,7 +90,6 @@ func exp14Cells(p Params) []harness.Cell {
 					})
 					for _, sched := range scheds {
 						for _, pr := range procs {
-							sched, pr := sched, pr
 							spec := exp14Spec(pr, B, sched, rep, seed)
 							cells = append(cells, harness.Cell{
 								Exp: "EXP14", Label: a.Name + "/" + sched,
@@ -113,9 +112,9 @@ func exp14Cells(p Params) []harness.Cell {
 
 // tapes holds the recordings of one EXP14 expansion, one per key: the
 // first cell of a key runs what the kernel builds and records it, every
-// later one replays the recording.  An fj kernel builds a replay (of the
-// tape its sim lowering writes running the source serially), which records
-// like a live run.  Cells may run concurrently (harness.Execute): a cell
+// later one replays the recording.  An fj kernel builds a replay of the
+// tape its sim lowering writes running the source serially, and recording
+// that replay returns the same tape.  Cells may run concurrently (harness.Execute): a cell
 // that finds its key still being recorded runs what the kernel builds
 // without recording it, as does every cell of a key whose recording was
 // refused.  Outputs are never read, so a replay, which moves no values,

@@ -25,6 +25,29 @@ func TestModelledKernelsResolve(t *testing.T) {
 	}
 }
 
+// TestLemma41FormulaPositive checks that EXP03's Bound column is the
+// model's steal-excess prediction, positive, at every p > 1 row.
+func TestLemma41FormulaPositive(t *testing.T) {
+	checked := 0
+	for _, r := range serialRows(t, "EXP03", true) {
+		if r.P == 1 {
+			continue
+		}
+		m, ok := model.For(r.Algo)
+		if !ok {
+			t.Fatalf("%s has no model", r.Algo)
+		}
+		want := m.Predict(model.StealExcess, model.Params{N: r.N, P: r.P, M: r.M, B: r.B})
+		if r.Bound != want || !(want > 0) {
+			t.Errorf("%s n=%d p=%d: Bound = %v, the model predicts %v", r.Algo, r.N, r.P, r.Bound, want)
+		}
+		checked++
+	}
+	if checked == 0 {
+		t.Fatal("EXP03 has no p > 1 rows")
+	}
+}
+
 func TestEXP14WithinEnvelope(t *testing.T) {
 	rows := serialRows(t, "EXP14", true)
 	if len(rows) == 0 {

@@ -112,20 +112,19 @@ func exp15Sizes(quick bool) []int64 {
 	return []int64{512, 1024, 2048, 4096, 8192}
 }
 
-// exp15Measure runs one (kernel, arm, n) sim cell directly — a fresh
-// machine, the arm's input shape, one fj.RunSim — and flattens the result
-// into the row schema.  The cells bypass the registry catalog because the
-// catalog builds only the seeded-random input; the adversarial shapes are
-// this experiment's whole point.
+// exp15Measure runs one (kernel, arm, n) sim cell — the arm's input shape,
+// the kernel's fj sim lowering — and flattens the result into the row
+// schema.  The cells bypass the registry catalog because the catalog builds
+// only the seeded-random input; the adversarial shapes are this
+// experiment's whole point.
 func exp15Measure(ki int, arm string, n int64, spec Spec) harness.Row {
 	k := exp15Kernels[ki]
-	mm := machine.New(machine.Config{P: spec.P, M: spec.M, B: spec.B, MissLatency: spec.MissLatency})
-	env := fj.NewSimEnv(mm)
-	data := env.I64(n)
-	exp15Fill(data, n, arm, spec.Seed)
-	res := fj.RunSim(mm, scheduler(spec), core.Options{Padded: spec.Padded}, n, k.Name,
-		func(c *fj.Ctx) { k.Sort(c, data) })
-	r := rowFrom("EXP15", k.Name, n, spec, res, 0)
+	a := Algo{Name: k.Name, Build: func(m *machine.Machine, n int64, seed uint64) *core.Node {
+		data := fj.NewSimEnv(m).I64(n)
+		exp15Fill(data, n, arm, seed)
+		return fj.SimNode(m, n, k.Name, func(c *fj.Ctx) { k.Sort(c, data) })
+	}}
+	r := rowFrom("EXP15", k.Name, n, spec, Run(a, n, spec), 0)
 	r.Note = "depth:" + arm
 	return r
 }
@@ -136,7 +135,7 @@ func exp15Cells(p Params) []harness.Cell {
 		for ki := range exp15Kernels {
 			for _, arm := range exp15Arms {
 				for _, n := range exp15Sizes(p.Quick) {
-					ki, arm, n, spec := ki, arm, n, stamp(DefaultSpec(4), rep, seed)
+					spec := stamp(DefaultSpec(4), rep, seed)
 					cells = append(cells, harness.Cell{
 						Exp: "EXP15", Label: exp15Kernels[ki].Name,
 						Run: func() []harness.Row {

@@ -15,6 +15,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/algos/registry"
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/machine"
@@ -22,7 +23,11 @@ import (
 )
 
 func TestSimStatsDigestUnchanged(t *testing.T) {
-	for _, id := range []string{"EXP01", "EXP14", "EXP15"} {
+	for _, e := range bench.Experiments() {
+		if e.Backend != registry.Sim {
+			continue
+		}
+		id := e.ID
 		t.Run(id, func(t *testing.T) {
 			sum := sha256.Sum256(goldenJSONL(t, serialRows(t, id, true)))
 			got := hex.EncodeToString(sum[:])

@@ -72,12 +72,10 @@ func (c *Ctx) Op(n int64) {
 }
 
 // touch is the access a replayed R, W, RF or WF makes: the same charge,
-// without moving a word.  A recording of a replay records it as the access.
+// without moving a word.  No recording sees it: a recording stops at a
+// replay's first action (player.bind).
 func (c *Ctx) touch(addr mem.Addr, write bool) {
 	c.actionCost++
-	if c.rc != nil {
-		c.rc.access(c.rec, addr, write)
-	}
 	if write {
 		c.eng.noteWrite(addr)
 	}

@@ -29,8 +29,6 @@ type Scheduler interface {
 
 // Options tunes the engine.
 type Options struct {
-	// StackWords is the per-proc execution-stack reservation in words.
-	StackWords int64
 	// Padded enables padded BP execution (Definition 3.3): every task with
 	// a stack frame also allocates a pad of ⌈√|τ|⌉ words, separating
 	// successive frames so they rarely share a block.
@@ -41,9 +39,8 @@ type Options struct {
 	AuditWrites bool
 }
 
-// DefaultStackWords is the per-proc stack reservation when Options.StackWords
-// is zero.
-const DefaultStackWords = 1 << 16
+// stackWords is the per-proc execution-stack reservation in words.
+const stackWords = 1 << 16
 
 // Hooks receives engine events; used by internal/trace.  Any field may be nil.
 type Hooks struct {
@@ -135,9 +132,6 @@ type rec struct {
 
 // NewEngine builds an engine over m using the given scheduler.
 func NewEngine(m *machine.Machine, s Scheduler, opts Options) *Engine {
-	if opts.StackWords <= 0 {
-		opts.StackWords = DefaultStackWords
-	}
 	e := &Engine{
 		m:            m,
 		sched:        s,
@@ -149,7 +143,7 @@ func NewEngine(m *machine.Machine, s Scheduler, opts Options) *Engine {
 		e.writeCounts = make(map[mem.Addr]int32)
 	}
 	for i, p := range m.Procs {
-		region := mem.Region{Base: m.Space.Alloc(opts.StackWords), Len: opts.StackWords}
+		region := mem.Region{Base: m.Space.Alloc(stackWords), Len: stackWords}
 		e.stackRegions = append(e.stackRegions, region)
 		e.ps = append(e.ps, &procState{id: i, p: p, ctx: Ctx{proc: p, eng: e}, stack: newExecStack(region)})
 	}

@@ -39,7 +39,7 @@ const noFrame = -1
 // frames, fixed until the frame is reclaimed — and the base address.
 func (s *execStack) alloc(n int64) (int, mem.Addr) {
 	if s.top+n > s.region.Len {
-		panic(fmt.Sprintf("core: execution stack overflow (%d + %d > %d words); raise Options.StackWords",
+		panic(fmt.Sprintf("core: execution stack overflow (%d + %d > %d words); raise stackWords",
 			s.top, n, s.region.Len))
 	}
 	f := stackFrame{off: s.top, len: n}

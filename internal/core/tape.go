@@ -40,8 +40,10 @@ import (
 // A recording refuses what it cannot replay, and the run goes on live: a
 // task that asks for its core or its clock (Ctx.Proc, Ctx.Now) depends on
 // the schedule; a stack word outside the running task's ancestors' frames
-// has no symbol; and a recording is dropped once it holds more than
-// tapeBudget bytes.
+// has no symbol; a replay inside the computation is not recorded; and a
+// recording is dropped once it holds more than tapeBudget bytes.  A
+// recording of a computation that is a replay as a whole is that replay's
+// tape, which Record returns as it is.
 
 // tapeBudget caps the bytes a recording holds.
 var tapeBudget int64 = 64 << 20
@@ -50,6 +52,7 @@ var (
 	errScheduleDependent = errors.New("core: the computation asked for its core or clock")
 	errStackWord         = errors.New("core: a task accessed a stack word outside its ancestors' frames")
 	errOverBudget        = errors.New("core: the recording outgrew its budget")
+	errNestedReplay      = errors.New("core: a replay ran inside the recorded computation")
 )
 
 // A stream is a sequence of uvarint entries h, ended by a 0: h&7 is the
@@ -140,7 +143,8 @@ func (t *Tape) Sum() [sha256.Size]byte {
 // Record runs the computation rooted at root like Run, and returns with
 // its result a Tape of the run, or the reason it could not record one.  The
 // engine must be fresh, built on the machine the computation's builder
-// allocated its inputs in.
+// allocated its inputs in.  For the root of a replay (Tape.Root) it runs
+// the replay and returns the replayed tape.
 func (e *Engine) Record(root *Node) (Result, *Tape, error) {
 	rc := newRecorder(e.m.Space, e.inputs, e.heapStart)
 	rc.e = e
@@ -149,14 +153,15 @@ func (e *Engine) Record(root *Node) (Result, *Tape, error) {
 		ps.ctx.rc = rc
 	}
 	res := e.Run(root)
-	if rc.err != nil {
+	switch {
+	case rc.err != nil:
 		return res, nil, rc.err
+	case rc.replayed != nil:
+		return res, rc.replayed, nil
 	}
-	e.rc = nil
-	for _, ps := range e.ps {
-		ps.ctx.rc = nil
-	}
-	return res, rc.tape(), nil
+	t := rc.tape()
+	rc.detach()
+	return res, t, nil
 }
 
 // Replay runs t on the engine, which must be fresh and built on a machine
@@ -170,8 +175,8 @@ func (e *Engine) Replay(t *Tape) Result { return e.Run(t.Root()) }
 // action.  The node runs once.
 func (t *Tape) Root() *Node {
 	pl := &player{t: t, bases: make([]mem.Addr, t.allocs)}
-	root, _ := pl.node(0)
-	return &root.Node
+	pl.root, _ = pl.node(0)
+	return &pl.root.Node
 }
 
 // --- Writing a tape without an engine -------------------------------------
@@ -290,6 +295,9 @@ type recorder struct {
 	allocs []mem.Addr // where each allocating action's allocation starts
 	shapes []shape
 	err    error
+	// replayed is the tape of the replay the engine runs as its whole
+	// computation, which the recording stopped for.
+	replayed *Tape
 
 	// The action being recorded: its kind and task, the space's size when
 	// it began, the allocation it made (-1: none found yet), the charges
@@ -442,6 +450,11 @@ func (rc *recorder) refuse(err error) {
 		panic(err)
 	}
 	rc.err = err
+	rc.detach()
+}
+
+// detach stops the recording; the engine runs on without it.
+func (rc *recorder) detach() {
 	rc.e.rc = nil
 	for _, ps := range rc.e.ps {
 		ps.ctx.rc = nil
@@ -641,13 +654,17 @@ func unzig(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 // per task.
 type player struct {
 	t     *Tape
+	root  *playNode
 	eng   *Engine    // the engine running the replay, from its first action on
 	bases []mem.Addr // where each allocation landed in this run
 	free  *playNode
 }
 
-// bind ties the replay to the engine running its first action.
-func (pl *player) bind(e *Engine) {
+// bind ties the replay to the engine running its first action, under c.  An
+// engine that is recording stops, and takes the tape as its recording, if
+// the replay is its whole computation; it refuses the recording otherwise.
+func (pl *player) bind(c *Ctx) {
+	e := c.eng
 	if pl.eng != nil {
 		panic("core: a replay's root ran on a second engine")
 	}
@@ -656,6 +673,18 @@ func (pl *player) bind(e *Engine) {
 			t.inputs, t.b, e.inputs, e.m.Cfg.B))
 	}
 	pl.eng = e
+	if rc := e.rc; rc != nil {
+		top := c.rec
+		for top.parent != nil {
+			top = top.parent
+		}
+		if top.node != &pl.root.Node {
+			rc.refuse(errNestedReplay)
+			return
+		}
+		rc.replayed = pl.t
+		rc.detach()
+	}
 }
 
 // playNode is the node of one task being replayed, and where on the tape
@@ -775,7 +804,7 @@ func (pn *playNode) doLeaf(c *Ctx, i int64) {
 // it.
 func (pl *player) play(c *Ctx, pos int) int {
 	if c.eng != pl.eng {
-		pl.bind(c.eng)
+		pl.bind(c)
 	}
 	pg := pos >> pageBits
 	buf, i := pl.t.page(pos)

@@ -74,3 +74,40 @@ func TestRecordRefusesForeignStackWord(t *testing.T) {
 	}
 	recordOrRefuse(t, 1, build, errStackWord)
 }
+
+// TestRecordOfReplay records a replay: as the whole computation it is
+// recorded as the replayed tape itself; as a part of one it is refused.
+func TestRecordOfReplay(t *testing.T) {
+	tree := func(out int64) *Node { return schedTree(out, 3, func(*Ctx) bool { return true }) }
+	m := newTestMachine(2)
+	root := tree(m.Space.Alloc(2))
+	_, tape, err := NewEngine(m, greedySched{}, Options{}).Record(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m = newTestMachine(2)
+	m.Space.Alloc(tape.Inputs())
+	if _, got, err := NewEngine(m, greedySched{}, Options{}).Record(tape.Root()); got != tape || err != nil {
+		t.Errorf("Record of a replay = (%p, %v), want the replayed tape %p", got, err, tape)
+	}
+	run := func(record bool) (Result, *Tape, error) {
+		m := newTestMachine(2)
+		out := m.Space.Alloc(2)
+		root := &Node{Size: 2, Fork: func(c *Ctx) (*Node, *Node) {
+			return tape.Root(), Leaf(1, func(c *Ctx) { c.W(out, 1) })
+		}}
+		eng := NewEngine(m, greedySched{}, Options{})
+		if !record {
+			return eng.Run(root), nil, nil
+		}
+		return eng.Record(root)
+	}
+	plain, _, _ := run(false)
+	res, got, err := run(true)
+	if got != nil || !errors.Is(err, errNestedReplay) {
+		t.Errorf("Record of a nested replay = (tape %v, %v), want no tape and %v", got != nil, err, errNestedReplay)
+	}
+	if !reflect.DeepEqual(res, plain) {
+		t.Errorf("the refused recording changed the run:\n got %s\nwant %s", res, plain)
+	}
+}

@@ -2,19 +2,18 @@ package harness
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 	"strings"
 	"text/tabwriter"
 )
 
 // WriteCSV emits a header line plus one CSV record per row.  Non-finite
-// floats are written as NaN/+Inf/-Inf, which ParseCSV reads back exactly.
+// floats are written as NaN/+Inf/-Inf, which strconv.ParseFloat reads back
+// exactly.
 func WriteCSV(w io.Writer, rows []Row) error {
 	cw := csv.NewWriter(w)
 	cols := columns()
@@ -34,51 +33,8 @@ func WriteCSV(w io.Writer, rows []Row) error {
 	return cw.Error()
 }
 
-// ParseCSV reads rows written by WriteCSV.  The header must match the
-// current schema exactly; an input with only a header yields zero rows.
-func ParseCSV(r io.Reader) ([]Row, error) {
-	cr := csv.NewReader(r)
-	cols := columns()
-	head, err := cr.Read()
-	if err == io.EOF {
-		return nil, fmt.Errorf("harness: empty CSV input (missing header)")
-	}
-	if err != nil {
-		return nil, err
-	}
-	want := Header()
-	if len(head) != len(want) {
-		return nil, fmt.Errorf("harness: CSV header has %d columns, want %d", len(head), len(want))
-	}
-	for i := range head {
-		if head[i] != want[i] {
-			return nil, fmt.Errorf("harness: CSV column %d is %q, want %q", i, head[i], want[i])
-		}
-	}
-	var rows []Row
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			return rows, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		var row Row
-		for j, c := range cols {
-			v, err := parseValue(c.kind, rec[j])
-			if err != nil {
-				return nil, fmt.Errorf("harness: row %d column %s: %w", len(rows)+1, c.name, err)
-			}
-			c.set(&row, v)
-		}
-		rows = append(rows, row)
-	}
-}
-
 // WriteJSONL emits one JSON object per row, keys in schema order.  JSON has
-// no NaN/Inf literals, so non-finite floats are emitted as null and read
-// back as NaN by ParseJSONL.
+// no NaN/Inf literals, so non-finite floats are emitted as null.
 func WriteJSONL(w io.Writer, rows []Row) error {
 	bw := bufio.NewWriter(w)
 	cols := columns()
@@ -124,82 +80,6 @@ func writeJSONValue(w *bufio.Writer, k kind, v any) error {
 	default:
 		_, err := w.WriteString(formatValue(k, v))
 		return err
-	}
-}
-
-// ParseJSONL reads rows written by WriteJSONL.  Unknown keys are rejected;
-// missing keys keep their zero value; null floats become NaN.
-func ParseJSONL(r io.Reader) ([]Row, error) {
-	byName := map[string]column{}
-	for _, c := range columns() {
-		byName[c.name] = c
-	}
-	var rows []Row
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		dec := json.NewDecoder(bytes.NewReader([]byte(text)))
-		dec.UseNumber()
-		var obj map[string]any
-		if err := dec.Decode(&obj); err != nil {
-			return nil, fmt.Errorf("harness: JSONL line %d: %w", line, err)
-		}
-		var row Row
-		//lint:allow determinism each JSON key sets a distinct Row field, so iteration order cannot change the decoded row
-		for k, raw := range obj {
-			c, ok := byName[k]
-			if !ok {
-				return nil, fmt.Errorf("harness: JSONL line %d: unknown column %q", line, k)
-			}
-			v, err := jsonValue(c.kind, raw)
-			if err != nil {
-				return nil, fmt.Errorf("harness: JSONL line %d column %s: %w", line, k, err)
-			}
-			c.set(&row, v)
-		}
-		rows = append(rows, row)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
-func jsonValue(k kind, raw any) (any, error) {
-	switch k {
-	case kString:
-		s, ok := raw.(string)
-		if !ok {
-			return nil, fmt.Errorf("want string, got %T", raw)
-		}
-		return s, nil
-	case kBool:
-		b, ok := raw.(bool)
-		if !ok {
-			return nil, fmt.Errorf("want bool, got %T", raw)
-		}
-		return b, nil
-	case kFloat:
-		if raw == nil {
-			return math.NaN(), nil
-		}
-		num, ok := raw.(json.Number)
-		if !ok {
-			return nil, fmt.Errorf("want number, got %T", raw)
-		}
-		return num.Float64()
-	default:
-		num, ok := raw.(json.Number)
-		if !ok {
-			return nil, fmt.Errorf("want integer, got %T", raw)
-		}
-		return parseValue(k, num.String())
 	}
 }
 

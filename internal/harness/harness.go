@@ -19,7 +19,7 @@ import (
 )
 
 // Spec describes one simulated machine/scheduler configuration.  It is the
-// unit the grid sweeps over and the identity stamped on every Row.
+// unit a sweep varies and the identity stamped on every Row.
 type Spec struct {
 	P           int
 	M           int
@@ -29,76 +29,6 @@ type Spec struct {
 	Padded      bool
 	Repeat      int    // repeat index within a sweep (0-based)
 	Seed        uint64 // input seed for this repeat
-}
-
-// Grid is a cross-product sweep of machine configurations.  Zero-length
-// dimensions fall back to a single default value, so the zero Grid expands to
-// one default Spec.
-type Grid struct {
-	Ps          []int
-	Ms          []int
-	Bs          []int
-	Scheds      []string
-	Padded      []bool
-	Repeats     int
-	Seed        uint64
-	MissLatency int64
-}
-
-// DefaultGrid is the tall-cache machine used unless a sweep overrides it:
-// M = 1024 words, B = 16 words (M = B²·4), b = 8.
-func DefaultGrid() Grid {
-	return Grid{Ps: []int{8}, Ms: []int{1024}, Bs: []int{16}, Scheds: []string{"pws"}, MissLatency: 8}
-}
-
-func orInts(v []int, def int) []int {
-	if len(v) == 0 {
-		return []int{def}
-	}
-	return v
-}
-
-// Specs expands the grid into the full cross product, repeats innermost.
-// Each repeat r gets seed Seed+r, so repeats are distinct yet reproducible.
-func (g Grid) Specs() []Spec {
-	ps := orInts(g.Ps, 8)
-	ms := orInts(g.Ms, 1024)
-	bs := orInts(g.Bs, 16)
-	scheds := g.Scheds
-	if len(scheds) == 0 {
-		scheds = []string{"pws"}
-	}
-	padded := g.Padded
-	if len(padded) == 0 {
-		padded = []bool{false}
-	}
-	repeats := g.Repeats
-	if repeats <= 0 {
-		repeats = 1
-	}
-	lat := g.MissLatency
-	if lat == 0 {
-		lat = 8
-	}
-	var out []Spec
-	for _, p := range ps {
-		for _, m := range ms {
-			for _, b := range bs {
-				for _, s := range scheds {
-					for _, pad := range padded {
-						for r := 0; r < repeats; r++ {
-							out = append(out, Spec{
-								P: p, M: m, B: b, MissLatency: lat,
-								Sched: s, Padded: pad,
-								Repeat: r, Seed: g.Seed + uint64(r),
-							})
-						}
-					}
-				}
-			}
-		}
-	}
-	return out
 }
 
 // Cell is one independent unit of grid work.  Run must be safe to call

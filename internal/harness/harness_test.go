@@ -9,42 +9,6 @@ import (
 	"time"
 )
 
-func TestGridSpecsCrossProduct(t *testing.T) {
-	g := Grid{
-		Ps: []int{1, 8}, Ms: []int{1024}, Bs: []int{8, 16, 32},
-		Scheds: []string{"pws", "rws"}, Padded: []bool{false, true},
-		Repeats: 3, Seed: 100, MissLatency: 8,
-	}
-	specs := g.Specs()
-	if want := 2 * 1 * 3 * 2 * 2 * 3; len(specs) != want {
-		t.Fatalf("got %d specs, want %d", len(specs), want)
-	}
-	seen := map[Spec]bool{}
-	for _, s := range specs {
-		if seen[s] {
-			t.Fatalf("duplicate spec %+v", s)
-		}
-		seen[s] = true
-		if s.Seed != 100+uint64(s.Repeat) {
-			t.Errorf("spec %+v: seed %d, want %d", s, s.Seed, 100+uint64(s.Repeat))
-		}
-	}
-}
-
-func TestGridSpecsDefaults(t *testing.T) {
-	specs := Grid{}.Specs()
-	if len(specs) != 1 {
-		t.Fatalf("zero grid expands to %d specs, want 1", len(specs))
-	}
-	want := Spec{P: 8, M: 1024, B: 16, MissLatency: 8, Sched: "pws"}
-	if specs[0] != want {
-		t.Errorf("zero grid spec = %+v, want %+v", specs[0], want)
-	}
-	if d := DefaultGrid().Specs()[0]; d != want {
-		t.Errorf("DefaultGrid spec = %+v, want %+v", d, want)
-	}
-}
-
 // buildCells makes n cells that each emit two rows tagged with their index.
 func buildCells(n int) []Cell {
 	cells := make([]Cell, n)

@@ -92,57 +92,50 @@ const (
 	kBool
 )
 
-// column is one entry in the Row schema: a stable name plus typed accessors.
-// The table drives both emitters and both parsers, so the schema cannot
-// drift between formats.
+// column is one entry in the Row schema: a stable name plus a typed
+// accessor.  The table drives both emitters, so the schema cannot drift
+// between formats.
 type column struct {
 	name string
 	kind kind
 	get  func(*Row) any
-	set  func(*Row, any)
-}
-
-func intCol(name string, f func(*Row) *int64) column {
-	return column{name, kInt,
-		func(r *Row) any { return *f(r) },
-		func(r *Row, v any) { *f(r) = v.(int64) }}
 }
 
 func columns() []column {
 	return []column{
-		{"exp", kString, func(r *Row) any { return r.Exp }, func(r *Row, v any) { r.Exp = v.(string) }},
-		{"algo", kString, func(r *Row) any { return r.Algo }, func(r *Row, v any) { r.Algo = v.(string) }},
-		intCol("n", func(r *Row) *int64 { return &r.N }),
-		{"p", kInt, func(r *Row) any { return int64(r.P) }, func(r *Row, v any) { r.P = int(v.(int64)) }},
-		{"m", kInt, func(r *Row) any { return int64(r.M) }, func(r *Row, v any) { r.M = int(v.(int64)) }},
-		{"b", kInt, func(r *Row) any { return int64(r.B) }, func(r *Row, v any) { r.B = int(v.(int64)) }},
-		{"sched", kString, func(r *Row) any { return r.Sched }, func(r *Row, v any) { r.Sched = v.(string) }},
-		{"padded", kBool, func(r *Row) any { return r.Padded }, func(r *Row, v any) { r.Padded = v.(bool) }},
-		{"repeat", kInt, func(r *Row) any { return int64(r.Repeat) }, func(r *Row, v any) { r.Repeat = int(v.(int64)) }},
-		{"seed", kUint, func(r *Row) any { return r.Seed }, func(r *Row, v any) { r.Seed = v.(uint64) }},
-		intCol("makespan", func(r *Row) *int64 { return &r.Makespan }),
-		intCol("work", func(r *Row) *int64 { return &r.Work }),
-		intCol("critpath", func(r *Row) *int64 { return &r.CritPath }),
-		intCol("cache_misses", func(r *Row) *int64 { return &r.CacheMisses }),
-		intCol("block_misses", func(r *Row) *int64 { return &r.BlockMisses }),
-		intCol("upgrade_misses", func(r *Row) *int64 { return &r.UpgradeMisses }),
-		intCol("block_wait", func(r *Row) *int64 { return &r.BlockWait }),
-		intCol("transfers", func(r *Row) *int64 { return &r.Transfers }),
-		intCol("steals", func(r *Row) *int64 { return &r.Steals }),
-		intCol("steal_attempts", func(r *Row) *int64 { return &r.StealAttempts }),
-		intCol("max_steals_per_prio", func(r *Row) *int64 { return &r.MaxStealsPerPrio }),
-		intCol("distinct_prios", func(r *Row) *int64 { return &r.DistinctPrios }),
-		intCol("usurpations", func(r *Row) *int64 { return &r.Usurpations }),
-		intCol("stack_high_water", func(r *Row) *int64 { return &r.StackHighWater }),
-		intCol("idle_time", func(r *Row) *int64 { return &r.IdleTime }),
-		{"bound", kFloat, func(r *Row) any { return r.Bound }, func(r *Row, v any) { r.Bound = v.(float64) }},
-		{"ratio", kFloat, func(r *Row) any { return r.Ratio }, func(r *Row, v any) { r.Ratio = v.(float64) }},
-		{"aux1", kFloat, func(r *Row) any { return r.Aux1 }, func(r *Row, v any) { r.Aux1 = v.(float64) }},
-		{"aux2", kFloat, func(r *Row) any { return r.Aux2 }, func(r *Row, v any) { r.Aux2 = v.(float64) }},
-		{"aux3", kFloat, func(r *Row) any { return r.Aux3 }, func(r *Row, v any) { r.Aux3 = v.(float64) }},
-		intCol("wall_ns", func(r *Row) *int64 { return &r.WallNS }),
-		{"volatile", kBool, func(r *Row) any { return r.Volatile }, func(r *Row, v any) { r.Volatile = v.(bool) }},
-		{"note", kString, func(r *Row) any { return r.Note }, func(r *Row, v any) { r.Note = v.(string) }},
+		{"exp", kString, func(r *Row) any { return r.Exp }},
+		{"algo", kString, func(r *Row) any { return r.Algo }},
+		{"n", kInt, func(r *Row) any { return r.N }},
+		{"p", kInt, func(r *Row) any { return int64(r.P) }},
+		{"m", kInt, func(r *Row) any { return int64(r.M) }},
+		{"b", kInt, func(r *Row) any { return int64(r.B) }},
+		{"sched", kString, func(r *Row) any { return r.Sched }},
+		{"padded", kBool, func(r *Row) any { return r.Padded }},
+		{"repeat", kInt, func(r *Row) any { return int64(r.Repeat) }},
+		{"seed", kUint, func(r *Row) any { return r.Seed }},
+		{"makespan", kInt, func(r *Row) any { return r.Makespan }},
+		{"work", kInt, func(r *Row) any { return r.Work }},
+		{"critpath", kInt, func(r *Row) any { return r.CritPath }},
+		{"cache_misses", kInt, func(r *Row) any { return r.CacheMisses }},
+		{"block_misses", kInt, func(r *Row) any { return r.BlockMisses }},
+		{"upgrade_misses", kInt, func(r *Row) any { return r.UpgradeMisses }},
+		{"block_wait", kInt, func(r *Row) any { return r.BlockWait }},
+		{"transfers", kInt, func(r *Row) any { return r.Transfers }},
+		{"steals", kInt, func(r *Row) any { return r.Steals }},
+		{"steal_attempts", kInt, func(r *Row) any { return r.StealAttempts }},
+		{"max_steals_per_prio", kInt, func(r *Row) any { return r.MaxStealsPerPrio }},
+		{"distinct_prios", kInt, func(r *Row) any { return r.DistinctPrios }},
+		{"usurpations", kInt, func(r *Row) any { return r.Usurpations }},
+		{"stack_high_water", kInt, func(r *Row) any { return r.StackHighWater }},
+		{"idle_time", kInt, func(r *Row) any { return r.IdleTime }},
+		{"bound", kFloat, func(r *Row) any { return r.Bound }},
+		{"ratio", kFloat, func(r *Row) any { return r.Ratio }},
+		{"aux1", kFloat, func(r *Row) any { return r.Aux1 }},
+		{"aux2", kFloat, func(r *Row) any { return r.Aux2 }},
+		{"aux3", kFloat, func(r *Row) any { return r.Aux3 }},
+		{"wall_ns", kInt, func(r *Row) any { return r.WallNS }},
+		{"volatile", kBool, func(r *Row) any { return r.Volatile }},
+		{"note", kString, func(r *Row) any { return r.Note }},
 	}
 }
 
@@ -170,26 +163,6 @@ func formatValue(k kind, v any) string {
 		return strconv.FormatBool(v.(bool))
 	default:
 		return strconv.FormatFloat(v.(float64), 'g', -1, 64)
-	}
-}
-
-// parseValue is formatValue's inverse.
-func parseValue(k kind, s string) (any, error) {
-	switch k {
-	case kString:
-		return s, nil
-	case kInt:
-		return strconv.ParseInt(s, 10, 64)
-	case kUint:
-		return strconv.ParseUint(s, 10, 64)
-	case kBool:
-		return strconv.ParseBool(s)
-	default:
-		f, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			return nil, err
-		}
-		return f, nil
 	}
 }
 

@@ -3,11 +3,12 @@ package lint
 import "testing"
 
 // minSuppressed is the number of //lint:allow-suppressed findings the tree
-// carried when the suite landed.  The self-run requires at least this many,
-// so the annotations stay load-bearing: deleting an allow moves its finding
-// to the active list (failing the clean check), while deleting the code a
-// still-present allow annotates drops the count below the floor.
-const minSuppressed = 10
+// carries.  The self-run requires at least this many, so the annotations
+// stay load-bearing: deleting an allow moves its finding to the active list
+// (failing the clean check), while deleting the code a still-present allow
+// annotates drops the count below the floor.  Lower it only together with
+// the code an allow annotated.
+const minSuppressed = 9
 
 // TestRepoSelfRunClean is the gate the CI hbplint step mirrors: the whole
 // module, test files included, must produce zero active findings under the

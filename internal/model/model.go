@@ -12,6 +12,10 @@
 //     cache.Directory.Transfers measures, i.e. the steal excess plus the
 //     false-sharing term of the block-miss lemmas (Lemmas 4.8/4.9/4.2).
 //
+// EXP02–EXP04 (internal/bench) check their rows against these predictions
+// directly: StealExcess for the cache-miss excess of Lemmas 4.4 and 4.1,
+// FalseSharing for the block misses of Lemmas 4.8/4.9/4.2.
+//
 // The formulas predict *growth*, not constants: experiment EXP14
 // (internal/bench) fits the constant of each (algorithm, quantity,
 // scheduler, p, B) group on the smallest measured size and then asserts
@@ -75,6 +79,11 @@ func (m Model) Predict(q Quantity, p Params) float64 {
 	}
 	return math.NaN()
 }
+
+// FalseSharing evaluates the false-sharing term of the block-miss lemmas
+// (Lemmas 4.8/4.9/4.2) at params: the part of BlockDelay beyond the steal
+// excess.
+func (m Model) FalseSharing(p Params) float64 { return m.fsDelay(p) }
 
 // EnvelopeFor returns the declared tolerance for quantity q (defaulting to
 // a conservative 8 if the model does not declare one).

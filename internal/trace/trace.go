@@ -38,12 +38,11 @@ type Task struct {
 	Words map[int64]bool
 }
 
+// sampleMinSize limits block-set tracking to tasks at least this large.
+const sampleMinSize = 2
+
 // Tracer collects task records; attach with Attach before Engine.Run.
 type Tracer struct {
-	// SampleMinSize limits block-set tracking to tasks at least this large
-	// (0 tracks everything).
-	SampleMinSize int64
-
 	space   *mem.Space
 	tasks   map[int64]*Task
 	procCur []int64
@@ -93,7 +92,7 @@ func (t *Tracer) ObserveAccess(proc int, addr mem.Addr, write bool, kind machine
 		if tk == nil {
 			return
 		}
-		if tk.Size >= t.SampleMinSize {
+		if tk.Size >= sampleMinSize {
 			tk.Blocks[b] = true
 			tk.Words[addr] = true
 		}

@@ -3,7 +3,8 @@
 #   1) verification half: gofmt/vet/build/test gate + race/docs gates
 #   2) grid half: quick experiment grid -> runs/<stamp>/{csv,logs} archive,
 #      CSV sanity, -canon determinism, the full EXP14 grid digests against
-#      benchmark/golden, and the EXP14 envelope grep
+#      benchmark/golden, an hbptrace -trace smoke run, and the EXP14
+#      envelope grep
 #
 # Usage: bash scripts/run_all.sh [--verify-only|--grid-only] [outdir]
 #   (default: both halves; default outdir: runs)
@@ -48,8 +49,8 @@ if [ "$MODE" != grid ]; then
     # compares its outputs against the sim lowering byte for byte; the arena
     # tests and the root alloc-regression pins run here too, because the race
     # build is where released slabs are poison-filled.  FuzzInvokeCodec's
-    # committed seed corpus (every kernel's payload codec round-trip) runs as
-    # ordinary test cases under the detector.
+    # committed seed corpus (every kernel run on its wire words in place) runs
+    # as ordinary test cases under the detector.
     go test -race -run 'Test|FuzzInvokeCodec' ./internal/fj/ ./internal/arena/ ./internal/algos/registry/
     go test -race -run 'TestSortAllocRegression|TestKernelAllocRegression' .
     # The real ForRange splits on demand, so where a loop splits depends on
@@ -196,6 +197,18 @@ if [ "$MODE" != verify ]; then
         want=$(cat "benchmark/golden/exp14-seed$s.sha256")
         [ "$got" = "$want" ] || {
             echo "EXP14 seed $s: digest $got, want $want (benchmark/golden)" >&2
+            exit 1
+        }
+    done
+
+    echo "== smoke: hbptrace -trace on a Table-1 kernel and an fj kernel =="
+    for a in "Scan(M-Sum)" matmul; do
+        n=1024
+        [ "$a" = matmul ] && n=16
+        out=$(go run ./cmd/hbptrace -algo "$a" -n "$n" -p 4 -sched rws -trace)
+        grep -q '^balance ratio' <<<"$out" || {
+            echo "hbptrace -trace -algo $a printed no f(r)/L(r) tables:" >&2
+            echo "$out" >&2
             exit 1
         }
     done
