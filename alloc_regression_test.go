@@ -21,6 +21,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"runtime"
 	"testing"
@@ -109,7 +110,10 @@ func TestSortAllocRegression(t *testing.T) {
 // benchmark's n = 2¹⁶.
 func TestKernelAllocRegression(t *testing.T) {
 	budget := map[string]float64{
-		"scan": 64, "gather": 64, "listrank": 64,
+		"scan": 64, "gather": 64,
+		// 8 objects a run, three of them its loops' closures (26 under
+		// pointer jumping, which ran one loop per round).
+		"listrank": 16,
 		// Side 128 over real grain 64 is one level of recursion: 12 and 21
 		// objects a run (60 and 71 at grain 32).
 		"matmul": 48, "strassen": 48,
@@ -206,14 +210,27 @@ func TestInvokeAllocRegression(t *testing.T) {
 				}
 				return measure(func(i int) { h.ServeHTTP(w, reqs[i]) })
 			}
+			overSubmit := func() (uint64, uint64) {
+				return measure(func(int) {
+					if _, err := svc.Submit(context.Background(), serve.Request{Kernel: "sort", Input: in}); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
 			overHTTP() // warm the pool's arenas and the service's buffer list
 			overHTTP()
-			gotBytes, gotObjects := overHTTP()
-			_, subObjects := measure(func(int) {
-				if _, err := svc.Submit(context.Background(), serve.Request{Kernel: "sort", Input: in}); err != nil {
-					t.Fatal(err)
-				}
-			})
+			// A sort's fork closures follow how often a worker found its
+			// deque empty, so one measurement's object count swings with
+			// the schedule: each side is read off its least-disturbed
+			// (minimum) of several, and the bytes off the largest.
+			const reps = 5
+			gotBytes, gotObjects, subObjects := uint64(0), uint64(math.MaxUint64), uint64(math.MaxUint64)
+			for range reps {
+				b, o := overHTTP()
+				gotBytes, gotObjects = max(gotBytes, b), min(gotObjects, o)
+				_, o = overSubmit()
+				subObjects = min(subObjects, o)
+			}
 			if gotBytes > tc.maxBytes {
 				t.Errorf("bytes/request = %d, want <= %d", gotBytes, tc.maxBytes)
 			}

@@ -354,7 +354,7 @@ var fjCatalog = []*entry{
 		},
 	}, func(c *fj.Ctx, in []fj.I64, out fj.I64) { gather.FJGather(c, in[0], in[1], out, -1) }),
 	define(kernel{
-		name: "listrank", desc: "list ranking by double-buffered pointer jumping",
+		name: "listrank", desc: "list ranking by parallel walks of the sublists between evenly spaced rulers (O(n) work)",
 		payload: "n i64 successor indices: a single chain, −1 terminates the tail",
 		shape:   listShape, simSizes: []int64{256, 1024}, quick: 1 << 14, full: 1 << 16, rootWords: linear,
 		gen: func(n int64, seed uint64) []int64 { return permList(n, seed+11) },

@@ -126,10 +126,10 @@ var fftShape = shape{
 
 // listShape is listrank's geometry: n successor indices that must encode a
 // single chain — every value in [−1, n), exactly one −1 tail, no node with
-// two predecessors, every node reachable from the unique head.  In-range
-// cycles would not crash FJRank (pointer jumping runs a fixed ⌈log₂ n⌉
-// rounds regardless) but leave the ranks meaningless, so they are a shape
-// error, not a kernel bug.
+// two predecessors, every node reachable from the unique head.  FJRank walks
+// successors from its rulers, so a cycle that holds no ruler would never
+// end a walk: this check is what makes Run terminate, and an in-range cycle
+// is a shape error, not a kernel bug.
 var listShape = shape{
 	segs: 1, size: anySize,
 	check:    validList,

@@ -22,10 +22,11 @@ import (
 // real lowering still runs as one serial leaf — read off the kernel's
 // exported grain constant, so a re-tuned grain moves the gates below with
 // it — and whether the size parameter must be a power of two.  gather and
-// listrank are not here: they are parallel loops with no real leaf, which
-// fork at every n ≥ 2 (fj.Ctx.ForRange splits on demand, and at p = 1 the
-// empty deque makes the first split certain), so the gates give them fixed
-// sizes (loopSize).
+// listrank are not here: they are parallel loops with no real leaf
+// (listrank's real grain is its ruler spacing, not a serial cutoff: its
+// node map forks at every n ≥ 2 like gather's, since fj.Ctx.ForRange splits
+// on demand and at p = 1 the empty deque makes the first split certain), so
+// the gates give them fixed sizes (loopSize).
 var realLeaf = map[string]struct {
 	n    int64
 	pow2 bool

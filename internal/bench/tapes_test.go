@@ -171,15 +171,17 @@ func TestTapesRunRefusedKeysLive(t *testing.T) {
 // lowerings, whose rows EXP01 and EXP14 do not carry (they run the
 // hand-built Table-1 twins): each of the nine fj kernels at its smallest sim
 // size, at p ∈ {1, 4} under PWS and RWS, hashes its core.Result and its
-// TaskStart/TaskEnd stream, and the lot must hash to
-// testdata/fj-sim-quick.sha256.  Re-record the file only when a simulated
-// statistic of an fj kernel is meant to move.
+// TaskStart/TaskEnd stream, and each kernel's hash must equal its line of
+// testdata/fj-sim-quick.sha256 ("<sha256> <kernel>", one line per kernel,
+// so a change to one kernel's source moves one line).  Re-record a line
+// only when a simulated statistic of that kernel is meant to move.
 func TestFJSimDigestUnchanged(t *testing.T) {
-	h := sha256.New()
+	var got []string
 	for _, k := range registry.All() {
 		if k.FJ == nil || k.Backend != registry.Sim {
 			continue
 		}
+		h := sha256.New()
 		for _, p := range []int{1, 4} {
 			for _, s := range []string{"pws", "rws"} {
 				spec := exp14Spec(p, 16, s, 0, 0)
@@ -191,15 +193,21 @@ func TestFJSimDigestUnchanged(t *testing.T) {
 					k.Name, k.Sim.Sizes[0], p, s, run.res, run.n, run.events)
 			}
 		}
+		got = append(got, hex.EncodeToString(h.Sum(nil))+" "+k.Name)
 	}
-	got := hex.EncodeToString(h.Sum(nil))
 	const file = "testdata/fj-sim-quick.sha256"
-	want, err := os.ReadFile(file)
+	raw, err := os.ReadFile(file)
 	if err != nil {
-		t.Fatalf("no recorded digest (%v); this commit's is %s", err, got)
+		t.Fatalf("no recorded digest (%v); this commit's is\n%s", err, strings.Join(got, "\n"))
 	}
-	if got != strings.TrimSpace(string(want)) {
-		t.Errorf("fj sim runs hash to %s, %s records %s: a simulated statistic moved",
-			got, file, strings.TrimSpace(string(want)))
+	want := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	if len(got) != len(want) {
+		t.Fatalf("%d fj kernels, %s records %d; this commit's digest is\n%s",
+			len(got), file, len(want), strings.Join(got, "\n"))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Errorf("a simulated statistic moved:\n got %s\nwant %s (%s)", got[i], want[i], file)
+		}
 	}
 }

@@ -39,7 +39,8 @@ type loweringProgram struct {
 }
 
 // loweringPrograms are the fixture's 20 programs: the nine fj kernels at
-// both their sizes, seed 7, plus two shapes the kernels do not reach.
+// both their sizes, seed 7 (listrank's rows rank by wyllieRank, the source
+// they were recorded from), plus two shapes the kernels do not reach.
 func loweringPrograms(t *testing.T) []loweringProgram {
 	var ps []loweringProgram
 	for _, k := range registry.FJKernels() {
@@ -48,12 +49,16 @@ func loweringPrograms(t *testing.T) []loweringProgram {
 			t.Fatalf("no lowering-fixture sizes for %q — add them to loweringSizes", k.Name)
 		}
 		for _, n := range sizes {
+			build := func(env *fj.Env) (func(*fj.Ctx), func() []int64) {
+				w := k.Setup(env, n, 7)
+				return w.Root, w.Output
+			}
+			if k.Name == "listrank" {
+				build = wyllieProgram(t, n)
+			}
 			ps = append(ps, loweringProgram{
 				name: fmt.Sprintf("%s/n%d", k.Name, n), label: k.Name, size: k.InputWords(n),
-				build: func(env *fj.Env) (func(*fj.Ctx), func() []int64) {
-					w := k.Setup(env, n, 7)
-					return w.Root, w.Output
-				},
+				build: build,
 			})
 		}
 	}
@@ -61,6 +66,112 @@ func loweringPrograms(t *testing.T) []loweringProgram {
 		loweringProgram{name: "staggered", label: "staggered", size: 64, build: staggeredProgram},
 		loweringProgram{name: "tree7", label: "tree7", size: 128, build: treeProgram},
 	)
+}
+
+// wyllieProgram is the listrank rows' program: the catalog's seed-7
+// payload placed as Setup places it (the successor view, then the rank
+// view), ranked by wyllieRank.  The fixture holds the lowering, not the
+// kernels, to its record, and these rows were recorded from the
+// pointer-jumping source listrank served before its sublist ranking, so
+// they keep running that source.
+func wyllieProgram(t *testing.T, n int64) func(env *fj.Env) (func(*fj.Ctx), func() []int64) {
+	inv, ok := registry.FindInvocable("listrank")
+	if !ok {
+		t.Fatal("no listrank invocable")
+	}
+	w, err := inv.Gen(n, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return func(env *fj.Env) (func(*fj.Ctx), func() []int64) {
+		succ := fj.ViewOf[int64](env, w)
+		rank := env.I64(n)
+		return func(c *fj.Ctx) { wyllieRank(c, succ, rank) }, rank.Words
+	}
+}
+
+// wyllieRankGrainSim is the simulator's leaf of wyllieRank's maps.
+const wyllieRankGrainSim = 32
+
+// wyllieRank ranks the list succ by Wyllie's pointer jumping: ⌈log₂ n⌉
+// double-buffered rounds, each halving every node's distance to the tail.
+func wyllieRank(c *fj.Ctx, succ, rank fj.I64) {
+	n := succ.Len()
+	if rank.Len() != n {
+		panic("listrank: FJRank length mismatch")
+	}
+	nxt := c.ScratchI64(n)   // the init map below writes every slot
+	rank2 := c.ScratchI64(n) // each round fully writes the next generation
+	nxt2 := c.ScratchI64(n)
+	c.ForRange(0, n, wyllieRankGrainSim, func(c *fj.Ctx, lo, hi int64) {
+		if ss := succ.Raw(); ss != nil {
+			ns, rs := nxt.Raw()[lo:hi], rank.Raw()[lo:hi]
+			for i, s := range ss[lo:hi] {
+				ns[i] = s
+				if s >= 0 {
+					rs[i] = 1
+				} else {
+					rs[i] = 0
+				}
+			}
+			return
+		}
+		for i := lo; i < hi; i++ {
+			s := succ.Get(c, i)
+			nxt.Set(c, i, s)
+			if s >= 0 {
+				rank.Set(c, i, 1)
+			} else {
+				rank.Set(c, i, 0)
+			}
+		}
+	})
+	curR, curS, nextR, nextS := rank, nxt, rank2, nxt2
+	rounds := 0
+	for span := int64(1); span < n; span *= 2 {
+		c.ForRange(0, n, wyllieRankGrainSim, func(c *fj.Ctx, lo, hi int64) {
+			if cr := curR.Raw(); cr != nil {
+				cs, nr, ns := curS.Raw(), nextR.Raw()[lo:hi], nextS.Raw()[lo:hi]
+				for i, s := range cs[lo:hi] {
+					r := cr[lo+int64(i)]
+					if s >= 0 {
+						r += cr[s]
+						s = cs[s]
+					}
+					nr[i] = r
+					ns[i] = s
+				}
+				return
+			}
+			for i := lo; i < hi; i++ {
+				r, s := curR.Get(c, i), curS.Get(c, i)
+				if s >= 0 {
+					r += curR.Get(c, s)
+					s = curS.Get(c, s)
+				}
+				nextR.Set(c, i, r)
+				nextS.Set(c, i, s)
+			}
+		})
+		curR, curS, nextR, nextS = nextR, nextS, curR, curS
+		rounds++
+	}
+	// The ping-pong leaves the final generation in rank itself after an even
+	// number of rounds; after an odd number it sits in the scratch buffer.
+	if rounds%2 == 1 {
+		c.ForRange(0, n, wyllieRankGrainSim, func(c *fj.Ctx, lo, hi int64) {
+			if cr := curR.Raw(); cr != nil {
+				copy(rank.Raw()[lo:hi], cr[lo:hi])
+				return
+			}
+			for i := lo; i < hi; i++ {
+				rank.Set(c, i, curR.Get(c, i))
+			}
+		})
+	}
+	c.FreeI64(nxt)
+	c.FreeI64(rank2)
+	c.FreeI64(nxt2)
 }
 
 // staggeredProgram forks twice, joins the inner fork, works, joins the outer

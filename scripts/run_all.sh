@@ -57,6 +57,9 @@ if [ "$MODE" != grid ]; then
     # timing: one schedule is not enough, run the loop gates (exactly-once
     # visits, forks per steal) five times.
     go test -race -count=5 -run 'TestForRange' ./internal/fj/
+    # listrank's sublist walks write rank words scattered over the list from
+    # every worker; its edge shapes run under the detector, three schedules.
+    go test -race -count=3 -run TestFJRank ./internal/algos/listrank/
     # The sim lowering records a run serially, reusing its task contexts;
     # its reuse, panic and rerun gates run under the detector too.
     go test -race -count=5 -run 'TestPanicTearsDown|TestTornDown|TestSimCoroutine' ./internal/fj/
