@@ -108,17 +108,24 @@ func TestSortAllocRegression(t *testing.T) {
 // Before the fft got its table-driven real path it allocated closures at
 // every recursion node down to single elements: 131 081 objects a run at the
 // benchmark's n = 2¹⁶.
+//
+// A loop forks on demand, so its closure count follows steals: on 2 workers
+// scan and gather read 7 and 6 every time, but with more workers than CPUs
+// single measurements read up to 24.  The count is the least of three
+// measurements, the least-disturbed schedule's, and each budget ~2× that.
 func TestKernelAllocRegression(t *testing.T) {
 	budget := map[string]float64{
-		"scan": 64, "gather": 64,
+		"scan": 16, "gather": 16,
 		// 8 objects a run, three of them its loops' closures (26 under
 		// pointer jumping, which ran one loop per round).
 		"listrank": 16,
 		// Side 128 over real grain 64 is one level of recursion: 12 and 21
 		// objects a run (60 and 71 at grain 32).
 		"matmul": 48, "strassen": 48,
-		"transpose": 600,
-		"fft":       1000,
+		// Side 512 over 64×64 leaves: 68 objects a run (261 over 32×32).
+		"transpose": 160,
+		// 69 objects a run.
+		"fft": 160,
 		// The sorts at 2¹⁶ keys; TestSortAllocRegression explains their counts.
 		"spms": 256, "sortx": 448,
 	}
@@ -141,7 +148,11 @@ func TestKernelAllocRegression(t *testing.T) {
 			if arena.Poisoning {
 				t.Skip("allocation pins are for the non-instrumented build")
 			}
-			if allocs := testing.AllocsPerRun(5, run); allocs > max {
+			allocs := testing.AllocsPerRun(5, run)
+			for range 2 {
+				allocs = min(allocs, testing.AllocsPerRun(5, run))
+			}
+			if allocs > max {
 				t.Errorf("steady-state allocs/run = %v, want <= %v", allocs, max)
 			}
 		})

@@ -94,14 +94,15 @@ func BenchmarkRealSortSPMSFJ(b *testing.B) {
 }
 
 // benchKernel times the named catalog kernel's real lowering at size n on
-// the catalog's own seeded payload (what kernels_direct and the service run).
-func benchKernel(b *testing.B, name string, n int64) {
+// the catalog's own seeded payload (what kernels_direct and the service run),
+// on a pool of p workers (p <= 0: GOMAXPROCS).
+func benchKernel(b *testing.B, name string, n int64, p int) {
 	for _, k := range registry.FJKernels() {
 		if k.Name != name {
 			continue
 		}
 		work := k.Setup(fj.NewRealEnv(), n, 3)
-		pool := rt.NewPool(0, rt.Random)
+		pool := rt.NewPool(p, rt.Random)
 		b.Cleanup(pool.Close)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -113,9 +114,16 @@ func benchKernel(b *testing.B, name string, n int64) {
 }
 
 // The other six kernels, at the sizes the repository's benchmark uses.
-func BenchmarkRealStrassenFJ(b *testing.B)  { benchKernel(b, "strassen", 256) }
-func BenchmarkRealFFTFJ(b *testing.B)       { benchKernel(b, "fft", 1<<16) }
-func BenchmarkRealGatherFJ(b *testing.B)    { benchKernel(b, "gather", 1<<20) }
-func BenchmarkRealListrankFJ(b *testing.B)  { benchKernel(b, "listrank", 1<<15) }
-func BenchmarkRealScanFJ(b *testing.B)      { benchKernel(b, "scan", 1<<21) }
-func BenchmarkRealTransposeFJ(b *testing.B) { benchKernel(b, "transpose", 1024) }
+func BenchmarkRealStrassenFJ(b *testing.B) { benchKernel(b, "strassen", 256, 0) }
+func BenchmarkRealFFTFJ(b *testing.B)      { benchKernel(b, "fft", 1<<16, 0) }
+func BenchmarkRealGatherFJ(b *testing.B)   { benchKernel(b, "gather", 1<<20, 0) }
+func BenchmarkRealListrankFJ(b *testing.B) { benchKernel(b, "listrank", 1<<15, 0) }
+func BenchmarkRealScanFJ(b *testing.B)     { benchKernel(b, "scan", 1<<21, 0) }
+
+// BenchmarkRealTransposeFJ's p=1 arm times the serial leaf alone (one
+// worker never forks a stolen half), so the leaf's store order reads
+// directly; p=max is the kernel as kernels_direct's pn pass runs it.
+func BenchmarkRealTransposeFJ(b *testing.B) {
+	b.Run("p=1", func(b *testing.B) { benchKernel(b, "transpose", 1024, 1) })
+	b.Run("p=max", func(b *testing.B) { benchKernel(b, "transpose", 1024, 0) })
+}

@@ -5,13 +5,25 @@ package mat
 // views, recursively halving the longer dimension — the same recursion the
 // simulated Transpose kernel exposes on RM views.  A transpose only moves
 // bits, so the lowerings agree byte-for-byte at any leaf cutoff.
+//
+// The real leaf stores one destination row at a time: its inner loop fills
+// dst[j][r0:r1] contiguously and loads src down column j, so the strided
+// accesses are loads, not stores.  With power-of-two splits, a line-aligned
+// dst and leaves at least 8 rows tall (64 here), each leaf writes whole
+// 64-byte destination lines, so two leaves share no destination block — the
+// paper's limited block sharing, on hardware.  The simulated leaf keeps the
+// row-outer charged loop.
 
 import "repro/internal/fj"
 
 // Per-backend leaf areas (rows·cols at or below which the copy is serial).
+// FJTGrainReal is a 64×64 tile: a 1024² transpose forks 255 times, each
+// fork a heap-allocated closure pair (1023 at 32×32).  With row-at-a-time
+// stores the leaf's speed is flat from 32×32 to 128×128; 128×128 would
+// double the side of the registry's cross-backend gate, a simulated run.
 const (
 	FJTGrainSim  = 4
-	FJTGrainReal = 1024
+	FJTGrainReal = 4096
 )
 
 // FJTranspose computes dst = srcᵀ for an r×cols row-major src (dst is
@@ -27,9 +39,10 @@ func fjT(c *fj.Ctx, src, dst fj.F64, r0, r1, c0, c1, sStr, dStr int64) {
 	if rows*cols <= c.Grain(FJTGrainSim, FJTGrainReal) {
 		if ss := src.Raw(); ss != nil {
 			ds := dst.Raw()
-			for i := r0; i < r1; i++ {
-				for j := c0; j < c1; j++ {
-					ds[j*dStr+i] = ss[i*sStr+j]
+			for j := c0; j < c1; j++ {
+				row := ds[j*dStr+r0 : j*dStr+r1]
+				for k := range row {
+					row[k] = ss[(r0+int64(k))*sStr+j]
 				}
 			}
 			return

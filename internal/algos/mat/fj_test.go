@@ -1,6 +1,8 @@
 package mat
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -27,18 +29,33 @@ func checkTransposed(t *testing.T, src, dst fj.F64, r, cols int64, tag string) {
 	}
 }
 
+// poison is a NaN bit pattern no fillSeqF value has: a dst word a run left
+// unwritten compares unequal to every src word.
+var poison = math.Float64frombits(0x7ff4_dead_beef_0001)
+
+// TestFJTransposeReal runs shapes on both sides of the real leaf area
+// (FJTGrainReal = 64×64): one leaf, one row or column past it, and long thin
+// shapes that split only one way.  dst is poisoned before the run, so an
+// unwritten word fails whatever the allocator handed back.
 func TestFJTransposeReal(t *testing.T) {
-	for _, dims := range [][2]int64{{64, 64}, {16, 128}, {96, 32}, {1, 64}, {64, 1}} {
-		r, cols := dims[0], dims[1]
-		env := fj.NewRealEnv()
-		src, dst := env.F64(r*cols), env.F64(r*cols)
-		fillSeqF(src)
-		for _, layout := range []rt.Layout{rt.LayoutPadded, rt.LayoutCompact} {
-			for _, p := range []int{1, 4} {
-				pool := rt.NewPoolLayout(p, layout)
-				t.Cleanup(pool.Close)
+	for _, layout := range []rt.Layout{rt.LayoutPadded, rt.LayoutCompact} {
+		for _, p := range []int{1, 2, 4} {
+			pool := rt.NewPoolLayout(p, layout)
+			t.Cleanup(pool.Close)
+			for _, dims := range [][2]int64{
+				{64, 64}, {16, 128}, {96, 32}, {1, 64}, {64, 1},
+				{65, 64}, {64, 65}, {1, 4097}, {4097, 1}, {100, 300}, {128, 128},
+			} {
+				r, cols := dims[0], dims[1]
+				env := fj.NewRealEnv()
+				src, dst := env.F64(r*cols), env.F64(r*cols)
+				fillSeqF(src)
+				d := dst.Raw()
+				for i := range d {
+					d[i] = poison
+				}
 				fj.RunReal(pool, func(c *fj.Ctx) { FJTranspose(c, src, dst, r, cols) })
-				checkTransposed(t, src, dst, r, cols, "real")
+				checkTransposed(t, src, dst, r, cols, fmt.Sprintf("real %dx%d layout %v p=%d", r, cols, layout, p))
 			}
 		}
 	}

@@ -60,6 +60,9 @@ if [ "$MODE" != grid ]; then
     # listrank's sublist walks write rank words scattered over the list from
     # every worker; its edge shapes run under the detector, three schedules.
     go test -race -count=3 -run TestFJRank ./internal/algos/listrank/
+    # The transpose leaf writes whole destination rows from every worker;
+    # shapes on both sides of its 64×64 leaf run under the detector too.
+    go test -race -count=3 -run TestFJTranspose ./internal/algos/mat/
     # The sim lowering records a run serially, reusing its task contexts;
     # its reuse, panic and rerun gates run under the detector too.
     go test -race -count=5 -run 'TestPanicTearsDown|TestTornDown|TestSimCoroutine' ./internal/fj/
