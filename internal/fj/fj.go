@@ -40,7 +40,11 @@
 // the discipline by construction; the sim lowering enforces it and panics on
 // violations.  Kernels that want bit-identical outputs across backends must
 // keep their floating-point reduction order independent of the leaf cutoff
-// (see internal/algos/matmul for the pattern).
+// (see internal/algos/matmul for the pattern).  Panics, on both lowerings:
+// a task's panic goes through its Join to the caller of RunSim or RunReal,
+// value unchanged.  A program must not recover one and go on: the sim
+// lowering raises it again at every later Fork and Join, and on hardware
+// the panicking task's unjoined forks may still run.
 //
 // The leaf idiom.  What the paper's analysis and the simulator's counters
 // are about is the task tree and which task touches which word; how a
@@ -131,9 +135,7 @@ func (c *Ctx) Fork(fn func(*Ctx)) Handle {
 func (c *Ctx) Join(h Handle) {
 	if c.rc != nil {
 		c.rc.Join(h.rh)
-		if h.fr != nil {
-			c.release(h.fr)
-		}
+		c.release(h.fr)
 		return
 	}
 	c.joinSim(h)

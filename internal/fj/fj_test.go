@@ -2,6 +2,7 @@ package fj
 
 import (
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -198,19 +199,85 @@ func TestUnjoinedForkPanics(t *testing.T) {
 	})
 }
 
-func TestUserPanicPropagates(t *testing.T) {
-	m := machine.New(machine.Default(2))
-	defer func() {
-		if r := recover(); r != "boom" {
-			t.Errorf("recovered %v, want boom", r)
+// panicPrograms are two programs whose one panic, "boom", leaves a forked
+// task: the forked half of a Parallel, and the chunk that starts the right
+// half of a ForRange (a fork, since a deque starts empty).  With steal the
+// inline side waits for the panicking task to start, so on a pool of two it
+// is a thief's.  panics counts the panics raised.
+func panicPrograms(steal bool, panics *atomic.Int32) map[string]func(*Ctx) {
+	boom := func(started *atomic.Bool) {
+		started.Store(true)
+		panics.Add(1)
+		panic("boom")
+	}
+	wait := func(started *atomic.Bool) {
+		for steal && !started.Load() {
+			runtime.Gosched()
 		}
-	}()
-	RunSim(m, sched.NewPWS(), core.Options{}, 1, "bad", func(c *Ctx) {
-		c.Parallel(
-			func(*Ctx) {},
-			func(*Ctx) { panic("boom") },
-		)
-	})
+	}
+	return map[string]func(*Ctx){
+		"Parallel": func(c *Ctx) {
+			var started atomic.Bool
+			c.Parallel(func(*Ctx) { wait(&started) }, func(*Ctx) { boom(&started) })
+		},
+		"ForRange": func(c *Ctx) {
+			const n = 64
+			var started atomic.Bool
+			c.ForRange(0, n, 1, func(_ *Ctx, lo, hi int64) {
+				switch lo {
+				case n / 2:
+					boom(&started)
+				case 0:
+					wait(&started)
+				}
+			})
+		},
+	}
+}
+
+// TestUserPanicPropagates: both lowerings raise a forked task's panic in
+// the caller of the run, once.  On rt at p = 2 the panicking task is
+// stolen; the pool then runs a clean program and closes without leaving a
+// goroutine.
+func TestUserPanicPropagates(t *testing.T) {
+	var panics atomic.Int32
+	for name, prog := range panicPrograms(false, &panics) {
+		panics.Store(0)
+		m := machine.New(machine.Default(2))
+		if r := raised(func() { RunSim(m, sched.NewPWS(), core.Options{}, 1, "bad", prog) }); r != "boom" || panics.Load() != 1 {
+			t.Errorf("sim %s: raised %v after %d panics, want boom after 1", name, r, panics.Load())
+		}
+	}
+	before := runtime.NumGoroutine()
+	for _, p := range []int{1, 2} {
+		pool := rt.NewPool(p, rt.Random)
+		for name, prog := range panicPrograms(p > 1, &panics) {
+			panics.Store(0)
+			steals := pool.Steals()
+			if r := raised(func() { RunReal(pool, prog) }); r != "boom" || panics.Load() != 1 {
+				t.Errorf("p=%d %s: raised %v after %d panics, want boom after 1", p, name, r, panics.Load())
+			}
+			if p > 1 && pool.Steals() == steals {
+				t.Errorf("p=%d %s: the panicking task was not stolen", p, name)
+			}
+		}
+		env := NewRealEnv()
+		in, out := env.I64(256), env.I64(1)
+		want := fillSeq(in)
+		RunReal(pool, sumProgram(in, out))
+		if got := out.Load(0); got != want {
+			t.Errorf("p=%d: after the panics, sum = %d, want %d", p, got, want)
+		}
+		pool.Close()
+	}
+	awaitGoroutines(t, before)
+}
+
+// raised runs f and returns what it panicked with, nil if it returned.
+func raised(f func()) (v any) {
+	defer func() { v = recover() }()
+	f()
+	return nil
 }
 
 // TestPanicTearsDownCoroutines: a panicking run raises its task's panic and

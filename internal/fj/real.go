@@ -9,7 +9,7 @@ import "repro/internal/rt"
 // pooled per-worker frames (scratch.go), so only the root of each Run
 // allocates; the root bench_fj_test.go times each real lowering.
 
-// RunReal executes root on the pool and blocks until it completes.
+// RunReal executes root on the pool and blocks until it completes or panics.
 func RunReal(pool *rt.Pool, root func(*Ctx)) {
 	pool.Run(func(rc *rt.Ctx) { root(&Ctx{rc: rc}) })
 }

@@ -46,6 +46,9 @@
 // genuine parallelism and feeds the wall-clock experiments (EXP13, EXP16).
 // Its surface is what internal/fj lowers onto — Submit/Run/Close and
 // Ctx.Fork/Join/Scratch/DequeEmpty; parallel loops and reductions are fj's.
+// A task's panic goes where its result goes: Join raises a forked task's
+// panic on the joiner, whichever worker ran it, and Run raises its root's in
+// the caller; the pool stays usable.  A Submit root must not panic.
 package rt
 
 import (
@@ -143,16 +146,16 @@ func newState(p int, layout Layout) ([]atomic.Int64, []cells) {
 }
 
 // task is one forked frame: the body, the done flag the joiner and thieves
-// synchronize on, and the Ctx the executing worker hands the body.
-// Embedding the Ctx in the frame keeps the execution path allocation-free:
-// &t.ctx escapes into fn, but the frame is slab memory already, so no
-// per-task heap object is created.  Only the executor writes
-// ctx, and the joiner reads the frame only after the done acquire, so the
-// sharing is as ordered as done itself.
+// synchronize on, the Ctx the executing worker hands the body (in the frame,
+// slab memory already, so running a task allocates nothing), and its panic.
+// Only the executor writes ctx and panicked, and the joiner reads the frame
+// only after the done acquire, so the sharing is as ordered as done itself.
 type task struct {
-	fn   func(*Ctx)
-	done atomic.Uint32
-	ctx  Ctx
+	fn       func(*Ctx)
+	done     atomic.Uint32
+	root     bool // submitted, not forked: nobody joins it
+	ctx      Ctx
+	panicked any
 }
 
 func (t *task) isDone() bool { return t.done.Load() != 0 }
@@ -162,9 +165,11 @@ func (t *task) isDone() bool { return t.done.Load() != 0 }
 // creating a type cycle task → Ctx → worker → arena → paddedTask → task.
 // TestTaskFramePadding asserts the two sizes agree.
 type taskFootprint struct {
-	fn   func()
-	done atomic.Uint32
-	ctx  struct{ w uintptr }
+	fn       func()
+	done     atomic.Uint32
+	root     bool
+	ctx      struct{ w uintptr }
+	panicked any
 }
 
 // taskSize is the unpadded task frame footprint.
@@ -356,10 +361,12 @@ func (p *Pool) wakeLocked() {
 // Submit enqueues root on the pool's injection queue and returns; the first
 // Submit starts the workers.  Any number of roots may be in flight, from any
 // number of goroutines.  A root must join all its forks before returning, so
-// no work outlives it.  Submit on a closed pool is a programming error and
-// panics rather than drop the root.
-func (p *Pool) Submit(root func(*Ctx)) {
-	t := &task{fn: root}
+// no work outlives it, and must not panic.  Submit on a closed pool is a
+// programming error and panics rather than drop the root.
+func (p *Pool) Submit(root func(*Ctx)) { p.submit(&task{fn: root, root: true}) }
+
+// submit injects the root frame t.
+func (p *Pool) submit(t *task) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.stop.Load() {
@@ -402,16 +409,20 @@ func (p *Pool) takeRoot() *task {
 	return t
 }
 
-// Run executes root to completion on the pool.  The calling goroutine parks
-// on a channel the root task closes — it never spins, so running a pool as
-// wide as the machine does not starve workers.
+// Run executes root to completion on the pool and raises its panic, if any.
+// The caller parks on a channel the root closes — it never spins, so a
+// pool as wide as the machine does not starve workers.
 func (p *Pool) Run(root func(*Ctx)) {
-	done := make(chan struct{})
-	p.Submit(func(c *Ctx) {
-		root(c)
+	t, done := &task{root: true}, make(chan struct{})
+	t.fn = func(c *Ctx) {
+		t.panicked = catch(root, c)
 		close(done)
-	})
+	}
+	p.submit(t)
 	<-done
+	if t.panicked != nil {
+		panic(t.panicked)
+	}
 }
 
 // Close stops the pool: every root submitted before it still runs to
@@ -437,12 +448,25 @@ func (w *worker) loop() {
 	}
 }
 
+// run executes t.  A fork's panic waits in its frame for the Join; a root's
+// ends the process where it happened.
 func (w *worker) run(t *task) {
 	w.st.executed.Add(1)
 	t.ctx = Ctx{w: w}
-	t.fn(&t.ctx)
+	if t.root {
+		t.fn(&t.ctx)
+	} else {
+		t.panicked = catch(t.fn, &t.ctx)
+	}
 	t.done.Store(1)
 	w.pool.wake()
+}
+
+// catch calls fn(c) and returns what it panicked with, or nil.
+func catch(fn func(*Ctx), c *Ctx) (v any) {
+	defer func() { v = recover() }()
+	fn(c)
+	return
 }
 
 // idleSpins is how many yield-and-retry rounds a worker burns before
@@ -575,13 +599,15 @@ func (c *Ctx) Fork(fn func(*Ctx)) Handle {
 // Join waits for a forked task, helping with other work meanwhile: first the
 // worker's own deque (which most likely holds the forked task itself), then
 // steals; with nothing runnable it parks until the fork completes.  Joining
-// only your own forks keeps the discipline deadlock-free.
+// only your own forks keeps the discipline deadlock-free.  Join raises the
+// task's panic, if it had one.
 func (c *Ctx) Join(h Handle) {
 	for !h.t.isDone() {
-		t := c.w.next(h.t.isDone, false)
-		if t == nil {
-			return
+		if t := c.w.next(h.t.isDone, false); t != nil {
+			c.w.run(t)
 		}
-		c.w.run(t)
+	}
+	if v := h.t.panicked; v != nil {
+		panic(v)
 	}
 }

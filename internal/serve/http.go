@@ -29,8 +29,8 @@ import (
 //
 // Error mapping (writeError): unknown kernel 404, malformed payload 400, a
 // body over the byte cap or a /batch of more than Config.QueueBound requests
-// 413, backpressure 429 with a Retry-After header, shutdown 503, kernel
-// failure or a panic in a codec block 500.  A request whose client
+// 413, backpressure 429 with a Retry-After header, shutdown 503, a panic
+// anywhere in serving a request 500.  A request whose client
 // disconnected is simply dropped — its kernel never ran (see the check at
 // the top of Service.run) and there is nobody left to answer.
 //
@@ -118,7 +118,7 @@ var (
 )
 
 // writeError answers err with its status: a body over the byte cap or a
-// /batch over the admission bound 413, a kernel or codec failure 500, a
+// /batch over the admission bound 413, a panic (ErrKernel) 500, a
 // malformed body or payload 400, an unknown kernel 404, backpressure 429,
 // shutdown 503.  A client that has gone (a context error) gets nothing.
 func writeError(w http.ResponseWriter, err error) {
@@ -127,7 +127,7 @@ func writeError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.As(err, &tooBig), errors.Is(err, errBatchTooLong):
 		status = http.StatusRequestEntityTooLarge
-	case errors.Is(err, ErrKernel), errors.Is(err, errCodecPanic):
+	case errors.Is(err, ErrKernel):
 		status = http.StatusInternalServerError
 	case errors.Is(err, errBadJSON), errors.Is(err, errBadJSONL), errors.Is(err, ErrBadRequest):
 		status = http.StatusBadRequest

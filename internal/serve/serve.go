@@ -28,8 +28,8 @@
 // to the service's free lists (wire.go) when it completes; only the encoded
 // response returns to the handler, which recycles it once written.  (The
 // roots of a /batch window only read the body; the handler recycles it
-// once all have answered.)  A root that fails gives nothing back: a panic
-// it recovered may have left a forked task still writing.
+// once all have answered.)  A root that fails gives nothing back: the task
+// that panicked may have left a forked task still writing.
 //
 // Admission control is that bounded count: when it is full the service
 // answers with backpressure (ErrOverloaded, HTTP 429 + Retry-After) instead
@@ -69,7 +69,7 @@ var (
 	ErrOverloaded = errors.New("serve: overloaded")
 	// ErrClosed: the service is shutting down (503).
 	ErrClosed = errors.New("serve: closed")
-	// ErrKernel: the kernel failed while running (500).
+	// ErrKernel: serving the request panicked, kernel or codec (500).
 	ErrKernel = errors.New("serve: kernel failure")
 )
 
@@ -175,9 +175,9 @@ type Service struct {
 
 	// Tests only: hookKernel runs in a root right before its kernel (the
 	// tests see what reached a kernel and hold a worker mid-request there),
-	// hookBlock before each codec block, on whichever goroutine codes it.
+	// hookBlock before each codec block a root codes, on any goroutine.
 	hookKernel func(c *call)
-	hookBlock  func()
+	hookBlock  func(p *wirePass, b int)
 }
 
 // call is one request on its way through the service.  sink receives its
@@ -322,7 +322,7 @@ type BatchResult struct {
 // moment its root completes — in completion order, not request order, each
 // tagged with its request index.  The channel closes after len(reqs)
 // results.  This is the in-process face of the streaming /batch protocol;
-// EXP16's streaming arm and cmd/hbpload's batch mode both consume it.
+// EXP16's streaming arm consumes it.
 func (s *Service) SubmitBatch(ctx context.Context, reqs []Request) <-chan BatchResult {
 	calls := make([]*call, len(reqs))
 	for i := range reqs {
@@ -372,9 +372,8 @@ func (s *Service) run(rc *rt.Ctx, c *call) {
 // root: parse, validate or generate, the kernel, verify, encode.  On
 // success it gives back the slabs the request owned.  Its recover is the
 // last line of defense (validation guarantees panic-free kernels): a panic
-// on the root's goroutine fails one request.  A panic in a task a thief
-// runs still ends the process until rt contains forked panics (ROADMAP item
-// 5(a)); a codec block has its own recover (safeBlock).
+// in any task of the program fails just this request, since rt raises a
+// forked task's panic at its Join, on the root, whichever worker ran it.
 func (s *Service) serve(fc *fj.Ctx, c *call) (res BatchResult) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -422,9 +421,7 @@ func (s *Service) serve(fc *fj.Ctx, c *call) (res BatchResult) {
 		resp.Verified = &v
 	}
 	if c.encode {
-		if res.line, err = c.pass.encode(s.bufs.get(responseBytes(k.Name, len(out))), &resp, fc); err != nil {
-			return BatchResult{Err: err}
-		}
+		res.line = c.pass.encode(s.bufs.get(responseBytes(k.Name, len(out))), &resp, fc)
 		s.words.put(out)
 		s.bufs.put(c.body)
 	} else {

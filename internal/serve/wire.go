@@ -18,11 +18,8 @@ package serve
 // up in order.  The handler only scans; the request's root parses and
 // encodes (Service.serve), a payload of several blocks as an fj loop whose
 // lazy splitting lends the request an idle worker and takes none from
-// running kernels, one block — every small request — inline.  (The handler
-// checks a /batch line's words without storing them, so that a malformed
-// line fails the whole window before any is admitted.)  A decode fails with
-// the first failing block's error, which is the error a serial parse stops
-// at.
+// running kernels, one block — every small request — inline.  A decode
+// fails with the first failing block's error: where a serial parse stops.
 //
 // The grammar is the one http.go documents: what json.Unmarshal into a
 // Request accepts, pinned by FuzzDecodeRequest with encoding/json as the
@@ -472,8 +469,8 @@ func skipNumber(b []byte, i int) (int, error) {
 // encode appends r as one line of JSON, byte for byte what json.Marshal(r)
 // followed by '\n' gives (TestAppendResponseMatchesStdlib): a member added
 // to Response has to be added here.  p's blocks code the words of "output"
-// (see run); the error is a panic recovered from one.
-func (p *wirePass) encode(dst []byte, r *Response, fc *fj.Ctx) ([]byte, error) {
+// (see run).
+func (p *wirePass) encode(dst []byte, r *Response, fc *fj.Ctx) []byte {
 	dst = append(dst, `{"kernel":`...)
 	dst = appendString(dst, r.Kernel)
 	dst = append(dst, `,"n":`...)
@@ -484,12 +481,7 @@ func (p *wirePass) encode(dst []byte, r *Response, fc *fj.Ctx) ([]byte, error) {
 	if r.Output == nil {
 		dst = append(dst, "null"...)
 	} else {
-		dst = append(dst, '[')
-		var err error
-		if dst, err = p.appendWords(dst, r.Output, fc); err != nil {
-			return dst, err
-		}
-		dst = append(dst, ']')
+		dst = append(p.appendWords(append(dst, '['), r.Output, fc), ']')
 	}
 	dst = append(dst, `,"batched":`...)
 	dst = strconv.AppendInt(dst, int64(r.Batched), 10)
@@ -497,7 +489,7 @@ func (p *wirePass) encode(dst []byte, r *Response, fc *fj.Ctx) ([]byte, error) {
 		dst = append(dst, `,"verified":`...)
 		dst = strconv.AppendBool(dst, *r.Verified)
 	}
-	return append(dst, '}', '\n'), nil
+	return append(dst, '}', '\n')
 }
 
 // maxWordBytes is the longest a word and its separator print:
@@ -508,7 +500,7 @@ const maxWordBytes = 21
 // words formats into a region of its worst case at maxWordBytes × its first
 // word, and the regions are closed up in order: one copy of the output,
 // where a length pass would read every word twice.
-func (p *wirePass) appendWords(dst []byte, words []int64, fc *fj.Ctx) ([]byte, error) {
+func (p *wirePass) appendWords(dst []byte, words []int64, fc *fj.Ctx) []byte {
 	base := len(dst)
 	dst = slices.Grow(dst, maxWordBytes*len(words))
 	p.decode, p.buf, p.n, p.words, p.blocks = false, dst[:cap(dst)], len(words), words, p.blocks[:0]
@@ -519,15 +511,12 @@ func (p *wirePass) appendWords(dst []byte, words []int64, fc *fj.Ctx) ([]byte, e
 	p.run(fc)
 	end := base
 	for _, blk := range p.blocks {
-		if blk.err != nil {
-			return dst, blk.err
-		}
 		if blk.at != end {
 			copy(p.buf[end:], p.buf[blk.at:blk.at+blk.size])
 		}
 		end += blk.size
 	}
-	return p.buf[:end], nil
+	return p.buf[:end]
 }
 
 // formatBlock writes words[lo:hi] at buf[i:], each after a comma but the
@@ -614,8 +603,8 @@ func put8(b []byte, r uint64) {
 
 // codecBlock sizes the codec's blocks: a decode block is at least
 // codecBlock bytes of "input", an encode block codecBlock/8 words of
-// "output".  A block amortizes its bookkeeping (an offset, a recover, and
-// when the loop splits a steal and the cache lines it shares) over
+// "output".  A block amortizes its bookkeeping (an offset, and when the
+// loop splits a steal and the cache lines it shares) over
 // thousands of words; a 256-word request (≈ 2.5 KB) stays one block.  A
 // variable so that tests can make small payloads cross blocks.
 var codecBlock = 16 << 10
@@ -632,7 +621,7 @@ type wirePass struct {
 	n      int    // the word count
 	words  []int64
 	blocks []wireBlock
-	hook   func() // Service.hookBlock
+	hook   func(p *wirePass, b int) // Service.hookBlock
 }
 
 // wireBlock is one block of a wirePass, written by the task that codes it.
@@ -640,7 +629,7 @@ type wireBlock struct {
 	word int   // the block's first word
 	at   int   // decode: offset of its first byte; encode: offset of its region
 	size int   // encode: bytes written at at
-	err  error // decode: the block's error; either: a panic safeBlock recovered
+	err  error // decode: the block's error
 }
 
 // parse parses the located words into words (n, or nil to only check them)
@@ -656,12 +645,17 @@ func (p *wirePass) parse(words []int64, fc *fj.Ctx) error {
 	return nil
 }
 
-// check is parse without storing the words, on the calling goroutine; nil
-// when no words are located.
-func (p *wirePass) check() error {
+// check is parse without storing the words, on the handler's goroutine,
+// where a panic is ErrKernel; nil when no words are located.
+func (p *wirePass) check() (err error) {
 	if !p.decode {
 		return nil
 	}
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("%w: %v", ErrKernel, r)
+		}
+	}()
 	return p.parse(nil, nil)
 }
 
@@ -676,53 +670,34 @@ func (p *wirePass) first(err error) error {
 	return err
 }
 
-// run codes the blocks of p, each under its own recover: inline and in order
-// on a nil fc or with one block (every small payload), else as an fj loop on
-// fc, whose lazy splitting forks blocks only to an idle worker.
+// run codes the blocks of p: inline and in order on a nil fc or with one
+// block (every small payload), else as an fj loop on fc, whose lazy
+// splitting forks blocks only to an idle worker.
 func (p *wirePass) run(fc *fj.Ctx) {
 	if fc == nil || len(p.blocks) <= 1 {
-		for b := range p.blocks {
-			p.safeBlock(b)
-		}
+		p.code(0, len(p.blocks))
 		return
 	}
-	fc.ForRange(0, int64(len(p.blocks)), 1, func(_ *fj.Ctx, lo, hi int64) {
-		for b := lo; b < hi; b++ {
-			p.safeBlock(int(b))
-		}
-	})
+	fc.ForRange(0, int64(len(p.blocks)), 1, func(_ *fj.Ctx, lo, hi int64) { p.code(int(lo), int(hi)) })
 }
 
-// block codes block b.
-func (p *wirePass) block(b int) {
-	blk := &p.blocks[b]
-	hi := p.n
-	if b+1 < len(p.blocks) {
-		hi = p.blocks[b+1].word
-	}
-	if p.decode {
-		blk.err = parseBlock(p.buf, blk.at, p.end, p.words, p.n, blk.word, hi)
-	} else {
-		blk.size = formatBlock(p.buf, blk.at, p.words, blk.word, hi)
-	}
-}
-
-// errCodecPanic marks a panic recovered from a codec block: a bug (500).
-var errCodecPanic = errors.New("serve: codec failure")
-
-// safeBlock is block under a recover: a thief coding a block has no other
-// until rt contains forked panics (ROADMAP item 5(a)), and a panic must fail
-// just its request.
-func (p *wirePass) safeBlock(b int) {
-	defer func() {
-		if r := recover(); r != nil {
-			p.blocks[b].err = fmt.Errorf("%w: %v", errCodecPanic, r)
+// code codes blocks [lo, hi).
+func (p *wirePass) code(lo, hi int) {
+	for b := lo; b < hi; b++ {
+		if p.hook != nil {
+			p.hook(p, b)
 		}
-	}()
-	if p.hook != nil {
-		p.hook()
+		blk := &p.blocks[b]
+		end := p.n
+		if b+1 < len(p.blocks) {
+			end = p.blocks[b+1].word
+		}
+		if p.decode {
+			blk.err = parseBlock(p.buf, blk.at, p.end, p.words, p.n, blk.word, end)
+		} else {
+			blk.size = formatBlock(p.buf, blk.at, p.words, blk.word, end)
+		}
 	}
-	p.block(b)
 }
 
 // appendString appends s as a JSON string.  Catalog kernel names are plain

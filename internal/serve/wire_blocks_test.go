@@ -84,9 +84,9 @@ func checkBlockedEncode(t *testing.T, svc *Service, r *Response, sizes []int) {
 			for _, dst := range [][]byte{[]byte("kept"), make([]byte, 0, responseBytes(r.Kernel, len(r.Output)))} {
 				prefix := string(dst)
 				var got []byte
-				underBlock(size, func() { got, err = encodeResponse(dst, r, s) })
-				if err != nil || string(got[:len(prefix)]) != prefix || !bytes.Equal(got[len(prefix):], want) {
-					t.Fatalf("block %d, pool %v: encoded %.200q, %v; json.Marshal %.200q", size, s != nil, got, err, want)
+				underBlock(size, func() { got = encodeResponse(dst, r, s) })
+				if string(got[:len(prefix)]) != prefix || !bytes.Equal(got[len(prefix):], want) {
+					t.Fatalf("block %d, pool %v: encoded %.200q; json.Marshal %.200q", size, s != nil, got, want)
 				}
 			}
 		}
@@ -204,7 +204,7 @@ func TestCodecPanicFailsItsRequest(t *testing.T) {
 	svc := New(Config{Pool: 2})
 	defer svc.Close()
 	var panicBlock, armAtKernel atomic.Bool // one-shot each
-	svc.hookBlock = func() {
+	svc.hookBlock = func(*wirePass, int) {
 		if panicBlock.CompareAndSwap(true, false) {
 			panic("codec test panic")
 		}
@@ -245,10 +245,74 @@ func TestCodecPanicFailsItsRequest(t *testing.T) {
 	}
 	defer hr.Body.Close()
 	text, _ := io.ReadAll(hr.Body)
-	if failed := strings.Count(string(text), "codec failure"); hr.StatusCode != http.StatusOK || failed != 1 || bytes.Count(text, []byte("\n")) != 2 {
+	if failed := strings.Count(string(text), "kernel failure"); hr.StatusCode != http.StatusOK || failed != 1 || bytes.Count(text, []byte("\n")) != 2 {
 		t.Fatalf("/batch: status %d, %d failed lines in %.300q; want 200, one of two lines failed", hr.StatusCode, failed, text)
 	}
 	invoke("after the /batch panic", http.StatusOK)
+}
+
+// TestStolenBlockPanicFailsItsRequest: at Pool: 2, a panic in a codec block
+// a thief codes fails only its request, with 500, decode or encode, and the
+// next request succeeds.  The root codes block 0 first and waits there
+// until the first block of the half it forked has started, so a thief
+// codes that block, which panics.
+func TestStolenBlockPanicFailsItsRequest(t *testing.T) {
+	defer func(old int) { codecBlock = old }(codecBlock)
+	codecBlock = 1 << 10
+	svc := New(Config{Pool: 2})
+	defer svc.Close()
+	var armDecode, armEncode, started, alone atomic.Bool
+	svc.hookBlock = func(p *wirePass, b int) {
+		armed := &armDecode
+		if !p.decode {
+			armed = &armEncode
+		}
+		if !armed.Load() {
+			return
+		}
+		switch b {
+		case 0:
+			for deadline := time.Now().Add(10 * time.Second); !started.Load(); runtime.Gosched() {
+				if time.Now().After(deadline) {
+					alone.Store(true) // no thief took the forked half
+					return
+				}
+			}
+		case len(p.blocks) / 2:
+			armed.Store(false)
+			started.Store(true)
+			panic("stolen block panic")
+		}
+	}
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	in := make([]int64, 2048) // ≈ 10 KB of body: ten decode blocks, sixteen encode blocks
+	for i := range in {
+		in[i] = int64(len(in) - i)
+	}
+	invoke := func(what string, want int) {
+		t.Helper()
+		resp, hr := postInvoke(t, ts.URL, Request{Kernel: "sort", Input: in})
+		if hr.StatusCode != want {
+			t.Fatalf("%s: status %d, want %d", what, hr.StatusCode, want)
+		}
+		if want == http.StatusOK && (len(resp.Output) != len(in) || resp.Output[0] != 1) {
+			t.Fatalf("%s: wrong output", what)
+		}
+	}
+	for _, arm := range []struct {
+		name  string
+		armed *atomic.Bool
+	}{{"decode", &armDecode}, {"encode", &armEncode}} {
+		started.Store(false)
+		arm.armed.Store(true)
+		steals := svc.pool.Steals()
+		invoke(arm.name+" panic in a stolen block", http.StatusInternalServerError)
+		if alone.Load() || arm.armed.Load() || svc.pool.Steals() == steals {
+			t.Fatalf("%s: the panicking block was not a thief's", arm.name)
+		}
+		invoke("after the "+arm.name+" panic", http.StatusOK)
+	}
 }
 
 // TestSmallRequestsCodeInline: a request of one block codes it inline in
@@ -322,7 +386,7 @@ func TestOneRootPerRequest(t *testing.T) {
 	svc := New(Config{Pool: 2})
 	defer svc.Close()
 	var blocks atomic.Int64
-	svc.hookBlock = func() { blocks.Add(1) }
+	svc.hookBlock = func(*wirePass, int) { blocks.Add(1) }
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 	in := make([]int64, 4096) // ≈ 20 KB of body, 128 encode blocks
@@ -442,9 +506,7 @@ func BenchmarkWireCodec(b *testing.B) {
 			})
 			b.Run("encode/"+name, func(b *testing.B) {
 				for range b.N {
-					if buf, err = encodeResponse(buf[:0], &resp, mode.s); err != nil {
-						b.Fatal(err)
-					}
+					buf = encodeResponse(buf[:0], &resp, mode.s)
 				}
 				b.SetBytes(int64(len(buf)))
 			})

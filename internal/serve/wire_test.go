@@ -49,17 +49,14 @@ func decodeOnly(body []byte, req *Request, s *Service) error {
 
 // encodeResponse is a root's encode of r after dst, on a root of s's pool,
 // or inline with a nil s.
-func encodeResponse(dst []byte, r *Response, s *Service) (out []byte, err error) {
+func encodeResponse(dst []byte, r *Response, s *Service) (out []byte) {
 	var p wirePass
-	onPool(s, func(fc *fj.Ctx) { out, err = p.encode(dst, r, fc) })
-	return out, err
+	onPool(s, func(fc *fj.Ctx) { out = p.encode(dst, r, fc) })
+	return out
 }
 
 // appendResponse is encodeResponse inline.
-func appendResponse(dst []byte, r *Response) []byte {
-	dst, _ = encodeResponse(dst, r, nil)
-	return dst
-}
+func appendResponse(dst []byte, r *Response) []byte { return encodeResponse(dst, r, nil) }
 
 // onPool runs fn on a root of s's pool, or inline with a nil Ctx when s is
 // nil.

@@ -66,6 +66,10 @@ if [ "$MODE" != grid ]; then
     # The sim lowering records a run serially, reusing its task contexts;
     # its reuse, panic and rerun gates run under the detector too.
     go test -race -count=5 -run 'TestPanicTearsDown|TestTornDown|TestSimCoroutine' ./internal/fj/
+    # A forked task's panic is raised at its Join, whichever worker ran it:
+    # a stolen task's and one a helper ran inside an unrelated Join (rt),
+    # both fj lowerings at p = 1 and 2, a codec block a thief codes (serve).
+    go test -race -count=5 -run 'TestStolenPanicRaisedAtJoin|TestHelperJoinSurvivesForeignPanic|TestUserPanicPropagates|TestStolenBlockPanicFailsItsRequest' ./internal/rt/ ./internal/fj/ ./internal/serve/
 
     echo "== gate: -race over the simulated caches, coherence protocol and schedulers =="
     # FuzzSetMatchesReference's seeds replay the slab LRU against the
