@@ -2,8 +2,7 @@ package mat
 
 // Unified fork-join source: the cache-oblivious rectangular transpose of
 // Frigo et al. written once against internal/fj over row-major float64
-// views, recursively halving the longer dimension — the same recursion the
-// simulated Transpose kernel exposes on RM views.  A transpose only moves
+// views, recursively halving the longer dimension.  A transpose only moves
 // bits, so the lowerings agree byte-for-byte at any leaf cutoff.
 //
 // The real leaf stores one destination row at a time: its inner loop fills

@@ -83,47 +83,6 @@ func TestMT(t *testing.T) {
 	}
 }
 
-func TestRectTranspose(t *testing.T) {
-	shapes := []struct{ r, c int64 }{{1, 1}, {1, 8}, {8, 1}, {4, 4}, {4, 16}, {16, 4}, {3, 5}}
-	for _, sh := range shapes {
-		m := newMachine(4)
-		src := AllocRM(m.Space, sh.r, sh.c, 1)
-		dst := AllocRM(m.Space, sh.c, sh.r, 1)
-		fillSeq(m, src)
-		run(m, Transpose(src, dst), sched.NewPWS())
-		for i := int64(0); i < sh.r; i++ {
-			for j := int64(0); j < sh.c; j++ {
-				if got, want := dst.Get(m.Space, j, i), src.Get(m.Space, i, j); got != want {
-					t.Fatalf("%dx%d: dst(%d,%d)=%d, want %d", sh.r, sh.c, j, i, got, want)
-				}
-			}
-		}
-	}
-}
-
-func TestRectTransposeComplexElem(t *testing.T) {
-	m := newMachine(4)
-	src := AllocRM(m.Space, 4, 8, 2)
-	dst := AllocRM(m.Space, 8, 4, 2)
-	for i := int64(0); i < 4; i++ {
-		for j := int64(0); j < 8; j++ {
-			m.Space.Store(src.Addr(i, j), i*100+j)
-			m.Space.Store(src.Addr(i, j)+1, -(i*100 + j))
-		}
-	}
-	run(m, Transpose(src, dst), sched.NewPWS())
-	for i := int64(0); i < 4; i++ {
-		for j := int64(0); j < 8; j++ {
-			if got := m.Space.Load(dst.Addr(j, i)); got != i*100+j {
-				t.Fatalf("re dst(%d,%d)=%d", j, i, got)
-			}
-			if got := m.Space.Load(dst.Addr(j, i) + 1); got != -(i*100 + j) {
-				t.Fatalf("im dst(%d,%d)=%d", j, i, got)
-			}
-		}
-	}
-}
-
 func checkEqualRMBI(t *testing.T, m *machine.Machine, rm, bi View) {
 	t.Helper()
 	for i := int64(0); i < rm.Rows; i++ {

@@ -38,51 +38,6 @@ func mtNode(src, dst View) *core.Node {
 	}
 }
 
-// Transpose builds the rectangular RM transpose dst = srcᵀ (dst is c×r when
-// src is r×c), dividing the longer dimension in half recursively — the
-// cache-oblivious transpose of Frigo et al., used by the six-step FFT.
-// On RM views f(r) = O(√r) and L(r) = O(√r).
-func Transpose(src, dst View) *core.Node {
-	if src.Rows != dst.Cols || src.Cols != dst.Rows {
-		panic("mat: Transpose shape mismatch")
-	}
-	return rectNode(src, dst)
-}
-
-func rectNode(src, dst View) *core.Node {
-	r, c := src.Rows, src.Cols
-	if r == 1 && c == 1 {
-		return core.Leaf(2*src.Elem, func(ctx *core.Ctx) {
-			copyElem(ctx, src.Addr(0, 0), dst.Addr(0, 0), src.Elem)
-		})
-	}
-	size := 2 * r * c * src.Elem
-	return &core.Node{
-		Size:  size,
-		Label: "rectT",
-		Fork: func(ctx *core.Ctx) (*core.Node, *core.Node) {
-			if r >= c {
-				h := r / 2
-				s1, s2 := subRM(src, 0, h, 0, c), subRM(src, h, r, 0, c)
-				d1, d2 := subRM(dst, 0, c, 0, h), subRM(dst, 0, c, h, r)
-				return rectNode(s1, d1), rectNode(s2, d2)
-			}
-			h := c / 2
-			s1, s2 := subRM(src, 0, r, 0, h), subRM(src, 0, r, h, c)
-			d1, d2 := subRM(dst, 0, h, 0, r), subRM(dst, h, c, 0, r)
-			return rectNode(s1, d1), rectNode(s2, d2)
-		},
-	}
-}
-
-// subRM returns the [r0,r1)×[c0,c1) sub-view of an RM view.
-func subRM(v View, r0, r1, c0, c1 int64) View {
-	sub := v
-	sub.Base = v.Addr(r0, c0)
-	sub.Rows, sub.Cols = r1-r0, c1-c0
-	return sub
-}
-
 // copyElem copies one element of elem words through the cache simulation.
 func copyElem(c *core.Ctx, src, dst int64, elem int64) {
 	for k := int64(0); k < elem; k++ {

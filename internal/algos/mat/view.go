@@ -2,7 +2,8 @@
 // MT (matrix transposition in the bit-interleaved layout), the conversions
 // between row-major (RM) and bit-interleaved (BI) layouts — including the
 // gapping technique of "BI-RM (gap RM)" and the √-recursive "BI-RM for FFT"
-// — and the rectangular RM transpose used by the six-step FFT.
+// — and FJTranspose, the rectangular RM transpose of the fj transpose
+// kernel.
 //
 // The BI (bit-interleaved) layout recursively places the top-left quadrant,
 // then top-right, bottom-left and bottom-right.  Its virtue (Section 3.2) is

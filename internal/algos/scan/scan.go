@@ -111,12 +111,3 @@ func psDownOff(a, out, tree mem.Array, lo, hi int64, offAddr mem.Addr) *core.Nod
 		},
 	}
 }
-
-// SumSerial computes the reference sum directly (no simulation).
-func SumSerial(a mem.Array) int64 {
-	var s int64
-	for i := int64(0); i < a.Len(); i++ {
-		s += a.Get(i)
-	}
-	return s
-}

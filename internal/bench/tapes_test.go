@@ -146,9 +146,20 @@ func TestObliviousKernelsRecordOneTape(t *testing.T) {
 // TestTapesRunRefusedKeysLive checks a key whose recording is refused: every
 // cell of it runs live, and the expansion keeps no tape for it.
 func TestTapesRunRefusedKeysLive(t *testing.T) {
-	a := Algo{Name: "asks for its core", Build: func(m *machine.Machine, n int64, seed uint64) *core.Node {
+	// The right task reads a stack word of its sibling, which has no symbol
+	// on a tape; local starts at an input word for a schedule that runs the
+	// right task first.
+	a := Algo{Name: "reads a sibling's stack word", Build: func(m *machine.Machine, n int64, seed uint64) *core.Node {
 		out := m.Space.Alloc(2)
-		return core.MapRange(0, n, 1, func(c *core.Ctx, i int64) { c.W(out+int64(c.Proc()%2), i) })
+		local := out + 1
+		return &core.Node{Size: 2, Fork: func(c *core.Ctx) (*core.Node, *core.Node) {
+			left := &core.Node{Size: 1, Locals: 1, Fork: func(c *core.Ctx) (*core.Node, *core.Node) {
+				local = c.Local(0)
+				return core.Leaf(1, func(c *core.Ctx) { c.W(local, 1) }), nil
+			}}
+			right := core.Leaf(1, func(c *core.Ctx) { c.W(out, c.R(local)) })
+			return left, right
+		}}
 	}}
 	ts := &tapes{m: map[tapeKey]*core.Tape{}}
 	for _, p := range []int{1, 2, 8, 2} {

@@ -52,9 +52,6 @@ func NewSet(capBlocks int) *Set {
 	return &Set{frames: make([]frame, 0, capBlocks), head: none, tail: none}
 }
 
-// Capacity returns the number of block frames.
-func (s *Set) Capacity() int { return cap(s.frames) }
-
 // Len returns the number of resident blocks (valid or invalid).
 func (s *Set) Len() int { return len(s.frames) }
 

@@ -110,25 +110,6 @@ func (c *Ctx) AllocArray(n int64) mem.Array {
 	return mem.NewArray(c.eng.m.Space, n)
 }
 
-// Proc returns the id of the executing core.  A computation that asks
-// depends on its schedule, so it cannot be recorded: a recording that sees
-// the call is dropped.
-func (c *Ctx) Proc() int {
-	if c.rc != nil {
-		c.rc.refuse(errScheduleDependent)
-	}
-	return c.proc.ID
-}
-
-// Now returns the executing core's local clock.  Like Proc, it drops a
-// recording.
-func (c *Ctx) Now() int64 {
-	if c.rc != nil {
-		c.rc.refuse(errScheduleDependent)
-	}
-	return c.proc.Now
-}
-
 // Space returns the shared address space (for address arithmetic only;
 // accesses must go through R/W to be simulated).
 func (c *Ctx) Space() *mem.Space { return c.eng.m.Space }

@@ -590,10 +590,6 @@ func (e *Engine) Steal(victim, thief int, eventNow, overhead int64) bool {
 // Corollary 4.1.
 func (e *Engine) CountAttempts(n int64) { e.attempts += n }
 
-// ChargeIdle advances proc p's clock by d as idle time (used by polling
-// schedulers for failed attempts).
-func (e *Engine) ChargeIdle(p int, d int64) { e.ps[p].p.Idle(d) }
-
 // ChargeSteal advances proc p's clock by d as steal overhead.
 func (e *Engine) ChargeSteal(p int, d int64) { e.ps[p].p.StealDelay(d) }
 

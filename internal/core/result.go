@@ -84,10 +84,6 @@ func (e *Engine) result() Result {
 	return res
 }
 
-// CacheMisses returns the misses a sequential execution is also charged
-// (cold + capacity).
-func (r Result) CacheMisses() int64 { return r.Total.ColdMisses }
-
 // BlockMisses returns the coherence misses plus upgrade misses — the
 // false-sharing cost the paper's block-miss analysis bounds.
 func (r Result) BlockMisses() int64 { return r.Total.BlockMisses + r.Total.UpgradeMisses }

@@ -38,21 +38,19 @@ import (
 //     task's d-th ancestor (0: the task itself).
 //
 // A recording refuses what it cannot replay, and the run goes on live: a
-// task that asks for its core or its clock (Ctx.Proc, Ctx.Now) depends on
-// the schedule; a stack word outside the running task's ancestors' frames
-// has no symbol; a replay inside the computation is not recorded; and a
-// recording is dropped once it holds more than tapeBudget bytes.  A
-// recording of a computation that is a replay as a whole is that replay's
-// tape, which Record returns as it is.
+// stack word outside the running task's ancestors' frames has no symbol; a
+// replay inside the computation is not recorded; and a recording is dropped
+// once it holds more than tapeBudget bytes.  A recording of a computation
+// that is a replay as a whole is that replay's tape, which Record returns as
+// it is.
 
 // tapeBudget caps the bytes a recording holds.
 var tapeBudget int64 = 64 << 20
 
 var (
-	errScheduleDependent = errors.New("core: the computation asked for its core or clock")
-	errStackWord         = errors.New("core: a task accessed a stack word outside its ancestors' frames")
-	errOverBudget        = errors.New("core: the recording outgrew its budget")
-	errNestedReplay      = errors.New("core: a replay ran inside the recorded computation")
+	errStackWord    = errors.New("core: a task accessed a stack word outside its ancestors' frames")
+	errOverBudget   = errors.New("core: the recording outgrew its budget")
+	errNestedReplay = errors.New("core: a replay ran inside the recorded computation")
 )
 
 // A stream is a sequence of uvarint entries h, ended by a 0: h&7 is the

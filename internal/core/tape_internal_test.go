@@ -6,19 +6,13 @@ import (
 	"testing"
 )
 
-// schedTree is a fork tree whose leaves branch on the core running them.
-func schedTree(out int64, depth int, ask func(c *Ctx) bool) *Node {
+// forkTree is a complete fork tree of the given depth whose leaves write out.
+func forkTree(out int64, depth int) *Node {
 	if depth == 0 {
-		return Leaf(1, func(c *Ctx) {
-			if ask(c) {
-				c.W(out, 1)
-			} else {
-				c.W(out+1, 1)
-			}
-		})
+		return Leaf(1, func(c *Ctx) { c.W(out, 1) })
 	}
 	return &Node{Size: 1 << depth, Fork: func(c *Ctx) (*Node, *Node) {
-		return schedTree(out, depth-1, ask), schedTree(out, depth-1, ask)
+		return forkTree(out, depth-1), forkTree(out, depth-1)
 	}}
 }
 
@@ -40,21 +34,12 @@ func recordOrRefuse(t *testing.T, p int, build func(out int64) *Node, want error
 	}
 }
 
-// TestRecordRefusesScheduleDependent checks that a computation asking for
-// its core or its clock is not recorded, and runs as if it never was.
-func TestRecordRefusesScheduleDependent(t *testing.T) {
-	proc := func(out int64) *Node { return schedTree(out, 4, func(c *Ctx) bool { return c.Proc() == 0 }) }
-	now := func(out int64) *Node { return schedTree(out, 4, func(c *Ctx) bool { return c.Now()%2 == 0 }) }
-	recordOrRefuse(t, 2, proc, errScheduleDependent)
-	recordOrRefuse(t, 2, now, errScheduleDependent)
-}
-
 // TestRecordRefusesOverBudget lowers the budget below what a small tree
 // records.
 func TestRecordRefusesOverBudget(t *testing.T) {
 	defer func(b int64) { tapeBudget = b }(tapeBudget)
 	tapeBudget = 256
-	tree := func(out int64) *Node { return schedTree(out, 6, func(*Ctx) bool { return true }) }
+	tree := func(out int64) *Node { return forkTree(out, 6) }
 	recordOrRefuse(t, 2, tree, errOverBudget)
 }
 
@@ -78,7 +63,7 @@ func TestRecordRefusesForeignStackWord(t *testing.T) {
 // TestRecordOfReplay records a replay: as the whole computation it is
 // recorded as the replayed tape itself; as a part of one it is refused.
 func TestRecordOfReplay(t *testing.T) {
-	tree := func(out int64) *Node { return schedTree(out, 3, func(*Ctx) bool { return true }) }
+	tree := func(out int64) *Node { return forkTree(out, 3) }
 	m := newTestMachine(2)
 	root := tree(m.Space.Alloc(2))
 	_, tape, err := NewEngine(m, greedySched{}, Options{}).Record(root)

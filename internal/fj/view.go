@@ -70,12 +70,6 @@ func NewSimEnv(m *machine.Machine) *Env { return &Env{m: m} }
 // NewRealEnv returns an Env allocating native slices.
 func NewRealEnv() *Env { return &Env{} }
 
-// Real reports whether the Env allocates native memory.
-func (e *Env) Real() bool { return e.m == nil }
-
-// Machine returns the simulated machine (nil for a real Env).
-func (e *Env) Machine() *machine.Machine { return e.m }
-
 // NewView allocates a zeroed n-element view in e.
 func NewView[T Elem](e *Env, n int64) View[T] {
 	if e.m != nil {
@@ -125,9 +119,8 @@ func wrap[T Elem](s []T) View[T] {
 // word count.
 func WrapWords[T Elem](w []int64) View[T] { return wrap(elemsOf[T](w)) }
 
-// WrapI64, WrapF64 and WrapC128 are wrap at the three element types.
+// WrapI64 and WrapC128 are wrap at int64 and complex128.
 func WrapI64(s []int64) I64        { return wrap(s) }
-func WrapF64(s []float64) F64      { return wrap(s) }
 func WrapC128(s []complex128) C128 { return wrap(s) }
 
 // pool picks the shard's slab pool for T.

@@ -103,9 +103,6 @@ type ProcStats struct {
 	StealTime      int64 // time spent performing steals/attempts
 }
 
-// Misses returns all misses that cost a transfer (cold + block + upgrade).
-func (s ProcStats) Misses() int64 { return s.ColdMisses + s.BlockMisses + s.UpgradeMisses }
-
 // Add accumulates o into s.
 func (s *ProcStats) Add(o ProcStats) {
 	s.Ops += o.Ops
@@ -187,12 +184,6 @@ type Proc struct {
 	machine *Machine
 	cache   *cache.Set
 }
-
-// Machine returns the owning machine.
-func (p *Proc) Machine() *Machine { return p.machine }
-
-// Space returns the shared address space.
-func (p *Proc) Space() *mem.Space { return p.machine.Space }
 
 // Op charges n units of pure computation.
 func (p *Proc) Op(n int64) {

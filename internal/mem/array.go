@@ -35,9 +35,6 @@ func (a Array) Slice(lo, hi int64) Array {
 	return Array{Space: a.Space, Base: a.Base + lo, N: hi - lo}
 }
 
-// Region returns the region covered by the array.
-func (a Array) Region() Region { return Region{Base: a.Base, Len: a.N} }
-
 // Get and Set access elements directly (no cache simulation); for test setup
 // and result extraction only.
 func (a Array) Get(i int64) int64    { return a.Space.Load(a.Addr(i)) }
@@ -118,27 +115,3 @@ func (a CArray) CopyIn(src []complex128) {
 		a.Set(int64(i), v)
 	}
 }
-
-// GappedArray is the gapped destination layout of Section 3.2, "BI-RM
-// (gap RM)": logical element i maps to physical address Base + Map[i].  The
-// gapping technique spaces the rows of r×r subarrays r/log²r words apart so
-// that sufficiently large tasks share zero blocks for their writes.  The map
-// is precomputed by the layout builder in algos/mat; this type only carries
-// the indirection.
-type GappedArray struct {
-	Space *Space
-	Base  Addr
-	// Off[i] is the offset of logical element i from Base.
-	Off []int64
-	// PhysLen is the total physical extent in words.
-	PhysLen int64
-}
-
-// Addr returns the physical address of logical element i.
-func (g *GappedArray) Addr(i int64) Addr { return g.Base + g.Off[i] }
-
-// Len returns the number of logical elements.
-func (g *GappedArray) Len() int64 { return int64(len(g.Off)) }
-
-// Get reads logical element i directly (no cache simulation).
-func (g *GappedArray) Get(i int64) int64 { return g.Space.Load(g.Addr(i)) }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"runtime"
 	"strconv"
 	"time"
 
@@ -70,9 +69,6 @@ import (
 // /batch request is charged one token per JSONL line, after the whole body
 // has been decoded, and is admitted or refused whole.  Per-client counts
 // appear on /metrics as "clients".
-//
-// A lone /invoke caller is paced: a request that finds no other /invoke in
-// progress waits until idleGap after the last such request (see idleGap).
 
 // httpError is the JSON error body every non-2xx response carries.
 type httpError struct {
@@ -165,40 +161,6 @@ func (s *Service) admitClient(w http.ResponseWriter, r *http.Request, n int) boo
 	return false
 }
 
-// idleGap paces a lone /invoke caller.  A request that finds no other
-// /invoke in progress is held until its slot, idleGap after the slot of the
-// previous request that found none, polling the clock and yielding
-// meanwhile.  A request that meets another in progress, or comes more than
-// idleGap after the last slot, never waits: the pace costs a loaded service
-// no throughput and sparse traffic no latency, and what it caps is one
-// connection posting back to back, at 1/idleGap.  It is there for
-// repeatability, not speed.  That caller's round trip is ~40 µs of CPU and
-// thread wake-ups, so its throughput was a reading of the host's speed of
-// the moment (15.4–19.8k req/s over six identical 20 s runs on the
-// reference box, where a constant net/http handler swings 23.9–27.1k the
-// same way), and the benchmark's serve_small has to repeat from run to run.
-// Like rate limiting it is a policy of the HTTP surface: in-process Submit
-// callers are not paced.  Polled, not slept: a timer armed for less than a
-// scheduler tick fires at the tick, 1 ms late on coarse-tick hosts.
-const idleGap = 300 * time.Microsecond
-
-// pace applies idleGap to an /invoke request that found itself alone.  The
-// slots it hands out are idleGap apart, and a request up to one gap late for
-// its slot takes it without pushing the next one back, so a caller whose
-// round trips are sometimes slow still averages 1/idleGap.
-func (s *Service) pace() {
-	slot := s.lastLone.Load() + int64(idleGap)
-	now := time.Now().UnixNano()
-	if now-slot > int64(idleGap) {
-		slot = now
-	}
-	for now < slot {
-		runtime.Gosched()
-		now = time.Now().UnixNano()
-	}
-	s.lastLone.Store(slot)
-}
-
 // readBody reads a request body whole into a buffer from s.bufs, through
 // http.MaxBytesReader (so a body over the byte cap is cut off and answered
 // 413) and sized from Content-Length so that an honest client costs one
@@ -236,10 +198,6 @@ func (s *Service) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	if !s.admitClient(w, r, 1) {
 		return
 	}
-	if s.invoking.Add(1) == 1 {
-		s.pace()
-	}
-	defer s.invoking.Add(-1)
 	body, err := s.readBody(w, r)
 	c := &call{ctx: r.Context(), body: body, encode: true, sink: make(chan BatchResult, 1)}
 	if err == nil {

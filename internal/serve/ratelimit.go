@@ -24,6 +24,10 @@ import (
 // clientIDHeader names the request header the limiter keys buckets on.
 const clientIDHeader = "X-Client-ID"
 
+// rateClients caps how many client buckets the service's limiter tracks;
+// the least-recently-seen bucket is evicted beyond it.
+const rateClients = 1024
+
 // clientID extracts the limiter key for a request.
 func clientID(r *http.Request) string {
 	if id := r.Header.Get(clientIDHeader); id != "" {

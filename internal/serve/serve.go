@@ -123,9 +123,6 @@ type Config struct {
 	// RateBurst caps a client's accrued tokens, i.e. the burst it may send
 	// after idling (default max(1, ⌈RatePerSec⌉)).
 	RateBurst int
-	// RateClients caps how many client buckets the limiter tracks; the
-	// least-recently-seen bucket is evicted beyond it (default 1024).
-	RateClients int
 }
 
 func (c Config) withDefaults() Config {
@@ -144,9 +141,6 @@ func (c Config) withDefaults() Config {
 			c.RateBurst = 1
 		}
 	}
-	if c.RateClients <= 0 {
-		c.RateClients = 1024
-	}
 	return c
 }
 
@@ -154,13 +148,6 @@ func (c Config) withDefaults() Config {
 // Create with New, serve HTTP with Handler, call in-process with Submit,
 // shut down with Close.
 type Service struct {
-	// invoking counts /invoke requests inside their handler and lastLone is
-	// the slot pace last gave one that found no other (Unix ns); see
-	// idleGap in http.go.  They lead the struct so each sits on its own
-	// cache line.
-	invoking counter
-	lastLone counter
-
 	cfg     Config
 	pool    *rt.Pool
 	met     *Metrics
@@ -216,7 +203,7 @@ func New(cfg Config) *Service {
 		met:  &Metrics{},
 	}
 	if cfg.RatePerSec > 0 {
-		s.limiter = newMultiLimiter(cfg.RatePerSec, cfg.RateBurst, cfg.RateClients)
+		s.limiter = newMultiLimiter(cfg.RatePerSec, cfg.RateBurst, rateClients)
 		s.met.rates = s.limiter.snapshot
 	}
 	return s

@@ -556,25 +556,6 @@ func TestBatchEndpointJSONL(t *testing.T) {
 	}
 }
 
-// TestLoneCallerPaced pins idleGap: /invoke requests posted back to back by
-// one caller are let through at most one per idleGap.
-func TestLoneCallerPaced(t *testing.T) {
-	svc := New(Config{Pool: 1})
-	defer svc.Close()
-	ts := httptest.NewServer(svc.Handler())
-	defer ts.Close()
-	const n = 30
-	t0 := time.Now()
-	for i := 0; i < n; i++ {
-		if _, hr := postInvoke(t, ts.URL, Request{Kernel: "sort", N: 4}); hr.StatusCode != http.StatusOK {
-			t.Fatalf("request %d: status %d", i, hr.StatusCode)
-		}
-	}
-	if d := time.Since(t0); d < (n-1)*idleGap {
-		t.Fatalf("%d back-to-back requests took %v, under %d × %v", n, d, n-1, idleGap)
-	}
-}
-
 // TestSubmitAfterClose pins the shutdown contract.
 func TestSubmitAfterClose(t *testing.T) {
 	svc := New(Config{Pool: 1})

@@ -101,12 +101,13 @@ if [ "$MODE" != grid ]; then
     # concurrently; race-check it without paying for the full suite under -race.
     go test -race -run 'TestGoldenRowsIdenticalAcrossParallelism/(EXP05|EXP07|EXP13|EXP15|EXP16)' ./internal/bench/
 
-    echo "== gate: -race over record once, replay the grid (replay == live, concurrent claims on one key) =="
+    echo "== gate: -race over record once, replay the grid (replay == live, concurrent claims on one key, refused keys live) =="
     # EXP14's cells share one recording per key: the golden EXP14 subset at
-    # -parallel 8 claims, records and replays keys concurrently, and the
-    # replay gate replays every EXP14 kernel under another (p, scheduler,
-    # padding) than it was recorded under.
-    go test -race -run 'TestEXP14ReplayMatchesLive|TestGoldenRowsIdenticalAcrossParallelism/EXP14' ./internal/bench/
+    # -parallel 8 claims, records and replays keys concurrently, the replay
+    # gate replays every EXP14 kernel under another (p, scheduler, padding)
+    # than it was recorded under, and a key whose recording is refused runs
+    # every cell live and keeps no tape.
+    go test -race -run 'TestEXP14ReplayMatchesLive|TestTapesRunRefusedKeysLive|TestGoldenRowsIdenticalAcrossParallelism/EXP14' ./internal/bench/
 
     echo "== gate: benchmark smoke (every benchmark runs one iteration) =="
     go test -run '^$' -bench . -benchtime 1x . ./internal/algos/sortutil/ ./internal/serve/ >/dev/null
