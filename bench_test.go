@@ -39,11 +39,11 @@ func runExperiment(b *testing.B, id string) {
 	// `go test -bench=.` stays bounded; `go run ./cmd/hbpbench` (no flags)
 	// produces the full sweeps.
 	if _, done := printOnce.LoadOrStore(id, true); !done {
-		exp.Run(os.Stdout, true)
+		exp.Render(os.Stdout, exp.Rows(bench.Params{Quick: true}, 1))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		exp.Run(io.Discard, true)
+		exp.Render(io.Discard, exp.Rows(bench.Params{Quick: true}, 1))
 	}
 }
 

@@ -8,9 +8,9 @@ import (
 )
 
 // TestEXP16Rows runs the quick grid serially and checks the rows are
-// well-formed: one rpc and one stream row per (clients, pool) coordinate,
-// every request verified ("ok" in Note), throughput measured, and the
-// smallest-clients rpc cell of each pool size carrying scale 1.
+// well-formed: one row per (clients, pool) coordinate, every request
+// verified ("ok" in Note), throughput measured, and the smallest-clients
+// cell of each pool size carrying scale 1.
 func TestEXP16Rows(t *testing.T) {
 	e, ok := FindExperiment("EXP16")
 	if !ok {
@@ -19,46 +19,41 @@ func TestEXP16Rows(t *testing.T) {
 	rows := e.Rows(Params{Quick: true, Repeats: 1, Seed: 42}, 1)
 
 	clients, pools, _ := exp16Grid(true)
-	if want := len(clients) * len(pools) * 2; len(rows) != want {
+	if want := len(clients) * len(pools); len(rows) != want {
 		t.Fatalf("got %d rows, want %d (quick grid)", len(rows), want)
 	}
-	modes := map[string]int{}
 	for _, r := range rows {
-		cl, mode, ok := exp16Note(r)
+		cl, ok := exp16Note(r)
 		if !ok {
 			t.Errorf("row Note %q does not parse", r.Note)
 			continue
 		}
-		modes[mode]++
 		if !strings.HasSuffix(r.Note, " ok") {
-			t.Errorf("cell clients=%d p=%d %s failed verification: Note %q", cl, r.P, mode, r.Note)
+			t.Errorf("cell clients=%d p=%d failed verification: Note %q", cl, r.P, r.Note)
 		}
 		if !r.Volatile {
-			t.Errorf("cell clients=%d p=%d %s: wall-clock row must be Volatile", cl, r.P, mode)
+			t.Errorf("cell clients=%d p=%d: wall-clock row must be Volatile", cl, r.P)
 		}
 		if r.Aux1 <= 0 || r.WallNS <= 0 {
-			t.Errorf("cell clients=%d p=%d %s: no throughput measured (req/s %.1f, wall %d)", cl, r.P, mode, r.Aux1, r.WallNS)
+			t.Errorf("cell clients=%d p=%d: no throughput measured (req/s %.1f, wall %d)", cl, r.P, r.Aux1, r.WallNS)
 		}
 		if r.Aux3 < r.Aux2 {
-			t.Errorf("cell clients=%d p=%d %s: p99 %v below p50 %v", cl, r.P, mode, r.Aux3, r.Aux2)
+			t.Errorf("cell clients=%d p=%d: p99 %v below p50 %v", cl, r.P, r.Aux3, r.Aux2)
 		}
-		if baseline := cl == clients[0] && mode == "rpc"; baseline && r.Ratio != 1 {
-			t.Errorf("cell clients=%d p=%d rpc is the baseline and must carry scale 1, got %v", cl, r.P, r.Ratio)
+		if cl == clients[0] && r.Ratio != 1 {
+			t.Errorf("cell clients=%d p=%d is the baseline and must carry scale 1, got %v", cl, r.P, r.Ratio)
 		} else if r.Ratio <= 0 {
-			t.Errorf("cell clients=%d p=%d %s: scale not filled", cl, r.P, mode)
+			t.Errorf("cell clients=%d p=%d: scale not filled", cl, r.P)
 		}
-	}
-	if modes["rpc"] != modes["stream"] || modes["rpc"] == 0 {
-		t.Fatalf("grid modes unbalanced: %v", modes)
 	}
 }
 
 // TestEXP16NoteIdentity pins that the Note coordinates survive Normalize —
-// the canon path depends on clients/mode riding in an identity column.
+// the canon path depends on the client count riding in an identity column.
 func TestEXP16NoteIdentity(t *testing.T) {
 	r := harness.Row{
 		Exp: "EXP16", Algo: "sort", N: exp16N, P: 2,
-		Sched: "serve", Note: "clients=8 mode=stream ok",
+		Sched: "serve", Note: "clients=8 ok",
 		WallNS: 123, Aux1: 9e5, Aux2: 1, Aux3: 2, Bound: 4, Ratio: 1.5,
 		Volatile: true,
 	}

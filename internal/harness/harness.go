@@ -44,45 +44,39 @@ type Cell struct {
 }
 
 // Execute runs every cell and returns the concatenated rows in cell order.
-// With parallel > 1 the non-exclusive cells run on min(parallel, count)
-// goroutines, each taking the next cell from a shared counter; exclusive
-// cells then run serially.  Row order — and, for deterministic cells, row
-// content — is independent of parallelism.
+// The non-exclusive cells run on max(1, min(parallel, count)) goroutines,
+// each taking the next cell from a shared counter; exclusive cells then run
+// serially.  Row order — and, for deterministic cells, row content — is
+// independent of parallelism.
 func Execute(cells []Cell, parallel int) []Row {
 	out := make([][]Row, len(cells))
-	if parallel <= 1 {
-		for i := range cells {
-			out[i] = cells[i].Run()
+	var shared, exclusive []int
+	for i := range cells {
+		if cells[i].Exclusive {
+			exclusive = append(exclusive, i)
+		} else {
+			shared = append(shared, i)
 		}
-	} else {
-		var shared, exclusive []int
-		for i := range cells {
-			if cells[i].Exclusive {
-				exclusive = append(exclusive, i)
-			} else {
-				shared = append(shared, i)
-			}
-		}
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for range min(parallel, len(shared)) {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					k := int(next.Add(1)) - 1
-					if k >= len(shared) {
-						return
-					}
-					i := shared[k]
-					out[i] = cells[i].Run()
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range max(1, min(parallel, len(shared))) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				k := int(next.Add(1)) - 1
+				if k >= len(shared) {
+					return
 				}
-			}()
-		}
-		wg.Wait()
-		for _, i := range exclusive {
-			out[i] = cells[i].Run()
-		}
+				i := shared[k]
+				out[i] = cells[i].Run()
+			}
+		}()
+	}
+	wg.Wait()
+	for _, i := range exclusive {
+		out[i] = cells[i].Run()
 	}
 	var rows []Row
 	for _, rs := range out {

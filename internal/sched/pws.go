@@ -29,9 +29,6 @@ import (
 // implementation realizes the same round semantics centrally and charges
 // each steal the distributed cost sP = b·(1+⌈log₂ p⌉).
 type PWS struct {
-	// StealOverhead overrides the per-steal cost; if nil, b·(1+⌈log₂p⌉).
-	StealOverhead func(p int, b int64) int64
-
 	waiters   []int       // parked procs, ascending id
 	lastRound map[int]int // last round priority each waiter was matched at
 	matching  bool        // re-entrancy guard: Steal can fire Drained
@@ -42,15 +39,6 @@ func NewPWS() *PWS { return &PWS{lastRound: make(map[int]int)} }
 
 // Name implements core.Scheduler.
 func (s *PWS) Name() string { return "PWS" }
-
-func (s *PWS) overhead(e *core.Engine) int64 {
-	b := e.MissLatency()
-	p := e.NumProcs()
-	if s.StealOverhead != nil {
-		return s.StealOverhead(p, b)
-	}
-	return b * int64(1+ceilLog2(p))
-}
 
 // Idle implements core.Scheduler: the proc becomes a waiter and a matching
 // pass runs at its clock.
@@ -151,7 +139,7 @@ func (s *PWS) roundPriority(e *core.Engine) (prio int, fromHead bool) {
 // assignRound matches waiters to victims whose head has priority roundPrio.
 func (s *PWS) assignRound(e *core.Engine, roundPrio int, now int64) int {
 	assigned := 0
-	ov := s.overhead(e)
+	ov := e.MissLatency() * int64(1+ceilLog2(e.NumProcs())) // sP
 	for v := 0; v < e.NumProcs() && len(s.waiters) > 0; v++ {
 		hp, ok := e.DequeHeadPrio(v)
 		if !ok || hp != roundPrio {

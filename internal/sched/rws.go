@@ -9,15 +9,13 @@ import (
 // RWS is the classic randomized work-stealing scheduler (Blumofe–Leiserson),
 // the baseline whose cache and block miss behaviour on multicores is analyzed
 // in the companion paper [13].  An idle core picks a victim uniformly at
-// random and steals the task at the head (top) of its deque; a failed attempt
-// costs the same as a successful one, and the core retries.
+// random and steals the task at the head (top) of its deque; every attempt,
+// failed or successful, costs b (at least one cache miss, Section 4.4), and
+// a failed one is retried.
 //
 // The PRNG is seeded, so runs are reproducible.
 type RWS struct {
-	// Overhead is the per-attempt cost in time units; if zero, b is used
-	// (at least one cache miss per attempt, Section 4.4).
-	Overhead int64
-	rng      *rand.Rand
+	rng *rand.Rand
 }
 
 // NewRWS returns an RWS scheduler with the given seed.
@@ -28,19 +26,12 @@ func NewRWS(seed int64) *RWS {
 // Name implements core.Scheduler.
 func (s *RWS) Name() string { return "RWS" }
 
-func (s *RWS) overhead(e *core.Engine) int64 {
-	if s.Overhead > 0 {
-		return s.Overhead
-	}
-	return e.MissLatency()
-}
-
 // Idle implements core.Scheduler: one randomized steal attempt.  If every
 // deque is empty the proc's clock fast-forwards to the earliest busy proc so
 // the simulation does not grind through futile attempts one by one; this
 // does not change any schedule decision, only skips empty polling.
 func (s *RWS) Idle(e *core.Engine, p int) {
-	ov := s.overhead(e)
+	ov := e.MissLatency()
 	e.CountAttempts(1)
 	if e.NumProcs() == 1 {
 		e.ChargeSteal(p, ov)

@@ -85,20 +85,6 @@ func TestPWSStealOverheadLogP(t *testing.T) {
 	}
 }
 
-func TestPWSCustomOverhead(t *testing.T) {
-	s := NewPWS()
-	s.StealOverhead = func(p int, b int64) int64 { return 1000 }
-	_, res := runSumWith(t, 4, 128, s)
-	if res.Steals > 0 && res.Total.StealTime < 1000 {
-		t.Errorf("custom overhead not charged: stealTime=%d", res.Total.StealTime)
-	}
-}
-
-func runSumWith(t *testing.T, p int, n int64, s core.Scheduler) (int64, core.Result) {
-	t.Helper()
-	return runSum(p, n, s)
-}
-
 func TestRWSSeedDeterminism(t *testing.T) {
 	_, r1 := runSum(8, 512, NewRWS(99))
 	_, r2 := runSum(8, 512, NewRWS(99))

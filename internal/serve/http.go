@@ -199,7 +199,7 @@ func (s *Service) handleInvoke(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	body, err := s.readBody(w, r)
-	c := &call{ctx: r.Context(), body: body, encode: true, sink: make(chan BatchResult, 1)}
+	c := &call{ctx: r.Context(), body: body, encode: true, sink: make(chan result, 1)}
 	if err == nil {
 		err = scanOnly(body, &c.req, &c.pass)
 	}
@@ -218,8 +218,8 @@ func (s *Service) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	}
 	select {
 	case res := <-c.sink:
-		if res.Err != nil {
-			writeError(w, res.Err)
+		if res.err != nil {
+			writeError(w, res.err)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -275,11 +275,19 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/jsonl")
 	flusher, _ := w.(http.Flusher)
 	errs := json.NewEncoder(w)
+	sink := make(chan result, len(calls))
+	for _, c := range calls {
+		c.sink = sink
+		if err := s.submit(c); err != nil {
+			c.finish(result{err: err})
+		}
+	}
 	recycle := true
-	for res := range s.submitAll(calls) {
-		if res.Err != nil {
+	for range calls {
+		res := <-sink
+		if res.err != nil {
 			recycle = false
-			errs.Encode(batchError{Index: res.Index, Error: res.Err.Error()})
+			errs.Encode(batchError{Index: res.index, Error: res.err.Error()})
 		} else {
 			w.Write(res.line)
 			s.bufs.put(res.line)

@@ -10,9 +10,9 @@
 // handler goroutine only reads the body, scans its envelope — and counts
 // the words of "input", so the word cap refuses a request before anything
 // is allocated for it — admits the root, waits, and writes what the root
-// encoded; in-process Submit and SubmitBatch run the program without the
-// codec stages.  Admission takes a slot in a bounded count of admitted
-// roots no worker has started yet and injects the root (rt.Pool.Submit).
+// encoded; in-process Submit runs the program without the codec stages.
+// Admission takes a slot in a bounded count of admitted roots no worker has
+// started yet and injects the root (rt.Pool.Submit).
 // The pool's workers are long-lived, so a request costs no spin-up and any
 // number run at once: an idle worker starts a new request before it goes
 // stealing, so a small request is not parked behind a large one.  The root
@@ -41,7 +41,7 @@
 //
 // cmd/hbpserve wraps the package as a server binary, cmd/hbpload drives it
 // with closed-loop load, and EXP16 (internal/bench) measures throughput and
-// p50/p99 latency across offered load × pool size × submission mode.
+// p50/p99 latency across offered load × pool size.
 package serve
 
 import (
@@ -50,7 +50,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/algos/registry"
@@ -92,8 +91,8 @@ type Request struct {
 // were coalesced and stays because it is the wire format).  Verified is
 // present only when the request asked for verification.
 // Index is the 0-based position of the request this response answers in
-// its submitted /batch (or SubmitBatch) window — the reorder key of the
-// streaming protocol, 0 for single-request Submit/invoke.
+// its /batch window — the reorder key of the streaming protocol, 0 for
+// single-request Submit/invoke.
 type Response struct {
 	Kernel   string  `json:"kernel"`
 	N        int64   `json:"n"`
@@ -168,8 +167,7 @@ type Service struct {
 }
 
 // call is one request on its way through the service.  sink receives its
-// result; in a window, left counts the results still owed, and whoever
-// delivers the last closes sink.
+// result; the calls of a /batch window share one, buffered for all of them.
 type call struct {
 	ctx      context.Context
 	req      Request            // Input: the caller's words (HTTP: nil, the root parses pass)
@@ -181,17 +179,23 @@ type call struct {
 	in       []int64            // the payload the kernel runs on, once parsed or generated
 	index    int
 	enqueued time.Time // admitted: what the latency histogram measures from
-	sink     chan BatchResult
-	left     *atomic.Int64
+	sink     chan result
+}
+
+// result is what a call resolves to: the index of its request in its
+// window and either a response or the error that kept the request from
+// completing.
+type result struct {
+	index int
+	resp  Response
+	err   error
+	line  []byte // HTTP: the encoded response, in place of resp
 }
 
 // finish delivers c's result; sink has room for it, caller or none.
-func (c *call) finish(r BatchResult) {
-	r.Index, r.Resp.Index = c.index, c.index
+func (c *call) finish(r result) {
+	r.index = c.index
 	c.sink <- r
-	if c.left != nil && c.left.Add(-1) == 0 {
-		close(c.sink)
-	}
 }
 
 // New creates a service; its pool's workers start with the first request.
@@ -280,13 +284,13 @@ func (s *Service) submit(c *call) error {
 // until the response is ready or ctx is done; a request abandoned before a
 // worker starts it never runs its kernel.
 func (s *Service) Submit(ctx context.Context, req Request) (Response, error) {
-	c := &call{ctx: ctx, req: req, sink: make(chan BatchResult, 1)}
+	c := &call{ctx: ctx, req: req, sink: make(chan result, 1)}
 	if err := s.submit(c); err != nil {
 		return Response{}, err
 	}
 	select {
 	case r := <-c.sink:
-		return r.Resp, r.Err
+		return r.resp, r.err
 	case <-ctx.Done():
 		// The root will observe the cancelled context and drop the call
 		// without running its kernel (or, if the kernel already started,
@@ -295,60 +299,19 @@ func (s *Service) Submit(ctx context.Context, req Request) (Response, error) {
 	}
 }
 
-// BatchResult is one streamed result of SubmitBatch: the index of the
-// request it answers (also stamped on Resp.Index) and either a response or
-// the error that kept that request from completing.
-type BatchResult struct {
-	Index int
-	Resp  Response
-	Err   error
-	line  []byte // HTTP: the encoded response, in place of Resp
-}
-
-// SubmitBatch submits reqs and returns a channel delivering each result the
-// moment its root completes — in completion order, not request order, each
-// tagged with its request index.  The channel closes after len(reqs)
-// results.  This is the in-process face of the streaming /batch protocol;
-// EXP16's streaming arm consumes it.
-func (s *Service) SubmitBatch(ctx context.Context, reqs []Request) <-chan BatchResult {
-	calls := make([]*call, len(reqs))
-	for i := range reqs {
-		calls[i] = &call{ctx: ctx, req: reqs[i], index: i}
-	}
-	return s.submitAll(calls)
-}
-
-// submitAll submits a window of calls and returns the channel their results
-// arrive on; no goroutine is started, the roots deliver their own.
-func (s *Service) submitAll(calls []*call) chan BatchResult {
-	sink := make(chan BatchResult, len(calls))
-	left := new(atomic.Int64)
-	left.Store(int64(len(calls)) + 1) // one held here, so no root closes sink under the loop
-	for _, c := range calls {
-		c.sink, c.left = sink, left
-		if err := s.submit(c); err != nil {
-			c.finish(BatchResult{Err: err})
-		}
-	}
-	if left.Add(-1) == 0 {
-		close(sink)
-	}
-	return sink
-}
-
 // run is one request's root task.  It releases the admission slot, drops
 // the call if its caller is gone or the service closed while it waited for
 // a worker, and otherwise runs its program, and resolves it in place.
 func (s *Service) run(rc *rt.Ctx, c *call) {
 	s.met.queued.Add(-1)
-	var res BatchResult
+	var res result
 	switch {
 	case c.ctx.Err() != nil:
 		s.met.canceled.Add(1)
-		res.Err = c.ctx.Err()
+		res.err = c.ctx.Err()
 	case s.isClosed():
 		s.met.failed.Add(1)
-		res.Err = ErrClosed
+		res.err = ErrClosed
 	default:
 		fj.RunOn(rc, func(fc *fj.Ctx) { res = s.serve(fc, c) })
 	}
@@ -361,12 +324,12 @@ func (s *Service) run(rc *rt.Ctx, c *call) {
 // last line of defense (validation guarantees panic-free kernels): a panic
 // in any task of the program fails just this request, since rt raises a
 // forked task's panic at its Join, on the root, whichever worker ran it.
-func (s *Service) serve(fc *fj.Ctx, c *call) (res BatchResult) {
+func (s *Service) serve(fc *fj.Ctx, c *call) (res result) {
 	defer func() {
 		if r := recover(); r != nil {
-			res = BatchResult{Err: fmt.Errorf("%w: %v", ErrKernel, r)}
+			res = result{err: fmt.Errorf("%w: %v", ErrKernel, r)}
 		}
-		if res.Err != nil {
+		if res.err != nil {
 			s.met.failed.Add(1)
 		}
 	}()
@@ -376,7 +339,7 @@ func (s *Service) serve(fc *fj.Ctx, c *call) (res BatchResult) {
 	if c.pass.decode {
 		c.in, c.owned = s.words.get(c.pass.n)[:c.pass.n], true
 		if err = c.pass.parse(c.in, fc); err != nil {
-			return BatchResult{Err: fmt.Errorf("%w: %w", errBadJSON, err)}
+			return result{err: fmt.Errorf("%w: %w", errBadJSON, err)}
 		}
 	} else if c.in == nil {
 		c.in, err = k.Gen(c.req.N, c.req.Seed)
@@ -386,7 +349,7 @@ func (s *Service) serve(fc *fj.Ctx, c *call) (res BatchResult) {
 		err = k.Validate(c.in)
 	}
 	if err != nil {
-		return BatchResult{Err: fmt.Errorf("%w: %v", ErrBadRequest, err)}
+		return result{err: fmt.Errorf("%w: %v", ErrBadRequest, err)}
 	}
 	if s.hookKernel != nil {
 		s.hookKernel(c)
@@ -412,7 +375,7 @@ func (s *Service) serve(fc *fj.Ctx, c *call) (res BatchResult) {
 		s.words.put(out)
 		s.bufs.put(c.body)
 	} else {
-		res.Resp = resp
+		res.resp = resp
 	}
 	if c.owned {
 		s.words.put(c.in)

@@ -6,8 +6,8 @@ package serve
 // cancellation (an abandoned request's kernel never runs and its admission
 // slot is released), backpressure (overload answers 429, nothing deadlocks,
 // the admitted requests drain), head-of-line freedom (a small request
-// completes while a large one holds a worker), the lone-caller pace,
-// shutdown, and the body cap.
+// completes while a large one holds a worker), a /batch window cut by the
+// admission bound, shutdown, and the body cap.
 
 import (
 	"bytes"
@@ -553,6 +553,99 @@ func TestBatchEndpointJSONL(t *testing.T) {
 	}
 	if l := seen[reqs]; l.Error == "" {
 		t.Fatalf("missing inline error for the bad request: %+v", l)
+	}
+}
+
+// TestBatchWindowAdmissionRefusal covers a /batch window that the
+// admission bound cuts in the middle: with the one worker held on an
+// /invoke and a second /invoke waiting, the window's line 0 takes the last
+// slot and line 1 is refused.  The refusal streams as an inline error line,
+// the admitted line is answered once the worker is free, and the stream
+// carries exactly those two lines.
+func TestBatchWindowAdmissionRefusal(t *testing.T) {
+	svc := New(Config{Pool: 1, QueueBound: 2})
+	defer svc.Close()
+	gate := gateKernels(svc, func(_ *call, nth int64) bool { return nth == 1 })
+	defer gate.open()
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+
+	invokes := make(chan int, 2)
+	post := func() {
+		_, hr := postInvoke(t, ts.URL, Request{Kernel: "sort", N: 64})
+		invokes <- hr.StatusCode
+	}
+	go post()
+	gate.awaitEntered(t)
+	go post()
+	awaitSnapshot(t, svc, "one /invoke waiting for a worker", func(m Snapshot) bool { return m.QueueDepth == 1 })
+
+	type reply struct {
+		hr  *http.Response
+		err error
+	}
+	batch := make(chan reply, 1)
+	go func() {
+		body := `{"kernel":"scan","n":8,"seed":1}` + "\n" + `{"kernel":"scan","n":8,"seed":2}` + "\n"
+		hr, err := http.Post(ts.URL+"/batch", "application/jsonl", strings.NewReader(body))
+		batch <- reply{hr, err}
+	}()
+	awaitSnapshot(t, svc, "line 1 of the window refused", func(m Snapshot) bool { return m.Rejected == 1 })
+	if m := svc.Metrics().Snapshot(); m.QueueDepth != 2 {
+		t.Fatalf("queue depth %d with line 0 admitted, want 2", m.QueueDepth)
+	}
+	gate.open()
+
+	var r reply
+	select {
+	case r = <-batch:
+	case <-time.After(10 * time.Second):
+		t.Fatal("/batch did not answer")
+	}
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	defer r.hr.Body.Close()
+	if r.hr.StatusCode != http.StatusOK {
+		t.Fatalf("/batch status %d, want 200", r.hr.StatusCode)
+	}
+	type line struct {
+		Index  int    `json:"index"`
+		Error  string `json:"error"`
+		Kernel string `json:"kernel"`
+	}
+	seen := make(map[int]line)
+	dec := json.NewDecoder(r.hr.Body)
+	for {
+		var l line
+		if err := dec.Decode(&l); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatalf("stream line %d: %v", len(seen), err)
+		}
+		if _, dup := seen[l.Index]; dup {
+			t.Fatalf("index %d streamed twice", l.Index)
+		}
+		seen[l.Index] = l
+	}
+	if len(seen) != 2 {
+		t.Fatalf("stream carried %d lines, want 2: %+v", len(seen), seen)
+	}
+	if l := seen[0]; l.Error != "" || l.Kernel != "scan" {
+		t.Errorf("admitted line 0 answered by %+v, want a scan response", l)
+	}
+	if l := seen[1]; !strings.Contains(l.Error, "overloaded") {
+		t.Errorf("refused line 1 answered by %+v, want an inline overloaded error", l)
+	}
+	for i := 0; i < 2; i++ {
+		select {
+		case status := <-invokes:
+			if status != http.StatusOK {
+				t.Errorf("/invoke got status %d, want 200", status)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("the /invokes did not drain")
+		}
 	}
 }
 
