@@ -7,7 +7,7 @@ package repro
 // future change that quietly reintroduces per-node heap traffic fails loudly.
 //
 // What the pins cover and what remains: slab and fork-frame reuse removes
-// the O(n/grain) view and task allocations, but each Parallel/Fork node
+// the O(n/grain) view and task allocations, but each Parallel node
 // still heap-allocates its captured branch closures, and internal/rt's task
 // arena deliberately replaces (never rewinds) its use-once 256-frame slabs —
 // together a small, size-stable residue per sort.  The ceilings below sit
@@ -101,7 +101,7 @@ func TestSortAllocRegression(t *testing.T) {
 // TestKernelAllocRegression pins what one fj.RunReal of each served kernel,
 // at the size of its quick sweep, allocates on a warmed, reused pool.  What
 // is left once scratch comes from the arena and fork frames from the
-// workers' pools is one closure per Fork/Parallel/ForRange call site
+// workers' pools is one closure per Parallel/ForRange call site
 // executed — so the count follows the number of forking recursion nodes, not
 // the input size: tens for the flat parallel maps, a few hundred for the
 // recursions.

@@ -188,9 +188,10 @@ func (r *realFFT) rec(c *fj.Ctx, dOff, sOff, stride, m int64) {
 		return
 	}
 	h := m / 2
-	right := c.Fork(func(c *fj.Ctx) { r.rec(c, dOff+h, sOff+stride, 2*stride, h) })
-	r.rec(c, dOff, sOff, 2*stride, h)
-	c.Join(right)
+	c.Parallel(
+		func(c *fj.Ctx) { r.rec(c, dOff, sOff, 2*stride, h) },
+		func(c *fj.Ctx) { r.rec(c, dOff+h, sOff+stride, 2*stride, h) },
+	)
 	c.ForRange(0, h, butterflyGrainSim, func(_ *fj.Ctx, lo, hi int64) {
 		r.butterflies(dOff, m, 1, lo, hi)
 	})

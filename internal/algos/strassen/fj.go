@@ -74,15 +74,7 @@ func fjMulRec(c *fj.Ctx, a, b fj.I64, n int64, dst fj.I64) fj.I64 {
 		{t6a, t6b}, // p6 = (a12−a22)(b21+b22)
 	}
 	var p [7]fj.I64
-	var hs [6]fj.Handle
-	for i := 1; i < 7; i++ {
-		i := i
-		hs[i-1] = c.Fork(func(c *fj.Ctx) { p[i] = fjMulRec(c, ops[i][0], ops[i][1], h, fj.I64{}) })
-	}
-	p[0] = fjMulRec(c, ops[0][0], ops[0][1], h, fj.I64{})
-	for i := 5; i >= 0; i-- { // LIFO joins, as the fj discipline requires
-		c.Join(hs[i])
-	}
+	fjProducts(c, &ops, &p, h, 1)
 	for _, v := range [...]fj.I64{a11, a12, a21, a22, b11, b12, b21, b22,
 		t0a, t0b, t1a, t2b, t3b, t4a, t5a, t5b, t6a, t6b} {
 		c.FreeI64(v)
@@ -108,6 +100,20 @@ func fjMulRec(c *fj.Ctx, a, b fj.I64, n int64, dst fj.I64) fj.I64 {
 		c.FreeI64(v)
 	}
 	return out
+}
+
+// fjProducts forks the h×h product p[i] and computes the rest inline —
+// p[i+1…6], then p0 — so p1…p6 are forked in order, p0 runs on the caller
+// and the joins go p6…p1.
+func fjProducts(c *fj.Ctx, ops *[7][2]fj.I64, p *[7]fj.I64, h int64, i int) {
+	if i == len(p) {
+		p[0] = fjMulRec(c, ops[0][0], ops[0][1], h, fj.I64{})
+		return
+	}
+	c.Parallel(
+		func(c *fj.Ctx) { fjProducts(c, ops, p, h, i+1) },
+		func(c *fj.Ctx) { p[i] = fjMulRec(c, ops[i][0], ops[i][1], h, fj.I64{}) },
+	)
 }
 
 // fjQuadrants copies the four h×h quadrants of an n×n row-major matrix into

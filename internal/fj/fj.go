@@ -15,15 +15,16 @@
 // are no-ops under the simulator, whose charge profile they leave untouched.
 //
 // A computation is a function func(*Ctx).  Ctx offers structured fork-join
-// parallelism — Fork/Join with a LIFO join discipline, Parallel, and the
-// parallel loop ForRange, whose grain is the simulator's leaf (hardware
-// splits it on demand) — plus per-backend recursion cutoffs (Grain) so that
-// real execution keeps tight serial leaves while the simulator still
-// observes a deep recursion.  Data lives in the typed views of view.go —
-// one generic View[T] over int64, float64 and complex128 (I64, F64, C128) —
-// allocated up front through an Env or mid-run through Ctx.AllocI64 and
-// friends (per-core block-aligned allocations on the simulator, per-worker
-// arena slabs on real hardware).
+// parallelism and nothing else — Parallel(a, b) and the parallel loop
+// ForRange, whose grain is the simulator's leaf (hardware splits it on
+// demand) — so a computation is series-parallel by construction, the HBP
+// shape the paper's analysis and both lowerings assume: no program can
+// state an out-of-order join or a fork that outlives its call.  Per-backend
+// recursion cutoffs (Grain) let real execution keep tight serial leaves
+// while the simulator still observes a deep recursion.  Data lives in the
+// typed views of view.go — one generic View[T] over int64, float64 and
+// complex128 (I64, F64, C128) — allocated up front through an Env or
+// mid-run through Ctx.AllocI64 and friends.
 //
 // Lowerings:
 //
@@ -35,16 +36,16 @@
 //     memory layout (padded or compact).
 //
 // Portability contract: a forked function must use only the Ctx it receives
-// (never a captured outer Ctx), and joins must be LIFO — each Join targets
-// the most recently forked, not-yet-joined task.  Parallel and ForRange obey
-// the discipline by construction; the sim lowering enforces it and panics on
-// violations.  Kernels that want bit-identical outputs across backends must
-// keep their floating-point reduction order independent of the leaf cutoff
-// (see internal/algos/matmul for the pattern).  Panics, on both lowerings:
-// a task's panic goes through its Join to the caller of RunSim or RunReal,
-// value unchanged.  A program must not recover one and go on: the sim
-// lowering raises it again at every later Fork and Join, and on hardware
-// the panicking task's unjoined forks may still run.
+// (never a captured outer Ctx).  Kernels that want bit-identical outputs
+// across backends must keep their floating-point reduction order
+// independent of the leaf cutoff (see internal/algos/matmul for the
+// pattern).  Panics, on both lowerings: a task's panic goes through its
+// join to the caller of RunSim or RunReal, value unchanged.  On hardware a
+// Parallel or ForRange joins its outstanding forks before a panic leaves
+// it (a fork's own panic met there is dropped), so no task of the
+// computation runs after RunReal has raised.  A program must not recover a
+// panic and go on: the sim lowering raises it again at every later fork
+// and join.
 //
 // The leaf idiom.  What the paper's analysis and the simulator's counters
 // are about is the task tree and which task touches which word; how a
@@ -72,16 +73,15 @@ package fj
 
 import "repro/internal/rt"
 
-// Ctx is the execution context handed to every fj task.  Exactly one backend
-// is active: rc on real hardware, sim under the simulator.
+// Ctx is the execution context handed to every fj task; it forks only
+// through Parallel and ForRange.  Exactly one backend is active: rc on real
+// hardware, sim under the simulator.
 type Ctx struct {
 	// Real backend: the rt worker context.
 	rc *rt.Ctx
 
-	// Sim backend: the recording the task runs in, and the task's unjoined
-	// forks, for the LIFO discipline check.
-	sim  *simRun
-	open int
+	// Sim backend: the recording the task runs in.
+	sim *simRun
 }
 
 // Real reports whether the computation is running on real hardware (true) or
@@ -107,47 +107,28 @@ func (c *Ctx) Op(n int64) {
 	}
 }
 
-// Handle joins a forked task.
-type Handle struct {
-	rh  rt.Handle // real backend
-	fr  *frame    // real backend: pooled fork frame, recycled at Join
-	idx int       // sim backend: fork depth for the LIFO check
-}
-
-// Fork schedules fn as a stealable parallel task and returns its join
-// handle.  The caller keeps executing; joins must be LIFO (join the most
-// recent unjoined fork first) so the computation stays series-parallel —
-// the shape both lowerings, and the paper's HBP model, require.  On the
-// real backend the fork's bookkeeping lives in a pooled per-worker frame
-// (scratch.go), so a steady-state fork allocates nothing.
-func (c *Ctx) Fork(fn func(*Ctx)) Handle {
-	if c.rc != nil {
-		fr := c.frame()
-		fr.fn = fn
-		return Handle{rh: c.rc.Fork(fr.invoke), fr: fr}
-	}
-	return c.forkSim(fn)
-}
-
-// Join waits for a forked task to complete, helping with other work
-// meanwhile (real), or closes the fork's continuation in the recording of
-// the run, whose forked task has already completed (sim).
-func (c *Ctx) Join(h Handle) {
-	if c.rc != nil {
-		c.rc.Join(h.rh)
-		c.release(h.fr)
-		return
-	}
-	c.joinSim(h)
-}
-
 // Parallel runs a and b as parallel subtasks and returns when both finish:
 // b is forked, a runs inline on the calling context — the same shape on both
-// backends.
+// backends.  On hardware, if a panics, b is joined before the panic leaves
+// Parallel, and a panic of b's is dropped.
 func (c *Ctx) Parallel(a, b func(*Ctx)) {
-	h := c.Fork(b)
+	if c.rc == nil {
+		c.parallelSim(a, b)
+		return
+	}
+	fr := c.frame()
+	fr.fn = b
+	fr.rh = c.rc.Fork(fr.invoke)
+	joined := false
+	defer func() {
+		if !joined {
+			c.joinUnwinding(fr)
+		}
+	}()
 	a(c)
-	c.Join(h)
+	joined = true
+	c.rc.Join(fr.rh)
+	c.release(fr)
 }
 
 // ForRange runs body(c, lo', hi') over disjoint sub-ranges that cover

@@ -13,8 +13,8 @@ import (
 )
 
 // sumProgram is a small fork-join program touching every frontend feature:
-// nested Parallel, explicit Fork/Join, a parallel ForRange, mid-run
-// allocation, and per-backend grains.
+// nested Parallel, a parallel ForRange, mid-run allocation, and per-backend
+// grains.
 func sumProgram(in, out I64) func(*Ctx) {
 	n := in.Len()
 	return func(c *Ctx) {
@@ -25,9 +25,10 @@ func sumProgram(in, out I64) func(*Ctx) {
 			}
 		})
 		var a, b int64
-		h := c.Fork(func(c *Ctx) { b = sumRange(c, tmp, n/2, n) })
-		a = sumRange(c, tmp, 0, n/2)
-		c.Join(h)
+		c.Parallel(
+			func(c *Ctx) { a = sumRange(c, tmp, 0, n/2) },
+			func(c *Ctx) { b = sumRange(c, tmp, n/2, n) },
+		)
 		out.Set(c, 0, a+b)
 	}
 }
@@ -125,8 +126,8 @@ func TestSimStealsHappen(t *testing.T) {
 }
 
 // TestStaggeredJoinsRunConcurrently pins the lowering semantics for the
-// legal-but-tricky shape h0 := Fork(f0); h1 := Fork(f1); Join(h1); g();
-// Join(h0): the code g() between the two joins must run concurrently with
+// staggered shape Parallel(func { Parallel(nop, f1); g() }, f0): the code
+// g() between the inner join and the outer one must run concurrently with
 // the still-open outer fork f0 — as it does on the real backend — not be
 // deferred until f0 completes.  With f0 and g() each charging `heavy` ops,
 // a concurrent schedule has critical path ≈ heavy + ε while a serialized
@@ -136,12 +137,11 @@ func TestStaggeredJoinsRunConcurrently(t *testing.T) {
 	m := machine.New(machine.Default(4))
 	var f0done, gdone bool
 	res := RunSim(m, sched.NewPWS(), core.Options{}, 1, "staggered", func(c *Ctx) {
-		h0 := c.Fork(func(c *Ctx) { c.Op(heavy); f0done = true })
-		h1 := c.Fork(func(c *Ctx) { c.Op(1) })
-		c.Join(h1)
-		c.Op(heavy)
-		gdone = true
-		c.Join(h0)
+		c.Parallel(func(c *Ctx) {
+			c.Parallel(func(*Ctx) {}, func(c *Ctx) { c.Op(1) })
+			c.Op(heavy)
+			gdone = true
+		}, func(c *Ctx) { c.Op(heavy); f0done = true })
 	})
 	if !f0done || !gdone {
 		t.Fatal("tasks did not complete")
@@ -159,44 +159,16 @@ func TestStaggeredJoinsReal(t *testing.T) {
 	pool := rt.NewPool(4, rt.Random)
 	t.Cleanup(pool.Close)
 	RunReal(pool, func(c *Ctx) {
-		h0 := c.Fork(func(c *Ctx) { out.Set(c, 0, 1) })
-		h1 := c.Fork(func(c *Ctx) { out.Set(c, 1, 2) })
-		c.Join(h1)
-		out.Set(c, 2, 3)
-		c.Join(h0)
+		c.Parallel(func(c *Ctx) {
+			c.Parallel(func(*Ctx) {}, func(c *Ctx) { out.Set(c, 1, 2) })
+			out.Set(c, 2, 3)
+		}, func(c *Ctx) { out.Set(c, 0, 1) })
 	})
 	for i, want := range []int64{1, 2, 3} {
 		if out.Load(int64(i)) != want {
 			t.Errorf("out[%d] = %d, want %d", i, out.Load(int64(i)), want)
 		}
 	}
-}
-
-func TestLIFOJoinEnforced(t *testing.T) {
-	m := machine.New(machine.Default(2))
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on FIFO join order")
-		}
-	}()
-	RunSim(m, sched.NewPWS(), core.Options{}, 1, "bad", func(c *Ctx) {
-		h1 := c.Fork(func(*Ctx) {})
-		h2 := c.Fork(func(*Ctx) {})
-		c.Join(h1) //lint:allow lifoorder deliberate violation: asserts the sim lowering panics on a FIFO join
-		c.Join(h2)
-	})
-}
-
-func TestUnjoinedForkPanics(t *testing.T) {
-	m := machine.New(machine.Default(2))
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on return with unjoined fork")
-		}
-	}()
-	RunSim(m, sched.NewPWS(), core.Options{}, 1, "bad", func(c *Ctx) {
-		c.Fork(func(*Ctx) {}) //lint:allow fjdiscipline deliberate violation: asserts the sim lowering panics on an unjoined fork
-	})
 }
 
 // panicPrograms are two programs whose one panic, "boom", leaves a forked
@@ -273,6 +245,71 @@ func TestUserPanicPropagates(t *testing.T) {
 	awaitGoroutines(t, before)
 }
 
+// TestPanicJoinsForRangeForks: a ForRange chunk's panic joins the range's
+// outstanding forks before it leaves, so no index runs once the program
+// has returned, and none after RunReal has raised.  At p = 1 the loop over
+// [0, 64) forks [32, 64) and runs [0, 32); the forked half forks [48, 64)
+// and panics in its first chunk, at 32.  [48, 64) then runs inside the
+// unwinding join; a fork left unjoined would run on the one worker after
+// the root, where the flag the root's defer sets counts it.
+func TestPanicJoinsForRangeForks(t *testing.T) {
+	pool := rt.NewPool(1, rt.Random)
+	defer pool.Close()
+	var ran, late atomic.Int64
+	var returned atomic.Bool
+	r := raised(func() {
+		RunReal(pool, func(c *Ctx) {
+			defer returned.Store(true)
+			c.ForRange(0, 64, 1, func(_ *Ctx, lo, hi int64) {
+				if lo == 32 {
+					panic("boom")
+				}
+				ran.Add(hi - lo)
+				if returned.Load() {
+					late.Add(hi - lo)
+				}
+			})
+		})
+	})
+	RunReal(pool, func(*Ctx) {}) // the one worker runs what its deque holds first
+	if r != "boom" || late.Load() != 0 || ran.Load() != 48 {
+		t.Errorf("raised %v; %d indices ran, %d after the program returned; want boom, 48, 0", r, ran.Load(), late.Load())
+	}
+}
+
+// TestPanicJoinsStolenHalf: when the inline half of a Parallel panics while
+// a thief runs the forked half, RunReal returns only after that half has
+// finished, and raises the inline half's panic, not the forked half's.
+func TestPanicJoinsStolenHalf(t *testing.T) {
+	pool := rt.NewPool(2, rt.Random)
+	defer pool.Close()
+	var started, finished atomic.Bool
+	steals := pool.Steals()
+	r := raised(func() {
+		RunReal(pool, func(c *Ctx) {
+			c.Parallel(func(*Ctx) {
+				for deadline := time.Now().Add(10 * time.Second); !started.Load(); runtime.Gosched() {
+					if time.Now().After(deadline) {
+						panic("no thief took the forked half")
+					}
+				}
+				panic("boom")
+			}, func(*Ctx) {
+				started.Store(true)
+				time.Sleep(5 * time.Millisecond)
+				finished.Store(true)
+				panic("sibling")
+			})
+		})
+	})
+	if r != "boom" || !finished.Load() {
+		t.Errorf("raised %v, forked half finished = %v; want boom after it finished", r, finished.Load())
+	}
+	if pool.Steals() == steals {
+		t.Error("the forked half was not stolen")
+	}
+}
+
 // raised runs f and returns what it panicked with, nil if it returned.
 func raised(f func()) (v any) {
 	defer func() { v = recover() }()
@@ -294,13 +331,11 @@ func TestPanicTearsDownCoroutines(t *testing.T) {
 				}
 			}()
 			RunSim(m, sched.NewPWS(), core.Options{}, 8, "panicky", func(c *Ctx) {
-				hA := c.Fork(func(c *Ctx) {
-					h := c.Fork(func(*Ctx) {})
-					c.Join(h)
+				c.Parallel(func(c *Ctx) {
+					c.Parallel(func(*Ctx) {}, func(*Ctx) { panic("boom") })
+				}, func(c *Ctx) {
+					c.Parallel(func(*Ctx) {}, func(*Ctx) {})
 				})
-				hB := c.Fork(func(*Ctx) { panic("boom") })
-				c.Join(hB)
-				c.Join(hA)
 			})
 		}()
 	}
@@ -324,7 +359,7 @@ func awaitGoroutines(t *testing.T, before int) {
 }
 
 // TestTornDownTaskEndsDespiteRecover: the first panic of a task is the
-// run's, even when its parent recovers it.  The parent's next Fork raises
+// run's, even when its parent recovers it.  The parent's next fork raises
 // it again, and so does each later one; the parent's deferred calls run,
 // one that panics on the way out does not replace the run's panic, and the
 // run raises "boom".
@@ -340,8 +375,7 @@ func TestTornDownTaskEndsDespiteRecover(t *testing.T) {
 							swallowed++
 						}
 					}()
-					h := c.Fork(func(*Ctx) { panic("boom") })
-					c.Join(h)
+					c.Parallel(func(*Ctx) {}, func(*Ctx) { panic("boom") })
 				}()
 			}
 			ranOn++ // reached only because every panic was swallowed
@@ -371,8 +405,7 @@ func TestRecoveredPanicStillRaised(t *testing.T) {
 	}()
 	RunSim(machine.New(machine.Default(2)), sched.NewPWS(), core.Options{}, 1, "recovered", func(c *Ctx) {
 		defer func() { recover() }()
-		h := c.Fork(func(*Ctx) { panic("boom") })
-		c.Join(h)
+		c.Parallel(func(*Ctx) {}, func(*Ctx) { panic("boom") })
 	})
 }
 

@@ -132,7 +132,7 @@ func TestForRangeMatchesFor(t *testing.T) {
 // TestForRangeForksLogN pins the real lowering's lazy splitting on one
 // worker, where it is deterministic: nobody steals, so a range forks its
 // right half only when it starts on an empty deque — once at the root and
-// once in each right half the worker later pops back at Join.  A range of
+// once in each right half the worker later pops back at its join.  A range of
 // n = 2¹⁶ indices therefore forks about log₂ n tasks, where splitting down
 // to a fixed grain of 1 would fork n−1.  Each of those log₂ n ranges runs
 // in O(log n) chunks (the chunk doubles, capped at a quarter of what

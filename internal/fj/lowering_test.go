@@ -175,28 +175,30 @@ func wyllieRank(c *fj.Ctx, succ, rank fj.I64) {
 }
 
 // staggeredProgram forks twice, joins the inner fork, works, joins the outer
-// one, then forks a child that allocates scratch and fills it in a ForRange.
+// one, then forks a child that allocates scratch and fills it in a ForRange:
+// nested Parallel calls whose inline half is empty where a fork is joined
+// at once.
 func staggeredProgram(env *fj.Env) (func(*fj.Ctx), func() []int64) {
 	in, out := env.I64(64), env.I64(64)
 	for i := range int64(64) {
 		in.Store(i, 3*i%11)
 	}
+	nop := func(*fj.Ctx) {}
 	return func(c *fj.Ctx) {
-		h0 := c.Fork(func(c *fj.Ctx) {
+		c.Parallel(func(c *fj.Ctx) {
+			c.Parallel(nop, func(c *fj.Ctx) {
+				c.Op(5)
+				out.Set(c, 40, in.Get(c, 40)+1)
+			})
+			for i := int64(48); i < 64; i++ {
+				out.Set(c, i, in.Get(c, i)+out.Get(c, 40))
+			}
+		}, func(c *fj.Ctx) {
 			for i := int64(0); i < 32; i++ {
 				out.Set(c, i, 2*in.Get(c, i))
 			}
 		})
-		h1 := c.Fork(func(c *fj.Ctx) {
-			c.Op(5)
-			out.Set(c, 40, in.Get(c, 40)+1)
-		})
-		c.Join(h1)
-		for i := int64(48); i < 64; i++ {
-			out.Set(c, i, in.Get(c, i)+out.Get(c, 40))
-		}
-		c.Join(h0)
-		h2 := c.Fork(func(c *fj.Ctx) {
+		c.Parallel(nop, func(c *fj.Ctx) {
 			s := c.AllocI64(32)
 			c.ForRange(0, 32, 4, func(c *fj.Ctx, lo, hi int64) {
 				for i := lo; i < hi; i++ {
@@ -209,7 +211,6 @@ func staggeredProgram(env *fj.Env) (func(*fj.Ctx), func() []int64) {
 			}
 			out.Set(c, 33, sum)
 		})
-		c.Join(h2)
 	}, out.Words
 }
 

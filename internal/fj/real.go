@@ -3,11 +3,11 @@ package fj
 import "repro/internal/rt"
 
 // Real lowering: on hardware an fj computation is just the rt runtime with a
-// thin adapter — Fork and Join delegate to rt.Ctx (Parallel and ForRange are
-// fj's own, built on them), view accesses index native slices.  Per-task
-// bookkeeping (the adapter closure and the Ctx it hands the body) lives in
-// pooled per-worker frames (scratch.go), so only the root of each Run
-// allocates; the root bench_fj_test.go times each real lowering.
+// thin adapter — Parallel and ForRange fork and join through rt.Ctx, view
+// accesses index native slices.  Per-task bookkeeping (the adapter closure
+// and the Ctx it hands the body) lives in pooled per-worker frames
+// (scratch.go), so only the root of each Run allocates; the root
+// bench_fj_test.go times each real lowering.
 
 // RunReal executes root on the pool and blocks until it completes or panics.
 func RunReal(pool *rt.Pool, root func(*Ctx)) {
@@ -18,3 +18,12 @@ func RunReal(pool *rt.Pool, root func(*Ctx)) {
 // callers (registry, experiments) that already hold a pool task and want to
 // time or compose fj work inside it.
 func RunOn(rc *rt.Ctx, root func(*Ctx)) { root(&Ctx{rc: rc}) }
+
+// joinUnwinding joins fr's task while a panic of the joiner's unwinds, so
+// the task ends before that panic leaves its Parallel or ForRange.  The
+// task's own panic, if any, is dropped: the unwinding one is the one raised.
+func (c *Ctx) joinUnwinding(fr *frame) {
+	defer func() { recover() }()
+	c.rc.Join(fr.rh)
+	c.release(fr)
+}

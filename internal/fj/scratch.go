@@ -10,16 +10,16 @@ import (
 //
 //   - fork frames: the closure that adapts an fj task body to the rt task
 //     signature, plus the small Ctx it hands the body.  Binding them once
-//     per frame and recycling frames after Join makes Fork/Parallel/ForRange
-//     allocation-free in the steady state — previously every fork heap-
-//     allocated a wrapper closure and a Ctx.
+//     per frame and recycling frames after their join makes Parallel and
+//     ForRange allocation-free in the steady state — previously every fork
+//     heap-allocated a wrapper closure and a Ctx.
 //   - view spans ([]I64 run lists): the sort kernels build and discard run
 //     lists at every merge level; AllocRuns/FreeRuns recycle them the same
 //     way AllocI64/FreeI64 recycle element slabs.
 //
-// A frame is reused only after the Join of its fork returns, which the rt
+// A frame is reused only after the join of its fork returns, which the rt
 // done-flag acquire orders after everything its task wrote — so handing the
-// frame to the next Fork on this worker can never race with a thief that
+// frame to the next fork on this worker can never race with a thief that
 // executed the previous one.
 type wlocal struct {
 	frames *frame
@@ -39,7 +39,7 @@ func (c *Ctx) local() *wlocal {
 }
 
 // frame is one pooled fork: either a plain task body (fn) or a ForRange
-// range (lo/hi with its body).
+// range (lo/hi with its body), and the rt task it was forked as (rh).
 // invoke is the rt-shaped entry bound to this frame once at construction,
 // and ctx is the fj context the executing worker fills in — both live here
 // precisely so the fork path allocates nothing.
@@ -47,6 +47,7 @@ type frame struct {
 	fn     func(*Ctx)
 	lo, hi int64
 	body   func(*Ctx, int64, int64)
+	rh     rt.Handle
 	ctx    Ctx
 	invoke func(*rt.Ctx)
 	next   *frame // free-list link, owner-only
@@ -77,9 +78,9 @@ func (c *Ctx) frame() *frame {
 }
 
 // release returns a joined frame to the executing worker's pool, dropping
-// the body references so the pool retains no caller state.
+// the body and task references so the pool retains no caller state.
 func (c *Ctx) release(fr *frame) {
-	fr.fn, fr.body = nil, nil
+	fr.fn, fr.body, fr.rh = nil, nil, rt.Handle{}
 	l := c.local()
 	fr.next = l.frames
 	l.frames = fr
@@ -92,16 +93,24 @@ func (c *Ctx) release(fr *frame) {
 // chunk, if the worker's deque is empty, the right half of what remains is
 // forked as one pooled frame (a contiguous range sharing at most two
 // boundary blocks with its siblings).  The forks join in LIFO order; each
-// halves the range, so 64 handles do.
+// halves the range, so 64 slots do.  A chunk's panic, or a fork's raised
+// at its join, joins the forks still outstanding before it leaves.
 func (c *Ctx) splitReal(lo, hi int64, body func(*Ctx, int64, int64)) {
-	var hs [64]Handle
+	var hs [64]*frame
 	nh := 0
+	defer func() {
+		for nh > 0 { // reached with forks outstanding only on a panic
+			nh--
+			c.joinUnwinding(hs[nh])
+		}
+	}()
 	for chunk := int64(1); lo < hi; {
 		split := hi-lo > 1 && c.rc.DequeEmpty()
 		if split {
 			fr := c.frame()
 			fr.lo, fr.hi, fr.body = lo+(hi-lo)/2, hi, body
-			hs[nh] = Handle{rh: c.rc.Fork(fr.invoke), fr: fr}
+			fr.rh = c.rc.Fork(fr.invoke)
+			hs[nh] = fr
 			nh++
 			hi = fr.lo
 		}
@@ -112,8 +121,10 @@ func (c *Ctx) splitReal(lo, hi int64, body func(*Ctx, int64, int64)) {
 			chunk *= 2
 		}
 	}
-	for i := nh - 1; i >= 0; i-- {
-		c.Join(hs[i])
+	for nh > 0 {
+		nh--
+		c.rc.Join(hs[nh].rh)
+		c.release(hs[nh])
 	}
 }
 

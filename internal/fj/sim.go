@@ -6,15 +6,15 @@ import (
 )
 
 // Sim lowering: record, then replay.  A computation's task tree and each
-// task's accesses do not depend on the schedule — the joins are LIFO, so
-// the computation is series-parallel, and a task sees only what its joined
-// children wrote — so the simulator needs one record of them, made without
-// any schedule, and core.Engine prices that record under any p, scheduler
-// and padding (core.Engine.Replay).
+// task's accesses do not depend on the schedule — Parallel and ForRange
+// join LIFO by construction, so the computation is series-parallel, and a
+// task sees only what its joined children wrote — so the simulator needs
+// one record of them, made without any schedule, and core.Engine prices
+// that record under any p, scheduler and padding (core.Engine.Replay).
 //
 // The record is made by running the computation once as plain serial code
-// against a core.Writer: Fork runs the forked task to completion, then the
-// caller goes on as the fork's continuation; Join closes the continuation.
+// against a core.Writer: a fork runs the forked task to completion, then
+// the caller goes on as its continuation, which the join closes.
 // Views read and write the simulated memory directly, uncached, and charge
 // the writer; the values the serial run computes are the outputs.  The
 // scratch the run allocated is released when the recording is done, zeroed,
@@ -23,7 +23,7 @@ import (
 // would have.
 //
 // Panics.  The first panic to leave a task is the run's: it goes on up
-// through the Fork that ran the task, and every later Fork or Join of the
+// through the fork that ran the task, and every later fork or join of the
 // run raises it again, so a caller that recovers it cannot go on as if the
 // task had run.  Whatever ends the run, the recording raises that panic.
 
@@ -46,24 +46,20 @@ func (run *simRun) call(c *Ctx, fn func(*Ctx)) {
 		}
 	}()
 	fn(c)
-	if c.open != 0 {
-		panic("fj: task returned with unjoined forks")
-	}
 }
 
-// check raises the run's panic, if it has one, at a Fork or Join.
+// check raises the run's panic, if it has one, at a fork or join.
 func (run *simRun) check() {
 	if run.failed != nil {
 		panic(run.failed)
 	}
 }
 
-// forkSim is the sim side of Ctx.Fork: record the fork, run the forked
-// task, and go on as the continuation.
-func (c *Ctx) forkSim(fn func(*Ctx)) Handle {
+// parallelSim is Parallel under the simulator: record the fork, run b to
+// completion as the forked task, then a as the continuation, and close it.
+func (c *Ctx) parallelSim(a, b func(*Ctx)) {
 	run := c.sim
 	run.check()
-	c.open++
 	run.w.Fork()
 	var child *Ctx
 	if n := len(run.free); n > 0 {
@@ -72,21 +68,12 @@ func (c *Ctx) forkSim(fn func(*Ctx)) Handle {
 		child = new(Ctx)
 	}
 	*child = Ctx{sim: run}
-	run.call(child, fn)
+	run.call(child, b)
 	run.free = append(run.free, child)
 	run.w.Join()
-	return Handle{idx: c.open}
-}
-
-// joinSim is the sim side of Ctx.Join.  It enforces the LIFO discipline the
-// lowering (and the HBP model) requires, and closes the continuation.
-func (c *Ctx) joinSim(h Handle) {
-	c.sim.check()
-	if h.idx != c.open {
-		panic("fj: joins must be LIFO — join the most recent unjoined fork first")
-	}
-	c.open--
-	c.sim.w.Join()
+	a(c)
+	run.check()
+	run.w.Join()
 }
 
 // record runs fn serially over m and returns its tape.  size is the

@@ -3,7 +3,6 @@ package fj
 import (
 	"reflect"
 	"runtime"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -108,16 +107,14 @@ func TestSimCoroutineReusedPanicTearsDown(t *testing.T) {
 				}
 			}()
 			RunSim(machine.New(machine.Default(p)), sched.NewPWS(), core.Options{}, 8, "panicky", warmUp(seen, func(c *Ctx) {
-				hA := c.Fork(func(c *Ctx) {
-					h := c.Fork(func(*Ctx) {})
-					c.Join(h)
+				c.Parallel(func(c *Ctx) {
+					c.Parallel(func(*Ctx) {}, func(c *Ctx) {
+						reused = seen[c]
+						panic("boom")
+					})
+				}, func(c *Ctx) {
+					c.Parallel(func(*Ctx) {}, func(*Ctx) {})
 				})
-				hB := c.Fork(func(c *Ctx) {
-					reused = seen[c]
-					panic("boom")
-				})
-				c.Join(hB)
-				c.Join(hA)
 			}))
 		}()
 		if !reused {
@@ -125,30 +122,6 @@ func TestSimCoroutineReusedPanicTearsDown(t *testing.T) {
 		}
 	}
 	awaitGoroutines(t, before)
-}
-
-// TestSimCoroutineReusedUnjoinedPanics: the unjoined-forks check runs for a
-// nested task under a recycled context, not only for the root.
-func TestSimCoroutineReusedUnjoinedPanics(t *testing.T) {
-	seen := map[*Ctx]bool{}
-	var reused bool
-	func() {
-		defer func() {
-			if r, _ := recover().(string); !strings.Contains(r, "unjoined forks") {
-				t.Fatalf("recovered %q, want the unjoined-forks panic", r)
-			}
-		}()
-		RunSim(machine.New(machine.Default(2)), sched.NewPWS(), core.Options{}, 8, "bad", warmUp(seen, func(c *Ctx) {
-			h := c.Fork(func(c *Ctx) {
-				reused = seen[c]
-				c.Fork(func(*Ctx) {}) //lint:allow fjdiscipline deliberate violation: asserts a nested task still panics on an unjoined fork
-			})
-			c.Join(h)
-		}))
-	}()
-	if !reused {
-		t.Error("the unjoined fork did not run under a recycled context")
-	}
 }
 
 // TestSimCoroutineNodeReruns: one program, lowered on two fresh machines,

@@ -149,17 +149,9 @@ func scratch[T Elem](c *Ctx, n int64) View[T] {
 	return View[T]{s: pool[T](c.rc.Scratch()).Get(n), ar: true}
 }
 
-// alloc allocates like scratch and zeroes the view (the simulator's memory
-// is born zeroed, so the two have the same charge profile there).
-func alloc[T Elem](c *Ctx, n int64) View[T] {
-	v := scratch[T](c, n)
-	clear(v.s)
-	return v
-}
-
-// free releases a view obtained from alloc/scratch back to the executing
-// worker's arena; the caller must not touch the view (or any sub-view of
-// it) afterwards, and must not free a view twice.  Views that did not come
+// free releases a view obtained from scratch or AllocI64 back to the
+// executing worker's arena; the caller must not touch the view (or any
+// sub-view of it) afterwards, and must not free a view twice.  Views that did not come
 // from an arena allocation — Env allocations, Wrap* wrappings, sub-views
 // made by Slice — are silently left alone, so a free can never recycle
 // memory the arena does not own.  No-op under the simulator.
@@ -170,14 +162,18 @@ func free[T Elem](c *Ctx, v View[T]) {
 	pool[T](c.rc.Scratch()).Put(v.s)
 }
 
-// The methods kernel sources call: alloc (zeroed) and free at the three
-// element types, scratch (unspecified contents) at the two kernels use.
-func (c *Ctx) AllocI64(n int64) I64     { return alloc[int64](c, n) }
+// AllocI64 allocates like ScratchI64 and zeroes the view (the simulator's
+// memory is born zeroed, so the two have the same charge profile there).
+func (c *Ctx) AllocI64(n int64) I64 {
+	v := scratch[int64](c, n)
+	clear(v.s)
+	return v
+}
+
+// The other methods kernel sources call: scratch (unspecified contents)
+// and free at int64 and complex128.
 func (c *Ctx) ScratchI64(n int64) I64   { return scratch[int64](c, n) }
 func (c *Ctx) FreeI64(v I64)            { free(c, v) }
-func (c *Ctx) AllocF64(n int64) F64     { return alloc[float64](c, n) }
-func (c *Ctx) FreeF64(v F64)            { free(c, v) }
-func (c *Ctx) AllocC128(n int64) C128   { return alloc[complex128](c, n) }
 func (c *Ctx) ScratchC128(n int64) C128 { return scratch[complex128](c, n) }
 func (c *Ctx) FreeC128(v C128)          { free(c, v) }
 

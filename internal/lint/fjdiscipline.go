@@ -7,9 +7,11 @@ import (
 )
 
 // FJDiscipline returns the fork-join discipline analyzer.  The fj frontend's
-// portability contract — and the sim lowering's LIFO join enforcement —
-// assume that all parallelism flows through Fork/Join on the context a task
-// received.  Two classes of violation are reported:
+// portability contract assumes that all parallelism flows through the
+// context a task received, and a series-parallel computation that every
+// fork is joined: fj's Parallel and ForRange guarantee the second, raw
+// rt.Ctx Fork/Join calls only by convention.  Two classes of violation are
+// reported:
 //
 //   - an fj.Ctx or rt.Ctx escaping into a raw goroutine (captured by a
 //     go-launched function literal, or passed as an argument of a go call):

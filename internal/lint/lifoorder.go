@@ -6,18 +6,17 @@ import (
 	"go/types"
 )
 
-// LIFOOrder returns the lowering-aware join-order analyzer.  The sim
-// lowering enforces at run time that Join discharges the most recent
-// unjoined Fork — the LIFO discipline that makes a computation
+// LIFOOrder returns the join-order analyzer.  A Join must discharge the
+// most recent unjoined Fork — the LIFO discipline that makes a computation
 // series-parallel and keeps the simulator's space and false-sharing
-// accounting honest — by panicking on the first out-of-order Join it
-// executes.  That check only fires on the path a given test happens to
-// run; this analyzer flags the same violation statically, per function
-// body, by replaying fork-handle assignments and Join calls in source
-// order against a stack of open handles.
+// accounting honest.  internal/fj holds it by construction (Parallel and
+// ForRange are its only parallel forms); raw Fork/Join calls, rt.Ctx's,
+// hold it only by convention, so this analyzer flags a violation
+// statically, per function body, by replaying fork-handle assignments and
+// Join calls in source order against a stack of open handles.
 //
 // The replay is deliberately conservative, so a finding is close to
-// certainly a runtime panic: only handles assigned to plain variables are
+// certainly a misordered join: only handles assigned to plain variables are
 // tracked, and only a Join whose argument is a tracked handle sitting
 // below the stack top is reported.  Handles stored into containers,
 // joined inside deferred or go-launched closures, or flowing across
@@ -27,7 +26,7 @@ import (
 func LIFOOrder() *Analyzer {
 	return &Analyzer{
 		Name: "lifoorder",
-		Doc:  "Join calls discharging fork handles out of LIFO order, which the sim lowering rejects at run time",
+		Doc:  "Join calls discharging fork handles out of LIFO order, so the computation is not series-parallel",
 		Run:  runLIFOOrder,
 	}
 }
@@ -134,7 +133,7 @@ func lifoReplayBody(p *Package, body *ast.BlockStmt, out *[]Finding) {
 				*out = append(*out, Finding{
 					Pos:      p.Fset.Position(s.Pos()),
 					Analyzer: "lifoorder",
-					Message: fmt.Sprintf("Join(%s) out of LIFO order: %s is the most recent unjoined fork, and the sim lowering panics on this shape — join the most recent unjoined fork first",
+					Message: fmt.Sprintf("Join(%s) out of LIFO order: %s is the most recent unjoined fork — join it first, so the computation stays series-parallel",
 						id.Name, stack[top].name),
 				})
 			}

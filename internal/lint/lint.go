@@ -14,12 +14,13 @@
 //     functions and by plain loads/stores — a latent race the -race
 //     detector only reports when the bad interleaving actually happens.
 //   - fjdiscipline flags fj.Ctx/rt.Ctx values escaping into raw goroutines
-//     and Fork results that are discarded or never joined — the structured
-//     fork-join invariants the sim lowering's LIFO discipline depends on.
+//     and rt Fork results that are discarded or never joined — the
+//     structured fork-join invariants fj's Parallel and ForRange hold by
+//     construction.
 //   - lifoorder replays each function body's Fork assignments and Join
 //     calls in source order against a handle stack and flags a Join that
-//     discharges anything but the most recent unjoined fork — the exact
-//     violation the sim lowering panics on, caught before any test runs it.
+//     discharges anything but the most recent unjoined fork — a computation
+//     that is no longer series-parallel.
 //   - determinism flags, in the harness/bench/registry packages that feed
 //     the -canon byte-stability gates, calls to time.Now, global (unseeded)
 //     math/rand functions, and map-range iteration feeding Row output.

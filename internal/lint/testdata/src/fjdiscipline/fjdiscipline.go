@@ -1,41 +1,44 @@
 // Package fjdiscipline is golden-test input for the fjdiscipline analyzer:
-// every way a Fork can lose its Join, plus contexts escaping into raw
-// goroutines, next to the disciplined shapes that must stay silent.
+// every way an rt Fork can lose its Join, plus fj contexts escaping into
+// raw goroutines, next to the disciplined shapes that must stay silent.
 package fjdiscipline
 
-import "repro/internal/fj"
+import (
+	"repro/internal/fj"
+	"repro/internal/rt"
+)
 
-func discard(c *fj.Ctx) {
-	c.Fork(func(*fj.Ctx) {}) // want "Fork result discarded"
+func discard(c *rt.Ctx) {
+	c.Fork(func(*rt.Ctx) {}) // want "Fork result discarded"
 }
 
-func blank(c *fj.Ctx) {
-	_ = c.Fork(func(*fj.Ctx) {}) // want "Fork result discarded"
+func blank(c *rt.Ctx) {
+	_ = c.Fork(func(*rt.Ctx) {}) // want "Fork result discarded"
 }
 
-func neverJoined(c *fj.Ctx) {
-	h := c.Fork(func(*fj.Ctx) {}) // want "fork handle h is never passed to Join"
+func neverJoined(c *rt.Ctx) {
+	h := c.Fork(func(*rt.Ctx) {}) // want "fork handle h is never passed to Join"
 	_ = h
 }
 
 // proper is the canonical disciplined shape: silent.
-func proper(c *fj.Ctx) {
-	h := c.Fork(func(*fj.Ctx) {})
+func proper(c *rt.Ctx) {
+	h := c.Fork(func(*rt.Ctx) {})
 	c.Join(h)
 }
 
 // deferredJoin discharges the handle from a nested literal; the analyzer
 // must see joins through closure boundaries.
-func deferredJoin(c *fj.Ctx) {
-	h := c.Fork(func(*fj.Ctx) {})
+func deferredJoin(c *rt.Ctx) {
+	h := c.Fork(func(*rt.Ctx) {})
 	defer func() { c.Join(h) }()
 }
 
 // sweep stores handles into a container and joins them all: silent.
-func sweep(c *fj.Ctx) {
-	var hs [4]fj.Handle
+func sweep(c *rt.Ctx) {
+	var hs [4]rt.Handle
 	for i := range hs {
-		hs[i] = c.Fork(func(*fj.Ctx) {})
+		hs[i] = c.Fork(func(*rt.Ctx) {})
 	}
 	for i := len(hs) - 1; i >= 0; i-- {
 		c.Join(hs[i])
@@ -44,10 +47,10 @@ func sweep(c *fj.Ctx) {
 
 // sweepNoJoin stores handles into a container in a function with no Join
 // call at all.
-func sweepNoJoin(c *fj.Ctx) {
-	var hs [4]fj.Handle
+func sweepNoJoin(c *rt.Ctx) {
+	var hs [4]rt.Handle
 	for i := range hs {
-		hs[i] = c.Fork(func(*fj.Ctx) {}) // want "stored into a container but this function contains no Join"
+		hs[i] = c.Fork(func(*rt.Ctx) {}) // want "stored into a container but this function contains no Join"
 	}
 }
 

@@ -243,8 +243,8 @@ type batchError struct {
 // checked, words included, before any is admitted: a malformed line, or more
 // lines than the admission bound, fails the window.  The roots parse the
 // words again, out of the body, which goes back to the free list once every
-// root has answered, if all succeeded.  Once the first byte is written the
-// stream stays 200; each line is flushed as it is sent.
+// root has answered.  Once the first byte is written the stream stays 200;
+// each line is flushed as it is sent.
 func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 	body, err := s.readBody(w, r)
 	var calls []*call
@@ -282,11 +282,9 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 			c.finish(result{err: err})
 		}
 	}
-	recycle := true
 	for range calls {
 		res := <-sink
 		if res.err != nil {
-			recycle = false
 			errs.Encode(batchError{Index: res.index, Error: res.err.Error()})
 		} else {
 			w.Write(res.line)
@@ -296,9 +294,7 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 			flusher.Flush()
 		}
 	}
-	if recycle { // every root has answered: none reads the body any more
-		s.bufs.put(body)
-	}
+	s.bufs.put(body) // every root has answered: none reads the body any more
 }
 
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -25,11 +25,12 @@
 //
 // A request's buffers have one owner at a time: the handler until the root
 // is admitted, then the root, which gives the body and its word slabs back
-// to the service's free lists (wire.go) when it completes; only the encoded
-// response returns to the handler, which recycles it once written.  (The
-// roots of a /batch window only read the body; the handler recycles it
-// once all have answered.)  A root that fails gives nothing back: the task
-// that panicked may have left a forked task still writing.
+// to the service's free lists (wire.go) when it completes, whether it
+// succeeded or failed — fj joins every fork, even on a panic, so a root
+// that has answered has no task left running; only the encoded response
+// returns to the handler, which recycles it once written.  (The roots of a
+// /batch window only read the body; the handler recycles it once all have
+// answered.)
 //
 // Admission control is that bounded count: when it is full the service
 // answers with backpressure (ErrOverloaded, HTTP 429 + Retry-After) instead
@@ -315,22 +316,32 @@ func (s *Service) run(rc *rt.Ctx, c *call) {
 	default:
 		fj.RunOn(rc, func(fc *fj.Ctx) { res = s.serve(fc, c) })
 	}
+	s.bufs.put(c.body) // however the request ended, no task reads its body any more
 	c.finish(res)
 }
 
 // serve is the program of one request, a fork-join computation on its
-// root: parse, validate or generate, the kernel, verify, encode.  On
-// success it gives back the slabs the request owned.  Its recover is the
-// last line of defense (validation guarantees panic-free kernels): a panic
-// in any task of the program fails just this request, since rt raises a
-// forked task's panic at its Join, on the root, whichever worker ran it.
+// root: parse, validate or generate, the kernel, verify, encode.  However
+// it ends it gives back the slabs the request owned: fj joins every fork
+// before a panic leaves it, so no task of the program still reads or
+// writes them.  Its recover is the last line of defense (validation
+// guarantees panic-free kernels): a panic in any task of the program fails
+// just this request, since rt raises a forked task's panic at its Join, on
+// the root, whichever worker ran it.
 func (s *Service) serve(fc *fj.Ctx, c *call) (res result) {
+	var out []int64
 	defer func() {
 		if r := recover(); r != nil {
 			res = result{err: fmt.Errorf("%w: %v", ErrKernel, r)}
 		}
 		if res.err != nil {
 			s.met.failed.Add(1)
+		}
+		if c.encode {
+			s.words.put(out)
+		}
+		if c.owned {
+			s.words.put(c.in)
 		}
 	}()
 	k := c.kernel
@@ -358,7 +369,6 @@ func (s *Service) serve(fc *fj.Ctx, c *call) (res result) {
 	// after its response yet before its request was counted.
 	s.met.started.Add(1)
 	n := k.OutLen(c.in)
-	var out []int64
 	if c.encode {
 		out = s.words.get(int(n))[:n] // uncleared: a kernel defines every word of its output
 	} else {
@@ -372,13 +382,8 @@ func (s *Service) serve(fc *fj.Ctx, c *call) (res result) {
 	}
 	if c.encode {
 		res.line = c.pass.encode(s.bufs.get(responseBytes(k.Name, len(out))), &resp, fc)
-		s.words.put(out)
-		s.bufs.put(c.body)
 	} else {
 		res.resp = resp
-	}
-	if c.owned {
-		s.words.put(c.in)
 	}
 	s.met.completed.Add(1)
 	s.met.latency.observe(time.Since(c.enqueued).Nanoseconds())

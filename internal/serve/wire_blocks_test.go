@@ -19,11 +19,13 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/algos/registry"
 )
@@ -255,14 +257,19 @@ func TestCodecPanicFailsItsRequest(t *testing.T) {
 // a thief codes fails only its request, with 500, decode or encode, and the
 // next request succeeds.  The root codes block 0 first and waits there
 // until the first block of the half it forked has started, so a thief
-// codes that block, which panics.
+// codes that block, which panics.  The failed request's body is back in
+// the service's free list when the 500 arrives.
 func TestStolenBlockPanicFailsItsRequest(t *testing.T) {
 	defer func(old int) { codecBlock = old }(codecBlock)
 	codecBlock = 1 << 10
 	svc := New(Config{Pool: 2})
 	defer svc.Close()
 	var armDecode, armEncode, started, alone atomic.Bool
+	var body atomic.Pointer[byte] // the request body the decode pass reads
 	svc.hookBlock = func(p *wirePass, b int) {
+		if p.decode && b == 0 {
+			body.Store(unsafe.SliceData(p.buf))
+		}
 		armed := &armDecode
 		if !p.decode {
 			armed = &armEncode
@@ -310,6 +317,12 @@ func TestStolenBlockPanicFailsItsRequest(t *testing.T) {
 		invoke(arm.name+" panic in a stolen block", http.StatusInternalServerError)
 		if alone.Load() || arm.armed.Load() || svc.pool.Steals() == steals {
 			t.Fatalf("%s: the panicking block was not a thief's", arm.name)
+		}
+		svc.bufs.mu.Lock()
+		back := slices.ContainsFunc(svc.bufs.free, func(b []byte) bool { return unsafe.SliceData(b) == body.Load() })
+		svc.bufs.mu.Unlock()
+		if !back {
+			t.Errorf("%s: the failed request's body is not back in the free list", arm.name)
 		}
 		invoke("after the "+arm.name+" panic", http.StatusOK)
 	}

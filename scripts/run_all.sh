@@ -27,6 +27,50 @@ case "${1:-}" in
 esac
 OUT="${1:-runs}"
 
+# alternatives prints the top-level alternatives of the -run regex $1, each
+# cut at its first '/' (the subtest part, which go test -list cannot see).
+alternatives() {
+    local re=$1 depth=0 cur="" ch i
+    for ((i = 0; i < ${#re}; i++)); do
+        ch=${re:i:1}
+        case "$ch" in
+        '(') depth=$((depth + 1)) ;;
+        ')') depth=$((depth - 1)) ;;
+        '|')
+            if [ "$depth" -eq 0 ]; then
+                echo "${cur%%/*}"
+                cur=""
+                continue
+            fi
+            ;;
+        esac
+        cur+=$ch
+    done
+    echo "${cur%%/*}"
+}
+
+# focused runs go test "$@", a gate with a -run regex, after checking with
+# go test -list that every alternative of the regex names at least one test
+# in the gate's packages: go test passes a -run that matches nothing, so a
+# gate whose tests were deleted or renamed would otherwise pass silently.
+focused() {
+    local run="" prev="" a alt listed
+    local pkgs=()
+    for a in "$@"; do
+        [ "$prev" = -run ] && run=$a
+        case "$a" in .|./*) pkgs+=("$a") ;; esac
+        prev=$a
+    done
+    listed=$(go test -list . "${pkgs[@]}")
+    while read -r alt; do
+        grep -E '^(Test|Fuzz|Benchmark|Example)' <<<"$listed" | grep -qE -- "$alt" || {
+            echo "gate -run '$run': '$alt' names no test in ${pkgs[*]}" >&2
+            exit 1
+        }
+    done < <(alternatives "$run")
+    go test "$@"
+}
+
 if [ "$MODE" != grid ]; then
     echo "== gate: gofmt =="
     fmt=$(gofmt -l .)
@@ -53,30 +97,32 @@ if [ "$MODE" != grid ]; then
     # build is where released slabs are poison-filled.  FuzzInvokeCodec's
     # committed seed corpus (every kernel run on its wire words in place) runs
     # as ordinary test cases under the detector.
-    go test -race -run 'Test|FuzzInvokeCodec' ./internal/fj/ ./internal/arena/ ./internal/algos/registry/
-    go test -race -run 'TestSortAllocRegression|TestKernelAllocRegression' .
+    focused -race -run 'Test|FuzzInvokeCodec' ./internal/fj/ ./internal/arena/ ./internal/algos/registry/
+    focused -race -run 'TestSortAllocRegression|TestKernelAllocRegression' .
     # The real ForRange splits on demand, so where a loop splits depends on
     # timing: one schedule is not enough, run the loop gates (exactly-once
     # visits, forks per steal) five times.
-    go test -race -count=5 -run 'TestForRange' ./internal/fj/
+    focused -race -count=5 -run 'TestForRange' ./internal/fj/
     # listrank's sublist walks write rank words scattered over the list from
     # every worker; its edge shapes run under the detector, three schedules.
-    go test -race -count=3 -run TestFJRank ./internal/algos/listrank/
+    focused -race -count=3 -run TestFJRank ./internal/algos/listrank/
     # The transpose leaf writes whole destination rows from every worker;
     # shapes on both sides of its 64×64 leaf run under the detector too.
-    go test -race -count=3 -run TestFJTranspose ./internal/algos/mat/
+    focused -race -count=3 -run TestFJTranspose ./internal/algos/mat/
     # The sim lowering records a run serially, reusing its task contexts;
     # its reuse, panic and rerun gates run under the detector too.
-    go test -race -count=5 -run 'TestPanicTearsDown|TestTornDown|TestSimCoroutine' ./internal/fj/
+    focused -race -count=5 -run 'TestPanicTearsDown|TestTornDown|TestSimCoroutine' ./internal/fj/
     # A forked task's panic is raised at its Join, whichever worker ran it:
     # a stolen task's and one a helper ran inside an unrelated Join (rt),
-    # both fj lowerings at p = 1 and 2, a codec block a thief codes (serve).
-    go test -race -count=5 -run 'TestStolenPanicRaisedAtJoin|TestHelperJoinSurvivesForeignPanic|TestUserPanicPropagates|TestStolenBlockPanicFailsItsRequest' ./internal/rt/ ./internal/fj/ ./internal/serve/
+    # both fj lowerings at p = 1 and 2, a codec block a thief codes (serve);
+    # a panic leaves a Parallel or ForRange only after its forks have
+    # joined, a stolen half included (fj).
+    focused -race -count=5 -run 'TestStolenPanicRaisedAtJoin|TestHelperJoinSurvivesForeignPanic|TestUserPanicPropagates|TestPanicJoinsForRangeForks|TestPanicJoinsStolenHalf|TestStolenBlockPanicFailsItsRequest' ./internal/rt/ ./internal/fj/ ./internal/serve/
 
     echo "== gate: -race over the simulated caches, coherence protocol and schedulers =="
     # FuzzSetMatchesReference's seeds replay the slab LRU against the
     # map-and-list reference model as ordinary test cases.
-    go test -race -run 'Test|FuzzSetMatchesReference' ./internal/cache/ ./internal/machine/ ./internal/sched/
+    focused -race -run 'Test|FuzzSetMatchesReference' ./internal/cache/ ./internal/machine/ ./internal/sched/
 
     echo "== gate: -race over the kernel service + fuzz seed corpora =="
     # The serve battery exercises concurrent clients, cancellation,
@@ -88,7 +134,7 @@ if [ "$MODE" != grid ]; then
     # FuzzDecodeRequest (the wire codec against encoding/json), FuzzWireWords
     # and FuzzKWayMerge seed stays green (the spms corpus drives the k-way
     # merge on the real backend at p=4).
-    go test -race -run 'Test|FuzzService|FuzzDecodeRequest|FuzzWireWords|FuzzKWayMerge' ./internal/serve/ ./internal/algos/spms/
+    focused -race -run 'Test|FuzzService|FuzzDecodeRequest|FuzzWireWords|FuzzKWayMerge' ./internal/serve/ ./internal/algos/spms/
 
     echo "== gate: -race over the blocked wire codec on the service pool, three schedules =="
     # Payloads over one codec block are parsed and formatted as an fj loop on
@@ -97,12 +143,12 @@ if [ "$MODE" != grid ]; then
     # block's panic failing only its request, small requests coding inline in
     # their root, one root per request, the /batch admission bound, and
     # recycled buffers and word slabs under all nine kernels.
-    go test -race -count=3 -run 'TestBlockedCodecMatchesUnblocked|TestCodecPanicFailsItsRequest|TestSmallRequestsCodeInline|TestRecycledBuffersNoBleed|TestOneRootPerRequest|TestBatchCappedAtQueueBound|FuzzDecodeRequest|FuzzWireWords' ./internal/serve/
+    focused -race -count=3 -run 'TestBlockedCodecMatchesUnblocked|TestCodecPanicFailsItsRequest|TestSmallRequestsCodeInline|TestRecycledBuffersNoBleed|TestOneRootPerRequest|TestBatchCappedAtQueueBound|FuzzDecodeRequest|FuzzWireWords' ./internal/serve/
 
     echo "== gate: -race over concurrently executing grid cells =="
     # A golden subset at -parallel 8 is the only place experiment cells run
     # concurrently; race-check it without paying for the full suite under -race.
-    go test -race -run 'TestGoldenRowsIdenticalAcrossParallelism/(EXP05|EXP07|EXP13|EXP15|EXP16)' ./internal/bench/
+    focused -race -run 'TestGoldenRowsIdenticalAcrossParallelism/(EXP05|EXP07|EXP13|EXP15|EXP16)' ./internal/bench/
 
     echo "== gate: -race over record once, replay the grid (replay == live, concurrent claims on one key, refused keys live) =="
     # EXP14's cells share one recording per key: the golden EXP14 subset at
@@ -110,7 +156,7 @@ if [ "$MODE" != grid ]; then
     # gate replays every EXP14 kernel under another (p, scheduler, padding)
     # than it was recorded under, and a key whose recording is refused runs
     # every cell live and keeps no tape.
-    go test -race -run 'TestEXP14ReplayMatchesLive|TestTapesRunRefusedKeysLive|TestGoldenRowsIdenticalAcrossParallelism/EXP14' ./internal/bench/
+    focused -race -run 'TestEXP14ReplayMatchesLive|TestTapesRunRefusedKeysLive|TestGoldenRowsIdenticalAcrossParallelism/EXP14' ./internal/bench/
 
     echo "== gate: benchmark smoke (every benchmark runs one iteration) =="
     go test -run '^$' -bench . -benchtime 1x . ./internal/algos/sortutil/ ./internal/serve/ >/dev/null
