@@ -7,13 +7,15 @@ package repro
 // future change that quietly reintroduces per-node heap traffic fails loudly.
 //
 // What the pins cover and what remains: slab and fork-frame reuse removes
-// the O(n/grain) view and task allocations, but each Parallel node
-// still heap-allocates its captured branch closures, and internal/rt's task
-// arena deliberately replaces (never rewinds) its use-once 256-frame slabs —
-// together a small, size-stable residue per sort.  The ceilings below sit
-// ~2× above the measured residue and ~10× below the pre-arena counts
-// (spms at 2^17 was ~1195 allocs / 1.88 MB per op before slab reuse).
-// TestKernelAllocRegression pins every catalog kernel the same way, and
+// the O(n/grain) view and task allocations — fj recycles its frames, rt
+// hands a joined task frame to the next fork on the same worker, and the
+// arena's bounded free lists pass the slabs stealing moves between workers
+// back through a shared spill — but each Parallel node still heap-allocates
+// its captured branch closures, a small, size-stable residue per sort.  The
+// ceilings below sit ~2× above the measured residue and ~10× below the
+// pre-arena counts (spms at 2^17 was ~1195 allocs / 1.88 MB per op before
+// slab reuse).
+// TestKernelAllocRegression pins every catalog kernel's objects and bytes, and
 // TestInvokeAllocRegression, at the end, the service's HTTP edge.
 
 import (
@@ -99,37 +101,65 @@ func TestSortAllocRegression(t *testing.T) {
 }
 
 // TestKernelAllocRegression pins what one fj.RunReal of each served kernel,
-// at the size of its quick sweep, allocates on a warmed, reused pool.  What
-// is left once scratch comes from the arena and fork frames from the
-// workers' pools is one closure per Parallel/ForRange call site
-// executed — so the count follows the number of forking recursion nodes, not
-// the input size: tens for the flat parallel maps, a few hundred for the
-// recursions.
+// at the size of its quick sweep, allocates on a warmed, reused 2-worker
+// pool: objects and bytes.  What is left once scratch comes from the arena
+// and fork frames are reused after their joins is one closure per
+// Parallel/ForRange call site executed — so the count follows the number of
+// forking recursion nodes, not the input size: tens for the flat parallel
+// maps, a few hundred for the recursions.
 // Before the fft got its table-driven real path it allocated closures at
 // every recursion node down to single elements: 131 081 objects a run at the
 // benchmark's n = 2¹⁶.
 //
+// Objects alone did not show two leaks: rt carved a fresh 128-byte frame
+// for every fork, and a shard kept every slab a stolen task released to it,
+// so a thief went on making slabs while its victim's list grew (strassen at
+// side 256, p = 2: 240 KB a run and a heap that never stopped growing).
+// Neither changes the object count much — a frame slab is one object per
+// 256 forks, a slab one per miss — so bytes are pinned too.
+//
 // A loop forks on demand, so its closure count follows steals: on 2 workers
 // scan and gather read 7 and 6 every time, but with more workers than CPUs
-// single measurements read up to 24.  The count is the least of three
+// single measurements read up to 24.  Both counts are the least of three
 // measurements, the least-disturbed schedule's, and each budget ~2× that.
 func TestKernelAllocRegression(t *testing.T) {
-	budget := map[string]float64{
-		"scan": 16, "gather": 16,
+	// Objects and bytes a run, each the least of three 5-run batches, on
+	// the parent of the change that reused frames and bounded the free
+	// lists, and after it.  The objects did not move.  The parent's bytes
+	// ranged over four test runs, as a frame slab or a slab miss fell in a
+	// batch or not:
+	//
+	//	kernel     objects  bytes before      bytes after
+	//	matmul     11       1.7 KB            1.7 KB
+	//	strassen   13       1.9 – 26.5 KB     1.8 – 2.0 KB
+	//	sortx      53       9.8 KB            9.8 KB
+	//	spms       25       3.4 KB            3.4 – 3.5 KB
+	//	scan        7       0.6 KB            0.6 KB
+	//	fft        69       16.0 – 22.5 KB    2.9 KB
+	//	transpose  68       11.3 – 17.9 KB    11.3 KB
+	//	gather      6       0.4 – 7.0 KB      0.4 – 0.5 KB
+	//	listrank    8       0.7 – 7.3 KB      0.7 KB
+	//
+	// Object budgets are the earlier ones; byte budgets are ~2× the after
+	// column.
+	budget := map[string]struct {
+		objs  float64
+		bytes uint64
+	}{
+		"scan": {16, 1200}, "gather": {16, 1000},
 		// 8 objects a run, three of them its loops' closures (26 under
 		// pointer jumping, which ran one loop per round).
-		"listrank": 16,
-		// Side 128 over real grain 64 is one level of recursion: 12 and 21
-		// objects a run (60 and 71 at grain 32).
-		"matmul": 48, "strassen": 48,
-		// Side 512 over 64×64 leaves: 68 objects a run (261 over 32×32).
-		"transpose": 160,
-		// 69 objects a run.
-		"fft": 160,
+		"listrank": {16, 1500},
+		// Side 128 over real grain 64 is one level of recursion (60 and 71
+		// objects a run at grain 32).
+		"matmul": {48, 3500}, "strassen": {48, 4000},
+		// Side 512 over 64×64 leaves (261 objects over 32×32).
+		"transpose": {160, 24000},
+		"fft":       {160, 6000},
 		// The sorts at 2¹⁶ keys; TestSortAllocRegression explains their counts.
-		"spms": 256, "sortx": 448,
+		"spms": {256, 7000}, "sortx": {448, 20000},
 	}
-	pool := rt.NewPool(0, rt.Random)
+	pool := rt.NewPool(2, rt.Random)
 	t.Cleanup(pool.Close)
 	for _, k := range registry.FJKernels() {
 		t.Run(k.Name, func(t *testing.T) {
@@ -139,7 +169,11 @@ func TestKernelAllocRegression(t *testing.T) {
 			}
 			work := k.Setup(fj.NewRealEnv(), int64(k.Size(true)), 7)
 			run := func() { fj.RunReal(pool, work.Root) }
-			for i := 0; i < 3; i++ {
+			// Warm until the free lists are settled, not just stocked: the
+			// slabs a thief makes pile up on its victim's list until that
+			// list reaches its cap, and only its overflow reaches the
+			// thief again, through the spill.
+			for i := 0; i < 20; i++ {
 				run()
 			}
 			if !work.Verify() {
@@ -148,12 +182,24 @@ func TestKernelAllocRegression(t *testing.T) {
 			if arena.Poisoning {
 				t.Skip("allocation pins are for the non-instrumented build")
 			}
-			allocs := testing.AllocsPerRun(5, run)
-			for range 2 {
-				allocs = min(allocs, testing.AllocsPerRun(5, run))
+			const rounds = 5
+			objs, bytes := math.Inf(1), uint64(math.MaxUint64)
+			for range 3 {
+				var m0, m1 runtime.MemStats
+				runtime.ReadMemStats(&m0)
+				for range rounds {
+					run()
+				}
+				runtime.ReadMemStats(&m1)
+				objs = min(objs, float64(m1.Mallocs-m0.Mallocs)/rounds)
+				bytes = min(bytes, (m1.TotalAlloc-m0.TotalAlloc)/rounds)
 			}
-			if allocs > max {
-				t.Errorf("steady-state allocs/run = %v, want <= %v", allocs, max)
+			t.Logf("%.0f objects, %d bytes a run", objs, bytes)
+			if objs > max.objs {
+				t.Errorf("steady-state allocs/run = %v, want <= %v", objs, max.objs)
+			}
+			if bytes > max.bytes {
+				t.Errorf("steady-state bytes/run = %d, want <= %d", bytes, max.bytes)
 			}
 		})
 	}

@@ -144,3 +144,65 @@ func TestShardPoolsIndependent(t *testing.T) {
 		t.Fatal("a Put to one typed pool leaked into another")
 	}
 }
+
+// TestSpillFeedsTheOtherShard: two shards share one spill; A only Gets and
+// B only Puts, the flow stealing sets up between a thief and its victim.
+// B's list stops at its cap and the overflow reaches A through the spill,
+// so once the spill is stocked A makes no more slabs.
+func TestSpillFeedsTheOtherShard(t *testing.T) {
+	sh := NewShards(2)
+	a, b := &sh[0].I64, &sh[1].I64
+	const words = 64
+	slab := classCap(classFor(words)) * 8
+	var stocked int64
+	for r := 0; r < 10000; r++ {
+		b.Put(a.Get(words))
+		if r == 2*localCap {
+			stocked = a.Misses
+		}
+	}
+	if a.Misses != stocked || a.Misses > localCap+1 {
+		t.Errorf("A made %d slabs, %d of them once the spill was stocked; want at most %d, all before", a.Misses, a.Misses-stocked, localCap+1)
+	}
+	if got := b.Held(); got != localCap*slab {
+		t.Errorf("B holds %d bytes, want its cap, %d", got, localCap*slab)
+	}
+	if b.Drops != 0 || b.Puts != 10000 {
+		t.Errorf("B: %d puts, %d drops; want 10000 and 0", b.Puts, b.Drops)
+	}
+
+	// A burst past the spill's bound is dropped, not kept.
+	burst := make([][]int64, 2*spillCap)
+	for i := range burst {
+		burst[i] = a.Get(words)
+	}
+	for _, s := range burst {
+		b.Put(s)
+	}
+	if got := sh[0].Held() + sh[1].Held() + sh[0].Spilled(); got > MaxSlabs(2)*slab {
+		t.Errorf("shards and spill hold %d bytes, want <= %d", got, MaxSlabs(2)*slab)
+	}
+	if got := sh[0].Spilled(); got != spillCap*slab {
+		t.Errorf("spill holds %d bytes after the burst, want its cap, %d", got, spillCap*slab)
+	}
+	if b.Drops == 0 {
+		t.Error("a Put past a full spill was not counted in Drops")
+	}
+}
+
+// TestAttachSharesOneSpillPerType: client pools of one element type
+// attached to shards of one group share that type's spill with the shard's
+// own pools; another type gets its own.
+func TestAttachSharesOneSpillPerType(t *testing.T) {
+	sh := NewShards(2)
+	var extra Pool[int64]
+	var other Pool[int32]
+	Attach(sh[1], &extra)
+	Attach(sh[1], &other)
+	if extra.spill != sh[0].I64.spill || extra.spill == nil {
+		t.Error("an attached int64 pool does not share the group's int64 spill")
+	}
+	if other.spill == nil || NewShard().I64.spill == sh[0].I64.spill {
+		t.Error("spills leak across element types or groups")
+	}
+}

@@ -15,7 +15,9 @@ import (
 //     heap-allocated a wrapper closure and a Ctx.
 //   - view spans ([]I64 run lists): the sort kernels build and discard run
 //     lists at every merge level; AllocRuns/FreeRuns recycle them the same
-//     way AllocI64/FreeI64 recycle element slabs.
+//     way AllocI64/FreeI64 recycle element slabs, through an arena.Pool
+//     attached to the shard's group, so its free lists are bounded and
+//     share one spill like the shard's own.
 //
 // A frame is reused only after the join of its fork returns, which the rt
 // done-flag acquire orders after everything its task wrote — so handing the
@@ -34,6 +36,7 @@ func (c *Ctx) local() *wlocal {
 		return l
 	}
 	l := &wlocal{}
+	arena.Attach(sh, &l.spans)
 	sh.Aux = l
 	return l
 }

@@ -17,10 +17,17 @@
 // private line, mirroring the paper's block-size-B padding of §4.7), while
 // LayoutCompact packs all workers' cells adjacently so that independent
 // writes share lines.  Task frames are likewise slab-allocated either
-// line-disjoint (a two-line stride each) or packed.  The compact layout
-// exists only as the "unpadded"
-// ablation arm of EXP13, which demonstrates the paper's false-sharing
-// penalty on real hardware; NewPool always uses LayoutPadded.
+// line-disjoint (a two-line stride each) or packed, and a joined frame
+// serves the forking worker's next fork (taskArena says why that is safe),
+// so forking allocates nothing in the steady state.  The compact layout
+// exists only as the "unpadded" ablation arm of EXP13, which demonstrates
+// the paper's false-sharing penalty on real hardware; NewPool always uses
+// LayoutPadded.
+//
+// Each worker draws kernel scratch from its own internal/arena shard
+// (Ctx.Scratch); the pool's shards share one bounded spill, so the slabs
+// stealing moves between workers neither pile up on one shard nor make
+// another keep allocating.
 //
 // The workers are long-lived — p cores stealing from each other in steady
 // state, the pool the RWS analysis assumes.  They start on the pool's first
@@ -177,7 +184,8 @@ const taskSize = unsafe.Sizeof(taskFootprint{})
 
 // paddedTask strides a task frame across two full cache lines so the done
 // flag a thief writes never shares a line with a sibling frame the owner is
-// polling.  Two lines rather than one because Go guarantees only 8-byte
+// polling — also once frames are reused, since a reused frame keeps its
+// slot.  Two lines rather than one because Go guarantees only 8-byte
 // alignment for a slab's base and the GC's pointer bitmap forbids rebasing
 // typed memory that holds pointers (fn is one): with a 2-line stride,
 // consecutive frames are line-disjoint wherever the base lands, and the
@@ -190,18 +198,36 @@ type paddedTask struct {
 // arenaSlab is how many task frames one slab holds.
 const arenaSlab = 256
 
-// taskArena slab-allocates task frames with layout-controlled stride.
-// Owner-only; slots are used exactly once (slabs are replaced, never
-// rewound, so a stale pointer read by a slow thief stays frozen forever).
+// taskArena slab-allocates task frames with layout-controlled stride and
+// reuses them: Join hands the frame it joined back to the joining worker's
+// free list, and alloc pops that list before it carves a slab slot, so a
+// worker's frames are as many as its forks ever outstanding at once.
+// Owner-only: a frame goes onto the list of the worker that joins it,
+// which under fj's structured joins is the worker that forked it.
+//
+// Reuse is safe because, once the joiner's acquire of done has seen 1,
+// nothing else refers to the frame.  top only grows, and a thief
+// dereferences the task it read from a deque slot only after its CAS on
+// top succeeds, so a stale read of a slot is never followed.  The one thief
+// whose CAS won ran the task, and its last touch of the frame is
+// done.Store(1).  The joiner is the only other holder.  A frame that is
+// never joined (a raw rt program that drops a Handle) is simply never
+// reused.
 type taskArena struct {
 	padded bool
 	slabP  []paddedTask
 	slabC  []task
 	used   int
+	free   []*task // joined frames, most recent last
 }
 
 func (a *taskArena) alloc(fn func(*Ctx)) *task {
 	var t *task
+	if n := len(a.free); n > 0 {
+		t, a.free = a.free[n-1], a.free[:n-1]
+		t.fn = fn
+		return t
+	}
 	if a.padded {
 		if a.used >= len(a.slabP) {
 			a.slabP, a.used = make([]paddedTask, arenaSlab), 0
@@ -216,6 +242,14 @@ func (a *taskArena) alloc(fn func(*Ctx)) *task {
 	a.used++
 	t.fn = fn
 	return t
+}
+
+// release returns a joined frame to the free list, cleared so the list
+// retains no caller state and a reused frame starts not done.
+func (a *taskArena) release(t *task) {
+	t.fn, t.panicked = nil, nil
+	t.done.Store(0)
+	a.free = append(a.free, t)
 }
 
 // Pool is a fixed-size work-stealing pool of long-lived workers.
@@ -287,13 +321,14 @@ func NewPoolLayout(p int, layout Layout) *Pool {
 	pool.cond = sync.NewCond(&pool.mu)
 	var blocks []cells
 	pool.state, blocks = newState(p, layout)
+	shards := arena.NewShards(p)
 	for i := 0; i < p; i++ {
 		w := &worker{
 			id:      i,
 			pool:    pool,
 			st:      blocks[i],
 			rng:     rand.New(rand.NewSource(int64(i)*7919 + 17)),
-			scratch: arena.NewShard(),
+			scratch: shards[i],
 		}
 		w.arena.padded = layout == LayoutPadded
 		w.dq.init(w.st.top, w.st.bottom)
@@ -581,7 +616,10 @@ func (p *Pool) trySteal(thief *worker) *task {
 // (which runs entirely on the owning worker's goroutine, help-running
 // included), never stashed and touched from elsewhere.  Slabs themselves may
 // migrate — a task may release to its executing worker a slab another worker
-// allocated — because a slab has exactly one owner at a time.
+// allocated — because a slab has exactly one owner at a time.  The shard's
+// free lists are bounded and overflow to the spill all the pool's shards
+// share, where a worker that runs short takes them back, so migration
+// neither grows one shard nor keeps another allocating.
 func (c *Ctx) Scratch() *arena.Shard { return c.w.scratch }
 
 // DequeEmpty reports whether the executing worker's deque is empty, so a
@@ -600,14 +638,17 @@ func (c *Ctx) Fork(fn func(*Ctx)) Handle {
 // worker's own deque (which most likely holds the forked task itself), then
 // steals; with nothing runnable it parks until the fork completes.  Joining
 // only your own forks keeps the discipline deadlock-free.  Join raises the
-// task's panic, if it had one.
+// task's panic, if it had one.  A Handle is joined at most once: the join
+// hands its frame to the next Fork on this worker.
 func (c *Ctx) Join(h Handle) {
 	for !h.t.isDone() {
 		if t := c.w.next(h.t.isDone, false); t != nil {
 			c.w.run(t)
 		}
 	}
-	if v := h.t.panicked; v != nil {
+	v := h.t.panicked
+	c.w.arena.release(h.t)
+	if v != nil {
 		panic(v)
 	}
 }

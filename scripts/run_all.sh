@@ -90,6 +90,15 @@ if [ "$MODE" != grid ]; then
     echo "== gate: go test -race ./internal/rt (lock-free deque, parking, pool lifecycle) =="
     go test -race ./internal/rt/ ./internal/core/
 
+    # rt hands a joined task frame to the next fork on the same worker:
+    # random fork trees at p = 4 check every joined child's tag, five
+    # schedules.  The arena's free lists are bounded with a shared spill:
+    # slabs a thief takes and its victim releases stay within the bound, on
+    # a pool and on two bare shards.  (The zero-allocation Fork+Join pin
+    # skips its count under the detector, as the root pins do.)
+    focused -race -count=5 -run TestFrameReuseStress ./internal/rt/
+    focused -race -run 'TestForkJoinAllocatesNothing|TestStolenScratchStaysBounded|TestSpillFeedsTheOtherShard|TestAttachSharesOneSpillPerType' ./internal/rt/ ./internal/arena/
+
     echo "== gate: -race over the fj frontend + arena + cross-backend equality =="
     # The fj real lowering runs genuinely parallel pools and the equality gate
     # compares its outputs against the sim lowering byte for byte; the arena
