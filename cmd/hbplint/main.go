@@ -1,7 +1,7 @@
 // Command hbplint runs the repo's paper-aware static analysis suite
 // (internal/lint) over the module: the falseshare layout linter, the
-// atomicmix mixed-access checker, and the fjdiscipline and determinism
-// analyzers.  It is a blocking gate in CI and scripts/run_all.sh.
+// atomicmix mixed-access checker, and the fjdiscipline, determinism and
+// grainaudit analyzers.  It is a blocking gate in CI and scripts/run_all.sh.
 //
 //	hbplint ./...          # whole module (the CI invocation)
 //	hbplint ./internal/rt  # specific package directories

@@ -45,7 +45,11 @@
 // it (a fork's own panic met there is dropped), so no task of the
 // computation runs after RunReal has raised.  A program must not recover a
 // panic and go on: the sim lowering raises it again at every later fork
-// and join.
+// and join.  The real lowering joins each rt fork once, from the task
+// that made it, and rt checks that where it is discharged: a repeated Join
+// panics, and a task that returns with a fork unjoined raises "rt: task
+// returned with unjoined forks", so a lowering that broke the shape would
+// fail loudly rather than hang or join another fork.
 //
 // The leaf idiom.  What the paper's analysis and the simulator's counters
 // are about is the task tree and which task touches which word; how a

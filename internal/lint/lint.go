@@ -1,4 +1,4 @@
-// Package lint is the repo's paper-aware static analysis suite: six
+// Package lint is the repo's paper-aware static analysis suite: five
 // analyzers that check, at compile time and on every package, the invariants
 // the rest of the codebase otherwise enforces only dynamically (one
 // unsafe-based layout test in internal/rt) or not at all.
@@ -13,14 +13,9 @@
 //   - atomicmix flags struct fields accessed both through sync/atomic
 //     functions and by plain loads/stores — a latent race the -race
 //     detector only reports when the bad interleaving actually happens.
-//   - fjdiscipline flags fj.Ctx/rt.Ctx values escaping into raw goroutines
-//     and rt Fork results that are discarded or never joined — the
-//     structured fork-join invariants fj's Parallel and ForRange hold by
-//     construction.
-//   - lifoorder replays each function body's Fork assignments and Join
-//     calls in source order against a handle stack and flags a Join that
-//     discharges anything but the most recent unjoined fork — a computation
-//     that is no longer series-parallel.
+//   - fjdiscipline flags fj.Ctx/rt.Ctx values escaping into raw goroutines,
+//     where the work they spawn is invisible to the join discipline (which
+//     rt checks at run time) and to the simulator's cost accounting.
 //   - determinism flags, in the harness/bench/registry packages that feed
 //     the -canon byte-stability gates, calls to time.Now, global (unseeded)
 //     math/rand functions, and map-range iteration feeding Row output.
@@ -75,7 +70,6 @@ func Analyzers() []*Analyzer {
 		FalseShare(),
 		AtomicMix(),
 		FJDiscipline(),
-		LIFOOrder(),
 		Determinism(DefaultDeterminismScope...),
 		GrainAudit(DefaultGrainAuditSizes),
 	}

@@ -157,10 +157,6 @@ func TestFJDisciplineGolden(t *testing.T) {
 	runGolden(t, "fjdiscipline", []*Analyzer{FJDiscipline()})
 }
 
-func TestLIFOOrderGolden(t *testing.T) {
-	runGolden(t, "lifoorder", []*Analyzer{LIFOOrder()})
-}
-
 func TestDeterminismGolden(t *testing.T) {
 	runGolden(t, "determinism", []*Analyzer{Determinism("determinism")})
 }

@@ -53,13 +53,7 @@ func TestStolenPanicRaisedAtJoin(t *testing.T) {
 		if pool.Steals() == steals {
 			t.Fatalf("round %d: the panicking task was not stolen", i)
 		}
-		var sum int64
-		pool.Run(func(c *Ctx) {
-			sum = forkSum(c, 0, 1<<12, 64, func(i int) int64 { return int64(i) })
-		})
-		if want := int64(1<<12) * (1<<12 - 1) / 2; sum != want {
-			t.Fatalf("round %d: the next root summed %d, want %d", i, sum, want)
-		}
+		runsClean(t, pool)
 	}
 }
 

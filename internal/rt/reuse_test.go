@@ -25,7 +25,6 @@ func TestForkJoinAllocatesNothing(t *testing.T) {
 	t.Cleanup(pool.Close)
 	var m0, m1 runtime.MemStats
 	pool.Run(func(c *Ctx) {
-		noop := func(*Ctx) {}
 		c.Join(c.Fork(noop))
 		runtime.ReadMemStats(&m0)
 		for i := 0; i < pairs; i++ {

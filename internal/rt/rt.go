@@ -56,6 +56,8 @@
 // A task's panic goes where its result goes: Join raises a forked task's
 // panic on the joiner, whichever worker ran it, and Run raises its root's in
 // the caller; the pool stays usable.  A Submit root must not panic.
+// Each task joins the forks it made, once each, and rt checks it: a repeated
+// Join panics, and so does a task that returns with a fork unjoined.
 package rt
 
 import (
@@ -160,7 +162,8 @@ func newState(p int, layout Layout) ([]atomic.Int64, []cells) {
 type task struct {
 	fn       func(*Ctx)
 	done     atomic.Uint32
-	root     bool // submitted, not forked: nobody joins it
+	gen      uint32 // joins so far: the joiner's alone, a Handle carries it
+	root     bool   // submitted, not forked: nobody joins it
 	ctx      Ctx
 	panicked any
 }
@@ -174,6 +177,7 @@ func (t *task) isDone() bool { return t.done.Load() != 0 }
 type taskFootprint struct {
 	fn       func()
 	done     atomic.Uint32
+	gen      uint32
 	root     bool
 	ctx      struct{ w uintptr }
 	panicked any
@@ -203,26 +207,28 @@ const arenaSlab = 256
 // free list, and alloc pops that list before it carves a slab slot, so a
 // worker's frames are as many as its forks ever outstanding at once.
 // Owner-only: a frame goes onto the list of the worker that joins it,
-// which under fj's structured joins is the worker that forked it.
+// which, as a task joins only its own forks, is the worker that forked it.
 //
 // Reuse is safe because, once the joiner's acquire of done has seen 1,
-// nothing else refers to the frame.  top only grows, and a thief
-// dereferences the task it read from a deque slot only after its CAS on
-// top succeeds, so a stale read of a slot is never followed.  The one thief
-// whose CAS won ran the task, and its last touch of the frame is
-// done.Store(1).  The joiner is the only other holder.  A frame that is
-// never joined (a raw rt program that drops a Handle) is simply never
-// reused.
+// nothing else refers to the frame but stale Handles, which Join refuses by
+// the frame's generation.  top only grows, and a thief dereferences the
+// task it read from a deque slot only after its CAS on top succeeds, so a
+// stale read of a slot is never followed.  The one thief whose CAS won ran
+// the task, and its last touch of the frame is done.Store(1).  The joiner
+// is the only other holder.  A frame never joined is never reused, and the
+// task that dropped it raises (worker.call).
 type taskArena struct {
 	padded bool
 	slabP  []paddedTask
 	slabC  []task
 	used   int
 	free   []*task // joined frames, most recent last
+	out    int     // frames handed out and not yet released: unjoined forks
 }
 
 func (a *taskArena) alloc(fn func(*Ctx)) *task {
 	var t *task
+	a.out++
 	if n := len(a.free); n > 0 {
 		t, a.free = a.free[n-1], a.free[:n-1]
 		t.fn = fn
@@ -244,11 +250,13 @@ func (a *taskArena) alloc(fn func(*Ctx)) *task {
 	return t
 }
 
-// release returns a joined frame to the free list, cleared so the list
-// retains no caller state and a reused frame starts not done.
+// release returns a joined frame to the free list: cleared so the list
+// retains no caller state, not done and in a generation no Handle has.
 func (a *taskArena) release(t *task) {
 	t.fn, t.panicked = nil, nil
 	t.done.Store(0)
+	t.gen++
+	a.out--
 	a.free = append(a.free, t)
 }
 
@@ -301,8 +309,11 @@ type worker struct {
 // Ctx is passed to every task body; it identifies the executing worker.
 type Ctx struct{ w *worker }
 
-// Handle joins a forked task.
-type Handle struct{ t *task }
+// Handle joins a forked task, once: gen is its frame's generation at Fork.
+type Handle struct {
+	t   *task
+	gen uint32
+}
 
 // NewPool creates a pool of p workers with the padded (false-sharing-aware)
 // layout.  Pass 0 for GOMAXPROCS.  policy is always Random (see Policy).
@@ -395,9 +406,9 @@ func (p *Pool) wakeLocked() {
 
 // Submit enqueues root on the pool's injection queue and returns; the first
 // Submit starts the workers.  Any number of roots may be in flight, from any
-// number of goroutines.  A root must join all its forks before returning, so
-// no work outlives it, and must not panic.  Submit on a closed pool is a
-// programming error and panics rather than drop the root.
+// number of goroutines.  A root that panics, or returns with a fork
+// unjoined, ends the process.  Submit on a closed pool is a programming
+// error and panics rather than drop the root.
 func (p *Pool) Submit(root func(*Ctx)) { p.submit(&task{fn: root, root: true}) }
 
 // submit injects the root frame t.
@@ -444,13 +455,14 @@ func (p *Pool) takeRoot() *task {
 	return t
 }
 
-// Run executes root to completion on the pool and raises its panic, if any.
+// Run executes root to completion on the pool and raises its panic, if any,
+// or errUnjoined, checked before done: after Run it would end the process.
 // The caller parks on a channel the root closes — it never spins, so a
 // pool as wide as the machine does not starve workers.
 func (p *Pool) Run(root func(*Ctx)) {
 	t, done := &task{root: true}, make(chan struct{})
 	t.fn = func(c *Ctx) {
-		t.panicked = catch(root, c)
+		t.panicked = c.w.call(root, c)
 		close(done)
 	}
 	p.submit(t)
@@ -489,17 +501,32 @@ func (w *worker) run(t *task) {
 	w.st.executed.Add(1)
 	t.ctx = Ctx{w: w}
 	if t.root {
-		t.fn(&t.ctx)
+		n := w.arena.out
+		if t.fn(&t.ctx); w.arena.out > n {
+			panic(errUnjoined)
+		}
 	} else {
-		t.panicked = catch(t.fn, &t.ctx)
+		t.panicked = w.call(t.fn, &t.ctx)
 	}
 	t.done.Store(1)
 	w.pool.wake()
 }
 
-// catch calls fn(c) and returns what it panicked with, or nil.
-func catch(fn func(*Ctx), c *Ctx) (v any) {
-	defer func() { v = recover() }()
+const (
+	errJoinedTwice = "rt: Join of a Handle already joined"
+	errUnjoined    = "rt: task returned with unjoined forks"
+)
+
+// call runs fn(c) and returns its panic, or errUnjoined if it returned with a
+// fork unjoined; the count goes back to n, so each task answers for its own.
+func (w *worker) call(fn func(*Ctx), c *Ctx) (v any) {
+	n := w.arena.out
+	defer func() {
+		if v = recover(); v == nil && w.arena.out > n {
+			v = errUnjoined
+		}
+		w.arena.out = n
+	}()
 	fn(c)
 	return
 }
@@ -626,21 +653,24 @@ func (c *Ctx) Scratch() *arena.Shard { return c.w.scratch }
 // new fork would be work for a thief: fj's loop splitting polls it.
 func (c *Ctx) DequeEmpty() bool { return c.w.dq.empty() }
 
-// Fork pushes fn as a stealable task and returns its join handle.
+// Fork pushes fn as a stealable task; the calling task Joins its handle once.
 func (c *Ctx) Fork(fn func(*Ctx)) Handle {
 	t := c.w.arena.alloc(fn)
 	c.w.dq.push(t)
 	c.w.pool.wake()
-	return Handle{t: t}
+	return Handle{t: t, gen: t.gen}
 }
 
 // Join waits for a forked task, helping with other work meanwhile: first the
 // worker's own deque (which most likely holds the forked task itself), then
 // steals; with nothing runnable it parks until the fork completes.  Joining
 // only your own forks keeps the discipline deadlock-free.  Join raises the
-// task's panic, if it had one.  A Handle is joined at most once: the join
-// hands its frame to the next Fork on this worker.
+// task's panic, if it had one.  The join hands the frame to the next Fork
+// on this worker, so a second Join of the Handle panics.
 func (c *Ctx) Join(h Handle) {
+	if h.t.gen != h.gen {
+		panic(errJoinedTwice)
+	}
 	for !h.t.isDone() {
 		if t := c.w.next(h.t.isDone, false); t != nil {
 			c.w.run(t)

@@ -92,11 +92,14 @@ if [ "$MODE" != grid ]; then
 
     # rt hands a joined task frame to the next fork on the same worker:
     # random fork trees at p = 4 check every joined child's tag, five
-    # schedules.  The arena's free lists are bounded with a shared spill:
-    # slabs a thief takes and its victim releases stay within the bound, on
-    # a pool and on two bare shards.  (The zero-allocation Fork+Join pin
-    # skips its count under the detector, as the root pins do.)
-    focused -race -count=5 -run TestFrameReuseStress ./internal/rt/
+    # schedules; a stale or repeated Join panics, and a task or Run root
+    # that returns with a fork unjoined raises where its panic would go,
+    # the pool serving the next root.  The arena's free lists are bounded
+    # with a shared spill: slabs a thief takes and its victim releases stay
+    # within the bound, on a pool and on two bare shards.  (The
+    # zero-allocation Fork+Join pin skips its count under the detector, as
+    # the root pins do.)
+    focused -race -count=5 -run 'TestFrameReuseStress|TestDoubleJoinPanics|TestStaleJoinAfterReuse|TestUnjoinedForkPanics' ./internal/rt/
     focused -race -run 'TestForkJoinAllocatesNothing|TestStolenScratchStaysBounded|TestSpillFeedsTheOtherShard|TestAttachSharesOneSpillPerType' ./internal/rt/ ./internal/arena/
 
     echo "== gate: -race over the fj frontend + arena + cross-backend equality =="
@@ -170,7 +173,7 @@ if [ "$MODE" != grid ]; then
     echo "== gate: benchmark smoke (every benchmark runs one iteration) =="
     go test -run '^$' -bench . -benchtime 1x . ./internal/algos/sortutil/ ./internal/serve/ >/dev/null
 
-    echo "== gate: hbplint (falseshare/atomicmix/fjdiscipline/lifoorder/determinism/grainaudit) =="
+    echo "== gate: hbplint (falseshare/atomicmix/fjdiscipline/determinism/grainaudit) =="
     go run ./cmd/hbplint -stats ./...
 
     echo "== gate: docs (package comments + markdown links) =="
