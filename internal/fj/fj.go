@@ -33,7 +33,9 @@
 //     has the deterministic engine replay the tape under an internal/sched
 //     scheduler (PWS or RWS).
 //   - real.go schedules the same computation on an rt.Pool under either
-//     memory layout (padded or compact).
+//     memory layout (padded or compact); a fork is one pooled rt task
+//     frame carrying its body and range, so forking allocates nothing
+//     once the worker's frames are warm.
 //
 // Portability contract: a forked function must use only the Ctx it receives
 // (never a captured outer Ctx).  Kernels that want bit-identical outputs
@@ -120,19 +122,16 @@ func (c *Ctx) Parallel(a, b func(*Ctx)) {
 		c.parallelSim(a, b)
 		return
 	}
-	fr := c.frame()
-	fr.fn = b
-	fr.rh = c.rc.Fork(fr.invoke)
+	h := c.rc.ForkRange(task(b), 0, 0)
 	joined := false
 	defer func() {
 		if !joined {
-			c.joinUnwinding(fr)
+			c.joinUnwinding(h)
 		}
 	}()
 	a(c)
 	joined = true
-	c.rc.Join(fr.rh)
-	c.release(fr)
+	c.rc.Join(h)
 }
 
 // ForRange runs body(c, lo', hi') over disjoint sub-ranges that cover

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/arena"
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/rt"
@@ -97,6 +98,46 @@ func TestSumRealBackend(t *testing.T) {
 // TestSimDeterministic re-runs the same program and requires identical
 // engine metrics: the sim lowering must not perturb the engine's
 // deterministic schedule.
+// TestForksAllocateNothing: once the worker's rt task frames are warm, a
+// Parallel and a ForRange at p = 1 allocate nothing.  Each fork is one
+// pooled rt frame carrying the body and its range; fj keeps no record of
+// its own and hands every task the worker's one Ctx.
+func TestForksAllocateNothing(t *testing.T) {
+	if arena.Poisoning {
+		t.Skip("allocation pins are for the non-instrumented build")
+	}
+	const reps = 200
+	leaf := func(*Ctx) {}
+	body := func(*Ctx, int64, int64) {}
+	for _, tc := range []struct {
+		name string
+		run  func(c *Ctx)
+	}{
+		{"Parallel", func(c *Ctx) { c.Parallel(leaf, leaf) }},
+		{"ForRange", func(c *Ctx) { c.ForRange(0, 1<<12, 1, body) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pool := rt.NewPool(1, rt.Random)
+			t.Cleanup(pool.Close)
+			var m0, m1 runtime.MemStats
+			RunReal(pool, func(c *Ctx) {
+				tc.run(c)
+				runtime.ReadMemStats(&m0)
+				for i := 0; i < reps; i++ {
+					tc.run(c)
+				}
+				runtime.ReadMemStats(&m1)
+			})
+			if forks := pool.Executed() - 1; forks < reps {
+				t.Fatalf("%d runs of %s forked %d tasks, want at least one each", reps+1, tc.name, forks)
+			}
+			if objs, bytes := m1.Mallocs-m0.Mallocs, m1.TotalAlloc-m0.TotalAlloc; objs != 0 || bytes != 0 {
+				t.Fatalf("%d warm runs of %s allocated %d objects, %d bytes; want 0 and 0", reps, tc.name, objs, bytes)
+			}
+		})
+	}
+}
+
 func TestSimDeterministic(t *testing.T) {
 	run := func() core.Result {
 		m := machine.New(machine.Default(4))

@@ -52,9 +52,9 @@ func forRef(c *Ctx, lo, hi, grain int64, body func(c *Ctx, i int64)) {
 // ways — forRef's per-index body, and ForRange's range body looping over it
 // — must be indistinguishable: equal engine statistics and equal words.  On
 // rt every index of the range is visited exactly once and nothing outside
-// it, by ForRange's chunks (real) and by forRef's leaves, a fork per split
-// on the pooled frames ForRange shares (realFor); the plain increments are
-// disjoint across tasks, so a double visit is also a -race report.
+// it, by ForRange's chunks (real) and by forRef's leaves, a Parallel fork
+// per split (realFor); the plain increments are disjoint across tasks, so
+// a double visit is also a -race report.
 func TestForRangeMatchesFor(t *testing.T) {
 	for _, tc := range forRangeCases() {
 		lo, hi, grain := tc[0], tc[1], tc[2]

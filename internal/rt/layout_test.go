@@ -29,10 +29,10 @@ func TestPaddedLayoutAlignment(t *testing.T) {
 	const p = 4
 	pool := NewPool(p, Random)
 	t.Cleanup(pool.Close)
-	if pool.Layout() != LayoutPadded {
-		t.Fatalf("NewPool layout = %v, want padded", pool.Layout())
-	}
 	for i, w := range pool.workers {
+		if !w.arena.padded {
+			t.Errorf("worker %d: NewPool's task arena is compact, want padded", i)
+		}
 		top := cellAddr(&w.st, cellTop)
 		bottom := cellAddr(&w.st, cellBottom)
 		counters := cellAddr(&w.st, cellSteals)
@@ -103,14 +103,14 @@ func TestTaskFramePadding(t *testing.T) {
 	}
 	var ar taskArena
 	ar.padded = true
-	t0 := ar.alloc(nil)
-	t1 := ar.alloc(nil)
+	t0 := ar.alloc(nil, 0, 0)
+	t1 := ar.alloc(nil, 0, 0)
 	if d := uintptr(unsafe.Pointer(t1)) - uintptr(unsafe.Pointer(t0)); d != unsafe.Sizeof(paddedTask{}) {
 		t.Errorf("padded arena stride %d, want %d", d, unsafe.Sizeof(paddedTask{}))
 	}
 	var ac taskArena
-	c0 := ac.alloc(nil)
-	c1 := ac.alloc(nil)
+	c0 := ac.alloc(nil, 0, 0)
+	c1 := ac.alloc(nil, 0, 0)
 	if d := uintptr(unsafe.Pointer(c1)) - uintptr(unsafe.Pointer(c0)); d != unsafe.Sizeof(task{}) {
 		t.Errorf("compact arena stride %d, want %d", d, unsafe.Sizeof(task{}))
 	}

@@ -13,27 +13,44 @@ import (
 	"repro/internal/arena"
 )
 
+// rangeBody is a func-typed Body, the shape a frontend forks ranges with.
+type rangeBody func(c *Ctx, lo, hi int64)
+
+func (b rangeBody) Run(c *Ctx, lo, hi int64) { b(c, lo, hi) }
+
 // TestForkJoinAllocatesNothing: once a worker has a joined frame on its free
-// list, a Fork+Join of a no-op allocates nothing.  Before frames were
-// reused, every 256th fork made a new 32 KiB slab.
+// list, a Fork+Join of a no-op allocates nothing, and neither does a
+// ForkRange of a func-typed Body: the body and range ride in the frame.
+// Before frames were reused, every 256th fork made a new 32 KiB slab.
 func TestForkJoinAllocatesNothing(t *testing.T) {
 	if arena.Poisoning {
 		t.Skip("allocation pins are for the non-instrumented build")
 	}
 	const pairs = 1000
-	pool := NewPool(1, Random)
-	t.Cleanup(pool.Close)
-	var m0, m1 runtime.MemStats
-	pool.Run(func(c *Ctx) {
-		c.Join(c.Fork(noop))
-		runtime.ReadMemStats(&m0)
-		for i := 0; i < pairs; i++ {
-			c.Join(c.Fork(noop))
-		}
-		runtime.ReadMemStats(&m1)
-	})
-	if objs, bytes := m1.Mallocs-m0.Mallocs, m1.TotalAlloc-m0.TotalAlloc; objs != 0 || bytes != 0 {
-		t.Fatalf("%d Fork+Join pairs allocated %d objects, %d bytes; want 0 and 0", pairs, objs, bytes)
+	var body rangeBody = func(*Ctx, int64, int64) {}
+	for _, tc := range []struct {
+		name string
+		fork func(c *Ctx) Handle
+	}{
+		{"Fork", func(c *Ctx) Handle { return c.Fork(noop) }},
+		{"ForkRange", func(c *Ctx) Handle { return c.ForkRange(body, 3, 7) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pool := NewPool(1, Random)
+			t.Cleanup(pool.Close)
+			var m0, m1 runtime.MemStats
+			pool.Run(func(c *Ctx) {
+				c.Join(tc.fork(c))
+				runtime.ReadMemStats(&m0)
+				for i := 0; i < pairs; i++ {
+					c.Join(tc.fork(c))
+				}
+				runtime.ReadMemStats(&m1)
+			})
+			if objs, bytes := m1.Mallocs-m0.Mallocs, m1.TotalAlloc-m0.TotalAlloc; objs != 0 || bytes != 0 {
+				t.Fatalf("%d %s+Join pairs allocated %d objects, %d bytes; want 0 and 0", pairs, tc.name, objs, bytes)
+			}
+		})
 	}
 }
 
@@ -53,11 +70,27 @@ func forks(round, path uint64, depth int) bool {
 	return depth < 20 && treeTag(round, path)>>62 != 0
 }
 
+// treeRange is the range the fork of the task at path is given in a
+// round's ForkRange arm: distinct across paths and rounds.
+func treeRange(round, path uint64) (lo, hi int64) {
+	lo = int64(treeTag(round, path) >> 33)
+	return lo, lo + int64(path)
+}
+
 // TestFrameReuseStress runs random binary fork trees at p = 4.  Every task
 // returns its path's tag into a variable of its parent's; each joiner checks
-// its child's tag after the Join, and every task must run once.  Frames
-// must actually be reused: fewer distinct frames than forks.
+// its child's tag after the Join, and every task must run once.  The
+// ForkRange arm gives each fork the range treeRange derives from its path
+// and round, and the task checks it received that range, so a reused frame
+// that ran with the previous fork's range shows.  Frames must actually be
+// reused: fewer distinct frames than forks.
 func TestFrameReuseStress(t *testing.T) {
+	for _, name := range []string{"Fork", "ForkRange"} {
+		t.Run(name, func(t *testing.T) { frameReuseStress(t, name == "ForkRange") })
+	}
+}
+
+func frameReuseStress(t *testing.T, ranged bool) {
 	pool := NewPool(4, Random)
 	t.Cleanup(pool.Close)
 	var (
@@ -66,14 +99,25 @@ func TestFrameReuseStress(t *testing.T) {
 		forked int
 	)
 	for round := uint64(0); round < 40; round++ {
-		var ran, bad atomic.Int64
+		var ran, bad, badRange atomic.Int64
 		var node func(c *Ctx, path uint64, depth int) uint64
 		node = func(c *Ctx, path uint64, depth int) uint64 {
 			ran.Add(1)
 			if forks(round, path, depth) {
 				child := 2*path + 1
 				var got uint64
-				h := c.Fork(func(c *Ctx) { got = node(c, child, depth+1) })
+				var h Handle
+				if ranged {
+					lo, hi := treeRange(round, child)
+					h = c.ForkRange(rangeBody(func(c *Ctx, l, r int64) {
+						if l != lo || r != hi {
+							badRange.Add(1)
+						}
+						got = node(c, child, depth+1)
+					}), lo, hi)
+				} else {
+					h = c.Fork(func(c *Ctx) { got = node(c, child, depth+1) })
+				}
 				mu.Lock()
 				frames[h.t] = true
 				forked++
@@ -97,8 +141,9 @@ func TestFrameReuseStress(t *testing.T) {
 		}
 		count(1, 0)
 		pool.Run(func(c *Ctx) { node(c, 1, 0) })
-		if bad.Load() != 0 || ran.Load() != want {
-			t.Fatalf("round %d: %d wrong tags at joins, %d tasks ran, want 0 and %d", round, bad.Load(), ran.Load(), want)
+		if bad.Load() != 0 || badRange.Load() != 0 || ran.Load() != want {
+			t.Fatalf("round %d: %d wrong tags at joins, %d wrong ranges, %d tasks ran, want 0, 0 and %d",
+				round, bad.Load(), badRange.Load(), ran.Load(), want)
 		}
 	}
 	if len(frames) >= forked {

@@ -16,13 +16,14 @@
 // worker's cells to 64-byte cache-line boundaries (top and bottom each get a
 // private line, mirroring the paper's block-size-B padding of §4.7), while
 // LayoutCompact packs all workers' cells adjacently so that independent
-// writes share lines.  Task frames are likewise slab-allocated either
-// line-disjoint (a two-line stride each) or packed, and a joined frame
-// serves the forking worker's next fork (taskArena says why that is safe),
-// so forking allocates nothing in the steady state.  The compact layout
-// exists only as the "unpadded" ablation arm of EXP13, which demonstrates
-// the paper's false-sharing penalty on real hardware; NewPool always uses
-// LayoutPadded.
+// writes share lines.  A fork is one task frame, its Body and the range it
+// runs over beside its join state, and the frontend keeps no record of its
+// own.  Frames are slab-allocated per worker either line-disjoint (a
+// two-line stride each) or packed, and a joined frame serves the forking
+// worker's next fork (taskArena says why that is safe), so forking
+// allocates nothing in the steady state.  The compact layout exists only as
+// the "unpadded" ablation arm of EXP13, which demonstrates the paper's
+// false-sharing penalty on real hardware; NewPool always uses LayoutPadded.
 //
 // Each worker draws kernel scratch from its own internal/arena shard
 // (Ctx.Scratch); the pool's shards share one bounded spill, so the slabs
@@ -52,7 +53,8 @@
 // quantities; this package demonstrates the same computations running with
 // genuine parallelism and feeds the wall-clock experiments (EXP13, EXP16).
 // Its surface is what internal/fj lowers onto — Submit/Run/Close and
-// Ctx.Fork/Join/Scratch/DequeEmpty; parallel loops and reductions are fj's.
+// Ctx.ForkRange/Fork/Join/Scratch/DequeEmpty, where ForkRange forks a Body
+// over a range and Fork a plain func; parallel loops and reductions are fj's.
 // A task's panic goes where its result goes: Join raises a forked task's
 // panic on the joiner, whichever worker ran it, and Run raises its root's in
 // the caller; the pool stays usable.  A Submit root must not panic.
@@ -154,32 +156,42 @@ func newState(p int, layout Layout) ([]atomic.Int64, []cells) {
 	return buf, cs
 }
 
-// task is one forked frame: the body, the done flag the joiner and thieves
-// synchronize on, the Ctx the executing worker hands the body (in the frame,
-// slab memory already, so running a task allocates nothing), and its panic.
-// Only the executor writes ctx and panicked, and the joiner reads the frame
-// only after the done acquire, so the sharing is as ordered as done itself.
+// Body is what a task runs: Run(c, lo, hi) with the range its ForkRange
+// was given.  A func type with a Run method converts to a Body without
+// allocating, so a frontend forks with no closure and no frame of its own.
+type Body interface{ Run(c *Ctx, lo, hi int64) }
+
+// fn is a plain task body, run with an empty range: Fork's and a root's.
+type fn func(*Ctx)
+
+func (f fn) Run(c *Ctx, _, _ int64) { f(c) }
+
+// task is one forked frame: the body and the range it runs over, the done
+// flag the joiner and thieves synchronize on, and its panic.  The executing
+// worker hands the body its own Ctx, so running a task allocates nothing.
+// Only the executor writes panicked, and the joiner reads the frame only
+// after the done acquire, so the sharing is as ordered as done itself.
 type task struct {
-	fn       func(*Ctx)
+	body     Body
+	lo, hi   int64
 	done     atomic.Uint32
 	gen      uint32 // joins so far: the joiner's alone, a Handle carries it
 	root     bool   // submitted, not forked: nobody joins it
-	ctx      Ctx
 	panicked any
 }
 
 func (t *task) isDone() bool { return t.done.Load() != 0 }
 
-// taskFootprint mirrors task field-for-field (every func value is one
-// pointer) without referencing Ctx, so taskSize can be a constant without
-// creating a type cycle task → Ctx → worker → arena → paddedTask → task.
+// taskFootprint mirrors task field-for-field (an interface is two words)
+// without referencing Ctx, so taskSize can be a constant without creating a
+// type cycle task → Body → Ctx → worker → taskArena → paddedTask → task.
 // TestTaskFramePadding asserts the two sizes agree.
 type taskFootprint struct {
-	fn       func()
+	body     any
+	lo, hi   int64
 	done     atomic.Uint32
 	gen      uint32
 	root     bool
-	ctx      struct{ w uintptr }
 	panicked any
 }
 
@@ -191,12 +203,13 @@ const taskSize = unsafe.Sizeof(taskFootprint{})
 // polling — also once frames are reused, since a reused frame keeps its
 // slot.  Two lines rather than one because Go guarantees only 8-byte
 // alignment for a slab's base and the GC's pointer bitmap forbids rebasing
-// typed memory that holds pointers (fn is one): with a 2-line stride,
+// typed memory that holds pointers (body is one): with a 2-line stride,
 // consecutive frames are line-disjoint wherever the base lands, and the
-// spare line also defeats adjacent-line prefetching.
+// spare line also defeats adjacent-line prefetching.  The pad assumes
+// taskSize ≤ cacheLine, which TestTaskFramePadding holds.
 type paddedTask struct {
 	task
-	_ [2*cacheLine - taskSize%cacheLine]byte
+	_ [2*cacheLine - taskSize]byte
 }
 
 // arenaSlab is how many task frames one slab holds.
@@ -205,7 +218,8 @@ const arenaSlab = 256
 // taskArena slab-allocates task frames with layout-controlled stride and
 // reuses them: Join hands the frame it joined back to the joining worker's
 // free list, and alloc pops that list before it carves a slab slot, so a
-// worker's frames are as many as its forks ever outstanding at once.
+// worker's frames are as many as its forks ever outstanding at once.  It is
+// the only per-fork record: a frontend's body and range ride in the frame.
 // Owner-only: a frame goes onto the list of the worker that joins it,
 // which, as a task joins only its own forks, is the worker that forked it.
 //
@@ -226,34 +240,32 @@ type taskArena struct {
 	out    int     // frames handed out and not yet released: unjoined forks
 }
 
-func (a *taskArena) alloc(fn func(*Ctx)) *task {
+func (a *taskArena) alloc(b Body, lo, hi int64) *task {
 	var t *task
 	a.out++
 	if n := len(a.free); n > 0 {
 		t, a.free = a.free[n-1], a.free[:n-1]
-		t.fn = fn
-		return t
-	}
-	if a.padded {
+	} else if a.padded {
 		if a.used >= len(a.slabP) {
 			a.slabP, a.used = make([]paddedTask, arenaSlab), 0
 		}
 		t = &a.slabP[a.used].task
+		a.used++
 	} else {
 		if a.used >= len(a.slabC) {
 			a.slabC, a.used = make([]task, arenaSlab), 0
 		}
 		t = &a.slabC[a.used]
+		a.used++
 	}
-	a.used++
-	t.fn = fn
+	t.body, t.lo, t.hi = b, lo, hi
 	return t
 }
 
 // release returns a joined frame to the free list: cleared so the list
 // retains no caller state, not done and in a generation no Handle has.
 func (a *taskArena) release(t *task) {
-	t.fn, t.panicked = nil, nil
+	t.body, t.panicked = nil, nil
 	t.done.Store(0)
 	t.gen++
 	a.out--
@@ -284,7 +296,6 @@ type Pool struct {
 	_      [cacheLine - 8]byte
 
 	workers []*worker
-	layout  Layout
 	wg      sync.WaitGroup
 
 	state []atomic.Int64 // keeps the worker-state block alive
@@ -299,6 +310,7 @@ type Pool struct {
 type worker struct {
 	id      int
 	pool    *Pool
+	ctx     Ctx // handed to every task this worker runs
 	st      cells
 	dq      deque
 	rng     *rand.Rand   // owner-only: victim sampling
@@ -307,6 +319,8 @@ type worker struct {
 }
 
 // Ctx is passed to every task body; it identifies the executing worker.
+// Each worker has one, and every task it runs (help-run ones included) gets
+// that same Ctx, so a Ctx is valid only on its worker's goroutine.
 type Ctx struct{ w *worker }
 
 // Handle joins a forked task, once: gen is its frame's generation at Fork.
@@ -328,7 +342,7 @@ func NewPoolLayout(p int, layout Layout) *Pool {
 	if p <= 0 {
 		p = runtime.GOMAXPROCS(0)
 	}
-	pool := &Pool{layout: layout}
+	pool := &Pool{}
 	pool.cond = sync.NewCond(&pool.mu)
 	var blocks []cells
 	pool.state, blocks = newState(p, layout)
@@ -341,15 +355,13 @@ func NewPoolLayout(p int, layout Layout) *Pool {
 			rng:     rand.New(rand.NewSource(int64(i)*7919 + 17)),
 			scratch: shards[i],
 		}
+		w.ctx.w = w
 		w.arena.padded = layout == LayoutPadded
 		w.dq.init(w.st.top, w.st.bottom)
 		pool.workers = append(pool.workers, w)
 	}
 	return pool
 }
-
-// Layout reports the pool's state/task layout.
-func (p *Pool) Layout() Layout { return p.layout }
 
 // Steals reports successful steals so far, summed over the per-worker
 // sharded counters (each thief increments only its own cache line).
@@ -409,7 +421,7 @@ func (p *Pool) wakeLocked() {
 // number of goroutines.  A root that panics, or returns with a fork
 // unjoined, ends the process.  Submit on a closed pool is a programming
 // error and panics rather than drop the root.
-func (p *Pool) Submit(root func(*Ctx)) { p.submit(&task{fn: root, root: true}) }
+func (p *Pool) Submit(root func(*Ctx)) { p.submit(&task{body: fn(root), root: true}) }
 
 // submit injects the root frame t.
 func (p *Pool) submit(t *task) {
@@ -461,10 +473,10 @@ func (p *Pool) takeRoot() *task {
 // pool as wide as the machine does not starve workers.
 func (p *Pool) Run(root func(*Ctx)) {
 	t, done := &task{root: true}, make(chan struct{})
-	t.fn = func(c *Ctx) {
-		t.panicked = c.w.call(root, c)
+	t.body = fn(func(c *Ctx) {
+		t.panicked = c.w.call(fn(root), 0, 0)
 		close(done)
-	}
+	})
 	p.submit(t)
 	<-done
 	if t.panicked != nil {
@@ -499,14 +511,13 @@ func (w *worker) loop() {
 // ends the process where it happened.
 func (w *worker) run(t *task) {
 	w.st.executed.Add(1)
-	t.ctx = Ctx{w: w}
 	if t.root {
 		n := w.arena.out
-		if t.fn(&t.ctx); w.arena.out > n {
+		if t.body.Run(&w.ctx, t.lo, t.hi); w.arena.out > n {
 			panic(errUnjoined)
 		}
 	} else {
-		t.panicked = w.call(t.fn, &t.ctx)
+		t.panicked = w.call(t.body, t.lo, t.hi)
 	}
 	t.done.Store(1)
 	w.pool.wake()
@@ -517,9 +528,10 @@ const (
 	errUnjoined    = "rt: task returned with unjoined forks"
 )
 
-// call runs fn(c) and returns its panic, or errUnjoined if it returned with a
-// fork unjoined; the count goes back to n, so each task answers for its own.
-func (w *worker) call(fn func(*Ctx), c *Ctx) (v any) {
+// call runs b over [lo, hi) on w and returns its panic, or errUnjoined if it
+// returned with a fork unjoined; the count goes back to n, so each task
+// answers for its own.
+func (w *worker) call(b Body, lo, hi int64) (v any) {
 	n := w.arena.out
 	defer func() {
 		if v = recover(); v == nil && w.arena.out > n {
@@ -527,7 +539,7 @@ func (w *worker) call(fn func(*Ctx), c *Ctx) (v any) {
 		}
 		w.arena.out = n
 	}()
-	fn(c)
+	b.Run(&w.ctx, lo, hi)
 	return
 }
 
@@ -653,9 +665,13 @@ func (c *Ctx) Scratch() *arena.Shard { return c.w.scratch }
 // new fork would be work for a thief: fj's loop splitting polls it.
 func (c *Ctx) DequeEmpty() bool { return c.w.dq.empty() }
 
-// Fork pushes fn as a stealable task; the calling task Joins its handle once.
-func (c *Ctx) Fork(fn func(*Ctx)) Handle {
-	t := c.w.arena.alloc(fn)
+// Fork pushes f as a stealable task; the calling task Joins its handle once.
+func (c *Ctx) Fork(f func(*Ctx)) Handle { return c.ForkRange(fn(f), 0, 0) }
+
+// ForkRange pushes b over [lo, hi) as a stealable task in one pooled frame;
+// the calling task Joins its handle once.
+func (c *Ctx) ForkRange(b Body, lo, hi int64) Handle {
+	t := c.w.arena.alloc(b, lo, hi)
 	c.w.dq.push(t)
 	c.w.pool.wake()
 	return Handle{t: t, gen: t.gen}

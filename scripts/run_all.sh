@@ -91,15 +91,16 @@ if [ "$MODE" != grid ]; then
     go test -race ./internal/rt/ ./internal/core/
 
     # rt hands a joined task frame to the next fork on the same worker:
-    # random fork trees at p = 4 check every joined child's tag, five
-    # schedules; a stale or repeated Join panics, and a task or Run root
-    # that returns with a fork unjoined raises where its panic would go,
-    # the pool serving the next root.  The arena's free lists are bounded
-    # with a shared spill: slabs a thief takes and its victim releases stay
-    # within the bound, on a pool and on two bare shards.  (The
-    # zero-allocation Fork+Join pin skips its count under the detector, as
-    # the root pins do.)
-    focused -race -count=5 -run 'TestFrameReuseStress|TestDoubleJoinPanics|TestStaleJoinAfterReuse|TestUnjoinedForkPanics' ./internal/rt/
+    # random fork trees at p = 4 check every joined child's tag, and in the
+    # ForkRange arm the range each fork was given, five schedules; a stale
+    # or repeated Join panics, and a task or Run root that returns with a
+    # fork unjoined raises where its panic would go, the pool serving the
+    # next root.  The arena's free lists are bounded with a shared spill:
+    # slabs a thief takes and its victim releases stay within the bound, on
+    # a pool and on two bare shards.  (The zero-allocation pins, rt's
+    # Fork/ForkRange+Join and fj's Parallel/ForRange, skip their counts
+    # under the detector, as the root pins do; go test ./... counts them.)
+    focused -race -count=5 -run 'TestFrameReuseStress|TestForkJoinAllocatesNothing|TestDoubleJoinPanics|TestStaleJoinAfterReuse|TestUnjoinedForkPanics|TestForksAllocateNothing' ./internal/rt/ ./internal/fj/
     focused -race -run 'TestForkJoinAllocatesNothing|TestStolenScratchStaysBounded|TestSpillFeedsTheOtherShard|TestAttachSharesOneSpillPerType' ./internal/rt/ ./internal/arena/
 
     echo "== gate: -race over the fj frontend + arena + cross-backend equality =="
