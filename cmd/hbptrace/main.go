@@ -1,6 +1,8 @@
 // Command hbptrace runs one kernel from the registry on the simulated
 // multicore and dumps the full metric breakdown: per-proc counters, steal
-// histogram by priority, and (with -trace) the measured f(r)/L(r) tables.
+// histogram by priority, and (with -trace) the f(r) and L(r) tables, the
+// balance ratio and the most writes to one word, measured in a pass over
+// the run's recording (internal/trace).
 // -algos lists every registered kernel sorted by (name, backend) — entries
 // tagged [fj] are lowered from a unified fork-join source and exist under
 // both backends.  Only "sim" entries can be traced (the "real" backend has
@@ -49,7 +51,7 @@ func run(args []string, w io.Writer) error {
 		schedStr = fs.String("sched", "pws", "scheduler: pws or rws")
 		padded   = fs.Bool("padded", false, "use padded execution stacks (§4.7)")
 		seed     = fs.Uint64("seed", 0, "input seed (0 = the historical fixed inputs)")
-		doTrace  = fs.Bool("trace", false, "measure f(r)/L(r) (slow; use small n)")
+		doTrace  = fs.Bool("trace", false, "record the run and measure f(r), L(r), balance and writes per word")
 	)
 	fs.Parse(args)
 
@@ -84,9 +86,12 @@ func run(args []string, w io.Writer) error {
 
 	spec := bench.Spec{P: *p, M: *mWords, B: *bWords, MissLatency: *lat, Sched: *schedStr, Padded: *padded, Seed: *seed}
 	var res core.Result
-	var tr *trace.Tracer
+	var tape *core.Tape
 	if *doTrace {
-		res, tr = bench.Traced(algo, size, spec)
+		var err error
+		if res, tape, err = bench.Record(algo, size, spec); err != nil {
+			return err
+		}
 	} else {
 		res = bench.Run(algo, size, spec)
 	}
@@ -101,16 +106,18 @@ func run(args []string, w io.Writer) error {
 	fmt.Fprintln(w, "steals by priority:")
 	fmt.Fprint(w, res.PrioHistogram())
 
-	if tr != nil {
-		fmt.Fprintln(w, "f(r) excess by task size (worst case):")
-		for _, pt := range tr.FMeasure(int64(spec.B)) {
+	if tape != nil {
+		pm := trace.Measure(tape)
+		fmt.Fprintf(w, "f(r) excess by task size (worst case of %d tasks):\n", pm.Tasks)
+		for _, pt := range pm.F {
 			fmt.Fprintf(w, "  size %8d: blocks=%d excess=%d\n", pt.Size, pt.Blocks, pt.Excess)
 		}
-		fmt.Fprintln(w, "L(r) shared blocks by stolen-task size (worst case):")
-		for _, pt := range tr.LMeasure() {
+		fmt.Fprintln(w, "L(r) blocks shared with parallel tasks, by task size (worst case):")
+		for _, pt := range pm.L {
 			fmt.Fprintf(w, "  size %8d: shared=%d\n", pt.Size, pt.Shared)
 		}
-		fmt.Fprintf(w, "balance ratio (same-priority size spread): %.2f\n", tr.BalanceRatio(4))
+		fmt.Fprintf(w, "balance ratio (same-priority size spread): %.2f\n", pm.Balance)
+		fmt.Fprintf(w, "max writes to one word (limited access): %d\n", pm.MaxWrites)
 	}
 	return nil
 }

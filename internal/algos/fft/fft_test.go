@@ -143,19 +143,6 @@ func TestParseval(t *testing.T) {
 	}
 }
 
-func TestFFTLimitedAccess(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	x := randVec(256, rng)
-	m := machine.New(machine.Default(4))
-	src := mem.NewCArray(m.Space, 256)
-	dst := mem.NewCArray(m.Space, 256)
-	src.CopyIn(x)
-	res := core.NewEngine(m, sched.NewPWS(), core.Options{AuditWrites: true}).Run(Forward(src, dst))
-	if res.WriteAuditMax > 1 {
-		t.Errorf("FFT wrote some heap address %d times; fresh-scratch design writes once", res.WriteAuditMax)
-	}
-}
-
 func TestFFTCritPathShape(t *testing.T) {
 	// T∞ = O(log n · log log n): quadrupling n should grow T∞ by a modest
 	// factor, far below the ~4× of work/p.

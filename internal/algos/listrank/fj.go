@@ -18,8 +18,10 @@ package listrank
 // O(n) work (Wyllie's pointer jumping, which this replaced, did ⌈log₂ n⌉
 // full passes); the depth is the longest sublist plus the serial pass over
 // the rulers, O(g log n + n/g) on a random list.  Each rank word is
-// written twice (steps 2 and 4), so the kernel keeps limited access, and
-// all parallel writes are disjoint, so the result is deterministic.  Walks
+// written twice (steps 2 and 4), and the scratch word 2r, which holds block
+// 2r's partial sum in step 1, ruler r's next in step 2 and its rank in step
+// 3, three times, so the kernel keeps limited access.  All parallel writes
+// are disjoint, so the result is deterministic.  Walks
 // write rank words scattered over the array, so unlike pointer jumping the
 // simulator sees block misses from them; the paper's own LR (Thm 4.1,
 // independent-set contraction with gapping), the simulated kernel of

@@ -103,17 +103,6 @@ func TestRankForcedContraction(t *testing.T) {
 	checkRanks(t, "contract", got, want)
 }
 
-func TestRankLimitedAccess(t *testing.T) {
-	rng := rand.New(rand.NewSource(600))
-	succ, _ := makeList(128, rng)
-	_, res := runRank(t, 4, succ, sched.NewPWS(), Options{JumpThreshold: 16},
-		core.Options{AuditWrites: true})
-	// Fill-then-set patterns (pred, inIS) write twice; everything else once.
-	if res.WriteAuditMax > 2 {
-		t.Errorf("max writes per heap address = %d, want ≤ 2 (limited access)", res.WriteAuditMax)
-	}
-}
-
 func TestRankDeterministicUnderPWS(t *testing.T) {
 	rng := rand.New(rand.NewSource(700))
 	succ, _ := makeList(100, rng)

@@ -3,8 +3,11 @@ package matmul
 // Unified fork-join source: the same cache-oblivious Depth-n-MM recursion as
 // the simulated Table-1 kernel, written once against internal/fj and lowered
 // to both backends.  The two k-halves run sequentially (no concurrent
-// writers per output block — the limited-access discipline), the four output
-// quadrants of each half run as parallel tasks.
+// writers per output block), the four output quadrants of each half run as
+// parallel tasks.  That keeps writers of one word apart in time, but it is
+// not limited access: each product is added into its output word as it is
+// made, so every output word is written n times (16 at n = 16 and 32 at
+// n = 32 under the simulator; internal/trace's limited-access table).
 //
 // Cross-backend bit-identity: every product a[i,k]·b[k,j] is accumulated
 // into out[i,j] individually, and the k-halves execute in ascending order at

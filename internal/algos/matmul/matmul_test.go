@@ -65,26 +65,6 @@ func TestDepthNMMMatchesReference(t *testing.T) {
 	}
 }
 
-func TestDepthNMMLimitedAccess(t *testing.T) {
-	m := machine.New(machine.Default(4))
-	a := mat.AllocBI(m.Space, 16, 1)
-	b := mat.AllocBI(m.Space, 16, 1)
-	out := mat.AllocBI(m.Space, 16, 1)
-	rng := rand.New(rand.NewSource(5))
-	am, bm := randMat(16, rng), randMat(16, rng)
-	for i := 0; i < 16; i++ {
-		for j := 0; j < 16; j++ {
-			a.Set(m.Space, int64(i), int64(j), am[i][j])
-			b.Set(m.Space, int64(i), int64(j), bm[i][j])
-		}
-	}
-	res := core.NewEngine(m, sched.NewPWS(), core.Options{AuditWrites: true}).Run(Mul(a, b, out))
-	if res.WriteAuditMax > 1 {
-		t.Errorf("Depth-n-MM wrote some heap address %d times; the limited-access variant writes once",
-			res.WriteAuditMax)
-	}
-}
-
 func TestDepthNMMWorkCubic(t *testing.T) {
 	work := func(n int64) int64 {
 		m := machine.New(machine.Default(1))

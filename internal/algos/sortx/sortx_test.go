@@ -148,18 +148,6 @@ func TestSortPayloadIntegrity(t *testing.T) {
 	}
 }
 
-func TestSortLimitedAccess(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	in := make([]int64, 256)
-	for i := range in {
-		in[i] = int64(rng.Intn(50))
-	}
-	_, res := runSort(4, in, sched.NewPWS(), core.Options{AuditWrites: true})
-	if res.WriteAuditMax > 1 {
-		t.Errorf("sort wrote some heap address %d times; fresh-buffer design writes once", res.WriteAuditMax)
-	}
-}
-
 func TestSortWorkNLogN(t *testing.T) {
 	work := func(n int) int64 {
 		in := make([]int64, n)

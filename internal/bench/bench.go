@@ -9,9 +9,10 @@
 // from cmd/hbpbench.
 //
 // Each simulator decision has one home: a Spec's machine, engine and
-// scheduler are built by Run (Traced attaches the f(r)/L(r) tracer, for
-// EXP01 and cmd/hbptrace), the default machine is machine.Default, and
-// every lemma bound a row is checked against comes from internal/model.
+// scheduler are built by Run (and Record, which keeps the run's tape, for
+// EXP01's f(r)/L(r) pass, cmd/hbptrace and EXP14's replays), the default
+// machine is machine.Default, and every lemma bound a row is checked
+// against comes from internal/model.
 package bench
 
 import (
@@ -24,7 +25,6 @@ import (
 	"repro/internal/harness"
 	"repro/internal/machine"
 	"repro/internal/sched"
-	"repro/internal/trace"
 )
 
 // Spec describes one run; it is the harness grid spec, re-exported so the
@@ -68,15 +68,12 @@ func Run(a Algo, n int64, spec Spec) core.Result {
 	return newEngine(m, spec).Run(root)
 }
 
-// Traced is Run with the f(r)/L(r) tracer attached to the run; it returns
-// the tracer with the result.
-func Traced(a Algo, n int64, spec Spec) (core.Result, *trace.Tracer) {
+// Record is Run under core.Engine.Record: it returns with the result the
+// run's tape, or why it could not record one.
+func Record(a Algo, n int64, spec Spec) (core.Result, *core.Tape, error) {
 	m := newMachine(spec)
 	root := a.Build(m, n, spec.Seed)
-	eng := newEngine(m, spec)
-	tr := new(trace.Tracer)
-	trace.Attach(eng, tr)
-	return eng.Run(root), tr
+	return newEngine(m, spec).Record(root)
 }
 
 // newMachine builds the spec's fresh machine.

@@ -7,13 +7,15 @@ import (
 	"time"
 
 	"repro/internal/harness"
+	"repro/internal/trace"
 )
 
 // EXP01 regenerates Table 1: for every algorithm it measures W(n), T∞(n)
 // and Q(n,M,B) across an n-sweep in a serial run (growth ratios are
 // compared against the stated formulas, note "measured"), and measures the
-// per-task parameters f(r) and L(r) with a traced run on p=4 (note
-// "traced": Aux1 = max f-excess, Aux2 = max L-shared, Aux3 = balance).
+// per-task parameters f(r) and L(r) in a pass over the recording of a run
+// on p=4 (note "traced": Aux1 = max f-excess, Aux2 = max L-shared, Aux3 =
+// balance).
 func exp01Cells(p Params) []harness.Cell {
 	var cells []harness.Cell
 	p.eachRepeat(func(rep int, seed uint64) {
@@ -37,12 +39,6 @@ func exp01Cells(p Params) []harness.Cell {
 		for _, a := range Catalog() {
 			n := a.Sizes[0]
 			if a.Name == "CC" || a.Name == "LR" {
-				if p.Quick {
-					// Tracing walks the ancestor chain on every access; the
-					// deep DAGs of LR/CC make that minutes of work.  The
-					// full run (hbpbench, no -quick) includes them.
-					continue
-				}
 				n = 64
 			}
 			spec := stamp(DefaultSpec(4), rep, seed)
@@ -57,21 +53,18 @@ func exp01Cells(p Params) []harness.Cell {
 	return cells
 }
 
-// tracedRow runs one algorithm with the f(r)/L(r) tracer attached.
+// tracedRow runs one algorithm, recording it, and measures f(r), L(r) and
+// the balance ratio in a pass over the tape.
 func tracedRow(a Algo, n int64, spec Spec) harness.Row {
 	start := time.Now() //lint:allow determinism wall-clock feeds only WallNS, which Normalize zeroes for -canon
-	res, tr := Traced(a, n, spec)
+	res, tape, err := Record(a, n, spec)
+	if err != nil {
+		panic(fmt.Sprintf("EXP01: %s n=%d: %v", a.Name, n, err))
+	}
+	pm := trace.Measure(tape)
 	row := rowFrom("EXP01", a.Name, n, spec, res, time.Since(start))
 	row.Note = "traced"
-	maxL := int64(0)
-	for _, pt := range tr.LMeasure() {
-		if pt.Shared > maxL {
-			maxL = pt.Shared
-		}
-	}
-	row.Aux1 = float64(tr.MaxFExcess(int64(spec.B)))
-	row.Aux2 = float64(maxL)
-	row.Aux3 = tr.BalanceRatio(4)
+	row.Aux1, row.Aux2, row.Aux3 = float64(pm.MaxF), float64(pm.MaxL), pm.Balance
 	return row
 }
 

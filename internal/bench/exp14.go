@@ -149,9 +149,7 @@ func (ts *tapes) run(a Algo, n int64, spec Spec) core.Result {
 	case seen:
 		return Run(a, n, spec)
 	}
-	m := newMachine(spec)
-	root := a.Build(m, n, spec.Seed)
-	res, t, err := newEngine(m, spec).Record(root)
+	res, t, err := Record(a, n, spec)
 	if err == nil {
 		ts.mu.Lock()
 		ts.m[k] = t

@@ -39,7 +39,6 @@ func (c *Ctx) W(addr mem.Addr, v int64) {
 	if c.rc != nil {
 		c.rc.access(c.rec, addr, true)
 	}
-	c.eng.noteWrite(addr)
 	c.proc.Write(addr, v)
 }
 
@@ -58,7 +57,6 @@ func (c *Ctx) WF(addr mem.Addr, v float64) {
 	if c.rc != nil {
 		c.rc.access(c.rec, addr, true)
 	}
-	c.eng.noteWrite(addr)
 	c.proc.WriteF(addr, v)
 }
 
@@ -71,14 +69,11 @@ func (c *Ctx) Op(n int64) {
 	c.proc.Op(n)
 }
 
-// touch is the access a replayed R, W, RF or WF makes: the same charge,
-// without moving a word.  No recording sees it: a recording stops at a
-// replay's first action (player.bind).
+// touch is the access a replayed R, W, RF or WF makes: the same charge
+// and simulated access, without moving a word.  No recording sees it: a
+// recording stops at a replay's first action (player.bind).
 func (c *Ctx) touch(addr mem.Addr, write bool) {
 	c.actionCost++
-	if write {
-		c.eng.noteWrite(addr)
-	}
 	c.proc.Touch(addr, write)
 }
 

@@ -33,23 +33,19 @@ type Options struct {
 	// a stack frame also allocates a pad of ⌈√|τ|⌉ words, separating
 	// successive frames so they rarely share a block.
 	Padded bool
-	// AuditWrites enables the limited-access audit: counts writes per heap
-	// address (execution-stack addresses are excluded, since stack space
-	// reuse houses distinct variables at the same address).
-	AuditWrites bool
 }
 
 // stackWords is the per-proc execution-stack reservation in words.
 const stackWords = 1 << 16
 
-// Hooks receives engine events; used by internal/trace.  Any field may be nil.
+// Hooks receives a run's task events, with the proc and simulated time of
+// each; any field may be nil.  What a task is, as against when and where it
+// ran, is read off a recording instead (Tape.Walk).
 type Hooks struct {
 	// TaskStart fires when a task's head begins executing.
 	TaskStart func(id, parent int64, prio int, size int64, proc int, now int64, stolen bool)
 	// TaskEnd fires when a task (its whole subtree) completes.
 	TaskEnd func(id int64, proc int, now int64)
-	// ProcTask fires when the task a proc is executing on behalf of changes.
-	ProcTask func(proc int, id int64)
 }
 
 // Engine executes a Node tree on a simulated machine under a scheduler.
@@ -74,9 +70,6 @@ type Engine struct {
 	attempts     int64
 	usurpations  int64
 	maxPrio      int
-
-	stackRegions []mem.Region
-	writeCounts  map[mem.Addr]int32
 
 	// inputs is the size of the space when the engine was built — the
 	// words the computation's builder allocated — and heapStart its size
@@ -139,20 +132,13 @@ func NewEngine(m *machine.Machine, s Scheduler, opts Options) *Engine {
 		stealsByPrio: make(map[int]int64),
 		inputs:       m.Space.Size(),
 	}
-	if opts.AuditWrites {
-		e.writeCounts = make(map[mem.Addr]int32)
-	}
 	for i, p := range m.Procs {
 		region := mem.Region{Base: m.Space.Alloc(stackWords), Len: stackWords}
-		e.stackRegions = append(e.stackRegions, region)
 		e.ps = append(e.ps, &procState{id: i, p: p, ctx: Ctx{proc: p, eng: e}, stack: newExecStack(region)})
 	}
 	e.heapStart = m.Space.Size()
 	return e
 }
-
-// Machine returns the simulated machine.
-func (e *Engine) Machine() *machine.Machine { return e.m }
 
 // Run executes the computation rooted at root to completion and returns the
 // collected metrics.  The root task starts on proc 0 (the paper: "initially
@@ -213,17 +199,12 @@ func (e *Engine) step(ps *procState) {
 func (e *Engine) execute(ps *procState, r *rec) {
 	r.owner = ps.id
 	e.pushFrame(ps, r)
-	if h := e.Hooks; h != nil {
-		if h.TaskStart != nil {
-			var pid int64 = -1
-			if r.parent != nil {
-				pid = r.parent.id
-			}
-			h.TaskStart(r.id, pid, r.prio, r.size(), ps.id, ps.p.Now, r.stolen)
+	if h := e.Hooks; h != nil && h.TaskStart != nil {
+		var pid int64 = -1
+		if r.parent != nil {
+			pid = r.parent.id
 		}
-		if h.ProcTask != nil {
-			h.ProcTask(ps.id, r.id)
-		}
+		h.TaskStart(r.id, pid, r.prio, r.size(), ps.id, ps.p.Now, r.stolen)
 	}
 	ps.p.Op(1) // task-head bookkeeping
 	ctx := ps.action(r)
@@ -327,9 +308,6 @@ func (e *Engine) complete(ps *procState, r *rec) {
 			return // sibling outstanding; proc seeks other work next step
 		}
 
-		if h := e.Hooks; h != nil && h.ProcTask != nil {
-			h.ProcTask(ps.id, par.id)
-		}
 		ctx := ps.action(par)
 		ps.p.Op(1)
 		if par.node.Seq != nil {
@@ -477,19 +455,6 @@ func (r *rec) size() int64 {
 func (ps *procState) action(r *rec) *Ctx {
 	ps.ctx.rec, ps.ctx.actionCost = r, 0
 	return &ps.ctx
-}
-
-// noteWrite feeds the limited-access audit.
-func (e *Engine) noteWrite(addr mem.Addr) {
-	if e.writeCounts == nil {
-		return
-	}
-	for _, reg := range e.stackRegions {
-		if reg.Contains(addr) {
-			return
-		}
-	}
-	e.writeCounts[addr]++
 }
 
 // --- Scheduler-facing API -------------------------------------------------

@@ -46,10 +46,6 @@ type Result struct {
 	// StackHighWater is the deepest execution-stack use across procs, in
 	// words.
 	StackHighWater int64
-
-	// WriteAuditMax is the largest per-heap-address write count when the
-	// limited-access audit is enabled (Definition 2.4 requires O(1)).
-	WriteAuditMax int32
 }
 
 func (e *Engine) result() Result {
@@ -76,11 +72,6 @@ func (e *Engine) result() Result {
 		}
 	}
 	_, res.MaxBlockTransfers = e.m.Dir.MaxBlockTransfers()
-	for _, c := range e.writeCounts {
-		if c > res.WriteAuditMax {
-			res.WriteAuditMax = c
-		}
-	}
 	return res
 }
 

@@ -21,7 +21,8 @@ import (
 // every count comes out as a live run's would, without the kernel code,
 // its closures, or the values it moved.  A Writer records a computation with
 // no engine at all, for a frontend that can run it as plain serial code
-// (internal/fj does).
+// (internal/fj does), and Walk reads a tape's tree and streams with no
+// engine either, for measures of the computation itself (internal/trace).
 //
 // Addresses on a tape are symbolic, because the engine lays memory out as
 // it goes: the execution stacks it reserves grow with p, and every
@@ -64,11 +65,15 @@ const (
 	opStack   = 6 // stack word of ancestor v; a uvarint zigzag offset follows
 )
 
-// Task kinds on a tape.
+// TaskKind is the kind of a task on a tape.
+type TaskKind uint8
+
+// The kinds of task: a fork (or leaf), a sequence, and a range task, which
+// splits its range in halves down to single indices as the engine does.
 const (
-	kindFork = iota
-	kindSeq
-	kindRange
+	KindFork TaskKind = iota
+	KindSeq
+	KindRange
 )
 
 // The kinds of action a recording brackets.
@@ -114,7 +119,7 @@ type Tape struct {
 // shape is what a task record shares with many others: its kind and its
 // node's Locals, Pad and Label.
 type shape struct {
-	kind        uint8
+	kind        TaskKind
 	locals, pad int32
 	label       string
 }
@@ -123,6 +128,10 @@ type shape struct {
 // allocated.  A replay runs on a fresh machine that has allocated exactly
 // these, as one allocation, before its engine is built.
 func (t *Tape) Inputs() int64 { return t.inputs }
+
+// BlockWords returns the block size B of the machine the tape was recorded
+// on.
+func (t *Tape) BlockWords() int { return t.b }
 
 // Sum returns a SHA-256 digest of the tape: two recordings of computations
 // with the same task tree and the same access streams have the same sum.
@@ -200,9 +209,9 @@ type Writer struct {
 
 // The shapes of the tasks a Writer writes besides its root.
 var (
-	pairShape = shape{kind: kindFork, label: "fj·fork"}
-	segShape  = shape{kind: kindSeq, label: "fj·seg"}
-	taskShape = shape{kind: kindSeq, label: "fj·task"}
+	pairShape = shape{kind: KindFork, label: "fj·fork"}
+	segShape  = shape{kind: KindSeq, label: "fj·seg"}
+	taskShape = shape{kind: KindSeq, label: "fj·task"}
 )
 
 // NewWriter starts the tape of a computation over what space has
@@ -210,7 +219,7 @@ var (
 // first.
 func NewWriter(space *mem.Space, size int64, label string) *Writer {
 	w := &Writer{rc: newRecorder(space, space.Size(), space.Size())}
-	w.segs = append(w.segs, w.rc.record(shape{kind: kindSeq, label: label}, size))
+	w.segs = append(w.segs, w.rc.record(shape{kind: KindSeq, label: label}, size))
 	w.rc.openAt(w.segs[0], actStage)
 	return w
 }
@@ -470,16 +479,16 @@ const maxRecord = 6*binary.MaxVarintLen64 + 4
 // root's is the tape's first).
 func (rc *recorder) task(r *rec) {
 	n := r.node
-	sh := shape{kind: kindFork, locals: n.Locals, pad: n.Pad, label: n.Label}
+	sh := shape{kind: KindFork, locals: n.Locals, pad: n.Pad, label: n.Label}
 	if n.Seq != nil {
-		sh.kind = kindSeq
+		sh.kind = KindSeq
 	}
 	rg := n.Range
 	if rg == nil {
 		r.tid = rc.record(sh, n.Size)
 		return
 	}
-	sh.kind = kindRange
+	sh.kind = KindRange
 	first := len(rc.leaves)
 	rc.put(uint64(rc.shape(sh)))
 	rc.put(uint64(n.Size))
@@ -642,20 +651,23 @@ func (rc *recorder) newAlloc() {
 func zig(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
 func unzig(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// --- Replay ----------------------------------------------------------------
+// --- Replay and walk -------------------------------------------------------
 
-// player replays a tape on one engine.  The nodes it hands the engine are
-// pooled: a task's node returns to the pool at its parent's next action —
-// the join of a fork, the next stage of a sequence — which runs only after
-// the task completed, and the engine reads a node only while its task is
-// live.  So a replay allocates nodes for the tasks live at once, not one
-// per task.
+// player reads a tape for one run of it: a replay on an engine, or a walk.
+// The nodes it hands out are pooled: a task's node returns to the pool at
+// its parent's next action — the join of a fork, the next stage of a
+// sequence — which runs only after the task completed, and the engine reads
+// a node only while its task is live.  So a run allocates nodes for the
+// tasks live at once, not one per task.
 type player struct {
 	t     *Tape
 	root  *playNode
 	eng   *Engine    // the engine running the replay, from its first action on
 	bases []mem.Addr // where each allocation landed in this run
 	free  *playNode
+	// A walk's visitor (nil in a replay), and the task whose action runs.
+	v  Visitor
+	id int
 }
 
 // bind ties the replay to the engine running its first action, under c.  An
@@ -685,8 +697,8 @@ func (pl *player) bind(c *Ctx) {
 	}
 }
 
-// playNode is the node of one task being replayed, and where on the tape
-// its next action is.
+// playNode is the node of one task being run, and where on the tape its
+// next action is.
 type playNode struct {
 	Node
 	pl   *player
@@ -719,11 +731,11 @@ func (pl *player) node(pos int) (*playNode, int) {
 	pn.Node = Node{Size: int64(size), Locals: sh.locals, Pad: sh.pad, Label: sh.label}
 	pn.kids = [2]*playNode{}
 	switch sh.kind {
-	case kindFork:
+	case KindFork:
 		pn.Fork, pn.Join = pn.fork, pn.join
-	case kindSeq:
+	case KindSeq:
 		pn.Seq, pn.Join = pn.seq, pn.join
-	case kindRange:
+	case KindRange:
 		var lo, n, per, first uint64
 		lo, i = uvarint(buf, i)
 		n, i = uvarint(buf, i)
@@ -791,17 +803,15 @@ func (pn *playNode) doSeq(c *Ctx, _ int) *Node {
 	return &pn.kids[0].Node
 }
 
-// page returns the page holding tape position pos, and pos's offset in it.
-func (t *Tape) page(pos int) ([]byte, int) { return t.pages[pos>>pageBits], pos & (pageSize - 1) }
-
 func (pn *playNode) doLeaf(c *Ctx, i int64) {
 	pn.pl.play(c, int(pn.pl.t.leaves[pn.base+int(i-pn.rng.Lo)]))
 }
 
-// play re-issues the stream at pos under c and returns the position after
-// it.
+// play reads the stream at pos, the one reader of streams, and returns the
+// position after it.  A replay (c non-nil) re-issues each entry under c; a
+// walk reports each to pl.v as task pl.id's.
 func (pl *player) play(c *Ctx, pos int) int {
-	if c.eng != pl.eng {
+	if c != nil && c.eng != pl.eng {
 		pl.bind(c)
 	}
 	pg := pos >> pageBits
@@ -810,39 +820,57 @@ func (pl *player) play(c *Ctx, pos int) int {
 	for {
 		var h uint64
 		h, i = uvarint(buf, i)
-		v := h >> 3
-		switch code := h & 7; code {
+		code, u := h&7, h>>3
+		write := code&1 != 0
+		switch code {
 		case opCompute:
-			switch v {
-			case 0:
+			switch {
+			case u == 0:
 				return pg<<pageBits | i
-			case 1:
+			case u == 1:
 				pg++
 				buf, i = pl.t.pages[pg], 0
+			case c != nil:
+				c.Op(int64(u - 1))
 			default:
-				c.Op(int64(v - 1))
+				pl.v.Op(pl.id, int64(u-1))
 			}
 		case opAlloc:
 			var k uint64
 			k, i = uvarint(buf, i)
-			pl.bases[k] = c.eng.m.Space.Alloc(int64(v))
+			if c != nil {
+				pl.bases[k] = c.eng.m.Space.Alloc(int64(u))
+			}
 		case opInput, opInput | 1:
-			in += unzig(v)
-			c.touch(in, code&1 != 0)
+			if in += unzig(u); c != nil {
+				c.touch(in, write)
+			} else {
+				pl.v.Access(pl.id, Word{Kind: InputWord, Off: in}, write)
+			}
 		case opHeap, opHeap | 1:
-			heap += unzig(v)
-			c.touch(pl.bases[heap>>32]+heap&(1<<32-1), code&1 != 0)
+			if heap += unzig(u); c != nil {
+				c.touch(pl.bases[heap>>32]+heap&(1<<32-1), write)
+			} else {
+				pl.v.Access(pl.id, Word{Kind: HeapWord, K: int(heap >> 32), Off: heap & (1<<32 - 1)}, write)
+			}
 		default: // opStack
 			var z uint64
 			z, i = uvarint(buf, i)
+			if c == nil {
+				pl.v.Access(pl.id, Word{Kind: StackWord, K: int(u), Off: unzig(z)}, write)
+				break
+			}
 			r := c.rec
-			for range v {
+			for range u {
 				r = r.parent
 			}
-			c.touch(r.localBase+unzig(z), code&1 != 0)
+			c.touch(r.localBase+unzig(z), write)
 		}
 	}
 }
+
+// page returns the page holding tape position pos, and pos's offset in it.
+func (t *Tape) page(pos int) ([]byte, int) { return t.pages[pos>>pageBits], pos & (pageSize - 1) }
 
 // uvarint decodes the uvarint at b[i:] and returns it and the position
 // after it.
@@ -856,4 +884,111 @@ func uvarint(b []byte, i int) (uint64, int) {
 	}
 	v, n := binary.Uvarint(b[i:])
 	return v, i + n
+}
+
+// --- Walking ---------------------------------------------------------------
+
+// WalkTask is a task as Walk visits it.  IDs number the tasks in visiting
+// order from the root's 0, whose Parent is -1; Prio is the priority the
+// engine gives the task, and a range task's Size is its indices' share.
+type WalkTask struct {
+	ID, Parent, Prio int
+	Kind             TaskKind
+	Size             int64
+	Label            string
+}
+
+// Word is an accessed word by its symbol on the tape (see Record): an input
+// word's address Off, a heap word's allocation K and offset Off, or a stack
+// word's offset Off from the locals of the accessing task's K-th ancestor.
+type Word struct {
+	Kind WordKind
+	K    int
+	Off  int64
+}
+
+// WordKind says which of the three a Word is.
+type WordKind uint8
+
+const (
+	InputWord WordKind = iota
+	HeapWord
+	StackWord
+)
+
+// Visitor receives what Walk reads off a tape: each task before any of its
+// actions, and each access and charge of an action of task id.
+type Visitor interface {
+	Task(t WalkTask)
+	Access(id int, w Word, write bool)
+	Op(id int, n int64)
+}
+
+// Walk visits t's tasks and their actions with no engine: it runs the
+// nodes of a replay of t serially, as one core runs them — a task's head or
+// stage, its children (left first) or stage root, its join; a range task
+// split in halves down to single indices — and their streams go to v.
+func (t *Tape) Walk(v Visitor) {
+	pl := &player{t: t, v: v}
+	pl.root, _ = pl.node(0)
+	(&walker{pl: pl}).node(&pl.root.Node, -1, 0)
+}
+
+type walker struct {
+	pl  *player
+	ids int
+}
+
+// node visits the task running n — the whole range of a range node — and
+// its subtree, a child of task parent at priority prio, and returns the
+// highest priority in the subtree.
+func (w *walker) node(n *Node, parent, prio int) int {
+	var lo, hi int64
+	if rg := n.Range; rg != nil {
+		lo, hi = rg.Lo, rg.Hi
+	}
+	return w.task(n, lo, hi, parent, prio)
+}
+
+// task is node for the task covering [lo, hi) of a range node.
+func (w *walker) task(n *Node, lo, hi int64, parent, prio int) int {
+	t := WalkTask{ID: w.ids, Parent: parent, Prio: prio, Kind: KindFork, Size: n.Size, Label: n.Label}
+	switch {
+	case n.Range != nil:
+		t.Kind, t.Size = KindRange, (hi-lo)*n.Range.Per
+	case n.Seq != nil:
+		t.Kind = KindSeq
+	}
+	w.ids++
+	w.pl.v.Task(t)
+	top := prio
+	w.pl.id = t.ID
+	switch {
+	case t.Kind == KindRange && hi-lo == 1:
+		n.Range.Body(nil, lo)
+		return top
+	case t.Kind == KindRange:
+		mid := lo + (hi-lo)/2
+		return max(w.task(n, lo, mid, t.ID, prio+1), w.task(n, mid, hi, t.ID, prio+1))
+	case t.Kind == KindSeq:
+		// A stage ranks below everything the stages before it generated.
+		for i := 0; ; i++ {
+			w.pl.id = t.ID
+			c := n.Seq(nil, i)
+			if c == nil {
+				break
+			}
+			top = max(top, w.node(c, t.ID, top+1))
+		}
+	default:
+		l, r := n.Fork(nil)
+		for _, c := range [2]*Node{l, r} {
+			if c != nil {
+				top = max(top, w.node(c, t.ID, prio+1))
+			}
+		}
+	}
+	w.pl.id = t.ID
+	n.Join(nil)
+	return top
 }

@@ -6,9 +6,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/algos/registry"
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/mem"
+	"repro/internal/model"
 	"repro/internal/sched"
 )
 
@@ -335,4 +337,119 @@ func TestReplayRootRefusesOtherInputs(t *testing.T) {
 		}
 	}()
 	core.NewEngine(m, sched.NewPWS(), core.Options{}).Run(root)
+}
+
+// walkCount is a Visitor that counts what a walk visits: accesses, and
+// operations as the engine charges them — each charge, one for each task's
+// head and one for each later action of its parent (a fork's or range
+// task's join once, a sequence's next stage per stage) — and lists the
+// tasks as a serial run's TaskStart hook does.
+type walkCount struct {
+	reads, writes, ops int64
+	top                int
+	kinds              []core.TaskKind
+	kids               []int
+	tasks              []string
+}
+
+func (w *walkCount) Task(t core.WalkTask) {
+	if t.ID != len(w.kinds) {
+		panic(fmt.Sprintf("task %d visited as the %d-th", t.ID, len(w.kinds)))
+	}
+	w.ops++
+	if p := t.Parent; p >= 0 {
+		if w.kinds[p] == core.KindSeq || w.kids[p] == 0 {
+			w.ops++
+		}
+		w.kids[p]++
+	}
+	w.kinds, w.kids = append(w.kinds, t.Kind), append(w.kids, 0)
+	w.tasks = append(w.tasks, fmt.Sprint(t.Parent, t.Prio, t.Size))
+	w.top = max(w.top, t.Prio)
+}
+
+func (w *walkCount) Access(_ int, _ core.Word, write bool) {
+	if write {
+		w.writes++
+	} else {
+		w.reads++
+	}
+}
+
+func (w *walkCount) Op(_ int, n int64) { w.ops += n }
+
+// checkWalk walks t and replays it on m, a fresh one-core machine holding
+// t's inputs, and checks that the walk visits the tasks the replay starts,
+// in its order, and counts its accesses, operations and priorities.
+func checkWalk(tb testing.TB, t *core.Tape, m *machine.Machine) {
+	tb.Helper()
+	var w walkCount
+	t.Walk(&w)
+	order := map[int64]int{-1: -1}
+	var started []string
+	eng := core.NewEngine(m, sched.NewPWS(), core.Options{})
+	eng.Hooks = &core.Hooks{TaskStart: func(id, parent int64, prio int, size int64, _ int, _ int64, _ bool) {
+		order[id] = len(started)
+		started = append(started, fmt.Sprint(order[parent], prio, size))
+	}}
+	res := eng.Replay(t)
+	if !reflect.DeepEqual(w.tasks, started) {
+		tb.Errorf("the walk visits %d tasks, a serial replay starts %d, or they differ", len(w.tasks), len(started))
+	}
+	got := [4]int64{w.reads, w.writes, w.ops, int64(w.top + 1)}
+	want := [4]int64{res.Total.Reads, res.Total.Writes, res.Total.Ops, int64(res.DistinctPrios)}
+	if got != want {
+		tb.Errorf("walk counts reads, writes, ops, priorities %v; a serial replay %v", got, want)
+	}
+}
+
+// TestWalkMatchesSerialReplay checks Walk on a computation that uses every
+// part of a tape, recorded under every configuration and written by a Writer.
+func TestWalkMatchesSerialReplay(t *testing.T) {
+	for _, c := range tapeConfigs() {
+		m := tapeMachine(c.p)
+		root := tapeComputation(m)
+		_, tape, err := tapeEngine(m, c.sched, c.padded, &tapeRun{}).Record(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m = tapeMachine(1)
+		m.Space.Alloc(tape.Inputs())
+		checkWalk(t, tape, m)
+	}
+	m := tapeMachine(1)
+	in := mem.NewArray(m.Space, 8)
+	w := core.NewWriter(m.Space, 8, "root")
+	w.Fork()
+	w.W(in.Addr(1), 1)
+	w.Join()
+	w.Op(3)
+	w.R(in.Addr(1))
+	w.Join()
+	w.Join()
+	m = tapeMachine(1)
+	m.Space.Alloc(8)
+	checkWalk(t, w.Tape(), m)
+}
+
+// TestWalkMatchesEXP14Kernels checks Walk on every key EXP14's quick grid
+// records: each modelled kernel at its two smallest sizes, B = 16, seed 0.
+func TestWalkMatchesEXP14Kernels(t *testing.T) {
+	for _, name := range model.Names() {
+		k, ok := registry.Find(name, registry.Sim)
+		if !ok {
+			t.Fatalf("modelled kernel %q not in the sim catalog", name)
+		}
+		for _, n := range k.Sim.Sizes[:2] {
+			m := machine.New(machine.Default(1))
+			root := k.Sim.Build(m, n, 0)
+			_, tape, err := core.NewEngine(m, sched.NewPWS(), core.Options{}).Record(root)
+			if err != nil {
+				t.Fatalf("%s n=%d: %v", name, n, err)
+			}
+			m = machine.New(machine.Default(1))
+			m.Space.Alloc(tape.Inputs())
+			checkWalk(t, tape, m)
+		}
+	}
 }

@@ -15,6 +15,9 @@
 //     invalidated by another core's write — the false-sharing cost;
 //   - cold/capacity miss: every other miss, i.e. what a sequential execution
 //     charged with the same cache would also incur (up to reordering).
+//
+// The machine keeps counts only; it reports no single access to anyone.
+// What a task touched is read off a recording of the run (core.Tape.Walk).
 package machine
 
 import (
@@ -119,21 +122,12 @@ func (s *ProcStats) Add(o ProcStats) {
 	s.StealTime += o.StealTime
 }
 
-// AccessObserver receives every simulated memory access; used by the trace
-// package to measure f(r), L(r) and limited-access properties.
-type AccessObserver interface {
-	ObserveAccess(proc int, addr mem.Addr, write bool, kind AccessKind, now int64)
-}
-
 // Machine is the simulated multicore.
 type Machine struct {
 	Cfg   Config
 	Space *mem.Space
 	Dir   *cache.Directory
 	Procs []*Proc
-
-	// Observer, if non-nil, sees every access.
-	Observer AccessObserver
 }
 
 // New builds a machine and its address space.
@@ -204,7 +198,7 @@ func (p *Proc) StealDelay(n int64) {
 }
 
 // access runs the coherence protocol for one word access and charges time.
-func (p *Proc) access(addr mem.Addr, write bool) AccessKind {
+func (p *Proc) access(addr mem.Addr, write bool) {
 	m := p.machine
 	b := m.Space.Block(addr)
 	present, valid := p.cache.Access(b) // a hit is already at the MRU position
@@ -264,10 +258,6 @@ func (p *Proc) access(addr mem.Addr, write bool) AccessKind {
 	} else {
 		p.Stats.Reads++
 	}
-	if m.Observer != nil {
-		m.Observer.ObserveAccess(p.ID, addr, write, kind, p.Now)
-	}
-	return kind
 }
 
 func (p *Proc) invalidate(victims []int, b int64) {

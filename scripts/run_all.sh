@@ -270,8 +270,8 @@ if [ "$MODE" != verify ]; then
         n=1024
         [ "$a" = matmul ] && n=16
         out=$(go run ./cmd/hbptrace -algo "$a" -n "$n" -p 4 -sched rws -trace)
-        grep -q '^balance ratio' <<<"$out" || {
-            echo "hbptrace -trace -algo $a printed no f(r)/L(r) tables:" >&2
+        grep -q '^balance ratio' <<<"$out" && grep -q '^max writes to one word' <<<"$out" || {
+            echo "hbptrace -trace -algo $a printed no f(r)/L(r) tables or no writes per word:" >&2
             echo "$out" >&2
             exit 1
         }
