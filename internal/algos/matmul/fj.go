@@ -14,17 +14,20 @@ package matmul
 // every recursion level, so for each output element the floating-point
 // summation order is k = 0…n−1 regardless of the leaf cutoff — the sim and
 // real lowerings (whose grains differ) produce byte-identical results.  The
-// real leaf is the 2×2 micro-kernel of leaf.go, which fuses two of those
-// additions per store without reordering them (the argument is there).
+// real leaf is MulLeaf (leaf.go): an amd64 vector tile kernel or the 2×2 Go
+// kernel, each of which keeps every element's additions in that order (the
+// argument is there).
 
 import "repro/internal/fj"
 
 // Grains are the per-backend leaf side lengths: the simulator keeps the
-// recursion deep enough to observe, the real leaf is one call of the
-// register-blocked micro-kernel (MulLeaf).  The real grain comes from a
-// sweep of {32, 64} on the repository's benchmark (kernels_direct, side
-// 256: p1/pn 5.4/2.8 ms at 32, 4.6/2.4 at 64, which still leaves 64 leaf
-// products); the table is in CHANGES.md, PR 23.
+// recursion deep enough to observe, the real leaf is one call of MulLeaf.
+// The real grain comes from a sweep of {32, 64} on the repository's
+// benchmark (kernels_direct, side 256: p1/pn 5.4/2.8 ms at 32, 4.6/2.4 at
+// 64, which still leaves 64 leaf products; the table is in CHANGES.md, PR
+// 23).  That sweep ran on the scalar 2×2 leaf; it was not repeated for the
+// vector tile kernel, which makes a leaf ~3–5× faster and so shifts the
+// balance between leaf work and fork overhead.
 const (
 	GrainSim  = 4
 	GrainReal = 64

@@ -6,7 +6,7 @@ package strassen
 // tasks; quadrant extraction, the T/U operand sums and the final combine are
 // serial O(n²) passes dominated by the O(n^2.81) recursive work.  On real
 // hardware each of those passes is a loop (or row copies) over the native
-// slices and the base case is matmul's micro-kernel; under the simulator the
+// slices and the base case is matmul.MulLeaf; under the simulator the
 // same reads and writes go through charged accesses.
 //
 // Elements are int64: Strassen's bracketing differs with the leaf cutoff,
@@ -22,7 +22,8 @@ import (
 // Per-backend leaf side lengths: below them the product is the classical
 // triple loop.  The real grain comes from a sweep of {32, 64} on the
 // repository's benchmark (kernels_direct, side 256: p1/pn 7.2/4.4 ms at 32,
-// 6.4/3.8 at 64, 49 leaf products; CHANGES.md, PR 23).  The cross-backend
+// 6.4/3.8 at 64, 49 leaf products; CHANGES.md, PR 23), run on the scalar
+// 2×2 leaf and not repeated for the vector tile kernel.  The cross-backend
 // equality gate simulates a side of twice the grain, 128, in about half a
 // second.
 const (
@@ -214,7 +215,7 @@ func copyAll(c *fj.Ctx, src, dst fj.I64) {
 	}
 }
 
-// fjMulClassical is the serial base case: matmul's micro-kernel on native
+// fjMulClassical is the serial base case: matmul.MulLeaf on native
 // slices on the real backend — storing, not adding, each element's first
 // product, so the result needs no zeroing pass — and the plain triple loop
 // through charged accesses under the simulator.

@@ -95,13 +95,13 @@ func TestSumRealBackend(t *testing.T) {
 	}
 }
 
-// TestSimDeterministic re-runs the same program and requires identical
-// engine metrics: the sim lowering must not perturb the engine's
-// deterministic schedule.
 // TestForksAllocateNothing: once the worker's rt task frames are warm, a
 // Parallel and a ForRange at p = 1 allocate nothing.  Each fork is one
 // pooled rt frame carrying the body and its range; fj keeps no record of
-// its own and hands every task the worker's one Ctx.
+// its own and hands every task the worker's one Ctx.  MemStats counts the
+// whole process, so anything else running in it during a batch shows up in
+// that batch: objects and bytes are each the least of three batches, as in
+// TestKernelAllocRegression, and must still be exactly 0.
 func TestForksAllocateNothing(t *testing.T) {
 	if arena.Poisoning {
 		t.Skip("allocation pins are for the non-instrumented build")
@@ -119,25 +119,34 @@ func TestForksAllocateNothing(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			pool := rt.NewPool(1, rt.Random)
 			t.Cleanup(pool.Close)
-			var m0, m1 runtime.MemStats
+			const batches = 3
+			objs, bytes := ^uint64(0), ^uint64(0)
 			RunReal(pool, func(c *Ctx) {
 				tc.run(c)
-				runtime.ReadMemStats(&m0)
-				for i := 0; i < reps; i++ {
-					tc.run(c)
+				for range batches {
+					var m0, m1 runtime.MemStats
+					runtime.ReadMemStats(&m0)
+					for i := 0; i < reps; i++ {
+						tc.run(c)
+					}
+					runtime.ReadMemStats(&m1)
+					objs = min(objs, m1.Mallocs-m0.Mallocs)
+					bytes = min(bytes, m1.TotalAlloc-m0.TotalAlloc)
 				}
-				runtime.ReadMemStats(&m1)
 			})
-			if forks := pool.Executed() - 1; forks < reps {
-				t.Fatalf("%d runs of %s forked %d tasks, want at least one each", reps+1, tc.name, forks)
+			if forks := pool.Executed() - 1; forks < batches*reps {
+				t.Fatalf("%d runs of %s forked %d tasks, want at least one each", batches*reps+1, tc.name, forks)
 			}
-			if objs, bytes := m1.Mallocs-m0.Mallocs, m1.TotalAlloc-m0.TotalAlloc; objs != 0 || bytes != 0 {
-				t.Fatalf("%d warm runs of %s allocated %d objects, %d bytes; want 0 and 0", reps, tc.name, objs, bytes)
+			if objs != 0 || bytes != 0 {
+				t.Fatalf("%d warm runs of %s allocated %d objects, %d bytes at least; want 0 and 0", reps, tc.name, objs, bytes)
 			}
 		})
 	}
 }
 
+// TestSimDeterministic re-runs the same program and requires identical
+// engine metrics: the sim lowering must not perturb the engine's
+// deterministic schedule.
 func TestSimDeterministic(t *testing.T) {
 	run := func() core.Result {
 		m := machine.New(machine.Default(4))

@@ -3,7 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
-	"go/build/constraint"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -135,12 +135,19 @@ func (l *Loader) parseDir(dir string) (nonTest, inTest, extTest []*ast.File, err
 	sort.Strings(names)
 	basePkg := ""
 	for _, name := range names {
+		// The build the analyzers model is the default, non-instrumented
+		// one: this GOOS/GOARCH, file-name suffixes and //go:build lines
+		// alike, and no "race" tag.  Without this filter a pair of
+		// tag-alternated files (internal/arena's poison switch, matmul's
+		// tile kernel) would typecheck as a redeclaration.
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, nil, nil, err
+		} else if !ok {
+			continue
+		}
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, nil, nil, err
-		}
-		if !buildOK(f) {
-			continue
 		}
 		switch {
 		case !strings.HasSuffix(name, "_test.go"):
@@ -158,36 +165,6 @@ func (l *Loader) parseDir(dir string) (nonTest, inTest, extTest []*ast.File, err
 		nonTest, inTest = inTest, nil
 	}
 	return nonTest, inTest, extTest, nil
-}
-
-// buildOK reports whether f's //go:build constraint (if any) is satisfied
-// under the build the analyzers model: the default, non-instrumented one —
-// current GOOS/GOARCH, the gc toolchain, and no "race" tag.  Without this
-// filter a pair of tag-alternated files (internal/arena's poison switch)
-// would typecheck as a redeclaration.
-func buildOK(f *ast.File) bool {
-	for _, cg := range f.Comments {
-		if cg.Pos() >= f.Package {
-			break
-		}
-		for _, c := range cg.List {
-			if !constraint.IsGoBuild(c.Text) {
-				continue
-			}
-			expr, err := constraint.Parse(c.Text)
-			if err != nil {
-				continue
-			}
-			return expr.Eval(func(tag string) bool {
-				switch tag {
-				case runtime.GOOS, runtime.GOARCH, "gc", "unix":
-					return true
-				}
-				return strings.HasPrefix(tag, "go1.")
-			})
-		}
-	}
-	return true
 }
 
 // testVariant returns the loader an external test package of path is

@@ -144,9 +144,3 @@ type Region struct {
 	Base Addr
 	Len  int64
 }
-
-// Contains reports whether addr lies inside the region.
-func (r Region) Contains(addr Addr) bool { return addr >= r.Base && addr < r.Base+r.Len }
-
-// End returns one past the last address of the region.
-func (r Region) End() Addr { return r.Base + r.Len }

@@ -194,22 +194,6 @@ func TestCArray(t *testing.T) {
 	}
 }
 
-func TestRegionContains(t *testing.T) {
-	r := Region{Base: 10, Len: 5}
-	cases := []struct {
-		a    Addr
-		want bool
-	}{{9, false}, {10, true}, {14, true}, {15, false}}
-	for _, c := range cases {
-		if r.Contains(c.a) != c.want {
-			t.Errorf("Contains(%d) != %v", c.a, c.want)
-		}
-	}
-	if r.End() != 15 {
-		t.Errorf("End() = %d", r.End())
-	}
-}
-
 func TestNewSpaceRejectsBadBlock(t *testing.T) {
 	for _, b := range []int{0, -4, 3, 12} {
 		func() {
