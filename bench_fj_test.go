@@ -1,6 +1,6 @@
 package repro
 
-// Go benchmarks of the fj real lowering — all nine kernels at one size each,
+// Go benchmarks of the fj real lowering — every real kernel at one size each,
 // on a reused pool — for measuring while working on a kernel (-benchmem
 // shows the arena discipline in allocs/op).  The benchmark smoke gate of
 // scripts/run_all.sh runs each for one iteration.  The repository's
@@ -9,12 +9,13 @@ package repro
 // branches learned, which kernels_direct's interleaving does not.
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/algos/matmul"
 	"repro/internal/algos/registry"
 	"repro/internal/algos/sortx"
-	"repro/internal/algos/spms"
 	"repro/internal/fj"
 	"repro/internal/rt"
 )
@@ -78,18 +79,34 @@ func BenchmarkRealSortFJ(b *testing.B) {
 	}
 }
 
-// BenchmarkRealSortSPMSFJ times the SPMS kernel's real lowering on the same
-// keys as the sortx benchmark above.
-func BenchmarkRealSortSPMSFJ(b *testing.B) {
-	src := benchKeys(benchSortN, 3)
-	env := fj.NewRealEnv()
-	data := env.I64(benchSortN)
-	pool := rt.NewPool(0, rt.Random)
-	b.Cleanup(pool.Close)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(data.Raw(), src)
-		fj.RunReal(pool, func(c *fj.Ctx) { spms.FJSort(c, data) })
+// BenchmarkRealSortSweep times the served sort (sortx) against slices.Sort
+// on the same keys at 2¹⁶, 2¹⁹ and 2²² keys, on pools of 1 and 2 workers.
+// slices.Sort is serial, so it runs once per size.  Each run sorts a fresh
+// copy of the keys; the copy is timed on both sides.
+func BenchmarkRealSortSweep(b *testing.B) {
+	for _, lg := range []int{16, 19, 22} {
+		n := 1 << lg
+		src := benchKeys(n, 3)
+		b.Run(fmt.Sprintf("n=2^%d/stock", lg), func(b *testing.B) {
+			data := make([]int64, n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(data, src)
+				slices.Sort(data)
+			}
+		})
+		for _, p := range []int{1, 2} {
+			b.Run(fmt.Sprintf("n=2^%d/sortx/p=%d", lg, p), func(b *testing.B) {
+				data := fj.NewRealEnv().I64(int64(n))
+				pool := rt.NewPool(p, rt.Random)
+				b.Cleanup(pool.Close)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					copy(data.Raw(), src)
+					fj.RunReal(pool, func(c *fj.Ctx) { sortx.FJSort(c, data) })
+				}
+			})
+		}
 	}
 }
 
@@ -97,7 +114,7 @@ func BenchmarkRealSortSPMSFJ(b *testing.B) {
 // the catalog's own seeded payload (what kernels_direct and the service run),
 // on a pool of p workers (p <= 0: GOMAXPROCS).
 func benchKernel(b *testing.B, name string, n int64, p int) {
-	for _, k := range registry.FJKernels() {
+	for _, k := range registry.RealKernels() {
 		if k.Name != name {
 			continue
 		}

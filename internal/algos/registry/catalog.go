@@ -1,7 +1,6 @@
 package registry
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/cmplx"
@@ -27,7 +26,8 @@ import (
 // derives the kernel's three faces from it, once, at package init: the
 // FJKernel both registry backends and the experiments run, the SimKernel
 // the simulator-side drivers see, and the Invocable the service calls by
-// name.  All three share the entry's one seeded generator, one run adapter
+// name (a simulator-only kernel has the first two, on the sim backend
+// alone).  All three share the entry's one seeded generator, one run adapter
 // and one verifier, so what EXP13 times, what hbptrace simulates and what
 // /invoke serves cannot drift apart; TestCrossBackendEquality holds the two
 // lowerings to byte-identical outputs and TestCatalogOneSource holds the
@@ -37,10 +37,14 @@ import (
 // second argument of define: its type depends on the element type, which a
 // struct field cannot.
 type kernel struct {
-	// name keys both registry backends, EXP13's rows and hbptrace -algo;
-	// served is the name on /invoke and /kernels ("" = name).
-	name, served string
-	desc         string
+	// name keys the registry backends, EXP13's rows and hbptrace -algo;
+	// served lists the names on /invoke and /kernels (nil = name).  A
+	// simOnly kernel is a simulator source only: it has no real lowering
+	// and no served name.
+	name    string
+	served  []string
+	simOnly bool
+	desc    string
 	// payload documents the wire encoding (GET /kernels); shape is its
 	// geometry (codec.go).
 	payload string
@@ -96,9 +100,10 @@ var hostEnv = fj.NewRealEnv()
 
 // entry is one kernel's derived faces.
 type entry struct {
-	fj  FJKernel
-	sim SimKernel
-	inv Invocable
+	fj      FJKernel
+	sim     SimKernel
+	inv     []Invocable // one per served name; none when simOnly
+	simOnly bool
 }
 
 // define derives a kernel's faces from its description and its run adapter.
@@ -125,14 +130,20 @@ func define[T fj.Elem](k kernel, run func(c *fj.Ctx, in []fj.View[T], out fj.Vie
 		}
 		return k.gen(n, seed), nil
 	}
-	e := &entry{}
-	e.inv = Invocable{
-		Name: cmp.Or(k.served, k.name), Desc: k.desc, Payload: k.payload,
-		Validate: sh.check, OutLen: sh.outWords, InWords: sh.inWords,
-		Run: func(c *fj.Ctx, in, out []int64) {
-			run(c, views(hostEnv, in), fj.ViewOf[T](hostEnv, out))
-		},
-		Gen: gen, Verify: k.verify,
+	e := &entry{simOnly: k.simOnly}
+	served := k.served
+	if served == nil && !k.simOnly {
+		served = []string{k.name}
+	}
+	for _, name := range served {
+		e.inv = append(e.inv, Invocable{
+			Name: name, Desc: k.desc, Payload: k.payload,
+			Validate: sh.check, OutLen: sh.outWords, InWords: sh.inWords,
+			Run: func(c *fj.Ctx, in, out []int64) {
+				run(c, views(hostEnv, in), fj.ViewOf[T](hostEnv, out))
+			},
+			Gen: gen, Verify: k.verify,
+		})
 	}
 	e.fj = FJKernel{
 		Name: k.name, Desc: k.desc, SimSizes: k.simSizes, InputWords: k.rootWords,
@@ -233,14 +244,15 @@ var fjCatalog = []*entry{
 		strassen.FJMul(c, in[0], in[1], out, n)
 	}),
 	define(kernel{
-		name: "sortx", desc: "merge sort of an int64 key vector with merge-path parallel merge",
+		name: "sortx", served: []string{"sort", "sortx"},
+		desc:    "merge sort of an int64 key vector with merge-path parallel merge",
 		payload: "n i64 keys; output sorted ascending",
 		shape:   flatShape, simSizes: []int64{512, 2048}, quick: 1 << 16, full: 1 << 19, rootWords: linear,
 		gen:    func(n int64, seed uint64) []int64 { return fillKeys(make([]int64, n), seed+5, 1<<30) },
 		verify: verifySorted,
 	}, sortInPlace(sortx.FJSort)),
 	define(kernel{
-		name: "spms", served: "sort",
+		name: "spms", simOnly: true,
 		desc:    "SPMS sort of an int64 key vector: √n-way recursion with full k-way sample-partition merges",
 		payload: "n i64 keys; output sorted ascending",
 		// Both sim sizes sit well above the simulated cache (M = 1024 words)

@@ -56,9 +56,9 @@ func TestCrossSortPermutationsAgree(t *testing.T) {
 			}
 		}},
 	}
-	// Above both kernels' real sort grain (2048) so the real lowerings fork,
+	// Twice the larger real sort grain, so both real lowerings fork,
 	// matching the eqSizes discipline.
-	const nReal = 1 << 12
+	const nReal = 2 * max(spms.FJSortGrainReal, sortx.FJSortGrainReal)
 	const nSim = 1 << 10
 	for _, fl := range fills {
 		fl := fl

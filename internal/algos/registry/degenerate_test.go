@@ -15,11 +15,12 @@ import (
 // must NOT fork on hardware, from realLeaf), and the first size past it.
 // Kernels with a power-of-two shape constraint substitute grain and 2·grain
 // for the grain±1 pair.  The loop-only kernels have no leaf to straddle:
-// they sweep 2, the first size that forks, and their loopSize.  Like
-// eqSizes, every fj kernel must have an entry — a new kernel without a
-// boundary sweep fails the test, not silently skips it.
+// they sweep 2, the first size that forks, and their loopSize.  The
+// simulator-only kernels straddle their sim leaf.  Like eqSizes, every fj
+// kernel must have an entry — a new kernel without a boundary sweep fails
+// the test, not silently skips it.
 var degenerateSizes = func() map[string][]int64 {
-	m := make(map[string][]int64, len(realLeaf)+len(loopSize))
+	m := make(map[string][]int64, len(realLeaf)+len(loopSize)+len(simLeaf))
 	for name, l := range realLeaf {
 		past := l.n + 1
 		if l.pow2 {
@@ -30,6 +31,9 @@ var degenerateSizes = func() map[string][]int64 {
 	for name, n := range loopSize {
 		m[name] = []int64{0, 1, 2, n}
 	}
+	for name, l := range simLeaf {
+		m[name] = []int64{0, 1, l, l + 1}
+	}
 	return m
 }()
 
@@ -38,13 +42,14 @@ var degenerateSizes = func() map[string][]int64 {
 // they happened to work, this keeps it that way), and the sizes straddling
 // the real leaf grain must keep the two lowerings byte-identical right
 // where the real backend switches between serial leaf and forked recursion.
-// Each size also goes through the kernel's served face — generate, validate,
-// Run into a fresh output, verify — which must agree word for word: the
-// n ∈ {0, 1} rows are the served kernels' degenerates.
+// Each size also goes through the kernel's served faces — generate,
+// validate, Run into a fresh output, verify — which must agree word for
+// word: the n ∈ {0, 1} rows are the served kernels' degenerates.  A
+// simulator-only kernel runs the sim lowering alone.
 func TestDegenerateInputs(t *testing.T) {
 	const seed = 21
 	for _, e := range fjCatalog {
-		k, inv := e.fj, e.inv
+		k := e.fj
 		t.Run(k.Name, func(t *testing.T) {
 			sizes, ok := degenerateSizes[k.Name]
 			if !ok {
@@ -59,6 +64,9 @@ func TestDegenerateInputs(t *testing.T) {
 					t.Errorf("sim: verifier failed at n=%d", n)
 				}
 				ref := sw.Output()
+				if e.simOnly {
+					continue
+				}
 
 				// Real lowering on a 2-worker pool.
 				rw := k.Setup(fj.NewRealEnv(), n, seed)
@@ -73,18 +81,20 @@ func TestDegenerateInputs(t *testing.T) {
 						n, len(got), len(ref))
 				}
 
-				// The served face on the same pool.
-				in, err := inv.Gen(n, seed)
-				if err != nil {
-					t.Fatalf("served as %s: Gen(%d): %v", inv.Name, n, err)
-				}
-				if err := inv.Validate(in); err != nil {
-					t.Fatalf("served as %s: generated payload rejected at n=%d: %v", inv.Name, n, err)
-				}
-				out := make([]int64, inv.OutLen(in))
-				fj.RunReal(pool, func(c *fj.Ctx) { inv.Run(c, in, out) })
-				if !inv.Verify(in, out) || !wordsEqual(ref, out) {
-					t.Errorf("served as %s: output at n=%d fails verification or differs from sim", inv.Name, n)
+				// The served faces on the same pool.
+				for _, inv := range e.inv {
+					in, err := inv.Gen(n, seed)
+					if err != nil {
+						t.Fatalf("served as %s: Gen(%d): %v", inv.Name, n, err)
+					}
+					if err := inv.Validate(in); err != nil {
+						t.Fatalf("served as %s: generated payload rejected at n=%d: %v", inv.Name, n, err)
+					}
+					out := make([]int64, inv.OutLen(in))
+					fj.RunReal(pool, func(c *fj.Ctx) { inv.Run(c, in, out) })
+					if !inv.Verify(in, out) || !wordsEqual(ref, out) {
+						t.Errorf("served as %s: output at n=%d fails verification or differs from sim", inv.Name, n)
+					}
 				}
 			}
 		})

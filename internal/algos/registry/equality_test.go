@@ -36,7 +36,6 @@ var realLeaf = map[string]struct {
 	"matmul":    {matmul.GrainReal, true},
 	"strassen":  {strassen.FJGrainReal, true},
 	"sortx":     {sortx.FJSortGrainReal, false},
-	"spms":      {spms.FJSortGrainReal, false},
 	"scan":      {scan.FJPrefixGrainReal, false},
 	"fft":       {fft.FJFFTGrainReal, true},
 	"transpose": {int64(math.Sqrt(mat.FJTGrainReal)), false}, // the grain is a leaf area
@@ -45,18 +44,27 @@ var realLeaf = map[string]struct {
 // loopSize is the gate size of the loop-only kernels (see realLeaf).
 var loopSize = map[string]int64{"gather": 4096, "listrank": 4096}
 
+// simLeaf is realLeaf for the simulator-only kernels: the largest size
+// their sim lowering runs as one serial leaf.  They have no real lowering,
+// so the gates run their sim arms alone, at sizes set by this leaf.
+var simLeaf = map[string]int64{"spms": spms.FJSortGrainSim}
+
 // eqSizes picks the gate size per kernel: twice the kernel's *real* leaf
 // grain, so the real lowering actually forks (TestCrossBackendEquality
 // asserts it does) while a simulated run at the same size stays affordable;
-// loopSize for the loop-only kernels.  The registry's SimSizes are below
-// these on purpose — they size hbptrace defaults, not this gate.
+// loopSize for the loop-only kernels, and twice the sim leaf for the
+// simulator-only ones.  The registry's SimSizes are below these on purpose —
+// they size hbptrace defaults, not this gate.
 var eqSizes = func() map[string]int64 {
-	m := make(map[string]int64, len(realLeaf)+len(loopSize))
+	m := make(map[string]int64, len(realLeaf)+len(loopSize)+len(simLeaf))
 	for name, l := range realLeaf {
 		m[name] = 2 * l.n
 	}
 	for name, n := range loopSize {
 		m[name] = n
+	}
+	for name, l := range simLeaf {
+		m[name] = 2 * l
 	}
 	return m
 }()
@@ -67,7 +75,8 @@ var eqSizes = func() map[string]int64 {
 // the padded and compact layouts at several worker counts — and every run
 // must produce byte-identical output words.  The kernels are built for
 // this (exact integer arithmetic, or cutoff-invariant floating-point
-// reduction orders), so any divergence is a lowering bug, not noise.
+// reduction orders), so any divergence is a lowering bug, not noise.  A
+// simulator-only kernel runs the sim arms alone.
 func TestCrossBackendEquality(t *testing.T) {
 	const seed = 42
 	for _, k := range FJKernels() {
@@ -82,6 +91,9 @@ func TestCrossBackendEquality(t *testing.T) {
 			ref := runSimOnce(t, k, n, seed, "pws")
 			if rws := runSimOnce(t, k, n, seed, "rws"); !wordsEqual(ref, rws) {
 				t.Errorf("sim PWS and sim RWS outputs differ at n=%d", n)
+			}
+			if _, ok := Find(k.Name, Real); !ok {
+				return
 			}
 
 			for _, layout := range []rt.Layout{rt.LayoutPadded, rt.LayoutCompact} {

@@ -24,7 +24,9 @@
 //     internal/rt); the SimKernel the simulator-side drivers sweep; and the
 //     Invocable (invoke.go) the kernel service calls by name on
 //     caller-supplied payloads.  The cross-backend equality gate holds the
-//     two lowerings to byte-identical outputs.
+//     two lowerings to byte-identical outputs.  A simulator-only entry
+//     (spms, the paper's SPMS sort) is registered under Sim alone and is
+//     not served.
 //
 // All returns the union sorted by (name, backend), so listings and -canon
 // diffs are byte-stable; the union and every derived face are built once,
@@ -88,6 +90,8 @@ type Kernel struct {
 // The catalog's read-only views, built once from simCatalog and fjCatalog.
 var (
 	all        []Kernel    // sorted by (name, backend)
+	fjKernels  []FJKernel  // catalog order
+	realFJ     []FJKernel  // catalog order, simulator-only kernels left out
 	invocables []Invocable // sorted by name
 )
 
@@ -97,10 +101,14 @@ func init() {
 		all = append(all, Kernel{Name: k.Name, Backend: Sim, Desc: k.Desc, Sim: k})
 	}
 	for _, e := range fjCatalog {
-		all = append(all,
-			Kernel{Name: e.fj.Name, Backend: Sim, Desc: e.fj.Desc, Sim: &e.sim, FJ: &e.fj},
-			Kernel{Name: e.fj.Name, Backend: Real, Desc: e.fj.Desc, FJ: &e.fj})
-		invocables = append(invocables, e.inv)
+		all = append(all, Kernel{Name: e.fj.Name, Backend: Sim, Desc: e.fj.Desc, Sim: &e.sim, FJ: &e.fj})
+		fjKernels = append(fjKernels, e.fj)
+		if e.simOnly {
+			continue
+		}
+		all = append(all, Kernel{Name: e.fj.Name, Backend: Real, Desc: e.fj.Desc, FJ: &e.fj})
+		realFJ = append(realFJ, e.fj)
+		invocables = append(invocables, e.inv...)
 	}
 	slices.SortFunc(all, func(a, b Kernel) int {
 		return cmp.Or(cmp.Compare(a.Name, b.Name), cmp.Compare(a.Backend, b.Backend))
@@ -108,7 +116,7 @@ func init() {
 	slices.SortFunc(invocables, func(a, b Invocable) int { return cmp.Compare(a.Name, b.Name) })
 }
 
-// All returns every registered kernel — the Table-1 sim catalog plus both
+// All returns every registered kernel — the Table-1 sim catalog plus the
 // lowerings of every fj-unified kernel — sorted by (name, backend) so the
 // listing order is deterministic and -canon comparisons stay byte-stable.
 func All() []Kernel { return slices.Clone(all) }
@@ -128,14 +136,13 @@ func Find(name string, b Backend) (Kernel, bool) {
 // lowerings are additional sim entries reachable via All and Find).
 func SimKernels() []SimKernel { return slices.Clone(simCatalog) }
 
-// FJKernels returns the fj-unified catalog in order.
-func FJKernels() []FJKernel {
-	out := make([]FJKernel, len(fjCatalog))
-	for i, e := range fjCatalog {
-		out[i] = e.fj
-	}
-	return out
-}
+// FJKernels returns the fj-unified catalog in order: every fj source the
+// simulator runs.
+func FJKernels() []FJKernel { return slices.Clone(fjKernels) }
+
+// RealKernels returns the fj kernels with a real lowering, in catalog
+// order: FJKernels without the simulator-only ones.
+func RealKernels() []FJKernel { return slices.Clone(realFJ) }
 
 // LCG is a tiny deterministic generator for reproducible inputs.
 type LCG uint64

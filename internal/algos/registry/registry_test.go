@@ -37,11 +37,15 @@ func TestRegistryKeys(t *testing.T) {
 	if len(FJKernels()) != 9 {
 		t.Errorf("fj catalog has %d kernels, want 9", len(FJKernels()))
 	}
+	if len(RealKernels()) != 8 {
+		t.Errorf("fj catalog has %d real kernels, want 8 (spms is simulator-only)", len(RealKernels()))
+	}
 }
 
 // TestAllSortedAndFJPaired pins the listing contract: All is sorted by
-// (name, backend), and every fj kernel appears exactly twice — once per
-// backend — with the FJ marker set on both entries.
+// (name, backend), and every fj kernel appears on the sim backend, and on
+// the real one exactly when RealKernels lists it, with the FJ marker set on
+// each entry.
 func TestAllSortedAndFJPaired(t *testing.T) {
 	all := All()
 	for i := 1; i < len(all); i++ {
@@ -50,13 +54,21 @@ func TestAllSortedAndFJPaired(t *testing.T) {
 			t.Errorf("All() not sorted at %d: %s/%s before %s/%s", i, a.Name, a.Backend, b.Name, b.Backend)
 		}
 	}
+	real := map[string]bool{}
+	for _, f := range RealKernels() {
+		real[f.Name] = true
+	}
 	for _, f := range FJKernels() {
-		for _, backend := range []Backend{Sim, Real} {
-			k, ok := Find(f.Name, backend)
-			if !ok || k.FJ == nil {
-				t.Errorf("%s/%s: fj kernel missing or unmarked", f.Name, backend)
-			}
+		if k, ok := Find(f.Name, Sim); !ok || k.FJ == nil {
+			t.Errorf("%s/sim: fj kernel missing or unmarked", f.Name)
 		}
+		k, ok := Find(f.Name, Real)
+		if ok != real[f.Name] || ok && k.FJ == nil {
+			t.Errorf("%s/real: found = %v, want %v, or unmarked", f.Name, ok, real[f.Name])
+		}
+	}
+	if _, ok := Find("spms", Real); ok {
+		t.Error("spms/real should not exist (spms is simulator-only)")
 	}
 }
 
@@ -91,10 +103,10 @@ func TestSimCatalogShape(t *testing.T) {
 	}
 }
 
-// TestRealKernelsVerify runs the real lowering of every fj kernel once at
-// quick size on a 2-worker pool and checks its own verifier passes.
+// TestRealKernelsVerify runs every real lowering once at quick size on a
+// 2-worker pool and checks its own verifier passes.
 func TestRealKernelsVerify(t *testing.T) {
-	for _, k := range FJKernels() {
+	for _, k := range RealKernels() {
 		t.Run(k.Name, func(t *testing.T) {
 			n := k.Size(true)
 			work := k.Setup(fj.NewRealEnv(), int64(n), 7)

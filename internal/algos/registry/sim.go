@@ -157,7 +157,7 @@ var simCatalog = []SimKernel{
 		},
 	},
 	{
-		Name: "Sort (HBP-MS)", Desc: "Type-2 HBP merge-sort sorting subroutine (the real SPMS is the fj kernel `spms`)",
+		Name: "Sort (HBP-MS)", Desc: "Type-2 HBP merge-sort sorting subroutine (its fj twin `sortx` is the served sort; the paper's SPMS is the sim-only fj kernel `spms`)",
 		Typ: "2", F: "√r", L: "1",
 		W: "O(n log n)", TInf: "O(log n·lglg n)*", Q: "O(n/B·log_M n)*",
 		Sizes:      []int64{1024, 4096, 16384},

@@ -3,15 +3,14 @@
 // binary search their merge partitions cut with, the value-rank bounds the
 // k-way sample partition cuts with, the stable serial two-way and k-way
 // merges, and the leaf sort.  RawMerge2 is the one native merge loop of the
-// real backend — MergeSerial's raw branch and spms's serial fold are both
-// calls to it — while the charged Get/Set loops of MergeSerial and MergeK
-// are what the simulator runs.  The two kernels must agree on one
-// tie-breaking convention (ties take from the earliest run) for their
-// splits and serial merges to compose; keeping a single copy here is what
-// guarantees they cannot drift — the duplicate-handling bug the positional
-// split fixed was exactly a divergence in this machinery, and
-// TestTieBreakConventionsAgree pins the two-way and k-way paths to each
-// other.
+// real backend — MergeSerial's raw branch calls it — while the charged
+// Get/Set loops of MergeSerial and MergeK are what the simulator runs.  The
+// two kernels must agree on one tie-breaking convention (ties take from the
+// earliest run) for their splits and serial merges to compose; keeping a
+// single copy here is what guarantees they cannot drift — the
+// duplicate-handling bug the positional split fixed was exactly a divergence
+// in this machinery, and TestTieBreakConventionsAgree pins the two-way and
+// k-way paths to each other.
 package sortutil
 
 import (

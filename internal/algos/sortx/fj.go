@@ -24,12 +24,16 @@ import (
 // real sort grain comes from a sweep of {2048, 4096, 8192} on the
 // repository's benchmark (kernels_direct, 2¹⁷ keys: p1/pn 3.6/2.0 ms,
 // 3.1/1.7, 2.8/1.55; 16 leaf sorts at 8192 — every level of binary merging
-// the radix leaf absorbs is a pass saved; CHANGES.md, PR 23).
+// the radix leaf absorbs is a pass saved; CHANGES.md, PR 23).  The real
+// merge grain was chosen between 8192 and 16384 on alternating traced
+// kernels_direct runs: equal times (p1/pn 3.1–3.5/1.8–2.1 ms at 2¹⁷ keys
+// for both), 38 allocations a run at 16384 against 70 at 8192 and 134 at
+// the earlier 4096 — each merge split below the grain forks a closure pair.
 const (
 	FJSortGrainSim   = 16
 	FJSortGrainReal  = 8192
 	FJMergeGrainSim  = 32
-	FJMergeGrainReal = 4096
+	FJMergeGrainReal = 16384
 )
 
 // FJSort sorts data ascending in parallel.

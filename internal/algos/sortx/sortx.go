@@ -1,19 +1,20 @@
 // Package sortx provides the Type-2 HBP merge sort the paper's list-ranking
-// and connected-components algorithms consume, and the repo keeps as the
-// comparison baseline for the real SPMS sort.
+// and connected-components algorithms consume, and the repo serves as its
+// sort (`sort` and `sortx` on /invoke).
 //
 // The paper's own sorting subroutine is SPMS [12] (Cole–Ramachandran,
-// ICALP 2010), implemented as the unified fj kernel in internal/algos/spms.
-// This package is the historical stand-in: a merge sort with a parallel
-// divide-and-conquer merge — recursive halves are sorted into fresh buffers
-// (keeping the computation limited access: every address is written exactly
-// once per buffer) and merged by merge-path splitting.  W(n) = O(n log n)
-// as for SPMS, but the critical path is O(log³ n) instead of SPMS's
-// O(log n · log log n), and the serial cache complexity carries a
-// log₂(n/M) factor instead of log_M n.  That structural gap is now itself
-// a measurement: EXP15 (internal/bench) fits both kernels' depth forms and
-// shows spms below sortx at every common size; the sim catalog registers
-// this package as "Sort (HBP-MS)".
+// ICALP 2010), implemented for the simulator in internal/algos/spms.  This
+// package is a merge sort with a parallel divide-and-conquer merge —
+// recursive halves are sorted into fresh buffers (keeping the computation
+// limited access: every address is written exactly once per buffer) and
+// merged by merge-path splitting.  W(n) = O(n log n) as for SPMS, but the
+// critical path is O(log³ n) instead of SPMS's O(log n · log log n), and
+// the serial cache complexity carries a log₂(n/M) factor instead of
+// log_M n.  That structural gap is a measurement: EXP15 (internal/bench)
+// fits both kernels' depth forms and shows spms below sortx at every common
+// size; the sim catalog registers this package as "Sort (HBP-MS)".  On
+// hardware the order is the other way round: sortx beat spms at every size
+// measured, which is why sortx is the served sort.
 //
 // Records are fixed-width runs of W words sorted by their first word
 // (a signed int64 key); payload words ride along.  Sorting records rather

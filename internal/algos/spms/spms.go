@@ -1,8 +1,11 @@
 // Package spms implements the paper's actual sorting subroutine — SPMS
 // (Sample, Partition, and Merge Sort; Cole–Ramachandran, *Resource Oblivious
-// Sorting on Multicores*) — as a unified fork-join kernel written once
-// against internal/fj, so one source earns measurements on both the
-// simulated multicore and the real work-stealing runtime.
+// Sorting on Multicores*) — as a fork-join kernel written against
+// internal/fj.  It is the simulator's sort: EXP14 fits its cache misses and
+// EXP15 its critical path.  It is not served: on hardware it lost to the
+// merge sort of internal/algos/sortx at every size measured (2¹⁶ to 2²²
+// keys, p = 1 and 2), so sortx is the served sort.  The source still lowers
+// to the real backend, where the tests hold it to the serial reference.
 //
 // The kernel follows SPMS's recursion shape.  A sort of n keys splits into
 // k ≈ √n runs that sort recursively in parallel (O(log log n) levels of
@@ -25,7 +28,7 @@
 // partition phase plus a bounded tail and the whole sort meets the SPMS
 // worst-case depth form O(log n · log log n) — the form EXP15 fits, on
 // adversarial inputs as well as uniform ones, versus the O(log³ n) of the
-// Type-2 HBP merge-sort stand-in in internal/algos/sortx.
+// Type-2 HBP merge sort in internal/algos/sortx.
 //
 // Duplicate keys cannot unbalance the partition: a splitter's equal-key
 // range in every run is located with the dual bounds and then divided
@@ -41,19 +44,15 @@
 package spms
 
 import (
-	"math/bits"
-
 	"repro/internal/algos/sortutil"
 	"repro/internal/fj"
 )
 
 // Per-backend leaf cutoffs: run length at or below which a run goes to the
-// serial sort leaf (sortutil.SortLeaf, radix on hardware), and combined
-// length at or below which merges are serial (serialMergeK, MergeSerial).  Simulator grains stay small so the model observes the recursion;
-// real grains amortize scheduling over tight loops.  The real sort grain
-// comes from a sweep of {2048, 4096, 8192} on the repository's benchmark
-// (kernels_direct, 2¹⁷ keys: p1/pn 4.3/2.5 ms, 3.6/2.1, 3.85/2.25; 32 leaf
-// sorts at 4096; CHANGES.md, PR 23).
+// serial sort leaf (sortutil.SortLeaf), and combined length at or below
+// which merges are serial (sortutil.MergeK, MergeSerial).  Simulator grains
+// stay small so the model observes the recursion; the real grains only keep
+// the tests' hardware runs short.
 const (
 	FJSortGrainSim   = 16
 	FJSortGrainReal  = 4096
@@ -90,15 +89,6 @@ func fjSortRec(c *fj.Ctx, src, buf fj.I64, toBuf bool) {
 		return
 	}
 	k := runCount(n)
-	// The real backend halves the split arity until runs reach the leaf
-	// grain: √n-way splitting below the grain just manufactures thousands
-	// of tiny runs for the merge to pay for, while sim depth wants the full
-	// arity (the simulator's grain is far below any of these sizes).
-	if g := c.Grain(0, FJSortGrainReal); g > 0 {
-		for k > 2 && n < k*g {
-			k >>= 1
-		}
-	}
 	runLen := (n + k - 1) / k
 	c.ForRange(0, k, 1, func(c *fj.Ctx, rlo, rhi int64) {
 		for r := rlo; r < rhi; r++ {
@@ -183,18 +173,7 @@ func FJMergeK(c *fj.Ctx, runs []fj.I64, out fj.I64) {
 		fjCopy(c, runs[0], out)
 		return
 	case m <= c.Grain(FJMergeGrainSim, FJMergeGrainReal):
-		serialMergeK(c, runs, out)
-		return
-	case len(runs) > 2 && m <= c.Grain(0, 2*FJMergeGrainReal):
-		// Real-only wide serial window.  A bucket the parent partition left
-		// just above the merge grain would re-enter the sample machinery with
-		// ns = 2 — a single splitter cannot cut below m/2, so one child
-		// always trips the degenerate-bucket fallback and pays a whole
-		// pairwise tree.  The streaming fold beats that partition level
-		// outright at these sizes; the sim keeps the full recursion (its
-		// depth measurements are the point there), and outputs are identical
-		// either way.  (Grain sim=0 can never trigger: m ≥ 1 here.)
-		serialMergeK(c, runs, out)
+		sortutil.MergeK(c, runs, out)
 		return
 	case len(runs) == 2:
 		fjMerge2(c, runs[0], runs[1], out)
@@ -210,7 +189,7 @@ func FJMergeK(c *fj.Ctx, runs []fj.I64, out fj.I64) {
 		// bigger ones fall back to the pairwise merge tree, which is always
 		// exact.
 		if m <= c.Grain(serialKMaxSim, FJMergeGrainReal) {
-			serialMergeK(c, runs, out)
+			sortutil.MergeK(c, runs, out)
 			return
 		}
 		fjMergeTree(c, runs, out)
@@ -233,29 +212,16 @@ func FJMergeK(c *fj.Ctx, runs []fj.I64, out fj.I64) {
 			lmax = r.Len()
 		}
 	}
-	// Sample density is grain-driven: the simulator samples every run
-	// (buckets ≈ √m, what the depth bound wants), while the real backend
-	// samples only enough runs to leave each bucket about one serial-merge
-	// grain — at real scale the cut matrix is nsp·k binary searches, and
-	// splitters beyond m/grain buckets buy no wall-clock, they only
-	// multiply partition work.
-	ns := k
-	if g := c.Grain(0, FJMergeGrainReal); g > 0 {
-		if want := max(2, m/g); want < ns {
-			ns = want
-		}
-	}
-	nsp := ns - 1 // every sorted sample element but the last is a splitter
-	sruns := c.AllocRuns(ns)
-	for s := int64(0); s < ns; s++ {
-		ri := s * k / ns
-		p := ri * lmax / k
-		if last := runs[ri].Len() - 1; p > last {
+	nsp := k - 1 // every sorted sample element but the last is a splitter
+	sruns := c.AllocRuns(k)
+	for s := int64(0); s < k; s++ {
+		p := s * lmax / k
+		if last := runs[s].Len() - 1; p > last {
 			p = last
 		}
-		sruns[s] = runs[ri].Slice(p, p+1)
+		sruns[s] = runs[s].Slice(p, p+1)
 	}
-	sorted := c.ScratchI64(ns) // MergeK writes all ns elements before any read
+	sorted := c.ScratchI64(k) // MergeK writes all k elements before any read
 	sortutil.MergeK(c, sruns, sorted)
 	c.FreeRuns(sruns)
 
@@ -343,80 +309,9 @@ func FJMergeK(c *fj.Ctx, runs []fj.I64, out fj.I64) {
 	c.FreeI64(cutm)
 }
 
-// serialMergeK merges the runs into out serially.  The simulator takes the
-// sortutil heap pass (its charge profile — one Get and one Set per element —
-// is the convention every depth measurement builds on); the real backend
-// folds the native slices pairwise.  Both emit the identical word sequence
-// (the fold merges neighbours, ties from the earlier run, which is the
-// heap's earliest-run-first convention), so the lowerings stay
-// byte-identical.
-func serialMergeK(c *fj.Ctx, runs []fj.I64, out fj.I64) {
-	os := out.Raw()
-	switch {
-	case len(os) == 0:
-		sortutil.MergeK(c, runs, out)
-	case len(runs) == 2:
-		sortutil.RawMerge2(runs[0].Raw(), runs[1].Raw(), os)
-	default:
-		serialFold(c, runs, os)
-	}
-}
-
-// serialFold merges k ≥ 2 native runs (empty ones allowed) into os with
-// ⌈log₂ k⌉ passes of sortutil.RawMerge2 over neighbouring runs, ping-ponging
-// between os and one scratch buffer; an odd run out rides the same call with
-// an empty partner, a plain copy.  What was measured (8192 30-bit keys in k
-// equal runs, cache-warm, fresh keys every call): fold 36 µs at k = 3, 43 at
-// 4, 86 at 16, 110 at 32; the heap pass 138, 179, 317, 395 — so the real
-// backend keeps no heap path at any k.  Nor a wider merge to save passes: a
-// pass of RawMerge2 costs ~3 ns per element because nothing in it branches
-// on a key comparison, and a four-way select written with branches measured
-// 13 — two passes beat one.
-func serialFold(c *fj.Ctx, runs []fj.I64, os []int64) {
-	k := int64(len(runs))
-	cbuf, nbuf := c.AllocRuns(k), c.AllocRuns((k+1)/2)
-	bufv := c.ScratchI64(int64(len(os))) // every pass fully rewrites its target
-	// Ping-pong parity: aim the last pass at os so no closing copy is needed
-	// (os never overlaps the runs — every caller merges from one ping-pong
-	// array into the other).
-	into, other := os, bufv.Raw()
-	if bits.Len(uint(k-1))%2 == 0 {
-		into, other = other, into
-	}
-	cur, next := append(cbuf[:0], runs...), nbuf[:0]
-	for len(cur) > 1 {
-		next = next[:0]
-		pos := 0
-		for i := 0; i < len(cur); i += 2 {
-			a, b := cur[i].Raw(), []int64(nil)
-			if i+1 < len(cur) {
-				b = cur[i+1].Raw()
-			}
-			dst := into[pos : pos+len(a)+len(b)]
-			sortutil.RawMerge2(a, b, dst)
-			next = append(next, fj.WrapI64(dst))
-			pos += len(dst)
-		}
-		cur, next = next, cur
-		into, other = other, into
-	}
-	c.FreeRuns(cbuf)
-	c.FreeRuns(nbuf)
-	c.FreeI64(bufv)
-}
-
 // fjSum reduces v[lo:hi) with a halving tree: O(log) critical path, so row
 // sums over the k-wide cut matrix never serialize on the run count.
 func fjSum(c *fj.Ctx, v fj.I64, lo, hi int64) int64 {
-	if vs := v.Raw(); vs != nil {
-		// Native serial sum on the real backend: forking over a few hundred
-		// adds costs more than the adds.
-		var s int64
-		for _, x := range vs[lo:hi] {
-			s += x
-		}
-		return s
-	}
 	if hi-lo <= 8 {
 		var s int64
 		for i := lo; i < hi; i++ {
@@ -516,12 +411,6 @@ func fjMerge2(c *fj.Ctx, a, b, out fj.I64) {
 
 // fjCopy copies src into dst (equal lengths) as a parallel map.
 func fjCopy(c *fj.Ctx, src, dst fj.I64) {
-	if ss := src.Raw(); ss != nil {
-		// One serial pass on the real backend: a leaf-level copy is cheaper
-		// than forking over it at these sizes.
-		copy(dst.Raw(), ss)
-		return
-	}
 	n := src.Len()
 	c.ForRange(0, n, 32, func(c *fj.Ctx, lo, hi int64) {
 		for i := lo; i < hi; i++ {

@@ -4,7 +4,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/algos/sortutil"
 	"repro/internal/core"
 	"repro/internal/fj"
 	"repro/internal/machine"
@@ -111,52 +110,6 @@ func TestIsqrt(t *testing.T) {
 	} {
 		if got := isqrt(tc.n); got != tc.want {
 			t.Errorf("isqrt(%d) = %d, want %d", tc.n, got, tc.want)
-		}
-	}
-}
-
-// TestSerialFoldMatchesHeap holds the real backend's pairwise fold to the
-// heap pass it stands in for, word for word: run counts on both sides of a
-// power of two (so odd counts carry a lone run through a pass, and the pass
-// count ⌈log₂ k⌉ takes both parities — the fold aims its ping-pong by it),
-// with every third run empty in one variant, on spread and on
-// duplicate-flooded keys.
-func TestSerialFoldMatchesHeap(t *testing.T) {
-	pool := rt.NewPoolLayout(1, rt.LayoutPadded)
-	t.Cleanup(pool.Close)
-	for _, k := range []int{3, 4, 5, 16, 17, 64, 65} {
-		for _, mod := range []int64{2, 1 << 30} {
-			for _, holes := range []bool{false, true} {
-				env := fj.NewRealEnv()
-				runs := make([]fj.I64, k)
-				var total int64
-				s := uint64(k)*977 + uint64(mod)
-				for r := range runs {
-					n := int64(r*7%23 + 1)
-					if holes && r%3 == 1 {
-						n = 0
-					}
-					keys := make([]int64, n)
-					for i := range keys {
-						s = s*6364136223846793005 + 1442695040888963407
-						keys[i] = int64(s>>33) % mod
-					}
-					slices.Sort(keys)
-					runs[r] = env.I64(n)
-					for i, x := range keys {
-						runs[r].Store(int64(i), x)
-					}
-					total += n
-				}
-				got, want := env.I64(total), env.I64(total)
-				fj.RunReal(pool, func(c *fj.Ctx) {
-					serialFold(c, runs, got.Raw())
-					sortutil.MergeK(c, runs, want)
-				})
-				if !slices.Equal(got.Raw(), want.Raw()) {
-					t.Errorf("k=%d mod=%d holes=%v: fold and heap outputs differ", k, mod, holes)
-				}
-			}
 		}
 	}
 }

@@ -12,14 +12,14 @@ import (
 )
 
 // EXP13 is the real-hardware false-sharing ablation: every real-backend
-// kernel in the registry — the real lowering of the nine fj-unified
-// sources (matmul, strassen, sortx, spms, scan, fft, transpose, gather,
-// listrank) — runs on the internal/rt runtime with its hot worker/task
-// state laid out either padded (one cache line per contended word, the
-// paper's §4.7 discipline applied to the scheduler itself) or compact (all
-// workers' deque indices, counters and task frames packed so independent
-// writes share lines).  The sweep picks the catalog up from
-// registry.FJKernels, so kernels ported to fj join it automatically, and
+// kernel in the registry — the real lowering of the eight fj-unified
+// sources that have one (matmul, strassen, sortx, scan, fft, transpose,
+// gather, listrank; spms is simulator-only) — runs on the internal/rt
+// runtime with its hot worker/task state laid out either padded (one cache
+// line per contended word, the paper's §4.7 discipline applied to the
+// scheduler itself) or compact (all workers' deque indices, counters and
+// task frames packed so independent writes share lines).  The sweep picks the catalog up from
+// registry.RealKernels, so kernels ported to fj join it automatically, and
 // each cell runs what the service runs: the kernel's one run adapter on its
 // one generated payload, checked by its one verifier.  On a multi-core
 // machine the compact arm pays coherence traffic for every push, steal and
@@ -55,7 +55,7 @@ func exp13Cells(p Params) []harness.Cell {
 	layouts := []rt.Layout{rt.LayoutPadded, rt.LayoutCompact}
 	var cells []harness.Cell
 	p.eachRepeat(func(rep int, seed uint64) {
-		for _, k := range registry.FJKernels() {
+		for _, k := range registry.RealKernels() {
 			for _, layout := range layouts {
 				for _, pr := range procs {
 					k, layout, pr := k, layout, pr

@@ -1,6 +1,7 @@
 // Package serve is the kernel-as-a-service front-end: a long-running
 // service that schedules catalog kernel invocations (every kernel in the
-// registry's invocable slice — all nine fj kernels) on a single shared
+// registry's invocable slice — nine names over the eight real fj kernels,
+// the merge sort served as both `sort` and `sortx`) on a single shared
 // internal/rt work-stealing pool.
 //
 // A request is one root on that pool running one fork-join program

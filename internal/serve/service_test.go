@@ -17,6 +17,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -139,7 +140,7 @@ func genInput(t *testing.T, kernel string, i int) []int64 {
 }
 
 // TestConcurrentByteIdenticalToSerial is the headline end-to-end gate: for
-// every served kernel — all nine, float codecs included — eight concurrent
+// every served name — all nine, float codecs included — eight concurrent
 // HTTP requests run as eight roots sharing one four-worker pool, and every
 // response's output is byte-identical to running that request alone on a
 // serial pool.
@@ -194,6 +195,55 @@ func TestConcurrentByteIdenticalToSerial(t *testing.T) {
 				t.Errorf("metrics: %d roots started, %d completed, want %d of each", m.Batches, m.Completed, width)
 			}
 		})
+	}
+}
+
+// TestSortServedUnderBothNames: the merge sort is served as `sort` and as
+// `sortx`.  One payload posted under each name comes back byte-identical,
+// each response names the kernel that was asked for, and GET /kernels lists
+// both names.
+func TestSortServedUnderBothNames(t *testing.T) {
+	svc := New(Config{Pool: 2})
+	defer svc.Close()
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+
+	in := genInput(t, "sort", 0)
+	var outs [][]int64
+	for _, name := range []string{"sort", "sortx"} {
+		resp, hr := postInvoke(t, ts.URL, Request{Kernel: name, Input: in, Verify: true})
+		if hr.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", name, hr.StatusCode)
+		}
+		if resp.Kernel != name {
+			t.Errorf("asked for %s, the response names %q", name, resp.Kernel)
+		}
+		if resp.Verified == nil || !*resp.Verified {
+			t.Errorf("%s: service-side verification failed", name)
+		}
+		outs = append(outs, resp.Output)
+	}
+	if !slices.Equal(outs[0], outs[1]) {
+		t.Error("sort and sortx outputs differ on one payload")
+	}
+
+	hr, err := http.Get(ts.URL + "/kernels")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hr.Body.Close()
+	var listed []struct {
+		Name string `json:"name"`
+	}
+	if err := json.NewDecoder(hr.Body).Decode(&listed); err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	for _, k := range listed {
+		names[k.Name] = true
+	}
+	if !names["sort"] || !names["sortx"] || names["spms"] {
+		t.Errorf("GET /kernels lists %v: want sort and sortx, and no spms (simulator-only)", names)
 	}
 }
 

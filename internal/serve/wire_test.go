@@ -424,7 +424,7 @@ func TestBufListBounds(t *testing.T) {
 }
 
 // TestRecycledBuffersNoBleed drives /invoke and /batch concurrently over one
-// service's free lists (run under -race in CI), for all nine kernels at
+// service's free lists (run under -race in CI), for all nine served names at
 // sizes that vary per kernel, so a body, a response buffer or a word slab
 // one request used is reused by another kernel at a shorter or longer size
 // — an output slab uncleared — and every response must pass its kernel's
