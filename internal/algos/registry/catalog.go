@@ -100,10 +100,9 @@ var hostEnv = fj.NewRealEnv()
 
 // entry is one kernel's derived faces.
 type entry struct {
-	fj      FJKernel
-	sim     SimKernel
-	inv     []Invocable // one per served name; none when simOnly
-	simOnly bool
+	fj  FJKernel
+	sim SimKernel
+	inv []Invocable // one per served name; none for a simulator-only kernel
 }
 
 // define derives a kernel's faces from its description and its run adapter.
@@ -130,7 +129,7 @@ func define[T fj.Elem](k kernel, run func(c *fj.Ctx, in []fj.View[T], out fj.Vie
 		}
 		return k.gen(n, seed), nil
 	}
-	e := &entry{simOnly: k.simOnly}
+	e := &entry{}
 	served := k.served
 	if served == nil && !k.simOnly {
 		served = []string{k.name}

@@ -33,15 +33,16 @@ func TestCatalogOneSource(t *testing.T) {
 			t.Errorf("%s/sim does not resolve to this kernel", k.Name)
 		}
 		_, isReal := Find(k.Name, Real)
-		if e.simOnly {
-			if isReal || len(e.inv) != 0 {
-				t.Errorf("%s: simulator-only, yet it has a real lowering or a served name", k.Name)
-			}
-		} else {
+		simOnly := len(e.inv) == 0
+		if isReal == simOnly {
+			t.Errorf("%s: real lowering %v with %d served names — a kernel is served exactly when it runs on hardware",
+				k.Name, isReal, len(e.inv))
+		}
+		if simOnly != (k.Name == "spms") {
+			t.Errorf("%s: simulator-only = %v, want spms alone simulator-only", k.Name, simOnly)
+		}
+		if !simOnly {
 			nReal++
-			if !isReal || len(e.inv) == 0 {
-				t.Errorf("%s: no real lowering or no served name", k.Name)
-			}
 		}
 		for _, inv := range e.inv {
 			nServed++
@@ -63,7 +64,7 @@ func TestCatalogOneSource(t *testing.T) {
 					t.Fatalf("%s n=%d seed=%d: sim and real inputs differ", k.Name, n, seed)
 				}
 				fj.RunSim(m, sched.NewPWS(), core.Options{}, k.InputWords(n), k.Name, sw.Root)
-				if !e.simOnly {
+				if !simOnly {
 					fj.RunReal(pool, rw.Root)
 					if !equalWords(rw.Input(), want) {
 						t.Errorf("%s n=%d seed=%d: the run wrote its input", k.Name, n, seed)

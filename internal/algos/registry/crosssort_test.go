@@ -56,9 +56,10 @@ func TestCrossSortPermutationsAgree(t *testing.T) {
 			}
 		}},
 	}
-	// Twice the larger real sort grain, so both real lowerings fork,
-	// matching the eqSizes discipline.
-	const nReal = 2 * max(spms.FJSortGrainReal, sortx.FJSortGrainReal)
+	// Twice the largest real grain of the two sorts, so both real lowerings
+	// fork their sort recursions and sortx splits its top merge on a merge
+	// path as well, matching the eqSizes discipline.
+	const nReal = 2 * max(spms.FJSortGrainReal, sortx.FJSortGrainReal, sortx.FJMergeGrainReal)
 	const nSim = 1 << 10
 	for _, fl := range fills {
 		fl := fl

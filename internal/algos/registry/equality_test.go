@@ -28,7 +28,9 @@ import (
 // on demand and at p = 1 the empty deque makes the first split certain), so
 // the gates give them fixed sizes (loopSize).  transpose's real leaf is a
 // 64×64 tile, so its gate is side 128: ~0.02 s in TestCrossBackendEquality
-// (~0.13 s under -race).
+// (~0.13 s under -race).  spms has no real lowering in the registry; its
+// real grain sizes only its sim arms, at which the sim recursion runs
+// several SPMS levels.
 var realLeaf = map[string]struct {
 	n    int64
 	pow2 bool
@@ -36,6 +38,7 @@ var realLeaf = map[string]struct {
 	"matmul":    {matmul.GrainReal, true},
 	"strassen":  {strassen.FJGrainReal, true},
 	"sortx":     {sortx.FJSortGrainReal, false},
+	"spms":      {spms.FJSortGrainReal, false},
 	"scan":      {scan.FJPrefixGrainReal, false},
 	"fft":       {fft.FJFFTGrainReal, true},
 	"transpose": {int64(math.Sqrt(mat.FJTGrainReal)), false}, // the grain is a leaf area
@@ -44,28 +47,22 @@ var realLeaf = map[string]struct {
 // loopSize is the gate size of the loop-only kernels (see realLeaf).
 var loopSize = map[string]int64{"gather": 4096, "listrank": 4096}
 
-// simLeaf is realLeaf for the simulator-only kernels: the largest size
-// their sim lowering runs as one serial leaf.  They have no real lowering,
-// so the gates run their sim arms alone, at sizes set by this leaf.
-var simLeaf = map[string]int64{"spms": spms.FJSortGrainSim}
-
 // eqSizes picks the gate size per kernel: twice the kernel's *real* leaf
 // grain, so the real lowering actually forks (TestCrossBackendEquality
 // asserts it does) while a simulated run at the same size stays affordable;
-// loopSize for the loop-only kernels, and twice the sim leaf for the
-// simulator-only ones.  The registry's SimSizes are below these on purpose —
-// they size hbptrace defaults, not this gate.
+// loopSize for the loop-only kernels.  The registry's SimSizes are below
+// these on purpose — they size hbptrace defaults, not this gate.
 var eqSizes = func() map[string]int64 {
-	m := make(map[string]int64, len(realLeaf)+len(loopSize)+len(simLeaf))
+	m := make(map[string]int64, len(realLeaf)+len(loopSize))
 	for name, l := range realLeaf {
 		m[name] = 2 * l.n
 	}
 	for name, n := range loopSize {
 		m[name] = n
 	}
-	for name, l := range simLeaf {
-		m[name] = 2 * l
-	}
+	// sortx's real merge grain is above its sort grain: past both, the top
+	// merge splits on a merge path as well.
+	m["sortx"] = 2 * max(sortx.FJSortGrainReal, sortx.FJMergeGrainReal)
 	return m
 }()
 

@@ -103,7 +103,7 @@ func init() {
 	for _, e := range fjCatalog {
 		all = append(all, Kernel{Name: e.fj.Name, Backend: Sim, Desc: e.fj.Desc, Sim: &e.sim, FJ: &e.fj})
 		fjKernels = append(fjKernels, e.fj)
-		if e.simOnly {
+		if len(e.inv) == 0 { // simulator-only
 			continue
 		}
 		all = append(all, Kernel{Name: e.fj.Name, Backend: Real, Desc: e.fj.Desc, FJ: &e.fj})

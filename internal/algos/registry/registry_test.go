@@ -37,9 +37,6 @@ func TestRegistryKeys(t *testing.T) {
 	if len(FJKernels()) != 9 {
 		t.Errorf("fj catalog has %d kernels, want 9", len(FJKernels()))
 	}
-	if len(RealKernels()) != 8 {
-		t.Errorf("fj catalog has %d real kernels, want 8 (spms is simulator-only)", len(RealKernels()))
-	}
 }
 
 // TestAllSortedAndFJPaired pins the listing contract: All is sorted by
@@ -66,9 +63,6 @@ func TestAllSortedAndFJPaired(t *testing.T) {
 		if ok != real[f.Name] || ok && k.FJ == nil {
 			t.Errorf("%s/real: found = %v, want %v, or unmarked", f.Name, ok, real[f.Name])
 		}
-	}
-	if _, ok := Find("spms", Real); ok {
-		t.Error("spms/real should not exist (spms is simulator-only)")
 	}
 }
 
