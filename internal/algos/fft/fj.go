@@ -5,10 +5,12 @@ package fft
 // recurse as parallel tasks into disjoint halves of the destination and the
 // butterfly combine is a parallel loop.  Each slot is written once per level,
 // log₂ n + 1 times in all (8 at n = 128 and 10 at n = 512 under the
-// simulator), so the kernel is not limited access.  Under the simulator the recursion goes down to single
-// elements and every butterfly computes its twiddle where it uses it; on
-// real hardware the recursion stops at an iterative leaf and twiddles come
-// from a table (the second half of this file).
+// simulator), so the kernel is not limited access.  Both backends run one
+// recursion (transform.rec) with one task tree; they differ only where
+// hardware runs a different loop.  Under the simulator the recursion goes
+// down to single elements and every butterfly computes its twiddle where it
+// uses it; on real hardware the recursion stops at an iterative leaf and
+// twiddles come from a table.
 //
 // Cross-backend bit-identity: the recursion tree and the butterfly formulas
 // are identical at every node regardless of where parallelism stops — the
@@ -65,56 +67,113 @@ func FJForward(c *fj.Ctx, data fj.C128) {
 		return
 	}
 	src := c.ScratchC128(n) // the copy loop writes all n slots first
-	if data.Raw() != nil {
-		forwardReal(c, data.Raw(), src.Raw(), c.Grain(FJFFTGrainSim, FJFFTGrainReal))
-	} else {
-		c.ForRange(0, n, copyGrainSim, func(c *fj.Ctx, lo, hi int64) {
-			for i := lo; i < hi; i++ {
-				src.Set(c, i, data.Get(c, i))
-			}
-		})
-		fjRec(c, data, 0, src, 0, 1, n)
-	}
+	c.ForRange(0, n, copyGrainSim, func(c *fj.Ctx, lo, hi int64) {
+		fj.Copy(c, src.Slice(lo, hi), data.Slice(lo, hi))
+	})
+	forward(c, data, src, c.Grain(FJFFTGrainSim, FJFFTGrainReal))
 	c.FreeC128(src)
 }
 
-// fjRec writes into dst[dOff : dOff+n) the DFT of the n elements
-// src[sOff], src[sOff+stride], src[sOff+2·stride], … — the charged form; on
-// real hardware realFFT.rec takes its place.
-func fjRec(c *fj.Ctx, dst fj.C128, dOff int64, src fj.C128, sOff, stride, n int64) {
-	if n == 1 {
-		dst.Set(c, dOff, src.Get(c, sOff))
-		return
+// transform is one forward DFT: dst receives the DFT of src, and
+// transforms of more than leaf elements run their halves as parallel tasks.
+// On hardware d and s are the views' native slices and tw is the size-n
+// root's twiddle table; all three are nil under the simulator.
+type transform struct {
+	dst, src fj.C128
+	d, s, tw []complex128
+	n, leaf  int64
+}
+
+// forward writes the DFT of src (n ≥ 2 elements) into dst.
+func forward(c *fj.Ctx, dst, src fj.C128, leaf int64) {
+	f := &transform{dst: dst, src: src, n: dst.Len(), leaf: leaf}
+	var scratch fj.C128
+	if d := dst.Raw(); d != nil {
+		f.d, f.s = d, src.Raw()
+		f.tw, scratch = twiddles(c, f.n)
 	}
-	h := n / 2
-	left := func(c *fj.Ctx) { fjRec(c, dst, dOff, src, sOff, 2*stride, h) }
-	right := func(c *fj.Ctx) { fjRec(c, dst, dOff+h, src, sOff+stride, 2*stride, h) }
-	parallel := n > c.Grain(FJFFTGrainSim, FJFFTGrainReal)
-	if parallel {
-		c.Parallel(left, right)
-	} else {
-		left(c)
-		right(c)
-	}
-	ang := -2 * math.Pi / float64(n)
-	butterflies := func(c *fj.Ctx, lo, hi int64) {
-		for k := lo; k < hi; k++ {
-			w := complex(math.Cos(ang*float64(k)), math.Sin(ang*float64(k)))
-			t := w * dst.Get(c, dOff+h+k)
-			e := dst.Get(c, dOff+k)
-			dst.Set(c, dOff+k, e+t)
-			dst.Set(c, dOff+h+k, e-t)
-			c.Op(1)
-		}
-	}
-	if parallel {
-		c.ForRange(0, h, butterflyGrainSim, butterflies)
-	} else {
-		butterflies(c, 0, h)
+	f.rec(c, 0, 0, 1, f.n)
+	c.FreeC128(scratch)
+}
+
+// rec writes into dst[dOff : dOff+m) the DFT of the m elements src[sOff],
+// src[sOff+stride], src[sOff+2·stride], …: above the leaf the two halves
+// as parallel tasks and then the butterflies as a parallel loop; at or
+// below it serially, on hardware as the iterative leaf.
+func (f *transform) rec(c *fj.Ctx, dOff, sOff, stride, m int64) {
+	h := m / 2
+	switch {
+	case m > f.leaf:
+		c.Parallel(
+			func(c *fj.Ctx) { f.rec(c, dOff, sOff, 2*stride, h) },
+			func(c *fj.Ctx) { f.rec(c, dOff+h, sOff+stride, 2*stride, h) },
+		)
+		c.ForRange(0, h, butterflyGrainSim, func(c *fj.Ctx, lo, hi int64) {
+			f.butterflies(c, dOff, m, lo, hi)
+		})
+	case f.tw != nil:
+		f.leafDFT(dOff, sOff, stride, m)
+	case m == 1:
+		f.dst.Set(c, dOff, f.src.Get(c, sOff))
+	default:
+		f.rec(c, dOff, sOff, 2*stride, h)
+		f.rec(c, dOff+h, sOff+stride, 2*stride, h)
+		f.butterflies(c, dOff, m, 0, h)
 	}
 }
 
-// --- the real lowering ------------------------------------------------------
+// butterflies combines slots k and k+m/2, lo ≤ k < hi, of the size-m block
+// at dst[off]: on hardware with the table's twiddles, under the simulator
+// with each twiddle computed where it is used and one Op charged per
+// butterfly.
+func (f *transform) butterflies(c *fj.Ctx, off, m, lo, hi int64) {
+	if f.tw != nil {
+		f.tableButterflies(off, m, 1, lo, hi)
+		return
+	}
+	h := m / 2
+	ang := -2 * math.Pi / float64(m)
+	for k := lo; k < hi; k++ {
+		w := complex(math.Cos(ang*float64(k)), math.Sin(ang*float64(k)))
+		t := w * f.dst.Get(c, off+h+k)
+		e := f.dst.Get(c, off+k)
+		f.dst.Set(c, off+k, e+t)
+		f.dst.Set(c, off+h+k, e-t)
+		c.Op(1)
+	}
+}
+
+// leafDFT is the serial transform of m elements: the bit-reversed load, then
+// one pass of butterflies per block size.
+func (f *transform) leafDFT(dOff, sOff, stride, m int64) {
+	d := f.d[dOff : dOff+m]
+	shift := 64 - uint(bits.TrailingZeros64(uint64(m)))
+	for j := range d {
+		d[j] = f.s[sOff+stride*int64(bits.Reverse64(uint64(j))>>shift)]
+	}
+	for s := int64(2); s <= m; s *= 2 {
+		f.tableButterflies(dOff, s, m/s, 0, s/2)
+	}
+}
+
+// tableButterflies is the hardware's butterflies: it combines slots k and
+// k+s/2, lo ≤ k < hi, in each of the count consecutive size-s blocks that
+// start at dst[off], with the table's twiddles.
+func (f *transform) tableButterflies(off, s, count, lo, hi int64) {
+	h, step := s/2, f.n/s
+	for ; count > 0; count, off = count-1, off+s {
+		even, odd := f.d[off+lo:off+hi], f.d[off+h+lo:off+h+hi]
+		odd = odd[:len(even)]
+		for i := range even {
+			t := f.tw[(lo+int64(i))*step] * odd[i]
+			e := even[i]
+			even[i] = e + t
+			odd[i] = e - t
+		}
+	}
+}
+
+// --- the hardware's twiddle table -----------------------------------------
 
 // twiddleCacheMaxLog bounds the memory the process retains for twiddle
 // tables.  A table of a root size n ≤ 2^twiddleCacheMaxLog is built by the
@@ -139,8 +198,9 @@ func twiddles(c *fj.Ctx, n int64) ([]complex128, fj.C128) {
 	lg := bits.TrailingZeros64(uint64(n))
 	if lg > twiddleCacheMaxLog {
 		v := c.ScratchC128(n / 2)
-		fillTwiddles(c, v.Raw(), n)
-		return v.Raw(), v
+		tw := v.Raw()
+		fillTwiddles(c, tw, n)
+		return tw, v
 	}
 	if p := twiddleCache[lg].Load(); p != nil {
 		return *p, fj.C128{}
@@ -158,71 +218,4 @@ func fillTwiddles(c *fj.Ctx, tw []complex128, n int64) {
 			tw[j] = complex(math.Cos(ang*float64(j)), math.Sin(ang*float64(j)))
 		}
 	})
-}
-
-// realFFT is one real transform: dst receives the DFT of src, tw is the
-// size-n root's twiddle table, and transforms of at most leaf elements run
-// serially.
-type realFFT struct {
-	dst, src, tw []complex128
-	n, leaf      int64
-}
-
-// forwardReal is FJForward on native slices: data → src in parallel, then
-// the recursion back into data.
-func forwardReal(c *fj.Ctx, data, src []complex128, leaf int64) {
-	n := int64(len(data))
-	c.ForRange(0, n, copyGrainSim, func(_ *fj.Ctx, lo, hi int64) {
-		copy(src[lo:hi], data[lo:hi])
-	})
-	tw, scratch := twiddles(c, n)
-	r := &realFFT{dst: data, src: src, tw: tw, n: n, leaf: leaf}
-	r.rec(c, 0, 0, 1, n)
-	c.FreeC128(scratch)
-}
-
-// rec is fjRec on native slices: the same two half-size tasks, then the
-// size-m butterflies as a parallel loop over table twiddles.
-func (r *realFFT) rec(c *fj.Ctx, dOff, sOff, stride, m int64) {
-	if m <= r.leaf {
-		r.leafDFT(dOff, sOff, stride, m)
-		return
-	}
-	h := m / 2
-	c.Parallel(
-		func(c *fj.Ctx) { r.rec(c, dOff, sOff, 2*stride, h) },
-		func(c *fj.Ctx) { r.rec(c, dOff+h, sOff+stride, 2*stride, h) },
-	)
-	c.ForRange(0, h, butterflyGrainSim, func(_ *fj.Ctx, lo, hi int64) {
-		r.butterflies(dOff, m, 1, lo, hi)
-	})
-}
-
-// leafDFT is the serial transform of m elements: the bit-reversed load, then
-// one pass of butterflies per block size.
-func (r *realFFT) leafDFT(dOff, sOff, stride, m int64) {
-	d := r.dst[dOff : dOff+m]
-	shift := 64 - uint(bits.TrailingZeros64(uint64(m)))
-	for j := range d {
-		d[j] = r.src[sOff+stride*int64(bits.Reverse64(uint64(j))>>shift)]
-	}
-	for s := int64(2); s <= m; s *= 2 {
-		r.butterflies(dOff, s, m/s, 0, s/2)
-	}
-}
-
-// butterflies combines slots k and k+s/2, lo ≤ k < hi, in each of the count
-// consecutive size-s blocks that start at dst[off].
-func (r *realFFT) butterflies(off, s, count, lo, hi int64) {
-	h, step := s/2, r.n/s
-	for ; count > 0; count, off = count-1, off+s {
-		even, odd := r.dst[off+lo:off+hi], r.dst[off+h+lo:off+h+hi]
-		odd = odd[:len(even)]
-		for i := range even {
-			t := r.tw[(lo+int64(i))*step] * odd[i]
-			e := even[i]
-			even[i] = e + t
-			odd[i] = e - t
-		}
-	}
 }

@@ -144,13 +144,16 @@ func refRec(dst []complex128, dOff int64, src []complex128, sOff, stride, n int6
 
 // TestFFTLeafCutoffInvariant compares the real lowering with refRec word for
 // word, for n = 1 … 2¹⁴ at p ∈ {1, 2, 4}: through FJForward, and through
-// forwardReal at leaf sizes from "no leaf" to "all leaf".  The second signal
-// carries −0 and ±Inf, whose handling a reordered or skipped operation
-// would change.
+// forward at leaf sizes from "no leaf" to "all leaf".  forward reads the
+// src the test fills and writes a dst the test poisons first, so a recycled
+// scratch slab that still holds an earlier run's copy or spectrum cannot
+// stand in for a missing copy or write.  The second signal carries −0 and
+// ±Inf, whose handling a reordered or skipped operation would change.
 func TestFFTLeafCutoffInvariant(t *testing.T) {
 	sameWords := func(got fj.C128, want []complex128) bool {
 		return slices.Equal(got.Words(), fj.WrapC128(want).Words())
 	}
+	poison := complex(math.NaN(), math.Inf(1))
 	for n := int64(1); n <= 1<<14; n *= 2 {
 		for _, special := range []bool{false, true} {
 			env := fj.NewRealEnv()
@@ -173,14 +176,17 @@ func TestFFTLeafCutoffInvariant(t *testing.T) {
 					}
 					for _, leaf := range []int64{1, 2, 16, FJFFTGrainReal, n} {
 						if n < 2 {
-							break // FJForward returns before forwardReal
+							break // FJForward returns before forward
 						}
-						data.CopyFrom(orig)
 						src := c.ScratchC128(n)
-						forwardReal(c, data.Raw(), src.Raw(), leaf)
+						src.CopyFrom(orig)
+						for i := range n {
+							data.Store(i, poison)
+						}
+						forward(c, data, src, leaf)
 						c.FreeC128(src)
 						if !sameWords(data, want) {
-							t.Errorf("n=%d p=%d special=%v leaf=%d: forwardReal differs from the recursion", n, p, special, leaf)
+							t.Errorf("n=%d p=%d special=%v leaf=%d: forward differs from the recursion", n, p, special, leaf)
 						}
 					}
 				})

@@ -214,9 +214,7 @@ var fjCatalog = []*entry{
 		},
 		verify: func(in, out []int64) bool {
 			ab, o := fj.WrapWords[float64](in).Raw(), fj.WrapWords[float64](out).Raw()
-			return probeProduct(ab, o, probeSeed(in), func(got, want float64, n int64) bool {
-				return within(math.Abs(got-want), n, nonFinite(got) && nonFinite(want))
-			})
+			return probeProduct(ab, o, probeSeed(in))
 		},
 	}, func(c *fj.Ctx, in []fj.F64, out fj.F64) {
 		n, _ := squareDim(out.Len(), true)
@@ -235,9 +233,7 @@ var fjCatalog = []*entry{
 			fillKeys(w[n*n:], seed+4, 10)
 			return w
 		},
-		verify: func(in, out []int64) bool {
-			return probeProduct(in, out, probeSeed(in), func(got, want, _ int64) bool { return got == want })
-		},
+		verify: verifyProductI64,
 	}, func(c *fj.Ctx, in []fj.I64, out fj.I64) {
 		n, _ := squareDim(out.Len(), true)
 		strassen.FJMul(c, in[0], in[1], out, n)
@@ -482,9 +478,56 @@ func within(dist float64, n int64, bothNonFinite bool) bool {
 	return dist <= 1e-6*float64(n) || bothNonFinite
 }
 
+// freivaldsRounds is how many random vectors verifyProductI64 tries.
+const freivaldsRounds = 8
+
+// verifyProductI64 holds out to A·B (row-major n×n int64 A then B in ab) by
+// Freivalds' check in ℤ/2⁶⁴, the ring the kernel computes in: out·r must
+// equal A·(B·r) for freivaldsRounds vectors r of 64-bit entries seeded by
+// probeSeed, 3n² multiply-adds a vector.  Let t be the lowest bit set in
+// any entry of E = out − A·B, and E_ij an entry with bit t set: whatever
+// r's other entries are, E_ij·r_j takes each value it can for 2^t of the
+// 2^64 values of r_j, so (E·r)_i = 0 for a vector with probability at most
+// 2^(t−64), and for all of them at most 2^(8(t−64)): 2⁻⁸ for an output
+// wrong only in bit 63 of its entries, 2⁻¹³⁶ for one wrong below bit 48.
+func verifyProductI64(ab, out []int64) bool {
+	n, err := matPairDim(int64(len(ab)))
+	if err != nil || int64(len(out)) != n*n {
+		return false
+	}
+	nk := n * freivaldsRounds
+	v := make([]int64, 4*nk) // r, B·r, A·B·r and out·r, row j holding entry j of each vector
+	r, br, abr, outr := v[:nk], v[nk:2*nk], v[2*nk:3*nk], v[3*nk:]
+	g := uint64(probeSeed(ab))
+	for i := range r {
+		g += 0x9e3779b97f4a7c15 // splitmix64, so every bit of an entry is mixed
+		z := (g ^ g>>30) * 0xbf58476d1ce4e5b9
+		z = (z ^ z>>27) * 0x94d049bb133111eb
+		r[i] = int64(z ^ z>>31)
+	}
+	mulVecs(ab[n*n:], r, br, n)
+	mulVecs(ab[:n*n], br, abr, n)
+	mulVecs(out, r, outr, n)
+	return slices.Equal(outr, abr)
+}
+
+// mulVecs sets y = m·x for the n×n m and x's freivaldsRounds vectors.
+func mulVecs(m, x, y []int64, n int64) {
+	const k = freivaldsRounds
+	for i := range n {
+		var row [k]int64
+		for j, mij := range m[i*n : (i+1)*n] {
+			for q, xq := range (*[k]int64)(x[int64(j)*k:]) {
+				row[q] += mij * xq
+			}
+		}
+		*(*[k]int64)(y[i*k:]) = row
+	}
+}
+
 // probeProduct recomputes fjProbes entries of out = A·B directly, for the
-// row-major n×n A then B in ab, and holds each to match.
-func probeProduct[T int64 | float64](ab, out []T, g LCG, match func(got, want T, n int64) bool) bool {
+// row-major n×n A then B in ab.
+func probeProduct(ab, out []float64, g LCG) bool {
 	n, err := matPairDim(int64(len(ab)))
 	if err != nil || int64(len(out)) != n*n {
 		return false
@@ -495,11 +538,11 @@ func probeProduct[T int64 | float64](ab, out []T, g LCG, match func(got, want T,
 	a, b := ab[:n*n], ab[n*n:]
 	for t := 0; t < fjProbes; t++ {
 		i, j := g.Next()%n, g.Next()%n
-		var s T
+		var s float64
 		for k := int64(0); k < n; k++ {
 			s += a[i*n+k] * b[k*n+j]
 		}
-		if !match(out[i*n+j], s, n) {
+		if got := out[i*n+j]; !within(math.Abs(got-s), n, nonFinite(got) && nonFinite(s)) {
 			return false
 		}
 	}

@@ -26,24 +26,13 @@ func FJPrefix(c *fj.Ctx, in, out fj.I64) {
 	grain := c.Grain(FJPrefixGrainSim, FJPrefixGrainReal)
 	nb := (n + grain - 1) / grain
 	if nb <= 1 {
-		fjPrefixSerial(c, in, out, 0)
+		fj.Prefix(c, in, out, 0)
 		return
 	}
 	sums := c.ScratchI64(nb) // the up-sweep writes every block slot first
 	c.ForRange(0, nb, 1, func(c *fj.Ctx, blo, bhi int64) {
 		for bi := blo; bi < bhi; bi++ {
-			lo, hi := bi*grain, min((bi+1)*grain, n)
-			var s int64
-			if is := in.Raw(); is != nil {
-				for _, v := range is[lo:hi] {
-					s += v
-				}
-			} else {
-				for i := lo; i < hi; i++ {
-					s += in.Get(c, i)
-				}
-			}
-			sums.Set(c, bi, s)
+			sums.Set(c, bi, fj.Sum(c, in.Slice(bi*grain, min((bi+1)*grain, n))))
 		}
 	})
 	var acc int64
@@ -55,25 +44,8 @@ func FJPrefix(c *fj.Ctx, in, out fj.I64) {
 	c.ForRange(0, nb, 1, func(c *fj.Ctx, blo, bhi int64) {
 		for bi := blo; bi < bhi; bi++ {
 			lo, hi := bi*grain, min((bi+1)*grain, n)
-			fjPrefixSerial(c, in.Slice(lo, hi), out.Slice(lo, hi), sums.Get(c, bi))
+			fj.Prefix(c, in.Slice(lo, hi), out.Slice(lo, hi), sums.Get(c, bi))
 		}
 	})
 	c.FreeI64(sums)
-}
-
-func fjPrefixSerial(c *fj.Ctx, in, out fj.I64, offset int64) {
-	if is := in.Raw(); is != nil {
-		os := out.Raw()
-		s := offset
-		for i, v := range is {
-			s += v
-			os[i] = s
-		}
-		return
-	}
-	s := offset
-	for i := int64(0); i < in.Len(); i++ {
-		s += in.Get(c, i)
-		out.Set(c, i, s)
-	}
 }

@@ -156,25 +156,18 @@ func MergeSerial(c *fj.Ctx, a, b, out fj.I64) {
 		RawMerge2(as, b.Raw(), out.Raw())
 		return
 	}
-	var i, j, k int64
+	var i, j int64
 	for i < a.Len() && j < b.Len() {
 		if x, y := a.Get(c, i), b.Get(c, j); x <= y {
-			out.Set(c, k, x)
+			out.Set(c, i+j, x)
 			i++
 		} else {
-			out.Set(c, k, y)
+			out.Set(c, i+j, y)
 			j++
 		}
-		k++
 	}
-	for ; i < a.Len(); i++ {
-		out.Set(c, k, a.Get(c, i))
-		k++
-	}
-	for ; j < b.Len(); j++ {
-		out.Set(c, k, b.Get(c, j))
-		k++
-	}
+	fj.Copy(c, out.Slice(i+j, a.Len()+j), a.Slice(i, a.Len()))
+	fj.Copy(c, out.Slice(a.Len()+j, a.Len()+b.Len()), b.Slice(j, b.Len()))
 }
 
 // LowerBound returns the first index i in the sorted run v with v[i] ≥ x

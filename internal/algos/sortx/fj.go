@@ -58,13 +58,7 @@ func fjSortRec(c *fj.Ctx, src, buf fj.I64, toBuf bool) {
 	if n <= c.Grain(FJSortGrainSim, FJSortGrainReal) {
 		sortutil.SortLeaf(c, src)
 		if toBuf {
-			if ss := src.Raw(); ss != nil {
-				copy(buf.Raw(), ss)
-			} else {
-				for i := int64(0); i < n; i++ {
-					buf.Set(c, i, src.Get(c, i))
-				}
-			}
+			fj.Copy(c, buf, src)
 		}
 		return
 	}

@@ -100,15 +100,13 @@ func fjSortRec(c *fj.Ctx, src, buf fj.I64, toBuf bool) {
 	if toBuf {
 		from, into = src, buf
 	}
-	rbuf := c.AllocRuns(k)
-	runs := rbuf[:0]
+	runs := make([]fj.I64, 0, k)
 	for r := int64(0); r < k; r++ {
 		if lo, hi := runBounds(n, runLen, r, r+1); lo < hi {
 			runs = append(runs, from.Slice(lo, hi))
 		}
 	}
 	FJMergeK(c, runs, into)
-	c.FreeRuns(rbuf)
 }
 
 // runCount returns the SPMS split arity for n: the smallest power of two at
@@ -156,9 +154,7 @@ const serialKMaxSim = 192
 // permitted.  Exported so the fuzz battery can drive the merge directly
 // against the sortutil serial reference.
 func FJMergeK(c *fj.Ctx, runs []fj.I64, out fj.I64) {
-	lbuf := c.AllocRuns(int64(len(runs)))
-	defer c.FreeRuns(lbuf)
-	live := lbuf[:0]
+	live := make([]fj.I64, 0, len(runs))
 	for _, r := range runs {
 		if r.Len() > 0 {
 			live = append(live, r)
@@ -213,7 +209,7 @@ func FJMergeK(c *fj.Ctx, runs []fj.I64, out fj.I64) {
 		}
 	}
 	nsp := k - 1 // every sorted sample element but the last is a splitter
-	sruns := c.AllocRuns(k)
+	sruns := make([]fj.I64, k)
 	for s := int64(0); s < k; s++ {
 		p := s * lmax / k
 		if last := runs[s].Len() - 1; p > last {
@@ -223,7 +219,6 @@ func FJMergeK(c *fj.Ctx, runs []fj.I64, out fj.I64) {
 	}
 	sorted := c.ScratchI64(k) // MergeK writes all k elements before any read
 	sortutil.MergeK(c, sruns, sorted)
-	c.FreeRuns(sruns)
 
 	// Splitters: every sorted sample element but the last, annotated with
 	// its positional rank within its equal-value group (G of g) so the cut
@@ -276,7 +271,7 @@ func FJMergeK(c *fj.Ctx, runs []fj.I64, out fj.I64) {
 	// progress.
 	c.ForRange(0, nsp+1, 1, func(c *fj.Ctx, jlo, jhi int64) {
 		for j := jlo; j < jhi; j++ {
-			bruns := c.AllocRuns(k)
+			bruns := make([]fj.I64, k)
 			c.ForRange(0, k, 1, func(c *fj.Ctx, slo, shi int64) {
 				for s := slo; s < shi; s++ {
 					lo := int64(0)
@@ -303,7 +298,6 @@ func FJMergeK(c *fj.Ctx, runs []fj.I64, out fj.I64) {
 			} else {
 				FJMergeK(c, bruns, out.Slice(olo, ohi))
 			}
-			c.FreeRuns(bruns)
 		}
 	})
 	c.FreeI64(cutm)
@@ -313,11 +307,7 @@ func FJMergeK(c *fj.Ctx, runs []fj.I64, out fj.I64) {
 // sums over the k-wide cut matrix never serialize on the run count.
 func fjSum(c *fj.Ctx, v fj.I64, lo, hi int64) int64 {
 	if hi-lo <= 8 {
-		var s int64
-		for i := lo; i < hi; i++ {
-			s += v.Get(c, i)
-		}
-		return s
+		return fj.Sum(c, v.Slice(lo, hi))
 	}
 	mid := lo + (hi-lo)/2
 	var a, b int64
@@ -413,8 +403,6 @@ func fjMerge2(c *fj.Ctx, a, b, out fj.I64) {
 func fjCopy(c *fj.Ctx, src, dst fj.I64) {
 	n := src.Len()
 	c.ForRange(0, n, 32, func(c *fj.Ctx, lo, hi int64) {
-		for i := lo; i < hi; i++ {
-			dst.Set(c, i, src.Get(c, i))
-		}
+		fj.Copy(c, dst.Slice(lo, hi), src.Slice(lo, hi))
 	})
 }

@@ -41,8 +41,8 @@ func FJMul(c *fj.Ctx, a, b, out fj.I64, n int64) {
 		fjMulRec(c, a, b, n, out) // the top level writes its quadrants into out
 		return
 	}
-	p := fjMulRec(c, a, b, n, fj.I64{})
-	copyAll(c, p, out)
+	p := fjMulRec(c, a, b, n, fj.I64{}) // the simulated top level copies its product out
+	fj.Copy(c, out, p)
 	c.FreeI64(p)
 }
 
@@ -145,19 +145,12 @@ func fjQuadrants(c *fj.Ctx, m fj.I64, n int64) (q11, q12, q21, q22 fj.I64) {
 	return
 }
 
+// writeQuad copies the h×h matrix q into the quadrant of the n×n out whose
+// top-left element is (ri, ci), one row at a time.
 func writeQuad(c *fj.Ctx, out fj.I64, n, ri, ci int64, q fj.I64) {
 	h := n / 2
-	if os := out.Raw(); os != nil {
-		qs := q.Raw()
-		for i := int64(0); i < h; i++ {
-			copy(os[(ri+i)*n+ci:(ri+i)*n+ci+h], qs[i*h:(i+1)*h])
-		}
-		return
-	}
 	for i := int64(0); i < h; i++ {
-		for j := int64(0); j < h; j++ {
-			out.Set(c, (ri+i)*n+ci+j, q.Get(c, i*h+j))
-		}
+		fj.Copy(c, out.Slice((ri+i)*n+ci, (ri+i)*n+ci+h), q.Slice(i*h, (i+1)*h))
 	}
 }
 
@@ -205,14 +198,6 @@ func fjCombine4(c *fj.Ctx, w, x, y, z fj.I64) fj.I64 {
 		out.Set(c, i, w.Get(c, i)+x.Get(c, i)-y.Get(c, i)+z.Get(c, i))
 	}
 	return out
-}
-
-// copyAll is the simulated top level's final pass (the real one writes its
-// quadrants into the destination directly).
-func copyAll(c *fj.Ctx, src, dst fj.I64) {
-	for i := int64(0); i < src.Len(); i++ {
-		dst.Set(c, i, src.Get(c, i))
-	}
 }
 
 // fjMulClassical is the serial base case: matmul.MulLeaf on native

@@ -18,7 +18,7 @@
 //
 // A Shard bundles the three element-typed pools a fork-join kernel draws
 // from (int64, float64, complex128) plus an Aux extension slot for
-// client-owned pools (internal/fj parks its view-span pool there).  Shards
+// client-owned state (internal/fj parks its per-worker Ctx there).  Shards
 // are strictly owner-only: every field is plain (no atomics to contend on,
 // which is what makes the layout falseshare-clean by construction), and the
 // runtime hands each worker its own separately allocated shard, so no two
@@ -279,8 +279,8 @@ type Shard struct {
 	F64  Pool[float64]
 	C128 Pool[complex128]
 
-	// Aux lets a client layer (internal/fj) hang its own per-worker pools
-	// off the shard without this package knowing their types.  Owner-only,
+	// Aux lets a client layer (internal/fj) hang its own per-worker state
+	// off the shard without this package knowing its type.  Owner-only,
 	// like everything else here.
 	Aux any
 

@@ -11,7 +11,7 @@
 // friends draw charged, block-aligned allocations from the executing core's
 // arena on the simulator, and recycled cache-line-aligned slabs from the
 // executing worker's internal/arena shard on real hardware.  The Free hooks
-// (FreeI64, FreeRuns, ...) return a slab for reuse on the real backend and
+// (FreeI64, FreeC128) return a slab for reuse on the real backend and
 // are no-ops under the simulator, whose charge profile they leave untouched.
 //
 // A computation is a function func(*Ctx).  Ctx offers structured fork-join
@@ -55,21 +55,19 @@
 //
 // The leaf idiom.  What the paper's analysis and the simulator's counters
 // are about is the task tree and which task touches which word; how a
-// serial leaf indexes its memory is not part of either.  So a leaf is
-// written as ForRange (or the base case of a recursion) over
-//
-//	if raw := v.Raw(); raw != nil {
-//		// real: a tight loop (or copy) over the native slices
-//	} else {
-//		// sim: the same loop through charged v.Get / v.Set
-//	}
-//
-// Raw is nil exactly under the simulator, so the first branch runs at the
-// speed of plain Go and the second charges every access.  The two branches
-// must perform the same arithmetic on the same operands in the same order:
-// the simulated run is the model of the real one only if both compute the
-// same thing, and the cross-backend gate (TestCrossBackendEquality) compares
-// their outputs byte for byte — a reassociated float sum, a fused
+// serial leaf indexes its memory is not part of either.  A leaf (a
+// ForRange body, or a recursion's base case) that copies or sums a range
+// calls the bulk ops of ops.go (Copy, Sum, Prefix), which carry both
+// lowerings; other leaves loop through v.Get and v.Set.  View.Raw, nil
+// exactly under the simulator, is for a hardware leaf that is a different
+// algorithm or loop order than the charged one (a radix sort, a twiddle
+// table, a blocked store order), pinned by a bit-identity or order test,
+// and for a hot elementwise loop one kernel owns (strassen's operand sums,
+// gather's leaf, listrank's maps), written twice as the same loop because
+// Get/Set costs such a kernel up to 2.9× on hardware (ops.go).  Both
+// branches must compute the same output: the simulated run models the real
+// one only if both compute the same thing, and TestCrossBackendEquality
+// compares their outputs byte for byte — a reassociated float sum, a fused
 // multiply-add or a skipped ±0 in one branch fails it.  Restructuring that
 // keeps each element's operation sequence (blocking, unrolling, a table of
 // values the other branch computes in place) is free; anything else has to

@@ -11,13 +11,13 @@ import "repro/internal/rt"
 
 // RunReal executes root on the pool and blocks until it completes or panics.
 func RunReal(pool *rt.Pool, root func(*Ctx)) {
-	pool.Run(func(rc *rt.Ctx) { root(&local(rc).ctx) })
+	pool.Run(func(rc *rt.Ctx) { root(local(rc)) })
 }
 
 // RunOn executes root within an existing rt task context — the hook for
 // callers (registry, experiments) that already hold a pool task and want to
 // time or compose fj work inside it.
-func RunOn(rc *rt.Ctx, root func(*Ctx)) { root(&local(rc).ctx) }
+func RunOn(rc *rt.Ctx, root func(*Ctx)) { root(local(rc)) }
 
 // joinUnwinding joins h's task while a panic of the joiner's unwinds, so
 // the task ends before that panic leaves its Parallel or ForRange.  The

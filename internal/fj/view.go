@@ -232,9 +232,10 @@ func (v View[T]) simSet(c *Ctx, i int64, x T) {
 }
 
 // Raw returns the native backing slice on the real backend and nil under the
-// simulator — the leaf-cutoff escape hatch: a leaf that got a non-nil Raw may
-// run its inner loop directly on the slice, and must fall back to charged
-// Get/Set otherwise.
+// simulator.  It is only for a hardware leaf that is a different algorithm
+// or loop order than its charged twin, pinned by a bit-identity or order
+// test; a leaf that copies or sums calls Copy, Sum or Prefix, and any
+// other leaf loops through Get and Set (see the package doc).
 func (v View[T]) Raw() []T { return v.s }
 
 // Load reads element i without charging the simulation.

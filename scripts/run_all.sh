@@ -120,6 +120,12 @@ if [ "$MODE" != grid ]; then
     # timing: one schedule is not enough, run the loop gates (exactly-once
     # visits, forks per steal) five times.
     focused -race -count=5 -run 'TestForRange' ./internal/fj/
+    # The bulk ops (fj.Copy, Sum, Prefix) and the kernel leaves ported onto
+    # them run on ranges that workers split on demand: the op contract and
+    # the ported kernels' real-lowering gates run under the detector, three
+    # schedules.
+    focused -race -count=3 -run 'TestOpsMatchTheirLoops|TestOpsRefuseMismatchedLengths' ./internal/fj/
+    focused -race -count=3 -run 'TestFJPrefixRealMatchesSerial|TestFJSortRealMatchesSerial|TestFJMulRealMatchesNaive|TestFFTLeafCutoffInvariant' ./internal/algos/scan/ ./internal/algos/sortx/ ./internal/algos/spms/ ./internal/algos/strassen/ ./internal/algos/fft/
     # listrank's sublist walks write rank words scattered over the list from
     # every worker; its edge shapes run under the detector, three schedules.
     focused -race -count=3 -run TestFJRank ./internal/algos/listrank/
