@@ -14,7 +14,7 @@ func TestClassRounding(t *testing.T) {
 		{1, minClass}, {minClass, minClass}, {minClass + 1, 2 * minClass},
 		{100, 128}, {128, 128}, {129, 256}, {1 << 17, 1 << 17}, {(1 << 17) + 1, 1 << 18},
 	}
-	var p Pool[int64]
+	var p Pool
 	for _, c := range cases {
 		s := p.Get(c.n)
 		if int64(len(s)) != c.n || int64(cap(s)) != c.want {
@@ -24,7 +24,7 @@ func TestClassRounding(t *testing.T) {
 }
 
 func TestLIFOReuse(t *testing.T) {
-	var p Pool[int64]
+	var p Pool
 	a := p.Get(100)
 	b := p.Get(100)
 	if &a[0] == &b[0] {
@@ -47,7 +47,7 @@ func TestLIFOReuse(t *testing.T) {
 }
 
 func TestPutRejectsForeignCaps(t *testing.T) {
-	var p Pool[int64]
+	var p Pool
 	s := p.Get(64)
 	p.Put(s[:10:10]) // sub-slice with a non-class cap
 	p.Put(make([]int64, 100))
@@ -63,20 +63,16 @@ func TestPutRejectsForeignCaps(t *testing.T) {
 }
 
 func TestAlignment(t *testing.T) {
-	var pi Pool[int64]
-	var pc Pool[complex128]
+	var p Pool
 	for _, n := range []int64{1, 8, 64, 1000, 1 << 15} {
-		if s := pi.Get(n); uintptr(unsafe.Pointer(&s[0]))%cacheLine != 0 {
-			t.Errorf("int64 slab of %d not cache-line aligned: %p", n, &s[0])
-		}
-		if s := pc.Get(n); uintptr(unsafe.Pointer(&s[0]))%cacheLine != 0 {
-			t.Errorf("complex128 slab of %d not cache-line aligned: %p", n, &s[0])
+		if s := p.Get(n); uintptr(unsafe.Pointer(&s[0]))%cacheLine != 0 {
+			t.Errorf("slab of %d words not cache-line aligned: %p", n, &s[0])
 		}
 	}
 }
 
 func TestOversizeRequestsBypassPool(t *testing.T) {
-	var p Pool[int64]
+	var p Pool
 	huge := classCap(numClasses-1) + 1
 	s := p.Get(huge)
 	if int64(len(s)) != huge {
@@ -89,16 +85,17 @@ func TestOversizeRequestsBypassPool(t *testing.T) {
 }
 
 func TestZeroLengthGet(t *testing.T) {
-	var p Pool[int64]
+	var p Pool
 	if s := p.Get(0); s == nil || len(s) != 0 {
 		t.Fatalf("Get(0) = %v (nil=%v), want a non-nil empty slice", s, s == nil)
 	}
 }
 
 // TestPoisonFill pins the release semantics in both build modes: under the
-// race detector a released slab is filled with the shard's poison pattern,
-// and outside it the contents are left as-is (the fill must not tax the
-// steady state the arena exists to remove).
+// race detector a released slab is filled with PoisonI64, and outside it the
+// contents are left as-is (the fill must not tax the steady state the arena
+// exists to remove).  The poison word reads as NaN to a float64 view of the
+// slab, and so to either half of a complex128 one.
 func TestPoisonFill(t *testing.T) {
 	sh := NewShard()
 	s := sh.I64.Get(64)
@@ -121,27 +118,8 @@ func TestPoisonFill(t *testing.T) {
 		}
 	}
 
-	f := sh.F64.Get(8)
-	for i := range f {
-		f[i] = float64(i)
-	}
-	sh.F64.Put(f)
-	if Poisoning && !math.IsNaN(f[:cap(f)][0]) {
-		t.Fatal("released float64 slab not NaN-poisoned")
-	}
-}
-
-func TestShardPoolsIndependent(t *testing.T) {
-	sh := NewShard()
-	a := sh.I64.Get(32)
-	b := sh.F64.Get(32)
-	c := sh.C128.Get(32)
-	if len(a) != 32 || len(b) != 32 || len(c) != 32 {
-		t.Fatal("shard pools returned wrong lengths")
-	}
-	sh.I64.Put(a)
-	if sh.F64.Puts != 0 || sh.C128.Puts != 0 {
-		t.Fatal("a Put to one typed pool leaked into another")
+	if f := math.Float64frombits(uint64(PoisonI64)); !math.IsNaN(f) {
+		t.Fatalf("PoisonI64 read as a float64 is %v, want NaN", f)
 	}
 }
 
@@ -187,22 +165,5 @@ func TestSpillFeedsTheOtherShard(t *testing.T) {
 	}
 	if b.Drops == 0 {
 		t.Error("a Put past a full spill was not counted in Drops")
-	}
-}
-
-// TestAttachSharesOneSpillPerType: client pools of one element type
-// attached to shards of one group share that type's spill with the shard's
-// own pools; another type gets its own.
-func TestAttachSharesOneSpillPerType(t *testing.T) {
-	sh := NewShards(2)
-	var extra Pool[int64]
-	var other Pool[int32]
-	Attach(sh[1], &extra)
-	Attach(sh[1], &other)
-	if extra.spill != sh[0].I64.spill || extra.spill == nil {
-		t.Error("an attached int64 pool does not share the group's int64 spill")
-	}
-	if other.spill == nil || NewShard().I64.spill == sh[0].I64.spill {
-		t.Error("spills leak across element types or groups")
 	}
 }

@@ -9,7 +9,10 @@ package fj
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 	"unsafe"
 
 	"repro/internal/arena"
@@ -134,6 +137,107 @@ func TestAllocZeroesRecycledSlab(t *testing.T) {
 			}
 		}
 		c.FreeI64(v2)
+	})
+}
+
+// TestFreedScratchServesEveryType: the shard keeps one pool of word slabs,
+// so a freed n-element complex128 scratch is the very slab a following
+// 2n-word int64 scratch gets back (LIFO, on one worker), and an empty
+// scratch of either type is still a real (non-nil) view.
+func TestFreedScratchServesEveryType(t *testing.T) {
+	pool := rt.NewPool(1, rt.Random)
+	t.Cleanup(pool.Close)
+	RunReal(pool, func(c *Ctx) {
+		for _, n := range []int64{4, 100, 512} {
+			vc := c.ScratchC128(n)
+			base := unsafe.Pointer(unsafe.SliceData(vc.Raw()))
+			c.FreeC128(vc)
+			vi := c.ScratchI64(2 * n)
+			if got := unsafe.Pointer(unsafe.SliceData(vi.Raw())); got != base {
+				t.Errorf("n=%d: ScratchI64(2n) after FreeC128 got %p, want the freed slab %p", n, got, base)
+			}
+			c.FreeI64(vi)
+		}
+		zi, zc := c.ScratchI64(0), c.ScratchC128(0)
+		if zi.Raw() == nil || zc.Raw() == nil || zi.Len() != 0 || zc.Len() != 0 {
+			t.Errorf("empty scratch: int64 raw nil=%v len %d, complex128 raw nil=%v len %d; want real empty views",
+				zi.Raw() == nil, zi.Len(), zc.Raw() == nil, zc.Len())
+		}
+		c.FreeI64(zi)
+		c.FreeC128(zc)
+	})
+}
+
+// TestStolenC128ScratchStaysBounded is rt's TestStolenScratchStaysBounded
+// through fj, at complex128: every round runs on one worker (the victim),
+// whose Parallel's forked half, run by the other worker (the thief) while
+// the inline half waits for it to start, takes complex128 scratch; the
+// victim frees it once the Parallel returns.  So every round moves word
+// slabs from the thief's shard to the victim's, and the two shards and
+// their spill must hold no more than arena.MaxSlabs(2) slabs of the class,
+// however many rounds run.
+func TestStolenC128ScratchStaysBounded(t *testing.T) {
+	const (
+		rounds = 1000
+		slabs  = 8
+		elems  = 512 // 1024 words: exactly one size class
+	)
+	pool := rt.NewPool(2, rt.Random)
+	t.Cleanup(pool.Close)
+	var victim, thief *arena.Shard
+	wrong := 0 // halves that ran on the wrong worker
+	round := func(c *Ctx) {
+		if c.rc.Scratch() != victim {
+			wrong++
+		}
+		var got [slabs]C128
+		onThief(c, func(c *Ctx) {
+			if thief = c.rc.Scratch(); thief == victim {
+				wrong++
+			}
+			for i := range got {
+				got[i] = c.ScratchC128(elems)
+			}
+		})
+		for _, v := range got {
+			c.FreeC128(v)
+		}
+	}
+	for r := 0; r < rounds; r++ {
+		RunReal(pool, func(c *Ctx) {
+			if victim == nil {
+				victim = c.rc.Scratch()
+			}
+			if c.rc.Scratch() == victim {
+				round(c)
+				return
+			}
+			// The root landed on the thief: hand the round to the victim.
+			onThief(c, round)
+		})
+	}
+	if wrong != 0 {
+		t.Fatalf("%d halves ran on the wrong worker", wrong)
+	}
+	held := victim.Spilled() + victim.Held() + thief.Held()
+	if bound := arena.MaxSlabs(2) * 2 * elems * 8; held > bound {
+		t.Fatalf("shards and spill hold %d bytes after %d rounds, want <= %d", held, rounds, bound)
+	}
+}
+
+// onThief runs f as the forked half of a Parallel whose inline half waits
+// until f has started, so on a 2-worker pool the other worker runs it.
+func onThief(c *Ctx, f func(*Ctx)) {
+	var started atomic.Bool
+	c.Parallel(func(*Ctx) {
+		for deadline := time.Now().Add(10 * time.Second); !started.Load(); runtime.Gosched() {
+			if time.Now().After(deadline) {
+				panic("no thief took the forked half")
+			}
+		}
+	}, func(c *Ctx) {
+		started.Store(true)
+		f(c)
 	})
 }
 

@@ -9,10 +9,12 @@
 //
 // Mid-run scratch follows the same discipline on both backends: AllocI64 and
 // friends draw charged, block-aligned allocations from the executing core's
-// arena on the simulator, and recycled cache-line-aligned slabs from the
-// executing worker's internal/arena shard on real hardware.  The Free hooks
-// (FreeI64, FreeC128) return a slab for reuse on the real backend and
-// are no-ops under the simulator, whose charge profile they leave untouched.
+// arena on the simulator, and recycled cache-line-aligned word slabs from the
+// executing worker's internal/arena shard on real hardware, one pool for
+// every element type (a complex128 scratch of n elements is a slab of 2n
+// words).  The Free hooks (FreeI64, FreeC128) return the view's word image
+// to that pool on the real backend and are no-ops under the simulator,
+// whose charge profile they leave untouched.
 //
 // A computation is a function func(*Ctx).  Ctx offers structured fork-join
 // parallelism and nothing else — Parallel(a, b) and the parallel loop

@@ -3,7 +3,6 @@ package fj
 import (
 	"unsafe"
 
-	"repro/internal/arena"
 	"repro/internal/machine"
 	"repro/internal/mem"
 )
@@ -123,43 +122,36 @@ func WrapWords[T Elem](w []int64) View[T] { return wrap(elemsOf[T](w)) }
 func WrapI64(s []int64) I64        { return wrap(s) }
 func WrapC128(s []complex128) C128 { return wrap(s) }
 
-// pool picks the shard's slab pool for T.
-func pool[T Elem](sh *arena.Shard) *arena.Pool[T] {
-	if p, ok := any(&sh.I64).(*arena.Pool[T]); ok {
-		return p
-	}
-	if p, ok := any(&sh.F64).(*arena.Pool[T]); ok {
-		return p
-	}
-	return any(&sh.C128).(*arena.Pool[T])
-}
-
 // scratch allocates an n-element view mid-computation whose contents are
 // unspecified — for scratch the caller fully writes before reading: a
 // charged, block-aligned allocation from the executing core's arena on the
 // simulator (the paper's allocation property: per-core allocations never
-// share a block), a recycled cache-line-aligned slab from the executing
-// worker's arena shard on real hardware.  Pair real allocations with free
-// when the view is dead so the kernel's whole recursion reuses one
-// footprint; an unfreed view is merely garbage-collected like any slice.
+// share a block), a recycled cache-line-aligned word slab from the executing
+// worker's arena shard on real hardware, viewed as T over the slab's whole
+// class capacity so that free hands the pool back the slab it gave.  Pair
+// real allocations with free when the view is dead so the kernel's whole
+// recursion reuses one footprint; an unfreed view is merely
+// garbage-collected like any slice.
 func scratch[T Elem](c *Ctx, n int64) View[T] {
 	if c.sim != nil {
 		return View[T]{a: c.sim.w.AllocArray(n * words[T]())}
 	}
-	return View[T]{s: pool[T](c.rc.Scratch()).Get(n), ar: true}
+	w := c.rc.Scratch().I64.Get(n * words[T]())
+	return View[T]{s: elemsOf[T](w[:cap(w)])[:n], ar: true}
 }
 
 // free releases a view obtained from scratch or AllocI64 back to the
-// executing worker's arena; the caller must not touch the view (or any
-// sub-view of it) afterwards, and must not free a view twice.  Views that did not come
-// from an arena allocation — Env allocations, Wrap* wrappings, sub-views
-// made by Slice — are silently left alone, so a free can never recycle
-// memory the arena does not own.  No-op under the simulator.
+// executing worker's arena, as its word image; the caller must not touch
+// the view (or any sub-view of it) afterwards, and must not free a view
+// twice.  Views that did not come from an arena allocation — Env
+// allocations, Wrap* wrappings, sub-views made by Slice — are silently left
+// alone, so a free can never recycle memory the arena does not own.  No-op
+// under the simulator.
 func free[T Elem](c *Ctx, v View[T]) {
 	if !v.ar {
 		return
 	}
-	pool[T](c.rc.Scratch()).Put(v.s)
+	c.rc.Scratch().I64.Put(wordsOf(v.s[:cap(v.s)]))
 }
 
 // AllocI64 allocates like ScratchI64 and zeroes the view (the simulator's

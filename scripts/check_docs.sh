@@ -37,23 +37,49 @@ for dir in $(find internal cmd -type d | sort); do
 done
 
 echo "== docs gate: markdown intra-repo links =="
-# SNIPPETS.md quotes exemplar code from external repos verbatim, including
-# their relative image links — retrieved material, not this repo's docs.
-for md in $(find . -name '*.md' -not -path './runs/*' -not -path './.git/*' \
-        -not -name 'SNIPPETS.md'); do
+# link_targets prints the ](target) link targets of a Markdown file, one a
+# line, outside fenced blocks and inline code spans: a backticked generic
+# call such as `Copy[T Elem](c, dst, src)` is code, not a link.
+link_targets() {
+    awk '
+        /^[ \t]*(```|~~~)/ { fence = !fence; next }
+        fence { next }
+        { gsub(/``([^`]|`[^`])*``/, ""); gsub(/`[^`]*`/, ""); print }
+    ' "$1" | { grep -o '](\([^)]*\))' || true; } | sed 's/^](//; s/)$//'
+}
+# broken_links prints the relative link targets of a Markdown file that name
+# no existing file; external schemes and anchors are not checked.
+broken_links() {
+    local md=$1 base target path
     base=$(dirname "$md")
-    # Extract ](target) link targets; ignore external schemes and anchors.
-    for target in $(grep -o '](\([^)]*\))' "$md" | sed 's/^](//; s/)$//'); do
+    while IFS= read -r target; do
         case "$target" in
             http://*|https://*|mailto:*|\#*) continue ;;
         esac
         path="${target%%#*}"
         [ -n "$path" ] || continue
-        if [ ! -e "$base/$path" ]; then
-            echo "broken link in $md: $target" >&2
-            fail=1
-        fi
-    done
+        [ -e "$base/$path" ] || printf '%s\n' "$target"
+    done < <(link_targets "$md")
+}
+# Self-check of the extraction: a broken link in prose is found, one in a
+# fenced block is not a link, and neither is a backticked call.
+probe=$(mktemp -d)
+trap 'rm -rf "$probe"' EXIT
+printf '%s\n' 'A [broken](no-such-file.md) link.' \
+    'Code: `Copy[T Elem](c, dst, src)` is not one, nor ``x `y`](z)``.' \
+    '```' '[fenced](also-missing.md)' '```' > "$probe/probe.md"
+if [ "$(broken_links "$probe/probe.md")" != "no-such-file.md" ]; then
+    echo "link extraction self-check failed: got '$(broken_links "$probe/probe.md")'" >&2
+    fail=1
+fi
+# SNIPPETS.md quotes exemplar code from external repos verbatim, including
+# their relative image links — retrieved material, not this repo's docs.
+for md in $(find . -name '*.md' -not -path './runs/*' -not -path './.git/*' \
+        -not -name 'SNIPPETS.md'); do
+    while IFS= read -r target; do
+        echo "broken link in $md: $target" >&2
+        fail=1
+    done < <(broken_links "$md")
 done
 
 if [ "$fail" -ne 0 ]; then

@@ -99,13 +99,15 @@ if [ "$MODE" != grid ]; then
     # ForkRange arm the range each fork was given, five schedules; a stale
     # or repeated Join panics, and a task or Run root that returns with a
     # fork unjoined raises where its panic would go, the pool serving the
-    # next root.  The arena's free lists are bounded with a shared spill:
-    # slabs a thief takes and its victim releases stay within the bound, on
-    # a pool and on two bare shards.  (The zero-allocation pins, rt's
+    # next root.  The arena's one word-slab pool per worker is bounded with
+    # a shared spill: slabs a thief takes and its victim releases stay within
+    # the bound, on a pool, on two bare shards and through fj at complex128,
+    # and a freed complex128 scratch comes back as int64 scratch on its
+    # worker.  (The zero-allocation pins, rt's
     # Fork/ForkRange+Join and fj's Parallel/ForRange, skip their counts
     # under the detector, as the root pins do; go test ./... counts them.)
     focused -race -count=5 -run 'TestFrameReuseStress|TestForkJoinAllocatesNothing|TestDoubleJoinPanics|TestStaleJoinAfterReuse|TestUnjoinedForkPanics|TestForksAllocateNothing' ./internal/rt/ ./internal/fj/
-    focused -race -run 'TestForkJoinAllocatesNothing|TestStolenScratchStaysBounded|TestSpillFeedsTheOtherShard|TestAttachSharesOneSpillPerType' ./internal/rt/ ./internal/arena/
+    focused -race -run 'TestForkJoinAllocatesNothing|TestStolenScratchStaysBounded|TestSpillFeedsTheOtherShard|TestFreedScratchServesEveryType|TestStolenC128ScratchStaysBounded' ./internal/rt/ ./internal/arena/ ./internal/fj/
 
     echo "== gate: -race over the fj frontend + arena + cross-backend equality =="
     # The fj real lowering runs genuinely parallel pools and the equality gate
