@@ -650,8 +650,7 @@ func (p *Pool) trySteal(thief *worker) *task {
 	return nil
 }
 
-// Scratch returns the executing worker's arena shard, whose one pool of
-// word slabs serves every element type a kernel allocates.  The shard is
+// Scratch returns the executing worker's arena shard.  The shard is
 // owner-only: it may be used only from the task body this Ctx was handed to
 // (which runs entirely on the owning worker's goroutine, help-running
 // included), never stashed and touched from elsewhere.  Slabs themselves may
