@@ -3,14 +3,17 @@
 // atomicmix mixed-access checker, and the fjdiscipline, determinism and
 // grainaudit analyzers.  It is a blocking gate in CI and scripts/run_all.sh.
 //
-//	hbplint ./...          # whole module (the CI invocation)
-//	hbplint ./internal/rt  # specific package directories
+//	hbplint                # whole module, the same as hbplint ./... (the CI invocation)
+//	hbplint ./internal/rt  # any go list patterns, test files included
 //	hbplint -list          # describe the analyzers
 //
-// Output is deterministic — findings sorted by file, line, column — and
-// printed as file:line:col: analyzer: message, so failures diff cleanly.
-// The exit status is 1 when any finding is active, 2 on a loading error.
-// Suppress an intentional finding on its line (or the line above) with
+// Its arguments are go list patterns: the go command selects the packages,
+// their files under the default build and their test variants (see
+// lint.Load).  Output is deterministic — findings sorted by file, line,
+// column — and printed as file:line:col: analyzer: message, the file
+// relative to the module root, so failures diff cleanly.  The exit status is
+// 1 when any finding is active, 2 on a loading or type error.  Suppress an
+// intentional finding on its line (or the line above) with
 //
 //	//lint:allow <analyzer> <reason>
 //
@@ -21,6 +24,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -29,95 +33,53 @@ import (
 )
 
 func main() {
-	list := flag.Bool("list", false, "describe the analyzers and exit")
-	stats := flag.Bool("stats", false, "also report suppressed-finding counts")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is hbplint with its arguments and output streams; it returns the exit
+// status.
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("hbplint", flag.ContinueOnError)
+	flags.SetOutput(stderr)
+	list := flags.Bool("list", false, "describe the analyzers and exit")
+	stats := flags.Bool("stats", false, "also report suppressed-finding counts")
+	if err := flags.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 
 	analyzers := lint.Analyzers()
 	if *list {
 		for _, a := range analyzers {
-			fmt.Printf("%-13s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stdout, "%-13s %s\n", a.Name, a.Doc)
 		}
-		return
+		return 0
 	}
 
-	root, err := findModuleRoot()
+	patterns := flags.Args()
+	if len(patterns) == 0 {
+		patterns = []string{"./..."}
+	}
+	pkgs, err := lint.Load(".", patterns...)
 	if err != nil {
-		fail(err)
-	}
-	loader, err := lint.NewLoader(root)
-	if err != nil {
-		fail(err)
-	}
-
-	var pkgs []*lint.Package
-	args := flag.Args()
-	if len(args) == 0 {
-		args = []string{"./..."}
-	}
-	for _, arg := range args {
-		if arg == "./..." || arg == "..." {
-			ps, err := loader.LoadModule()
-			if err != nil {
-				fail(err)
-			}
-			pkgs = append(pkgs, ps...)
-			continue
-		}
-		dir, err := filepath.Abs(arg)
-		if err != nil {
-			fail(err)
-		}
-		rel, err := filepath.Rel(root, dir)
-		if err != nil || strings.HasPrefix(rel, "..") {
-			fail(fmt.Errorf("hbplint: %s is outside the module", arg))
-		}
-		path := loader.ModPath
-		if rel != "." {
-			path += "/" + filepath.ToSlash(rel)
-		}
-		ps, err := loader.LoadDir(dir, path)
-		if err != nil {
-			fail(err)
-		}
-		pkgs = append(pkgs, ps...)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 
 	active, suppressed := lint.Check(pkgs, analyzers)
 	for _, f := range active {
-		if rel, err := filepath.Rel(root, f.Pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
+		if rel, err := filepath.Rel(pkgs[0].ModDir, f.Pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
 			f.Pos.Filename = rel
 		}
-		fmt.Println(f)
+		fmt.Fprintln(stdout, f)
 	}
 	if *stats {
-		fmt.Fprintf(os.Stderr, "hbplint: %d package(s), %d active finding(s), %d suppressed by lint:allow\n",
+		fmt.Fprintf(stderr, "hbplint: %d package(s), %d active finding(s), %d suppressed by lint:allow\n",
 			len(pkgs), len(active), len(suppressed))
 	}
 	if len(active) > 0 {
-		os.Exit(1)
+		return 1
 	}
-}
-
-// findModuleRoot walks up from the working directory to the first go.mod.
-func findModuleRoot() (string, error) {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "", err
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", fmt.Errorf("hbplint: no go.mod above %s", dir)
-		}
-		dir = parent
-	}
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(2)
+	return 0
 }

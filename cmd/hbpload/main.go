@@ -6,7 +6,7 @@
 // the report also carries time-to-first-response quantiles — the
 // streaming protocol's payoff.  The report gives accepted/rejected/failed
 // counts, throughput, and client-observed p50/p99 latency (measured with
-// the same power-of-two histogram the server exports).
+// serve.Histogram, the power-of-two histogram the server exports).
 //
 //	hbpload -url http://localhost:8090 -kernel sort -n 256 -clients 8 -dur 5s
 //	hbpload -mode batch -window 8 -kernel scan -clients 4 -dur 5s
@@ -23,14 +23,14 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
-	"math/bits"
 	"net/http"
 	"os"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/serve"
 )
 
 type loadRequest struct {
@@ -46,43 +46,6 @@ type loadLine struct {
 	Index  int    `json:"index"`
 	Error  string `json:"error"`
 	Kernel string `json:"kernel"`
-}
-
-// hist mirrors internal/serve's power-of-two latency histogram so the
-// client-side report is directly comparable to GET /metrics — including the
-// layout: count, bumped by every client on every observation, sits on a
-// private cache line ahead of the bucket array.
-type hist struct {
-	count   atomic.Int64
-	_       [56]byte
-	buckets [65]atomic.Int64
-}
-
-func (h *hist) observe(ns int64) {
-	if ns < 0 {
-		ns = 0
-	}
-	h.buckets[bits.Len64(uint64(ns))].Add(1)
-	h.count.Add(1)
-}
-
-func (h *hist) quantile(q float64) int64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := int64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	var seen int64
-	for i := range h.buckets {
-		seen += h.buckets[i].Load()
-		if seen >= rank {
-			return 1<<i - 1
-		}
-	}
-	return math.MaxInt64
 }
 
 // retryAfter reads the server's Retry-After header (whole seconds, per the
@@ -120,7 +83,7 @@ func main() {
 
 	var (
 		ok, rejected, failed atomic.Int64
-		lat, ttfr            hist
+		lat, ttfr            serve.Histogram
 		wg                   sync.WaitGroup
 	)
 	deadline := time.Now().Add(*dur)
@@ -148,7 +111,7 @@ func main() {
 				resp.Body.Close()
 				switch {
 				case resp.StatusCode == http.StatusOK:
-					lat.observe(time.Since(start).Nanoseconds())
+					lat.Observe(time.Since(start).Nanoseconds())
 					ok.Add(1)
 				case resp.StatusCode == http.StatusTooManyRequests:
 					rejected.Add(1)
@@ -166,12 +129,12 @@ func main() {
 	fmt.Printf("ok=%d rejected=%d failed=%d\n", ok.Load(), rejected.Load(), failed.Load())
 	fmt.Printf("throughput=%.1f req/s p50=%s p99=%s\n",
 		float64(ok.Load())/secs,
-		time.Duration(lat.quantile(0.50)),
-		time.Duration(lat.quantile(0.99)))
+		time.Duration(lat.Quantile(0.50)),
+		time.Duration(lat.Quantile(0.99)))
 	if *mode == "batch" {
 		fmt.Printf("first-response p50=%s p99=%s\n",
-			time.Duration(ttfr.quantile(0.50)),
-			time.Duration(ttfr.quantile(0.99)))
+			time.Duration(ttfr.Quantile(0.50)),
+			time.Duration(ttfr.Quantile(0.99)))
 	}
 	if failed.Load() > 0 {
 		os.Exit(1)
@@ -184,7 +147,7 @@ func main() {
 // line additionally feeds the time-to-first-response histogram.  It
 // returns the advanced seed.
 func batchRound(client *http.Client, url, kernel string, n int64, seed uint64, window int, verify bool,
-	ok, rejected, failed *atomic.Int64, lat, ttfr *hist) uint64 {
+	ok, rejected, failed *atomic.Int64, lat, ttfr *serve.Histogram) uint64 {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	for i := 0; i < window; i++ {
@@ -221,13 +184,13 @@ func batchRound(client *http.Client, url, kernel string, n int64, seed uint64, w
 		}
 		now := time.Since(start).Nanoseconds()
 		if lines == 0 {
-			ttfr.observe(now)
+			ttfr.Observe(now)
 		}
 		if l.Error != "" {
 			failed.Add(1)
 			continue
 		}
-		lat.observe(now)
+		lat.Observe(now)
 		ok.Add(1)
 	}
 	return seed

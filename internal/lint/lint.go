@@ -33,8 +33,10 @@
 //	//lint:allow <analyzer> <reason>
 //
 // The reason text is mandatory: an allow without one is itself reported.
-// The suite is stdlib-only (go/parser + go/types; no x/tools) and is run
-// by cmd/hbplint as a blocking gate in CI and scripts/run_all.sh.
+// The suite is stdlib-only (go/parser + go/types; no x/tools).  Load gets
+// the packages from the go command (go list -export) and typechecks only
+// the analysed ones, against their dependencies' export data.  cmd/hbplint
+// runs the suite as a blocking gate in CI and scripts/run_all.sh.
 package lint
 
 import (

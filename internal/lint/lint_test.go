@@ -9,66 +9,40 @@ import (
 	"testing"
 )
 
-// The loader is shared across tests: typechecking the standard library from
-// source is the dominant cost and its results are cached per Loader.
-var (
-	loaderOnce sync.Once
-	testLd     *Loader
-	testLdErr  error
-
-	testdataMu    sync.Mutex
-	testdataCache = map[string][]*Package{}
-)
-
-// moduleRoot walks up from the test working directory to the go.mod.
-func moduleRoot(t *testing.T) string {
-	t.Helper()
-	dir, err := os.Getwd()
+// goldenPkgs loads every testdata/src/<name> package in one go list call,
+// naming each directory explicitly (a "..." pattern skips testdata).
+var goldenPkgs = sync.OnceValues(func() (map[string][]*Package, error) {
+	entries, err := os.ReadDir(filepath.Join("testdata", "src"))
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			t.Fatal("lint: no go.mod above the test working directory")
-		}
-		dir = parent
+	var patterns []string
+	for _, e := range entries {
+		patterns = append(patterns, "./testdata/src/"+e.Name())
 	}
-}
+	pkgs, err := Load(".", patterns...)
+	if err != nil {
+		return nil, err
+	}
+	byName := map[string][]*Package{}
+	for _, p := range pkgs {
+		name := filepath.Base(p.Dir)
+		byName[name] = append(byName[name], p)
+	}
+	return byName, nil
+})
 
-func testLoader(t *testing.T) *Loader {
-	t.Helper()
-	root := moduleRoot(t)
-	loaderOnce.Do(func() { testLd, testLdErr = NewLoader(root) })
-	if testLdErr != nil {
-		t.Fatalf("NewLoader: %v", testLdErr)
-	}
-	return testLd
-}
-
-// loadTestdata loads testdata/src/<name> under a module-internal import path.
+// loadTestdata returns the analysis units of testdata/src/<name>.
 func loadTestdata(t *testing.T, name string) []*Package {
 	t.Helper()
-	testdataMu.Lock()
-	defer testdataMu.Unlock()
-	if pkgs, ok := testdataCache[name]; ok {
-		return pkgs
-	}
-	l := testLoader(t)
-	dir := filepath.Join("testdata", "src", name)
-	path := l.ModPath + "/internal/lint/testdata/src/" + name
-	pkgs, err := l.LoadDir(dir, path)
+	byName, err := goldenPkgs()
 	if err != nil {
-		t.Fatalf("LoadDir(%s): %v", dir, err)
+		t.Fatalf("Load: %v", err)
 	}
-	if len(pkgs) == 0 {
-		t.Fatalf("LoadDir(%s): no packages", dir)
+	if len(byName[name]) == 0 {
+		t.Fatalf("Load: no package in testdata/src/%s", name)
 	}
-	testdataCache[name] = pkgs
-	return pkgs
+	return byName[name]
 }
 
 var wantQuoted = regexp.MustCompile(`"([^"]*)"`)

@@ -1,287 +1,155 @@
 package lint
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"go/ast"
-	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
 )
 
-// Package is one typechecked package ready for analysis: its syntax, its
-// type information, and the Sizes used to compute real struct layouts.
+// Package is one typechecked analysis unit: its syntax, its type
+// information, and the Sizes used to compute real struct layouts.  A unit is
+// a package together with its in-package test files, or its external test
+// package, whose Path carries the "_test" suffix.  Load builds them from the
+// go command's package list with the standard library alone: go/parser for
+// the unit's files, go/types against its dependencies' export data.
 type Package struct {
-	Path  string // import path ("_test"-suffixed for external test packages)
-	Dir   string
-	Fset  *token.FileSet
-	Files []*ast.File
-	Pkg   *types.Package
-	Info  *types.Info
-	Sizes types.Sizes
+	Path   string // import path ("_test"-suffixed for external test packages)
+	Dir    string
+	ModDir string // root directory of the package's module ("" outside one)
+	Fset   *token.FileSet
+	Files  []*ast.File
+	Pkg    *types.Package
+	Info   *types.Info
+	Sizes  types.Sizes
 }
 
-// Loader loads and typechecks the module's packages in dependency order
-// using only the standard library: module-internal imports are resolved by
-// walking the module tree, everything else (the standard library) is
-// typechecked from source via go/importer's "source" compiler, so no
-// compiled export data and no x/tools dependency is needed.
-type Loader struct {
-	ModRoot string // absolute module root (directory holding go.mod)
-	ModPath string // module path from go.mod
-
-	fset    *token.FileSet
-	sizes   types.Sizes
-	stdlib  types.Importer
-	cache   map[string]*types.Package // import-facing packages (no test files)
-	loading map[string]bool           // cycle guard
+// listed is the part of one `go list -json` record Load reads.
+type listed struct {
+	ImportPath string
+	Dir        string
+	ForTest    string
+	DepOnly    bool
+	Export     string
+	GoFiles    []string
+	ImportMap  map[string]string
+	Module     *struct{ Dir string }
+	Error      *struct{ Err string }
 }
 
-// NewLoader creates a loader for the module rooted at modRoot.
-func NewLoader(modRoot string) (*Loader, error) {
-	abs, err := filepath.Abs(modRoot)
-	if err != nil {
-		return nil, err
+// Load runs `go list -e -json -export -deps -test` once in dir over the
+// given patterns and typechecks every analysis unit it names against its
+// dependencies' export data, so the go command decides build constraints,
+// test variants and dependency order, and only the analysed packages are
+// parsed.  The units are each matched package, with its in-package test
+// files when it has any (go list's "p [p.test]"), and its external test
+// package ("p_test [p.test]", analysed as p_test); packages recompiled for
+// another package's test and the generated test mains are skipped.  A
+// pattern that matches nothing, a listed package with an error, or a unit
+// that fails to typecheck fails the whole load.
+func Load(dir string, patterns ...string) ([]*Package, error) {
+	args := append([]string{"list", "-e", "-export", "-deps", "-test",
+		"-json=ImportPath,Dir,ForTest,DepOnly,Export,GoFiles,ImportMap,Module,Error", "--"}, patterns...)
+	cmd := exec.Command("go", args...)
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil || stderr.Len() > 0 {
+		return nil, fmt.Errorf("lint: go list %s: %v\n%s", strings.Join(patterns, " "), err, stderr.Bytes())
 	}
-	modPath, err := modulePath(filepath.Join(abs, "go.mod"))
-	if err != nil {
-		return nil, err
-	}
-	sizes := types.SizesFor("gc", runtime.GOARCH)
-	if sizes == nil {
-		sizes = types.SizesFor("gc", "amd64")
-	}
-	fset := token.NewFileSet()
-	return &Loader{
-		ModRoot: abs,
-		ModPath: modPath,
-		fset:    fset,
-		sizes:   sizes,
-		stdlib:  importer.ForCompiler(fset, "source", nil),
-		cache:   map[string]*types.Package{},
-		loading: map[string]bool{},
-	}, nil
-}
 
-// modulePath extracts the module path from a go.mod file.
-func modulePath(gomod string) (string, error) {
-	data, err := os.ReadFile(gomod)
-	if err != nil {
-		return "", err
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if rest, ok := strings.CutPrefix(line, "module"); ok {
-			return strings.Trim(strings.TrimSpace(rest), `"`), nil
+	byPath := map[string]*listed{} // every listed package, by its listed path
+	units := map[string]*listed{}  // analysis path -> unit
+	var testMains []string
+	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
+		var p listed
+		if err := dec.Decode(&p); err == io.EOF {
+			break
+		} else if err != nil {
+			return nil, fmt.Errorf("lint: go list output: %w", err)
 		}
-	}
-	return "", fmt.Errorf("lint: no module directive in %s", gomod)
-}
-
-// Import resolves one import path for the typechecker: module-internal
-// paths load (and cache) the package's non-test files; everything else is
-// delegated to the source importer.  This makes Loader a types.Importer,
-// so dependency order falls out of the typechecker's own recursion.
-func (l *Loader) Import(path string) (*types.Package, error) {
-	if path == "unsafe" {
-		return types.Unsafe, nil
-	}
-	if pkg, ok := l.cache[path]; ok {
-		return pkg, nil
-	}
-	if path == l.ModPath || strings.HasPrefix(path, l.ModPath+"/") {
-		if l.loading[path] {
-			return nil, fmt.Errorf("lint: import cycle through %q", path)
+		if p.Error != nil {
+			return nil, fmt.Errorf("lint: %s: %s", p.ImportPath, strings.TrimSpace(p.Error.Err))
 		}
-		l.loading[path] = true
-		defer delete(l.loading, path)
-		dir := filepath.Join(l.ModRoot, strings.TrimPrefix(strings.TrimPrefix(path, l.ModPath), "/"))
-		nonTest, _, _, err := l.parseDir(dir)
-		if err != nil {
-			return nil, err
-		}
-		if len(nonTest) == 0 {
-			return nil, fmt.Errorf("lint: no Go files for %q in %s", path, dir)
-		}
-		pkg, _, err := l.check(path, nonTest)
-		if err != nil {
-			return nil, err
-		}
-		l.cache[path] = pkg
-		return pkg, nil
-	}
-	return l.stdlib.Import(path)
-}
-
-// parseDir parses every .go file of dir into three groups: non-test files,
-// in-package test files, and external (_test-package) test files.
-func (l *Loader) parseDir(dir string) (nonTest, inTest, extTest []*ast.File, err error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	var names []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	basePkg := ""
-	for _, name := range names {
-		// The build the analyzers model is the default, non-instrumented
-		// one: this GOOS/GOARCH, file-name suffixes and //go:build lines
-		// alike, and no "race" tag.  Without this filter a pair of
-		// tag-alternated files (internal/arena's poison switch, matmul's
-		// tile kernel) would typecheck as a redeclaration.
-		if ok, err := build.Default.MatchFile(dir, name); err != nil {
-			return nil, nil, nil, err
-		} else if !ok {
+		byPath[p.ImportPath] = &p
+		if p.DepOnly {
 			continue
 		}
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, nil, nil, err
-		}
+		path, _, _ := strings.Cut(p.ImportPath, " ")
 		switch {
-		case !strings.HasSuffix(name, "_test.go"):
-			nonTest = append(nonTest, f)
-			basePkg = f.Name.Name
-		case strings.HasSuffix(f.Name.Name, "_test"):
-			extTest = append(extTest, f)
-		default:
-			inTest = append(inTest, f)
+		case p.ForTest == "":
+			if units[path] == nil {
+				units[path] = &p
+			}
+		case path == p.ForTest || path == p.ForTest+"_test":
+			units[path] = &p // a test variant replaces the plain package
+			testMains = append(testMains, p.ForTest+".test")
 		}
 	}
-	// A directory holding only in-package test files (the module root's
-	// benchmark files) still forms a package.
-	if basePkg == "" && len(inTest) > 0 {
-		nonTest, inTest = inTest, nil
+	for _, m := range testMains {
+		delete(units, m)
 	}
-	return nonTest, inTest, extTest, nil
-}
+	if len(units) == 0 {
+		return nil, fmt.Errorf("lint: go list %s: no packages", strings.Join(patterns, " "))
+	}
 
-// testVariant returns the loader an external test package of path is
-// typechecked with: files — the package with its in-package test files,
-// which is how an export_test.go file reaches the external tests — stand in
-// for path, and every module package is typechecked afresh against them, as
-// the go tool rebuilds the packages a test imports.
-func (l *Loader) testVariant(path string, files []*ast.File) (*Loader, error) {
-	v := *l
-	v.cache, v.loading = map[string]*types.Package{}, map[string]bool{}
-	pkg, _, err := v.check(path, files)
-	if err != nil {
-		return nil, err
+	paths := make([]string, 0, len(units))
+	for path := range units {
+		paths = append(paths, path)
 	}
-	v.cache[path] = pkg
-	return &v, nil
-}
-
-// check typechecks one file set as the package at path.
-func (l *Loader) check(path string, files []*ast.File) (*types.Package, *types.Info, error) {
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
-	}
-	conf := types.Config{Importer: l, Sizes: l.sizes}
-	pkg, err := conf.Check(path, l.fset, files, info)
-	if err != nil {
-		return nil, nil, fmt.Errorf("lint: typecheck %s: %w", path, err)
-	}
-	return pkg, info, nil
-}
-
-// LoadDir loads the package in dir for analysis under the given import
-// path, test files included: the in-package test files are typechecked
-// together with the package sources, and an external _test package, if
-// present, becomes a second Package with "_test" appended to its path,
-// typechecked against the first (see testVariant).
-func (l *Loader) LoadDir(dir, path string) ([]*Package, error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, err
-	}
-	nonTest, inTest, extTest, err := l.parseDir(abs)
-	if err != nil {
-		return nil, err
-	}
-	var pkgs []*Package
-	ext := l
-	if len(nonTest) > 0 {
-		files := append(append([]*ast.File{}, nonTest...), inTest...)
-		pkg, info, err := l.check(path, files)
-		if err != nil {
-			return nil, err
+	sort.Strings(paths)
+	fset := token.NewFileSet()
+	sizes := types.SizesFor("gc", runtime.GOARCH)
+	pkgs := make([]*Package, 0, len(paths))
+	for _, path := range paths {
+		u := units[path]
+		p := &Package{Path: path, Dir: u.Dir, Fset: fset, Sizes: sizes}
+		if u.Module != nil {
+			p.ModDir = u.Module.Dir
 		}
-		pkgs = append(pkgs, &Package{Path: path, Dir: abs, Fset: l.fset, Files: files, Pkg: pkg, Info: info, Sizes: l.sizes})
-		if len(inTest) > 0 && len(extTest) > 0 {
-			if ext, err = l.testVariant(path, files); err != nil {
+		for _, name := range u.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(u.Dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+			if err != nil {
 				return nil, err
 			}
+			p.Files = append(p.Files, f)
 		}
-	}
-	if len(extTest) > 0 {
-		pkg, info, err := ext.check(path+"_test", extTest)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, &Package{Path: path + "_test", Dir: abs, Fset: l.fset, Files: extTest, Pkg: pkg, Info: info, Sizes: l.sizes})
-	}
-	return pkgs, nil
-}
-
-// LoadModule loads every package under the module root (skipping testdata,
-// version control, and run-archive directories), in deterministic directory
-// order, test files included.
-func (l *Loader) LoadModule() ([]*Package, error) {
-	var dirs []string
-	err := filepath.WalkDir(l.ModRoot, func(p string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			switch d.Name() {
-			case "testdata", ".git", "runs", "vendor":
-				return filepath.SkipDir
+		// The gc importer hands lookup the import path as the source spells
+		// it; the unit's ImportMap names the variant it was built against.
+		lookup := func(imp string) (io.ReadCloser, error) {
+			if mapped, ok := u.ImportMap[imp]; ok {
+				imp = mapped
 			}
-			return nil
-		}
-		if strings.HasSuffix(p, ".go") {
-			dir := filepath.Dir(p)
-			if len(dirs) == 0 || dirs[len(dirs)-1] != dir {
-				dirs = append(dirs, dir)
+			dep := byPath[imp]
+			if dep == nil || dep.Export == "" {
+				return nil, fmt.Errorf("no export data for %q", imp)
 			}
+			return os.Open(dep.Export)
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(dirs)
-	var pkgs []*Package
-	for _, dir := range dirs {
-		rel, err := filepath.Rel(l.ModRoot, dir)
-		if err != nil {
-			return nil, err
+		p.Info = &types.Info{
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+			Implicits:  map[ast.Node]types.Object{},
 		}
-		path := l.ModPath
-		if rel != "." {
-			path = l.ModPath + "/" + filepath.ToSlash(rel)
+		conf := types.Config{Importer: importer.ForCompiler(fset, "gc", lookup), Sizes: sizes}
+		if p.Pkg, err = conf.Check(path, fset, p.Files, p.Info); err != nil {
+			return nil, fmt.Errorf("lint: typecheck %s: %w", path, err)
 		}
-		ps, err := l.LoadDir(dir, path)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, ps...)
+		pkgs = append(pkgs, p)
 	}
 	return pkgs, nil
 }

@@ -1,6 +1,9 @@
 package lint
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
 // minSuppressed is the number of //lint:allow-suppressed findings the tree
 // carries.  The self-run requires at least this many, so the annotations
@@ -10,19 +13,25 @@ import "testing"
 // the code an allow annotated.
 const minSuppressed = 6
 
+// modulePkgs is the whole module's analysis units, loaded once for the
+// self-run and the Load tests: the CI invocation, hbplint ./... from the
+// module root.
+var modulePkgs = sync.OnceValues(func() ([]*Package, error) { return Load("../..", "./...") })
+
+func loadModule(t *testing.T) []*Package {
+	t.Helper()
+	pkgs, err := modulePkgs()
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	return pkgs
+}
+
 // TestRepoSelfRunClean is the gate the CI hbplint step mirrors: the whole
 // module, test files included, must produce zero active findings under the
 // default analyzer suite.
 func TestRepoSelfRunClean(t *testing.T) {
-	l := testLoader(t)
-	pkgs, err := l.LoadModule()
-	if err != nil {
-		t.Fatalf("LoadModule: %v", err)
-	}
-	if len(pkgs) == 0 {
-		t.Fatal("LoadModule returned no packages")
-	}
-	active, suppressed := Check(pkgs, Analyzers())
+	active, suppressed := Check(loadModule(t), Analyzers())
 	for _, f := range active {
 		t.Errorf("active finding: %s", f)
 	}

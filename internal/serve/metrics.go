@@ -29,7 +29,7 @@ type Metrics struct {
 	started   counter // roots whose kernel a worker started
 	queued    counter // gauge: admitted roots no worker has started yet
 
-	latency histogram
+	latency Histogram
 
 	rates func() []ClientRate // per-client limiter counts, wired to the multiLimiter
 }
@@ -84,24 +84,25 @@ func (m *Metrics) Snapshot() Snapshot {
 		BatchedRequests: started,
 		MaxBatch:        min(started, 1),
 		QueueDepth:      int(m.queued.Load()),
-		LatencyP50NS:    m.latency.quantile(0.50),
-		LatencyP99NS:    m.latency.quantile(0.99),
+		LatencyP50NS:    m.latency.Quantile(0.50),
+		LatencyP99NS:    m.latency.Quantile(0.99),
 		Clients:         rates,
 	}
 }
 
-// histogram buckets latencies by their binary order of magnitude: bucket i
+// Histogram buckets latencies by their binary order of magnitude: bucket i
 // holds observations with bit length i, i.e. values in [2^(i−1), 2^i).
+// cmd/hbpload measures with it too, so its report compares with /metrics.
 // count — bumped on every observation, where the bucket increments scatter —
 // gets a private cache line ahead of the bucket array.
-type histogram struct {
+type Histogram struct {
 	count   atomic.Int64
 	_       [56]byte
 	buckets [65]atomic.Int64
 }
 
-// observe records one latency sample.
-func (h *histogram) observe(ns int64) {
+// Observe records one latency sample.
+func (h *Histogram) Observe(ns int64) {
 	if ns < 0 {
 		ns = 0
 	}
@@ -109,9 +110,9 @@ func (h *histogram) observe(ns int64) {
 	h.count.Add(1)
 }
 
-// quantile returns an upper bound on the q-quantile (0 < q ≤ 1): the top of
+// Quantile returns an upper bound on the q-quantile (0 < q ≤ 1): the top of
 // the bucket holding the rank-⌈q·count⌉ observation, or 0 with no samples.
-func (h *histogram) quantile(q float64) int64 {
+func (h *Histogram) Quantile(q float64) int64 {
 	total := h.count.Load()
 	if total == 0 {
 		return 0

@@ -387,6 +387,6 @@ func (s *Service) serve(fc *fj.Ctx, c *call) (res result) {
 		res.resp = resp
 	}
 	s.met.completed.Add(1)
-	s.met.latency.observe(time.Since(c.enqueued).Nanoseconds())
+	s.met.latency.Observe(time.Since(c.enqueued).Nanoseconds())
 	return res
 }

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # run_all.sh — reproducible quick pass over the whole evaluation:
-#   1) verification half: gofmt/vet/build/test gate + race/docs gates
+#   1) verification half: gofmt/vet/build/test gate + race, examples,
+#      hbplint and docs gates
 #   2) grid half: quick experiment grid -> runs/<stamp>/{csv,logs} archive,
 #      CSV sanity, -canon determinism, the full EXP14 grid digests against
 #      benchmark/golden, an hbptrace -trace smoke run, and the EXP14
@@ -185,6 +186,18 @@ if [ "$MODE" != grid ]; then
 
     echo "== gate: benchmark smoke (every benchmark runs one iteration) =="
     go test -run '^$' -bench . -benchtime 1x . ./internal/algos/sortutil/ ./internal/serve/ >/dev/null
+
+    echo "== gate: examples (each exits 0 and prints its result line) =="
+    for ex in "fftpoly:product coefficient of x^500 = 218" \
+        "graph:component sizes: ring=40 path=40 blob=20 isolates=20" \
+        "matmul:RM→BI→(gap)RM round trip: identical=true" \
+        "quickstart:result correct: true"; do
+        out=$(go run "./examples/${ex%%:*}")
+        grep -qF -- "${ex#*:}" <<<"$out" || {
+            echo "examples/${ex%%:*} printed no line '${ex#*:}'" >&2
+            exit 1
+        }
+    done
 
     echo "== gate: hbplint (falseshare/atomicmix/fjdiscipline/determinism/grainaudit) =="
     go run ./cmd/hbplint -stats ./...
